@@ -10,19 +10,14 @@ from .arith import (
     sieve_primes,
     sigma,
 )
-from .counting import abundancy_ge, count_sigma_ge, moment_sum, sigma_block
+from .counting import count_sigma_ge, moment_sum, sigma_block
 from .dirround import (
     DOWN,
     UP,
     ConstantBounds,
     Direction,
     DirScalar,
-    dir_add,
-    dir_div,
     dir_exp_upper,
-    dir_mul,
-    dir_pow,
-    dir_sub,
     rational_to_dir,
     zeta2_bounds,
 )
@@ -39,10 +34,8 @@ from .engine import (
     solve_progression,
 )
 from .errors import (
-    DirectionError,
     InvalidCellError,
     InvalidParameterError,
-    SignUncertainError,
     UnsupportedParameterError,
 )
 from .moments import MomentTable, build_moment_table, moment_r1_exact, moment_upper
@@ -55,7 +48,6 @@ __all__ = [
     "ConstantBounds",
     "DirScalar",
     "Direction",
-    "DirectionError",
     "DOWN",
     "FactoredSmooth",
     "InvalidCellError",
@@ -65,20 +57,13 @@ __all__ = [
     "PrimeTable",
     "ProgressEvent",
     "ProgressionCell",
-    "SignUncertainError",
     "UP",
     "UnsupportedParameterError",
     "abundancy",
-    "abundancy_ge",
     "build_moment_table",
     "cell_density",
     "count_sigma_ge",
-    "dir_add",
-    "dir_div",
     "dir_exp_upper",
-    "dir_mul",
-    "dir_pow",
-    "dir_sub",
     "enumerate_cells",
     "factorize",
     "iter_smooth",

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InvalidParameterError
@@ -170,6 +170,3 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_v, v = v, old_v - q * v
     return old_r, old_u, old_v
 
-
-def coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1

@@ -14,7 +14,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .arith import factorize, sieve_primes
@@ -39,43 +38,6 @@ def scaled_int(text: str) -> int:
             f"expected an integer like 100000 or 1e5, got {text!r}"
         )
     return int(m.group(1)) * 10 ** int(m.group(2) or 0)
-
-
-@dataclass
-class RunConfig:
-    """Validated per-command parameters, one instance per invocation."""
-
-    command: str
-    format: str
-    y: int = 0
-    z: int = 0
-    r_max: int = 0
-    x: int = 0
-    a: int = 0
-    b: int = 0
-    r: int = 0
-    threads: int = 1
-    block_size: int = DEFAULT_BLOCK
-    flush_every: int = 0
-
-
-def config_from_args(args) -> RunConfig:
-    get = lambda name, default=0: getattr(args, name, default)
-    threads = get("threads", None)
-    return RunConfig(
-        command=args.command,
-        format=get("format", "text"),
-        y=get("y"),
-        z=get("z"),
-        r_max=get("rmax"),
-        x=get("x"),
-        a=get("a"),
-        b=get("b"),
-        r=get("r"),
-        threads=threads if threads is not None else _default_threads(),
-        block_size=get("block_size", DEFAULT_BLOCK),
-        flush_every=get("flush_every"),
-    )
 
 
 def _default_threads() -> int:
@@ -160,9 +122,7 @@ def _emit(payload: dict, lines: list[str], fmt: str) -> None:
             print(line)
 
 
-def _cmd_bounds(cfg: RunConfig) -> int:
-    last = [0.0]
-
+def _cmd_bounds(args) -> int:
     def progress(ev):
         if ev.flush:
             print(
@@ -176,15 +136,14 @@ def _cmd_bounds(cfg: RunConfig) -> int:
                 f"lower>={ev.lower:.8f} upper<={ev.upper:.8f}",
                 file=sys.stderr,
             )
-        last[0] = ev.pairs
 
     report = run_bounds(
-        cfg.y,
-        cfg.z,
-        cfg.r_max,
-        threads=cfg.threads,
+        args.y,
+        args.z,
+        args.rmax,
+        threads=args.threads if args.threads is not None else _default_threads(),
         progress=progress,
-        flush_every=cfg.flush_every,
+        flush_every=args.flush_every,
     )
     lower = _outward(report.lower_total.value, True)
     upper = _outward(report.upper_total.value, False)
@@ -205,92 +164,79 @@ def _cmd_bounds(cfg: RunConfig) -> int:
         f"certified bracket: {lower:.10g} <= density <= {upper:.10g}",
         f"elapsed          : {report.elapsed_seconds:.2f} s",
     ]
-    _emit(payload, lines, cfg.format)
+    _emit(payload, lines, args.format)
     return 0
 
 
-def _cmd_empirical(cfg: RunConfig) -> int:
-    count, _ = count_sigma_ge(cfg.x, cfg.block_size)
-    prop = _exact_proportion(count, cfg.x)
+def _cmd_empirical(args) -> int:
+    count, _ = count_sigma_ge(args.x, args.block_size)
+    prop = _exact_proportion(count, args.x)
     payload = {
         "command": "empirical",
-        "params": {"x": cfg.x, "block_size": cfg.block_size},
+        "params": {"x": args.x, "block_size": args.block_size},
         "count": count,
         "proportion": float(prop),
     }
-    _emit(payload, [f"{count} / {cfg.x} = {prop}"], cfg.format)
+    _emit(payload, [f"{count} / {args.x} = {prop}"], args.format)
     return 0
 
 
-def _factored_cell_input(value: int, y: int, name: str):
-    f = factorize(value)
-    for p, _ in f.factors:
-        if p > y:
-            raise InvalidCellError(f"{name}={value} is not {y}-smooth")
-    return f
-
-
-def _cmd_dens_s(cfg: RunConfig) -> int:
-    primes = sieve_primes(cfg.y)
-    fa = _factored_cell_input(cfg.a, cfg.y, "a")
-    fb = _factored_cell_input(cfg.b, cfg.y, "b")
-    cell = cell_density(fa, fb, primes)
+def _cmd_dens_s(args) -> int:
+    cell = cell_density(factorize(args.a), factorize(args.b), sieve_primes(args.y))
     num, den = cell.dens.numerator, cell.dens.denominator
     payload = {
         "command": "dens-s",
-        "params": {"a": cfg.a, "b": cfg.b, "y": cfg.y},
+        "params": {"a": args.a, "b": args.b, "y": args.y},
         "dens": f"{num}/{den}",
         "dens_float": num / den,
     }
-    lines = [f"dens S({cfg.a}, {cfg.b}) with y={cfg.y} = {num}/{den} = {num / den:.10g}"]
-    _emit(payload, lines, cfg.format)
+    lines = [f"dens S({args.a}, {args.b}) with y={args.y} = {num}/{den} = {num / den:.10g}"]
+    _emit(payload, lines, args.format)
     return 0
 
 
-def _cmd_lambda(cfg: RunConfig) -> int:
-    table = build_moment_table(cfg.y, cfg.r_max)
+def _cmd_lambda(args) -> int:
+    table = build_moment_table(args.y, args.rmax)
     rows = []
-    for r in range(1, cfg.r_max + 1):
+    for r in range(1, args.rmax + 1):
         v = table.values[r].value
         w = table.roots[r].value
         rows.append([r, v if math.isfinite(v) else None, w if math.isfinite(w) else None])
     payload = {
         "command": "lambda",
-        "params": {"y": cfg.y, "r_max": cfg.r_max},
+        "params": {"y": args.y, "r_max": args.rmax},
         "rows": rows,
     }
-    lines = [f"moment-mean upper bounds, y={cfg.y}"]
+    lines = [f"moment-mean upper bounds, y={args.y}"]
     for r, v, w in rows:
         vtxt = "saturated" if v is None else _fmt_cert(v, False)
         wtxt = "saturated" if w is None else _fmt_cert(w, False)
         lines.append(f"r={r}  upper<={vtxt}  root<={wtxt}")
-    _emit(payload, lines, cfg.format)
+    _emit(payload, lines, args.format)
     return 0
 
 
-def _cmd_moment(cfg: RunConfig) -> int:
-    s_odd, s_even = moment_sum(cfg.a, cfg.b, cfg.y, cfg.r, cfg.x, cfg.block_size)
-    primes = sieve_primes(cfg.y)
-    fa = _factored_cell_input(cfg.a, cfg.y, "a")
-    fb = _factored_cell_input(cfg.b, cfg.y, "b")
-    dens = cell_density(fa, fb, primes).dens
-    scale = float(dens) * cfg.x
+def _cmd_moment(args) -> int:
+    # validate the cell before the x-sized sieve runs
+    dens = cell_density(factorize(args.a), factorize(args.b), sieve_primes(args.y)).dens
+    s_odd, s_even = moment_sum(args.a, args.b, args.y, args.r, args.x, args.block_size)
+    scale = float(dens) * args.x
     payload = {
         "command": "moment",
-        "params": {"a": cfg.a, "b": cfg.b, "y": cfg.y, "r": cfg.r, "x": cfg.x},
+        "params": {"a": args.a, "b": args.b, "y": args.y, "r": args.r, "x": args.x},
         "sum_odd": s_odd,
         "sum_even": s_even,
         "normalized_odd": s_odd / scale if scale else None,
         "normalized_even": s_even / scale if scale else None,
     }
     lines = [
-        f"cell ({cfg.a}, {cfg.b}), y={cfg.y}, r={cfg.r}, x={cfg.x}",
+        f"cell ({args.a}, {args.b}), y={args.y}, r={args.r}, x={args.x}",
         f"sum h^r(2n+1) = {s_odd:.10g}",
         f"sum h^r(2n)   = {s_even:.10g}",
         f"x * dens      = {scale:.10g}",
         f"normalized    : odd {s_odd / scale:.8f}  even {s_even / scale:.8f}",
     ]
-    _emit(payload, lines, cfg.format)
+    _emit(payload, lines, args.format)
     return 0
 
 
@@ -310,7 +256,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](config_from_args(args))
+        return _DISPATCH[args.command](args)
     except UnsupportedParameterError as exc:
         print(f"unsupported parameter: {exc}", file=sys.stderr)
         return 3

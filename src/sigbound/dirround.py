@@ -6,10 +6,14 @@ mechanism is ULP nudging: IEEE double arithmetic rounds to nearest, so the
 rounded result differs from the exact one by less than one ULP, and a single
 nextafter step in the target direction lands provably on the safe side.
 
-Two layers live here. The `up_*` / `dn_*` float kernels nudge unconditionally
-(one ULP of slack even when the operation happened to be exact) and are what
-the hot loops use. The public DirScalar operations additionally detect exact
-results and skip the nudge, so identities like x*1 stay bit-identical.
+The `up_*` / `dn_*` / `pow_*` kernels nudge unconditionally, one ULP of slack
+even when the operation happened to be exact; `ratio_*` and `flt_dn` convert
+exact rationals and integers to the nearest double on the requested side. A
+composite expression stays certified when each operand slot gets the direction
+that pushes the result the right way: the subtrahend and the divisor take the
+opposite direction of the result, and the operands of mul, div and pow must
+be nonnegative. `DirScalar` labels a finished value with
+its side; it carries no arithmetic of its own.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .errors import DirectionError, InvalidParameterError, SignUncertainError
+from .errors import InvalidParameterError
 
 _INF = math.inf
 _nextafter = math.nextafter
@@ -37,10 +41,6 @@ _FACT9 = 362880.0  # 9!
 
 def next_up(x: float) -> float:
     return _nextafter(x, _INF)
-
-
-def next_down(x: float) -> float:
-    return _nextafter(x, -_INF)
 
 
 def up_add(x: float, y: float) -> float:
@@ -102,13 +102,8 @@ def pow_dn(x: float, r: int) -> float:
     return result
 
 
-def flt_up(n: int) -> float:
-    """Smallest double >= n (int-to-float conversions round to nearest)."""
-    f = float(n)
-    return f if f >= n else _nextafter(f, _INF)
-
-
 def flt_dn(n: int) -> float:
+    """Largest double <= n (int-to-float conversions round to nearest)."""
     f = float(n)
     return f if f <= n else _nextafter(f, -_INF)
 
@@ -137,45 +132,12 @@ def ratio_dn(num: int, den: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exactness detection for the public operations
-# ---------------------------------------------------------------------------
-
-def _sum_exact(a: float, b: float, s: float) -> bool:
-    # TwoSum error term; exact in IEEE double absent overflow.
-    if math.isinf(s):
-        return False
-    bb = s - a
-    return (a - (s - bb)) + (b - bb) == 0.0
-
-
-def _mul_exact(a: float, b: float, z: float) -> bool:
-    if math.isinf(z) or math.isinf(a) or math.isinf(b):
-        return False
-    na, da = a.as_integer_ratio()
-    nb, db = b.as_integer_ratio()
-    nz, dz = z.as_integer_ratio()
-    return na * nb * dz == nz * da * db
-
-
-def _div_exact(a: float, b: float, z: float) -> bool:
-    if math.isinf(z) or math.isinf(a) or math.isinf(b):
-        return False
-    na, da = a.as_integer_ratio()
-    nb, db = b.as_integer_ratio()
-    nz, dz = z.as_integer_ratio()
-    return na * db * dz == nz * da * nb
-
-
-# ---------------------------------------------------------------------------
-# DirScalar and its operations
+# DirScalar, the result type
 # ---------------------------------------------------------------------------
 
 class Direction(Enum):
     DOWN = -1
     UP = 1
-
-    def flip(self) -> "Direction":
-        return Direction.UP if self is Direction.DOWN else Direction.DOWN
 
 
 DOWN = Direction.DOWN
@@ -189,117 +151,9 @@ class DirScalar:
     value: float
     direction: Direction
 
-    @property
-    def saturated(self) -> bool:
-        """True when the value overflowed; a saturated UP bound is unusable."""
-        return math.isinf(self.value)
-
     def __repr__(self) -> str:
         arrow = "<=" if self.direction is DOWN else ">="
         return f"DirScalar({self.value!r} {arrow} exact)"
-
-
-Operand = Union[DirScalar, int, float, Fraction]
-
-
-def _operand_value(x: Operand, required: Direction) -> float:
-    """Extract the float for an operand slot that must be `required`-directed."""
-    if isinstance(x, DirScalar):
-        if x.direction is not required:
-            raise DirectionError(
-                f"operand is {x.direction.name}-directed but this slot needs "
-                f"{required.name}"
-            )
-        return x.value
-    if isinstance(x, bool):
-        raise InvalidParameterError("bool is not a numeric operand")
-    if isinstance(x, int):
-        return flt_up(x) if required is UP else flt_dn(x)
-    if isinstance(x, float):
-        return x  # a bare float is taken as exact
-    if isinstance(x, Fraction):
-        return rational_to_dir(x, required).value
-    raise InvalidParameterError(f"unsupported operand type {type(x)!r}")
-
-
-def _nudge(z: float, direction: Direction) -> float:
-    return _nextafter(z, _INF if direction is UP else -_INF)
-
-
-def dir_add(x: Operand, y: Operand, direction: Direction) -> DirScalar:
-    a = _operand_value(x, direction)
-    b = _operand_value(y, direction)
-    z = a + b
-    if not _sum_exact(a, b, z):
-        z = _nudge(z, direction)
-    return DirScalar(z, direction)
-
-
-def dir_sub(x: Operand, y: Operand, direction: Direction) -> DirScalar:
-    """x - y; the subtrahend must carry the opposite direction."""
-    a = _operand_value(x, direction)
-    b = _operand_value(y, direction.flip())
-    z = a - b
-    if not _sum_exact(a, -b, z):
-        z = _nudge(z, direction)
-    return DirScalar(z, direction)
-
-
-def dir_mul(x: Operand, y: Operand, direction: Direction) -> DirScalar:
-    a = _operand_value(x, direction)
-    b = _operand_value(y, direction)
-    if a < 0.0 or b < 0.0:
-        raise SignUncertainError("directed multiply requires nonnegative operands")
-    z = a * b
-    if not _mul_exact(a, b, z):
-        z = _nudge(z, direction)
-    return DirScalar(z, direction)
-
-
-def dir_div(x: Operand, y: Operand, direction: Direction) -> DirScalar:
-    """x / y for a denominator the caller knows to be positive.
-
-    The denominator slot carries the flipped direction. For an UP quotient the
-    denominator is DOWN-directed; if that bound has decayed to <= 0 the true
-    quotient cannot be bounded above and the result saturates to +inf. For a
-    DOWN quotient a nonpositive UP-directed denominator certifies the
-    denominator itself is <= 0, which this layer refuses to divide by.
-    """
-    a = _operand_value(x, direction)
-    b = _operand_value(y, direction.flip())
-    if a < 0.0:
-        raise SignUncertainError("directed divide requires a nonnegative numerator")
-    if b <= 0.0:
-        if direction is UP:
-            return DirScalar(_INF, UP)
-        raise SignUncertainError("denominator is not certifiably positive")
-    z = a / b
-    if not _div_exact(a, b, z):
-        z = _nudge(z, direction)
-    return DirScalar(z, direction)
-
-
-def dir_pow(x: DirScalar, r: int) -> DirScalar:
-    """x**r by repeated squaring, each step directed like x.
-
-    Overflow saturates on the safe side: +inf for UP (an unusable sentinel),
-    the largest finite double for DOWN.
-    """
-    if not isinstance(r, int) or r < 1:
-        raise InvalidParameterError(f"exponent must be a positive integer, got {r}")
-    if x.value < 0.0:
-        raise SignUncertainError("directed power requires a nonnegative base")
-    d = x.direction
-    result = DirScalar(1.0, d)
-    base = x
-    e = r
-    while True:
-        if e & 1:
-            result = dir_mul(result, base, d)
-        e >>= 1
-        if not e:
-            return result
-        base = dir_mul(base, base, d)
 
 
 def rational_to_dir(q: Union[Fraction, int], direction: Direction) -> DirScalar:
@@ -329,11 +183,9 @@ def _exp_up_core(v: float) -> float:
     return up_add(s, up_div(up_mul(_E_UP, v9), _FACT9))
 
 
-def dir_exp_upper(x: Union[float, DirScalar]) -> DirScalar:
+def dir_exp_upper(x: float) -> DirScalar:
     """Certified upper bound on e^x for x in [0, 1]."""
-    v = x.value if isinstance(x, DirScalar) else float(x)
-    if isinstance(x, DirScalar) and x.direction is not UP:
-        raise DirectionError("exp is increasing; its argument must be UP-directed")
+    v = float(x)
     if not 0.0 <= v <= 1.0:
         raise InvalidParameterError(f"dir_exp_upper domain is [0, 1], got {v}")
     if v == 0.0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -366,13 +367,11 @@ def _run_tasks(consts, tasks, progress=None, flush_every=0, t_start=0.0):
 
     def emit(flush: bool) -> None:
         nonlocal next_tick
-        tail = nxt(1.0 - cov_dn, INF)
-        upper_now = nxt(up_sum + tail, INF)
         progress(ProgressEvent(
             pairs=pairs,
             current_a=av,
             lower=lo_sum,
-            upper=upper_now if upper_now < 1.0 else 1.0,
+            upper=_upper_with_tail(up_sum, cov_dn),
             covered=cov_dn,
             flush=flush,
         ))
@@ -542,6 +541,13 @@ def _split_tasks(odd, z):
 _WORKER_CONSTS = None
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _worker_init(consts):
     global _WORKER_CONSTS
     _WORKER_CONSTS = consts
@@ -566,14 +572,16 @@ def run_bounds(
     UP-directed upper totals plus the covered mass, then charges the
     unenumerated tail (1 - covered) to the upper side. Single-threaded runs
     are bit-reproducible; multi-worker runs merge per-task partial sums in a
-    fixed order, so the bracket is certified under any schedule.
+    fixed order, so the bracket is certified under any schedule. `threads`
+    is capped at the usable cores and at the task count; the report carries
+    the count actually used.
     """
     if z < 2:
         raise InvalidParameterError(f"z must be >= 2, got {z}")
     if r_max < 1:
         raise InvalidParameterError(f"r_max must be >= 1, got {r_max}")
     if threads is None:
-        threads = multiprocessing.cpu_count()
+        threads = _usable_cpus()
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     t_start = time.perf_counter()
@@ -584,10 +592,14 @@ def run_bounds(
     consts = _engine_consts(y, z, table)
 
     parts = []
+    if threads > 1:
+        tasks = _split_tasks(consts[1], z)
+        # the fork pool starts every worker up front: no more workers than
+        # usable cores, nor than tasks (and so batches) to hand them
+        threads = min(threads, _usable_cpus(), len(tasks))
     if threads == 1:
         parts.append(_run_tasks(consts, [(1, 0, True)], progress, flush_every, t_start))
     else:
-        tasks = _split_tasks(consts[1], z)
         nb = min(len(tasks), threads * 8)
         batches = [tasks[i::nb] for i in range(nb)]
         ctx = multiprocessing.get_context("fork")
@@ -598,31 +610,26 @@ def run_bounds(
             initargs=(consts,),
         ) as ex:
             futures = [ex.submit(_worker_run, b) for b in batches]
-            for k, fut in enumerate(futures):  # merge in submit order
-                part = fut.result()
-                parts.append(part)
+            reported = 0
+            for fut in futures:  # merge in submit order
+                parts.append(fut.result())
                 if progress is not None:
-                    done = _merge(parts)
-                    tail = up_sub(1.0, done[2])
-                    upper_now = min(up_add(done[1], tail), 1.0)
+                    lo, up_cells, cov_dn, _, pairs = _merge(parts)
+                    # a batch ends at no particular pair count: flush when
+                    # this merge crossed a multiple of flush_every
+                    flush = bool(flush_every) and pairs // flush_every > reported // flush_every
+                    reported = pairs
                     progress(ProgressEvent(
-                        pairs=done[4],
+                        pairs=pairs,
                         current_a=0,
-                        lower=done[0],
-                        upper=upper_now,
-                        covered=done[2],
-                        flush=False,
+                        lower=lo,
+                        upper=_upper_with_tail(up_cells, cov_dn),
+                        covered=cov_dn,
+                        flush=flush,
                     ))
 
     lo, up_cells, cov_dn, cov_up, pairs = _merge(parts)
-    if lo < 0.0:
-        lo = 0.0  # the summed quantity is a density: clamping DOWN at 0 is safe
-    if cov_dn < 0.0:
-        cov_dn = 0.0
-    tail_up = up_sub(1.0, cov_dn)
-    upper = up_add(up_cells, tail_up)
-    if upper > 1.0:
-        upper = 1.0
+    upper = _upper_with_tail(up_cells, cov_dn)
     if lo > upper:
         raise AssertionError("certified bracket inverted; this is a bug")
     return BoundReport(
@@ -639,6 +646,12 @@ def run_bounds(
     )
 
 
+def _upper_with_tail(up_cells: float, cov_dn: float) -> float:
+    """UP bound on the whole density: the enumerated cells' upper sum plus
+    the unenumerated tail 1 - covered, capped at 1."""
+    return min(up_add(up_cells, up_sub(1.0, cov_dn)), 1.0)
+
+
 def _merge(parts):
     lo = 0.0
     up = 0.0
@@ -651,7 +664,9 @@ def _merge(parts):
         cd = dn_add(cd, c1)
         cu = up_add(cu, c2)
         n += k
-    return lo, up, cd, cu, n
+    # DOWN sums of densities (a zero part still nudges below 0): clamping
+    # them at 0 is safe
+    return max(lo, 0.0), up, max(cd, 0.0), cu, n
 
 
 def enumerate_cells(y: int, z: int):

@@ -12,10 +12,3 @@ class UnsupportedParameterError(ValueError):
 class InvalidCellError(ValueError):
     """An (a, b) pair does not describe a valid enumeration cell."""
 
-
-class SignUncertainError(ArithmeticError):
-    """A directed operation needs a sign that the inputs cannot certify."""
-
-
-class DirectionError(ValueError):
-    """A directed operand has the wrong rounding direction for its slot."""

@@ -123,6 +123,17 @@ class TestBounds:
         assert "certified bracket" in out
 
 
+    def test_flush_every_with_two_threads(self, capsys):
+        # parallel runs report per merged batch; a batch that crosses a
+        # multiple of --flush-every must still print a flush line
+        code, _, err = run_cli(
+            capsys, "bounds", "--y", "3", "--z", "1e4", "--rmax", "20",
+            "--threads", "2", "--flush-every", "50",
+        )
+        assert code == 0
+        assert any(line.startswith("flush:") for line in err.splitlines())
+
+
 class TestMoment:
     def test_runs_and_reports_ratio(self, capsys):
         code, out, _ = run_cli(

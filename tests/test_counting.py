@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from sigbound.arith import factorize, largest_smooth_divisor, sieve_primes, sigma
+from sigbound.arith import abundancy, factorize, largest_smooth_divisor, sieve_primes, sigma
 from sigbound.counting import (
-    abundancy_ge,
     count_sigma_ge,
     moment_sum,
     naive_sigma_upto,
@@ -63,26 +62,16 @@ class TestCountSigmaGe:
 
 class TestAbundancyGe:
     def test_small_cases(self):
-        # n=1: 4*2 < 3*3, n=3: 8*6 < 12*7
-        assert abundancy_ge(1) is False
-        assert abundancy_ge(3) is False
+        # h(2n+1) < h(2n) at n=1 (4*2 < 3*3) and n=3 (8*6 < 12*7)
+        assert abundancy(factorize(3)) < abundancy(factorize(2))
+        assert abundancy(factorize(7)) < abundancy(factorize(6))
 
     def test_prime_odd_side_fails(self):
         # when 2n+1 is prime, sigma(2n) >= 3n+3 beats 2n+2 for n >= 2
         for n in (2, 3, 5, 6, 8, 9, 14, 20, 23):
             if (2 * n + 1) in set(sieve_primes(100).primes):
-                assert abundancy_ge(n) is False
+                assert abundancy(factorize(2 * n + 1)) < abundancy(factorize(2 * n))
                 assert sigma(factorize(2 * n + 1)) < sigma(factorize(2 * n))
-
-    def test_agrees_with_scaled_count(self):
-        brute = sum(abundancy_ge(n) for n in range(1, 2001))
-        count, _ = count_sigma_ge(2000, abundancy_version=True)
-        assert count == brute
-
-    def test_comparison_versions_differ_negligibly(self):
-        raw, _ = count_sigma_ge(10**6)
-        scaled, _ = count_sigma_ge(10**6, abundancy_version=True)
-        assert abs(raw - scaled) / 10**6 <= 0.001
 
 
 class TestPartitionOfIntegers:

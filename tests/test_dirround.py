@@ -7,25 +7,25 @@ import pytest
 from sigbound.dirround import (
     DOWN,
     UP,
-    DirScalar,
-    dir_add,
-    dir_div,
     dir_exp_upper,
-    dir_mul,
-    dir_pow,
-    dir_sub,
     dn_add,
     dn_div,
+    dn_mul,
+    dn_sub,
     exp_up_wide,
     log_up,
     pow_dn,
     pow_up,
+    ratio_dn,
+    ratio_up,
     rational_to_dir,
     up_add,
     up_div,
+    up_mul,
+    up_sub,
     zeta2_bounds,
 )
-from sigbound.errors import DirectionError, InvalidParameterError, SignUncertainError
+from sigbound.errors import InvalidParameterError
 
 
 class TestRationalToDir:
@@ -50,68 +50,30 @@ class TestRationalToDir:
 
 class TestDirOps:
     def test_div_one_third_up(self):
-        v = dir_div(1, 3, UP)
-        assert Fraction(v.value) >= Fraction(1, 3)
-
-    def test_mul_identity_exact(self):
-        x = DirScalar(1.7, UP)
-        assert dir_mul(x, 1.0, UP).value == 1.7
+        assert Fraction(up_div(1.0, 3.0)) >= Fraction(1, 3)
 
     def test_sub_composition(self):
         # 1 - DOWN(1/3) rounded UP is >= 2/3
-        third_dn = dir_div(1, 3, DOWN)
-        v = dir_sub(1, third_dn, UP)
-        assert Fraction(v.value) >= Fraction(2, 3)
-
-    def test_add_exact_detection(self):
-        v = dir_add(DirScalar(0.25, DOWN), DirScalar(0.5, DOWN), DOWN)
-        assert v.value == 0.75
-
-    def test_direction_mismatch_raises(self):
-        with pytest.raises(DirectionError):
-            dir_add(DirScalar(1.0, DOWN), DirScalar(1.0, UP), DOWN)
-        with pytest.raises(DirectionError):
-            dir_sub(1, DirScalar(1.0, UP), UP)  # subtrahend must be DOWN
-
-    def test_mul_rejects_negative(self):
-        with pytest.raises(SignUncertainError):
-            dir_mul(DirScalar(-1.0, UP), DirScalar(2.0, UP), UP)
-
-    def test_div_by_uncertified_denominator(self):
-        # UP quotient with a DOWN denominator that decayed to 0 saturates
-        v = dir_div(DirScalar(1.0, UP), DirScalar(0.0, DOWN), UP)
-        assert v.saturated
-        # DOWN quotient with a nonpositive UP denominator is refused
-        with pytest.raises(SignUncertainError):
-            dir_div(DirScalar(1.0, DOWN), DirScalar(0.0, UP), DOWN)
+        assert Fraction(up_sub(1.0, dn_div(1.0, 3.0))) >= Fraction(2, 3)
 
 
 class TestDirPow:
-    def test_identity_base(self):
-        for r in (1, 2, 17, 1000):
-            assert dir_pow(DirScalar(1.0, UP), r).value == 1.0
-
-    def test_exact_power_of_two(self):
-        assert dir_pow(DirScalar(2.0, DOWN), 10).value == 1024.0
-
     def test_saturation_up(self):
         # 4000 * log10(1.5) is approximately 704 decimal digits: overflows
-        v = dir_pow(DirScalar(1.5, UP), 4000)
-        assert v.saturated and v.value == math.inf
+        assert pow_up(1.5, 4000) == math.inf
 
     def test_down_overflow_stays_finite(self):
-        v = dir_pow(DirScalar(1.5, DOWN), 4000)
-        assert math.isfinite(v.value)
+        assert math.isfinite(pow_dn(1.5, 4000))
 
     @pytest.mark.parametrize("num,den", [(3, 2), (7, 6), (13, 9)])
     def test_brackets_exact_power(self, num, den):
         q = Fraction(num, den)
-        lo = rational_to_dir(q, DOWN)
-        hi = rational_to_dir(q, UP)
+        lo = ratio_dn(num, den)
+        hi = ratio_up(num, den)
         for r in range(1, 65):
             exact = q**r
-            assert Fraction(dir_pow(lo, r).value) <= exact
-            assert Fraction(dir_pow(hi, r).value) >= exact
+            assert Fraction(pow_dn(lo, r)) <= exact
+            assert Fraction(pow_up(hi, r)) >= exact
 
 
 class TestExpUpper:
@@ -201,7 +163,8 @@ class TestZeta2:
 
 
 # ---------------------------------------------------------------------------
-# randomized expression trees: DOWN/UP evaluations must bracket exact truth
+# randomized expression trees: DOWN/UP kernel evaluations must bracket the
+# exact rational value
 # ---------------------------------------------------------------------------
 
 class Node:
@@ -243,24 +206,26 @@ def eval_exact(node):
     return l / r
 
 
-def eval_dir(node, direction):
+# (DOWN kernel, UP kernel) per operator; every operand is nonnegative where
+# mul and div are drawn, so only sub and div flip the right operand.
+_KERNELS = {
+    "add": (dn_add, up_add),
+    "sub": (dn_sub, up_sub),
+    "mul": (dn_mul, up_mul),
+    "div": (dn_div, up_div),
+}
+
+
+def eval_dir(node, up):
+    """Evaluate on the engine's up_*/dn_* kernels: a DOWN (up=False) or UP
+    (up=True) bound on the exact value of the tree."""
     if node.op == "leaf":
-        return rational_to_dir(node.frac, direction)
-    if node.op == "add":
-        return dir_add(eval_dir(node.left, direction), eval_dir(node.right, direction), direction)
-    if node.op == "sub":
-        return dir_sub(
-            eval_dir(node.left, direction),
-            eval_dir(node.right, direction.flip()),
-            direction,
-        )
-    if node.op == "mul":
-        return dir_mul(eval_dir(node.left, direction), eval_dir(node.right, direction), direction)
-    return dir_div(
-        eval_dir(node.left, direction),
-        eval_dir(node.right, direction.flip()),
-        direction,
-    )
+        f = node.frac
+        return (ratio_up if up else ratio_dn)(f.numerator, f.denominator)
+    flip = node.op in ("sub", "div")
+    left = eval_dir(node.left, up)
+    right = eval_dir(node.right, up != flip)
+    return _KERNELS[node.op][up](left, right)
 
 
 def check_trees(n_trees, seed):
@@ -269,8 +234,8 @@ def check_trees(n_trees, seed):
     for _ in range(n_trees):
         tree = random_tree(rng, rng.randrange(1, 5))
         exact = eval_exact(tree)
-        lo = eval_dir(tree, DOWN).value
-        hi = eval_dir(tree, UP).value
+        lo = eval_dir(tree, up=False)
+        hi = eval_dir(tree, up=True)
         if not (Fraction(lo) <= exact <= Fraction(hi)):
             violations += 1
     return violations

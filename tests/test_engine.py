@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 from math import gcd
 
@@ -257,6 +258,16 @@ class TestRunBounds:
         assert r2.upper_total.value == pytest.approx(r1.upper_total.value, rel=1e-9)
         # both are certificates regardless of schedule
         assert r2.lower_total.value <= r2.upper_total.value
+
+    def test_threads_capped_at_usable_cores(self, table_y31_r200):
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cores = os.cpu_count() or 1
+        serial = run_bounds(31, 10**3, 200, threads=1, table=table_y31_r200)
+        r = run_bounds(31, 10**3, 200, threads=cores + 3, table=table_y31_r200)
+        assert r.threads <= cores
+        assert r.pair_count == serial.pair_count
 
     def test_progress_events(self, table_y31_r200):
         events = []

@@ -1,0 +1,29 @@
+"""The package's public surface."""
+import importlib
+
+import sigbound
+
+_MODULES = ("arith", "cli", "counting", "dirround", "engine", "errors", "moments")
+
+# The DirScalar operand algebra, the errors only it raised, and the sieve's
+# scaled comparison: removed because no production path ran them.
+_REMOVED = (
+    "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
+    "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
+    "DirectionError", "SignUncertainError",
+    "abundancy_ge", "RunConfig", "config_from_args", "coprime",
+)
+
+
+def test_star_import_resolves_every_exported_name():
+    ns = {}
+    exec("from sigbound import *", ns)
+    assert len(set(sigbound.__all__)) == len(sigbound.__all__)
+    assert [name for name in sigbound.__all__ if name not in ns] == []
+
+
+def test_removed_names_stay_removed():
+    for mod in _MODULES:
+        module = importlib.import_module(f"sigbound.{mod}")
+        assert [name for name in _REMOVED if hasattr(module, name)] == [], mod
+    assert set(_REMOVED).isdisjoint(sigbound.__all__)
