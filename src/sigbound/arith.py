@@ -107,6 +107,24 @@ def factorize(n: int) -> FactoredSmooth:
     return FactoredSmooth(n, tuple(factors))
 
 
+def split_smooth(n: int, primes: PrimeTable) -> tuple[FactoredSmooth, int]:
+    """n = s * c with s built from the primes of `primes` and c coprime to
+    them: returns s factored and the cofactor c, which is 1 exactly when n is
+    smooth over `primes`. One trial division per prime, however large n is."""
+    if n < 1:
+        raise InvalidParameterError(f"cannot factor {n}")
+    m = n
+    factors = []
+    for p in primes.primes:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+    return FactoredSmooth(n // m, tuple(factors)), m
+
+
 def iter_smooth(primes: Iterable[int], limit: int) -> Iterator[FactoredSmooth]:
     """Every integer in [1, limit] whose prime factors all lie in `primes`.
 

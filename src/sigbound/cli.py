@@ -16,7 +16,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .arith import factorize, sieve_primes
+from .arith import sieve_primes, split_smooth
 from .counting import DEFAULT_BLOCK, count_sigma_ge, moment_sum
 from .engine import cell_density, run_bounds
 from .errors import (
@@ -181,8 +181,21 @@ def _cmd_empirical(args) -> int:
     return 0
 
 
+def _cell_arg(args):
+    """The cell of --a/--b/--y. Only the primes <= y are divided out, so a
+    coordinate with a large prime factor is rejected without factoring it."""
+    primes = sieve_primes(args.y)
+    sides = []
+    for name, n in (("a", args.a), ("b", args.b)):
+        part, rest = split_smooth(n, primes)
+        if rest != 1:
+            raise InvalidCellError(f"{name}={n} is not {args.y}-smooth")
+        sides.append(part)
+    return cell_density(*sides, primes)
+
+
 def _cmd_dens_s(args) -> int:
-    cell = cell_density(factorize(args.a), factorize(args.b), sieve_primes(args.y))
+    cell = _cell_arg(args)
     num, den = cell.dens.numerator, cell.dens.denominator
     payload = {
         "command": "dens-s",
@@ -218,7 +231,7 @@ def _cmd_lambda(args) -> int:
 
 def _cmd_moment(args) -> int:
     # validate the cell before the x-sized sieve runs
-    dens = cell_density(factorize(args.a), factorize(args.b), sieve_primes(args.y)).dens
+    dens = _cell_arg(args).dens
     s_odd, s_even = moment_sum(args.a, args.b, args.y, args.r, args.x, args.block_size)
     scale = float(dens) * args.x
     payload = {

@@ -9,20 +9,31 @@ cell satisfies the target inequality; summing over all cells with ab <= z and
 charging the unenumerated tail to the upper side yields a bracket for the
 density of the whole set.
 
-Directed rounding discipline: lower accumulations round DOWN, upper ones UP,
-so the reported bracket is a certificate no matter how many cells were summed.
+run_bounds evaluates the cells in numpy. It builds a table of even b values
+and the odd a side once per run, each row carrying its prime mask, directed
+density factor and directed abundancy, and cuts the candidate pairs (a, b)
+with b <= z // a into chunks at boundaries fixed by (y, z). Per chunk it
+drops the pairs whose masks intersect, computes each cell's directed terms,
+finds the grid slot of its abundancy ratio, and sums each total with
+math.fsum. The chunk sums merge in chunk order, in one process or from a
+fork pool alike, so the bits do not depend on the thread count.
+
+Directed rounding discipline: lower quantities round DOWN, upper ones UP,
+each cell term takes a nextafter after every operation, and each chunk total
+is a correctly rounded fsum stepped one ULP to its side, so the reported
+bracket is a certificate no matter how many cells were summed.
 """
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,9 +55,6 @@ from .dirround import (
 )
 from .errors import InvalidCellError, InvalidParameterError
 from .moments import MomentTable, build_moment_table
-
-_TWO53 = 9007199254740992.0  # ints below this convert to float exactly
-
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -276,12 +284,28 @@ def pair_bounds(
 
 
 # ---------------------------------------------------------------------------
-# production path: ratio curves tabulated on a geometric grid
+# production path: ratio curves on a geometric grid, cells in numpy chunks
 # ---------------------------------------------------------------------------
 
 _GRID_SIZE = 1 << 17
 _GRID_LO = 1.0 + 2.0**-16
 _GRID_HI = 32.0
+
+# Row cap of the smooth-number tables (the b table, the odd part of the a
+# side) and of one block of a-side rows: the memory of a run is bounded for
+# any z.
+_ROW_BUDGET = 1 << 18
+
+# Candidate (a, b) rows per chunk. The first chunk holds _CHUNK_MIN rows and
+# each next one twice as many, up to _CHUNK, so that small runs still split
+# into several chunks. The cut depends on (y, z) only, never on the thread
+# count, which is what makes every thread count produce the same bits.
+_CHUNK_MIN = 1 << 8
+_CHUNK = 1 << 14
+
+# The largest double below 2**63: every value in [0, 2**63) converts to a
+# double no larger than 2**63, and this one still converts back to an int64.
+_F63 = float(2**63 - 1024)
 
 
 def _ratio_grids(table: MomentTable):
@@ -292,253 +316,346 @@ def _ratio_grids(table: MomentTable):
     max_r (1 - (M(r)-1)/(q^r-1)) >= rl[g], because both expressions are
     monotone in q. Per cell the engine then only needs the grid slot at or
     below its q: one lookup replaces the whole r search, at a tightness cost
-    bounded by the grid spacing (4e-5 in log q).
+    bounded by the grid spacing (4e-5 in log q). rl is taken from ru once,
+    after the r loop: nextafter(1 - c, -inf) is monotone in c, so the best
+    lower candidate belongs to the best upper one.
+
+    Returns the arrays (g, ru, rl): g increasing, ru non-increasing, rl
+    non-decreasing.
     """
     vals = table.value_floats()
     inf = np.inf
     g = np.geomspace(_GRID_LO, _GRID_HI, _GRID_SIZE)
     np.maximum.accumulate(g, out=g)  # guard monotonicity at the ulp level
+    # qr = g^r rounded down and clamped at 1e300. It stays non-decreasing
+    # along the grid, so the points where it reaches a bound form a suffix:
+    # qr[live:] is 1e300 and stays there, and where qr reaches the cap the
+    # candidate is one scalar.
     qr = g.copy()
+    live = _GRID_SIZE
     ru = np.ones(_GRID_SIZE)
-    rl = np.zeros(_GRID_SIZE)
+    den = np.empty(_GRID_SIZE)
+    cand = np.empty(_GRID_SIZE)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for r in range(1, table.r_max + 1):
             lam = vals[r]
             if not math.isfinite(lam):
                 break  # orders only saturate upward from here
             if r > 1:
-                qr = np.minimum(np.nextafter(qr * g, 0.0), 1e300)
+                q = qr[:live]
+                np.multiply(q, g[:live], out=q)
+                np.nextafter(q, 0.0, out=q)
+                np.minimum(q, 1e300, out=q)
+                live = int(np.searchsorted(q, 1e300))
             num = next_up(lam - 1.0)
             cap = 1e9 * lam if math.isfinite(1e9 * lam) else 1e300
-            qe = np.minimum(qr, cap)
-            den = np.nextafter(qe - 1.0, -inf)
-            ok = den > 0.0
-            cand = np.where(ok, np.nextafter(num / den, inf), inf)
-            np.minimum(ru, cand, out=ru)
-            f = np.nextafter(1.0 - cand, -inf)
-            np.maximum(rl, np.where(ok, f, 0.0), out=rl)
-    iu = np.nonzero(ru < 1.0)[0]
-    il = np.nonzero(rl > 0.0)[0]
-    gate_u = float(g[iu[0]]) if iu.size else math.inf
-    gate_l = float(g[il[0]]) if il.size else math.inf
-    lg0 = math.log(g[0])
-    inv_step = (_GRID_SIZE - 1) / math.log(g[-1] / g[0])
-    return g.tolist(), ru.tolist(), rl.tolist(), gate_u, gate_l, lg0, inv_step
+            k = int(np.searchsorted(qr, cap))  # qr[:k] < cap <= qr[k:]
+            d, c = den[:k], cand[:k]
+            np.subtract(qr[:k], 1.0, out=d)
+            np.nextafter(d, -inf, out=d)
+            np.divide(num, d, out=c)
+            np.nextafter(c, inf, out=c)
+            c[d <= 0.0] = inf
+            np.minimum(ru[:k], c, out=ru[:k])
+            dcap = math.nextafter(cap - 1.0, -inf)
+            if k < _GRID_SIZE and dcap > 0.0:
+                np.minimum(ru[k:], math.nextafter(num / dcap, inf), out=ru[k:])
+    rl = np.where(ru < 1.0, np.nextafter(1.0 - ru, -inf), 0.0)
+    return g, ru, rl
 
 
-def _engine_consts(y: int, z: int, table: MomentTable):
-    odd = sieve_primes(y).odd() if y >= 3 else ()
-    f_dn = tuple(ratio_dn(p - 1, p - 2) for p in odd)
-    f_up = tuple(ratio_up(p - 1, p - 2) for p in odd)
+class _Consts(NamedTuple):
+    """The z-independent engine state: the odd primes <= y, the directed
+    density base prod (p-2)/p over them, and the ratio curves.
+
+    edges is the grid between -inf and +inf. ru_at and rl_at are ru and rl
+    behind a sentinel (1 and 0): index searchsorted(grid, q, 'right') (see
+    _grid_slot) reads the curve at the largest grid point <= q, or the
+    trivial ratio when q lies below the grid.
+    """
+
+    odd: tuple[int, ...]
+    base_dn: float
+    base_up: float
+    edges: np.ndarray
+    lg0: float
+    inv_step: float
+    ru_at: np.ndarray
+    rl_at: np.ndarray
+
+
+def _engine_consts(table: MomentTable) -> _Consts:
+    odd = sieve_primes(table.y).odd() if table.y >= 3 else ()
     base = Fraction(1)
     for p in odd:
         base *= Fraction(p - 2, p)
-    base_dn = ratio_dn(base.numerator, base.denominator)
-    base_up = ratio_up(base.numerator, base.denominator)
-    grid, ru, rl, gate_u, gate_l, lg0, inv_step = _ratio_grids(table)
-    return (z, odd, f_dn, f_up, base_dn, base_up, grid, ru, rl, gate_u, gate_l, lg0, inv_step)
+    g, ru, rl = _ratio_grids(table)
+    return _Consts(
+        odd=odd,
+        base_dn=ratio_dn(base.numerator, base.denominator),
+        base_up=ratio_up(base.numerator, base.denominator),
+        edges=np.concatenate(([-np.inf], g, [np.inf])),
+        lg0=math.log(g[0]),
+        inv_step=(g.size - 1) / math.log(g[-1] / g[0]),
+        ru_at=np.concatenate(([1.0], ru)),
+        rl_at=np.concatenate(([0.0], rl)),
+    )
 
 
-def _run_tasks(consts, tasks, progress=None, flush_every=0, t_start=0.0):
-    """Enumerate the subtrees described by `tasks` and accumulate bounds.
+def _float_dir(v: np.ndarray):
+    """(dn, up): doubles with dn <= v <= up for int64 v >= 0, both equal to v
+    where it converts exactly (the cast rounds to nearest above 2**53)."""
+    f = np.minimum(v.astype(np.float64), _F63)
+    back = f.astype(np.int64)
+    return (
+        np.where(back > v, np.nextafter(f, 0.0), f),
+        np.where(back < v, np.nextafter(f, np.inf), f),
+    )
 
-    Returns (lower, upper_cells, covered_dn, covered_up, pairs). The upper
-    component covers enumerated cells only; the caller adds the tail.
+
+class _Rows(NamedTuple):
+    """Smooth numbers with what a cell needs of each, one array per column.
+
+    A b-side row is an even b. An a-side row stands for an odd a and a t
+    (see _a_blocks) and its value is a*t. mask holds one uint64 word per 64
+    odd primes of the b table's prime set, bit j for the j-th odd prime.
+    d_* is the directed density factor F(value)/value, F the product of
+    (p-1)/(p-2) over the odd primes dividing value, with the density base
+    folded into the a side. h_* is the directed abundancy h(b) = sigma(b)/b,
+    or h(a)/h(t) on the a side.
     """
-    (z, odd, f_dn, f_up, base_dn, base_up, grid, ru, rl,
-     gate_u, gate_l, lg0, inv_step) = consts
-    K = len(odd)
-    G1 = len(grid) - 1
+
+    value: np.ndarray
+    a: np.ndarray  # an a-side row's a; the value itself on the b side
+    mask: np.ndarray
+    d_dn: np.ndarray
+    d_up: np.ndarray
+    h_dn: np.ndarray
+    h_up: np.ndarray
+
+    def take(self, idx) -> "_Rows":
+        return _Rows(*(col[..., idx] for col in self))
+
+
+def _concat(parts: list) -> _Rows:
+    return _Rows(*(np.concatenate(cols, axis=-1) for cols in zip(*parts)))
+
+
+def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
+                 budget: Optional[int] = None):
+    """Every even (or odd) number <= limit built from 2 (or not) and a prefix
+    of the odd primes `odd`, sorted by value, with F started at f0.
+
+    The odd primes join in increasing order while the table stays within
+    `budget` rows. Returns the rows and the number of odd primes used.
+    """
+    inf = np.inf
+    if even:
+        pows = [2**e for e in range(1, limit.bit_length())]
+        value = np.array(pows, dtype=np.int64)
+        h_dn = np.array([ratio_dn(2 * v - 1, v) for v in pows])
+        h_up = np.array([ratio_up(2 * v - 1, v) for v in pows])
+    else:
+        value = np.ones(1, dtype=np.int64)
+        h_dn = h_up = np.ones(1)
+    n = value.size
+    rows = _Rows(value, value, np.zeros((-(-len(odd) // 64), n), np.uint64),
+                 np.full(n, f0_dn), np.full(n, f0_up), h_dn, h_up)
+    used = 0
+    for j, p in enumerate(odd):
+        fp_dn, fp_up = ratio_dn(p - 1, p - 2), ratio_up(p - 1, p - 2)
+        bit = np.uint64(1 << (j % 64))
+        parts = [rows]
+        size = n
+        pk = p
+        while True:
+            sel = np.flatnonzero(rows.value <= limit // pk)
+            if not sel.size:
+                break
+            size += sel.size
+            if budget is not None and size > budget:
+                break
+            mask = rows.mask[:, sel]
+            mask[j // 64] |= bit
+            value = rows.value[sel] * pk
+            sig_dn, sig_up = ratio_dn(pk * p - 1, pk * (p - 1)), ratio_up(pk * p - 1, pk * (p - 1))
+            parts.append(_Rows(
+                value, value, mask,
+                np.nextafter(rows.d_dn[sel] * fp_dn, 0.0),
+                np.nextafter(rows.d_up[sel] * fp_up, inf),
+                np.nextafter(rows.h_dn[sel] * sig_dn, 0.0),
+                np.nextafter(rows.h_up[sel] * sig_up, inf),
+            ))
+            pk *= p
+        if budget is not None and size > budget:
+            break
+        rows = _concat(parts)
+        n = size
+        used += 1
+    rows = rows.take(np.argsort(rows.value, kind="stable"))
+    v_dn, v_up = _float_dir(rows.value)
+    rows = _Rows(
+        rows.value, rows.a, rows.mask[: -(-used // 64)],
+        np.nextafter(rows.d_dn / v_up, 0.0), np.nextafter(rows.d_up / v_dn, inf),
+        rows.h_dn, rows.h_up,
+    )
+    return rows, used
+
+
+def _a_blocks(small: _Rows, rest: tuple, z: int):
+    """The a side of every cell, in blocks of about _ROW_BUDGET rows.
+
+    With S the primes of the b table, a cell (a, b) splits as a = c*m and
+    b = s*t: c and s are S-smooth, m and t are coprime and built from the
+    remaining odd primes `rest`. A depth-first walk over `rest` visits every
+    (m, t) with m*t <= z//2; each visit emits a row per c in `small` (the odd
+    S-smooth numbers, sorted, base folded in) with c*m*t <= z//2, with value
+    c*m*t, a = c*m, c's mask, density factor d(c) F(m)F(t)/(mt) and
+    abundancy h(c) h(m)/h(t). When S holds every prime, the one visit is
+    (1, 1) and the block is `small` itself.
+    """
+    lim = z // 2
+    if not rest:
+        yield small
+        return
+    inf = np.inf
+
+    def walk(i, m, t, sm, st, fnum, fden):
+        yield m, t, sm, st, fnum, fden
+        for j in range(i, len(rest)):
+            p = rest[j]
+            if m * t * p > lim:
+                break
+            pk, s = p, 1 + p
+            while m * t * pk <= lim:
+                yield from walk(j + 1, m * pk, t, sm * s, st, fnum * (p - 1), fden * (p - 2))
+                yield from walk(j + 1, m, t * pk, sm, st * s, fnum * (p - 1), fden * (p - 2))
+                pk *= p
+                s = s * p + 1
+
+    pending, size = [], 0
+    for m, t, sm, st, fnum, fden in walk(0, 1, 1, 1, 1, 1, 1):
+        mt = m * t
+        k = int(np.searchsorted(small.value, lim // mt, "right"))
+        if mt == 1:
+            rows = small.take(slice(0, k))
+        else:
+            c = small.value[:k]
+            rows = _Rows(
+                c * mt, c * m, small.mask[:, :k],
+                np.nextafter(small.d_dn[:k] * ratio_dn(fnum, fden * mt), 0.0),
+                np.nextafter(small.d_up[:k] * ratio_up(fnum, fden * mt), inf),
+                np.nextafter(small.h_dn[:k] * ratio_dn(sm * t, m * st), 0.0),
+                np.nextafter(small.h_up[:k] * ratio_up(sm * t, m * st), inf),
+            )
+        pending.append(rows)
+        size += k
+        if size >= _ROW_BUDGET:
+            yield _concat(pending)
+            pending, size = [], 0
+    if pending:
+        yield _concat(pending)
+
+
+class _Chunk(NamedTuple):
+    """Candidate rows: for a-side row i of `rows`, the b-table rows
+    j_lo[i] <= j < j_hi[i] (a prefix range of the b values <= z // value)."""
+
+    rows: _Rows
+    j_lo: np.ndarray
+    j_hi: np.ndarray
+
+
+def _cell_tables(consts: _Consts, z: int):
+    """The b table and the chunks of candidate rows, in their fixed order.
+
+    The b table holds the even numbers <= z built from 2 and the longest
+    prefix of the odd primes that keeps it within _ROW_BUDGET rows; the odd
+    primes outside it go to the a side (see _a_blocks).
+    """
+    b, used = _smooth_rows(consts.odd, z, True, 1.0, 1.0, _ROW_BUDGET)
+    small, _ = _smooth_rows(consts.odd[:used], z // 2, False, consts.base_dn, consts.base_up)
+    return b, _chunks(_a_blocks(small, consts.odd[used:], z), b.value, z)
+
+
+def _chunks(blocks, b_value: np.ndarray, z: int):
+    """Cut each block's candidate rows, a-side row by row and b ascending,
+    into chunks of the sizes set by _CHUNK_MIN and _CHUNK."""
+    size = _CHUNK_MIN
+    for rows in blocks:
+        cnt = np.searchsorted(b_value, z // rows.value, "right")
+        ends = np.cumsum(cnt)
+        starts = ends - cnt
+        total = int(ends[-1])
+        s = 0
+        while s < total:
+            e = min(total, s + size)
+            r0 = int(np.searchsorted(ends, s, "right"))
+            r1 = int(np.searchsorted(ends, e - 1, "right")) + 1
+            yield _Chunk(
+                rows.take(slice(r0, r1)),
+                np.maximum(s - starts[r0:r1], 0),
+                np.minimum(e - starts[r0:r1], cnt[r0:r1]),
+            )
+            s = e
+            size = min(2 * size, _CHUNK)
+
+
+def _grid_slot(consts: _Consts, x: np.ndarray) -> np.ndarray:
+    """searchsorted(grid, x, 'right') for positive x: the grid is geometric,
+    so log x guesses the slot, and comparisons with the grid make it exact."""
+    s = ((np.log(x) - consts.lg0) * consts.inv_step).astype(np.int64) + 1
+    np.clip(s, 0, consts.edges.size - 2, out=s)
+    while True:
+        down = consts.edges[s] > x
+        up = consts.edges[s + 1] <= x
+        if not (down.any() or up.any()):
+            return s
+        s += up
+        s -= down
+
+
+def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
+    """Certified sums over the cells of one chunk.
+
+    Returns (lower, upper_cells, covered_dn, covered_up, pairs). Every cell
+    term is directed (a nextafter after each operation); each total is a
+    math.fsum, which is correctly rounded, stepped one ULP to its side.
+    """
+    inf = np.inf
+    rows = ch.rows
+    lens = ch.j_hi - ch.j_lo
+    ai = np.repeat(np.arange(lens.size), lens)
+    bi = np.arange(ai.size) - np.repeat(np.cumsum(lens) - lens - ch.j_lo, lens)
+    if b.mask.shape[0]:  # keep the coprime pairs
+        clash = np.bitwise_or.reduce(rows.mask[:, ai] & b.mask[:, bi], axis=0)
+        keep = np.flatnonzero(clash == 0)
+        ai = ai[keep]
+        bi = bi[keep]
+    dens_dn = np.nextafter(rows.d_dn[ai] * b.d_dn[bi], 0.0)
+    dens_up = np.nextafter(rows.d_up[ai] * b.d_up[bi], inf)
+    q = np.nextafter(b.h_dn[bi] / rows.h_up[ai], 0.0)  # <= h(b)/h(a)
+    w = np.nextafter(rows.h_dn[ai] / b.h_up[bi], 0.0)  # <= h(a)/h(b)
+    # the grid starts above 1, so at most one of q and w reaches it
+    b_side = q > w
+    slot = _grid_slot(consts, np.where(b_side, q, w))
+    ru = np.where(b_side, consts.ru_at[slot], 1.0)
+    rl = np.where(b_side, 0.0, consts.rl_at[slot])
+    up_cell = np.where(ru < 1.0, np.nextafter(dens_up * ru, inf), dens_up)
+    lo_cell = np.nextafter(dens_dn * rl, 0.0)
+    lo_cell = lo_cell[lo_cell > 0.0]
     nxt = math.nextafter
-    log = math.log
-    INF = math.inf
-    used = bytearray(K)
-
-    lo_sum = 0.0
-    up_sum = 0.0
-    cov_dn = 0.0
-    cov_up = 0.0
-    pairs = 0
-    av = 1
-    asig = 1
-    zb = 0
-    ticking = progress is not None
-    next_tick = t_start + 1.0
-
-    def emit(flush: bool) -> None:
-        nonlocal next_tick
-        progress(ProgressEvent(
-            pairs=pairs,
-            current_a=av,
-            lower=lo_sum,
-            upper=_upper_with_tail(up_sum, cov_dn),
-            covered=cov_dn,
-            flush=flush,
-        ))
-        next_tick = time.perf_counter() + 1.0
-
-    def walk_b(i, bv, bs, rdn, rup):
-        nonlocal lo_sum, up_sum, cov_dn, cov_up, pairs
-        # ---- the cell (av, bv) ----
-        ab = av * bv
-        fab = float(ab)
-        if fab < _TWO53:
-            fab_dn = fab_up = fab
-        elif fab == ab:
-            fab_dn = fab_up = fab
-        elif fab > ab:
-            fab_up = fab
-            fab_dn = nxt(fab, 0.0)
-        else:
-            fab_dn = fab
-            fab_up = nxt(fab, INF)
-        dens_dn = nxt(rdn / fab_up, 0.0)
-        dens_up = nxt(rup / fab_dn, INF)
-        lhs = bs * av  # sigma(b) * a
-        rhs = asig * bv  # sigma(a) * b
-        up_cell = dens_up
-        if lhs > rhs:
-            # b side more abundant: only the upper bound can improve
-            q = nxt(lhs / rhs, 0.0)
-            if q >= gate_u:
-                i2 = int((log(q) - lg0) * inv_step)
-                if i2 > G1:
-                    i2 = G1
-                elif i2 < 0:
-                    i2 = 0
-                while grid[i2] > q:
-                    i2 -= 1
-                ratio = ru[i2]
-                if ratio < 1.0:
-                    up_cell = nxt(dens_up * ratio, INF)
-        elif rhs > lhs:
-            w = nxt(rhs / lhs, 0.0)
-            if w >= gate_l:
-                i2 = int((log(w) - lg0) * inv_step)
-                if i2 > G1:
-                    i2 = G1
-                elif i2 < 0:
-                    i2 = 0
-                while grid[i2] > w:
-                    i2 -= 1
-                ratio = rl[i2]
-                if ratio > 0.0:
-                    lo_sum = nxt(lo_sum + nxt(dens_dn * ratio, 0.0), 0.0)
-        up_sum = nxt(up_sum + up_cell, INF)
-        cov_dn = nxt(cov_dn + dens_dn, 0.0)
-        cov_up = nxt(cov_up + dens_up, INF)
-        pairs += 1
-        if ticking:
-            if flush_every and pairs % flush_every == 0:
-                emit(True)
-            elif (pairs & 2047) == 0 and time.perf_counter() >= next_tick:
-                emit(False)
-        # ---- children: extend b by unused odd primes ----
-        for j in range(i, K):
-            if used[j]:
-                continue
-            p = odd[j]
-            vv = bv * p
-            if vv > zb:
-                break
-            ndn = nxt(rdn * f_dn[j], 0.0)
-            nup = nxt(rup * f_up[j], INF)
-            t = 1 + p
-            while vv <= zb:
-                walk_b(j + 1, vv, bs * t, ndn, nup)
-                vv *= p
-                t = t * p + 1
-
-    def do_a(v, sv, rdn, rup):
-        nonlocal av, asig, zb
-        av = v
-        asig = sv
-        zb = z // v
-        if zb < 2:
-            return
-        b2 = 2
-        s2 = 3
-        while b2 <= zb:
-            walk_b(0, b2, s2, rdn, rup)
-            b2 *= 2
-            s2 = 2 * s2 + 1
-
-    def walk_a(i, v, sv, rdn, rup):
-        do_a(v, sv, rdn, rup)
-        for j in range(i, K):
-            p = odd[j]
-            vv = v * p
-            if vv > z:
-                break
-            ndn = nxt(rdn * f_dn[j], 0.0)
-            nup = nxt(rup * f_up[j], INF)
-            used[j] = 1
-            t = 1 + p
-            while vv <= z:
-                walk_a(j + 1, vv, sv * t, ndn, nup)
-                vv *= p
-                t = t * p + 1
-            used[j] = 0
-
-    for a0, idx, subtree in tasks:
-        # rebuild the a-side state (sigma, density ratio, used primes)
-        sv = 1
-        rdn = base_dn
-        rup = base_up
-        marks = []
-        m = a0
-        for j in range(K):
-            if m == 1:
-                break
-            p = odd[j]
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                sv *= (p ** (e + 1) - 1) // (p - 1)
-                rdn = nxt(rdn * f_dn[j], 0.0)
-                rup = nxt(rup * f_up[j], INF)
-                used[j] = 1
-                marks.append(j)
-        if m != 1:
-            raise InvalidParameterError(f"task root {a0} is not {len(odd)}-index smooth")
-        if subtree:
-            walk_a(idx, a0, sv, rdn, rup)
-        else:
-            do_a(a0, sv, rdn, rup)
-        for j in marks:
-            used[j] = 0
-
-    return lo_sum, up_sum, cov_dn, cov_up, pairs
+    fsum = math.fsum
+    return (
+        nxt(fsum(lo_cell.tolist()), -math.inf),
+        nxt(fsum(up_cell.tolist()), math.inf),
+        nxt(fsum(dens_dn.tolist()), -math.inf),
+        nxt(fsum(dens_up.tolist()), math.inf),
+        int(ai.size),
+    )
 
 
-def _split_tasks(odd, z):
-    """Partition the a tree at depth two for parallel execution.
-
-    Task (a0, idx, subtree): process a0's own b walk, and when subtree is set
-    also every extension of a0 by primes with index >= idx. The list covers
-    the full tree exactly once.
-    """
-    K = len(odd)
-    level1 = []
-    for j in range(K):
-        v = odd[j]
-        while v <= z:
-            level1.append((v, j + 1))
-            v *= odd[j]
-    tasks = [(1, 0, False)]
-    for v, i in level1:
-        tasks.append((v, i, False))
-        for j in range(i, K):
-            vv = v * odd[j]
-            while vv <= z:
-                tasks.append((vv, j + 1, True))
-                vv *= odd[j]
-    return tasks
-
-
-_WORKER_CONSTS = None
+_WORKER_STATE = None
 
 
 def _usable_cpus() -> int:
@@ -548,13 +665,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_init(consts):
-    global _WORKER_CONSTS
-    _WORKER_CONSTS = consts
+def _worker_init(consts: _Consts, b: _Rows) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = (consts, b)
 
 
-def _worker_run(batch):
-    return _run_tasks(_WORKER_CONSTS, batch)
+def _worker_run(ch: _Chunk):
+    return _chunk_sums(*_WORKER_STATE, ch)
+
+
+def _pooled(consts: _Consts, b: _Rows, chunks, threads: int):
+    """Yield (chunk, sums) in chunk order, the sums computed in a fork pool.
+
+    At most four chunks per worker are in flight, so memory stays bounded.
+    """
+    # imported here: the pool modules take about 20 ms to import, which
+    # runs without a pool need not pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        max_workers=threads,
+        mp_context=ctx,
+        initializer=_worker_init,
+        initargs=(consts, b),
+    ) as ex:
+        window = deque()
+        for ch in chunks:
+            window.append((ch, ex.submit(_worker_run, ch)))
+            if len(window) >= 4 * threads:
+                done, fut = window.popleft()
+                yield done, fut.result()
+        for done, fut in window:
+            yield done, fut.result()
 
 
 def run_bounds(
@@ -570,14 +714,18 @@ def run_bounds(
 
     Enumerates every cell with ab <= z, accumulates DOWN-directed lower and
     UP-directed upper totals plus the covered mass, then charges the
-    unenumerated tail (1 - covered) to the upper side. Single-threaded runs
-    are bit-reproducible; multi-worker runs merge per-task partial sums in a
-    fixed order, so the bracket is certified under any schedule. `threads`
-    is capped at the usable cores and at the task count; the report carries
-    the count actually used.
+    unenumerated tail (1 - covered) to the upper side. The cells are cut
+    into chunks at boundaries fixed by (y, z), and the chunk sums are merged
+    in chunk order whether one process or a pool computes them, so every
+    thread count gives the same bits. `threads` is capped at the usable
+    cores and at the chunk count; the report carries the count used.
+    `progress` gets one event per merged chunk that crosses a multiple of
+    `flush_every` pairs (flush set), and otherwise at most one a second.
     """
     if z < 2:
         raise InvalidParameterError(f"z must be >= 2, got {z}")
+    if z >= 2**63:
+        raise InvalidParameterError(f"z must be below 2**63, got {z}")
     if r_max < 1:
         raise InvalidParameterError(f"r_max must be >= 1, got {r_max}")
     if threads is None:
@@ -589,46 +737,41 @@ def run_bounds(
         table = build_moment_table(y, r_max)  # validates y
     elif table.y != y or table.r_max < r_max:
         raise InvalidParameterError("supplied moment table does not match y/r_max")
-    consts = _engine_consts(y, z, table)
+    consts = _engine_consts(table)
+    b, chunks = _cell_tables(consts, z)
 
-    parts = []
     if threads > 1:
-        tasks = _split_tasks(consts[1], z)
         # the fork pool starts every worker up front: no more workers than
-        # usable cores, nor than tasks (and so batches) to hand them
-        threads = min(threads, _usable_cpus(), len(tasks))
+        # usable cores, nor than chunks to hand them
+        head = list(islice(chunks, threads))
+        threads = min(threads, _usable_cpus(), len(head))
+        chunks = chain(head, chunks)
     if threads == 1:
-        parts.append(_run_tasks(consts, [(1, 0, True)], progress, flush_every, t_start))
+        done = ((ch, _chunk_sums(consts, b, ch)) for ch in chunks)
     else:
-        nb = min(len(tasks), threads * 8)
-        batches = [tasks[i::nb] for i in range(nb)]
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=threads,
-            mp_context=ctx,
-            initializer=_worker_init,
-            initargs=(consts,),
-        ) as ex:
-            futures = [ex.submit(_worker_run, b) for b in batches]
-            reported = 0
-            for fut in futures:  # merge in submit order
-                parts.append(fut.result())
-                if progress is not None:
-                    lo, up_cells, cov_dn, _, pairs = _merge(parts)
-                    # a batch ends at no particular pair count: flush when
-                    # this merge crossed a multiple of flush_every
-                    flush = bool(flush_every) and pairs // flush_every > reported // flush_every
-                    reported = pairs
-                    progress(ProgressEvent(
-                        pairs=pairs,
-                        current_a=0,
-                        lower=lo,
-                        upper=_upper_with_tail(up_cells, cov_dn),
-                        covered=cov_dn,
-                        flush=flush,
-                    ))
+        done = _pooled(consts, b, chunks, threads)
 
-    lo, up_cells, cov_dn, cov_up, pairs = _merge(parts)
+    totals = (0.0, 0.0, 0.0, 0.0, 0)
+    next_tick = t_start + 1.0
+    for ch, part in done:
+        before = totals[4]
+        totals = _merge(totals, part)
+        if progress is None:
+            continue
+        lo, up_cells, cov_dn, _, pairs = totals
+        flush = bool(flush_every) and pairs // flush_every > before // flush_every
+        if flush or time.perf_counter() >= next_tick:
+            progress(ProgressEvent(
+                pairs=pairs,
+                current_a=int(ch.rows.a.max()),
+                lower=lo,
+                upper=_upper_with_tail(up_cells, cov_dn),
+                covered=cov_dn,
+                flush=flush,
+            ))
+            next_tick = time.perf_counter() + 1.0
+
+    lo, up_cells, cov_dn, cov_up, pairs = totals
     upper = _upper_with_tail(up_cells, cov_dn)
     if lo > upper:
         raise AssertionError("certified bracket inverted; this is a bug")
@@ -652,27 +795,20 @@ def _upper_with_tail(up_cells: float, cov_dn: float) -> float:
     return min(up_add(up_cells, up_sub(1.0, cov_dn)), 1.0)
 
 
-def _merge(parts):
-    lo = 0.0
-    up = 0.0
-    cd = 0.0
-    cu = 0.0
-    n = 0
-    for l, u, c1, c2, k in parts:
-        lo = dn_add(lo, l)
-        up = up_add(up, u)
-        cd = dn_add(cd, c1)
-        cu = up_add(cu, c2)
-        n += k
-    # DOWN sums of densities (a zero part still nudges below 0): clamping
-    # them at 0 is safe
-    return max(lo, 0.0), up, max(cd, 0.0), cu, n
+def _merge(totals, part):
+    """Fold one chunk's sums into the running totals, each to its side. The
+    DOWN sums are of nonnegative terms (a zero part still nudges below 0), so
+    clamping them at 0 is safe."""
+    lo, up, cd, cu, n = totals
+    l, u, c1, c2, k = part
+    return max(dn_add(lo, l), 0.0), up_add(up, u), max(dn_add(cd, c1), 0.0), up_add(cu, c2), n + k
 
 
 def enumerate_cells(y: int, z: int):
     """Yield (a, b) FactoredSmooth pairs of every cell with ab <= z.
 
-    Test/oracle surface; run_bounds does its own fused walk for speed.
+    Test/oracle surface, one cell at a time; run_bounds enumerates the same
+    cells as chunks of table rows (see _cell_tables).
     """
     from .arith import iter_smooth
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -65,6 +66,14 @@ class TestDensS:
         _, out, _ = run_cli(capsys, "dens-s", "--a", "15", "--b", "2", "--y", "5", "--format", "json")
         data = json.loads(out)
         assert data["dens"] == "4/225"
+
+    def test_rejects_a_large_prime_factor_at_once(self, capsys):
+        # b = 2 * (10^18 + 3): only the primes <= y are divided out
+        t0 = time.perf_counter()
+        code, _, err = run_cli(capsys, "dens-s", "--a", "3", "--b", "2000000000000000006", "--y", "7")
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2
+        assert "b=2000000000000000006 is not 7-smooth" in err
 
 
 class TestLambda:

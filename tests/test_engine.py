@@ -21,6 +21,13 @@ from sigbound.moments import build_moment_table
 mp.mp.dps = 40
 
 
+def usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def all_cells(y, z):
     pt = sieve_primes(y)
     return [(a, b, cell_density(a, b, pt)) for a, b in enumerate_cells(y, z)]
@@ -251,12 +258,17 @@ class TestRunBounds:
             assert r.upper_total.value >= proxy - 0.002
 
     def test_parallel_matches_serial_closely(self, table_y31_r200):
+        if usable_cores() < 2:
+            pytest.skip("needs 2 usable cores to enter the pool")
         r1 = run_bounds(31, 10**5, 200, threads=1, table=table_y31_r200)
         r2 = run_bounds(31, 10**5, 200, threads=2, table=table_y31_r200)
+        assert r2.threads == 2
         assert r1.pair_count == r2.pair_count
-        assert r2.lower_total.value == pytest.approx(r1.lower_total.value, rel=1e-9)
-        assert r2.upper_total.value == pytest.approx(r1.upper_total.value, rel=1e-9)
-        # both are certificates regardless of schedule
+        # the same chunks merged in the same order: the same bits
+        assert r2.lower_total == r1.lower_total
+        assert r2.upper_total == r1.upper_total
+        assert r2.covered_lo == r1.covered_lo
+        assert r2.covered_hi == r1.covered_hi
         assert r2.lower_total.value <= r2.upper_total.value
 
     def test_threads_capped_at_usable_cores(self, table_y31_r200):
@@ -279,6 +291,20 @@ class TestRunBounds:
         assert all(ev.flush for ev in events if ev.pairs % 10000 == 0)
         for ev in events:
             assert 0.0 <= ev.lower <= ev.upper <= 1.0
+
+    def test_progress_is_one_stream_for_any_thread_count(self, table_y31_r200):
+        # flush_every=1 makes every chunk a flush, so no 1 s tick interleaves
+        streams = []
+        for threads in (1, 2):
+            events = []
+            run_bounds(31, 10**6, 200, threads=threads, table=table_y31_r200,
+                       progress=events.append, flush_every=1)
+            streams.append([(ev.pairs, ev.current_a, ev.lower, ev.upper, ev.covered, ev.flush)
+                            for ev in events])
+        assert streams[0] == streams[1]
+        assert len(streams[0]) > 1
+        assert all(ev[1] >= 1 and ev[5] for ev in streams[0])
+        assert [ev[0] for ev in streams[0]] == sorted(ev[0] for ev in streams[0])
 
     def test_grid_path_close_to_reference_scan(self, table_y31_r200):
         pt = sieve_primes(31)

@@ -1,0 +1,131 @@
+"""The chunked cell kernel of `engine.run_bounds`: the exact audit of its
+bracket, its ratio grid, the (a, t) split and its int-to-float step."""
+from bisect import bisect_right
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import ratio_grids_per_r
+from sigbound import engine
+from sigbound.arith import abundancy, sieve_primes
+from sigbound.engine import cell_density, enumerate_cells, run_bounds
+from sigbound.errors import InvalidParameterError
+from sigbound.moments import build_moment_table
+
+
+def exact_slot(g, q: Fraction) -> int:
+    """Number of grid points <= q, by exact comparison."""
+    i = bisect_right(g, float(q))  # a guess: float(q) may round past a point
+    while i > 0 and Fraction(g[i - 1]) > q:
+        i -= 1
+    while i < len(g) and Fraction(g[i]) <= q:
+        i += 1
+    return i
+
+
+def exact_sums(y, z, table):
+    """The bracket of the grid method in exact arithmetic: Fraction
+    densities, exact q = sigma(b) a / (sigma(a) b), exact grid slots."""
+    g, ru, rl = engine._ratio_grids(table)
+    g = g.tolist()
+    pt = sieve_primes(y)
+    lower = upper = covered = Fraction(0)
+    pairs = 0
+    for a, b in enumerate_cells(y, z):
+        dens = cell_density(a, b, pt).dens
+        q = abundancy(b) / abundancy(a)
+        covered += dens
+        pairs += 1
+        if q > 1:
+            s = exact_slot(g, q)
+            upper += dens * (Fraction(min(ru[s - 1], 1.0)) if s else 1)
+        else:
+            upper += dens
+            s = exact_slot(g, 1 / q) if q < 1 else 0
+            if s:
+                lower += dens * Fraction(rl[s - 1])
+    return lower, upper + 1 - covered, covered, pairs
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    y=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    z=st.integers(2, 3000),
+    r_max=st.integers(1, 30),
+    budget=st.sampled_from([8, engine._ROW_BUDGET]),
+)
+def test_bracket_is_on_the_safe_side_of_exact_sums(y, z, r_max, budget):
+    table = build_moment_table(y, r_max)
+    lower, upper, covered, pairs = exact_sums(y, z, table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_ROW_BUDGET", budget)  # 8 moves primes to the a side
+        r = run_bounds(y, z, r_max, threads=1, table=table)
+    assert r.pair_count == pairs
+    assert Fraction(r.lower_total.value) <= lower
+    assert Fraction(r.upper_total.value) >= upper
+    assert Fraction(r.covered_lo.value) <= covered <= Fraction(r.covered_hi.value)
+
+
+@pytest.mark.parametrize("y,r_max", [(31, 200), (353, 500)])
+def test_ratio_curves_are_monotone(y, r_max):
+    g, ru, rl = engine._ratio_grids(build_moment_table(y, r_max))
+    assert np.all(np.diff(g) > 0)
+    assert np.all(np.diff(ru) <= 0)
+    assert np.all(np.diff(rl) >= 0)
+    assert 0 < np.count_nonzero(ru < 1.0) < g.size
+
+
+@pytest.mark.parametrize("y,r_max", [(2, 5), (3, 20), (5, 30), (31, 200), (353, 60)])
+def test_ratio_grids_match_the_per_r_loop_bit_for_bit(y, r_max):
+    table = build_moment_table(y, r_max)
+    for got, want in zip(engine._ratio_grids(table), ratio_grids_per_r(table)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_grid_slot_is_searchsorted_right(table_y31_r200):
+    consts = engine._engine_consts(table_y31_r200)
+    g = consts.edges[1:-1]
+    rng = np.random.default_rng(5)
+    x = np.concatenate([
+        np.exp(rng.uniform(-1.0, 4.0, 20000)),
+        g[::97], np.nextafter(g[::89], 0.0), np.nextafter(g[::83], np.inf),
+        [g[0], g[-1], 1e-300, 1.0, 1e300],
+    ])
+    assert np.array_equal(engine._grid_slot(consts, x), np.searchsorted(g, x, "right"))
+
+
+def test_small_row_budget_moves_primes_to_the_a_side(table_y31_r200, monkeypatch):
+    full = run_bounds(31, 10**5, 200, threads=1, table=table_y31_r200)
+    monkeypatch.setattr(engine, "_ROW_BUDGET", 512)
+    b, _ = engine._cell_tables(engine._engine_consts(table_y31_r200), 10**5)
+    # 3 and 5 stay on the b side, the primes 7..31 move to the a side
+    assert b.value.size <= 512 and b.mask.shape[0] == 1
+    assert int(np.bitwise_or.reduce(b.mask[0])) == 0b11
+    split = run_bounds(31, 10**5, 200, threads=1, table=table_y31_r200)
+    assert split.pair_count == full.pair_count
+    lo, up = split.lower_total.value, split.upper_total.value
+    assert 0.0 < lo <= up < 1.0
+    # the same cell bounds, summed in other chunks
+    assert lo == pytest.approx(full.lower_total.value, rel=1e-12)
+    assert up == pytest.approx(full.upper_total.value, rel=1e-12)
+
+
+def test_directed_int_to_float_above_2_53():
+    ints = [2**53 + k for k in range(1, 40, 2)] + [2**62 + 1, 2**63 - 1, 2**63 - 513, 12345, 0]
+    dn, up = engine._float_dir(np.array(ints, dtype=np.int64))
+    for v, lo, hi in zip(ints, dn.tolist(), up.tolist()):
+        assert Fraction(lo) <= v <= Fraction(hi)
+        if lo == hi:
+            assert lo == v
+        else:  # the two neighbours of an inexact int
+            assert np.nextafter(lo, np.inf) == hi
+    assert dn[0] == 2.0**53 and up[0] == 2.0**53 + 2
+
+
+def test_z_beyond_int64_is_rejected():
+    for z in (2**63, 10**19):
+        with pytest.raises(InvalidParameterError):
+            run_bounds(3, z, 5, threads=1)
