@@ -17,14 +17,14 @@ import sys
 from typing import Optional, Sequence
 
 from .arith import sieve_primes, split_smooth
-from .counting import DEFAULT_BLOCK, count_sigma_ge, moment_sum
+from .counting import count_sigma_ge, default_block_size, moment_sum
 from .engine import cell_density, run_bounds
 from .errors import (
     InvalidCellError,
     InvalidParameterError,
     UnsupportedParameterError,
 )
-from .moments import build_moment_table
+from .moments import _check_y, build_moment_table
 
 _INT_RE = re.compile(r"(\d+)(?:[eE](\d+))?")
 
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("empirical", help="exact count of n <= x with sigma(2n+1) >= sigma(2n)")
     e.add_argument("--x", type=scaled_int, required=True)
-    e.add_argument("--block-size", type=scaled_int, default=DEFAULT_BLOCK)
+    e.add_argument("--block-size", type=scaled_int, default=None, help="integers sieved per block (default: derived from x)")
     e.add_argument("--format", choices=("text", "json"), default="text")
 
     d = sub.add_parser("dens-s", help="exact density of one (a, b) cell")
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--y", type=scaled_int, required=True)
     m.add_argument("--r", type=scaled_int, required=True)
     m.add_argument("--x", type=scaled_int, required=True)
-    m.add_argument("--block-size", type=scaled_int, default=DEFAULT_BLOCK)
+    m.add_argument("--block-size", type=scaled_int, default=None, help="integers sieved per block (default: derived from x)")
     m.add_argument("--format", choices=("text", "json"), default="text")
     return p
 
@@ -170,10 +170,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_empirical(args) -> int:
     count, _ = count_sigma_ge(args.x, args.block_size)
+    block_size = args.block_size or default_block_size(args.x)
     prop = _exact_proportion(count, args.x)
     payload = {
         "command": "empirical",
-        "params": {"x": args.x, "block_size": args.block_size},
+        "params": {"x": args.x, "block_size": block_size},
         "count": count,
         "proportion": float(prop),
     }
@@ -184,6 +185,7 @@ def _cmd_empirical(args) -> int:
 def _cell_arg(args):
     """The cell of --a/--b/--y. Only the primes <= y are divided out, so a
     coordinate with a large prime factor is rejected without factoring it."""
+    _check_y(args.y)
     primes = sieve_primes(args.y)
     sides = []
     for name, n in (("a", args.a), ("b", args.b)):
@@ -197,13 +199,21 @@ def _cell_arg(args):
 def _cmd_dens_s(args) -> int:
     cell = _cell_arg(args)
     num, den = cell.dens.numerator, cell.dens.denominator
+    # from y of about 1.5e4 the denominator has more digits than Python's
+    # default int-to-str limit (4300) allows
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        dens = f"{num}/{den}"
+    finally:
+        sys.set_int_max_str_digits(limit)
     payload = {
         "command": "dens-s",
         "params": {"a": args.a, "b": args.b, "y": args.y},
-        "dens": f"{num}/{den}",
+        "dens": dens,
         "dens_float": num / den,
     }
-    lines = [f"dens S({args.a}, {args.b}) with y={args.y} = {num}/{den} = {num / den:.10g}"]
+    lines = [f"dens S({args.a}, {args.b}) with y={args.y} = {dens} = {num / den:.10g}"]
     _emit(payload, lines, args.format)
     return 0
 

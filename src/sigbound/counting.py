@@ -1,10 +1,20 @@
 """Exact empirical counting via a segmented sum-of-divisors sieve.
 
-Each block factors its integers by the primes up to sqrt(end) and rebuilds
-sigma multiplicatively on the fly, so memory is O(block) and the counts are
-exact 64-bit integer arithmetic end to end: results are bit-identical for any
-block size. The sieve accepts values below 4e17, where sigma(m) < 7m, so every
-sigma it builds stays below 2^63.
+A block [lo, hi) is factored by the primes up to sqrt(hi - 1) in strided
+passes: for a prime p and each power p^k < hi, the multiples of p^k in the
+block are a numpy slice with step p^k, so every update is in place on a view,
+with no index arrays and no division per prime. sigma is rebuilt
+multiplicatively, one factor 1 + p + ... + p^e per prime, while a running
+product of the sieved prime powers gives the cofactor (1 or one prime) by a
+single division at the end. Memory is O(block) and the counts are exact 64-bit
+integer arithmetic end to end: results are bit-identical for any block size.
+The sieve accepts values below 4e17, where sigma(m) < 7m, so every sigma it
+builds stays below 2^63.
+
+`count_sigma_ge` and `moment_sum` derive the block size from x: 256 integers
+per sieving prime, at least 2^18 and at most 2^24 (MAX_BLOCK, also the largest
+block size accepted). A block costs 24 bytes per integer at its peak, so 6 MB
+at 2^18, the size at x = 1e7, and 384 MB at the cap.
 """
 from __future__ import annotations
 
@@ -16,7 +26,13 @@ import numpy as np
 from .arith import sieve_primes
 from .errors import InvalidParameterError
 
-DEFAULT_BLOCK = 10**7
+# Block sizes, in integers per sieved block. The derived size keeps about 256
+# integers per sieving prime, so the Python work per prime stays small next to
+# the numpy work, and is at least _MIN_BLOCK, small enough for a block's arrays
+# to stay in cache.
+_MIN_BLOCK = 2**18
+_BLOCK_PER_PRIME = 256
+MAX_BLOCK = 2**24
 
 # sigma(m) < 7m for every m < 1.97e24 (the first m with sigma(m) >= 7m is
 # OEIS A023199(7)), and 7 * 4e17 < 2^63, so sigma never overflows int64 here.
@@ -33,26 +49,33 @@ def sigma_block(lo: int, hi: int, primes: Optional[tuple[int, ...]] = None) -> n
     n = hi - lo
     if primes is None:
         primes = sieve_primes(max(2, isqrt(hi - 1))).primes
-    rem = np.arange(lo, hi, dtype=np.int64)
     sig = np.ones(n, dtype=np.int64)
+    part = np.ones(n, dtype=np.int64)  # the part of m made of the primes sieved so far
     for p in primes:
         if p * p >= hi:
             break
         start = (-lo) % p
-        idx = np.arange(start, n, p, dtype=np.int64)
-        if idx.size == 0:
+        if start >= n:
             continue
-        r = rem[idx] // p
-        term = np.full(idx.size, p + 1, dtype=np.int64)
-        active = np.nonzero(r % p == 0)[0]
-        while active.size:
-            r[active] //= p
-            term[active] = term[active] * p + 1
-            active = active[r[active] % p == 0]
-        sig[idx] *= term
-        rem[idx] = r
-    big = rem > 1
-    sig[big] *= rem[big] + 1
+        # term[i] becomes sigma(p^e) for the i-th multiple of p, p^e || m
+        term = np.empty((n - 1 - start) // p + 1, dtype=np.int64)
+        term.fill(p + 1)
+        part[start::p] *= p
+        pk = p
+        while pk <= (hi - 1) // p:
+            s = (-lo) % (pk * p)
+            if s >= n:
+                break
+            level = term[(s - start) // p :: pk]
+            level *= p
+            level += 1
+            part[s :: pk * p] *= p
+            pk *= p
+        sig[start::p] *= term
+    # the cofactor left is 1 or one prime above sqrt(hi - 1)
+    np.floor_divide(np.arange(lo, hi, dtype=np.int64), part, out=part)
+    part += part > 1
+    sig *= part
     return sig
 
 
@@ -65,35 +88,56 @@ def smooth_part_block(
     if primes is None:
         primes = sieve_primes(y).primes
     n = hi - lo
-    rem = np.arange(lo, hi, dtype=np.int64)
     part = np.ones(n, dtype=np.int64)
     for p in primes:
         if p > y:
             break
-        start = (-lo) % p
-        idx = np.arange(start, n, p, dtype=np.int64)
-        if idx.size == 0:
-            continue
-        r = rem[idx] // p
-        f = np.full(idx.size, p, dtype=np.int64)
-        active = np.nonzero(r % p == 0)[0]
-        while active.size:
-            r[active] //= p
-            f[active] *= p
-            active = active[r[active] % p == 0]
-        part[idx] *= f
-        rem[idx] = r
+        pk = p
+        while True:
+            s = (-lo) % pk
+            if s >= n:
+                break
+            part[s::pk] *= p
+            if pk > (hi - 1) // p:
+                break
+            pk *= p
     return part
 
 
-def count_sigma_ge(x: int, block_size: int = DEFAULT_BLOCK) -> tuple[int, float]:
-    """Exact count and proportion of n <= x with sigma(2n+1) >= sigma(2n)."""
+def _sieving_primes(x: int) -> tuple[int, ...]:
+    """The primes that blocks of 2n and 2n+1, n <= x, are sieved by."""
+    return sieve_primes(max(2, isqrt(2 * x + 1))).primes
+
+
+def _block_for(primes: tuple[int, ...]) -> int:
+    return min(MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_PER_PRIME * len(primes)))
+
+
+def default_block_size(x: int) -> int:
+    """The block size `count_sigma_ge` and `moment_sum` derive for n <= x."""
+    return _block_for(_sieving_primes(x))
+
+
+def _check_sieve(x: int, block_size: Optional[int]) -> None:
+    """Reject x and block_size before anything x- or block-sized is built."""
     if x < 1:
         raise InvalidParameterError(f"x must be >= 1, got {x}")
-    if block_size < 2:
-        raise InvalidParameterError(f"block_size must be >= 2, got {block_size}")
-    half = max(block_size // 2, 1)
-    primes = sieve_primes(max(2, isqrt(2 * x + 1))).primes
+    if 2 * x + 2 > _MAX_SIEVE_VALUE:
+        raise InvalidParameterError(f"sieve limit {2 * x + 2} exceeds the int64-safe range")
+    if block_size is not None and not 2 <= block_size <= MAX_BLOCK:
+        raise InvalidParameterError(
+            f"block_size must lie in [2, {MAX_BLOCK}], got {block_size}"
+        )
+
+
+def count_sigma_ge(x: int, block_size: Optional[int] = None) -> tuple[int, float]:
+    """Exact count and proportion of n <= x with sigma(2n+1) >= sigma(2n).
+
+    Sieves `block_size` integers at a time, derived from x when None.
+    """
+    _check_sieve(x, block_size)
+    primes = _sieving_primes(x)
+    half = (block_size or _block_for(primes)) // 2
     count = 0
     n0 = 1
     while n0 <= x:
@@ -105,13 +149,14 @@ def count_sigma_ge(x: int, block_size: int = DEFAULT_BLOCK) -> tuple[int, float]
 
 
 def moment_sum(
-    a: int, b: int, y: int, r: int, x: int, block_size: int = DEFAULT_BLOCK
+    a: int, b: int, y: int, r: int, x: int, block_size: Optional[int] = None
 ) -> tuple[float, float]:
     """Sums of h^r(2n+1) and h^r(2n) over n <= x lying in the (a, b) cell.
 
     Exact cell membership (largest y-smooth divisor equality) with float64
     power sums; r = 0 degenerates to counting the cell. Oracle for the
-    moment-mean asymptotics, so x is expected to stay at desk scale.
+    moment-mean asymptotics, so x is expected to stay at desk scale. Blocks
+    are sized as in `count_sigma_ge`.
     """
     if a < 1 or a % 2 == 0:
         raise InvalidParameterError(f"a must be a positive odd integer, got {a}")
@@ -123,10 +168,9 @@ def moment_sum(
         raise InvalidParameterError(f"y must be >= 2, got {y}")
     if r < 0:
         raise InvalidParameterError(f"r must be >= 0, got {r}")
-    if x < 1:
-        raise InvalidParameterError(f"x must be >= 1, got {x}")
-    half = max(block_size // 2, 1)
-    sieve_primes_list = sieve_primes(max(2, isqrt(2 * x + 1))).primes
+    _check_sieve(x, block_size)
+    sieve_primes_list = _sieving_primes(x)
+    half = (block_size or _block_for(sieve_primes_list)) // 2
     y_primes = sieve_primes(y).primes
     total_odd = 0.0
     total_even = 0.0
@@ -150,12 +194,3 @@ def moment_sum(
                 total_even += float(np.sum(h_even**r))
         n0 = n1
     return total_odd, total_even
-
-
-def naive_sigma_upto(n: int) -> list[int]:
-    """sigma(1..n) by adding every divisor to its multiples; test oracle."""
-    out = [0] * (n + 1)
-    for d in range(1, n + 1):
-        for m in range(d, n + 1, d):
-            out[m] += d
-    return out

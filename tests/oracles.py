@@ -38,3 +38,13 @@ def ratio_grids_per_r(table):
             f = np.nextafter(1.0 - cand, -inf)
             np.maximum(rl, np.where(ok, f, 0.0), out=rl)
     return g, ru, rl
+
+
+def naive_sigma_upto(n):
+    """sigma(0..n) as a list (entry 0 is 0), by adding every divisor to its
+    multiples."""
+    out = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            out[m] += d
+    return out

@@ -65,7 +65,7 @@ class TestSigma:
         for n in range(1, 300):
             assert sigma(factorize(n)) == brute_sigma(n)
         # the rest against an independent divisor-sum sieve
-        from sigbound.counting import naive_sigma_upto
+        from oracles import naive_sigma_upto
 
         table = naive_sigma_upto(10**4)
         for n in range(1, 10**4 + 1):

@@ -1,5 +1,7 @@
 import json
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -54,6 +56,26 @@ class TestEmpirical:
         assert data["command"] == "empirical"
         assert data["count"] == 60
         assert data["proportion"] == 0.06
+        assert data["params"] == {"x": 1000, "block_size": 2**18}
+
+    def test_block_size_flag(self, capsys):
+        code, out, _ = run_cli(capsys, "empirical", "--x", "1e3", "--block-size", "1e7", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"]["block_size"] == 10**7
+
+    def test_rejects_an_oversized_block_at_once(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "empirical", "--x", "1e3", "--block-size", "1e12")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert "16777216" in err
+        assert run_cli(capsys, "moment", "--a", "1", "--b", "2", "--y", "3", "--r", "1",
+                       "--x", "1e3", "--block-size", "1e12")[0] == 2
+
+    def test_rejects_x_beyond_the_sieve_limit(self, capsys):
+        code, _, err = run_cli(capsys, "empirical", "--x", "1e20")
+        assert code == 2
+        assert "int64-safe" in err
 
 
 class TestDensS:
@@ -74,6 +96,32 @@ class TestDensS:
         assert time.perf_counter() - t0 < 2.0
         assert code == 2
         assert "b=2000000000000000006 is not 7-smooth" in err
+
+    def test_large_y_prints_the_whole_fraction(self, capsys):
+        # the denominator has more digits than Python's default int-to-str limit
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "dens-s", "--a", "1", "--b", "2", "--y", "2e4", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert sys.get_int_max_str_digits() == limit
+        num, den = data["dens"].split("/")
+        assert len(den) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            num, den = int(num), int(den)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert Fraction(num, den).denominator == den
+        assert num / den == data["dens_float"]
+
+    def test_y_at_the_prime_ceiling_is_unsupported(self, capsys):
+        for argv in (("dens-s", "--a", "1", "--b", "2", "--y", "1e5"),
+                     ("dens-s", "--a", "1", "--b", "2", "--y", "65536", "--format", "json"),
+                     ("moment", "--a", "1", "--b", "2", "--y", "1e5", "--r", "1", "--x", "10")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3, argv
+            assert out == ""
+            assert "65536" in err
 
 
 class TestLambda:

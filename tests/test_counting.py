@@ -1,11 +1,23 @@
+import random
+
 import numpy as np
 import pytest
+import sympy
 
-from sigbound.arith import abundancy, factorize, largest_smooth_divisor, sieve_primes, sigma
+from oracles import naive_sigma_upto
+from sigbound.arith import (
+    abundancy,
+    factorize,
+    largest_smooth_divisor,
+    sieve_primes,
+    sigma,
+    split_smooth,
+)
 from sigbound.counting import (
+    MAX_BLOCK,
     count_sigma_ge,
+    default_block_size,
     moment_sum,
-    naive_sigma_upto,
     sigma_block,
     smooth_part_block,
 )
@@ -24,11 +36,42 @@ class TestSigmaBlock:
         pieces = np.concatenate([sigma_block(1, 7001), sigma_block(7001, 13000), sigma_block(13000, 20001)])
         assert np.array_equal(whole, pieces)
 
+    def test_short_windows_match_naive_sums(self):
+        # windows shorter than p and p^2 for the small primes, and windows
+        # that end before the first multiple of p^k ((-lo) % p^k >= n)
+        oracle = naive_sigma_upto(700)
+        for lo in range(2, 600):
+            for n in (1, 2, 3, 4, 5, 8, 9, 26, 50):
+                got = sigma_block(lo, lo + n)
+                assert got.dtype == np.int64
+                assert [int(v) for v in got] == oracle[lo : lo + n], (lo, n)
+
+    def test_offset_windows_match_naive_sums(self):
+        oracle = naive_sigma_upto(3 * 10**4)
+        rng = random.Random(11)
+        for _ in range(40):
+            lo = rng.randrange(2, 2 * 10**4)
+            hi = lo + rng.randrange(1, 10**4)
+            assert [int(v) for v in sigma_block(lo, hi)] == oracle[lo:hi], (lo, hi)
+
+    def test_matches_factored_sigma_below_the_sieve_limit(self):
+        # sieving by every prime up to sqrt(4e17) is too big for a test; the
+        # primes that divide no integer of the window change nothing, so the
+        # window is sieved by the small prime factors of its own integers
+        hi = 4 * 10**17
+        lo = hi - 300
+        factors = [sympy.factorint(m) for m in range(lo, hi)]
+        primes = tuple(sorted({p for f in factors for p in f if p * p < hi}))
+        got = sigma_block(lo, hi, primes)
+        assert [int(v) for v in got] == [sigma(tuple(f.items())) for f in factors]
+
     def test_bad_range(self):
         with pytest.raises(InvalidParameterError):
             sigma_block(5, 5)
         with pytest.raises(InvalidParameterError):
             sigma_block(0, 10)
+        with pytest.raises(InvalidParameterError):
+            sigma_block(4 * 10**17 - 10, 4 * 10**17 + 1, (2, 3))
 
 
 class TestSmoothPartBlock:
@@ -37,6 +80,16 @@ class TestSmoothPartBlock:
         got = smooth_part_block(1, 5001, y)
         for n in range(1, 5001):
             assert int(got[n - 1]) == largest_smooth_divisor(n, y)
+
+    @pytest.mark.parametrize("y", [2, 3, 5, 31, 353])
+    def test_matches_split_smooth_on_random_windows(self, y):
+        primes = sieve_primes(y)
+        rng = random.Random(y)
+        for _ in range(20):
+            lo = rng.randrange(1, 10 ** rng.randrange(2, 16))
+            hi = lo + rng.randrange(1, 2000)
+            got = smooth_part_block(lo, hi, y)
+            assert [int(v) for v in got] == [split_smooth(m, primes)[0].value for m in range(lo, hi)]
 
 
 class TestCountSigmaGe:
@@ -47,8 +100,25 @@ class TestCountSigmaGe:
         assert count_sigma_ge(10**5)[0] == 5490
 
     def test_block_size_invariance(self):
-        counts = {count_sigma_ge(10**6, block_size=bs)[0] for bs in (10**4, 10**5, 10**6)}
+        counts = {count_sigma_ge(10**6, block_size=bs)[0] for bs in (None, 10**4, 10**4 + 1, 10**5, 10**6)}
         assert counts == {54603}
+        # one sieve call per n or two: 10^6 of them would take a minute
+        assert {count_sigma_ge(10**4, block_size=bs)[0] for bs in (2, 3)} == {551}
+
+    def test_derived_block_size(self):
+        assert default_block_size(10**7) == 2**18 == 262_144
+        assert default_block_size(10**3) == 2**18
+        # 256 integers per sieving prime, up to isqrt(2e9 + 1) = 44721
+        assert default_block_size(10**9) == 256 * len(sieve_primes(44721).primes)
+        assert default_block_size(10**12) == MAX_BLOCK == 2**24
+
+    def test_block_size_is_bounded(self):
+        for bs in (0, 1, MAX_BLOCK + 1, 10**12):
+            with pytest.raises(InvalidParameterError, match="block_size"):
+                count_sigma_ge(10**3, block_size=bs)
+            with pytest.raises(InvalidParameterError, match="block_size"):
+                moment_sum(1, 2, 3, 1, 10**3, block_size=bs)
+        assert count_sigma_ge(10**3, block_size=MAX_BLOCK)[0] == 60
 
     def test_tiny(self):
         # n=1: sigma(3)=4 >= sigma(2)=3
@@ -58,6 +128,11 @@ class TestCountSigmaGe:
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
             count_sigma_ge(0)
+        # rejected before the primes up to sqrt(2x) are sieved
+        with pytest.raises(InvalidParameterError, match="int64-safe"):
+            count_sigma_ge(10**20)
+        with pytest.raises(InvalidParameterError, match="int64-safe"):
+            moment_sum(1, 2, 3, 1, 10**20)
 
 
 class TestAbundancyGe:

@@ -5,13 +5,16 @@ import sigbound
 
 _MODULES = ("arith", "cli", "counting", "dirround", "engine", "errors", "moments")
 
-# The DirScalar operand algebra, the errors only it raised, and the sieve's
-# scaled comparison: removed because no production path ran them.
+# The DirScalar operand algebra, the errors only it raised, the sieve's scaled
+# comparison and the divisor-sum oracle: removed because no production path
+# ran them (the oracle lives in tests/oracles.py). DEFAULT_BLOCK: the sieve's
+# block size is derived from x now.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
     "DirectionError", "SignUncertainError",
     "abundancy_ge", "RunConfig", "config_from_args", "coprime",
+    "naive_sigma_upto", "DEFAULT_BLOCK",
 )
 
 
