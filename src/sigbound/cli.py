@@ -11,13 +11,12 @@ import argparse
 import decimal
 import json
 import math
-import os
 import re
 import sys
 from typing import Optional, Sequence
 
 from .arith import sieve_primes, split_smooth
-from .counting import count_sigma_ge, default_block_size, moment_sum
+from .counting import count_sigma_ge, moment_sum
 from .engine import cell_density, run_bounds
 from .errors import (
     InvalidCellError,
@@ -38,16 +37,6 @@ def scaled_int(text: str) -> int:
             f"expected an integer like 100000 or 1e5, got {text!r}"
         )
     return int(m.group(1)) * 10 ** int(m.group(2) or 0)
-
-
-def _default_threads() -> int:
-    env = os.environ.get("SIGBOUND_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _outward(x: float, down: bool) -> float:
@@ -83,13 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--y", type=scaled_int, default=31, help="smoothness bound (default 31)")
     b.add_argument("--z", type=scaled_int, default=10**8, help="enumerate cells with ab <= z (default 1e8)")
     b.add_argument("--rmax", type=scaled_int, default=200, help="maximum moment order (default 200)")
-    b.add_argument("--threads", type=scaled_int, default=None, help="worker count (default: all cores, or SIGBOUND_THREADS)")
+    b.add_argument("--threads", type=scaled_int, default=None, help="worker count (default: all usable cores)")
     b.add_argument("--flush-every", type=scaled_int, default=0, help="emit an intermediate certified bracket every N cells")
     b.add_argument("--format", choices=("text", "json"), default="text")
 
     e = sub.add_parser("empirical", help="exact count of n <= x with sigma(2n+1) >= sigma(2n)")
     e.add_argument("--x", type=scaled_int, required=True)
-    e.add_argument("--block-size", type=scaled_int, default=None, help="integers sieved per block (default: derived from x)")
     e.add_argument("--format", choices=("text", "json"), default="text")
 
     d = sub.add_parser("dens-s", help="exact density of one (a, b) cell")
@@ -109,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--y", type=scaled_int, required=True)
     m.add_argument("--r", type=scaled_int, required=True)
     m.add_argument("--x", type=scaled_int, required=True)
-    m.add_argument("--block-size", type=scaled_int, default=None, help="integers sieved per block (default: derived from x)")
     m.add_argument("--format", choices=("text", "json"), default="text")
     return p
 
@@ -141,7 +128,7 @@ def _cmd_bounds(args) -> int:
         args.y,
         args.z,
         args.rmax,
-        threads=args.threads if args.threads is not None else _default_threads(),
+        threads=args.threads,
         progress=progress,
         flush_every=args.flush_every,
     )
@@ -169,12 +156,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_empirical(args) -> int:
-    count, _ = count_sigma_ge(args.x, args.block_size)
-    block_size = args.block_size or default_block_size(args.x)
+    count, _ = count_sigma_ge(args.x)
     prop = _exact_proportion(count, args.x)
     payload = {
         "command": "empirical",
-        "params": {"x": args.x, "block_size": block_size},
+        "params": {"x": args.x},
         "count": count,
         "proportion": float(prop),
     }
@@ -242,7 +228,7 @@ def _cmd_lambda(args) -> int:
 def _cmd_moment(args) -> int:
     # validate the cell before the x-sized sieve runs
     dens = _cell_arg(args).dens
-    s_odd, s_even = moment_sum(args.a, args.b, args.y, args.r, args.x, args.block_size)
+    s_odd, s_even = moment_sum(args.a, args.b, args.y, args.r, args.x)
     scale = float(dens) * args.x
     payload = {
         "command": "moment",

@@ -12,9 +12,9 @@ The sieve accepts values below 4e17, where sigma(m) < 7m, so every sigma it
 builds stays below 2^63.
 
 `count_sigma_ge` and `moment_sum` derive the block size from x: 256 integers
-per sieving prime, at least 2^18 and at most 2^24 (MAX_BLOCK, also the largest
-block size accepted). A block costs 24 bytes per integer at its peak, so 6 MB
-at 2^18, the size at x = 1e7, and 384 MB at the cap.
+per sieving prime, at least 2^18 and at most 2^24 (MAX_BLOCK). A block costs
+24 bytes per integer at its peak, so 6 MB at 2^18, the size at x = 1e7, and
+384 MB at the cap.
 """
 from __future__ import annotations
 
@@ -113,31 +113,19 @@ def _block_for(primes: tuple[int, ...]) -> int:
     return min(MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_PER_PRIME * len(primes)))
 
 
-def default_block_size(x: int) -> int:
-    """The block size `count_sigma_ge` and `moment_sum` derive for n <= x."""
-    return _block_for(_sieving_primes(x))
-
-
-def _check_sieve(x: int, block_size: Optional[int]) -> None:
-    """Reject x and block_size before anything x- or block-sized is built."""
+def _check_sieve(x: int) -> None:
+    """Reject x before anything x-sized is built."""
     if x < 1:
         raise InvalidParameterError(f"x must be >= 1, got {x}")
     if 2 * x + 2 > _MAX_SIEVE_VALUE:
         raise InvalidParameterError(f"sieve limit {2 * x + 2} exceeds the int64-safe range")
-    if block_size is not None and not 2 <= block_size <= MAX_BLOCK:
-        raise InvalidParameterError(
-            f"block_size must lie in [2, {MAX_BLOCK}], got {block_size}"
-        )
 
 
-def count_sigma_ge(x: int, block_size: Optional[int] = None) -> tuple[int, float]:
-    """Exact count and proportion of n <= x with sigma(2n+1) >= sigma(2n).
-
-    Sieves `block_size` integers at a time, derived from x when None.
-    """
-    _check_sieve(x, block_size)
+def count_sigma_ge(x: int) -> tuple[int, float]:
+    """Exact count and proportion of n <= x with sigma(2n+1) >= sigma(2n)."""
+    _check_sieve(x)
     primes = _sieving_primes(x)
-    half = (block_size or _block_for(primes)) // 2
+    half = _block_for(primes) // 2
     count = 0
     n0 = 1
     while n0 <= x:
@@ -148,9 +136,7 @@ def count_sigma_ge(x: int, block_size: Optional[int] = None) -> tuple[int, float
     return count, count / x
 
 
-def moment_sum(
-    a: int, b: int, y: int, r: int, x: int, block_size: Optional[int] = None
-) -> tuple[float, float]:
+def moment_sum(a: int, b: int, y: int, r: int, x: int) -> tuple[float, float]:
     """Sums of h^r(2n+1) and h^r(2n) over n <= x lying in the (a, b) cell.
 
     Exact cell membership (largest y-smooth divisor equality) with float64
@@ -168,9 +154,9 @@ def moment_sum(
         raise InvalidParameterError(f"y must be >= 2, got {y}")
     if r < 0:
         raise InvalidParameterError(f"r must be >= 0, got {r}")
-    _check_sieve(x, block_size)
+    _check_sieve(x)
     sieve_primes_list = _sieving_primes(x)
-    half = (block_size or _block_for(sieve_primes_list)) // 2
+    half = _block_for(sieve_primes_list) // 2
     y_primes = sieve_primes(y).primes
     total_odd = 0.0
     total_even = 0.0

@@ -6,9 +6,9 @@ mechanism is ULP nudging: IEEE double arithmetic rounds to nearest, so the
 rounded result differs from the exact one by less than one ULP, and a single
 nextafter step in the target direction lands provably on the safe side.
 
-The `up_*` / `dn_*` / `pow_*` kernels nudge unconditionally, one ULP of slack
-even when the operation happened to be exact; `ratio_*` and `flt_dn` convert
-exact rationals and integers to the nearest double on the requested side. A
+The `up_*` / `dn_*` / `pow_dn` kernels nudge unconditionally, one ULP of slack
+even when the operation happened to be exact; `ratio_*` convert exact
+rationals to the nearest double on the requested side. A
 composite expression stays certified when each operand slot gets the direction
 that pushes the result the right way: the subtrahend and the divisor take the
 opposite direction of the result, and the operands of mul, div and pow must
@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Union
 
 from .errors import InvalidParameterError
 
@@ -71,25 +69,8 @@ def up_div(x: float, y: float) -> float:
     return _nextafter(x / y, _INF)
 
 
-def dn_div(x: float, y: float) -> float:
-    return _nextafter(x / y, -_INF)
-
-
-def pow_up(x: float, r: int) -> float:
-    """x**r for x >= 0, r >= 0, every multiply nudged UP."""
-    result = 1.0
-    base = x
-    e = r
-    while e:
-        if e & 1:
-            result = _nextafter(result * base, _INF)
-        e >>= 1
-        if e:
-            base = _nextafter(base * base, _INF)
-    return result
-
-
 def pow_dn(x: float, r: int) -> float:
+    """x**r for x >= 0, r >= 0, every multiply nudged DOWN."""
     result = 1.0
     base = x
     e = r
@@ -100,12 +81,6 @@ def pow_dn(x: float, r: int) -> float:
         if e:
             base = _nextafter(base * base, -_INF)
     return result
-
-
-def flt_dn(n: int) -> float:
-    """Largest double <= n (int-to-float conversions round to nearest)."""
-    f = float(n)
-    return f if f <= n else _nextafter(f, -_INF)
 
 
 def ratio_up(num: int, den: int) -> float:
@@ -156,17 +131,6 @@ class DirScalar:
         return f"DirScalar({self.value!r} {arrow} exact)"
 
 
-def rational_to_dir(q: Union[Fraction, int], direction: Direction) -> DirScalar:
-    """Nearest double on the `direction` side of an exact nonnegative rational."""
-    q = Fraction(q)
-    if q < 0:
-        raise InvalidParameterError(f"expected a nonnegative rational, got {q}")
-    f = ratio_up(q.numerator, q.denominator) if direction is UP else ratio_dn(
-        q.numerator, q.denominator
-    )
-    return DirScalar(f, direction)
-
-
 # ---------------------------------------------------------------------------
 # certified exp and log
 # ---------------------------------------------------------------------------
@@ -181,16 +145,6 @@ def _exp_up_core(v: float) -> float:
     v3 = up_mul(up_mul(v, v), v)
     v9 = up_mul(up_mul(v3, v3), v3)
     return up_add(s, up_div(up_mul(_E_UP, v9), _FACT9))
-
-
-def dir_exp_upper(x: float) -> DirScalar:
-    """Certified upper bound on e^x for x in [0, 1]."""
-    v = float(x)
-    if not 0.0 <= v <= 1.0:
-        raise InvalidParameterError(f"dir_exp_upper domain is [0, 1], got {v}")
-    if v == 0.0:
-        return DirScalar(1.0, UP)
-    return DirScalar(_exp_up_core(v), UP)
 
 
 def exp_up_wide(v: float) -> float:
@@ -209,10 +163,10 @@ def exp_up_wide(v: float) -> float:
     return s
 
 
-# ln 2 to 30 decimal places, truncated and bumped.
-_LN2_LO = Fraction("0.693147180559945309417232121458")
-_LN2_HI = Fraction("0.693147180559945309417232121459")
-_LN2_UP = None  # filled below
+# ln 2 and zeta(2) = pi^2/6 to 30 decimal places, truncated and bumped, then
+# rounded UP to a double.
+_LN2_UP = ratio_up(693147180559945309417232121459, 10**30)
+ZETA2_UP = ratio_up(1644934066848226436472415166647, 10**30)
 
 
 def log_up(v: float) -> float:
@@ -244,30 +198,3 @@ def log_up(v: float) -> float:
     if e:
         total = up_add(total, up_mul(float(e), _LN2_UP))
     return total
-
-
-# ---------------------------------------------------------------------------
-# bracketed constants
-# ---------------------------------------------------------------------------
-
-# zeta(2) = pi^2/6 to 30 decimal places, truncated and bumped.
-_ZETA2_LO = Fraction("1.644934066848226436472415166646")
-_ZETA2_HI = Fraction("1.644934066848226436472415166647")
-
-
-@dataclass(frozen=True)
-class ConstantBounds:
-    """Certified bracket for zeta(2), the only transcendental constant used."""
-
-    zeta2_lo: DirScalar
-    zeta2_hi: DirScalar
-
-
-def zeta2_bounds() -> ConstantBounds:
-    return ConstantBounds(
-        zeta2_lo=rational_to_dir(_ZETA2_LO, DOWN),
-        zeta2_hi=rational_to_dir(_ZETA2_HI, UP),
-    )
-
-
-_LN2_UP = rational_to_dir(_LN2_HI, UP).value

@@ -37,20 +37,16 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .arith import FactoredSmooth, PrimeTable, ext_gcd, sieve_primes
+from .arith import FactoredSmooth, PrimeTable, sieve_primes
 from .dirround import (
     DOWN,
     UP,
     DirScalar,
     dn_add,
-    dn_mul,
-    dn_sub,
     next_up,
     ratio_dn,
     ratio_up,
     up_add,
-    up_div,
-    up_mul,
     up_sub,
 )
 from .errors import InvalidCellError, InvalidParameterError
@@ -66,32 +62,6 @@ class CellDensity:
     b: FactoredSmooth
     y: int
     dens: Fraction
-
-
-@dataclass(frozen=True)
-class PairBound:
-    """Certified per-cell bounds; r_* = 0 records a trivial fallback."""
-
-    cell: CellDensity
-    lower: DirScalar
-    upper: DirScalar
-    r_lower: int
-    r_upper: int
-
-
-@dataclass(frozen=True)
-class ProgressionCell:
-    """One congruence-class slice of a cell; an arithmetic progression in n
-    when the divisibility gate holds, otherwise empty."""
-
-    a: int
-    b: int
-    t1: int
-    t2: int
-    modulus: int
-    solvable: bool
-    first_n: Optional[int]
-    step: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -124,7 +94,7 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# exact cell density and its progression oracle
+# exact cell density
 # ---------------------------------------------------------------------------
 
 def _validate_factored(f: FactoredSmooth, y: int, name: str) -> None:
@@ -162,129 +132,8 @@ def cell_density(a: FactoredSmooth, b: FactoredSmooth, primes: PrimeTable) -> Ce
     return CellDensity(a=a, b=b, y=y, dens=dens)
 
 
-def solve_progression(a: int, b: int, t1: int, t2: int, modulus: int) -> ProgressionCell:
-    """Solve for the n with (2n+1)/a == t1 and 2n/b == t2 modulo the primorial.
-
-    Writing 2n+1 = ax and 2n = by forces ax - by = 1; threading the two
-    congruences through the general solution shows the class is nonempty
-    exactly when modulus | 1 - a*t1 + b*t2, and then it is an arithmetic
-    progression with step a*b*modulus/2. Small-scale oracle for cell_density.
-    """
-    P = modulus
-    if a < 1 or a % 2 == 0:
-        raise InvalidParameterError(f"a must be a positive odd integer, got {a}")
-    if b < 2 or b % 2 == 1:
-        raise InvalidParameterError(f"b must be a positive even integer, got {b}")
-    if gcd(a, b) != 1:
-        raise InvalidParameterError(f"a and b must be coprime, got {a}, {b}")
-    if P < 2 or P % 2 == 1:
-        raise InvalidParameterError(f"modulus must be even and >= 2, got {P}")
-    if not (1 <= t1 <= P and 1 <= t2 <= P):
-        raise InvalidParameterError("t1, t2 must lie in [1, modulus]")
-    if gcd(t1, P) != 1 or gcd(t2, P) != 1:
-        raise InvalidParameterError("t1 and t2 must be coprime to the modulus")
-
-    c = 1 - a * t1 + b * t2
-    if c % P:
-        return ProgressionCell(a, b, t1, t2, P, False, None, None)
-    ell = c // P
-    g, u, _v = ext_gcd(a, b)
-    assert g == 1
-    x0 = u  # a*x0 == 1 (mod b), giving a particular solution of ax - by = 1
-    x = t1 + P * x0 * ell
-    twonp1 = a * x
-    step = a * b * P // 2
-    n0 = (twonp1 - 1) // 2
-    n = n0 % step
-    if n < 1:
-        n += step
-    # paranoia: confirm the representative really satisfies all four conditions
-    if (
-        (2 * n + 1) % a
-        or ((2 * n + 1) // a - t1) % P
-        or (2 * n) % b
-        or ((2 * n) // b - t2) % P
-    ):
-        raise AssertionError("progression construction is inconsistent")
-    return ProgressionCell(a, b, t1, t2, P, True, n, step)
-
-
 # ---------------------------------------------------------------------------
-# per-cell moment bounds (reference path: consecutive r search)
-# ---------------------------------------------------------------------------
-
-def _scan_best_ratio(q: Fraction, vals: list[float], roots: list[float], r_max: int):
-    """Walk r upward per the local stop rule and return (best_g, r) where
-    best_g is an UP bound on min_r (M(r)-1)/(q^r-1), or (None, 0).
-
-    Stops at the first non-improving candidate, except that stopping is never
-    allowed before r=2 has been looked at (the r=1 candidate alone can be a
-    spurious plateau).
-    """
-    q_dn = ratio_dn(q.numerator, q.denominator)
-    qr = 1.0
-    best = None
-    best_r = 0
-    for r in range(1, r_max + 1):
-        qr = dn_mul(qr, q_dn)
-        lam = vals[r]
-        if not math.isfinite(lam):
-            break  # saturated orders never recover: discard, never use
-        if q_dn <= roots[r]:
-            continue
-        cap = 1e9 * lam
-        qe = qr if qr < cap else cap
-        den = dn_sub(qe, 1.0)
-        if den <= 0.0:
-            continue
-        cand = up_div(up_sub(lam, 1.0), den)
-        if best is None or cand < best:
-            best, best_r = cand, r
-        elif r >= 2:
-            break
-    return best, best_r
-
-
-def pair_bounds(
-    cell: CellDensity, table: MomentTable, ha: Fraction, hb: Fraction
-) -> PairBound:
-    """Certified lower/upper bounds for the target-set share of one cell.
-
-    With q the larger of hb/ha and ha/hb, the candidate at order r is
-    dens * (M(r)-1)/(q^r-1) subtracted from the appropriate side; only the
-    side whose abundancy dominates can beat the trivial bounds [0, dens].
-    """
-    dens = cell.dens
-    dens_dn = ratio_dn(dens.numerator, dens.denominator)
-    dens_up = ratio_up(dens.numerator, dens.denominator)
-    vals = table.value_floats()
-    roots = table.root_floats()
-
-    lower_v, r_lo = 0.0, 0
-    upper_v, r_up = dens_up, 0
-    if hb > ha:
-        best, r = _scan_best_ratio(hb / ha, vals, roots, table.r_max)
-        if best is not None and best < 1.0:
-            upper_v, r_up = up_mul(dens_up, best), r
-    elif ha > hb:
-        best, r = _scan_best_ratio(ha / hb, vals, roots, table.r_max)
-        if best is not None and best < 1.0:
-            ratio = dn_sub(1.0, best)
-            if ratio > 0.0:
-                cand = dn_mul(dens_dn, ratio)
-                if cand > 0.0:
-                    lower_v, r_lo = cand, r
-    return PairBound(
-        cell=cell,
-        lower=DirScalar(lower_v, DOWN),
-        upper=DirScalar(upper_v, UP),
-        r_lower=r_lo,
-        r_upper=r_up,
-    )
-
-
-# ---------------------------------------------------------------------------
-# production path: ratio curves on a geometric grid, cells in numpy chunks
+# ratio curves on a geometric grid, cells in numpy chunks
 # ---------------------------------------------------------------------------
 
 _GRID_SIZE = 1 << 17
@@ -802,31 +651,3 @@ def _merge(totals, part):
     lo, up, cd, cu, n = totals
     l, u, c1, c2, k = part
     return max(dn_add(lo, l), 0.0), up_add(up, u), max(dn_add(cd, c1), 0.0), up_add(cu, c2), n + k
-
-
-def enumerate_cells(y: int, z: int):
-    """Yield (a, b) FactoredSmooth pairs of every cell with ab <= z.
-
-    Test/oracle surface, one cell at a time; run_bounds enumerates the same
-    cells as chunks of table rows (see _cell_tables).
-    """
-    from .arith import iter_smooth
-
-    if z < 2:
-        raise InvalidParameterError(f"z must be >= 2, got {z}")
-    pt = sieve_primes(y)
-    odd = pt.odd()
-    for a in iter_smooth(odd, z):
-        a_primes = set(a.prime_set())
-        rest = [p for p in odd if p not in a_primes]
-        limit = z // a.value
-        if limit < 2:
-            continue
-        e2 = 1
-        v2 = 2
-        while v2 <= limit:
-            for m in iter_smooth(rest, limit // v2):
-                factors = tuple(sorted(((2, e2),) + m.factors))
-                yield a, FactoredSmooth(v2 * m.value, factors)
-            v2 *= 2
-            e2 += 1

@@ -22,22 +22,15 @@ import numpy as np
 from .arith import PrimeTable, sieve_primes
 from .dirround import (
     UP,
+    ZETA2_UP,
     DirScalar,
-    dir_exp_upper,
-    dn_mul,
     exp_up_wide,
-    flt_dn,
     log_up,
     next_up,
     pow_dn,
-    pow_up,
-    ratio_dn,
     ratio_up,
-    up_add,
     up_div,
     up_mul,
-    up_sub,
-    zeta2_bounds,
 )
 from .errors import InvalidParameterError, UnsupportedParameterError
 
@@ -64,12 +57,6 @@ class MomentTable:
     def value_floats(self) -> list[float]:
         return [math.nan] + [v.value for v in self.values[1:]]
 
-    def root_floats(self) -> list[float]:
-        return [math.nan] + [v.value for v in self.roots[1:]]
-
-    def usable(self, r: int) -> bool:
-        return 1 <= r <= self.r_max and math.isfinite(self.values[r].value)
-
 
 def _check_y(y: int) -> None:
     if y < 2:
@@ -91,52 +78,25 @@ def moment_r1_exact(primes: PrimeTable) -> DirScalar:
     Each factor is below 1, so the factor itself is rounded UP to keep the
     running product an upper bound.
     """
-    acc = zeta2_bounds().zeta2_hi.value
+    acc = ZETA2_UP
     for p in primes.primes:
         acc = up_mul(acc, ratio_up(p * p - 1, p * p))
     return DirScalar(acc, UP)
 
 
-def moment_upper(y: int, r: int, mids: tuple[int, ...] | None = None) -> DirScalar:
-    """Upper bound for order r via the finite product over y < p < 65536.
-
-    Factor at p: 1 + ((1+1/p)^r - 1)/p + r / ((p^4 - p^2) (1 - 1/p)^(r-1)),
-    everything UP-directed (the denominator pieces DOWN-directed). Valid for
-    r >= 1; note the table builder routes r = 1 to the tighter closed form.
-    """
-    _check_y(y)
-    if r < 1:
-        raise InvalidParameterError(f"moment order must be >= 1, got {r}")
-    if mids is None:
-        mids = _mid_primes(y)
-    acc = 1.0
-    for p in mids:
-        u = pow_up(ratio_up(p + 1, p), r)
-        t1 = up_div(up_sub(u, 1.0), float(p))
-        w = pow_dn(ratio_dn(p - 1, p), r - 1)
-        den = dn_mul(flt_dn(p**4 - p**2), w)
-        if den <= 0.0:
-            acc = math.inf
-            break
-        t2 = up_div(float(r), den)
-        acc = up_mul(acc, up_add(1.0, up_add(t1, t2)))
-    return DirScalar(up_mul(acc, _tail_factor(r)), UP)
-
-
 def _tail_factor(r: int) -> float:
-    arg = up_mul(ratio_up(_TAIL_RATE.numerator, _TAIL_RATE.denominator), float(r))
-    if arg <= 1.0:
-        return dir_exp_upper(arg).value
-    return exp_up_wide(arg)
+    """UP bound on exp(_TAIL_RATE * r)."""
+    return exp_up_wide(up_mul(ratio_up(_TAIL_RATE.numerator, _TAIL_RATE.denominator), float(r)))
 
 
 def _bulk_values(y: int, r_max: int, mids: tuple[int, ...]) -> list[float]:
     """Vectorized product over the mid primes for every r in 2..r_max.
 
-    The per-element factor construction nudges after each operation exactly
-    like the scalar path. The reduction across primes uses round-to-nearest
-    multiplies, so the result is inflated by (1+u)^(m-1) <= 1 + 2(m-1)u
-    (u = 2^-53, m*u << 1), with a doubled margin for safety.
+    The per-element factor construction nudges after each operation, as the
+    scalar reference in tests/oracles.py does. The reduction across primes
+    uses round-to-nearest multiplies, so the result is inflated by
+    (1+u)^(m-1) <= 1 + 2(m-1)u (u = 2^-53, m*u << 1), with a doubled margin
+    for safety.
     """
     out = [math.nan] * (r_max + 1)
     if not mids:

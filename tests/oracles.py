@@ -1,10 +1,36 @@
-"""Reference implementations the tests compare the library against."""
+"""Reference implementations the tests compare the library against.
+
+None of this runs in the library: these are slow, direct forms of what the
+production path computes in bulk (cells one at a time, moment bounds one
+order at a time, per-cell r searches, exact divisor sums).
+"""
 import math
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+from typing import Optional
 
 import numpy as np
 
-from sigbound.dirround import next_up
-from sigbound.engine import _GRID_HI, _GRID_LO, _GRID_SIZE
+from sigbound.arith import FactoredSmooth, sieve_primes
+from sigbound.dirround import (
+    DOWN,
+    UP,
+    DirScalar,
+    dn_mul,
+    dn_sub,
+    next_up,
+    pow_dn,
+    ratio_dn,
+    ratio_up,
+    up_add,
+    up_div,
+    up_mul,
+    up_sub,
+)
+from sigbound.engine import _GRID_HI, _GRID_LO, _GRID_SIZE, CellDensity
+from sigbound.errors import InvalidParameterError
+from sigbound.moments import _check_y, _mid_primes, _tail_factor
 
 
 def ratio_grids_per_r(table):
@@ -48,3 +74,283 @@ def naive_sigma_upto(n):
         for m in range(d, n + 1, d):
             out[m] += d
     return out
+
+
+# ---------------------------------------------------------------------------
+# directed kernels only the references use
+# ---------------------------------------------------------------------------
+
+def dn_div(x, y):
+    return math.nextafter(x / y, -math.inf)
+
+
+def pow_up(x, r):
+    """x**r for x >= 0, r >= 0, every multiply nudged UP."""
+    result = 1.0
+    base = x
+    e = r
+    while e:
+        if e & 1:
+            result = math.nextafter(result * base, math.inf)
+        e >>= 1
+        if e:
+            base = math.nextafter(base * base, math.inf)
+    return result
+
+
+def flt_dn(n):
+    """Largest double <= n (int-to-float conversions round to nearest)."""
+    f = float(n)
+    return f if f <= n else math.nextafter(f, -math.inf)
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic on factorizations
+# ---------------------------------------------------------------------------
+
+def _factors(f):
+    return f.factors if isinstance(f, FactoredSmooth) else f
+
+
+def sigma(f):
+    """Sum of divisors from a factorization (a FactoredSmooth or (p, e)
+    pairs): the product of (p^(e+1)-1)/(p-1)."""
+    s = 1
+    for p, e in _factors(f):
+        s *= (p ** (e + 1) - 1) // (p - 1)
+    return s
+
+
+def abundancy(f):
+    """sigma(n)/n in lowest terms; equals 1 only for n = 1."""
+    n = 1
+    for p, e in _factors(f):
+        n *= p**e
+    return Fraction(sigma(f), n)
+
+
+def factorize(n):
+    """Trial-division factorization of a small n >= 1."""
+    if n < 1:
+        raise InvalidParameterError(f"cannot factor {n}")
+    m = n
+    factors = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors.append((m, 1))
+    return FactoredSmooth(n, tuple(factors))
+
+
+def primorial(primes):
+    """The product of the primes of a PrimeTable."""
+    return math.prod(primes.primes)
+
+
+def iter_smooth(primes, limit):
+    """Every integer in [1, limit] whose prime factors all lie in `primes`,
+    each once with its factorization, in no promised order."""
+    if limit < 1:
+        raise InvalidParameterError(f"smooth enumeration limit must be >= 1, got {limit}")
+    plist = sorted(set(primes))
+    if plist and plist[0] < 2:
+        raise InvalidParameterError("prime list contains a non-prime entry < 2")
+    stack = []
+
+    def rec(start, value):
+        yield FactoredSmooth(value, tuple(stack))
+        for j in range(start, len(plist)):
+            p = plist[j]
+            v = value * p
+            if v > limit:
+                break
+            e = 1
+            while v <= limit:
+                stack.append((p, e))
+                yield from rec(j + 1, v)
+                stack.pop()
+                v *= p
+                e += 1
+
+    yield from rec(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# cells one at a time, and their progressions
+# ---------------------------------------------------------------------------
+
+def enumerate_cells(y, z):
+    """Yield (a, b) FactoredSmooth pairs of every cell with ab <= z, one at a
+    time; run_bounds enumerates the same cells as chunks of table rows."""
+    if z < 2:
+        raise InvalidParameterError(f"z must be >= 2, got {z}")
+    odd = sieve_primes(y).odd()
+    for a in iter_smooth(odd, z):
+        a_primes = set(a.prime_set())
+        rest = [p for p in odd if p not in a_primes]
+        limit = z // a.value
+        e2, v2 = 1, 2
+        while v2 <= limit:
+            for m in iter_smooth(rest, limit // v2):
+                yield a, FactoredSmooth(v2 * m.value, tuple(sorted(((2, e2),) + m.factors)))
+            v2 *= 2
+            e2 += 1
+
+
+@dataclass(frozen=True)
+class ProgressionCell:
+    """One congruence-class slice of a cell; an arithmetic progression in n
+    when the divisibility gate holds, otherwise empty."""
+
+    a: int
+    b: int
+    t1: int
+    t2: int
+    modulus: int
+    solvable: bool
+    first_n: Optional[int]
+    step: Optional[int]
+
+
+def solve_progression(a, b, t1, t2, modulus):
+    """Solve for the n with (2n+1)/a == t1 and 2n/b == t2 modulo the primorial.
+
+    Writing 2n+1 = ax and 2n = by forces ax - by = 1; threading the two
+    congruences through the general solution shows the class is nonempty
+    exactly when modulus | 1 - a*t1 + b*t2, and then it is an arithmetic
+    progression with step a*b*modulus/2.
+    """
+    P = modulus
+    if a < 1 or a % 2 == 0:
+        raise InvalidParameterError(f"a must be a positive odd integer, got {a}")
+    if b < 2 or b % 2 == 1:
+        raise InvalidParameterError(f"b must be a positive even integer, got {b}")
+    if gcd(a, b) != 1:
+        raise InvalidParameterError(f"a and b must be coprime, got {a}, {b}")
+    if P < 2 or P % 2 == 1:
+        raise InvalidParameterError(f"modulus must be even and >= 2, got {P}")
+    if not (1 <= t1 <= P and 1 <= t2 <= P):
+        raise InvalidParameterError("t1, t2 must lie in [1, modulus]")
+    if gcd(t1, P) != 1 or gcd(t2, P) != 1:
+        raise InvalidParameterError("t1 and t2 must be coprime to the modulus")
+    c = 1 - a * t1 + b * t2
+    if c % P:
+        return ProgressionCell(a, b, t1, t2, P, False, None, None)
+    # a * x0 == 1 (mod b) gives a particular solution of ax - by = 1
+    x = t1 + P * pow(a, -1, b) * (c // P)
+    step = a * b * P // 2
+    n = ((a * x - 1) // 2) % step or step
+    if (2 * n + 1) % a or ((2 * n + 1) // a - t1) % P or (2 * n) % b or ((2 * n) // b - t2) % P:
+        raise AssertionError("progression construction is inconsistent")
+    return ProgressionCell(a, b, t1, t2, P, True, n, step)
+
+
+# ---------------------------------------------------------------------------
+# per-cell moment bounds by a consecutive r search
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PairBound:
+    """Certified per-cell bounds; r_* = 0 records a trivial fallback."""
+
+    cell: CellDensity
+    lower: DirScalar
+    upper: DirScalar
+    r_lower: int
+    r_upper: int
+
+
+def _scan_best_ratio(q, vals, roots, r_max):
+    """Walk r upward per the local stop rule and return (best_g, r) where
+    best_g is an UP bound on min_r (M(r)-1)/(q^r-1), or (None, 0).
+
+    Stops at the first non-improving candidate, except that stopping is never
+    allowed before r=2 has been looked at (the r=1 candidate alone can be a
+    spurious plateau).
+    """
+    q_dn = ratio_dn(q.numerator, q.denominator)
+    qr = 1.0
+    best = None
+    best_r = 0
+    for r in range(1, r_max + 1):
+        qr = dn_mul(qr, q_dn)
+        lam = vals[r]
+        if not math.isfinite(lam):
+            break  # saturated orders never recover: discard, never use
+        if q_dn <= roots[r]:
+            continue
+        cap = 1e9 * lam
+        den = dn_sub(min(qr, cap), 1.0)
+        if den <= 0.0:
+            continue
+        cand = up_div(up_sub(lam, 1.0), den)
+        if best is None or cand < best:
+            best, best_r = cand, r
+        elif r >= 2:
+            break
+    return best, best_r
+
+
+def pair_bounds(cell, table, ha, hb):
+    """Certified lower/upper bounds for the target-set share of one cell.
+
+    With q the larger of hb/ha and ha/hb, the candidate at order r is
+    dens * (M(r)-1)/(q^r-1) subtracted from the appropriate side; only the
+    side whose abundancy dominates can beat the trivial bounds [0, dens].
+    """
+    dens = cell.dens
+    dens_dn = ratio_dn(dens.numerator, dens.denominator)
+    dens_up = ratio_up(dens.numerator, dens.denominator)
+    vals = table.value_floats()
+    roots = [math.nan] + [v.value for v in table.roots[1:]]
+    lower_v, r_lo = 0.0, 0
+    upper_v, r_up = dens_up, 0
+    if hb > ha:
+        best, r = _scan_best_ratio(hb / ha, vals, roots, table.r_max)
+        if best is not None and best < 1.0:
+            upper_v, r_up = up_mul(dens_up, best), r
+    elif ha > hb:
+        best, r = _scan_best_ratio(ha / hb, vals, roots, table.r_max)
+        if best is not None and best < 1.0:
+            ratio = dn_sub(1.0, best)
+            if ratio > 0.0:
+                cand = dn_mul(dens_dn, ratio)
+                if cand > 0.0:
+                    lower_v, r_lo = cand, r
+    return PairBound(cell, DirScalar(lower_v, DOWN), DirScalar(upper_v, UP), r_lo, r_up)
+
+
+# ---------------------------------------------------------------------------
+# one moment bound at a time
+# ---------------------------------------------------------------------------
+
+def moment_upper(y, r, mids=None):
+    """Upper bound for order r via the finite product over y < p < 65536.
+
+    Factor at p: 1 + ((1+1/p)^r - 1)/p + r / ((p^4 - p^2) (1 - 1/p)^(r-1)),
+    everything UP-directed (the denominator pieces DOWN-directed). Valid for
+    r >= 1; build_moment_table routes r = 1 to the tighter closed form.
+    """
+    _check_y(y)
+    if r < 1:
+        raise InvalidParameterError(f"moment order must be >= 1, got {r}")
+    if mids is None:
+        mids = _mid_primes(y)
+    acc = 1.0
+    for p in mids:
+        u = pow_up(ratio_up(p + 1, p), r)
+        t1 = up_div(up_sub(u, 1.0), float(p))
+        w = pow_dn(ratio_dn(p - 1, p), r - 1)
+        den = dn_mul(flt_dn(p**4 - p**2), w)
+        if den <= 0.0:
+            acc = math.inf
+            break
+        acc = up_mul(acc, up_add(1.0, up_add(t1, up_div(float(r), den))))
+    return DirScalar(up_mul(acc, _tail_factor(r)), UP)

@@ -15,10 +15,11 @@ from math import gcd
 import numpy as np
 import pytest
 
-from sigbound.arith import abundancy, factorize, sieve_primes
+from oracles import abundancy, enumerate_cells, factorize, primorial, solve_progression
+from sigbound.arith import sieve_primes
 from sigbound.cli import main
 from sigbound.counting import count_sigma_ge, moment_sum, smooth_part_block
-from sigbound.engine import cell_density, enumerate_cells, run_bounds, solve_progression
+from sigbound.engine import cell_density, run_bounds
 from sigbound.moments import build_moment_table, moment_r1_exact
 
 # canonical desk-scale regression values (any thread count, y=31, z=1e8,
@@ -167,7 +168,7 @@ class TestCriterion5CellOracles:
         checked = 0
         for y in (3, 5):
             pt = sieve_primes(y)
-            P = pt.primorial()
+            P = primorial(pt)
             tot = [t for t in range(1, P + 1) if gcd(t, P) == 1]
             part = smooth_part_block(2, 2 * x + 2, y)
             a_vals = part[1::2][:x]

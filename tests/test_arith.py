@@ -4,16 +4,8 @@ from math import gcd
 
 import pytest
 
-from sigbound.arith import (
-    FactoredSmooth,
-    abundancy,
-    ext_gcd,
-    factorize,
-    iter_smooth,
-    largest_smooth_divisor,
-    sieve_primes,
-    sigma,
-)
+from oracles import abundancy, factorize, iter_smooth, naive_sigma_upto, sigma
+from sigbound.arith import FactoredSmooth, sieve_primes, split_smooth
 from sigbound.errors import InvalidParameterError
 
 
@@ -53,7 +45,7 @@ class TestSievePrimes:
 class TestSigma:
     def test_one(self):
         assert sigma(()) == 1
-        assert sigma(FactoredSmooth.one()) == 1
+        assert sigma(FactoredSmooth(1, ())) == 1
 
     def test_twelve(self):
         assert sigma([(2, 2), (3, 1)]) == 28 == brute_sigma(12)
@@ -65,8 +57,6 @@ class TestSigma:
         for n in range(1, 300):
             assert sigma(factorize(n)) == brute_sigma(n)
         # the rest against an independent divisor-sum sieve
-        from oracles import naive_sigma_upto
-
         table = naive_sigma_upto(10**4)
         for n in range(1, 10**4 + 1):
             assert sigma(factorize(n)) == table[n]
@@ -115,9 +105,9 @@ class TestIterSmooth:
     @pytest.mark.parametrize("y", [2, 3, 5, 7])
     def test_matches_largest_smooth_divisor_scan(self, y):
         limit = 10**4
-        primes = [p for p in sieve_primes(y).primes]
-        expected = {n for n in range(1, limit + 1) if largest_smooth_divisor(n, y) == n}
-        seen = [f.value for f in iter_smooth(primes, limit)]
+        primes = sieve_primes(y)
+        expected = {n for n in range(1, limit + 1) if split_smooth(n, primes)[0].value == n}
+        seen = [f.value for f in iter_smooth(primes.primes, limit)]
         assert len(seen) == len(set(seen)), "a value was visited twice"
         assert set(seen) == expected
 
@@ -127,18 +117,10 @@ class TestIterSmooth:
 
 
 class TestLargestSmoothDivisor:
+    """The largest y-smooth divisor of n is the smooth part split_smooth
+    returns for the primes <= y."""
+
     def test_examples(self):
-        assert largest_smooth_divisor(12, 2) == 4
-        assert largest_smooth_divisor(12, 3) == 12
-        assert largest_smooth_divisor(35, 5) == 5
-
-
-class TestExtGcd:
-    def test_bezout_identity(self):
-        rng = random.Random(3)
-        for _ in range(500):
-            a = rng.randrange(1, 10**6)
-            b = rng.randrange(1, 10**6)
-            g, u, v = ext_gcd(a, b)
-            assert g == gcd(a, b)
-            assert a * u + b * v == g
+        assert split_smooth(12, sieve_primes(2))[0].value == 4
+        assert split_smooth(12, sieve_primes(3))[0] == FactoredSmooth(12, ((2, 2), (3, 1)))
+        assert split_smooth(35, sieve_primes(5)) == (FactoredSmooth(5, ((5, 1),)), 7)

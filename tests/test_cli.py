@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sigbound.cli import main, scaled_int
+from sigbound.engine import run_bounds
 
 
 def run_cli(capsys, *argv):
@@ -56,21 +57,15 @@ class TestEmpirical:
         assert data["command"] == "empirical"
         assert data["count"] == 60
         assert data["proportion"] == 0.06
-        assert data["params"] == {"x": 1000, "block_size": 2**18}
+        assert data["params"] == {"x": 1000}
 
     def test_block_size_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "empirical", "--x", "1e3", "--block-size", "1e7", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["params"]["block_size"] == 10**7
-
-    def test_rejects_an_oversized_block_at_once(self, capsys):
-        t0 = time.perf_counter()
-        code, out, err = run_cli(capsys, "empirical", "--x", "1e3", "--block-size", "1e12")
-        assert time.perf_counter() - t0 < 1.0
+        # the block size is derived from x; the flag no longer exists
+        code, out, err = run_cli(capsys, "empirical", "--x", "1e3", "--block-size", "8")
         assert code == 2 and out == ""
-        assert "16777216" in err
+        assert "--block-size" in err
         assert run_cli(capsys, "moment", "--a", "1", "--b", "2", "--y", "3", "--r", "1",
-                       "--x", "1e3", "--block-size", "1e12")[0] == 2
+                       "--x", "1e3", "--block-size", "8")[0] == 2
 
     def test_rejects_x_beyond_the_sieve_limit(self, capsys):
         code, _, err = run_cli(capsys, "empirical", "--x", "1e20")
@@ -189,6 +184,13 @@ class TestBounds:
         )
         assert code == 0
         assert any(line.startswith("flush:") for line in err.splitlines())
+
+    def test_default_threads_ignore_the_environment(self, capsys, monkeypatch):
+        # the default is run_bounds' own: all usable cores
+        monkeypatch.setenv("SIGBOUND_THREADS", "1")
+        code, out, _ = run_cli(capsys, "bounds", "--y", "31", "--z", "1e5", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"]["threads"] == run_bounds(31, 10**5, 200).threads
 
 
 class TestMoment:

@@ -4,19 +4,12 @@ import numpy as np
 import pytest
 import sympy
 
-from oracles import naive_sigma_upto
-from sigbound.arith import (
-    abundancy,
-    factorize,
-    largest_smooth_divisor,
-    sieve_primes,
-    sigma,
-    split_smooth,
-)
+from oracles import abundancy, factorize, naive_sigma_upto, sigma
+from sigbound import counting
+from sigbound.arith import sieve_primes, split_smooth
 from sigbound.counting import (
     MAX_BLOCK,
     count_sigma_ge,
-    default_block_size,
     moment_sum,
     sigma_block,
     smooth_part_block,
@@ -78,8 +71,9 @@ class TestSmoothPartBlock:
     @pytest.mark.parametrize("y", [2, 3, 7])
     def test_matches_scalar_oracle(self, y):
         got = smooth_part_block(1, 5001, y)
+        primes = sieve_primes(y)
         for n in range(1, 5001):
-            assert int(got[n - 1]) == largest_smooth_divisor(n, y)
+            assert int(got[n - 1]) == split_smooth(n, primes)[0].value
 
     @pytest.mark.parametrize("y", [2, 3, 5, 31, 353])
     def test_matches_split_smooth_on_random_windows(self, y):
@@ -99,26 +93,28 @@ class TestCountSigmaGe:
         # computed by this artifact; the published table misprints this row
         assert count_sigma_ge(10**5)[0] == 5490
 
-    def test_block_size_invariance(self):
-        counts = {count_sigma_ge(10**6, block_size=bs)[0] for bs in (None, 10**4, 10**4 + 1, 10**5, 10**6)}
+    def test_block_size_invariance(self, monkeypatch):
+        def count_with_block(x, size):
+            with monkeypatch.context() as m:
+                if size is not None:
+                    m.setattr(counting, "_block_for", lambda primes: size)
+                return count_sigma_ge(x)[0]
+
+        counts = {count_with_block(10**6, bs) for bs in (None, 10**4, 10**4 + 1, 10**5, 10**6)}
         assert counts == {54603}
         # one sieve call per n or two: 10^6 of them would take a minute
-        assert {count_sigma_ge(10**4, block_size=bs)[0] for bs in (2, 3)} == {551}
+        assert {count_with_block(10**4, bs) for bs in (2, 3)} == {551}
+        assert count_with_block(10**3, MAX_BLOCK) == 60
 
     def test_derived_block_size(self):
-        assert default_block_size(10**7) == 2**18 == 262_144
-        assert default_block_size(10**3) == 2**18
-        # 256 integers per sieving prime, up to isqrt(2e9 + 1) = 44721
-        assert default_block_size(10**9) == 256 * len(sieve_primes(44721).primes)
-        assert default_block_size(10**12) == MAX_BLOCK == 2**24
+        def derived(x):
+            return counting._block_for(counting._sieving_primes(x))
 
-    def test_block_size_is_bounded(self):
-        for bs in (0, 1, MAX_BLOCK + 1, 10**12):
-            with pytest.raises(InvalidParameterError, match="block_size"):
-                count_sigma_ge(10**3, block_size=bs)
-            with pytest.raises(InvalidParameterError, match="block_size"):
-                moment_sum(1, 2, 3, 1, 10**3, block_size=bs)
-        assert count_sigma_ge(10**3, block_size=MAX_BLOCK)[0] == 60
+        assert derived(10**7) == 2**18 == 262_144
+        assert derived(10**3) == 2**18
+        # 256 integers per sieving prime, up to isqrt(2e9 + 1) = 44721
+        assert derived(10**9) == 256 * len(sieve_primes(44721).primes)
+        assert derived(10**12) == MAX_BLOCK == 2**24
 
     def test_tiny(self):
         # n=1: sigma(3)=4 >= sigma(2)=3

@@ -4,48 +4,42 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import dn_div, pow_up
 from sigbound.dirround import (
-    DOWN,
-    UP,
-    dir_exp_upper,
+    ZETA2_UP,
     dn_add,
-    dn_div,
     dn_mul,
     dn_sub,
     exp_up_wide,
     log_up,
     pow_dn,
-    pow_up,
     ratio_dn,
     ratio_up,
-    rational_to_dir,
     up_add,
     up_div,
     up_mul,
     up_sub,
-    zeta2_bounds,
 )
 from sigbound.errors import InvalidParameterError
 
 
 class TestRationalToDir:
+    """ratio_up / ratio_dn: the nearest double on the requested side of an
+    exact rational, the rational itself when a double holds it."""
+
     def test_dyadic_is_exact(self):
-        assert rational_to_dir(Fraction(1, 2), DOWN).value == 0.5
-        assert rational_to_dir(Fraction(1, 2), UP).value == 0.5
+        assert ratio_dn(1, 2) == 0.5
+        assert ratio_up(1, 2) == 0.5
 
     def test_third_up_is_smallest_above(self):
-        v = rational_to_dir(Fraction(1, 3), UP).value
+        v = ratio_up(1, 3)
         assert Fraction(v) >= Fraction(1, 3)
         assert Fraction(math.nextafter(v, 0.0)) < Fraction(1, 3)
 
     def test_eight_fifths_down(self):
-        v = rational_to_dir(Fraction(8, 5), DOWN).value
+        v = ratio_dn(8, 5)
         assert Fraction(v) <= Fraction(8, 5)
         assert Fraction(math.nextafter(v, 2.0)) > Fraction(8, 5)
-
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidParameterError):
-            rational_to_dir(Fraction(-1, 3), UP)
 
 
 class TestDirOps:
@@ -77,24 +71,19 @@ class TestDirPow:
 
 
 class TestExpUpper:
-    def test_zero(self):
-        assert dir_exp_upper(0.0).value == 1.0
-
     def test_correction_scale_value(self):
-        v = dir_exp_upper(1.6623114e-6 * 2000).value
+        v = exp_up_wide(1.6623114e-6 * 2000)
         assert 1.003330 <= v <= 1.003336
 
     def test_half(self):
-        v = dir_exp_upper(0.5).value
+        v = exp_up_wide(0.5)
         assert v >= 1.648721
         assert v >= math.exp(0.5)
         assert v <= math.exp(0.5) + 1e-7
 
     def test_domain(self):
         with pytest.raises(InvalidParameterError):
-            dir_exp_upper(-0.1)
-        with pytest.raises(InvalidParameterError):
-            dir_exp_upper(1.5)
+            exp_up_wide(-0.1)
 
     def test_upper_property_on_grid(self):
         import mpmath as mp
@@ -102,7 +91,7 @@ class TestExpUpper:
         mp.mp.dps = 40
         for k in range(0, 101):
             x = k / 100.0
-            assert dir_exp_upper(x).value >= mp.exp(x)
+            assert exp_up_wide(x) >= mp.exp(x)
 
 
 class TestWideExpLog:
@@ -149,17 +138,15 @@ class TestZeta2:
             hi = up_add(hi, up_div(1.0, float(k) * float(k)))
         lo = dn_add(lo, dn_div(1.0, float(N + 1)))
         hi = up_add(hi, up_div(1.0, float(N)))
-        zb = zeta2_bounds()
-        assert lo <= zb.zeta2_lo.value <= zb.zeta2_hi.value <= hi
+        assert lo <= ZETA2_UP <= hi
 
     def test_bracket_against_mpmath(self):
         import mpmath as mp
 
         mp.mp.dps = 50
         z2 = mp.zeta(2)
-        zb = zeta2_bounds()
-        assert zb.zeta2_lo.value <= z2 <= zb.zeta2_hi.value
-        assert (zb.zeta2_hi.value - zb.zeta2_lo.value) / float(z2) <= 1e-15
+        assert z2 <= ZETA2_UP
+        assert (ZETA2_UP - z2) / z2 <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sigbound.arith import FactoredSmooth, abundancy, factorize, sieve_primes
-from sigbound.engine import (
-    cell_density,
-    enumerate_cells,
-    pair_bounds,
-    run_bounds,
-    solve_progression,
-)
+from oracles import abundancy, enumerate_cells, factorize, pair_bounds, solve_progression
+from sigbound.arith import sieve_primes
+from sigbound.engine import cell_density, run_bounds
 from sigbound.errors import InvalidCellError, InvalidParameterError
 from sigbound.moments import build_moment_table
 

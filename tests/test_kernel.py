@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ratio_grids_per_r
+from oracles import abundancy, enumerate_cells, ratio_grids_per_r
 from sigbound import engine
-from sigbound.arith import abundancy, sieve_primes
-from sigbound.engine import cell_density, enumerate_cells, run_bounds
+from sigbound.arith import sieve_primes
+from sigbound.engine import cell_density, run_bounds
 from sigbound.errors import InvalidParameterError
 from sigbound.moments import build_moment_table
 

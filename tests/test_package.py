@@ -5,16 +5,45 @@ import sigbound
 
 _MODULES = ("arith", "cli", "counting", "dirround", "engine", "errors", "moments")
 
+_ALL = {
+    "BoundReport", "CellDensity", "DOWN", "DirScalar", "Direction",
+    "FactoredSmooth", "InvalidCellError", "InvalidParameterError",
+    "MomentTable", "PrimeTable", "ProgressEvent", "UP",
+    "UnsupportedParameterError", "build_moment_table", "cell_density",
+    "count_sigma_ge", "moment_sum", "run_bounds", "sieve_primes", "split_smooth",
+}
+
 # The DirScalar operand algebra, the errors only it raised, the sieve's scaled
 # comparison and the divisor-sum oracle: removed because no production path
-# ran them (the oracle lives in tests/oracles.py). DEFAULT_BLOCK: the sieve's
-# block size is derived from x now.
+# ran them. DEFAULT_BLOCK, default_block_size: the sieve's block size is
+# derived from x, with no override. The reference implementations (cells one
+# at a time, progressions, per-cell r search, scalar moment bound, exact
+# divisor sums, smooth enumeration) live in tests/oracles.py; ext_gcd,
+# largest_smooth_divisor, the ConstantBounds/zeta2_bounds/rational_to_dir
+# bracket and dir_exp_upper duplicated other helpers; dn_div, pow_up and
+# flt_dn have no caller left in the package; _default_threads
+# (SIGBOUND_THREADS) duplicated run_bounds' own default.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
     "DirectionError", "SignUncertainError",
     "abundancy_ge", "RunConfig", "config_from_args", "coprime",
-    "naive_sigma_upto", "DEFAULT_BLOCK",
+    "naive_sigma_upto", "DEFAULT_BLOCK", "default_block_size",
+    "pair_bounds", "_scan_best_ratio", "PairBound",
+    "solve_progression", "ProgressionCell", "enumerate_cells",
+    "moment_upper", "factorize", "iter_smooth", "sigma", "abundancy",
+    "largest_smooth_divisor", "ext_gcd",
+    "ConstantBounds", "zeta2_bounds", "rational_to_dir", "dir_exp_upper",
+    "_ZETA2_LO", "_ZETA2_HI", "_LN2_LO", "_LN2_HI", "_default_threads",
+    "dn_div", "pow_up", "flt_dn",
+)
+
+# Methods dropped along with the code that called them.
+_REMOVED_METHODS = (
+    ("arith", "PrimeTable", "primorial"),
+    ("arith", "FactoredSmooth", "one"),
+    ("moments", "MomentTable", "root_floats"),
+    ("moments", "MomentTable", "usable"),
 )
 
 
@@ -30,3 +59,10 @@ def test_removed_names_stay_removed():
         module = importlib.import_module(f"sigbound.{mod}")
         assert [name for name in _REMOVED if hasattr(module, name)] == [], mod
     assert set(_REMOVED).isdisjoint(sigbound.__all__)
+    for mod, cls, meth in _REMOVED_METHODS:
+        assert not hasattr(getattr(importlib.import_module(f"sigbound.{mod}"), cls), meth)
+
+
+def test_public_names_are_pinned():
+    assert set(sigbound.__all__) == _ALL
+    assert len(sigbound.__all__) == 20
