@@ -14,12 +14,20 @@ that pushes the result the right way: the subtrahend and the divisor take the
 opposite direction of the result, and the operands of mul, div and pow must
 be nonnegative. `DirScalar` labels a finished value with
 its side; it carries no arithmetic of its own.
+
+The numpy kernels `ulp_up` / `ulp_dn` take the same one-ULP step on whole
+float64 arrays, in place, through the int64 view of the bits, and
+`exact_sum` gives the correctly rounded sum of an array of nonnegative
+doubles, so that a directed total is that sum stepped one ULP to its side.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
+
+import numpy as np
 
 from .errors import InvalidParameterError
 
@@ -39,6 +47,10 @@ _FACT9 = 362880.0  # 9!
 
 def next_up(x: float) -> float:
     return _nextafter(x, _INF)
+
+
+def next_dn(x: float) -> float:
+    return _nextafter(x, -_INF)
 
 
 def up_add(x: float, y: float) -> float:
@@ -104,6 +116,88 @@ def ratio_dn(num: int, den: int) -> float:
         return _nextafter(f, 0.0)
     nf, df = f.as_integer_ratio()
     return f if nf * den == num * df else _nextafter(f, -_INF)
+
+
+# ---------------------------------------------------------------------------
+# array kernels
+# ---------------------------------------------------------------------------
+
+# The bits of +inf as an int64. Read as int64, the bit patterns of the doubles
+# from +0.0 up to +inf are 0 .. _INF_BITS, in the order of their values, and
+# adding 1 steps to the next double: +0.0 to the smallest subnormal, the
+# largest subnormal to the smallest normal, the largest finite double to +inf.
+_INF_BITS = np.int64(0x7FF0000000000000)
+
+
+def ulp_up(x: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
+    """Step each element of the float64 array x one ULP up, in place.
+
+    Domain: +0.0 <= x <= +inf (no -0.0, negative or NaN element). There the
+    result equals np.nextafter(x, inf) bit for bit; +inf stays +inf. With
+    `where` (a bool array of x's shape), only the elements where it holds
+    step. Returns x. x must be a fresh temporary: the step overwrites it.
+    """
+    bits = x.view(np.int64)
+    bits += 1 if where is None else where
+    np.minimum(bits, _INF_BITS, out=bits)  # +inf stepped past itself
+    return x
+
+
+def ulp_dn(x: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
+    """Step each element of the float64 array x one ULP toward zero, in place.
+
+    Domain: +0.0 <= x <= +inf. There the result equals np.nextafter(x, 0.0)
+    bit for bit, which for x > 0 is also np.nextafter(x, -inf): +inf goes to
+    the largest finite double and +0.0 stays +0.0, still a lower bound of a
+    nonnegative exact value. `where` and the return value as in ulp_up.
+    """
+    bits = x.view(np.int64)
+    bits -= 1 if where is None else where
+    np.maximum(bits, 0, out=bits)  # +0.0 stepped below itself
+    return x
+
+
+# exact_sum splits each 53-bit integer mantissa into a high part of 27 bits
+# and a low part of 26. A bucket sum of fewer than 2**26 such parts stays
+# below 2**53, so np.bincount adds them exactly in float64.
+_SUM_MAX_TERMS = 1 << 26
+
+
+def exact_sum(x: np.ndarray) -> float:
+    """The sum of the float64 array x of finite doubles >= +0.0, correctly
+    rounded.
+
+    Each element is m * 2**e with m = frexp mantissa; M = m * 2**53 is an
+    integer below 2**53, cut into M = hi * 2**26 + lo. np.bincount sums hi
+    and lo per exponent e, exactly (see _SUM_MAX_TERMS). The buckets are
+    combined into one Python int and rounded once by integer true division,
+    which rounds to nearest, ties to even. The result is the double nearest
+    the exact sum, the value math.fsum returns (Shewchuk's algorithm,
+    correctly rounded), so the two agree bit for bit. An empty x sums to 0.0.
+    """
+    if x.size == 0:
+        return 0.0
+    if x.size >= _SUM_MAX_TERMS:
+        raise InvalidParameterError(f"exact_sum takes fewer than 2**26 terms, got {x.size}")
+    bits = x.view(np.int64)
+    if bits.min() < 0 or bits.max() >= _INF_BITS:
+        raise InvalidParameterError("exact_sum needs finite doubles >= +0.0")
+    m, e = np.frexp(x)
+    t = m * 2.0**27  # exact: a power-of-two scaling
+    hi = np.floor(t)
+    lo = t - hi  # exact: the fraction bits of t
+    lo *= 2.0**26
+    e_min = int(e.min())
+    e -= e_min
+    hi_sums = np.bincount(e, weights=hi)
+    lo_sums = np.bincount(e, weights=lo)
+    nz = np.flatnonzero(hi_sums)  # hi >= 2**26 for every nonzero element
+    total = 0
+    for k, h, lo_k in zip(nz.tolist(), hi_sums[nz].astype(np.int64).tolist(),
+                          lo_sums[nz].astype(np.int64).tolist()):
+        total += ((h << 26) + lo_k) << k
+    shift = e_min - 53  # the sum is total * 2**shift
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 # ---------------------------------------------------------------------------

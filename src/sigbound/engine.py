@@ -15,12 +15,12 @@ density factor and directed abundancy, and cuts the candidate pairs (a, b)
 with b <= z // a into chunks at boundaries fixed by (y, z). Per chunk it
 drops the pairs whose masks intersect, computes each cell's directed terms,
 finds the grid slot of its abundancy ratio, and sums each total with
-math.fsum. The chunk sums merge in chunk order, in one process or from a
+exact_sum. The chunk sums merge in chunk order, in one process or from a
 fork pool alike, so the bits do not depend on the thread count.
 
 Directed rounding discipline: lower quantities round DOWN, upper ones UP,
-each cell term takes a nextafter after every operation, and each chunk total
-is a correctly rounded fsum stepped one ULP to its side, so the reported
+each cell term takes a one-ULP step after every operation, and each chunk
+total is a correctly rounded sum stepped one ULP to its side, so the reported
 bracket is a certificate no matter how many cells were summed.
 """
 from __future__ import annotations
@@ -43,10 +43,16 @@ from .dirround import (
     UP,
     DirScalar,
     dn_add,
+    dn_sub,
+    exact_sum,
+    next_dn,
     next_up,
     ratio_dn,
     ratio_up,
+    ulp_dn,
+    ulp_up,
     up_add,
+    up_div,
     up_sub,
 )
 from .errors import InvalidCellError, InvalidParameterError
@@ -166,14 +172,13 @@ def _ratio_grids(table: MomentTable):
     monotone in q. Per cell the engine then only needs the grid slot at or
     below its q: one lookup replaces the whole r search, at a tightness cost
     bounded by the grid spacing (4e-5 in log q). rl is taken from ru once,
-    after the r loop: nextafter(1 - c, -inf) is monotone in c, so the best
+    after the r loop: 1 - c stepped down is monotone in c, so the best
     lower candidate belongs to the best upper one.
 
     Returns the arrays (g, ru, rl): g increasing, ru non-increasing, rl
     non-decreasing.
     """
     vals = table.value_floats()
-    inf = np.inf
     g = np.geomspace(_GRID_LO, _GRID_HI, _GRID_SIZE)
     np.maximum.accumulate(g, out=g)  # guard monotonicity at the ulp level
     # qr = g^r rounded down and clamped at 1e300. It stays non-decreasing
@@ -193,7 +198,7 @@ def _ratio_grids(table: MomentTable):
             if r > 1:
                 q = qr[:live]
                 np.multiply(q, g[:live], out=q)
-                np.nextafter(q, 0.0, out=q)
+                ulp_dn(q)
                 np.minimum(q, 1e300, out=q)
                 live = int(np.searchsorted(q, 1e300))
             num = next_up(lam - 1.0)
@@ -201,15 +206,14 @@ def _ratio_grids(table: MomentTable):
             k = int(np.searchsorted(qr, cap))  # qr[:k] < cap <= qr[k:]
             d, c = den[:k], cand[:k]
             np.subtract(qr[:k], 1.0, out=d)
-            np.nextafter(d, -inf, out=d)
+            ulp_dn(d)  # d >= +0.0, and num > 0, so d = +0.0 gives c = +inf
             np.divide(num, d, out=c)
-            np.nextafter(c, inf, out=c)
-            c[d <= 0.0] = inf
+            ulp_up(c)
             np.minimum(ru[:k], c, out=ru[:k])
-            dcap = math.nextafter(cap - 1.0, -inf)
+            dcap = dn_sub(cap, 1.0)
             if k < _GRID_SIZE and dcap > 0.0:
-                np.minimum(ru[k:], math.nextafter(num / dcap, inf), out=ru[k:])
-    rl = np.where(ru < 1.0, np.nextafter(1.0 - ru, -inf), 0.0)
+                np.minimum(ru[k:], up_div(num, dcap), out=ru[k:])
+    rl = ulp_dn(1.0 - ru)  # ru <= 1, and ru = 1 gives rl = 0
     return g, ru, rl
 
 
@@ -256,10 +260,7 @@ def _float_dir(v: np.ndarray):
     where it converts exactly (the cast rounds to nearest above 2**53)."""
     f = np.minimum(v.astype(np.float64), _F63)
     back = f.astype(np.int64)
-    return (
-        np.where(back > v, np.nextafter(f, 0.0), f),
-        np.where(back < v, np.nextafter(f, np.inf), f),
-    )
+    return ulp_dn(f.copy(), back > v), ulp_up(f, back < v)
 
 
 class _Rows(NamedTuple):
@@ -298,7 +299,6 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
     The odd primes join in increasing order while the table stays within
     `budget` rows. Returns the rows and the number of odd primes used.
     """
-    inf = np.inf
     if even:
         pows = [2**e for e in range(1, limit.bit_length())]
         value = np.array(pows, dtype=np.int64)
@@ -330,10 +330,10 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
             sig_dn, sig_up = ratio_dn(pk * p - 1, pk * (p - 1)), ratio_up(pk * p - 1, pk * (p - 1))
             parts.append(_Rows(
                 value, value, mask,
-                np.nextafter(rows.d_dn[sel] * fp_dn, 0.0),
-                np.nextafter(rows.d_up[sel] * fp_up, inf),
-                np.nextafter(rows.h_dn[sel] * sig_dn, 0.0),
-                np.nextafter(rows.h_up[sel] * sig_up, inf),
+                ulp_dn(rows.d_dn[sel] * fp_dn),
+                ulp_up(rows.d_up[sel] * fp_up),
+                ulp_dn(rows.h_dn[sel] * sig_dn),
+                ulp_up(rows.h_up[sel] * sig_up),
             ))
             pk *= p
         if budget is not None and size > budget:
@@ -345,7 +345,7 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
     v_dn, v_up = _float_dir(rows.value)
     rows = _Rows(
         rows.value, rows.a, rows.mask[: -(-used // 64)],
-        np.nextafter(rows.d_dn / v_up, 0.0), np.nextafter(rows.d_up / v_dn, inf),
+        ulp_dn(rows.d_dn / v_up), ulp_up(rows.d_up / v_dn),
         rows.h_dn, rows.h_up,
     )
     return rows, used
@@ -367,7 +367,6 @@ def _a_blocks(small: _Rows, rest: tuple, z: int):
     if not rest:
         yield small
         return
-    inf = np.inf
 
     def walk(i, m, t, sm, st, fnum, fden):
         yield m, t, sm, st, fnum, fden
@@ -392,10 +391,10 @@ def _a_blocks(small: _Rows, rest: tuple, z: int):
             c = small.value[:k]
             rows = _Rows(
                 c * mt, c * m, small.mask[:, :k],
-                np.nextafter(small.d_dn[:k] * ratio_dn(fnum, fden * mt), 0.0),
-                np.nextafter(small.d_up[:k] * ratio_up(fnum, fden * mt), inf),
-                np.nextafter(small.h_dn[:k] * ratio_dn(sm * t, m * st), 0.0),
-                np.nextafter(small.h_up[:k] * ratio_up(sm * t, m * st), inf),
+                ulp_dn(small.d_dn[:k] * ratio_dn(fnum, fden * mt)),
+                ulp_up(small.d_up[:k] * ratio_up(fnum, fden * mt)),
+                ulp_dn(small.h_dn[:k] * ratio_dn(sm * t, m * st)),
+                ulp_up(small.h_up[:k] * ratio_up(sm * t, m * st)),
             )
         pending.append(rows)
         size += k
@@ -468,10 +467,9 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     """Certified sums over the cells of one chunk.
 
     Returns (lower, upper_cells, covered_dn, covered_up, pairs). Every cell
-    term is directed (a nextafter after each operation); each total is a
-    math.fsum, which is correctly rounded, stepped one ULP to its side.
+    term is directed (a one-ULP step after each operation); each total is an
+    exact_sum, which is correctly rounded, stepped one ULP to its side.
     """
-    inf = np.inf
     rows = ch.rows
     lens = ch.j_hi - ch.j_lo
     ai = np.repeat(np.arange(lens.size), lens)
@@ -481,25 +479,23 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
         keep = np.flatnonzero(clash == 0)
         ai = ai[keep]
         bi = bi[keep]
-    dens_dn = np.nextafter(rows.d_dn[ai] * b.d_dn[bi], 0.0)
-    dens_up = np.nextafter(rows.d_up[ai] * b.d_up[bi], inf)
-    q = np.nextafter(b.h_dn[bi] / rows.h_up[ai], 0.0)  # <= h(b)/h(a)
-    w = np.nextafter(rows.h_dn[ai] / b.h_up[bi], 0.0)  # <= h(a)/h(b)
+    dens_dn = ulp_dn(rows.d_dn[ai] * b.d_dn[bi])
+    dens_up = ulp_up(rows.d_up[ai] * b.d_up[bi])
+    q = ulp_dn(b.h_dn[bi] / rows.h_up[ai])  # <= h(b)/h(a)
+    w = ulp_dn(rows.h_dn[ai] / b.h_up[bi])  # <= h(a)/h(b)
     # the grid starts above 1, so at most one of q and w reaches it
     b_side = q > w
     slot = _grid_slot(consts, np.where(b_side, q, w))
     ru = np.where(b_side, consts.ru_at[slot], 1.0)
     rl = np.where(b_side, 0.0, consts.rl_at[slot])
-    up_cell = np.where(ru < 1.0, np.nextafter(dens_up * ru, inf), dens_up)
-    lo_cell = np.nextafter(dens_dn * rl, 0.0)
+    up_cell = ulp_up(dens_up * ru, ru < 1.0)  # ru = 1 is exact
+    lo_cell = ulp_dn(dens_dn * rl)
     lo_cell = lo_cell[lo_cell > 0.0]
-    nxt = math.nextafter
-    fsum = math.fsum
     return (
-        nxt(fsum(lo_cell.tolist()), -math.inf),
-        nxt(fsum(up_cell.tolist()), math.inf),
-        nxt(fsum(dens_dn.tolist()), -math.inf),
-        nxt(fsum(dens_up.tolist()), math.inf),
+        next_dn(exact_sum(lo_cell)),
+        next_up(exact_sum(up_cell)),
+        next_dn(exact_sum(dens_dn)),
+        next_up(exact_sum(dens_up)),
         int(ai.size),
     )
 

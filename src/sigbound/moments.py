@@ -29,6 +29,8 @@ from .dirround import (
     next_up,
     pow_dn,
     ratio_up,
+    ulp_dn,
+    ulp_up,
     up_div,
     up_mul,
 )
@@ -93,7 +95,10 @@ def _bulk_values(y: int, r_max: int, mids: tuple[int, ...]) -> list[float]:
     """Vectorized product over the mid primes for every r in 2..r_max.
 
     The per-element factor construction nudges after each operation, as the
-    scalar reference in tests/oracles.py does. The reduction across primes
+    scalar reference in tests/oracles.py does; every nudge is a one-ULP step
+    of a fresh nonnegative array (ulp_up / ulp_dn). (1+1/p)^r may overflow to
+    +inf, which stays +inf, and (1-1/p)^(r-1) may underflow to +0.0, which
+    stays +0.0 and makes t2 = r/den infinite. The reduction across primes
     uses round-to-nearest multiplies, so the result is inflated by
     (1+u)^(m-1) <= 1 + 2(m-1)u (u = 2^-53, m*u << 1), with a doubled margin
     for safety.
@@ -103,25 +108,24 @@ def _bulk_values(y: int, r_max: int, mids: tuple[int, ...]) -> list[float]:
         for r in range(2, r_max + 1):
             out[r] = _tail_factor(r)
         return out
-    inf = np.inf
     p = np.array(mids, dtype=np.float64)  # mid primes are exact in a double
-    inv_up = np.nextafter(1.0 / p, inf)
-    base_up = np.nextafter(1.0 + inv_up, inf)  # >= 1 + 1/p
-    base_dn = np.nextafter(1.0 - inv_up, -inf)  # <= 1 - 1/p
+    inv_up = ulp_up(1.0 / p)
+    base_up = ulp_up(1.0 + inv_up)  # >= 1 + 1/p
+    base_dn = ulp_dn(1.0 - inv_up)  # <= 1 - 1/p
     p2 = p * p  # exact, p < 2^16
-    p4_dn = np.nextafter(p2 * p2, -inf)
-    pden_dn = np.nextafter(p4_dn - p2, -inf)  # <= p^4 - p^2
+    p4_dn = ulp_dn(p2 * p2)
+    pden_dn = ulp_dn(p4_dn - p2)  # <= p^4 - p^2
     slack = 1.0 + 4.0 * len(mids) * 2.0**-53
     u = base_up.copy()  # (1+1/p)^r, UP, currently r = 1
     w = np.ones_like(p)  # (1-1/p)^(r-1), DOWN, currently r = 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for r in range(2, r_max + 1):
-            u = np.nextafter(u * base_up, inf)
-            w = np.nextafter(w * base_dn, -inf)
-            t1 = np.nextafter(np.nextafter(u - 1.0, inf) / p, inf)
-            den = np.nextafter(pden_dn * w, -inf)
-            t2 = np.where(den > 0.0, np.nextafter(float(r) / den, inf), inf)
-            f = np.nextafter(1.0 + np.nextafter(t1 + t2, inf), inf)
+            u = ulp_up(u * base_up)
+            w = ulp_dn(w * base_dn)
+            t1 = ulp_up(ulp_up(u - 1.0) / p)
+            den = ulp_dn(pden_dn * w)
+            t2 = ulp_up(float(r) / den)  # den = +0.0 gives +inf
+            f = ulp_up(ulp_up(t1 + t2) + 1.0)
             prod = float(np.multiply.reduce(f))
             if math.isfinite(prod):
                 out[r] = up_mul(up_mul(prod, slack), _tail_factor(r))

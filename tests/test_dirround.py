@@ -2,14 +2,19 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import dn_div, pow_up
+from sigbound import dirround, engine
 from sigbound.dirround import (
     ZETA2_UP,
     dn_add,
     dn_mul,
     dn_sub,
+    exact_sum,
     exp_up_wide,
     log_up,
     pow_dn,
@@ -17,6 +22,8 @@ from sigbound.dirround import (
     ratio_up,
     up_add,
     up_div,
+    ulp_dn,
+    ulp_up,
     up_mul,
     up_sub,
 )
@@ -147,6 +154,137 @@ class TestZeta2:
         z2 = mp.zeta(2)
         assert z2 <= ZETA2_UP
         assert (ZETA2_UP - z2) / z2 <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# array kernels: one-ULP steps through the int64 view, exact bucketed sum
+# ---------------------------------------------------------------------------
+
+# +0.0, the smallest subnormal, the largest subnormal, the smallest normal,
+# 1.0, the largest finite double and +inf
+EDGE_FLOATS = [0.0, 5e-324, math.nextafter(2.0**-1022, 0.0), 2.0**-1022, 1.0,
+               1.7976931348623157e308, math.inf]
+
+# The kernels' domain: +0.0 <= x <= +inf (no -0.0).
+domain_floats = st.floats(min_value=0.0, allow_nan=False, allow_infinity=True).filter(
+    lambda v: math.copysign(1.0, v) > 0.0)
+
+
+def same_bits(x, y) -> bool:
+    return np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64))
+
+
+def nextafter(x, to):
+    """np.nextafter without its overflow warning at the largest double."""
+    with np.errstate(over="ignore"):
+        return np.nextafter(x, to)
+
+
+def check_steps(x: np.ndarray) -> None:
+    """Both ULP kernels against np.nextafter, on a copy of x."""
+    assert same_bits(ulp_up(x.copy()), nextafter(x, np.inf))
+    assert same_bits(ulp_dn(x.copy()), nextafter(x, 0.0))
+    pos = x[x > 0.0]
+    assert same_bits(ulp_dn(pos.copy()), nextafter(pos, -np.inf))
+
+
+class TestUlpKernels:
+    def test_edge_values(self):
+        check_steps(np.array(EDGE_FLOATS))
+        assert ulp_up(np.array([0.0]))[0] == 5e-324
+        assert ulp_up(np.array([1.7976931348623157e308]))[0] == math.inf
+        assert ulp_up(np.array([math.inf]))[0] == math.inf
+        assert ulp_dn(np.array([0.0]))[0] == 0.0
+        assert ulp_dn(np.array([math.inf]))[0] == 1.7976931348623157e308
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(domain_floats, min_size=1, max_size=64))
+    def test_match_nextafter(self, values):
+        check_steps(np.array(values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(domain_floats, min_size=2, max_size=64), st.integers(2, 3))
+    def test_strided_views(self, values, stride):
+        base = np.array(values)
+        for step, expect in ((ulp_up, nextafter(base[::stride], np.inf)),
+                             (ulp_dn, nextafter(base[::stride], 0.0))):
+            work = base.copy()
+            out = step(work[::stride])
+            assert same_bits(out, expect)
+            assert same_bits(work[::stride], expect)  # stepped in place
+            rest = np.ones(base.size, bool)
+            rest[::stride] = False
+            assert same_bits(work[rest], base[rest])  # the gaps are untouched
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(domain_floats, st.booleans()), min_size=1, max_size=64))
+    def test_where_steps_only_selected(self, pairs):
+        x = np.array([v for v, _ in pairs])
+        sel = np.array([b for _, b in pairs])
+        assert same_bits(ulp_up(x.copy(), sel), np.where(sel, nextafter(x, np.inf), x))
+        assert same_bits(ulp_dn(x.copy(), sel), np.where(sel, nextafter(x, 0.0), x))
+
+
+def assert_sum_matches(x) -> None:
+    x = np.asarray(x, dtype=np.float64)
+    got = exact_sum(x)
+    assert type(got) is float
+    assert got.hex() == math.fsum(x.tolist()).hex()
+
+
+class TestExactSum:
+    def test_empty_and_zeros(self):
+        assert_sum_matches([])
+        assert_sum_matches(np.zeros(1000))
+        assert exact_sum(np.zeros(3)).hex() == "0x0.0p+0"
+
+    def test_edge_values(self):
+        finite = EDGE_FLOATS[:-2]
+        for v in finite:
+            assert_sum_matches([v])
+            assert_sum_matches([v] * 7)
+        assert_sum_matches(finite)
+        assert_sum_matches([1.7976931348623157e308, 1.0, 5e-324])
+
+    def test_subnormals(self):
+        rng = np.random.default_rng(1)
+        assert_sum_matches(rng.random(5000) * 2.0**-1022)
+        assert_sum_matches(rng.integers(0, 1 << 52, 5000).view(np.float64))
+        assert_sum_matches(np.full(4097, 5e-324))
+
+    def test_exponent_spread(self):
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 3, 100, 4096, engine._CHUNK - 1, engine._CHUNK):
+            assert_sum_matches(10.0 ** rng.uniform(-300.0, 0.0, n))
+            assert_sum_matches(rng.random(n) * 10.0 ** rng.integers(-25, 1, n))
+
+    def test_ties_round_to_even(self):
+        # 1 + 2**-53 is a tie between 1 and the double above it
+        assert_sum_matches([1.0, 2.0**-53])
+        assert_sum_matches([1.0 + 2.0**-52, 2.0**-53])
+        assert_sum_matches([1.0, 2.0**-53, 2.0**-1074])
+
+    def test_strided_view(self):
+        x = 10.0 ** np.random.default_rng(3).uniform(-30.0, 0.0, 999)
+        assert_sum_matches(x[::3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e300, allow_nan=False).filter(
+        lambda v: math.copysign(1.0, v) > 0.0), max_size=200))
+    def test_matches_fsum(self, values):
+        assert_sum_matches(values)
+
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_nan_and_infinite(self, bad):
+        with pytest.raises(InvalidParameterError):
+            exact_sum(np.array([1.0, bad, 2.0]))
+
+    def test_rejects_too_many_terms(self, monkeypatch):
+        # the bucket sums stay exact below _SUM_MAX_TERMS terms
+        monkeypatch.setattr(dirround, "_SUM_MAX_TERMS", 4)
+        assert_sum_matches([1.0, 2.0, 3.0])
+        with pytest.raises(InvalidParameterError):
+            exact_sum(np.ones(4))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,59 @@
+"""Pinned bits of the certified totals and of the moment tables.
+
+The values were taken from the engine as it stood before its numpy kernels
+switched from np.nextafter and math.fsum to the int64-view ULP steps and
+exact_sum of `sigbound.dirround`. Any change of the rounding path that moves
+one bit of a total or of a table entry fails here.
+"""
+import hashlib
+import struct
+
+import pytest
+
+from sigbound.engine import run_bounds
+from sigbound.moments import build_moment_table
+
+TOTALS = ("lower_total", "upper_total", "covered_lo", "covered_hi")
+
+GOLDEN_31 = ("0x1.7866e4b1fb607p-5", "0x1.6585086a5144fp-4",
+             "0x1.f21b4df9c19d5p-1", "0x1.f21b4df9c1a0dp-1")
+GOLDEN_353 = ("0x1.ca390100aae33p-6", "0x1.b6fcffc55300ep-2",
+              "0x1.331ad00ec0cc2p-1", "0x1.331ad00ec0ce3p-1")
+
+
+def total_bits(report) -> tuple:
+    return tuple(getattr(report, name).value.hex() for name in TOTALS)
+
+
+def table_digest(table) -> str:
+    """SHA-256 of values[1..r_max] then roots[1..r_max], packed as
+    little-endian doubles."""
+    h = hashlib.sha256()
+    for col in (table.values, table.roots):
+        h.update(struct.pack(f"<{table.r_max}d", *(s.value for s in col[1:])))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_totals_y31(threads):
+    report = run_bounds(31, 10**6, 200, threads=threads)
+    assert report.pair_count == 135331
+    assert total_bits(report) == GOLDEN_31
+
+
+def test_totals_y353():
+    report = run_bounds(353, 10**5, 500, threads=1)
+    assert report.pair_count == 148128
+    assert total_bits(report) == GOLDEN_353
+
+
+def test_table_y2_saturating():
+    # (1 + 1/p)^r overflows and (1 - 1/p)^(r-1) underflows for r near 3000
+    table = build_moment_table(2, 3000)
+    assert table.values[3000].value == float("inf")
+    assert table_digest(table) == "b42d9634023a461fc9c788b7c4228a06e1232195b7fc7c0a0ea6568ad02c1b8d"
+
+
+def test_table_y157():
+    table = build_moment_table(157, 2000)
+    assert table_digest(table) == "e020b697837621510e850ac1e4ce3f7d9405565e20a3e808852143a314329dcb"

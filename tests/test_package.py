@@ -1,5 +1,7 @@
 """The package's public surface."""
+import ast
 import importlib
+import pathlib
 
 import sigbound
 
@@ -66,3 +68,27 @@ def test_removed_names_stay_removed():
 def test_public_names_are_pinned():
     assert set(sigbound.__all__) == _ALL
     assert len(sigbound.__all__) == 20
+
+
+# np.nextafter steps one element at a time and math.fsum needs a Python list;
+# the array kernels of dirround (ulp_up, ulp_dn, exact_sum) give the same bits.
+_SLOW_PRIMITIVES = {("numpy", "nextafter"), ("np", "nextafter"), ("math", "fsum")}
+
+
+def test_one_directed_rounding_path():
+    """No module but dirround uses np.nextafter or math.fsum."""
+    found = []
+    for path in sorted(pathlib.Path(sigbound.__file__).parent.glob("*.py")):
+        if path.name == "dirround.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                pair = (node.value.id, node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy"):
+                pair = next(((node.module, a.name) for a in node.names
+                             if (node.module, a.name) in _SLOW_PRIMITIVES), None)
+            else:
+                continue
+            if pair in _SLOW_PRIMITIVES:
+                found.append(f"{path.name}:{node.lineno} {pair[0]}.{pair[1]}")
+    assert found == []
