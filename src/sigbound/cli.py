@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--y", type=scaled_int, default=31, help="smoothness bound (default 31)")
     b.add_argument("--z", type=scaled_int, default=10**8, help="enumerate cells with ab <= z (default 1e8)")
     b.add_argument("--rmax", type=scaled_int, default=200, help="maximum moment order (default 200)")
-    b.add_argument("--threads", type=scaled_int, default=None, help="worker count (default: all usable cores)")
+    b.add_argument("--threads", type=scaled_int, default=None, help="worker threads (default: all usable cores)")
     b.add_argument("--flush-every", type=scaled_int, default=0, help="emit an intermediate certified bracket every N cells")
     b.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -229,21 +229,23 @@ def _cmd_moment(args) -> int:
     # validate the cell before the x-sized sieve runs
     dens = _cell_arg(args).dens
     s_odd, s_even = moment_sum(args.a, args.b, args.y, args.r, args.x)
-    scale = float(dens) * args.x
+    scale = float(dens) * args.x  # 0.0 when it underflows
+    norm_odd, norm_even = (s / scale if scale else None for s in (s_odd, s_even))
     payload = {
         "command": "moment",
         "params": {"a": args.a, "b": args.b, "y": args.y, "r": args.r, "x": args.x},
         "sum_odd": s_odd,
         "sum_even": s_even,
-        "normalized_odd": s_odd / scale if scale else None,
-        "normalized_even": s_even / scale if scale else None,
+        "normalized_odd": norm_odd,
+        "normalized_even": norm_even,
     }
+    odd_txt, even_txt = ("n/a" if v is None else f"{v:.8f}" for v in (norm_odd, norm_even))
     lines = [
         f"cell ({args.a}, {args.b}), y={args.y}, r={args.r}, x={args.x}",
         f"sum h^r(2n+1) = {s_odd:.10g}",
         f"sum h^r(2n)   = {s_even:.10g}",
         f"x * dens      = {scale:.10g}",
-        f"normalized    : odd {s_odd / scale:.8f}  even {s_even / scale:.8f}",
+        f"normalized    : odd {odd_txt}  even {even_txt}",
     ]
     _emit(payload, lines, args.format)
     return 0

@@ -15,8 +15,9 @@ density factor and directed abundancy, and cuts the candidate pairs (a, b)
 with b <= z // a into chunks at boundaries fixed by (y, z). Per chunk it
 drops the pairs whose masks intersect, computes each cell's directed terms,
 finds the grid slot of its abundancy ratio, and sums each total with
-exact_sum. The chunk sums merge in chunk order, in one process or from a
-fork pool alike, so the bits do not depend on the thread count.
+exact_sum. The chunk sums merge in chunk order, computed inline or on a
+thread pool alike, so the bits do not depend on the thread count. The pool's
+threads share the tables, which are marked read-only.
 
 Directed rounding discipline: lower quantities round DOWN, upper ones UP,
 each cell term takes a one-ULP step after every operation, and each chunk
@@ -247,12 +248,19 @@ def _engine_consts(table: MomentTable) -> _Consts:
         odd=odd,
         base_dn=ratio_dn(base.numerator, base.denominator),
         base_up=ratio_up(base.numerator, base.denominator),
-        edges=np.concatenate(([-np.inf], g, [np.inf])),
+        edges=_read_only(np.concatenate(([-np.inf], g, [np.inf]))),
         lg0=math.log(g[0]),
         inv_step=(g.size - 1) / math.log(g[-1] / g[0]),
-        ru_at=np.concatenate(([1.0], ru)),
-        rl_at=np.concatenate(([0.0], rl)),
+        ru_at=_read_only(np.concatenate(([1.0], ru))),
+        rl_at=_read_only(np.concatenate(([0.0], rl))),
     )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only. The pool's threads share the engine's tables, so
+    an in-place step such as ulp_up on one raises instead of racing."""
+    a.setflags(write=False)
+    return a
 
 
 def _float_dir(v: np.ndarray):
@@ -285,6 +293,9 @@ class _Rows(NamedTuple):
 
     def take(self, idx) -> "_Rows":
         return _Rows(*(col[..., idx] for col in self))
+
+    def read_only(self) -> "_Rows":
+        return _Rows(*map(_read_only, self))
 
 
 def _concat(parts: list) -> _Rows:
@@ -419,11 +430,13 @@ def _cell_tables(consts: _Consts, z: int):
 
     The b table holds the even numbers <= z built from 2 and the longest
     prefix of the odd primes that keeps it within _ROW_BUDGET rows; the odd
-    primes outside it go to the a side (see _a_blocks).
+    primes outside it go to the a side (see _a_blocks). The b table and the
+    a-side blocks come back read-only.
     """
     b, used = _smooth_rows(consts.odd, z, True, 1.0, 1.0, _ROW_BUDGET)
     small, _ = _smooth_rows(consts.odd[:used], z // 2, False, consts.base_dn, consts.base_up)
-    return b, _chunks(_a_blocks(small, consts.odd[used:], z), b.value, z)
+    blocks = (rows.read_only() for rows in _a_blocks(small, consts.odd[used:], z))
+    return b.read_only(), _chunks(blocks, b.value, z)
 
 
 def _chunks(blocks, b_value: np.ndarray, z: int):
@@ -500,9 +513,6 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     )
 
 
-_WORKER_STATE = None
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -510,35 +520,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_init(consts: _Consts, b: _Rows) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (consts, b)
-
-
-def _worker_run(ch: _Chunk):
-    return _chunk_sums(*_WORKER_STATE, ch)
-
-
 def _pooled(consts: _Consts, b: _Rows, chunks, threads: int):
-    """Yield (chunk, sums) in chunk order, the sums computed in a fork pool.
+    """Yield (chunk, sums) in chunk order, the sums computed on a thread pool.
 
-    At most four chunks per worker are in flight, so memory stays bounded.
+    numpy releases the GIL in its array loops, and the threads share consts,
+    the b table and the a-side blocks, all read-only. At most four chunks per
+    worker are in flight, so memory stays bounded.
     """
-    # imported here: the pool modules take about 20 ms to import, which
-    # runs without a pool need not pay
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here: runs without a pool need not pay for the import
+    from concurrent.futures import ThreadPoolExecutor
 
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        max_workers=threads,
-        mp_context=ctx,
-        initializer=_worker_init,
-        initargs=(consts, b),
-    ) as ex:
+    with ThreadPoolExecutor(max_workers=threads) as ex:
         window = deque()
         for ch in chunks:
-            window.append((ch, ex.submit(_worker_run, ch)))
+            window.append((ch, ex.submit(_chunk_sums, consts, b, ch)))
             if len(window) >= 4 * threads:
                 done, fut = window.popleft()
                 yield done, fut.result()
@@ -561,9 +556,9 @@ def run_bounds(
     UP-directed upper totals plus the covered mass, then charges the
     unenumerated tail (1 - covered) to the upper side. The cells are cut
     into chunks at boundaries fixed by (y, z), and the chunk sums are merged
-    in chunk order whether one process or a pool computes them, so every
-    thread count gives the same bits. `threads` is capped at the usable
-    cores and at the chunk count; the report carries the count used.
+    in chunk order whether they are computed inline or on a thread pool, so
+    every thread count gives the same bits. `threads` is capped at the
+    usable cores and at the chunk count; the report carries the count used.
     `progress` gets one event per merged chunk that crosses a multiple of
     `flush_every` pairs (flush set), and otherwise at most one a second.
     """
@@ -585,11 +580,12 @@ def run_bounds(
     consts = _engine_consts(table)
     b, chunks = _cell_tables(consts, z)
 
+    threads = min(threads, _usable_cpus())
     if threads > 1:
-        # the fork pool starts every worker up front: no more workers than
-        # usable cores, nor than chunks to hand them
+        # the report names the count used: no more workers than usable
+        # cores, nor than chunks to hand them
         head = list(islice(chunks, threads))
-        threads = min(threads, _usable_cpus(), len(head))
+        threads = len(head)
         chunks = chain(head, chunks)
     if threads == 1:
         done = ((ch, _chunk_sums(consts, b, ch)) for ch in chunks)

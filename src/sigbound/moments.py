@@ -38,6 +38,11 @@ from .errors import InvalidParameterError, UnsupportedParameterError
 
 PRIME_CEILING = 65536
 
+# Highest moment order a table accepts. The tail correction stops bounding the
+# primes above the ceiling near r = 70,000 (a float64 check, not a proof);
+# 10,000 keeps a wide margin below that and bounds the work for any r_max.
+MAX_ORDER = 10_000
+
 # Tail correction per unit moment order, exp(_TAIL_RATE * r).
 _TAIL_RATE = Fraction(16623114, 10**13)  # 1.6623114e-6
 
@@ -139,6 +144,10 @@ def build_moment_table(y: int, r_max: int) -> MomentTable:
     _check_y(y)
     if r_max < 1:
         raise InvalidParameterError(f"r_max must be >= 1, got {r_max}")
+    if r_max > MAX_ORDER:
+        raise UnsupportedParameterError(
+            f"r_max must be at most {MAX_ORDER}, got {r_max}"
+        )
     mids = _mid_primes(y)
     values: list = [None] * (r_max + 1)
     values[1] = moment_r1_exact(sieve_primes(y))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sigbound.cli import main, scaled_int
-from sigbound.engine import run_bounds
+from sigbound.engine import _usable_cpus, run_bounds
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +43,14 @@ class TestExitCodes:
         assert code == 3
         assert "65536" in err
         assert run_cli(capsys, "lambda", "--y", "65536", "--rmax", "1")[0] == 3
+        # moment orders above moments.MAX_ORDER
+        for argv in (("lambda", "--y", "31", "--rmax", "1e30"),
+                     ("lambda", "--y", "31", "--rmax", "10001", "--format", "json"),
+                     ("bounds", "--y", "31", "--z", "1e3", "--rmax", "1e30")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3, argv
+            assert out == ""
+            assert "10000" in err
 
 
 class TestEmpirical:
@@ -185,6 +193,12 @@ class TestBounds:
         assert code == 0
         assert any(line.startswith("flush:") for line in err.splitlines())
 
+    def test_huge_thread_request_is_capped(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--y", "31", "--z", "1e3",
+                               "--threads", "1e30", "--format", "json")
+        assert code == 0
+        assert 1 <= json.loads(out)["params"]["threads"] <= _usable_cpus()
+
     def test_default_threads_ignore_the_environment(self, capsys, monkeypatch):
         # the default is run_bounds' own: all usable cores
         monkeypatch.setenv("SIGBOUND_THREADS", "1")
@@ -203,3 +217,14 @@ class TestMoment:
         data = json.loads(out)
         assert data["sum_odd"] == data["sum_even"]
         assert data["normalized_odd"] == pytest.approx(1.0, rel=0.01)
+
+    def test_underflowing_density_scale(self, capsys):
+        # dens * x underflows to 0.0: no normalized value, and no crash
+        argv = ("moment", "--a", "3", "--b", "2e400", "--y", "5", "--r", "1", "--x", "10")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "normalized    : odd n/a  even n/a" in out
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["normalized_odd"] is None and data["normalized_even"] is None

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +10,15 @@ import pytest
 
 from oracles import abundancy, enumerate_cells, factorize, pair_bounds, solve_progression
 from sigbound.arith import sieve_primes
-from sigbound.engine import cell_density, run_bounds
+from sigbound.dirround import ulp_up
+from sigbound.engine import (
+    _cell_tables,
+    _chunk_sums,
+    _engine_consts,
+    _pooled,
+    cell_density,
+    run_bounds,
+)
 from sigbound.errors import InvalidCellError, InvalidParameterError
 from sigbound.moments import build_moment_table
 
@@ -252,10 +261,16 @@ class TestRunBounds:
             assert r.lower_total.value <= proxy + 0.002
             assert r.upper_total.value >= proxy - 0.002
 
-    def test_parallel_matches_serial_closely(self, table_y31_r200):
+    def test_parallel_matches_serial_closely(self, table_y31_r200, monkeypatch):
         if usable_cores() < 2:
             pytest.skip("needs 2 usable cores to enter the pool")
+        import multiprocessing
+
+        def no_processes(*args, **kwargs):
+            raise ValueError("the pool runs threads, not processes")
+
         r1 = run_bounds(31, 10**5, 200, threads=1, table=table_y31_r200)
+        monkeypatch.setattr(multiprocessing, "get_context", no_processes)
         r2 = run_bounds(31, 10**5, 200, threads=2, table=table_y31_r200)
         assert r2.threads == 2
         assert r1.pair_count == r2.pair_count
@@ -265,6 +280,33 @@ class TestRunBounds:
         assert r2.covered_lo == r1.covered_lo
         assert r2.covered_hi == r1.covered_hi
         assert r2.lower_total.value <= r2.upper_total.value
+
+    def test_shared_tables_are_read_only(self, table_y31_r200):
+        # the pool's threads share these arrays: an in-place step must raise
+        consts = _engine_consts(table_y31_r200)
+        b, chunks = _cell_tables(consts, 10**5)
+        for arr in (consts.ru_at, consts.rl_at, consts.edges, b.d_up, b.h_dn,
+                    next(chunks).rows.d_dn):
+            with pytest.raises(ValueError):
+                ulp_up(arr)
+        with pytest.raises(ValueError):
+            b.mask[0, 0] = 1
+
+    def test_pool_under_contention_matches_inline(self, table_y31_r200):
+        # more threads than cores and a short switch interval: every chunk's
+        # sums still come back whole and in chunk order
+        consts = _engine_consts(table_y31_r200)
+        b, chunks = _cell_tables(consts, 10**5)
+        chunks = list(chunks)
+        inline = [_chunk_sums(consts, b, ch) for ch in chunks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = list(_pooled(consts, b, iter(chunks), 2 * usable_cores() + 2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [id(ch) for ch, _ in pooled] == [id(ch) for ch in chunks]
+        assert [sums for _, sums in pooled] == inline
 
     def test_threads_capped_at_usable_cores(self, table_y31_r200):
         try:

@@ -8,7 +8,7 @@ from oracles import moment_upper
 from sigbound.arith import sieve_primes
 from sigbound.dirround import pow_dn
 from sigbound.errors import InvalidParameterError, UnsupportedParameterError
-from sigbound.moments import PRIME_CEILING, build_moment_table, moment_r1_exact
+from sigbound.moments import MAX_ORDER, PRIME_CEILING, build_moment_table, moment_r1_exact
 
 mp.mp.dps = 40
 
@@ -150,3 +150,10 @@ class TestBuildTable:
         t = build_moment_table(2, 3000)
         assert not math.isfinite(t.values[3000].value)
         assert t.roots[3000].value == math.inf
+
+    def test_orders_above_the_ceiling_are_unsupported(self):
+        # checked before any order is tabulated, so a huge r_max fails at once
+        for r_max in (MAX_ORDER + 1, 10**30):
+            with pytest.raises(UnsupportedParameterError, match=str(MAX_ORDER)):
+                build_moment_table(31, r_max)
+        assert build_moment_table(2, MAX_ORDER).r_max == MAX_ORDER

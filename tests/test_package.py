@@ -24,7 +24,9 @@ _ALL = {
 # largest_smooth_divisor, the ConstantBounds/zeta2_bounds/rational_to_dir
 # bracket and dir_exp_upper duplicated other helpers; dn_div, pow_up and
 # flt_dn have no caller left in the package; _default_threads
-# (SIGBOUND_THREADS) duplicated run_bounds' own default.
+# (SIGBOUND_THREADS) duplicated run_bounds' own default. _WORKER_STATE,
+# _worker_init, _worker_run: the fork pool's per-process state, gone with it;
+# the thread pool shares the tables.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
@@ -38,6 +40,7 @@ _REMOVED = (
     "ConstantBounds", "zeta2_bounds", "rational_to_dir", "dir_exp_upper",
     "_ZETA2_LO", "_ZETA2_HI", "_LN2_LO", "_LN2_HI", "_default_threads",
     "dn_div", "pow_up", "flt_dn",
+    "_WORKER_STATE", "_worker_init", "_worker_run",
 )
 
 # Methods dropped along with the code that called them.
