@@ -1,25 +1,40 @@
 """Exact empirical counting via a segmented sum-of-divisors sieve.
 
-A block [lo, hi) is factored by the primes up to sqrt(hi - 1) in strided
-passes: for a prime p and each power p^k < hi, the multiples of p^k in the
-block are a numpy slice with step p^k, so every update is in place on a view,
-with no index arrays and no division per prime. sigma is rebuilt
-multiplicatively, one factor 1 + p + ... + p^e per prime, while a running
-product of the sieved prime powers gives the cofactor (1 or one prime) by a
-single division at the end. Memory is O(block) and the counts are exact 64-bit
+A block [lo, hi) of n integers is factored by the primes up to sqrt(hi - 1).
+Every update is a multiplication in place, in three kinds of pass:
+
+- The prime 2: the lowest set bit of m, m & -m, is its 2-part 2^v, and
+  sigma(2^v) = 2^(v+1) - 1. That is four contiguous passes, run, like the
+  cofactor pass, in chunks of 2^14 integers that stay in cache.
+- The odd primes p <= n / 512 (p <= 512 in a 2^18 block): one strided pass
+  per prime power p^k < hi, because the multiples of p^k in the block are a
+  numpy slice with step p^k.
+- The larger primes, each with fewer than 512 multiples in the block: in
+  batches of at most n / 16 multiples. One index array holds the multiples of
+  all the batch's primes (np.repeat and cumsum), a short loop over k >= 2
+  corrects the multiples of each p^k, and one unbuffered scatter
+  (np.multiply.at) each updates sig and part, so an m with two of these
+  primes gets both.
+
+sigma is rebuilt multiplicatively, one factor 1 + p + ... + p^e per prime,
+while `part`, the product of the sieved prime powers, gives the cofactor (1 or
+one prime) by a single int64 division at the end. The counts are exact 64-bit
 integer arithmetic end to end: results are bit-identical for any block size.
 The sieve accepts values below 4e17, where sigma(m) < 7m, so every sigma it
 builds stays below 2^63.
 
 `count_sigma_ge` and `moment_sum` derive the block size from x: 256 integers
-per sieving prime, at least 2^18 and at most 2^24 (MAX_BLOCK). A block costs
-24 bytes per integer at its peak, so 6 MB at 2^18, the size at x = 1e7, and
-384 MB at the cap.
+per sieving prime, at least 2^18 and at most 2^24 (MAX_BLOCK). They allocate
+the block buffers once per call. A block peaks at about 19 bytes per integer
+(sig and part, 16; the term of the prime 3, 2.7; a scatter batch), plus the
+chunk buffers: 5.4 MB at 2^18, the size at x = 1e7, 77 MB at 2^22 and about
+320 MB at the cap (tracemalloc). The sieving primes are an int64 array from
+a segmented sieve, 8 bytes per prime: 263 MB for x = 2e17.
 """
 from __future__ import annotations
 
-from math import gcd, isqrt
-from typing import Optional
+from math import gcd, isqrt, log
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,25 +55,108 @@ MAX_BLOCK = 2**24
 _MAX_SIEVE_VALUE = 4 * 10**17
 
 
-def sigma_block(lo: int, hi: int, primes: Optional[tuple[int, ...]] = None) -> np.ndarray:
-    """sigma(m) for every m in [lo, hi) as an int64 array."""
+# Per-integer passes (the 2-part and the cofactor) run in chunks of _CHUNK
+# integers, so that a chunk of sig, part and the scratch stays in cache.
+_CHUNK = 2**14
+
+# An odd prime gets its own strided passes while the block holds at least
+# _STRIDED_MULTIPLES of its multiples (p <= n / 512, so p <= 512 at 2^18).
+# The rarer primes are scattered in batches of at most n / 16 multiples, and
+# at least _MIN_BATCH, so that primes with no multiple in a short block still
+# come in large batches. Both constants were tuned on 2^18 blocks (x = 1e7);
+# their speed at larger blocks, up to MAX_BLOCK, is not measured.
+_STRIDED_MULTIPLES = 2**9
+_MIN_BATCH = 2**12
+
+# Segment length of the prime sieve behind the default primes.
+_PRIME_SEGMENT = 2**20
+
+
+class _Work:
+    """Buffers for blocks of up to n integers, reused from block to block."""
+
+    def __init__(self, n: int):
+        self.sig = np.empty(n, dtype=np.int64)
+        self.part = np.empty(n, dtype=np.int64)
+        self.iota = np.arange(min(n, _CHUNK), dtype=np.int64)
+        # a chunk of m or of the cofactor, and the term of the prime 3
+        self.scratch = np.empty(max(self.iota.size, (n - 1) // 3 + 1), dtype=np.int64)
+
+
+def sigma_block(
+    lo: int,
+    hi: int,
+    primes: Optional[np.ndarray | Sequence[int]] = None,
+    *,
+    work: Optional[_Work] = None,
+) -> np.ndarray:
+    """sigma(m) for every m in [lo, hi) as an int64 array.
+
+    `primes`, in increasing order, must hold every odd prime p <=
+    sqrt(hi - 1) that divides an integer of the block (by default all of
+    them); 2 is always sieved, and a 2 in `primes` is skipped. With `work`,
+    the result is a view of its buffer, which the next block sieved with it
+    overwrites.
+    """
     if not 1 <= lo < hi:
         raise InvalidParameterError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi > _MAX_SIEVE_VALUE:
         raise InvalidParameterError(f"sieve limit {hi} exceeds the int64-safe range")
     n = hi - lo
-    if primes is None:
-        primes = sieve_primes(max(2, isqrt(hi - 1))).primes
-    sig = np.ones(n, dtype=np.int64)
-    part = np.ones(n, dtype=np.int64)  # the part of m made of the primes sieved so far
+    root = isqrt(hi - 1)
+    p = _primes_upto(root) if primes is None else np.asarray(primes, dtype=np.int64)
+    cut = min(n // _STRIDED_MULTIPLES, root)
+    first, mid, end = np.searchsorted(p, (3, cut + 1, root + 1))
+    if work is None:
+        work = _Work(n)
+    sig = work.sig[:n]
+    part = work.part[:n]  # the part of m made of the primes sieved so far
+    for j, m in _chunks(lo, n, work):
+        low, s = part[j : j + m.size], sig[j : j + m.size]
+        # the 2-part of m is its lowest set bit 2^v, and sigma(2^v) = 2^(v+1) - 1
+        np.negative(m, out=low)
+        low &= m
+        np.add(low, low, out=s)
+        s -= 1
+    _strided(lo, hi, p[first:mid].tolist(), sig, part, work.scratch)
+    _scattered(lo, hi, p[max(first, mid) : end], sig, part)
+    for j, m in _chunks(lo, n, work):
+        # the cofactor left is 1 or one prime above sqrt(hi - 1)
+        np.floor_divide(m, part[j : j + m.size], out=m)
+        m += m > 1
+        sig[j : j + m.size] *= m
+    return sig
+
+
+def _chunks(lo: int, n: int, work: _Work) -> Iterator[tuple[int, np.ndarray]]:
+    """(j, m) for consecutive chunks of _CHUNK integers of the block: m holds
+    lo + j, lo + j + 1, ... in the scratch buffer, which the next chunk
+    overwrites."""
+    j = 0
+    while j < n:
+        m = work.scratch[: min(n - j, _CHUNK)]
+        np.add(work.iota[: m.size], lo + j, out=m)
+        yield j, m
+        j += m.size
+
+
+def _strided(
+    lo: int,
+    hi: int,
+    primes: Sequence[int],
+    sig: np.ndarray,
+    part: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """One strided pass per prime power: the multiples of p^k in the block
+    are a slice with step p^k, updated in place."""
+    n = sig.size
     for p in primes:
-        if p * p >= hi:
-            break
         start = (-lo) % p
         if start >= n:
             continue
         # term[i] becomes sigma(p^e) for the i-th multiple of p, p^e || m
-        term = np.empty((n - 1 - start) // p + 1, dtype=np.int64)
+        term = scratch[: (n - 1 - start) // p + 1]
         term.fill(p + 1)
         part[start::p] *= p
         pk = p
@@ -72,11 +170,46 @@ def sigma_block(lo: int, hi: int, primes: Optional[tuple[int, ...]] = None) -> n
             part[s :: pk * p] *= p
             pk *= p
         sig[start::p] *= term
-    # the cofactor left is 1 or one prime above sqrt(hi - 1)
-    np.floor_divide(np.arange(lo, hi, dtype=np.int64), part, out=part)
-    part += part > 1
-    sig *= part
-    return sig
+
+
+def _scattered(lo: int, hi: int, primes: np.ndarray, sig: np.ndarray, part: np.ndarray) -> None:
+    """The primes with few multiples in the block, in batches: one index
+    array for the multiples of all the batch's primes, and one unbuffered
+    scatter each into part and sig (an m with two of these primes appears
+    twice)."""
+    n = sig.size
+    batch = max(n // 16, _MIN_BATCH)
+    a = 0
+    while a < primes.size:
+        # no prime after primes[a] has more than (n - 1) // primes[a] + 1
+        # multiples in the block, so the batch holds at most `batch` of them
+        b = a + max(1, batch // ((n - 1) // int(primes[a]) + 1))
+        p = primes[a:b]
+        a = b
+        s = (-lo) % p
+        c = (n - 1 - s) // p + 1  # multiples of p in the block, 0 if none
+        first = np.cumsum(c) - c  # where the run of p's multiples starts
+        power = np.repeat(p, c)  # becomes p^e, p^e || m
+        idx = np.repeat(s - first * p, c) + np.arange(power.size) * power
+        term = power + 1  # becomes sigma(p^e)
+        # higher powers: the multiples of p^k, k >= 2, are every p^(k-1)-th
+        # entry of p's run, starting from the first multiple of p^k
+        q, qs, qfirst, qk = p, s, first, p * p
+        while q.size:
+            sk = (-lo) % qk
+            ck = (n - 1 - sk) // qk + 1
+            stride = qk // q
+            at = qfirst + (sk - qs) // q
+            run = np.cumsum(ck) - ck
+            pos = np.repeat(at - run * stride, ck)
+            pos += np.arange(pos.size) * np.repeat(stride, ck)
+            rep = np.repeat(q, ck)
+            term[pos] = term[pos] * rep + 1
+            power[pos] *= rep
+            more = (ck > 0) & (qk <= (hi - 1) // q)
+            q, qs, qfirst, qk = q[more], qs[more], qfirst[more], qk[more] * q[more]
+        np.multiply.at(part, idx, power)
+        np.multiply.at(sig, idx, term)
 
 
 def smooth_part_block(
@@ -88,8 +221,14 @@ def smooth_part_block(
     if primes is None:
         primes = sieve_primes(y).primes
     n = hi - lo
-    part = np.ones(n, dtype=np.int64)
+    if y >= 2 and 2 in primes:
+        part = np.arange(lo, hi, dtype=np.int64)
+        part &= -part  # the 2-part of m is its lowest set bit
+    else:
+        part = np.ones(n, dtype=np.int64)
     for p in primes:
+        if p == 2:
+            continue
         if p > y:
             break
         pk = p
@@ -104,12 +243,38 @@ def smooth_part_block(
     return part
 
 
-def _sieving_primes(x: int) -> tuple[int, ...]:
+def _sieving_primes(x: int) -> np.ndarray:
     """The primes that blocks of 2n and 2n+1, n <= x, are sieved by."""
-    return sieve_primes(max(2, isqrt(2 * x + 1))).primes
+    return _primes_upto(isqrt(2 * x + 1))
 
 
-def _block_for(primes: tuple[int, ...]) -> int:
+def _primes_upto(bound: int) -> np.ndarray:
+    """The primes <= bound as an int64 array, sieved in segments of odd
+    numbers, so the memory is 8 bytes per prime plus one segment."""
+    if bound < 2:
+        return np.empty(0, dtype=np.int64)
+    root = isqrt(bound)
+    base = np.array(sieve_primes(max(2, root)).primes[1:], dtype=np.int64)
+    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962); the
+    # pages of the unused tail are never touched
+    out = np.empty(int(1.25506 * bound / log(bound)) + 2, dtype=np.int64)
+    out[0] = 2
+    count = 1
+    for lo in range(3, bound + 1, 2 * _PRIME_SEGMENT):
+        hi = min(bound + 1, lo + 2 * _PRIME_SEGMENT)
+        odd = np.ones((hi - lo + 1) // 2, dtype=bool)  # odd[i]: lo + 2i
+        for p in base[base * base < hi].tolist():
+            first = max(p * p, (lo + p - 1) // p * p)
+            if first % 2 == 0:
+                first += p
+            odd[(first - lo) // 2 :: p] = False
+        found = 2 * np.flatnonzero(odd) + lo
+        out[count : count + found.size] = found
+        count += found.size
+    return out[:count]
+
+
+def _block_for(primes: np.ndarray) -> int:
     return min(MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_PER_PRIME * len(primes)))
 
 
@@ -126,11 +291,12 @@ def count_sigma_ge(x: int) -> tuple[int, float]:
     _check_sieve(x)
     primes = _sieving_primes(x)
     half = _block_for(primes) // 2
+    work = _Work(2 * min(half, x))
     count = 0
     n0 = 1
     while n0 <= x:
         n1 = min(x + 1, n0 + half)
-        sig = sigma_block(2 * n0, 2 * n1, primes)
+        sig = sigma_block(2 * n0, 2 * n1, primes, work=work)
         count += int(np.count_nonzero(sig[1::2] >= sig[0::2]))
         n0 = n1
     return count, count / x
@@ -155,8 +321,9 @@ def moment_sum(a: int, b: int, y: int, r: int, x: int) -> tuple[float, float]:
     if r < 0:
         raise InvalidParameterError(f"r must be >= 0, got {r}")
     _check_sieve(x)
-    sieve_primes_list = _sieving_primes(x)
-    half = _block_for(sieve_primes_list) // 2
+    primes = _sieving_primes(x)
+    half = _block_for(primes) // 2
+    work = _Work(2 * min(half, x))
     y_primes = sieve_primes(y).primes
     total_odd = 0.0
     total_even = 0.0
@@ -167,7 +334,7 @@ def moment_sum(a: int, b: int, y: int, r: int, x: int) -> tuple[float, float]:
         part = smooth_part_block(lo, hi, y, y_primes)
         mask = (part[1::2] == a) & (part[0::2] == b)
         if mask.any():
-            sig = sigma_block(lo, hi, sieve_primes_list)
+            sig = sigma_block(lo, hi, primes, work=work)
             m = np.arange(lo, hi, dtype=np.int64)
             if r == 0:
                 cnt = float(np.count_nonzero(mask))

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -67,6 +68,125 @@ class TestSigmaBlock:
             sigma_block(4 * 10**17 - 10, 4 * 10**17 + 1, (2, 3))
 
 
+def _sympy_sigmas(values):
+    return [sigma(tuple(sympy.factorint(m).items())) for m in values]
+
+
+def _window_primes(lo, hi):
+    """The primes p with p * p < hi that divide an integer of [lo, hi): the
+    primes that do not change nothing, so they sieve the window exactly."""
+    return tuple(sorted({p for m in range(lo, hi) for p in sympy.factorint(m) if p * p < hi}))
+
+
+class TestSigmaBlockKernel:
+    """The three parts of a block: the 2-part from m & -m, one strided pass
+    per prime power up to the cutoff, and the scattered batches above it."""
+
+    @pytest.mark.parametrize("n", [2**14, 2**16, 2**18])
+    def test_cube_of_the_first_scattered_prime(self, n):
+        # its cube is the smallest integer a sieve that assumed no cubes above
+        # the cutoff would get wrong
+        q = sympy.nextprime(n // counting._STRIDED_MULTIPLES)
+        lo = q**3 - n // 2
+        got = sigma_block(lo, lo + n)
+        rng = random.Random(n)
+        checked = set(range(q**3 - 3, q**3 + 4)) | set(range(lo + (-lo) % q, lo + n, q))
+        checked |= {rng.randrange(lo, lo + n) for _ in range(200)}
+        checked = sorted(checked)
+        assert [int(got[m - lo]) for m in checked] == _sympy_sigmas(checked)
+
+    def test_cube_of_271(self):
+        # 271 is scattered in a 2^16 block and strided in a 2^18 block
+        for n in (2**16, 2**18):
+            lo = 19_902_511 - n // 3
+            got = sigma_block(lo, lo + n)
+            multiples = range(lo + (-lo) % 271, lo + n, 271)
+            assert [int(got[m - lo]) for m in multiples] == _sympy_sigmas(multiples)
+            assert int(got[19_902_511 - lo]) == 1 + 271 + 271**2 + 271**3
+
+    def test_square_and_product_of_two_scattered_primes(self):
+        n = 2**18
+        q = sympy.nextprime(n // counting._STRIDED_MULTIPLES)
+        r = sympy.nextprime(q)
+        lo = q * q - 1000
+        got = sigma_block(lo, lo + n)
+        both = [m for m in range(lo, lo + n) if m % q == 0 and m % r == 0]
+        assert q * r in both
+        squares = range(q * q, lo + n, q * q)
+        checked = sorted(set(both) | set(squares) | set(range(lo, lo + n, 997)))
+        assert [int(got[m - lo]) for m in checked] == _sympy_sigmas(checked)
+
+    def test_high_powers_of_two_below_the_sieve_limit(self):
+        for center in (2**58, 5 * 2**56, 3 * 2**56, 2**58 + 2**40):
+            lo, hi = center - 40, center + 40
+            got = sigma_block(lo, hi, _window_primes(lo, hi))
+            assert [int(v) for v in got] == _sympy_sigmas(range(lo, hi)), center
+        assert int(sigma_block(2**58, 2**58 + 1, ())[0]) == 2**59 - 1
+
+    def test_short_windows_at_large_lo(self):
+        # odd and even lo, one to three integers, where every prime but 2 is
+        # scattered (the cutoff of a block this short is 0)
+        for center in (19_902_511, 521**3, 2**58, 4 * 10**17 - 4):
+            for lo in range(center - 3, center + 1):
+                for n in (1, 2, 3):
+                    got = sigma_block(lo, lo + n, _window_primes(lo, lo + n))
+                    assert [int(v) for v in got] == _sympy_sigmas(range(lo, lo + n)), (lo, n)
+
+    def test_high_powers_of_small_primes(self):
+        # every level p^k < hi of a strided pass (2^13 integers stride 3..13)
+        # and of a scattered batch (the shorter windows)
+        powers = [3**16, 5**11, 7**9, 11**7, 13**7, 9 * 25 * 49 * 121 * 169, 3**4 * 13**3 * 17**2]
+        for center in powers:
+            for n in (1, 2, 3, 80, 2**13):
+                lo = center - n // 2
+                got = sigma_block(lo, lo + n)
+                checked = range(max(lo, center - 40), min(lo + n, center + 41))
+                assert [int(got[m - lo]) for m in checked] == _sympy_sigmas(checked), (center, n)
+
+    def test_windows_across_chunks(self):
+        chunk = counting._CHUNK
+        oracle = naive_sigma_upto(4 * chunk + 10)
+        for lo in (chunk - 1, chunk, chunk + 1, 2 * chunk - 7, 3 * chunk):
+            for n in (1, 2, 3, 15, chunk, chunk + 1, 2 * chunk + 3):
+                hi = min(lo + n, len(oracle))
+                assert [int(v) for v in sigma_block(lo, hi)] == oracle[lo:hi], (lo, n)
+
+    @pytest.mark.parametrize("multiples, batch", [(1, 2**12), (10**9, 2**12), (10**9, 1), (8, 1)])
+    def test_any_cutoff_and_batch_gives_the_same_sums(self, monkeypatch, multiples, batch):
+        # all primes strided, all scattered, scattered one prime per batch,
+        # and a mix with small batches
+        monkeypatch.setattr(counting, "_STRIDED_MULTIPLES", multiples)
+        monkeypatch.setattr(counting, "_MIN_BATCH", batch)
+        oracle = naive_sigma_upto(3 * 10**4)
+        rng = random.Random(multiples + batch)
+        for _ in range(30):
+            lo = rng.randrange(1, 2 * 10**4)
+            hi = lo + rng.randrange(1, 10**4)
+            assert [int(v) for v in sigma_block(lo, hi)] == oracle[lo:hi], (lo, hi)
+
+    def test_reused_buffers_match_fresh_blocks(self):
+        primes = counting._sieving_primes(10**5)
+        work = counting._Work(5000)
+        for lo, hi in ((2, 5002), (5002, 6000), (6000, 6001), (123457, 128000)):
+            got = sigma_block(lo, hi, primes, work=work)
+            assert np.shares_memory(got, work.sig)
+            assert np.array_equal(got, sigma_block(lo, hi, primes))
+
+
+class TestSievingPrimes:
+    def test_int64_primes_equal_the_prime_table(self):
+        got = counting._sieving_primes(10**7)
+        assert got.dtype == np.int64
+        assert got.tolist() == list(sieve_primes(isqrt(2 * 10**7 + 1)).primes)
+
+    @pytest.mark.parametrize("segment", [1, 2, 7, 64])
+    def test_segments_join_exactly(self, monkeypatch, segment):
+        monkeypatch.setattr(counting, "_PRIME_SEGMENT", segment)
+        for bound in (1, 2, 3, 4, 9, 25, 26, 127, 128, 1000, 4099):
+            expected = list(sieve_primes(bound).primes) if bound >= 2 else []
+            assert counting._primes_upto(bound).tolist() == expected, bound
+
+
 class TestSmoothPartBlock:
     @pytest.mark.parametrize("y", [2, 3, 7])
     def test_matches_scalar_oracle(self, y):
@@ -84,6 +204,11 @@ class TestSmoothPartBlock:
             hi = lo + rng.randrange(1, 2000)
             got = smooth_part_block(lo, hi, y)
             assert [int(v) for v in got] == [split_smooth(m, primes)[0].value for m in range(lo, hi)]
+
+
+    def test_two_part_near_2_to_58(self):
+        lo, hi = 2**58 - 5, 2**58 + 6
+        assert [int(v) for v in smooth_part_block(lo, hi, 2)] == [m & -m for m in range(lo, hi)]
 
 
 class TestCountSigmaGe:
@@ -115,6 +240,24 @@ class TestCountSigmaGe:
         # 256 integers per sieving prime, up to isqrt(2e9 + 1) = 44721
         assert derived(10**9) == 256 * len(sieve_primes(44721).primes)
         assert derived(10**12) == MAX_BLOCK == 2**24
+
+    def test_benchmark_reference(self):
+        assert count_sigma_ge(10**7)[0] == 546_879
+
+    def test_one_sigma_block_call_per_block(self, monkeypatch):
+        # the benchmark's per-layer spans wrap the module-level name
+        calls = []
+
+        def counted(lo, hi, *args, **kwargs):
+            calls.append((lo, hi))
+            return sieve(lo, hi, *args, **kwargs)
+
+        sieve = counting.sigma_block
+        monkeypatch.setattr(counting, "sigma_block", counted)
+        assert count_sigma_ge(10**6)[0] == 54603
+        half = counting._block_for(counting._sieving_primes(10**6)) // 2
+        assert len(calls) == -(-(10**6) // half) == 8
+        assert calls[0][0] == 2 and calls[-1][1] == 2 * 10**6 + 2
 
     def test_tiny(self):
         # n=1: sigma(3)=4 >= sigma(2)=3
