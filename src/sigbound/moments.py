@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -59,10 +60,28 @@ class MomentTable:
     y: int
     r_max: int
     values: tuple  # DirScalar, UP
-    roots: tuple  # DirScalar, UP
 
     def value_floats(self) -> list[float]:
         return [math.nan] + [v.value for v in self.values[1:]]
+
+    @cached_property
+    def roots(self) -> tuple:
+        """DirScalar UP bounds on the r-th roots of values[r], computed on
+        first access: the engine never reads them."""
+        roots: list = [None] * (self.r_max + 1)
+        roots[1] = self.values[1]
+        for r in range(2, self.r_max + 1):
+            v = self.values[r].value
+            if not math.isfinite(v):
+                roots[r] = DirScalar(math.inf, UP)
+                continue
+            v = max(v, 1.0)
+            root = exp_up_wide(up_div(log_up(v), float(r)))
+            # certify root^r >= value by DOWN-powering; bump if rounding fell short
+            while pow_dn(root, r) < v:
+                root = next_up(root)
+            roots[r] = DirScalar(root, UP)
+        return tuple(roots)
 
 
 def _check_y(y: int) -> None:
@@ -132,10 +151,12 @@ def _bulk_values(y: int, r_max: int, mids: tuple[int, ...]) -> list[float]:
             t2 = ulp_up(float(r) / den)  # den = +0.0 gives +inf
             f = ulp_up(ulp_up(t1 + t2) + 1.0)
             prod = float(np.multiply.reduce(f))
-            if math.isfinite(prod):
-                out[r] = up_mul(up_mul(prod, slack), _tail_factor(r))
-            else:
-                out[r] = math.inf
+            if not math.isfinite(prod):
+                # each directed step is monotone, so every factor, and with
+                # it the product, only grows with r: all later orders overflow
+                out[r:] = [math.inf] * (r_max + 1 - r)
+                break
+            out[r] = up_mul(up_mul(prod, slack), _tail_factor(r))
     return out
 
 
@@ -155,19 +176,4 @@ def build_moment_table(y: int, r_max: int) -> MomentTable:
         bulk = _bulk_values(y, r_max, mids)
         for r in range(2, r_max + 1):
             values[r] = DirScalar(bulk[r], UP)
-
-    roots: list = [None] * (r_max + 1)
-    roots[1] = values[1]
-    for r in range(2, r_max + 1):
-        v = values[r].value
-        if not math.isfinite(v):
-            roots[r] = DirScalar(math.inf, UP)
-            continue
-        v = max(v, 1.0)
-        root = exp_up_wide(up_div(log_up(v), float(r)))
-        # certify root^r >= value by DOWN-powering; bump if rounding fell short
-        while pow_dn(root, r) < v:
-            root = next_up(root)
-        roots[r] = DirScalar(root, UP)
-
-    return MomentTable(y=y, r_max=r_max, values=tuple(values), roots=tuple(roots))
+    return MomentTable(y=y, r_max=r_max, values=tuple(values))

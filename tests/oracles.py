@@ -33,27 +33,32 @@ from sigbound.errors import InvalidParameterError
 from sigbound.moments import _check_y, _mid_primes, _tail_factor
 
 
-def ratio_grids_per_r(table):
-    """The ratio curves with both of them updated inside the r loop.
+def ratio_grids_per_r(table, q=None):
+    """The ratio curves at the ratios q (the engine's grid when q is None),
+    returned as (q, ru, rl), in their direct form: q^r is stepped at every
+    point and order, clamped at 1e300, and both curves are updated inside
+    the r loop.
 
-    `engine._ratio_grids` takes rl from ru after the loop and skips the grid
-    points where g^r has reached its cap; both must leave every bit as this
-    direct form has it.
+    `engine._bound_curves` takes rl from ru after the loop, carries q^r
+    only on the prefix some order can read below its cap, and spreads the
+    capped candidates with one running min; all of that must leave every
+    bit as this form has it.
     """
     vals = table.value_floats()
     inf = np.inf
-    g = np.geomspace(_GRID_LO, _GRID_HI, _GRID_SIZE)
-    np.maximum.accumulate(g, out=g)
-    qr = g.copy()
-    ru = np.ones(_GRID_SIZE)
-    rl = np.zeros(_GRID_SIZE)
+    if q is None:
+        q = np.geomspace(_GRID_LO, _GRID_HI, _GRID_SIZE)
+        np.maximum.accumulate(q, out=q)
+    qr = q.copy()
+    ru = np.ones(q.size)
+    rl = np.zeros(q.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for r in range(1, table.r_max + 1):
             lam = vals[r]
             if not math.isfinite(lam):
                 break
             if r > 1:
-                qr = np.minimum(np.nextafter(qr * g, 0.0), 1e300)
+                qr = np.minimum(np.nextafter(qr * q, 0.0), 1e300)
             num = next_up(lam - 1.0)
             cap = 1e9 * lam if math.isfinite(1e9 * lam) else 1e300
             qe = np.minimum(qr, cap)
@@ -63,7 +68,7 @@ def ratio_grids_per_r(table):
             np.minimum(ru, cand, out=ru)
             f = np.nextafter(1.0 - cand, -inf)
             np.maximum(rl, np.where(ok, f, 0.0), out=rl)
-    return g, ru, rl
+    return q, ru, rl
 
 
 def naive_sigma_upto(n):

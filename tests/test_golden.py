@@ -1,16 +1,20 @@
-"""Pinned bits of the certified totals and of the moment tables.
+"""Pinned bits of the certified totals, the moment tables and the bound
+curves.
 
-The values were taken from the engine as it stood before its numpy kernels
-switched from np.nextafter and math.fsum to the int64-view ULP steps and
-exact_sum of `sigbound.dirround`. Any change of the rounding path that moves
-one bit of a total or of a table entry fails here.
+The totals and tables were taken from the engine as it stood before its
+numpy kernels switched from np.nextafter and math.fsum to the int64-view ULP
+steps and exact_sum of `sigbound.dirround`; the curve digests from the grid
+build that still stepped q^r over every grid point below 1e300. Any change
+of the rounding path that moves one bit of a total, a table entry or a curve
+point fails here. A digest is cheap where the full-grid oracle
+(`oracles.ratio_grids_per_r`) takes seconds.
 """
 import hashlib
 import struct
 
 import pytest
 
-from sigbound.engine import run_bounds
+from sigbound.engine import _engine_consts, run_bounds
 from sigbound.moments import build_moment_table
 
 TOTALS = ("lower_total", "upper_total", "covered_lo", "covered_hi")
@@ -31,6 +35,16 @@ def table_digest(table) -> str:
     h = hashlib.sha256()
     for col in (table.values, table.roots):
         h.update(struct.pack(f"<{table.r_max}d", *(s.value for s in col[1:])))
+    return h.hexdigest()
+
+
+def curve_digest(table) -> str:
+    """SHA-256 of the engine's ru then rl over its grid, packed as
+    little-endian doubles."""
+    consts = _engine_consts(table)
+    h = hashlib.sha256()
+    for curve in (consts.ru_at[1:], consts.rl_at[1:]):
+        h.update(curve.astype("<f8").tobytes())
     return h.hexdigest()
 
 
@@ -57,3 +71,11 @@ def test_table_y2_saturating():
 def test_table_y157():
     table = build_moment_table(157, 2000)
     assert table_digest(table) == "e020b697837621510e850ac1e4ce3f7d9405565e20a3e808852143a314329dcb"
+
+
+@pytest.mark.parametrize("y,r_max,digest", [
+    (31, 200, "d31e30bfd86d1fda6ccf433beaadba61cc6c35639067ef2ea8333125a067aa2e"),
+    (353, 500, "de62225cd6f859989a1bd684cf7247bbbebcc6aa9823f888732569cb720905d0"),
+])
+def test_curves(y, r_max, digest):
+    assert curve_digest(build_moment_table(y, r_max)) == digest

@@ -1,5 +1,6 @@
 """The chunked cell kernel of `engine.run_bounds`: the exact audit of its
-bracket, its ratio grid, the (a, t) split and its int-to-float step."""
+bracket, its bound curves, the (a, t) split and its int-to-float step."""
+import math
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -11,9 +12,17 @@ from hypothesis import strategies as st
 from oracles import abundancy, enumerate_cells, ratio_grids_per_r
 from sigbound import engine
 from sigbound.arith import sieve_primes
+from sigbound.dirround import UP, DirScalar
 from sigbound.engine import cell_density, run_bounds
 from sigbound.errors import InvalidParameterError
-from sigbound.moments import build_moment_table
+from sigbound.moments import MomentTable, build_moment_table
+
+
+def grid_curves(table):
+    """The engine's grid and its curves (g, ru, rl), as run_bounds reads
+    them."""
+    consts = engine._engine_consts(table)
+    return consts.edges[1:-1], consts.ru_at[1:], consts.rl_at[1:]
 
 
 def exact_slot(g, q: Fraction) -> int:
@@ -29,7 +38,7 @@ def exact_slot(g, q: Fraction) -> int:
 def exact_sums(y, z, table):
     """The bracket of the grid method in exact arithmetic: Fraction
     densities, exact q = sigma(b) a / (sigma(a) b), exact grid slots."""
-    g, ru, rl = engine._ratio_grids(table)
+    g, ru, rl = grid_curves(table)
     g = g.tolist()
     pt = sieve_primes(y)
     lower = upper = covered = Fraction(0)
@@ -71,7 +80,7 @@ def test_bracket_is_on_the_safe_side_of_exact_sums(y, z, r_max, budget):
 
 @pytest.mark.parametrize("y,r_max", [(31, 200), (353, 500)])
 def test_ratio_curves_are_monotone(y, r_max):
-    g, ru, rl = engine._ratio_grids(build_moment_table(y, r_max))
+    g, ru, rl = grid_curves(build_moment_table(y, r_max))
     assert np.all(np.diff(g) > 0)
     assert np.all(np.diff(ru) <= 0)
     assert np.all(np.diff(rl) >= 0)
@@ -81,8 +90,42 @@ def test_ratio_curves_are_monotone(y, r_max):
 @pytest.mark.parametrize("y,r_max", [(2, 5), (3, 20), (5, 30), (31, 200), (353, 60)])
 def test_ratio_grids_match_the_per_r_loop_bit_for_bit(y, r_max):
     table = build_moment_table(y, r_max)
-    for got, want in zip(engine._ratio_grids(table), ratio_grids_per_r(table)):
+    for got, want in zip(grid_curves(table), ratio_grids_per_r(table)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def short_ratios(seed):
+    """2048 non-decreasing ratios above 1: 512 geometric points over the
+    engine's grid range with both neighbours of each, and 512 seeded random
+    ones from just above 1 to 1e4 (where q^r overflows early), 64 of them
+    repeated."""
+    g = np.geomspace(engine._GRID_LO, engine._GRID_HI, 512)
+    rng = np.random.default_rng(seed)
+    r = np.exp(rng.uniform(math.log1p(2.0**-30), math.log(1e4), 448))
+    return np.sort(np.concatenate([g, np.nextafter(g, 0.0), np.nextafter(g, np.inf),
+                                   r, rng.choice(r, 64)]))
+
+
+def assert_curves_match_the_oracle(table, q):
+    ru, rl = engine._bound_curves(table, q)
+    _, want_ru, want_rl = ratio_grids_per_r(table, q)
+    assert np.array_equal(ru.view(np.int64), want_ru.view(np.int64))
+    assert np.array_equal(rl.view(np.int64), want_rl.view(np.int64))
+
+
+# each table saturates below r_max (at r = 554, 1137, 2113 and 8159), after
+# orders whose 1e9 M(r) passes 1e300, which caps them at 1e300, or overflows
+@pytest.mark.parametrize("y,r_max", [(2, 3000), (7, 3000), (31, 10_000), (353, 10_000)])
+def test_bound_curves_match_the_oracle_on_short_arrays(y, r_max):
+    assert_curves_match_the_oracle(build_moment_table(y, r_max), short_ratios(y))
+
+
+def test_bound_curves_carry_the_prefix_a_later_order_reads():
+    # (1e9 M(r))^(1/r) is 2.9 at r = 20 and 10.7 at r = 21, so order 21
+    # reads q^r on a longer prefix than order 20 needs
+    vals = [1.5] * 20 + [4.0**r for r in range(21, 31)]
+    table = MomentTable(y=3, r_max=30, values=(None, *(DirScalar(v, UP) for v in vals)))
+    assert_curves_match_the_oracle(table, short_ratios(0))
 
 
 def test_grid_slot_is_searchsorted_right(table_y31_r200):

@@ -137,6 +137,12 @@ class TestBuildTable:
             assert got >= true_root
             assert got <= float(true_root) * (1 + 1e-9)
 
+    def test_roots_are_computed_on_first_access(self):
+        t = build_moment_table(31, 50)
+        assert "roots" not in vars(t)
+        roots = t.roots
+        assert vars(t)["roots"] is roots and t.roots is roots
+
     def test_paper_scale_table_shape(self):
         t = build_moment_table(157, 2000)
         assert t.r_max == 2000
