@@ -306,7 +306,7 @@ class _Rows(NamedTuple):
     """
 
     value: np.ndarray
-    a: np.ndarray  # an a-side row's a; the value itself on the b side
+    a: np.ndarray  # an a-side row's a; the value array itself on the b side
     mask: np.ndarray
     d_dn: np.ndarray
     d_up: np.ndarray
@@ -331,57 +331,80 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
 
     The odd primes join in increasing order while the table stays within
     `budget` rows. Returns the rows and the number of odd primes used.
+
+    The build keeps its memory near the size of the result. The first phase
+    generates the values alone: each prime p appends, for k = 1, 2, ..., the
+    batch v * p^k of the values v so far with v * p^k <= limit, recorded as
+    (prime index, p^k, parent indices). The second sorts the values once and
+    writes every other column straight into its sorted place, batch by batch
+    and so parents before children, each child taking one directed step from
+    its parent.
     """
     if even:
         pows = [2**e for e in range(1, limit.bit_length())]
         value = np.array(pows, dtype=np.int64)
-        h_dn = np.array([ratio_dn(2 * v - 1, v) for v in pows])
-        h_up = np.array([ratio_up(2 * v - 1, v) for v in pows])
     else:
         value = np.ones(1, dtype=np.int64)
-        h_dn = h_up = np.ones(1)
-    n = value.size
-    rows = _Rows(value, value, np.zeros((-(-len(odd) // 64), n), np.uint64),
-                 np.full(n, f0_dn), np.full(n, f0_up), h_dn, h_up)
+    n0 = value.size
+    batches = []
     used = 0
     for j, p in enumerate(odd):
-        fp_dn, fp_up = ratio_dn(p - 1, p - 2), ratio_up(p - 1, p - 2)
-        bit = np.uint64(1 << (j % 64))
-        parts = [rows]
-        size = n
+        parts, new = [value], []
+        size = value.size
         pk = p
         while True:
-            sel = np.flatnonzero(rows.value <= limit // pk)
+            sel = np.flatnonzero(value <= limit // pk)
             if not sel.size:
                 break
             size += sel.size
             if budget is not None and size > budget:
                 break
-            mask = rows.mask[:, sel]
-            mask[j // 64] |= bit
-            value = rows.value[sel] * pk
-            sig_dn, sig_up = ratio_dn(pk * p - 1, pk * (p - 1)), ratio_up(pk * p - 1, pk * (p - 1))
-            parts.append(_Rows(
-                value, value, mask,
-                ulp_dn(rows.d_dn[sel] * fp_dn),
-                ulp_up(rows.d_up[sel] * fp_up),
-                ulp_dn(rows.h_dn[sel] * sig_dn),
-                ulp_up(rows.h_up[sel] * sig_up),
-            ))
+            parts.append(value[sel] * pk)
+            new.append((j, pk, sel))
             pk *= p
         if budget is not None and size > budget:
             break
-        rows = _concat(parts)
-        n = size
+        value = np.concatenate(parts)
+        batches += new
         used += 1
-    rows = rows.take(np.argsort(rows.value, kind="stable"))
-    v_dn, v_up = _float_dir(rows.value)
-    rows = _Rows(
-        rows.value, rows.a, rows.mask[: -(-used // 64)],
-        ulp_dn(rows.d_dn / v_up), ulp_up(rows.d_up / v_dn),
-        rows.h_dn, rows.h_up,
-    )
-    return rows, used
+    parts = new = None  # free the last prime's pieces before the columns
+
+    order = np.argsort(value, kind="stable")
+    value = value[order]
+    pos = np.empty_like(order)  # generation index -> sorted position
+    pos[order] = np.arange(order.size)
+    del order
+    n = value.size
+    mask = np.zeros((-(-used // 64), n), np.uint64)
+    d_dn, d_up, h_dn, h_up = (np.empty(n) for _ in range(4))
+    head = pos[:n0]
+    d_dn[head] = f0_dn
+    d_up[head] = f0_up
+    if even:
+        h_dn[head] = [ratio_dn(2 * v - 1, v) for v in pows]
+        h_up[head] = [ratio_up(2 * v - 1, v) for v in pows]
+    else:
+        h_dn[head] = h_up[head] = 1.0
+    start = n0
+    batches.reverse()
+    while batches:  # popped, so each batch's indices go once it is written
+        j, pk, sel = batches.pop()
+        p = odd[j]
+        par = pos[sel]
+        dst = pos[start:start + par.size]
+        start += par.size
+        m = mask[:, par]
+        m[j // 64] |= np.uint64(1 << (j % 64))
+        mask[:, dst] = m
+        sig_dn, sig_up = ratio_dn(pk * p - 1, pk * (p - 1)), ratio_up(pk * p - 1, pk * (p - 1))
+        d_dn[dst] = ulp_dn(d_dn[par] * ratio_dn(p - 1, p - 2))
+        d_up[dst] = ulp_up(d_up[par] * ratio_up(p - 1, p - 2))
+        h_dn[dst] = ulp_dn(h_dn[par] * sig_dn)
+        h_up[dst] = ulp_up(h_up[par] * sig_up)
+    v_dn, v_up = _float_dir(value)
+    ulp_dn(np.divide(d_dn, v_up, out=d_dn))
+    ulp_up(np.divide(d_up, v_dn, out=d_up))
+    return _Rows(value, value, mask, d_dn, d_up, h_dn, h_up), used
 
 
 def _a_blocks(small: _Rows, rest: tuple, z: int):
@@ -509,8 +532,10 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     lens = ch.j_hi - ch.j_lo
     ai = np.repeat(np.arange(lens.size), lens)
     bi = np.arange(ai.size) - np.repeat(np.cumsum(lens) - lens - ch.j_lo, lens)
-    if b.mask.shape[0]:  # keep the coprime pairs
-        clash = np.bitwise_or.reduce(rows.mask[:, ai] & b.mask[:, bi], axis=0)
+    if b.mask.shape[0]:  # keep the coprime pairs, one mask word at a time
+        clash = rows.mask[0][ai] & b.mask[0][bi]
+        for w in range(1, b.mask.shape[0]):
+            clash |= rows.mask[w][ai] & b.mask[w][bi]
         keep = np.flatnonzero(clash == 0)
         ai = ai[keep]
         bi = bi[keep]

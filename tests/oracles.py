@@ -23,12 +23,14 @@ from sigbound.dirround import (
     pow_dn,
     ratio_dn,
     ratio_up,
+    ulp_dn,
+    ulp_up,
     up_add,
     up_div,
     up_mul,
     up_sub,
 )
-from sigbound.engine import _GRID_HI, _GRID_LO, _GRID_SIZE, CellDensity
+from sigbound.engine import _GRID_HI, _GRID_LO, _GRID_SIZE, CellDensity, _concat, _float_dir, _Rows
 from sigbound.errors import InvalidParameterError
 from sigbound.moments import _check_y, _mid_primes, _tail_factor
 
@@ -185,6 +187,67 @@ def iter_smooth(primes, limit):
                 e += 1
 
     yield from rec(0, 1)
+
+
+def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None):
+    """The smooth-number table of `engine._smooth_rows` (same arguments and
+    result), built the direct way: every column of every row is extended
+    prime by prime, each prime's table re-concatenated from the last one's,
+    and all seven columns sorted by value at the end.
+
+    `engine._smooth_rows` builds the values first and writes each other
+    column once, in sorted order; every byte of its result must equal this.
+    """
+    if even:
+        pows = [2**e for e in range(1, limit.bit_length())]
+        value = np.array(pows, dtype=np.int64)
+        h_dn = np.array([ratio_dn(2 * v - 1, v) for v in pows])
+        h_up = np.array([ratio_up(2 * v - 1, v) for v in pows])
+    else:
+        value = np.ones(1, dtype=np.int64)
+        h_dn = h_up = np.ones(1)
+    n = value.size
+    rows = _Rows(value, value, np.zeros((-(-len(odd) // 64), n), np.uint64),
+                 np.full(n, f0_dn), np.full(n, f0_up), h_dn, h_up)
+    used = 0
+    for j, p in enumerate(odd):
+        fp_dn, fp_up = ratio_dn(p - 1, p - 2), ratio_up(p - 1, p - 2)
+        bit = np.uint64(1 << (j % 64))
+        parts = [rows]
+        size = n
+        pk = p
+        while True:
+            sel = np.flatnonzero(rows.value <= limit // pk)
+            if not sel.size:
+                break
+            size += sel.size
+            if budget is not None and size > budget:
+                break
+            mask = rows.mask[:, sel]
+            mask[j // 64] |= bit
+            value = rows.value[sel] * pk
+            sig_dn, sig_up = ratio_dn(pk * p - 1, pk * (p - 1)), ratio_up(pk * p - 1, pk * (p - 1))
+            parts.append(_Rows(
+                value, value, mask,
+                ulp_dn(rows.d_dn[sel] * fp_dn),
+                ulp_up(rows.d_up[sel] * fp_up),
+                ulp_dn(rows.h_dn[sel] * sig_dn),
+                ulp_up(rows.h_up[sel] * sig_up),
+            ))
+            pk *= p
+        if budget is not None and size > budget:
+            break
+        rows = _concat(parts)
+        n = size
+        used += 1
+    rows = rows.take(np.argsort(rows.value, kind="stable"))
+    v_dn, v_up = _float_dir(rows.value)
+    rows = _Rows(
+        rows.value, rows.a, rows.mask[: -(-used // 64)],
+        ulp_dn(rows.d_dn / v_up), ulp_up(rows.d_up / v_dn),
+        rows.h_dn, rows.h_up,
+    )
+    return rows, used
 
 
 # ---------------------------------------------------------------------------
