@@ -18,18 +18,23 @@ Every update is a multiplication in place, in three kinds of pass:
 
 sigma is rebuilt multiplicatively, one factor 1 + p + ... + p^e per prime,
 while `part`, the product of the sieved prime powers, gives the cofactor (1 or
-one prime) by a single int64 division at the end. The counts are exact 64-bit
-integer arithmetic end to end: results are bit-identical for any block size.
-The sieve accepts values below 4e17, where sigma(m) < 7m, so every sigma it
-builds stays below 2^63.
+one prime) by a single integer division at the end. Every value a block
+builds is below 7 * hi, since sigma(d) < 7d for every divisor d of m (see
+_MAX_SIEVE_VALUE), so the arithmetic is exact integer arithmetic in one of two
+word widths: uint32 when 7 * hi < 2^32, int64 otherwise. The sieve accepts
+values below 4e17, where 7 * hi stays below 2^63. Results are bit-identical
+for any block size and either width.
 
 `count_sigma_ge` and `moment_sum` derive the block size from x: 256 integers
 per sieving prime, at least 2^18 and at most 2^24 (MAX_BLOCK). They allocate
-the block buffers once per call. A block peaks at about 19 bytes per integer
-(sig and part, 16; the term of the prime 3, 2.7; a scatter batch), plus the
-chunk buffers: 5.4 MB at 2^18, the size at x = 1e7, 77 MB at 2^22 and about
-320 MB at the cap (tracemalloc). The sieving primes are an int64 array from
-a segmented sieve, 8 bytes per prime: 263 MB for x = 2e17.
+the block buffers once per call, in uint32 when the last block's hi, 2x + 2,
+passes the rule above (x <= 306,783,377) and in int64 otherwise. A block
+peaks at about 12 bytes per integer in uint32 and 21 in int64 (sig and part,
+8 or 16; the term of the prime 3; a scatter batch; the chunk buffers). By
+tracemalloc, uint32 takes 3.2 MB at 2^18, the size at x = 1e7, and 8.0 MB at
+x = 3e8 (695,552 integers); int64 takes 5.7 MB at 2^18, 87 MB at 2^22 and,
+at 21 bytes per integer, about 350 MB at the cap. The sieving primes are an
+int64 array from a segmented sieve, 8 bytes per prime: 263 MB for x = 2e17.
 """
 from __future__ import annotations
 
@@ -73,14 +78,28 @@ _PRIME_SEGMENT = 2**20
 
 
 class _Work:
-    """Buffers for blocks of up to n integers, reused from block to block."""
+    """Buffers for blocks of up to n integers, reused from block to block, in
+    words of `dtype` (see _holds)."""
 
-    def __init__(self, n: int):
-        self.sig = np.empty(n, dtype=np.int64)
-        self.part = np.empty(n, dtype=np.int64)
-        self.iota = np.arange(min(n, _CHUNK), dtype=np.int64)
+    def __init__(self, n: int, dtype=np.int64):
+        self.sig = np.empty(n, dtype=dtype)
+        self.part = np.empty(n, dtype=dtype)
+        self.iota = np.arange(min(n, _CHUNK), dtype=dtype)
         # a chunk of m or of the cofactor, and the term of the prime 3
-        self.scratch = np.empty(max(self.iota.size, (n - 1) // 3 + 1), dtype=np.int64)
+        self.scratch = np.empty(max(self.iota.size, (n - 1) // 3 + 1), dtype=dtype)
+
+
+def _holds(dtype, hi: int) -> bool:
+    """Whether words of `dtype` hold every value a block below hi builds: m,
+    a product of prime powers dividing m, and sigma of a divisor d of m, which
+    is below 7d <= 7m (see _MAX_SIEVE_VALUE)."""
+    return 7 * hi <= np.iinfo(dtype).max
+
+
+def _work_for(x: int, n: int) -> _Work:
+    """Buffers of n integers for the blocks of 2n and 2n+1, n <= x, which end
+    at 2x + 2: uint32 when it holds them, int64 otherwise."""
+    return _Work(n, np.uint32 if _holds(np.uint32, 2 * x + 2) else np.int64)
 
 
 def sigma_block(
@@ -95,13 +114,15 @@ def sigma_block(
     `primes`, in increasing order, must hold every odd prime p <=
     sqrt(hi - 1) that divides an integer of the block (by default all of
     them); 2 is always sieved, and a 2 in `primes` is skipped. With `work`,
-    the result is a view of its buffer, which the next block sieved with it
-    overwrites.
+    the result is a view of its buffer, in its dtype, which the next block
+    sieved with it overwrites; its words must hold 7 * hi (see _holds).
     """
     if not 1 <= lo < hi:
         raise InvalidParameterError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi > _MAX_SIEVE_VALUE:
         raise InvalidParameterError(f"sieve limit {hi} exceeds the int64-safe range")
+    if work is not None and not _holds(work.sig.dtype, hi):
+        raise InvalidParameterError(f"sieve limit {hi} overflows the {work.sig.dtype} buffers")
     n = hi - lo
     root = isqrt(hi - 1)
     p = _primes_upto(root) if primes is None else np.asarray(primes, dtype=np.int64)
@@ -208,8 +229,10 @@ def _scattered(lo: int, hi: int, primes: np.ndarray, sig: np.ndarray, part: np.n
             power[pos] *= rep
             more = (ck > 0) & (qk <= (hi - 1) // q)
             q, qs, qfirst, qk = q[more], qs[more], qfirst[more], qk[more] * q[more]
-        np.multiply.at(part, idx, power)
-        np.multiply.at(sig, idx, term)
+        # a dtype that matches the buffers keeps np.multiply.at on its fast
+        # path: mixed with uint32 buffers, the int64 operands cost ~3x
+        np.multiply.at(part, idx, power.astype(part.dtype, copy=False))
+        np.multiply.at(sig, idx, term.astype(sig.dtype, copy=False))
 
 
 def smooth_part_block(
@@ -291,7 +314,7 @@ def count_sigma_ge(x: int) -> tuple[int, float]:
     _check_sieve(x)
     primes = _sieving_primes(x)
     half = _block_for(primes) // 2
-    work = _Work(2 * min(half, x))
+    work = _work_for(x, 2 * min(half, x))
     count = 0
     n0 = 1
     while n0 <= x:
@@ -323,7 +346,7 @@ def moment_sum(a: int, b: int, y: int, r: int, x: int) -> tuple[float, float]:
     _check_sieve(x)
     primes = _sieving_primes(x)
     half = _block_for(primes) // 2
-    work = _Work(2 * min(half, x))
+    work = _work_for(x, 2 * min(half, x))
     y_primes = sieve_primes(y).primes
     total_odd = 0.0
     total_even = 0.0

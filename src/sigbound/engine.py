@@ -320,10 +320,6 @@ class _Rows(NamedTuple):
         return _Rows(*map(_read_only, self))
 
 
-def _concat(parts: list) -> _Rows:
-    return _Rows(*(np.concatenate(cols, axis=-1) for cols in zip(*parts)))
-
-
 def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
                  budget: Optional[int] = None):
     """Every even (or odd) number <= limit built from 2 (or not) and a prefix
@@ -438,27 +434,45 @@ def _a_blocks(small: _Rows, rest: tuple, z: int):
                 s = s * p + 1
 
     pending, size = [], 0
-    for m, t, sm, st, fnum, fden in walk(0, 1, 1, 1, 1, 1, 1):
-        mt = m * t
-        k = int(np.searchsorted(small.value, lim // mt, "right"))
-        if mt == 1:
-            rows = small.take(slice(0, k))
-        else:
-            c = small.value[:k]
-            rows = _Rows(
-                c * mt, c * m, small.mask[:, :k],
-                ulp_dn(small.d_dn[:k] * ratio_dn(fnum, fden * mt)),
-                ulp_up(small.d_up[:k] * ratio_up(fnum, fden * mt)),
-                ulp_dn(small.h_dn[:k] * ratio_dn(sm * t, m * st)),
-                ulp_up(small.h_up[:k] * ratio_up(sm * t, m * st)),
-            )
-        pending.append(rows)
+    for visit in walk(0, 1, 1, 1, 1, 1, 1):
+        m, t = visit[:2]
+        k = int(np.searchsorted(small.value, lim // (m * t), "right"))
+        pending.append((*visit, k))
         size += k
         if size >= _ROW_BUDGET:
-            yield _concat(pending)
+            yield _a_block(small, pending, size)
             pending, size = [], 0
     if pending:
-        yield _concat(pending)
+        yield _a_block(small, pending, size)
+
+
+def _a_block(small: _Rows, visits: list, size: int) -> _Rows:
+    """The rows of the (m, t, sm, st, fnum, fden, k) `visits`, written
+    straight into one block of `size` rows (see _a_blocks): the first k rows
+    of `small` each, scaled by m*t, so the build holds little beyond the
+    block."""
+    block = _Rows(
+        np.empty(size, np.int64), np.empty(size, np.int64),
+        np.empty((small.mask.shape[0], size), np.uint64),
+        *(np.empty(size) for _ in range(4)),
+    )
+    o = 0
+    for m, t, sm, st, fnum, fden, k in visits:
+        rows = _Rows(*(col[..., o:o + k] for col in block))
+        o += k
+        mt = m * t
+        if mt == 1:
+            for col, src in zip(rows, small):
+                col[...] = src[..., :k]
+            continue
+        np.multiply(small.value[:k], mt, out=rows.value)
+        np.multiply(small.value[:k], m, out=rows.a)
+        rows.mask[...] = small.mask[:, :k]
+        ulp_dn(np.multiply(small.d_dn[:k], ratio_dn(fnum, fden * mt), out=rows.d_dn))
+        ulp_up(np.multiply(small.d_up[:k], ratio_up(fnum, fden * mt), out=rows.d_up))
+        ulp_dn(np.multiply(small.h_dn[:k], ratio_dn(sm * t, m * st), out=rows.h_dn))
+        ulp_up(np.multiply(small.h_up[:k], ratio_up(sm * t, m * st), out=rows.h_up))
+    return block
 
 
 class _Chunk(NamedTuple):

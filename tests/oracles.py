@@ -30,7 +30,7 @@ from sigbound.dirround import (
     up_mul,
     up_sub,
 )
-from sigbound.engine import _GRID_HI, _GRID_LO, _GRID_SIZE, CellDensity, _concat, _float_dir, _Rows
+from sigbound.engine import _GRID_HI, _GRID_LO, _GRID_SIZE, CellDensity, _float_dir, _Rows
 from sigbound.errors import InvalidParameterError
 from sigbound.moments import _check_y, _mid_primes, _tail_factor
 
@@ -187,6 +187,10 @@ def iter_smooth(primes, limit):
                 e += 1
 
     yield from rec(0, 1)
+
+
+def _concat(parts: list) -> _Rows:
+    return _Rows(*(np.concatenate(cols, axis=-1) for cols in zip(*parts)))
 
 
 def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None):

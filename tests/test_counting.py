@@ -166,11 +166,34 @@ class TestSigmaBlockKernel:
 
     def test_reused_buffers_match_fresh_blocks(self):
         primes = counting._sieving_primes(10**5)
-        work = counting._Work(5000)
-        for lo, hi in ((2, 5002), (5002, 6000), (6000, 6001), (123457, 128000)):
-            got = sigma_block(lo, hi, primes, work=work)
-            assert np.shares_memory(got, work.sig)
-            assert np.array_equal(got, sigma_block(lo, hi, primes))
+        for dtype in (np.int64, np.uint32):
+            work = counting._Work(5000, dtype)
+            for lo, hi in ((2, 5002), (5002, 6000), (6000, 6001), (123457, 128000)):
+                got = sigma_block(lo, hi, primes, work=work)
+                assert np.shares_memory(got, work.sig) and got.dtype == dtype
+                assert np.array_equal(got, sigma_block(lo, hi, primes))
+
+    def test_uint32_window_at_the_top_of_its_range(self):
+        # the largest hi with 7 * hi < 2**32; the window's largest sigma is
+        # above 2**31, so a signed 32-bit word would not hold it
+        hi = (2**32 - 1) // 7
+        lo = hi - 5000
+        primes = counting._primes_upto(isqrt(hi - 1))
+        got = sigma_block(lo, hi, primes, work=counting._Work(hi - lo, np.uint32))
+        want = sigma_block(lo, hi, primes)
+        assert got.dtype == np.uint32 and want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert int(want.max()) == 2_539_373_760 > 2**31
+
+    def test_narrow_buffers_cannot_overflow_silently(self):
+        hi = (2**32 - 1) // 7
+        primes = counting._primes_upto(isqrt(hi))
+        work = counting._Work(100, np.uint32)
+        sigma_block(hi - 100, hi, primes, work=work)  # 7 * hi < 2**32
+        with pytest.raises(InvalidParameterError, match="overflows the uint32"):
+            sigma_block(hi - 99, hi + 1, primes, work=work)
+        with pytest.raises(InvalidParameterError, match="overflows the uint32"):
+            sigma_block(10**12, 10**12 + 100, primes, work=work)
 
 
 class TestSievingPrimes:
@@ -243,6 +266,29 @@ class TestCountSigmaGe:
 
     def test_benchmark_reference(self):
         assert count_sigma_ge(10**7)[0] == 546_879
+
+    def test_word_width_follows_x(self):
+        # uint32 up to the largest x with 7 * (2x + 2) < 2**32, int64 above
+        x = (2**32 - 1) // 14 - 1
+        assert 7 * (2 * x + 2) < 2**32 <= 7 * (2 * x + 4)
+        for xs, dtype in ((x, np.uint32), (x + 1, np.int64)):
+            work = counting._work_for(xs, 16)
+            assert {a.dtype for a in (work.sig, work.part, work.iota, work.scratch)} == {np.dtype(dtype)}
+
+    def test_uint32_blocks_equal_int64_blocks(self, monkeypatch):
+        blocks = []
+
+        def checked(lo, hi, primes, *, work):
+            got = sieve(lo, hi, primes, work=work)
+            assert got.dtype == np.uint32
+            assert np.array_equal(got, sieve(lo, hi, primes)), (lo, hi)
+            blocks.append(lo)
+            return got
+
+        sieve = counting.sigma_block
+        monkeypatch.setattr(counting, "sigma_block", checked)
+        assert count_sigma_ge(10**6)[0] == 54603
+        assert len(blocks) == 8
 
     def test_one_sigma_block_call_per_block(self, monkeypatch):
         # the benchmark's per-layer spans wrap the module-level name
@@ -319,6 +365,12 @@ class TestMomentSum:
     def test_odd_even_ratio_matches_abundancy_ratio(self):
         s1, s2 = moment_sum(3, 2, 3, 1, 10**6)
         assert s1 / s2 == pytest.approx((4 / 3) / (3 / 2), rel=0.02)
+
+    @pytest.mark.parametrize("a,b,r", [(1, 2, 0), (1, 2, 1), (3, 2, 1)])
+    def test_uint32_sums_equal_int64_sums(self, monkeypatch, a, b, r):
+        got = moment_sum(a, b, 3, r, 10**6)
+        monkeypatch.setattr(counting, "_work_for", lambda x, n: counting._Work(n))
+        assert got == moment_sum(a, b, 3, r, 10**6)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):

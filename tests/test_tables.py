@@ -67,3 +67,29 @@ def test_b_table_build_peaks_below_twice_its_size():
         tracemalloc.stop()
     size = sum(col.nbytes for col in {id(col): col for col in rows}.values())
     assert peak <= 2 * size, (peak, size)
+
+
+def test_a_blocks_build_peaks_below_twice_their_size():
+    # at (101, 1e8) the b table keeps 15 of the 25 odd primes and the walk
+    # over the other 10 yields two blocks
+    odd, z = odd_primes(101), 10**8
+    _, used = engine._smooth_rows(odd, z, True, 1.0, 1.0, engine._ROW_BUDGET)
+    small, _ = engine._smooth_rows(odd[:used], z // 2, False, *density_base(odd))
+    blocks = engine._a_blocks(small, odd[used:], z)
+    built = 0
+    tracemalloc.start()
+    try:
+        while True:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            rows = next(blocks, None)
+            if rows is None:
+                break
+            _, peak = tracemalloc.get_traced_memory()
+            size = sum(col.nbytes for col in rows)
+            assert peak - before <= 2 * size, (built, peak - before, size)
+            built += 1
+            del rows
+    finally:
+        tracemalloc.stop()
+    assert used == 15 and built == 2
