@@ -1,9 +1,8 @@
 """Certified bounds on the density of n with sigma(2n+1) >= sigma(2n)."""
 
-from .arith import FactoredSmooth, PrimeTable, sieve_primes, split_smooth
 from .counting import count_sigma_ge, moment_sum
 from .dirround import DOWN, UP, Direction, DirScalar
-from .engine import BoundReport, CellDensity, ProgressEvent, cell_density, run_bounds
+from .engine import BoundReport, ProgressEvent, cell_density, run_bounds
 from .errors import (
     InvalidCellError,
     InvalidParameterError,
@@ -15,15 +14,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CellDensity",
     "DOWN",
     "DirScalar",
     "Direction",
-    "FactoredSmooth",
     "InvalidCellError",
     "InvalidParameterError",
     "MomentTable",
-    "PrimeTable",
     "ProgressEvent",
     "UP",
     "UnsupportedParameterError",
@@ -32,6 +28,4 @@ __all__ = [
     "count_sigma_ge",
     "moment_sum",
     "run_bounds",
-    "sieve_primes",
-    "split_smooth",
 ]

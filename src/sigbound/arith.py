@@ -1,68 +1,40 @@
-"""Exact integer arithmetic: primes and factored smooth numbers.
+"""The package's one prime sieve.
 
-Everything here is pure and exact (Python ints); the directed floating-point
-layer lives in dirround.py.
+`primes_upto(bound)` returns the primes <= bound as an int64 array. Where the
+primes feed exact integer arithmetic, callers take `.tolist()` so that it runs
+on Python ints; the directed floating-point layer lives in dirround.py.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, log
 
-from .errors import InvalidParameterError
+import numpy as np
 
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to an inclusive bound, in increasing order."""
-
-    bound: int
-    primes: tuple[int, ...]
-
-    def odd(self) -> tuple[int, ...]:
-        """Primes above 2 (the ones usable in odd smooth values)."""
-        return self.primes[1:] if self.primes and self.primes[0] == 2 else self.primes
+# Segment length, in odd numbers, of the sieve.
+_PRIME_SEGMENT = 2**20
 
 
-@dataclass(frozen=True)
-class FactoredSmooth:
-    """A positive integer carried together with its prime factorization.
-
-    factors is a tuple of (prime, exponent) pairs with strictly increasing
-    primes and exponents >= 1; the empty tuple encodes 1.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def prime_set(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
-def sieve_primes(bound: int) -> PrimeTable:
-    """Eratosthenes sieve; requires bound >= 2."""
+def primes_upto(bound: int) -> np.ndarray:
+    """The primes <= bound, increasing, as an int64 array (empty below 2),
+    sieved in segments of odd numbers, so the memory is 8 bytes per prime
+    plus one segment."""
     if bound < 2:
-        raise InvalidParameterError(f"prime sieve bound must be >= 2, got {bound}")
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return PrimeTable(bound, tuple(i for i in range(bound + 1) if sieve[i]))
-
-
-def split_smooth(n: int, primes: PrimeTable) -> tuple[FactoredSmooth, int]:
-    """n = s * c with s built from the primes of `primes` and c coprime to
-    them: returns s factored and the cofactor c, which is 1 exactly when n is
-    smooth over `primes`. One trial division per prime, however large n is."""
-    if n < 1:
-        raise InvalidParameterError(f"cannot factor {n}")
-    m = n
-    factors = []
-    for p in primes.primes:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-    return FactoredSmooth(n // m, tuple(factors)), m
+        return np.empty(0, dtype=np.int64)
+    base = primes_upto(isqrt(bound))[1:]
+    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962); the
+    # pages of the unused tail are never touched
+    out = np.empty(int(1.25506 * bound / log(bound)) + 2, dtype=np.int64)
+    out[0] = 2
+    count = 1
+    for lo in range(3, bound + 1, 2 * _PRIME_SEGMENT):
+        hi = min(bound + 1, lo + 2 * _PRIME_SEGMENT)
+        odd = np.ones((hi - lo + 1) // 2, dtype=bool)  # odd[i]: lo + 2i
+        for p in base[base * base < hi].tolist():
+            first = max(p * p, (lo + p - 1) // p * p)
+            if first % 2 == 0:
+                first += p
+            odd[(first - lo) // 2 :: p] = False
+        found = 2 * np.flatnonzero(odd) + lo
+        out[count : count + found.size] = found
+        count += found.size
+    return out[:count]

@@ -15,7 +15,6 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .arith import sieve_primes, split_smooth
 from .counting import count_sigma_ge, moment_sum
 from .engine import cell_density, run_bounds
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedParameterError,
 )
-from .moments import _check_y, build_moment_table
+from .moments import build_moment_table
 
 _INT_RE = re.compile(r"(\d+)(?:[eE](\d+))?")
 
@@ -101,6 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _finite(v: Optional[float]) -> Optional[float]:
+    """v for JSON: None (null) when it is missing or not finite."""
+    return v if v is not None and math.isfinite(v) else None
+
+
 def _emit(payload: dict, lines: list[str], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload))
@@ -168,23 +172,9 @@ def _cmd_empirical(args) -> int:
     return 0
 
 
-def _cell_arg(args):
-    """The cell of --a/--b/--y. Only the primes <= y are divided out, so a
-    coordinate with a large prime factor is rejected without factoring it."""
-    _check_y(args.y)
-    primes = sieve_primes(args.y)
-    sides = []
-    for name, n in (("a", args.a), ("b", args.b)):
-        part, rest = split_smooth(n, primes)
-        if rest != 1:
-            raise InvalidCellError(f"{name}={n} is not {args.y}-smooth")
-        sides.append(part)
-    return cell_density(*sides, primes)
-
-
 def _cmd_dens_s(args) -> int:
-    cell = _cell_arg(args)
-    num, den = cell.dens.numerator, cell.dens.denominator
+    exact = cell_density(args.a, args.b, args.y)
+    num, den = exact.numerator, exact.denominator
     # from y of about 1.5e4 the denominator has more digits than Python's
     # default int-to-str limit (4300) allows
     limit = sys.get_int_max_str_digits()
@@ -206,11 +196,7 @@ def _cmd_dens_s(args) -> int:
 
 def _cmd_lambda(args) -> int:
     table = build_moment_table(args.y, args.rmax)
-    rows = []
-    for r in range(1, args.rmax + 1):
-        v = table.values[r].value
-        w = table.roots[r].value
-        rows.append([r, v if math.isfinite(v) else None, w if math.isfinite(w) else None])
+    rows = [[r, _finite(table.values[r]), _finite(table.roots[r])] for r in range(1, args.rmax + 1)]
     payload = {
         "command": "lambda",
         "params": {"y": args.y, "r_max": args.rmax},
@@ -227,17 +213,17 @@ def _cmd_lambda(args) -> int:
 
 def _cmd_moment(args) -> int:
     # validate the cell before the x-sized sieve runs
-    dens = _cell_arg(args).dens
+    dens = cell_density(args.a, args.b, args.y)
     s_odd, s_even = moment_sum(args.a, args.b, args.y, args.r, args.x)
     scale = float(dens) * args.x  # 0.0 when it underflows
     norm_odd, norm_even = (s / scale if scale else None for s in (s_odd, s_even))
     payload = {
         "command": "moment",
         "params": {"a": args.a, "b": args.b, "y": args.y, "r": args.r, "x": args.x},
-        "sum_odd": s_odd,
-        "sum_even": s_even,
-        "normalized_odd": norm_odd,
-        "normalized_even": norm_even,
+        "sum_odd": _finite(s_odd),
+        "sum_even": _finite(s_even),
+        "normalized_odd": _finite(norm_odd),
+        "normalized_even": _finite(norm_even),
     }
     odd_txt, even_txt = ("n/a" if v is None else f"{v:.8f}" for v in (norm_odd, norm_even))
     lines = [

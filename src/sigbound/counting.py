@@ -34,17 +34,18 @@ peaks at about 12 bytes per integer in uint32 and 21 in int64 (sig and part,
 tracemalloc, uint32 takes 3.2 MB at 2^18, the size at x = 1e7, and 8.0 MB at
 x = 3e8 (695,552 integers); int64 takes 5.7 MB at 2^18, 87 MB at 2^22 and,
 at 21 bytes per integer, about 350 MB at the cap. The sieving primes are an
-int64 array from a segmented sieve, 8 bytes per prime: 263 MB for x = 2e17.
+int64 array from `arith.primes_upto`, 8 bytes per prime: 263 MB for x = 2e17.
 """
 from __future__ import annotations
 
-from math import gcd, isqrt, log
-from typing import Iterator, Optional, Sequence
+from math import gcd, isqrt
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import sieve_primes
-from .errors import InvalidParameterError
+from .arith import primes_upto
+from .errors import InvalidParameterError, UnsupportedParameterError
+from .moments import MAX_ORDER
 
 # Block sizes, in integers per sieved block. The derived size keeps about 256
 # integers per sieving prime, so the Python work per prime stays small next to
@@ -72,9 +73,6 @@ _CHUNK = 2**14
 # their speed at larger blocks, up to MAX_BLOCK, is not measured.
 _STRIDED_MULTIPLES = 2**9
 _MIN_BATCH = 2**12
-
-# Segment length of the prime sieve behind the default primes.
-_PRIME_SEGMENT = 2**20
 
 
 class _Work:
@@ -125,7 +123,7 @@ def sigma_block(
         raise InvalidParameterError(f"sieve limit {hi} overflows the {work.sig.dtype} buffers")
     n = hi - lo
     root = isqrt(hi - 1)
-    p = _primes_upto(root) if primes is None else np.asarray(primes, dtype=np.int64)
+    p = primes_upto(root) if primes is None else np.asarray(primes, dtype=np.int64)
     cut = min(n // _STRIDED_MULTIPLES, root)
     first, mid, end = np.searchsorted(p, (3, cut + 1, root + 1))
     if work is None:
@@ -236,13 +234,17 @@ def _scattered(lo: int, hi: int, primes: np.ndarray, sig: np.ndarray, part: np.n
 
 
 def smooth_part_block(
-    lo: int, hi: int, y: int, primes: Optional[tuple[int, ...]] = None
+    lo: int, hi: int, y: int, primes: Optional[Sequence[int]] = None
 ) -> np.ndarray:
-    """Largest y-smooth divisor of every m in [lo, hi) as an int64 array."""
+    """Largest y-smooth divisor of every m in [lo, hi) as an int64 array.
+
+    By default the primes are sieved up to min(y, hi - 1): no m in the block
+    has a prime factor above that, so any larger y gives the same result.
+    """
     if not 1 <= lo < hi:
         raise InvalidParameterError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if primes is None:
-        primes = sieve_primes(y).primes
+        primes = primes_upto(min(y, hi - 1)).tolist()
     n = hi - lo
     if y >= 2 and 2 in primes:
         part = np.arange(lo, hi, dtype=np.int64)
@@ -268,60 +270,39 @@ def smooth_part_block(
 
 def _sieving_primes(x: int) -> np.ndarray:
     """The primes that blocks of 2n and 2n+1, n <= x, are sieved by."""
-    return _primes_upto(isqrt(2 * x + 1))
-
-
-def _primes_upto(bound: int) -> np.ndarray:
-    """The primes <= bound as an int64 array, sieved in segments of odd
-    numbers, so the memory is 8 bytes per prime plus one segment."""
-    if bound < 2:
-        return np.empty(0, dtype=np.int64)
-    root = isqrt(bound)
-    base = np.array(sieve_primes(max(2, root)).primes[1:], dtype=np.int64)
-    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962); the
-    # pages of the unused tail are never touched
-    out = np.empty(int(1.25506 * bound / log(bound)) + 2, dtype=np.int64)
-    out[0] = 2
-    count = 1
-    for lo in range(3, bound + 1, 2 * _PRIME_SEGMENT):
-        hi = min(bound + 1, lo + 2 * _PRIME_SEGMENT)
-        odd = np.ones((hi - lo + 1) // 2, dtype=bool)  # odd[i]: lo + 2i
-        for p in base[base * base < hi].tolist():
-            first = max(p * p, (lo + p - 1) // p * p)
-            if first % 2 == 0:
-                first += p
-            odd[(first - lo) // 2 :: p] = False
-        found = 2 * np.flatnonzero(odd) + lo
-        out[count : count + found.size] = found
-        count += found.size
-    return out[:count]
+    return primes_upto(isqrt(2 * x + 1))
 
 
 def _block_for(primes: np.ndarray) -> int:
     return min(MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_PER_PRIME * len(primes)))
 
 
-def _check_sieve(x: int) -> None:
-    """Reject x before anything x-sized is built."""
+def _blocks(x: int) -> Iterator[tuple[int, int, Callable[[], np.ndarray]]]:
+    """The blocks [lo, hi) that hold 2n and 2n+1 for n = 1..x, in order, each
+    as (lo, hi, sieve): sieve() returns sigma over the block from
+    `sigma_block`, in buffers shared by all the blocks. x is checked, and the
+    buffers are built, before the first block is asked for."""
     if x < 1:
         raise InvalidParameterError(f"x must be >= 1, got {x}")
     if 2 * x + 2 > _MAX_SIEVE_VALUE:
         raise InvalidParameterError(f"sieve limit {2 * x + 2} exceeds the int64-safe range")
+    primes = _sieving_primes(x)
+    half = _block_for(primes) // 2
+    work = _work_for(x, 2 * min(half, x))
+
+    def block(n0):
+        lo, hi = 2 * n0, 2 * min(x + 1, n0 + half)
+        return lo, hi, lambda: sigma_block(lo, hi, primes, work=work)
+
+    return map(block, range(1, x + 1, half))
 
 
 def count_sigma_ge(x: int) -> tuple[int, float]:
     """Exact count and proportion of n <= x with sigma(2n+1) >= sigma(2n)."""
-    _check_sieve(x)
-    primes = _sieving_primes(x)
-    half = _block_for(primes) // 2
-    work = _work_for(x, 2 * min(half, x))
     count = 0
-    n0 = 1
-    while n0 <= x:
-        n1 = min(x + 1, n0 + half)
-        sig = sigma_block(2 * n0, 2 * n1, primes, work=work)
+    for _, _, sieve in _blocks(x):
+        sig = sieve()
         count += int(np.count_nonzero(sig[1::2] >= sig[0::2]))
-        n0 = n1
     return count, count / x
 
 
@@ -329,9 +310,9 @@ def moment_sum(a: int, b: int, y: int, r: int, x: int) -> tuple[float, float]:
     """Sums of h^r(2n+1) and h^r(2n) over n <= x lying in the (a, b) cell.
 
     Exact cell membership (largest y-smooth divisor equality) with float64
-    power sums; r = 0 degenerates to counting the cell. Oracle for the
-    moment-mean asymptotics, so x is expected to stay at desk scale. Blocks
-    are sized as in `count_sigma_ge`.
+    power sums, which may overflow to inf; r = 0 degenerates to counting the
+    cell. Oracle for the moment-mean asymptotics, so x is expected to stay
+    at desk scale. Blocks are sized as in `count_sigma_ge`.
     """
     if a < 1 or a % 2 == 0:
         raise InvalidParameterError(f"a must be a positive odd integer, got {a}")
@@ -343,21 +324,17 @@ def moment_sum(a: int, b: int, y: int, r: int, x: int) -> tuple[float, float]:
         raise InvalidParameterError(f"y must be >= 2, got {y}")
     if r < 0:
         raise InvalidParameterError(f"r must be >= 0, got {r}")
-    _check_sieve(x)
-    primes = _sieving_primes(x)
-    half = _block_for(primes) // 2
-    work = _work_for(x, 2 * min(half, x))
-    y_primes = sieve_primes(y).primes
+    if r > MAX_ORDER:
+        raise UnsupportedParameterError(f"r must be at most {MAX_ORDER}, got {r}")
     total_odd = 0.0
     total_even = 0.0
-    n0 = 1
-    while n0 <= x:
-        n1 = min(x + 1, n0 + half)
-        lo, hi = 2 * n0, 2 * n1
+    blocks = _blocks(x)
+    y_primes = primes_upto(min(y, 2 * x + 1)).tolist()  # the blocks end at 2x + 2
+    for lo, hi, sieve in blocks:
         part = smooth_part_block(lo, hi, y, y_primes)
         mask = (part[1::2] == a) & (part[0::2] == b)
         if mask.any():
-            sig = sigma_block(lo, hi, primes, work=work)
+            sig = sieve()
             m = np.arange(lo, hi, dtype=np.int64)
             if r == 0:
                 cnt = float(np.count_nonzero(mask))
@@ -366,7 +343,7 @@ def moment_sum(a: int, b: int, y: int, r: int, x: int) -> tuple[float, float]:
             else:
                 h_odd = sig[1::2][mask] / m[1::2][mask]
                 h_even = sig[0::2][mask] / m[0::2][mask]
-                total_odd += float(np.sum(h_odd**r))
-                total_even += float(np.sum(h_even**r))
-        n0 = n1
+                with np.errstate(over="ignore"):
+                    total_odd += float(np.sum(h_odd**r))
+                    total_even += float(np.sum(h_even**r))
     return total_odd, total_even

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .arith import FactoredSmooth, PrimeTable, sieve_primes
+from .arith import primes_upto
 from .dirround import (
     DOWN,
     UP,
@@ -57,19 +57,11 @@ from .dirround import (
     up_sub,
 )
 from .errors import InvalidCellError, InvalidParameterError
-from .moments import MomentTable, build_moment_table
+from .moments import MomentTable, build_moment_table, check_y
 
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CellDensity:
-    a: FactoredSmooth
-    b: FactoredSmooth
-    y: int
-    dens: Fraction
-
 
 @dataclass(frozen=True)
 class ProgressEvent:
@@ -104,39 +96,34 @@ class BoundReport:
 # exact cell density
 # ---------------------------------------------------------------------------
 
-def _validate_factored(f: FactoredSmooth, y: int, name: str) -> None:
-    v = 1
-    last = 1
-    for p, e in f.factors:
-        if p <= last or e < 1:
-            raise InvalidCellError(f"{name} has a malformed factorization")
-        if p > y:
-            raise InvalidCellError(f"{name}={f.value} is not {y}-smooth")
-        v *= p**e
-        last = p
-    if v != f.value:
-        raise InvalidCellError(f"{name} factorization does not match its value")
+def cell_density(a: int, b: int, y: int) -> Fraction:
+    """Exact density of the cell (a, b) for the smoothness bound y:
+    (2/ab) prod_{p|ab}(1-1/p) prod_{p<=y, p∤ab}(1-2/p).
 
-
-def cell_density(a: FactoredSmooth, b: FactoredSmooth, primes: PrimeTable) -> CellDensity:
-    """Exact density of the cell: (2/ab) prod_{p|ab}(1-1/p) prod_{p<=y, p∤ab}(1-2/p)."""
-    y = primes.bound
-    _validate_factored(a, y, "a")
-    _validate_factored(b, y, "b")
-    if a.value % 2 == 0:
-        raise InvalidCellError(f"a must be odd, got {a.value}")
-    if b.value % 2 == 1:
-        raise InvalidCellError(f"b must be even, got {b.value}")
-    if gcd(a.value, b.value) != 1:
-        raise InvalidCellError(f"a and b must be coprime, got {a.value}, {b.value}")
-    ab_primes = set(a.prime_set()) | set(b.prime_set())
-    dens = Fraction(2, a.value * b.value)
-    for p in ab_primes:
-        dens *= Fraction(p - 1, p)
-    for p in primes.primes:
-        if p not in ab_primes:
-            dens *= Fraction(p - 2, p)
-    return CellDensity(a=a, b=b, y=y, dens=dens)
+    Only the primes <= y are divided out of a and b, so a coordinate with a
+    large prime factor is rejected without factoring it.
+    """
+    check_y(y)
+    primes = primes_upto(y).tolist()
+    for name, n in (("a", a), ("b", b)):
+        if n < 1:
+            raise InvalidParameterError(f"cannot factor {n}")
+        m = n
+        for p in primes:
+            while m % p == 0:
+                m //= p
+        if m != 1:
+            raise InvalidCellError(f"{name}={n} is not {y}-smooth")
+    if a % 2 == 0:
+        raise InvalidCellError(f"a must be odd, got {a}")
+    if b % 2 == 1:
+        raise InvalidCellError(f"b must be even, got {b}")
+    if gcd(a, b) != 1:
+        raise InvalidCellError(f"a and b must be coprime, got {a}, {b}")
+    dens = Fraction(2, a * b)
+    for p in primes:
+        dens *= Fraction(p - 1 if a * b % p == 0 else p - 2, p)
+    return dens
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +173,9 @@ def _bound_curves(table: MomentTable, q: np.ndarray):
 
     Returns the arrays (ru, rl), ru non-increasing and rl non-decreasing.
     """
-    vals = table.value_floats()
     n = q.size
     # orders only saturate upward: stop at the first non-finite one
-    lam = np.array(vals[1:])
+    lam = np.array(table.values[1:])
     stop = np.flatnonzero(~np.isfinite(lam))
     if stop.size:
         lam = lam[: stop[0]]
@@ -259,7 +245,7 @@ class _Consts(NamedTuple):
 
 
 def _engine_consts(table: MomentTable) -> _Consts:
-    odd = sieve_primes(table.y).odd() if table.y >= 3 else ()
+    odd = tuple(primes_upto(table.y).tolist()[1:])
     base = Fraction(1)
     for p in odd:
         base *= Fraction(p - 2, p)

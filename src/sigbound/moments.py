@@ -20,11 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import PrimeTable, sieve_primes
+from .arith import primes_upto
 from .dirround import (
-    UP,
     ZETA2_UP,
-    DirScalar,
     exp_up_wide,
     log_up,
     next_up,
@@ -50,41 +48,40 @@ _TAIL_RATE = Fraction(16623114, 10**13)  # 1.6623114e-6
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Per-r certified upper bounds, indexed 1..r_max (index 0 unused).
+    """Per-order certified upper bounds, as floats rounded UP.
 
-    values[r] bounds the moment-mean constant itself, roots[r] bounds its
-    r-th root; a non-finite value marks an order whose bound overflowed and
-    must not be used (the engine then falls back to trivial cell bounds).
+    values[r] bounds the moment-mean constant of order r and roots[r] its
+    r-th root, for r = 1..r_max; index 0 is unused (nan). A non-finite value
+    marks an order whose bound overflowed and must not be used (the engine
+    then falls back to trivial cell bounds).
     """
 
     y: int
     r_max: int
-    values: tuple  # DirScalar, UP
-
-    def value_floats(self) -> list[float]:
-        return [math.nan] + [v.value for v in self.values[1:]]
+    values: tuple[float, ...]
 
     @cached_property
-    def roots(self) -> tuple:
-        """DirScalar UP bounds on the r-th roots of values[r], computed on
-        first access: the engine never reads them."""
-        roots: list = [None] * (self.r_max + 1)
+    def roots(self) -> tuple[float, ...]:
+        """The r-th roots of values[r], computed on first access: the
+        engine never reads them."""
+        roots = [math.nan] * (self.r_max + 1)
         roots[1] = self.values[1]
         for r in range(2, self.r_max + 1):
-            v = self.values[r].value
+            v = self.values[r]
             if not math.isfinite(v):
-                roots[r] = DirScalar(math.inf, UP)
+                roots[r] = math.inf
                 continue
             v = max(v, 1.0)
             root = exp_up_wide(up_div(log_up(v), float(r)))
             # certify root^r >= value by DOWN-powering; bump if rounding fell short
             while pow_dn(root, r) < v:
                 root = next_up(root)
-            roots[r] = DirScalar(root, UP)
+            roots[r] = root
         return tuple(roots)
 
 
-def _check_y(y: int) -> None:
+def check_y(y: int) -> None:
+    """Reject a smoothness bound outside [2, PRIME_CEILING)."""
     if y < 2:
         raise InvalidParameterError(f"smoothness bound must be >= 2, got {y}")
     if y >= PRIME_CEILING:
@@ -95,19 +92,19 @@ def _check_y(y: int) -> None:
 
 def _mid_primes(y: int) -> tuple[int, ...]:
     """Primes strictly between y and the ceiling."""
-    return tuple(p for p in sieve_primes(PRIME_CEILING - 1).primes if p > y)
+    return tuple(p for p in primes_upto(PRIME_CEILING - 1).tolist() if p > y)
 
 
-def moment_r1_exact(primes: PrimeTable) -> DirScalar:
+def moment_r1_exact(y: int) -> float:
     """Upper bound for order 1: zeta(2) times prod_{p <= y} (1 - 1/p^2).
 
     Each factor is below 1, so the factor itself is rounded UP to keep the
     running product an upper bound.
     """
     acc = ZETA2_UP
-    for p in primes.primes:
+    for p in primes_upto(y).tolist():
         acc = up_mul(acc, ratio_up(p * p - 1, p * p))
-    return DirScalar(acc, UP)
+    return acc
 
 
 def _tail_factor(r: int) -> float:
@@ -162,18 +159,13 @@ def _bulk_values(y: int, r_max: int, mids: tuple[int, ...]) -> list[float]:
 
 def build_moment_table(y: int, r_max: int) -> MomentTable:
     """Tabulate orders 1..r_max once; the table is immutable afterwards."""
-    _check_y(y)
+    check_y(y)
     if r_max < 1:
         raise InvalidParameterError(f"r_max must be >= 1, got {r_max}")
     if r_max > MAX_ORDER:
         raise UnsupportedParameterError(
             f"r_max must be at most {MAX_ORDER}, got {r_max}"
         )
-    mids = _mid_primes(y)
-    values: list = [None] * (r_max + 1)
-    values[1] = moment_r1_exact(sieve_primes(y))
-    if r_max >= 2:
-        bulk = _bulk_values(y, r_max, mids)
-        for r in range(2, r_max + 1):
-            values[r] = DirScalar(bulk[r], UP)
+    values = _bulk_values(y, r_max, _mid_primes(y))
+    values[1] = moment_r1_exact(y)
     return MomentTable(y=y, r_max=r_max, values=tuple(values))

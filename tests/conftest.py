@@ -1,17 +1,6 @@
 import pytest
 
-from sigbound.arith import sieve_primes
 from sigbound.moments import build_moment_table
-
-
-@pytest.fixture(scope="session")
-def primes_y3():
-    return sieve_primes(3)
-
-
-@pytest.fixture(scope="session")
-def primes_y5():
-    return sieve_primes(5)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from sigbound.arith import FactoredSmooth, sieve_primes
+from sigbound.arith import primes_upto
 from sigbound.dirround import (
     DOWN,
     UP,
@@ -30,9 +30,9 @@ from sigbound.dirround import (
     up_mul,
     up_sub,
 )
-from sigbound.engine import _GRID_HI, _GRID_LO, _GRID_SIZE, CellDensity, _float_dir, _Rows
+from sigbound.engine import _GRID_HI, _GRID_LO, _GRID_SIZE, _float_dir, _Rows
 from sigbound.errors import InvalidParameterError
-from sigbound.moments import _check_y, _mid_primes, _tail_factor
+from sigbound.moments import _mid_primes, _tail_factor, check_y
 
 
 def ratio_grids_per_r(table, q=None):
@@ -46,7 +46,7 @@ def ratio_grids_per_r(table, q=None):
     capped candidates with one running min; all of that must leave every
     bit as this form has it.
     """
-    vals = table.value_floats()
+    vals = table.values
     inf = np.inf
     if q is None:
         q = np.geomspace(_GRID_LO, _GRID_HI, _GRID_SIZE)
@@ -115,15 +115,11 @@ def flt_dn(n):
 # exact arithmetic on factorizations
 # ---------------------------------------------------------------------------
 
-def _factors(f):
-    return f.factors if isinstance(f, FactoredSmooth) else f
-
-
 def sigma(f):
-    """Sum of divisors from a factorization (a FactoredSmooth or (p, e)
-    pairs): the product of (p^(e+1)-1)/(p-1)."""
+    """Sum of divisors from a factorization, (p, e) pairs: the product of
+    (p^(e+1)-1)/(p-1)."""
     s = 1
-    for p, e in _factors(f):
+    for p, e in f:
         s *= (p ** (e + 1) - 1) // (p - 1)
     return s
 
@@ -131,13 +127,14 @@ def sigma(f):
 def abundancy(f):
     """sigma(n)/n in lowest terms; equals 1 only for n = 1."""
     n = 1
-    for p, e in _factors(f):
+    for p, e in f:
         n *= p**e
     return Fraction(sigma(f), n)
 
 
 def factorize(n):
-    """Trial-division factorization of a small n >= 1."""
+    """Trial-division factorization of a small n >= 1, as (p, e) pairs with
+    p increasing; () for 1."""
     if n < 1:
         raise InvalidParameterError(f"cannot factor {n}")
     m = n
@@ -153,38 +150,44 @@ def factorize(n):
         p += 1 if p == 2 else 2
     if m > 1:
         factors.append((m, 1))
-    return FactoredSmooth(n, tuple(factors))
+    return tuple(factors)
 
 
-def primorial(primes):
-    """The product of the primes of a PrimeTable."""
-    return math.prod(primes.primes)
+def split_smooth(n, primes):
+    """n = s * c with s built from `primes` and c coprime to them, as (s, c):
+    c is 1 exactly when n is smooth over `primes`."""
+    s = 1
+    for p in primes:
+        while n % p == 0:
+            n //= p
+            s *= p
+    return s, n
+
+
+def primorial(y):
+    """The product of the primes <= y."""
+    return math.prod(primes_upto(y).tolist())
 
 
 def iter_smooth(primes, limit):
     """Every integer in [1, limit] whose prime factors all lie in `primes`,
-    each once with its factorization, in no promised order."""
+    each once, in no promised order."""
     if limit < 1:
         raise InvalidParameterError(f"smooth enumeration limit must be >= 1, got {limit}")
     plist = sorted(set(primes))
     if plist and plist[0] < 2:
         raise InvalidParameterError("prime list contains a non-prime entry < 2")
-    stack = []
 
     def rec(start, value):
-        yield FactoredSmooth(value, tuple(stack))
+        yield value
         for j in range(start, len(plist)):
             p = plist[j]
             v = value * p
             if v > limit:
                 break
-            e = 1
             while v <= limit:
-                stack.append((p, e))
                 yield from rec(j + 1, v)
-                stack.pop()
                 v *= p
-                e += 1
 
     yield from rec(0, 1)
 
@@ -259,21 +262,41 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None):
 # ---------------------------------------------------------------------------
 
 def enumerate_cells(y, z):
-    """Yield (a, b) FactoredSmooth pairs of every cell with ab <= z, one at a
-    time; run_bounds enumerates the same cells as chunks of table rows."""
+    """Yield the (a, b) of every cell with ab <= z, one at a time; run_bounds
+    enumerates the same cells as chunks of table rows."""
     if z < 2:
         raise InvalidParameterError(f"z must be >= 2, got {z}")
-    odd = sieve_primes(y).odd()
+    odd = primes_upto(y).tolist()[1:]
     for a in iter_smooth(odd, z):
-        a_primes = set(a.prime_set())
-        rest = [p for p in odd if p not in a_primes]
-        limit = z // a.value
-        e2, v2 = 1, 2
+        rest = [p for p in odd if a % p]
+        limit = z // a
+        v2 = 2
         while v2 <= limit:
             for m in iter_smooth(rest, limit // v2):
-                yield a, FactoredSmooth(v2 * m.value, tuple(sorted(((2, e2),) + m.factors)))
+                yield a, v2 * m
             v2 *= 2
-            e2 += 1
+
+
+def _divides_exactly(pk, p, m):
+    """Whether pk = p^v divides m and p^(v+1) does not."""
+    return m % pk == 0 and m % (pk * p) != 0
+
+
+def local_cell_density(a, b, y):
+    """The density of the cell (a, b) as a product of local factors, one per
+    prime p <= y: the share of the residues n mod p^(e+1), e the exponent of
+    p in ab, with p^v || 2n+1 and p^w || 2n (v, w the exponents of p in a
+    and b), counted one residue at a time. The residues of n modulo powers of
+    distinct primes are independent (CRT), so the product is the density."""
+    dens = Fraction(1)
+    for p in primes_upto(y).tolist():
+        pa = math.gcd(a, p**a.bit_length())  # p^v
+        pb = math.gcd(b, p**b.bit_length())  # p^w
+        mod = pa * pb * p
+        hits = sum(1 for n in range(mod)
+                   if _divides_exactly(pa, p, 2 * n + 1) and _divides_exactly(pb, p, 2 * n))
+        dens *= Fraction(hits, mod)
+    return dens
 
 
 @dataclass(frozen=True)
@@ -332,7 +355,7 @@ def solve_progression(a, b, t1, t2, modulus):
 class PairBound:
     """Certified per-cell bounds; r_* = 0 records a trivial fallback."""
 
-    cell: CellDensity
+    dens: Fraction
     lower: DirScalar
     upper: DirScalar
     r_lower: int
@@ -370,18 +393,18 @@ def _scan_best_ratio(q, vals, roots, r_max):
     return best, best_r
 
 
-def pair_bounds(cell, table, ha, hb):
-    """Certified lower/upper bounds for the target-set share of one cell.
+def pair_bounds(dens, table, ha, hb):
+    """Certified lower/upper bounds for the target-set share of one cell of
+    exact density `dens`.
 
     With q the larger of hb/ha and ha/hb, the candidate at order r is
     dens * (M(r)-1)/(q^r-1) subtracted from the appropriate side; only the
     side whose abundancy dominates can beat the trivial bounds [0, dens].
     """
-    dens = cell.dens
     dens_dn = ratio_dn(dens.numerator, dens.denominator)
     dens_up = ratio_up(dens.numerator, dens.denominator)
-    vals = table.value_floats()
-    roots = [math.nan] + [v.value for v in table.roots[1:]]
+    vals = table.values
+    roots = table.roots
     lower_v, r_lo = 0.0, 0
     upper_v, r_up = dens_up, 0
     if hb > ha:
@@ -396,7 +419,7 @@ def pair_bounds(cell, table, ha, hb):
                 cand = dn_mul(dens_dn, ratio)
                 if cand > 0.0:
                     lower_v, r_lo = cand, r
-    return PairBound(cell, DirScalar(lower_v, DOWN), DirScalar(upper_v, UP), r_lo, r_up)
+    return PairBound(dens, DirScalar(lower_v, DOWN), DirScalar(upper_v, UP), r_lo, r_up)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +433,7 @@ def moment_upper(y, r, mids=None):
     everything UP-directed (the denominator pieces DOWN-directed). Valid for
     r >= 1; build_moment_table routes r = 1 to the tighter closed form.
     """
-    _check_y(y)
+    check_y(y)
     if r < 1:
         raise InvalidParameterError(f"moment order must be >= 1, got {r}")
     if mids is None:
@@ -425,4 +448,4 @@ def moment_upper(y, r, mids=None):
             acc = math.inf
             break
         acc = up_mul(acc, up_add(1.0, up_add(t1, up_div(float(r), den))))
-    return DirScalar(up_mul(acc, _tail_factor(r)), UP)
+    return up_mul(acc, _tail_factor(r))

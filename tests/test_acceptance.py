@@ -15,8 +15,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import abundancy, enumerate_cells, factorize, primorial, solve_progression
-from sigbound.arith import sieve_primes
+from oracles import enumerate_cells, primorial, solve_progression
 from sigbound.cli import main
 from sigbound.counting import count_sigma_ge, moment_sum, smooth_part_block
 from sigbound.engine import cell_density, run_bounds
@@ -167,27 +166,26 @@ class TestCriterion5CellOracles:
         tol = 2.0 / math.sqrt(x)
         checked = 0
         for y in (3, 5):
-            pt = sieve_primes(y)
-            P = primorial(pt)
+            P = primorial(y)
             tot = [t for t in range(1, P + 1) if gcd(t, P) == 1]
             part = smooth_part_block(2, 2 * x + 2, y)
             a_vals = part[1::2][:x]
             b_vals = part[0::2][:x]
             for a, b in enumerate_cells(y, 60):
-                cd = cell_density(a, b, pt)
+                dens = cell_density(a, b, y)
                 # (a) totative-pair count formula via exhaustive scan
                 count = sum(
-                    solve_progression(a.value, b.value, t1, t2, P).solvable
+                    solve_progression(a, b, t1, t2, P).solvable
                     for t1 in tot
                     for t2 in tot
                 )
-                assert cd.dens == Fraction(2 * count, a.value * b.value * P), (
-                    f"cell ({a.value},{b.value}) y={y}: progression oracle disagrees"
+                assert dens == Fraction(2 * count, a * b * P), (
+                    f"cell ({a},{b}) y={y}: progression oracle disagrees"
                 )
                 # (b) direct membership count of n <= 1e6
-                members = int(np.count_nonzero((a_vals == a.value) & (b_vals == b.value)))
-                assert abs(members / x - float(cd.dens)) <= tol, (
-                    f"cell ({a.value},{b.value}) y={y}: empirical {members/x} vs {float(cd.dens)}"
+                members = int(np.count_nonzero((a_vals == a) & (b_vals == b)))
+                assert abs(members / x - float(dens)) <= tol, (
+                    f"cell ({a},{b}) y={y}: empirical {members/x} vs {float(dens)}"
                 )
                 checked += 1
         elapsed = time.perf_counter() - t0
@@ -207,7 +205,7 @@ class TestCriterion6MomentOracle:
         s_odd, _ = moment_sum(1, 2, 3, 1, x)
         dens = 1.0 / 6.0
         norm = s_odd / (x * dens)
-        lam = moment_r1_exact(sieve_primes(3)).value  # ~1.0966227
+        lam = moment_r1_exact(3)  # ~1.0966227
         elapsed = time.perf_counter() - t0
         ok = abs(norm - lam) / lam <= 0.02 and elapsed <= 120.0
         report(

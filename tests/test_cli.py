@@ -218,6 +218,27 @@ class TestMoment:
         assert data["sum_odd"] == data["sum_even"]
         assert data["normalized_odd"] == pytest.approx(1.0, rel=0.01)
 
+    def test_order_above_the_ceiling_is_unsupported(self, capsys):
+        code, out, err = run_cli(capsys, "moment", "--a", "1", "--b", "2", "--y", "3",
+                                 "--r", "1e400", "--x", "10")
+        assert code == 3
+        assert out == ""
+        assert "10000" in err and "Traceback" not in err
+
+    def test_overflowing_sums_are_json_null(self, capsys):
+        def no_constants(name):
+            raise ValueError(f"not JSON: {name}")
+
+        code, out, _ = run_cli(capsys, "moment", "--a", "1", "--b", "2", "--y", "3",
+                               "--r", "5000", "--x", "1000", "--format", "json")
+        assert code == 0
+        data = json.loads(out, parse_constant=no_constants)
+        assert data["sum_even"] is None and data["normalized_even"] is None
+        code, out, _ = run_cli(capsys, "moment", "--a", "1", "--b", "2", "--y", "3",
+                               "--r", "5000", "--x", "1000")
+        assert code == 0
+        assert "sum h^r(2n)   = inf" in out
+
     def test_underflowing_density_scale(self, capsys):
         # dens * x underflows to 0.0: no normalized value, and no crash
         argv = ("moment", "--a", "3", "--b", "2e400", "--y", "5", "--r", "1", "--x", "10")

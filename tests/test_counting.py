@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import sympy
 
-from oracles import abundancy, factorize, naive_sigma_upto, sigma
-from sigbound import counting
-from sigbound.arith import sieve_primes, split_smooth
+from oracles import abundancy, factorize, naive_sigma_upto, sigma, split_smooth
+from sigbound import arith, counting
+from sigbound.arith import primes_upto
 from sigbound.counting import (
     MAX_BLOCK,
     count_sigma_ge,
@@ -15,8 +15,8 @@ from sigbound.counting import (
     sigma_block,
     smooth_part_block,
 )
-from sigbound.errors import InvalidParameterError
-from sigbound.moments import moment_r1_exact
+from sigbound.errors import InvalidParameterError, UnsupportedParameterError
+from sigbound.moments import MAX_ORDER, moment_r1_exact
 
 
 class TestSigmaBlock:
@@ -178,7 +178,7 @@ class TestSigmaBlockKernel:
         # above 2**31, so a signed 32-bit word would not hold it
         hi = (2**32 - 1) // 7
         lo = hi - 5000
-        primes = counting._primes_upto(isqrt(hi - 1))
+        primes = primes_upto(isqrt(hi - 1))
         got = sigma_block(lo, hi, primes, work=counting._Work(hi - lo, np.uint32))
         want = sigma_block(lo, hi, primes)
         assert got.dtype == np.uint32 and want.dtype == np.int64
@@ -187,7 +187,7 @@ class TestSigmaBlockKernel:
 
     def test_narrow_buffers_cannot_overflow_silently(self):
         hi = (2**32 - 1) // 7
-        primes = counting._primes_upto(isqrt(hi))
+        primes = primes_upto(isqrt(hi))
         work = counting._Work(100, np.uint32)
         sigma_block(hi - 100, hi, primes, work=work)  # 7 * hi < 2**32
         with pytest.raises(InvalidParameterError, match="overflows the uint32"):
@@ -200,34 +200,38 @@ class TestSievingPrimes:
     def test_int64_primes_equal_the_prime_table(self):
         got = counting._sieving_primes(10**7)
         assert got.dtype == np.int64
-        assert got.tolist() == list(sieve_primes(isqrt(2 * 10**7 + 1)).primes)
+        assert got.tolist() == list(sympy.primerange(2, isqrt(2 * 10**7 + 1) + 1))
 
     @pytest.mark.parametrize("segment", [1, 2, 7, 64])
     def test_segments_join_exactly(self, monkeypatch, segment):
-        monkeypatch.setattr(counting, "_PRIME_SEGMENT", segment)
+        monkeypatch.setattr(arith, "_PRIME_SEGMENT", segment)
         for bound in (1, 2, 3, 4, 9, 25, 26, 127, 128, 1000, 4099):
-            expected = list(sieve_primes(bound).primes) if bound >= 2 else []
-            assert counting._primes_upto(bound).tolist() == expected, bound
+            expected = list(sympy.primerange(2, bound + 1))
+            assert primes_upto(bound).tolist() == expected, bound
 
 
 class TestSmoothPartBlock:
     @pytest.mark.parametrize("y", [2, 3, 7])
     def test_matches_scalar_oracle(self, y):
         got = smooth_part_block(1, 5001, y)
-        primes = sieve_primes(y)
+        primes = primes_upto(y).tolist()
         for n in range(1, 5001):
-            assert int(got[n - 1]) == split_smooth(n, primes)[0].value
+            assert int(got[n - 1]) == split_smooth(n, primes)[0]
 
     @pytest.mark.parametrize("y", [2, 3, 5, 31, 353])
     def test_matches_split_smooth_on_random_windows(self, y):
-        primes = sieve_primes(y)
+        primes = primes_upto(y).tolist()
         rng = random.Random(y)
         for _ in range(20):
             lo = rng.randrange(1, 10 ** rng.randrange(2, 16))
             hi = lo + rng.randrange(1, 2000)
             got = smooth_part_block(lo, hi, y)
-            assert [int(v) for v in got] == [split_smooth(m, primes)[0].value for m in range(lo, hi)]
+            assert [int(v) for v in got] == [split_smooth(m, primes)[0] for m in range(lo, hi)]
 
+    def test_y_beyond_the_block_is_not_sieved(self):
+        # no m < hi has a prime factor above hi - 1, so a huge y sieves only
+        # up to hi - 1 and gives the result of y = hi - 1
+        assert np.array_equal(smooth_part_block(10, 20, 10**18), smooth_part_block(10, 20, 19))
 
     def test_two_part_near_2_to_58(self):
         lo, hi = 2**58 - 5, 2**58 + 6
@@ -261,7 +265,7 @@ class TestCountSigmaGe:
         assert derived(10**7) == 2**18 == 262_144
         assert derived(10**3) == 2**18
         # 256 integers per sieving prime, up to isqrt(2e9 + 1) = 44721
-        assert derived(10**9) == 256 * len(sieve_primes(44721).primes)
+        assert derived(10**9) == 256 * len(primes_upto(44721))
         assert derived(10**12) == MAX_BLOCK == 2**24
 
     def test_benchmark_reference(self):
@@ -329,7 +333,7 @@ class TestAbundancyGe:
     def test_prime_odd_side_fails(self):
         # when 2n+1 is prime, sigma(2n) >= 3n+3 beats 2n+2 for n >= 2
         for n in (2, 3, 5, 6, 8, 9, 14, 20, 23):
-            if (2 * n + 1) in set(sieve_primes(100).primes):
+            if sympy.isprime(2 * n + 1):
                 assert abundancy(factorize(2 * n + 1)) < abundancy(factorize(2 * n))
                 assert sigma(factorize(2 * n + 1)) < sigma(factorize(2 * n))
 
@@ -358,7 +362,7 @@ class TestMomentSum:
 
     def test_r1_ratio_approaches_mean_constant(self):
         s1, _ = moment_sum(1, 2, 3, 1, 10**6)
-        lam = moment_r1_exact(sieve_primes(3)).value
+        lam = moment_r1_exact(3)
         norm = s1 / (10**6 * (1 / 6))
         assert norm == pytest.approx(lam, rel=0.02)
 
@@ -371,6 +375,18 @@ class TestMomentSum:
         got = moment_sum(a, b, 3, r, 10**6)
         monkeypatch.setattr(counting, "_work_for", lambda x, n: counting._Work(n))
         assert got == moment_sum(a, b, 3, r, 10**6)
+
+    def test_y_beyond_the_blocks_is_not_sieved(self):
+        # every n <= 100 has 2n and 2n + 1 below 202, so y = 10^18 gives
+        # the sums of y = 201 without sieving the primes up to y
+        for a, b, r in ((1, 2, 1), (3, 2, 2), (1, 2, 0)):
+            assert moment_sum(a, b, 10**18, r, 100) == moment_sum(a, b, 201, r, 100)
+
+    def test_orders_above_the_ceiling_are_unsupported(self):
+        assert moment_sum(1, 2, 3, MAX_ORDER, 10)[0] > 0
+        for r in (MAX_ORDER + 1, 10**400):
+            with pytest.raises(UnsupportedParameterError, match=str(MAX_ORDER)):
+                moment_sum(1, 2, 3, r, 10)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):

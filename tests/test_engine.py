@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -8,8 +9,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import abundancy, enumerate_cells, factorize, pair_bounds, solve_progression
-from sigbound.arith import sieve_primes
+from oracles import (
+    abundancy,
+    enumerate_cells,
+    factorize,
+    local_cell_density,
+    pair_bounds,
+    solve_progression,
+)
 from sigbound.dirround import ulp_up
 from sigbound.engine import (
     _cell_tables,
@@ -19,7 +26,7 @@ from sigbound.engine import (
     cell_density,
     run_bounds,
 )
-from sigbound.errors import InvalidCellError, InvalidParameterError
+from sigbound.errors import InvalidCellError, InvalidParameterError, UnsupportedParameterError
 from sigbound.moments import build_moment_table
 
 mp.mp.dps = 40
@@ -33,29 +40,50 @@ def usable_cores():
 
 
 def all_cells(y, z):
-    pt = sieve_primes(y)
-    return [(a, b, cell_density(a, b, pt)) for a, b in enumerate_cells(y, z)]
+    return [(a, b, cell_density(a, b, y)) for a, b in enumerate_cells(y, z)]
 
 
 class TestCellDensity:
-    def test_basic_examples(self, primes_y3, primes_y5):
-        assert cell_density(factorize(1), factorize(2), primes_y3).dens == Fraction(1, 6)
-        assert cell_density(factorize(3), factorize(2), primes_y3).dens == Fraction(1, 9)
-        assert cell_density(factorize(15), factorize(2), primes_y5).dens == Fraction(4, 225)
+    def test_basic_examples(self):
+        assert cell_density(1, 2, 3) == Fraction(1, 6)
+        assert cell_density(3, 2, 3) == Fraction(1, 9)
+        assert cell_density(15, 2, 5) == Fraction(4, 225)
 
-    def test_rejects_invalid_cells(self, primes_y3):
-        with pytest.raises(InvalidCellError):
-            cell_density(factorize(2), factorize(3), primes_y3)  # a even
-        with pytest.raises(InvalidCellError):
-            cell_density(factorize(1), factorize(3), primes_y3)  # b odd
-        with pytest.raises(InvalidCellError):
-            cell_density(factorize(3), factorize(6), primes_y3)  # not coprime
-        with pytest.raises(InvalidCellError):
-            cell_density(factorize(5), factorize(2), primes_y3)  # a not 3-smooth
+    @pytest.mark.parametrize("y", [2, 3, 5, 7, 11, 13])
+    def test_exact_values_against_local_densities(self, y):
+        cells = list(enumerate_cells(y, 300))
+        assert len(cells) >= 8
+        for a, b in cells:
+            assert cell_density(a, b, y) == local_cell_density(a, b, y), (a, b)
 
-    def test_density_cap(self, primes_y5):
-        for a, b, cd in all_cells(5, 200):
-            assert 0 < cd.dens <= Fraction(2, a.value * b.value)
+    def test_rejects_invalid_cells(self):
+        for a, b, y, error, message in (
+            (0, 2, 3, InvalidParameterError, "cannot factor 0"),
+            (-3, 2, 3, InvalidParameterError, "cannot factor -3"),
+            (1, 0, 3, InvalidParameterError, "cannot factor 0"),
+            (2, 3, 3, InvalidCellError, "a must be odd, got 2"),
+            (3, 3, 3, InvalidCellError, "b must be even, got 3"),
+            (3, 6, 3, InvalidCellError, "a and b must be coprime, got 3, 6"),
+            (5, 2, 3, InvalidCellError, "a=5 is not 3-smooth"),
+            (3, 10, 3, InvalidCellError, "b=10 is not 3-smooth"),
+            (1, 2, 1, InvalidParameterError, "smoothness bound must be >= 2, got 1"),
+            (1, 2, 65536, UnsupportedParameterError,
+             "smoothness bound must stay below 65536, got 65536"),
+        ):
+            with pytest.raises(error) as info:
+                cell_density(a, b, y)
+            assert str(info.value) == message, (a, b, y)
+
+    def test_rejects_a_large_prime_factor_at_once(self):
+        # 10^18 + 3 is never trial-divided past the primes <= y
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidCellError, match="is not 7-smooth"):
+            cell_density(3, 2 * (10**18 + 3), 7)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_density_cap(self):
+        for a, b, dens in all_cells(5, 200):
+            assert 0 < dens <= Fraction(2, a * b)
 
 
 class TestSolveProgression:
@@ -109,43 +137,36 @@ class TestSolveProgression:
 class TestOracleEquivalence:
     def test_density_equals_progression_count_y3(self):
         # dens = (#solvable totative pairs) * 2/(a*b*P) for every small cell
-        pt = sieve_primes(3)
         P = 6
         tot = [t for t in range(1, P + 1) if gcd(t, P) == 1]
-        for a, b, cd in all_cells(3, 100):
+        for a, b, dens in all_cells(3, 100):
             count = sum(
-                solve_progression(a.value, b.value, t1, t2, P).solvable
+                solve_progression(a, b, t1, t2, P).solvable
                 for t1 in tot
                 for t2 in tot
             )
-            assert cd.dens == Fraction(2 * count, a.value * b.value * P)
+            assert dens == Fraction(2 * count, a * b * P)
 
     def test_totative_count_formula_y5(self):
-        pt = sieve_primes(5)
         P = 30
         tot = [t for t in range(1, P + 1) if gcd(t, P) == 1]
-        for a, b, cd in all_cells(5, 60):
+        for a, b, _ in all_cells(5, 60):
             count = sum(
-                solve_progression(a.value, b.value, t1, t2, P).solvable
+                solve_progression(a, b, t1, t2, P).solvable
                 for t1 in tot
                 for t2 in tot
             )
             expected = 1
-            ab_primes = set(a.prime_set()) | set(b.prime_set())
-            for p in ab_primes:
-                expected *= p - 1
-            for p in pt.primes:
-                if p not in ab_primes:
-                    expected *= p - 2
+            for p in (2, 3, 5):
+                expected *= p - 1 if (a * b) % p == 0 else p - 2
             assert count == expected
 
 
 class TestPairBounds:
-    def test_upper_example_r1(self, primes_y3):
+    def test_upper_example_r1(self):
         # at r = 1 the candidate is dens * (M(1)-1)/(q-1) with q = 3/2
         table = build_moment_table(3, 1)
-        cell = cell_density(factorize(1), factorize(2), primes_y3)
-        pb = pair_bounds(cell, table, Fraction(1), Fraction(3, 2))
+        pb = pair_bounds(cell_density(1, 2, 3), table, Fraction(1), Fraction(3, 2))
         lam = mp.zeta(2) * 2 / 3
         reference = (lam - 1) / mp.mpf("0.5") * mp.mpf(1) / 6
         assert pb.r_upper == 1
@@ -153,38 +174,38 @@ class TestPairBounds:
         assert pb.upper.value == pytest.approx(float(reference), rel=1e-9)
         assert pb.lower.value == 0.0 and pb.r_lower == 0
 
-    def test_lower_example_r1(self, primes_y5):
+    def test_lower_example_r1(self):
         table = build_moment_table(5, 1)
-        cell = cell_density(factorize(15), factorize(2), primes_y5)
-        pb = pair_bounds(cell, table, Fraction(8, 5), Fraction(3, 2))
+        dens = cell_density(15, 2, 5)
+        pb = pair_bounds(dens, table, Fraction(8, 5), Fraction(3, 2))
         lam = mp.zeta(2) * 2 / 3 * Fraction(24, 25)
         w = mp.mpf(16) / 15
         reference = (w - lam) / (w - 1) * mp.mpf(4) / 225
         assert pb.r_lower == 1
         assert pb.lower.value <= reference
         assert pb.lower.value == pytest.approx(float(reference), rel=1e-9)
-        assert pb.upper.value >= float(cell.dens)
+        assert pb.upper.value >= float(dens)
 
-    def test_trivial_fallback(self, primes_y3, table_y3_r50):
+    def test_trivial_fallback(self, table_y3_r50):
         # q = h(2)/h(9) = 27/26 ~ 1.038 stays below every tabulated root for
         # y=3 (the smallest is ~1.0966), so the upper bound stays trivial
-        cell = cell_density(factorize(9), factorize(2), primes_y3)
+        dens = cell_density(9, 2, 3)
         assert all(
-            table_y3_r50.roots[r].value > 27 / 26 for r in range(1, 51)
+            table_y3_r50.roots[r] > 27 / 26 for r in range(1, 51)
         )
-        pb = pair_bounds(cell, table_y3_r50, Fraction(13, 9), Fraction(3, 2))
+        pb = pair_bounds(dens, table_y3_r50, Fraction(13, 9), Fraction(3, 2))
         assert pb.r_lower == 0 and pb.lower.value == 0.0
         assert pb.r_upper == 0
-        assert Fraction(pb.upper.value) >= cell.dens
+        assert Fraction(pb.upper.value) >= dens
 
-    def test_sandwich_on_enumerated_cells(self, primes_y5):
+    def test_sandwich_on_enumerated_cells(self):
         table = build_moment_table(5, 30)
-        for a, b, cd in all_cells(5, 300):
-            pb = pair_bounds(cell_density(a, b, sieve_primes(5)), table, abundancy(a), abundancy(b))
+        for a, b, dens in all_cells(5, 300):
+            pb = pair_bounds(dens, table, abundancy(factorize(a)), abundancy(factorize(b)))
             assert 0.0 <= pb.lower.value <= pb.upper.value
-            assert Fraction(pb.lower.value) <= cd.dens
+            assert Fraction(pb.lower.value) <= dens
             # the upper certificate may sit one nudge above the exact density
-            assert pb.upper.value <= float(cd.dens) * (1 + 1e-12) + 1e-300
+            assert pb.upper.value <= float(dens) * (1 + 1e-12) + 1e-300
 
 
 class TestRunBounds:
@@ -343,14 +364,13 @@ class TestRunBounds:
         assert [ev[0] for ev in streams[0]] == sorted(ev[0] for ev in streams[0])
 
     def test_grid_path_close_to_reference_scan(self, table_y31_r200):
-        pt = sieve_primes(31)
         lo_ref = up_ref = cov = 0.0
         for a, b in enumerate_cells(31, 10**4):
-            cell = cell_density(a, b, pt)
-            pb = pair_bounds(cell, table_y31_r200, abundancy(a), abundancy(b))
+            dens = cell_density(a, b, 31)
+            pb = pair_bounds(dens, table_y31_r200, abundancy(factorize(a)), abundancy(factorize(b)))
             lo_ref += pb.lower.value
             up_ref += pb.upper.value
-            cov += float(cell.dens)
+            cov += float(dens)
         up_ref += 1.0 - cov
         r = run_bounds(31, 10**4, 200, threads=1, table=table_y31_r200)
         assert r.lower_total.value == pytest.approx(lo_ref, rel=2e-3)

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from oracles import moment_upper
-from sigbound.arith import sieve_primes
+from sigbound.arith import primes_upto
 from sigbound.dirround import pow_dn
 from sigbound.errors import InvalidParameterError, UnsupportedParameterError
 from sigbound.moments import MAX_ORDER, PRIME_CEILING, build_moment_table, moment_r1_exact
@@ -16,24 +16,24 @@ mp.mp.dps = 40
 def exact_r1(y):
     """High-precision reference for the order-1 closed form."""
     v = mp.zeta(2)
-    for p in sieve_primes(y).primes:
+    for p in primes_upto(y).tolist():
         v *= 1 - mp.mpf(1) / (p * p)
     return v
 
 
 class TestOrderOneExact:
     def test_y2_value(self):
-        v = moment_r1_exact(sieve_primes(2)).value
+        v = moment_r1_exact(2)
         assert 1.2337005 <= v <= 1.2337006
         assert v >= exact_r1(2)
 
     def test_y3_value(self):
-        v = moment_r1_exact(sieve_primes(3)).value
+        v = moment_r1_exact(3)
         assert abs(v - 1.0966227112321508) < 1e-12
         assert v >= exact_r1(3)
 
     def test_monotone_decreasing_toward_one(self):
-        values = [moment_r1_exact(sieve_primes(y)).value for y in (2, 3, 5, 31, 157, 1000)]
+        values = [moment_r1_exact(y) for y in (2, 3, 5, 31, 157, 1000)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] >= 1.0
         assert values[-1] < 1.001
@@ -46,7 +46,7 @@ def euler_product_reference(y, r, pmax=10**6):
     over primes p > y. Returns (certified_lower, crude_upper).
     """
     prod = mp.mpf(1)
-    for p in sieve_primes(pmax).primes:
+    for p in primes_upto(pmax).tolist():
         if p <= y:
             continue
         term = mp.mpf(1)
@@ -70,22 +70,22 @@ def euler_product_reference(y, r, pmax=10**6):
 
 class TestMomentUpper:
     def test_empty_product_near_ceiling(self):
-        v = moment_upper(65535, 5).value
+        v = moment_upper(65535, 5)
         assert v >= 1.0
         assert v <= 1.0001  # just the exponential correction
 
     def test_exact_form_is_tighter_at_r1(self):
-        exact = moment_r1_exact(sieve_primes(157)).value
-        product = moment_upper(157, 1).value
+        exact = moment_r1_exact(157)
+        product = moment_upper(157, 1)
         assert exact <= product
 
     def test_dominates_independent_euler_product_y3_r2(self):
         lower, _ = euler_product_reference(3, 2, pmax=10**5)
-        assert moment_upper(3, 2).value >= lower
+        assert moment_upper(3, 2) >= lower
 
     @pytest.mark.parametrize("r", [2, 10, 100])
     def test_monotone_in_y(self, r):
-        vals = [moment_upper(y, r).value for y in (3, 31, 157)]
+        vals = [moment_upper(y, r) for y in (3, 31, 157)]
         assert vals[0] >= vals[1] >= vals[2]
 
     def test_rejects_bad_parameters(self):
@@ -99,23 +99,23 @@ class TestMomentUpper:
 
 class TestBuildTable:
     def test_r1_routes_to_exact(self, table_y31_r200):
-        assert table_y31_r200.values[1].value == moment_r1_exact(sieve_primes(31)).value
+        assert table_y31_r200.values[1] == moment_r1_exact(31)
 
     def test_all_values_at_least_one(self, table_y31_r200):
         for r in range(1, 201):
-            assert table_y31_r200.values[r].value >= 1.0
+            assert table_y31_r200.values[r] >= 1.0
 
     def test_roots_certified_by_down_powering(self, table_y31_r200):
         t = table_y31_r200
         for r in range(2, 201):
-            v = t.values[r].value
+            v = t.values[r]
             if math.isfinite(v):
-                assert pow_dn(t.roots[r].value, r) >= v
+                assert pow_dn(t.roots[r], r) >= v
 
     def test_vector_build_matches_scalar(self, table_y31_r200):
         for r in (2, 3, 17, 200):
-            scalar = moment_upper(31, r).value
-            vec = table_y31_r200.values[r].value
+            scalar = moment_upper(31, r)
+            vec = table_y31_r200.values[r]
             assert vec == pytest.approx(scalar, rel=1e-10)
 
     def test_roots_track_high_precision_oracle(self, table_y31_r200):
@@ -125,7 +125,7 @@ class TestBuildTable:
         # tightness at sampled orders instead
         for r in (2, 5, 10, 20):
             acc = mp.mpf(1)
-            for p in sieve_primes(65535).primes:
+            for p in primes_upto(65535).tolist():
                 if p <= 31:
                     continue
                 t1 = ((1 + mp.mpf(1) / p) ** r - 1) / p
@@ -133,7 +133,7 @@ class TestBuildTable:
                 acc *= 1 + t1 + t2
             acc *= mp.exp(mp.mpf("1.6623114e-6") * r)
             true_root = acc ** (mp.mpf(1) / r)
-            got = table_y31_r200.roots[r].value
+            got = table_y31_r200.roots[r]
             assert got >= true_root
             assert got <= float(true_root) * (1 + 1e-9)
 
@@ -148,14 +148,14 @@ class TestBuildTable:
         assert t.r_max == 2000
         assert len(t.values) == 2001
         for r in (1, 2, 100, 1000, 2000):
-            assert t.values[r].value >= 1.0
-        assert math.isfinite(t.values[2000].value)
+            assert t.values[r] >= 1.0
+        assert math.isfinite(t.values[2000])
 
     def test_saturated_orders_marked_unusable(self):
         # y=2 pushes the p=3 factor to overflow well before r=3000
         t = build_moment_table(2, 3000)
-        assert not math.isfinite(t.values[3000].value)
-        assert t.roots[3000].value == math.inf
+        assert not math.isfinite(t.values[3000])
+        assert t.roots[3000] == math.inf
 
     def test_orders_above_the_ceiling_are_unsupported(self):
         # checked before any order is tabulated, so a huge r_max fails at once

@@ -8,11 +8,11 @@ import sigbound
 _MODULES = ("arith", "cli", "counting", "dirround", "engine", "errors", "moments")
 
 _ALL = {
-    "BoundReport", "CellDensity", "DOWN", "DirScalar", "Direction",
-    "FactoredSmooth", "InvalidCellError", "InvalidParameterError",
-    "MomentTable", "PrimeTable", "ProgressEvent", "UP",
+    "BoundReport", "DOWN", "DirScalar", "Direction",
+    "InvalidCellError", "InvalidParameterError",
+    "MomentTable", "ProgressEvent", "UP",
     "UnsupportedParameterError", "build_moment_table", "cell_density",
-    "count_sigma_ge", "moment_sum", "run_bounds", "sieve_primes", "split_smooth",
+    "count_sigma_ge", "moment_sum", "run_bounds",
 }
 
 # The DirScalar operand algebra, the errors only it raised, the sieve's scaled
@@ -26,7 +26,11 @@ _ALL = {
 # flt_dn have no caller left in the package; _default_threads
 # (SIGBOUND_THREADS) duplicated run_bounds' own default. _WORKER_STATE,
 # _worker_init, _worker_run: the fork pool's per-process state, gone with it;
-# the thread pool shares the tables.
+# the thread pool shares the tables. PrimeTable, FactoredSmooth, CellDensity,
+# split_smooth, sieve_primes, _validate_factored, _cell_arg: cell_density takes
+# (a, b, y) as ints and returns the Fraction, and arith.primes_upto is the one
+# prime sieve (it was counting._primes_upto); _check_y is moments.check_y, and
+# _check_sieve is part of counting's block driver.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
@@ -41,14 +45,16 @@ _REMOVED = (
     "_ZETA2_LO", "_ZETA2_HI", "_LN2_LO", "_LN2_HI", "_default_threads",
     "dn_div", "pow_up", "flt_dn",
     "_WORKER_STATE", "_worker_init", "_worker_run",
+    "PrimeTable", "FactoredSmooth", "CellDensity", "split_smooth", "sieve_primes",
+    "_validate_factored", "_cell_arg", "_primes_upto", "_check_y", "_check_sieve",
 )
 
-# Methods dropped along with the code that called them.
+# Methods dropped along with the code that called them. The table holds
+# floats, so value_floats() has nothing left to unwrap.
 _REMOVED_METHODS = (
-    ("arith", "PrimeTable", "primorial"),
-    ("arith", "FactoredSmooth", "one"),
     ("moments", "MomentTable", "root_floats"),
     ("moments", "MomentTable", "usable"),
+    ("moments", "MomentTable", "value_floats"),
 )
 
 
@@ -70,7 +76,22 @@ def test_removed_names_stay_removed():
 
 def test_public_names_are_pinned():
     assert set(sigbound.__all__) == _ALL
-    assert len(sigbound.__all__) == 20
+    assert len(sigbound.__all__) == 15
+
+
+def test_no_private_names_cross_modules():
+    """No module of the package imports an underscore name from a sibling:
+    what one module needs of another is public there."""
+    found = []
+    for path in sorted(pathlib.Path(sigbound.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("sigbound"):
+                continue
+            found += [f"{path.name}:{node.lineno} {alias.name}"
+                      for alias in node.names if alias.name.startswith("_")]
+    assert found == []
 
 
 # np.nextafter steps one element at a time and math.fsum needs a Python list;

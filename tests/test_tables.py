@@ -9,12 +9,12 @@ import pytest
 
 from oracles import smooth_rows
 from sigbound import engine
-from sigbound.arith import sieve_primes
+from sigbound.arith import primes_upto
 from sigbound.dirround import ratio_dn, ratio_up
 
 
 def odd_primes(y):
-    return sieve_primes(y).odd() if y >= 3 else ()
+    return tuple(primes_upto(y).tolist()[1:])
 
 
 def density_base(odd):
