@@ -120,10 +120,12 @@ def cell_density(a: int, b: int, y: int) -> Fraction:
         raise InvalidCellError(f"b must be even, got {b}")
     if gcd(a, b) != 1:
         raise InvalidCellError(f"a and b must be coprime, got {a}, {b}")
-    dens = Fraction(2, a * b)
+    ab = a * b
+    num, den = 2, ab
     for p in primes:
-        dens *= Fraction(p - 1 if a * b % p == 0 else p - 2, p)
-    return dens
+        num *= p - 1 if ab % p == 0 else p - 2
+        den *= p
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def _tail_factor(r: int) -> float:
     return exp_up_wide(up_mul(ratio_up(_TAIL_RATE.numerator, _TAIL_RATE.denominator), float(r)))
 
 
-def _bulk_values(y: int, r_max: int, mids: tuple[int, ...]) -> list[float]:
+def _bulk_values(r_max: int, mids: tuple[int, ...]) -> list[float]:
     """Vectorized product over the mid primes for every r in 2..r_max.
 
     The per-element factor construction nudges after each operation, as the
@@ -166,6 +166,6 @@ def build_moment_table(y: int, r_max: int) -> MomentTable:
         raise UnsupportedParameterError(
             f"r_max must be at most {MAX_ORDER}, got {r_max}"
         )
-    values = _bulk_values(y, r_max, _mid_primes(y))
+    values = _bulk_values(r_max, _mid_primes(y))
     values[1] = moment_r1_exact(y)
     return MomentTable(y=y, r_max=r_max, values=tuple(values))
