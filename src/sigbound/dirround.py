@@ -16,9 +16,10 @@ be nonnegative. `DirScalar` labels a finished value with
 its side; it carries no arithmetic of its own.
 
 The numpy kernels `ulp_up` / `ulp_dn` take the same one-ULP step on whole
-float64 arrays, in place, through the int64 view of the bits, and
+float64 arrays, in place, through the int64 view of the bits;
 `exact_sum` gives the correctly rounded sum of an array of nonnegative
-doubles, so that a directed total is that sum stepped one ULP to its side.
+doubles, so that a directed total is that sum stepped one ULP to its side;
+and `exp_up` bounds e^v from above for a whole array of exponents.
 """
 from __future__ import annotations
 
@@ -229,31 +230,44 @@ class DirScalar:
 # certified exp and log
 # ---------------------------------------------------------------------------
 
-def _exp_up_core(v: float) -> float:
-    """Upper bound on e^v for 0 <= v <= 1: degree-8 Taylor sum plus the
-    remainder bound e*v^9/9! (valid since the tail is <= v^9/9! * e^v)."""
-    s = up_div(v, 8.0)
-    for k in (7.0, 6.0, 5.0, 4.0, 3.0, 2.0):
-        s = up_mul(up_add(s, 1.0), up_div(v, k))
-    s = up_add(up_mul(up_add(s, 1.0), v), 1.0)
-    v3 = up_mul(up_mul(v, v), v)
-    v9 = up_mul(up_mul(v3, v3), v3)
-    return up_add(s, up_div(up_mul(_E_UP, v9), _FACT9))
+def exp_up(v) -> np.ndarray:
+    """Upper bounds on e^v, elementwise, for an array of v >= 0 (+inf
+    included); returns a new float64 array and leaves v as it was.
 
-
-def exp_up_wide(v: float) -> float:
-    """Upper bound on e^v for any v >= 0; halve into [0, 1/16], then square."""
-    if v < 0.0:
-        raise InvalidParameterError(f"exp_up_wide needs v >= 0, got {v}")
-    if math.isinf(v):
-        return _INF
-    k = 0
-    while v > 0.0625:
-        v *= 0.5  # exact: halving a normal double
-        k += 1
-    s = _exp_up_core(v)
-    for _ in range(k):
-        s = up_mul(s, s)
+    Each element is halved k times into [0, 1/16], k the least such, summed
+    there as the degree-8 Taylor polynomial plus the remainder bound
+    e*v^9/9! (valid since the tail is <= v^9/9! * e^v), and squared k times.
+    Every operation takes one ULP step up, so each element is what the same
+    sequence of scalar `up_*` steps gives (`tests/oracles.py` keeps that
+    scalar form).
+    """
+    v = np.array(v, dtype=np.float64, ndmin=1)
+    if not np.all(v >= 0.0):
+        raise InvalidParameterError("exp_up needs every v >= 0")
+    inf = np.isinf(v)
+    v[inf] = 0.0
+    k = np.zeros(v.shape, dtype=np.int64)
+    big = v > 0.0625
+    while big.any():
+        v[big] *= 0.5  # exact: halving a normal double
+        k += big
+        big = v > 0.0625
+    s = ulp_up(v / 8.0)
+    for d in (7.0, 6.0, 5.0, 4.0, 3.0, 2.0):
+        s = ulp_up(ulp_up(s + 1.0) * ulp_up(v / d))
+    s = ulp_up(ulp_up(ulp_up(s + 1.0) * v) + 1.0)
+    v3 = ulp_up(ulp_up(v * v) * v)
+    v9 = ulp_up(ulp_up(v3 * v3) * v3)
+    s = ulp_up(s + ulp_up(ulp_up(_E_UP * v9) / _FACT9))
+    rounds = 0
+    square = k > 0
+    while square.any():
+        with np.errstate(over="ignore"):  # +inf is a valid upper bound
+            np.multiply(s, s, out=s, where=square)
+        ulp_up(s, square)
+        rounds += 1
+        square = k > rounds
+    s[inf] = _INF
     return s
 
 

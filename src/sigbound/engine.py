@@ -44,7 +44,6 @@ from .dirround import (
     UP,
     DirScalar,
     dn_add,
-    dn_sub,
     exact_sum,
     next_dn,
     next_up,
@@ -53,11 +52,10 @@ from .dirround import (
     ulp_dn,
     ulp_up,
     up_add,
-    up_div,
     up_sub,
 )
 from .errors import InvalidCellError, InvalidParameterError
-from .moments import MomentTable, build_moment_table, check_y
+from .moments import MomentTable, bound_curves, build_moment_table, check_y
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -153,79 +151,6 @@ _CHUNK = 1 << 14
 _F63 = float(2**63 - 1024)
 
 
-def _bound_curves(table: MomentTable, q: np.ndarray):
-    """The bound-ratio curves at the ratios q.
-
-    q is a non-decreasing float64 array with q[0] > 1. For each q[i] and any
-    cell ratio q' >= q[i] the upper curve satisfies
-    min_r (M(r)-1)/(q'^r-1) <= ru[i] and the lower curve
-    max_r (1 - (M(r)-1)/(q'^r-1)) >= rl[i], because both expressions are
-    monotone in q'. On the engine's grid one lookup per cell then replaces
-    the whole r search, at a tightness cost bounded by the grid spacing
-    (4e-5 in log q). rl is taken from ru once, after the r loop: 1 - c
-    stepped down is monotone in c, so the best lower candidate belongs to
-    the best upper one.
-
-    Order r caps q^r at c_r = min(1e9 M(r), 1e300). q^r is rounded down and
-    non-decreasing along q, so the points where it reaches c_r form a
-    suffix, and there the candidate is the one scalar (M(r)-1)/(c_r-1).
-    Hence q^r is only carried on the prefix that this or a later order can
-    read below its cap, and each capped scalar goes to the first point of
-    its suffix in `tail`; one running min spreads them after the loop.
-
-    Returns the arrays (ru, rl), ru non-increasing and rl non-decreasing.
-    """
-    n = q.size
-    # orders only saturate upward: stop at the first non-finite one
-    lam = np.array(table.values[1:])
-    stop = np.flatnonzero(~np.isfinite(lam))
-    if stop.size:
-        lam = lam[: stop[0]]
-    r = np.arange(1, lam.size + 1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cap = np.minimum(1e9 * lam, 1e300)
-        # q >= bound makes the DOWN-stepped q^r reach the cap: each of the
-        # r-1 multiplies loses less than a factor 1 - 2^-51 (half an ULP of
-        # rounding, one ULP of step), and 2^-36 in the exponent covers the
-        # rounding of log, exp and the division
-        bound = np.exp((np.log(cap) - (r - 1) * math.log1p(-2.0**-51)) / r + 2.0**-36)
-        reach = np.searchsorted(q, bound) + 1
-        # later orders may reach further: keep what any of them still reads
-        keep = np.minimum(np.maximum.accumulate(reach[::-1])[::-1], n)
-        top = int(keep[0]) if keep.size else 0
-        qr = q[:top].copy()  # q^r rounded down, on the prefix still read
-        ru = np.ones(n)
-        # tail[k]: the least capped scalar of the orders whose capped suffix
-        # starts at point k (k = n when no point reaches the cap)
-        tail = np.ones(n + 1)
-        den = np.empty(top)
-        cand = np.empty(top)
-        for i in range(lam.size):
-            m = int(keep[i])
-            if i:
-                head = qr[:m]
-                np.multiply(head, q[:m], out=head)
-                ulp_dn(head)
-            c = float(cap[i])
-            k = int(np.searchsorted(qr[:m], c))  # qr[:k] < c <= qr[k:m]
-            if k == m < n:
-                raise AssertionError("q^r fell short of its cap at the reach bound; this is a bug")
-            num = next_up(float(lam[i]) - 1.0)
-            d, cd = den[:k], cand[:k]
-            np.subtract(qr[:k], 1.0, out=d)
-            ulp_dn(d)  # d >= +0.0, and num > 0, so d = +0.0 gives cd = +inf
-            np.divide(num, d, out=cd)
-            ulp_up(cd)
-            np.minimum(ru[:k], cd, out=ru[:k])
-            dcap = dn_sub(c, 1.0)
-            if dcap > 0.0:
-                tail[k] = min(tail[k], up_div(num, dcap))
-    np.minimum.accumulate(tail, out=tail)
-    np.minimum(ru, tail[:n], out=ru)
-    rl = ulp_dn(1.0 - ru)  # ru <= 1, and ru = 1 gives rl = 0
-    return ru, rl
-
-
 class _Consts(NamedTuple):
     """The z-independent engine state: the odd primes <= y, the directed
     density base prod (p-2)/p over them, and the ratio curves.
@@ -248,19 +173,24 @@ class _Consts(NamedTuple):
 
 def _engine_consts(table: MomentTable) -> _Consts:
     odd = tuple(primes_upto(table.y).tolist()[1:])
-    base = Fraction(1)
+    num, den = 1, 1
     for p in odd:
-        base *= Fraction(p - 2, p)
-    g = np.geomspace(_GRID_LO, _GRID_HI, _GRID_SIZE)
+        num *= p - 2
+        den *= p
+    n = _GRID_SIZE
+    edges = np.empty(n + 2)
+    edges[0], edges[-1] = -np.inf, np.inf
+    g = edges[1:-1]
+    g[:] = np.geomspace(_GRID_LO, _GRID_HI, n)
     np.maximum.accumulate(g, out=g)  # guard monotonicity at the ulp level
-    ru, rl = _bound_curves(table, g)
+    ru, rl = bound_curves(table, g)
     return _Consts(
         odd=odd,
-        base_dn=ratio_dn(base.numerator, base.denominator),
-        base_up=ratio_up(base.numerator, base.denominator),
-        edges=_read_only(np.concatenate(([-np.inf], g, [np.inf]))),
+        base_dn=ratio_dn(num, den),
+        base_up=ratio_up(num, den),
+        edges=_read_only(edges),
         lg0=math.log(g[0]),
-        inv_step=(g.size - 1) / math.log(g[-1] / g[0]),
+        inv_step=(n - 1) / math.log(g[-1] / g[0]),
         ru_at=_read_only(np.concatenate(([1.0], ru))),
         rl_at=_read_only(np.concatenate(([0.0], rl))),
     )

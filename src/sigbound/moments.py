@@ -10,6 +10,14 @@ the discarded tail. Both the 65536 ceiling and the correction constant
 why y must stay below the ceiling.
 
 Every evaluation is UP-directed so the tabulated numbers are certificates.
+The loop over the orders steps its reused buffers by a bare +1 or -1 on
+their int64 view, without the clamps of ulp_up / ulp_dn, which cannot act
+before an order saturates (see _bulk_values); the tail factors of all
+orders come from one dirround.exp_up pass.
+
+bound_curves turns a table into the per-cell bound: min over r of
+(M(r)-1)/(q^r-1), and 1 minus it, at any non-decreasing array of ratios
+q > 1. The engine evaluates it once, on its grid.
 """
 from __future__ import annotations
 
@@ -23,7 +31,8 @@ import numpy as np
 from .arith import primes_upto
 from .dirround import (
     ZETA2_UP,
-    exp_up_wide,
+    dn_sub,
+    exp_up,
     log_up,
     next_up,
     pow_dn,
@@ -64,15 +73,12 @@ class MomentTable:
     def roots(self) -> tuple[float, ...]:
         """The r-th roots of values[r], computed on first access: the
         engine never reads them."""
-        roots = [math.nan] * (self.r_max + 1)
-        roots[1] = self.values[1]
-        for r in range(2, self.r_max + 1):
-            v = self.values[r]
-            if not math.isfinite(v):
-                roots[r] = math.inf
-                continue
-            v = max(v, 1.0)
-            root = exp_up_wide(up_div(log_up(v), float(r)))
+        vals = self.values
+        roots = [math.nan, vals[1]] + [math.inf] * (self.r_max - 1)
+        orders = [r for r in range(2, self.r_max + 1) if math.isfinite(vals[r])]
+        expo = [up_div(log_up(max(vals[r], 1.0)), float(r)) for r in orders]
+        for r, root in zip(orders, exp_up(expo).tolist()):
+            v = max(vals[r], 1.0)
             # certify root^r >= value by DOWN-powering; bump if rounding fell short
             while pow_dn(root, r) < v:
                 root = next_up(root)
@@ -107,28 +113,40 @@ def moment_r1_exact(y: int) -> float:
     return acc
 
 
-def _tail_factor(r: int) -> float:
-    """UP bound on exp(_TAIL_RATE * r)."""
-    return exp_up_wide(up_mul(ratio_up(_TAIL_RATE.numerator, _TAIL_RATE.denominator), float(r)))
+def _tail_factors(r_max: int) -> np.ndarray:
+    """UP bounds on exp(_TAIL_RATE * r) for r = 0..r_max, in one array."""
+    rate = ratio_up(_TAIL_RATE.numerator, _TAIL_RATE.denominator)
+    return exp_up(ulp_up(rate * np.arange(r_max + 1, dtype=np.float64)))
 
 
 def _bulk_values(r_max: int, mids: tuple[int, ...]) -> list[float]:
     """Vectorized product over the mid primes for every r in 2..r_max.
 
-    The per-element factor construction nudges after each operation, as the
-    scalar reference in tests/oracles.py does; every nudge is a one-ULP step
-    of a fresh nonnegative array (ulp_up / ulp_dn). (1+1/p)^r may overflow to
-    +inf, which stays +inf, and (1-1/p)^(r-1) may underflow to +0.0, which
-    stays +0.0 and makes t2 = r/den infinite. The reduction across primes
-    uses round-to-nearest multiplies, so the result is inflated by
-    (1+u)^(m-1) <= 1 + 2(m-1)u (u = 2^-53, m*u << 1), with a doubled margin
-    for safety.
+    The per-element factor construction takes a one-ULP step after each
+    operation, as the scalar reference in tests/oracles.py does. The setup
+    steps through the clamped ulp_up / ulp_dn; the eight steps per order in
+    the loop are bare, a +1 or -1 on the int64 view of a reused buffer. A
+    bare step equals the clamped one everywhere but at +inf (up) and +0.0
+    (down), where it gives a NaN instead of holding the value. Every value
+    in the loop stays finite and above +0.0 up to the first order whose
+    product is not finite, so there the bits are those of the clamped steps.
+    That order is the one where (1+1/p)^r overflows, (1-1/p)^(r-1)
+    underflows to +0.0 (so r/den overflows), or f or the product overflows.
+    There the clamped steps give +inf where the bare ones give a NaN; every
+    buffer reaches f through arithmetic, so either one makes the product
+    non-finite, and the same order saturates.
+
+    The reduction across primes uses round-to-nearest multiplies, so the
+    result is inflated by (1+u)^(m-1) <= 1 + 2(m-1)u (u = 2^-53, m*u << 1),
+    with a doubled margin for safety. The products, that slack and the tail
+    factors meet in one array pass after the loop.
     """
-    out = [math.nan] * (r_max + 1)
+    tails = _tail_factors(r_max)
     if not mids:
-        for r in range(2, r_max + 1):
-            out[r] = _tail_factor(r)
-        return out
+        values = tails.tolist()
+        values[0] = values[1] = math.nan
+        return values
+    prods = np.full(r_max + 1, np.inf)  # the orders the loop leaves saturate
     p = np.array(mids, dtype=np.float64)  # mid primes are exact in a double
     inv_up = ulp_up(1.0 / p)
     base_up = ulp_up(1.0 + inv_up)  # >= 1 + 1/p
@@ -139,22 +157,39 @@ def _bulk_values(r_max: int, mids: tuple[int, ...]) -> list[float]:
     slack = 1.0 + 4.0 * len(mids) * 2.0**-53
     u = base_up.copy()  # (1+1/p)^r, UP, currently r = 1
     w = np.ones_like(p)  # (1-1/p)^(r-1), DOWN, currently r = 1
+    t1 = np.empty_like(p)
+    t2 = np.empty_like(p)
+    f = np.empty_like(p)
+    u_b, w_b, t1_b, t2_b, f_b = (a.view(np.int64) for a in (u, w, t1, t2, f))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for r in range(2, r_max + 1):
-            u = ulp_up(u * base_up)
-            w = ulp_dn(w * base_dn)
-            t1 = ulp_up(ulp_up(u - 1.0) / p)
-            den = ulp_dn(pden_dn * w)
-            t2 = ulp_up(float(r) / den)  # den = +0.0 gives +inf
-            f = ulp_up(ulp_up(t1 + t2) + 1.0)
+            np.multiply(u, base_up, out=u)
+            u_b += 1  # u > 1; NaN once u overflows
+            np.multiply(w, base_dn, out=w)
+            w_b -= 1  # w > 0; NaN once w underflows to +0.0
+            np.subtract(u, 1.0, out=t1)
+            t1_b += 1  # u - 1 > 0, as u >= 1 + 1/p
+            np.divide(t1, p, out=t1)
+            t1_b += 1  # finite and > 0 while u is finite
+            np.multiply(pden_dn, w, out=t2)  # den
+            t2_b -= 1  # den >= w > 0, as pden_dn > 1
+            np.divide(float(r), t2, out=t2)  # t2 = r / den
+            t2_b += 1  # NaN once r / den overflows
+            np.add(t1, t2, out=f)
+            f_b += 1  # t1 + t2 > 0; NaN once it overflows
+            f += 1.0
+            f_b += 1  # as for t1 + t2
             prod = float(np.multiply.reduce(f))
             if not math.isfinite(prod):
-                # each directed step is monotone, so every factor, and with
-                # it the product, only grows with r: all later orders overflow
-                out[r:] = [math.inf] * (r_max + 1 - r)
+                # each directed step is monotone, so every factor, and
+                # with it the product, only grows with r: all later
+                # orders overflow too
                 break
-            out[r] = up_mul(up_mul(prod, slack), _tail_factor(r))
-    return out
+            prods[r] = prod
+    ulp_up(np.multiply(prods, slack, out=prods))
+    values = ulp_up(np.multiply(prods, tails, out=prods)).tolist()
+    values[0] = values[1] = math.nan
+    return values
 
 
 def build_moment_table(y: int, r_max: int) -> MomentTable:
@@ -169,3 +204,92 @@ def build_moment_table(y: int, r_max: int) -> MomentTable:
     values = _bulk_values(r_max, _mid_primes(y))
     values[1] = moment_r1_exact(y)
     return MomentTable(y=y, r_max=r_max, values=tuple(values))
+
+
+def bound_curves(table: MomentTable, q: np.ndarray):
+    """The bound-ratio curves at the ratios q.
+
+    q is a non-decreasing float64 array with q[0] > 1. For each q[i] and any
+    cell ratio q' >= q[i] the upper curve satisfies
+    min_r (M(r)-1)/(q'^r-1) <= ru[i] and the lower curve
+    max_r (1 - (M(r)-1)/(q'^r-1)) >= rl[i], because both expressions are
+    monotone in q'. On the engine's grid one lookup per cell then replaces
+    the whole r search, at a tightness cost bounded by the grid spacing
+    (4e-5 in log q). rl is taken from ru once, after the r loop: 1 - c
+    stepped down is monotone in c, so the best lower candidate belongs to
+    the best upper one.
+
+    Order r caps q^r at c_r = min(1e9 M(r), 1e300). q^r is rounded down and
+    non-decreasing along q, so the points where it reaches c_r form a
+    suffix, and there the candidate is the one scalar (M(r)-1)/(c_r-1).
+    Hence q^r is only carried on the prefix that this or a later order can
+    read below its cap, and each capped scalar goes to the first point of
+    its suffix in `tail`; one running min spreads them after the loop.
+
+    Two of the three steps per order are bare int64 steps, each where the
+    clamp of ulp_dn cannot act (it acts only at +0.0): q^r >= q > 1, and
+    q^r - 1 >= q[0] - 1 > 0, exactly. The quotient (M(r)-1)/(q^r-1) may
+    overflow, so it steps through the clamped ulp_up, which holds +inf.
+
+    Returns the arrays (ru, rl), ru non-increasing and rl non-decreasing.
+    """
+    ru = _upper_curve(table, q)
+    return ru, ulp_dn(1.0 - ru)  # ru <= 1, and ru = 1 gives rl = 0
+
+
+def _upper_curve(table: MomentTable, q: np.ndarray) -> np.ndarray:
+    """ru of bound_curves; its work buffers are freed before rl is made."""
+    n = q.size
+    # orders only saturate upward: stop at the first non-finite one
+    lam = np.array(table.values[1:])
+    stop = np.flatnonzero(~np.isfinite(lam))
+    if stop.size:
+        lam = lam[: stop[0]]
+    r = np.arange(1, lam.size + 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cap = np.minimum(1e9 * lam, 1e300)
+        # q >= bound makes the DOWN-stepped q^r reach the cap: each of the
+        # r-1 multiplies loses less than a factor 1 - 2^-51 (half an ULP of
+        # rounding, one ULP of step), and 2^-36 in the exponent covers the
+        # rounding of log, exp and the division
+        bound = np.exp((np.log(cap) - (r - 1) * math.log1p(-2.0**-51)) / r + 2.0**-36)
+        reach = np.searchsorted(q, bound) + 1
+        # later orders may reach further: keep what any of them still reads
+        keep = np.minimum(np.maximum.accumulate(reach[::-1])[::-1], n)
+        top = int(keep[0]) if keep.size else 0
+        qr = q[:top].copy()  # q^r rounded down, on the prefix still read
+        ru = np.ones(n)
+        # tail[k]: the least capped scalar of the orders whose capped suffix
+        # starts at point k (k = n when no point reaches the cap)
+        tail = np.ones(n + 1)
+        cand = np.empty(top)
+        qr_b, cand_b = qr.view(np.int64), cand.view(np.int64)
+        for i in range(lam.size):
+            m = int(keep[i])
+            if i:
+                head = qr[:m]
+                np.multiply(head, q[:m], out=head)
+                # bare step down: q^r >= q > 1 is never +0.0, the one value
+                # where ulp_dn's clamp acts (+inf steps to the largest
+                # finite double either way)
+                qr_b[:m] -= 1
+            c = float(cap[i])
+            k = int(np.searchsorted(qr[:m], c))  # qr[:k] < c <= qr[k:m]
+            if k == m < n:
+                raise AssertionError("q^r fell short of its cap at the reach bound; this is a bug")
+            num = next_up(float(lam[i]) - 1.0)
+            cd = cand[:k]
+            np.subtract(qr[:k], 1.0, out=cd)
+            # bare step down: q^r - 1 >= q[0] - 1 > 0, exactly, so the
+            # stepped d is above +0.0
+            cand_b[:k] -= 1
+            np.divide(num, cd, out=cd)
+            # clamped: num / d may overflow to +inf, which must stay +inf
+            ulp_up(cd)
+            np.minimum(ru[:k], cd, out=ru[:k])
+            dcap = dn_sub(c, 1.0)
+            if dcap > 0.0:
+                tail[k] = min(tail[k], up_div(num, dcap))
+    np.minimum.accumulate(tail, out=tail)
+    np.minimum(ru, tail[:n], out=ru)
+    return ru

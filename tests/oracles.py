@@ -32,7 +32,7 @@ from sigbound.dirround import (
 )
 from sigbound.engine import _GRID_HI, _GRID_LO, _GRID_SIZE, _float_dir, _Rows
 from sigbound.errors import InvalidParameterError
-from sigbound.moments import _mid_primes, _tail_factor, check_y
+from sigbound.moments import _TAIL_RATE, _mid_primes, check_y
 
 
 def ratio_grids_per_r(table, q=None):
@@ -41,10 +41,10 @@ def ratio_grids_per_r(table, q=None):
     point and order, clamped at 1e300, and both curves are updated inside
     the r loop.
 
-    `engine._bound_curves` takes rl from ru after the loop, carries q^r
-    only on the prefix some order can read below its cap, and spreads the
-    capped candidates with one running min; all of that must leave every
-    bit as this form has it.
+    `moments.bound_curves` takes rl from ru after the loop, carries q^r
+    only on the prefix some order can read below its cap, spreads the
+    capped candidates with one running min, and steps q^r and q^r - 1
+    without a clamp; all of that must leave every bit as this form has it.
     """
     vals = table.values
     inf = np.inf
@@ -109,6 +109,39 @@ def flt_dn(n):
     """Largest double <= n (int-to-float conversions round to nearest)."""
     f = float(n)
     return f if f <= n else math.nextafter(f, -math.inf)
+
+
+_E_UP = math.nextafter(math.e, math.inf)
+
+
+def exp_up_wide(v):
+    """Upper bound on e^v for one v >= 0, the scalar form of
+    `dirround.exp_up`: halve into [0, 1/16], sum the degree-8 Taylor
+    polynomial plus the remainder bound e*v^9/9!, then square."""
+    if v < 0.0:
+        raise InvalidParameterError(f"exp_up_wide needs v >= 0, got {v}")
+    if math.isinf(v):
+        return math.inf
+    k = 0
+    while v > 0.0625:
+        v *= 0.5
+        k += 1
+    s = up_div(v, 8.0)
+    for d in (7.0, 6.0, 5.0, 4.0, 3.0, 2.0):
+        s = up_mul(up_add(s, 1.0), up_div(v, d))
+    s = up_add(up_mul(up_add(s, 1.0), v), 1.0)
+    v3 = up_mul(up_mul(v, v), v)
+    v9 = up_mul(up_mul(v3, v3), v3)
+    s = up_add(s, up_div(up_mul(_E_UP, v9), 362880.0))
+    for _ in range(k):
+        s = up_mul(s, s)
+    return s
+
+
+def tail_factor(r):
+    """UP bound on exp(1.6623114e-6 * r), the tail correction of order r."""
+    rate = ratio_up(_TAIL_RATE.numerator, _TAIL_RATE.denominator)
+    return exp_up_wide(up_mul(rate, float(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,4 +481,4 @@ def moment_upper(y, r, mids=None):
             acc = math.inf
             break
         acc = up_mul(acc, up_add(1.0, up_add(t1, up_div(float(r), den))))
-    return up_mul(acc, _tail_factor(r))
+    return up_mul(acc, tail_factor(r))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dn_div, pow_up
+from oracles import dn_div, exp_up_wide, pow_up
 from sigbound import dirround, engine
 from sigbound.dirround import (
     ZETA2_UP,
@@ -15,7 +15,7 @@ from sigbound.dirround import (
     dn_mul,
     dn_sub,
     exact_sum,
-    exp_up_wide,
+    exp_up,
     log_up,
     pow_dn,
     ratio_dn,
@@ -77,20 +77,45 @@ class TestDirPow:
             assert Fraction(pow_up(hi, r)) >= exact
 
 
+def exp_up_one(x) -> float:
+    return float(exp_up([x])[0])
+
+
 class TestExpUpper:
     def test_correction_scale_value(self):
-        v = exp_up_wide(1.6623114e-6 * 2000)
+        v = exp_up_one(1.6623114e-6 * 2000)
         assert 1.003330 <= v <= 1.003336
 
     def test_half(self):
-        v = exp_up_wide(0.5)
+        v = exp_up_one(0.5)
         assert v >= 1.648721
         assert v >= math.exp(0.5)
         assert v <= math.exp(0.5) + 1e-7
 
     def test_domain(self):
-        with pytest.raises(InvalidParameterError):
-            exp_up_wide(-0.1)
+        for bad in (-0.1, -math.inf, math.nan):
+            with pytest.raises(InvalidParameterError):
+                exp_up([1.0, bad])
+
+    def test_matches_the_scalar_form_bit_for_bit(self):
+        # every number of halvings from 0 to 14, both sides of each
+        # halving threshold 2^j / 16, subnormals, overflow and +inf
+        edges = [2.0**j / 16 for j in range(-1, 15)]
+        rng = np.random.default_rng(3)
+        x = np.concatenate([
+            [0.0, 5e-324, 2.2e-308, 1e-300, 709.78, 710.0, 1e300, math.inf],
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf),
+            rng.uniform(0.0, 0.0625, 500), rng.uniform(0.0, 800.0, 500),
+        ])
+        want = np.array([exp_up_wide(float(v)) for v in x])
+        got = exp_up(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_input_left_as_it_was(self):
+        x = np.array([0.5, 3.0, math.inf])
+        exp_up(x)
+        assert x.tolist() == [0.5, 3.0, math.inf]
+        assert exp_up([]).shape == (0,)
 
     def test_upper_property_on_grid(self):
         import mpmath as mp
@@ -98,7 +123,7 @@ class TestExpUpper:
         mp.mp.dps = 40
         for k in range(0, 101):
             x = k / 100.0
-            assert exp_up_wide(x) >= mp.exp(x)
+            assert exp_up_one(x) >= mp.exp(x)
 
 
 class TestWideExpLog:
@@ -120,7 +145,7 @@ class TestWideExpLog:
         rng = random.Random(12)
         for _ in range(300):
             x = rng.uniform(0.0, 700.0)
-            eu = exp_up_wide(x)
+            eu = exp_up_one(x)
             assert eu >= mp.exp(x)
             # ~14 halve-and-square rounds double the core slack each time
             assert eu <= float(mp.exp(x)) * (1 + 1e-9)
@@ -129,7 +154,7 @@ class TestWideExpLog:
         # exp(log(v)/r) upper bound really dominates the r-th root
         for v in (1.5, 10.0, 1e6, 1e300):
             for r in (2, 7, 100):
-                root = exp_up_wide(up_div(log_up(v), float(r)))
+                root = exp_up_one(up_div(log_up(v), float(r)))
                 assert pow_up(root, r) >= v * (1 - 1e-9)
                 assert root >= v ** (1.0 / r) * (1 - 1e-12)
 
@@ -196,6 +221,21 @@ class TestUlpKernels:
         assert ulp_up(np.array([math.inf]))[0] == math.inf
         assert ulp_dn(np.array([0.0]))[0] == 0.0
         assert ulp_dn(np.array([math.inf]))[0] == 1.7976931348623157e308
+
+    def test_bare_steps_past_the_domain_give_nan(self):
+        # the moment-table loop steps its buffers by a bare +1 or -1 on the
+        # int64 view: +inf stepped up and +0.0 stepped down must come out
+        # NaN, and a NaN factor must make the product non-finite
+        x = np.array([math.inf, 0.0])
+        bits = x.view(np.int64)
+        bits[0] += 1
+        bits[1] -= 1
+        assert np.isnan(x).all()
+        for bad in x:
+            for other in (0.0, 1.5, math.inf):
+                f = np.array([1.5] * 20 + [other, bad, 2.0])
+                with np.errstate(invalid="ignore"):
+                    assert not math.isfinite(float(np.multiply.reduce(f)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(domain_floats, min_size=1, max_size=64))

@@ -4,12 +4,15 @@ curves.
 The totals and tables were taken from the engine as it stood before its
 numpy kernels switched from np.nextafter and math.fsum to the int64-view ULP
 steps and exact_sum of `sigbound.dirround`; the curve digests from the grid
-build that still stepped q^r over every grid point below 1e300. Any change
+build that still stepped q^r over every grid point below 1e300; the
+y = 353, r_max = 8200 table digest from the table loop that still clamped
+every step and evaluated each order's tail factor on its own. Any change
 of the rounding path that moves one bit of a total, a table entry or a curve
 point fails here. A digest is cheap where the full-grid oracle
 (`oracles.ratio_grids_per_r`) takes seconds.
 """
 import hashlib
+import math
 import struct
 
 import pytest
@@ -66,6 +69,14 @@ def test_table_y2_saturating():
     table = build_moment_table(2, 3000)
     assert table.values[3000] == float("inf")
     assert table_digest(table) == "b42d9634023a461fc9c788b7c4228a06e1232195b7fc7c0a0ea6568ad02c1b8d"
+
+
+def test_table_y353_product_overflow():
+    # neither factor saturates here: the product over the mid primes
+    # overflows first, at r = 8159
+    table = build_moment_table(353, 8200)
+    assert math.isfinite(table.values[8158]) and table.values[8159] == math.inf
+    assert table_digest(table) == "96b323a0a3d25e786fde3ed9d7788c6d6eb3fc86c674f292583c9f5ab8797d67"
 
 
 def test_table_y157():

@@ -13,7 +13,7 @@ from oracles import abundancy, enumerate_cells, factorize, ratio_grids_per_r
 from sigbound import engine
 from sigbound.engine import cell_density, run_bounds
 from sigbound.errors import InvalidParameterError
-from sigbound.moments import MomentTable, build_moment_table
+from sigbound.moments import MomentTable, bound_curves, build_moment_table
 
 
 def grid_curves(table):
@@ -104,7 +104,7 @@ def short_ratios(seed):
 
 
 def assert_curves_match_the_oracle(table, q):
-    ru, rl = engine._bound_curves(table, q)
+    ru, rl = bound_curves(table, q)
     _, want_ru, want_rl = ratio_grids_per_r(table, q)
     assert np.array_equal(ru.view(np.int64), want_ru.view(np.int64))
     assert np.array_equal(rl.view(np.int64), want_rl.view(np.int64))
@@ -123,6 +123,17 @@ def test_bound_curves_carry_the_prefix_a_later_order_reads():
     vals = [1.5] * 20 + [4.0**r for r in range(21, 31)]
     table = MomentTable(y=3, r_max=30, values=(math.nan, *vals))
     assert_curves_match_the_oracle(table, short_ratios(0))
+
+
+def test_bound_curves_hold_an_overflowing_candidate_at_inf():
+    # M(r) near 1e305 over q^r - 1 near 1e-9 overflows (M(r)-1)/(q^r-1) to
+    # +inf; its step up must keep +inf (a bare int64 step gives a NaN)
+    vals = [1e305, 1.5, 3e305, 2.0, 1e305]
+    table = MomentTable(y=3, r_max=5, values=(math.nan, *vals))
+    q = np.concatenate([1.0 + 2.0**-30 * np.arange(1, 21), [1.5, 2.0, 40.0]])
+    with np.errstate(over="ignore"):
+        assert (vals[0] - 1.0) / (q[0] - 1.0) == math.inf
+    assert_curves_match_the_oracle(table, q)
 
 
 def test_grid_slot_is_searchsorted_right(table_y31_r200):

@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from oracles import moment_upper
+from oracles import moment_upper, tail_factor
+from sigbound import moments
 from sigbound.arith import primes_upto
-from sigbound.dirround import pow_dn
+from sigbound.dirround import pow_dn, ratio_up, up_mul
 from sigbound.errors import InvalidParameterError, UnsupportedParameterError
 from sigbound.moments import MAX_ORDER, PRIME_CEILING, build_moment_table, moment_r1_exact
 
@@ -156,6 +158,19 @@ class TestBuildTable:
         t = build_moment_table(2, 3000)
         assert not math.isfinite(t.values[3000])
         assert t.roots[3000] == math.inf
+
+    def test_tail_factors_match_the_scalar_form(self):
+        # r = 37,599 is the first order whose exponent passes 1/16, so the
+        # orders above it take exp_up's halve-and-square path
+        rate = ratio_up(16623114, 10**13)
+        assert up_mul(rate, 37598.0) <= 0.0625 < up_mul(rate, 37599.0)
+        got = moments._tail_factors(40_000)[1:]
+        want = np.array([tail_factor(r) for r in range(1, 40_001)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_empty_product_is_the_tail_factor(self):
+        t = build_moment_table(65521, 30)
+        assert [t.values[r] for r in range(2, 31)] == [tail_factor(r) for r in range(2, 31)]
 
     def test_orders_above_the_ceiling_are_unsupported(self):
         # checked before any order is tabulated, so a huge r_max fails at once

@@ -31,6 +31,9 @@ _ALL = {
 # (a, b, y) as ints and returns the Fraction, and arith.primes_upto is the one
 # prime sieve (it was counting._primes_upto); _check_y is moments.check_y, and
 # _check_sieve is part of counting's block driver.
+# exp_up_wide, _exp_up_core, _tail_factor: dirround.exp_up is the one
+# directed exp, over arrays, and the scalar form is an oracle;
+# _bound_curves is moments.bound_curves.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
@@ -47,6 +50,7 @@ _REMOVED = (
     "_WORKER_STATE", "_worker_init", "_worker_run",
     "PrimeTable", "FactoredSmooth", "CellDensity", "split_smooth", "sieve_primes",
     "_validate_factored", "_cell_arg", "_primes_upto", "_check_y", "_check_sieve",
+    "exp_up_wide", "_exp_up_core", "_tail_factor", "_bound_curves",
 )
 
 # Methods dropped along with the code that called them. The table holds
