@@ -17,11 +17,7 @@ from typing import Optional, Sequence
 
 from .counting import count_sigma_ge, moment_sum
 from .engine import cell_density, run_bounds
-from .errors import (
-    InvalidCellError,
-    InvalidParameterError,
-    UnsupportedParameterError,
-)
+from .errors import InvalidParameterError, UnsupportedParameterError
 from .moments import build_moment_table
 
 _INT_RE = re.compile(r"(\d+)(?:[eE](\d+))?")
@@ -115,18 +111,12 @@ def _emit(payload: dict, lines: list[str], fmt: str) -> None:
 
 def _cmd_bounds(args) -> int:
     def progress(ev):
-        if ev.flush:
-            print(
-                f"flush: pairs={ev.pairs} "
-                f"lower>={_fmt_cert(ev.lower, True)} upper<={_fmt_cert(ev.upper, False)}",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"pairs={ev.pairs} a={ev.current_a} covered>={ev.covered:.6f} "
-                f"lower>={ev.lower:.8f} upper<={ev.upper:.8f}",
-                file=sys.stderr,
-            )
+        print(
+            f"{'flush' if ev.flush else 'progress'}: pairs={ev.pairs} "
+            f"covered>={_fmt_cert(ev.covered, True)} "
+            f"lower>={_fmt_cert(ev.lower, True)} upper<={_fmt_cert(ev.upper, False)}",
+            file=sys.stderr,
+        )
 
     report = run_bounds(
         args.y,
@@ -257,7 +247,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnsupportedParameterError as exc:
         print(f"unsupported parameter: {exc}", file=sys.stderr)
         return 3
-    except (InvalidParameterError, InvalidCellError) as exc:
+    except InvalidParameterError as exc:  # InvalidCellError included
         print(f"invalid parameter: {exc}", file=sys.stderr)
         return 2
 

@@ -38,12 +38,13 @@ int64 array from `arith.primes_upto`, 8 bytes per prime: 263 MB for x = 2e17.
 """
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .arith import primes_upto
+from .engine import check_cell
 from .errors import InvalidParameterError, UnsupportedParameterError
 from .moments import MAX_ORDER
 
@@ -312,16 +313,10 @@ def moment_sum(a: int, b: int, y: int, r: int, x: int) -> tuple[float, float]:
     Exact cell membership (largest y-smooth divisor equality) with float64
     power sums, which may overflow to inf; r = 0 degenerates to counting the
     cell. Oracle for the moment-mean asymptotics, so x is expected to stay
-    at desk scale. Blocks are sized as in `count_sigma_ge`.
+    at desk scale. The cell is checked as `cell_density` checks it
+    (`engine.check_cell`). Blocks are sized as in `count_sigma_ge`.
     """
-    if a < 1 or a % 2 == 0:
-        raise InvalidParameterError(f"a must be a positive odd integer, got {a}")
-    if b < 2 or b % 2 == 1:
-        raise InvalidParameterError(f"b must be a positive even integer, got {b}")
-    if gcd(a, b) != 1:
-        raise InvalidParameterError(f"a and b must be coprime, got {a}, {b}")
-    if y < 2:
-        raise InvalidParameterError(f"y must be >= 2, got {y}")
+    primes = check_cell(a, b, y)
     if r < 0:
         raise InvalidParameterError(f"r must be >= 0, got {r}")
     if r > MAX_ORDER:
@@ -329,7 +324,7 @@ def moment_sum(a: int, b: int, y: int, r: int, x: int) -> tuple[float, float]:
     total_odd = 0.0
     total_even = 0.0
     blocks = _blocks(x)
-    y_primes = primes_upto(min(y, 2 * x + 1)).tolist()  # the blocks end at 2x + 2
+    y_primes = [p for p in primes if p <= 2 * x + 1]  # the blocks end at 2x + 2
     for lo, hi, sieve in blocks:
         part = smooth_part_block(lo, hi, y, y_primes)
         mask = (part[1::2] == a) & (part[0::2] == b)

@@ -17,8 +17,9 @@ its side; it carries no arithmetic of its own.
 
 The numpy kernels `ulp_up` / `ulp_dn` take the same one-ULP step on whole
 float64 arrays, in place, through the int64 view of the bits;
-`exact_sum` gives the correctly rounded sum of an array of nonnegative
-doubles, so that a directed total is that sum stepped one ULP to its side;
+`exact_sum` gives the exact sum of an array of nonnegative doubles as an
+integer count of 2**-1074, so that totals add exactly in any order and a
+directed total is one `ratio_dn` / `ratio_up` of the count over 2**1074;
 and `exp_up` bounds e^v from above for a whole array of exponents.
 """
 from __future__ import annotations
@@ -48,10 +49,6 @@ _FACT9 = 362880.0  # 9!
 
 def next_up(x: float) -> float:
     return _nextafter(x, _INF)
-
-
-def next_dn(x: float) -> float:
-    return _nextafter(x, -_INF)
 
 
 def up_add(x: float, y: float) -> float:
@@ -164,20 +161,20 @@ def ulp_dn(x: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
 _SUM_MAX_TERMS = 1 << 26
 
 
-def exact_sum(x: np.ndarray) -> float:
-    """The sum of the float64 array x of finite doubles >= +0.0, correctly
-    rounded.
+def exact_sum(x: np.ndarray) -> int:
+    """The exact sum of the float64 array x of finite doubles >= +0.0, as
+    the integer n with sum = n * 2**-1074.
 
-    Each element is m * 2**e with m = frexp mantissa; M = m * 2**53 is an
-    integer below 2**53, cut into M = hi * 2**26 + lo. np.bincount sums hi
-    and lo per exponent e, exactly (see _SUM_MAX_TERMS). The buckets are
-    combined into one Python int and rounded once by integer true division,
-    which rounds to nearest, ties to even. The result is the double nearest
-    the exact sum, the value math.fsum returns (Shewchuk's algorithm,
-    correctly rounded), so the two agree bit for bit. An empty x sums to 0.0.
+    Every double is a whole multiple of 2**-1074, the smallest subnormal, so
+    n is an integer. Each element is m * 2**e with m = frexp mantissa;
+    M = m * 2**53 is an integer below 2**53, cut into M = hi * 2**26 + lo.
+    np.bincount sums hi and lo per exponent e, exactly (see _SUM_MAX_TERMS).
+    The buckets are combined into one Python int, and a shift by the
+    smallest exponent scales it to units of 2**-1074, dropping only zero
+    bits. An empty x sums to 0.
     """
     if x.size == 0:
-        return 0.0
+        return 0
     if x.size >= _SUM_MAX_TERMS:
         raise InvalidParameterError(f"exact_sum takes fewer than 2**26 terms, got {x.size}")
     bits = x.view(np.int64)
@@ -197,8 +194,10 @@ def exact_sum(x: np.ndarray) -> float:
     for k, h, lo_k in zip(nz.tolist(), hi_sums[nz].astype(np.int64).tolist(),
                           lo_sums[nz].astype(np.int64).tolist()):
         total += ((h << 26) + lo_k) << k
-    shift = e_min - 53  # the sum is total * 2**shift
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+    # the sum is total * 2**(e_min - 53), a whole multiple of 2**-1074, so
+    # a right shift (subnormals only) drops zero bits
+    shift = e_min - 53 + 1074
+    return total << shift if shift >= 0 else total >> -shift
 
 
 # ---------------------------------------------------------------------------

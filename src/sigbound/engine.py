@@ -12,17 +12,18 @@ density of the whole set.
 run_bounds evaluates the cells in numpy. It builds a table of even b values
 and the odd a side once per run, each row carrying its prime mask, directed
 density factor and directed abundancy, and cuts the candidate pairs (a, b)
-with b <= z // a into chunks at boundaries fixed by (y, z). Per chunk it
-drops the pairs whose masks intersect, computes each cell's directed terms,
-finds the grid slot of its abundancy ratio, and sums each total with
-exact_sum. The chunk sums merge in chunk order, computed inline or on a
-thread pool alike, so the bits do not depend on the thread count. The pool's
-threads share the tables, which are marked read-only.
+with b <= z // a into chunks. Per chunk it drops the pairs whose masks
+intersect, computes each cell's directed terms, finds the grid slot of its
+abundancy ratio, and sums each total exactly with exact_sum, as an integer
+count of 2**-1074. Integer addition is exact in any order, so the totals do
+not depend on the chunk cut or on the thread count. The pool's threads share
+the tables, which are marked read-only.
 
-Directed rounding discipline: lower quantities round DOWN, upper ones UP,
-each cell term takes a one-ULP step after every operation, and each chunk
-total is a correctly rounded sum stepped one ULP to its side, so the reported
-bracket is a certificate no matter how many cells were summed.
+Directed rounding discipline: lower quantities round DOWN, upper ones UP.
+Each cell term takes a one-ULP step after every operation; the totals over
+the cells are exact, and each reported number is rounded once, to its side,
+from them (see _directed). So the reported bracket is a certificate no
+matter how many cells were summed.
 """
 from __future__ import annotations
 
@@ -39,21 +40,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .arith import primes_upto
-from .dirround import (
-    DOWN,
-    UP,
-    DirScalar,
-    dn_add,
-    exact_sum,
-    next_dn,
-    next_up,
-    ratio_dn,
-    ratio_up,
-    ulp_dn,
-    ulp_up,
-    up_add,
-    up_sub,
-)
+from .dirround import DOWN, UP, DirScalar, exact_sum, ratio_dn, ratio_up, ulp_dn, ulp_up
 from .errors import InvalidCellError, InvalidParameterError
 from .moments import MomentTable, bound_curves, build_moment_table, check_y
 
@@ -64,7 +51,6 @@ from .moments import MomentTable, bound_curves, build_moment_table, check_y
 @dataclass(frozen=True)
 class ProgressEvent:
     pairs: int
-    current_a: int
     lower: float  # certified lower bound accumulated so far
     upper: float  # certified upper bound if the run stopped now (tail included)
     covered: float  # DOWN-directed covered mass so far
@@ -94,9 +80,10 @@ class BoundReport:
 # exact cell density
 # ---------------------------------------------------------------------------
 
-def cell_density(a: int, b: int, y: int) -> Fraction:
-    """Exact density of the cell (a, b) for the smoothness bound y:
-    (2/ab) prod_{p|ab}(1-1/p) prod_{p<=y, p∤ab}(1-2/p).
+def check_cell(a: int, b: int, y: int) -> list[int]:
+    """Check that (a, b) is a cell for the smoothness bound y: y is
+    supported (moments.check_y), a and b are positive and y-smooth, a odd, b
+    even, and the two coprime. Returns the primes <= y.
 
     Only the primes <= y are divided out of a and b, so a coordinate with a
     large prime factor is rejected without factoring it.
@@ -118,6 +105,14 @@ def cell_density(a: int, b: int, y: int) -> Fraction:
         raise InvalidCellError(f"b must be even, got {b}")
     if gcd(a, b) != 1:
         raise InvalidCellError(f"a and b must be coprime, got {a}, {b}")
+    return primes
+
+
+def cell_density(a: int, b: int, y: int) -> Fraction:
+    """Exact density of the cell (a, b) for the smoothness bound y:
+    (2/ab) prod_{p|ab}(1-1/p) prod_{p<=y, p∤ab}(1-2/p). The cell is checked
+    first (see check_cell)."""
+    primes = check_cell(a, b, y)
     ab = a * b
     num, den = 2, ab
     for p in primes:
@@ -141,8 +136,8 @@ _ROW_BUDGET = 1 << 18
 
 # Candidate (a, b) rows per chunk. The first chunk holds _CHUNK_MIN rows and
 # each next one twice as many, up to _CHUNK, so that small runs still split
-# into several chunks. The cut depends on (y, z) only, never on the thread
-# count, which is what makes every thread count produce the same bits.
+# into several chunks for the pool. The chunk sums are exact, so the cut
+# moves no bit of the totals.
 _CHUNK_MIN = 1 << 8
 _CHUNK = 1 << 14
 
@@ -224,7 +219,6 @@ class _Rows(NamedTuple):
     """
 
     value: np.ndarray
-    a: np.ndarray  # an a-side row's a; the value array itself on the b side
     mask: np.ndarray
     d_dn: np.ndarray
     d_up: np.ndarray
@@ -318,7 +312,7 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
     v_dn, v_up = _float_dir(value)
     ulp_dn(np.divide(d_dn, v_up, out=d_dn))
     ulp_up(np.divide(d_up, v_dn, out=d_up))
-    return _Rows(value, value, mask, d_dn, d_up, h_dn, h_up), used
+    return _Rows(value, mask, d_dn, d_up, h_dn, h_up), used
 
 
 def _a_blocks(small: _Rows, rest: tuple, z: int):
@@ -329,7 +323,7 @@ def _a_blocks(small: _Rows, rest: tuple, z: int):
     remaining odd primes `rest`. A depth-first walk over `rest` visits every
     (m, t) with m*t <= z//2; each visit emits a row per c in `small` (the odd
     S-smooth numbers, sorted, base folded in) with c*m*t <= z//2, with value
-    c*m*t, a = c*m, c's mask, density factor d(c) F(m)F(t)/(mt) and
+    c*m*t, c's mask, density factor d(c) F(m)F(t)/(mt) and
     abundancy h(c) h(m)/h(t). When S holds every prime, the one visit is
     (1, 1) and the block is `small` itself.
     """
@@ -370,7 +364,7 @@ def _a_block(small: _Rows, visits: list, size: int) -> _Rows:
     of `small` each, scaled by m*t, so the build holds little beyond the
     block."""
     block = _Rows(
-        np.empty(size, np.int64), np.empty(size, np.int64),
+        np.empty(size, np.int64),
         np.empty((small.mask.shape[0], size), np.uint64),
         *(np.empty(size) for _ in range(4)),
     )
@@ -384,7 +378,6 @@ def _a_block(small: _Rows, visits: list, size: int) -> _Rows:
                 col[...] = src[..., :k]
             continue
         np.multiply(small.value[:k], mt, out=rows.value)
-        np.multiply(small.value[:k], m, out=rows.a)
         rows.mask[...] = small.mask[:, :k]
         ulp_dn(np.multiply(small.d_dn[:k], ratio_dn(fnum, fden * mt), out=rows.d_dn))
         ulp_up(np.multiply(small.d_up[:k], ratio_up(fnum, fden * mt), out=rows.d_up))
@@ -454,11 +447,12 @@ def _grid_slot(consts: _Consts, x: np.ndarray) -> np.ndarray:
 
 
 def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
-    """Certified sums over the cells of one chunk.
+    """Exact sums of the directed cell terms of one chunk.
 
-    Returns (lower, upper_cells, covered_dn, covered_up, pairs). Every cell
-    term is directed (a one-ULP step after each operation); each total is an
-    exact_sum, which is correctly rounded, stepped one ULP to its side.
+    Returns (lower, upper_cells, covered_dn, covered_up, pairs), the four
+    sums as exact_sum gives them, integer counts of 2**-1074. Every cell term
+    is directed (a one-ULP step after each operation); the sums of them are
+    exact.
     """
     rows = ch.rows
     lens = ch.j_hi - ch.j_lo
@@ -483,13 +477,7 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     up_cell = ulp_up(dens_up * ru, ru < 1.0)  # ru = 1 is exact
     lo_cell = ulp_dn(dens_dn * rl)
     lo_cell = lo_cell[lo_cell > 0.0]
-    return (
-        next_dn(exact_sum(lo_cell)),
-        next_up(exact_sum(up_cell)),
-        next_dn(exact_sum(dens_dn)),
-        next_up(exact_sum(dens_up)),
-        int(ai.size),
-    )
+    return exact_sum(lo_cell), exact_sum(up_cell), exact_sum(dens_dn), exact_sum(dens_up), int(ai.size)
 
 
 def _usable_cpus() -> int:
@@ -500,7 +488,7 @@ def _usable_cpus() -> int:
 
 
 def _pooled(consts: _Consts, b: _Rows, chunks, threads: int):
-    """Yield (chunk, sums) in chunk order, the sums computed on a thread pool.
+    """Yield each chunk's sums in chunk order, computed on a thread pool.
 
     numpy releases the GIL in its array loops, and the threads share consts,
     the b table and the a-side blocks, all read-only. At most four chunks per
@@ -512,12 +500,11 @@ def _pooled(consts: _Consts, b: _Rows, chunks, threads: int):
     with ThreadPoolExecutor(max_workers=threads) as ex:
         window = deque()
         for ch in chunks:
-            window.append((ch, ex.submit(_chunk_sums, consts, b, ch)))
+            window.append(ex.submit(_chunk_sums, consts, b, ch))
             if len(window) >= 4 * threads:
-                done, fut = window.popleft()
-                yield done, fut.result()
-        for done, fut in window:
-            yield done, fut.result()
+                yield window.popleft().result()
+        for fut in window:
+            yield fut.result()
 
 
 def run_bounds(
@@ -531,15 +518,15 @@ def run_bounds(
 ) -> BoundReport:
     """Certified bracket for the density of n with sigma(2n+1) >= sigma(2n).
 
-    Enumerates every cell with ab <= z, accumulates DOWN-directed lower and
-    UP-directed upper totals plus the covered mass, then charges the
-    unenumerated tail (1 - covered) to the upper side. The cells are cut
-    into chunks at boundaries fixed by (y, z), and the chunk sums are merged
-    in chunk order whether they are computed inline or on a thread pool, so
-    every thread count gives the same bits. `threads` is capped at the
-    usable cores and at the chunk count; the report carries the count used.
-    `progress` gets one event per merged chunk that crosses a multiple of
-    `flush_every` pairs (flush set), and otherwise at most one a second.
+    Enumerates every cell with ab <= z and sums the DOWN-directed lower and
+    UP-directed upper cell terms plus the covered mass exactly, as integers,
+    then charges the unenumerated tail (1 - covered) to the upper side. Each
+    reported number is rounded once, to its side, from the exact totals, so
+    neither the chunk cut nor the thread count moves a bit. `threads` is
+    capped at the usable cores and at the chunk count; the report carries
+    the count used. `progress` gets one event per chunk that crosses a
+    multiple of `flush_every` pairs (flush set), and otherwise at most one a
+    second.
     """
     if z < 2:
         raise InvalidParameterError(f"z must be >= 2, got {z}")
@@ -567,58 +554,50 @@ def run_bounds(
         threads = len(head)
         chunks = chain(head, chunks)
     if threads == 1:
-        done = ((ch, _chunk_sums(consts, b, ch)) for ch in chunks)
+        done = (_chunk_sums(consts, b, ch) for ch in chunks)
     else:
         done = _pooled(consts, b, chunks, threads)
 
-    totals = (0.0, 0.0, 0.0, 0.0, 0)
+    sums, pairs = [0, 0, 0, 0], 0  # the exact totals (see _chunk_sums)
     next_tick = t_start + 1.0
-    for ch, part in done:
-        before = totals[4]
-        totals = _merge(totals, part)
+    for *part, k in done:
+        sums = [s + p for s, p in zip(sums, part)]
+        before, pairs = pairs, pairs + k
         if progress is None:
             continue
-        lo, up_cells, cov_dn, _, pairs = totals
         flush = bool(flush_every) and pairs // flush_every > before // flush_every
         if flush or time.perf_counter() >= next_tick:
-            progress(ProgressEvent(
-                pairs=pairs,
-                current_a=int(ch.rows.a.max()),
-                lower=lo,
-                upper=_upper_with_tail(up_cells, cov_dn),
-                covered=cov_dn,
-                flush=flush,
-            ))
+            lower, upper, covered, _ = _directed(*sums)
+            progress(ProgressEvent(pairs=pairs, lower=lower, upper=upper, covered=covered, flush=flush))
             next_tick = time.perf_counter() + 1.0
 
-    lo, up_cells, cov_dn, cov_up, pairs = totals
-    upper = _upper_with_tail(up_cells, cov_dn)
-    if lo > upper:
+    lower, upper, covered_lo, covered_hi = _directed(*sums)
+    if lower > upper:
         raise AssertionError("certified bracket inverted; this is a bug")
     return BoundReport(
         y=y,
         z=z,
         r_max=r_max,
         threads=threads,
-        lower_total=DirScalar(lo, DOWN),
+        lower_total=DirScalar(lower, DOWN),
         upper_total=DirScalar(upper, UP),
-        covered_lo=DirScalar(cov_dn, DOWN),
-        covered_hi=DirScalar(cov_up, UP),
+        covered_lo=DirScalar(covered_lo, DOWN),
+        covered_hi=DirScalar(covered_hi, UP),
         pair_count=pairs,
         elapsed_seconds=time.perf_counter() - t_start,
     )
 
 
-def _upper_with_tail(up_cells: float, cov_dn: float) -> float:
-    """UP bound on the whole density: the enumerated cells' upper sum plus
-    the unenumerated tail 1 - covered, capped at 1."""
-    return min(up_add(up_cells, up_sub(1.0, cov_dn)), 1.0)
+_ONE = 1 << 1074  # 1.0 in the units of exact_sum
 
 
-def _merge(totals, part):
-    """Fold one chunk's sums into the running totals, each to its side. The
-    DOWN sums are of nonnegative terms (a zero part still nudges below 0), so
-    clamping them at 0 is safe."""
-    lo, up, cd, cu, n = totals
-    l, u, c1, c2, k = part
-    return max(dn_add(lo, l), 0.0), up_add(up, u), max(dn_add(cd, c1), 0.0), up_add(cu, c2), n + k
+def _directed(lo: int, up_cells: int, cov_dn: int, cov_up: int):
+    """(lower, upper, covered_lo, covered_hi): the exact totals, in units of
+    2**-1074, each rounded once to its side. upper adds the unenumerated
+    tail 1 - covered to the cells' upper sum and is capped at 1."""
+    return (
+        ratio_dn(lo, _ONE),
+        min(ratio_up(up_cells + _ONE - cov_dn, _ONE), 1.0),
+        ratio_dn(cov_dn, _ONE),
+        ratio_up(cov_up, _ONE),
+    )

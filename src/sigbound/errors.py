@@ -9,6 +9,6 @@ class UnsupportedParameterError(ValueError):
     """A parameter is syntactically fine but outside the supported range."""
 
 
-class InvalidCellError(ValueError):
+class InvalidCellError(InvalidParameterError):
     """An (a, b) pair does not describe a valid enumeration cell."""
 

@@ -233,7 +233,7 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None):
     """The smooth-number table of `engine._smooth_rows` (same arguments and
     result), built the direct way: every column of every row is extended
     prime by prime, each prime's table re-concatenated from the last one's,
-    and all seven columns sorted by value at the end.
+    and all six columns sorted by value at the end.
 
     `engine._smooth_rows` builds the values first and writes each other
     column once, in sorted order; every byte of its result must equal this.
@@ -247,7 +247,7 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None):
         value = np.ones(1, dtype=np.int64)
         h_dn = h_up = np.ones(1)
     n = value.size
-    rows = _Rows(value, value, np.zeros((-(-len(odd) // 64), n), np.uint64),
+    rows = _Rows(value, np.zeros((-(-len(odd) // 64), n), np.uint64),
                  np.full(n, f0_dn), np.full(n, f0_up), h_dn, h_up)
     used = 0
     for j, p in enumerate(odd):
@@ -268,7 +268,7 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None):
             value = rows.value[sel] * pk
             sig_dn, sig_up = ratio_dn(pk * p - 1, pk * (p - 1)), ratio_up(pk * p - 1, pk * (p - 1))
             parts.append(_Rows(
-                value, value, mask,
+                value, mask,
                 ulp_dn(rows.d_dn[sel] * fp_dn),
                 ulp_up(rows.d_up[sel] * fp_up),
                 ulp_dn(rows.h_dn[sel] * sig_dn),
@@ -283,7 +283,7 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None):
     rows = rows.take(np.argsort(rows.value, kind="stable"))
     v_dn, v_up = _float_dir(rows.value)
     rows = _Rows(
-        rows.value, rows.a, rows.mask[: -(-used // 64)],
+        rows.value, rows.mask[: -(-used // 64)],
         ulp_dn(rows.d_dn / v_up), ulp_up(rows.d_up / v_dn),
         rows.h_dn, rows.h_up,
     )

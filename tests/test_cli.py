@@ -1,10 +1,13 @@
+import itertools
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+from sigbound import cli, engine
 from sigbound.cli import main, scaled_int
 from sigbound.engine import _usable_cpus, run_bounds
 
@@ -192,6 +195,35 @@ class TestBounds:
         )
         assert code == 0
         assert any(line.startswith("flush:") for line in err.splitlines())
+
+    def test_progress_lines_are_certified(self, capsys, monkeypatch):
+        # a clock that jumps 2 s per reading makes every chunk a 1 s tick
+        clock = itertools.count(0.0, 2.0)
+        monkeypatch.setattr(engine.time, "perf_counter", lambda: next(clock))
+        events = []
+
+        def recorded(*args, progress, **kwargs):
+            def both(ev):
+                events.append(ev)
+                progress(ev)
+            return run_bounds(*args, progress=both, **kwargs)
+
+        monkeypatch.setattr(cli, "run_bounds", recorded)
+        code, _, err = run_cli(capsys, "bounds", "--y", "31", "--z", "1e5", "--rmax", "200",
+                               "--threads", "1", "--flush-every", "20000")
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == len(events) > 1
+        assert {ev.flush for ev in events} == {True, False}
+        for line, ev in zip(lines, events):
+            m = re.fullmatch(r"(flush|progress): pairs=(\d+) covered>=(\S+) "
+                             r"lower>=(\S+) upper<=(\S+)", line)
+            assert m, line
+            assert m[1] == ("flush" if ev.flush else "progress")
+            assert int(m[2]) == ev.pairs
+            assert float(m[3]) <= ev.covered
+            assert float(m[4]) <= ev.lower
+            assert float(m[5]) >= ev.upper
 
     def test_huge_thread_request_is_capped(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--y", "31", "--z", "1e3",

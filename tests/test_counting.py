@@ -15,8 +15,8 @@ from sigbound.counting import (
     sigma_block,
     smooth_part_block,
 )
-from sigbound.errors import InvalidParameterError, UnsupportedParameterError
-from sigbound.moments import MAX_ORDER, moment_r1_exact
+from sigbound.errors import InvalidCellError, InvalidParameterError, UnsupportedParameterError
+from sigbound.moments import MAX_ORDER, PRIME_CEILING, moment_r1_exact
 
 
 class TestSigmaBlock:
@@ -377,10 +377,11 @@ class TestMomentSum:
         assert got == moment_sum(a, b, 3, r, 10**6)
 
     def test_y_beyond_the_blocks_is_not_sieved(self):
-        # every n <= 100 has 2n and 2n + 1 below 202, so y = 10^18 gives
-        # the sums of y = 201 without sieving the primes up to y
+        # every n <= 100 has 2n and 2n + 1 below 202, so the largest
+        # supported y gives the sums of y = 201 without sieving the primes
+        # up to y
         for a, b, r in ((1, 2, 1), (3, 2, 2), (1, 2, 0)):
-            assert moment_sum(a, b, 10**18, r, 100) == moment_sum(a, b, 201, r, 100)
+            assert moment_sum(a, b, PRIME_CEILING - 1, r, 100) == moment_sum(a, b, 201, r, 100)
 
     def test_orders_above_the_ceiling_are_unsupported(self):
         assert moment_sum(1, 2, 3, MAX_ORDER, 10)[0] > 0
@@ -397,3 +398,12 @@ class TestMomentSum:
             moment_sum(3, 6, 3, 1, 100)
         with pytest.raises(InvalidParameterError):
             moment_sum(1, 2, 3, -1, 100)
+
+    def test_cells_checked_as_cell_density_checks_them(self):
+        # a cell that cannot exist, or a y outside the supported range, is
+        # rejected instead of summing to (0.0, 0.0)
+        with pytest.raises(InvalidCellError, match="a=5 is not 3-smooth"):
+            moment_sum(5, 2, 3, 1, 10**4)
+        for y in (PRIME_CEILING, 70000, 10**18):
+            with pytest.raises(UnsupportedParameterError, match="65536"):
+                moment_sum(1, 2, y, 0, 10**3)

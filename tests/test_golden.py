@@ -1,9 +1,13 @@
 """Pinned bits of the certified totals, the moment tables and the bound
 curves.
 
-The totals and tables were taken from the engine as it stood before its
-numpy kernels switched from np.nextafter and math.fsum to the int64-view ULP
-steps and exact_sum of `sigbound.dirround`; the curve digests from the grid
+The totals were taken when the cell totals became exact integer sums,
+rounded once to their side. The totals of the engine before that, which
+rounded each chunk total one ULP outward and merged them with directed adds,
+stay pinned as outer bounds: the exact totals are at least as tight. The
+tables were taken from the engine as it stood before its numpy kernels
+switched from np.nextafter and math.fsum to the int64-view ULP steps and
+exact_sum of `sigbound.dirround`; the curve digests from the grid
 build that still stepped q^r over every grid point below 1e300; the
 y = 353, r_max = 8200 table digest from the table loop that still clamped
 every step and evaluated each order's tail factor on its own. Any change
@@ -22,14 +26,29 @@ from sigbound.moments import build_moment_table
 
 TOTALS = ("lower_total", "upper_total", "covered_lo", "covered_hi")
 
-GOLDEN_31 = ("0x1.7866e4b1fb607p-5", "0x1.6585086a5144fp-4",
-             "0x1.f21b4df9c19d5p-1", "0x1.f21b4df9c1a0dp-1")
-GOLDEN_353 = ("0x1.ca390100aae33p-6", "0x1.b6fcffc55300ep-2",
-              "0x1.331ad00ec0cc2p-1", "0x1.331ad00ec0ce3p-1")
+GOLDEN_31 = ("0x1.7866e4b1fb60ep-5", "0x1.6585086a513b9p-4",
+             "0x1.f21b4df9c19e6p-1", "0x1.f21b4df9c19fdp-1")
+GOLDEN_353 = ("0x1.ca390100aae3ap-6", "0x1.b6fcffc552ffap-2",
+              "0x1.331ad00ec0ccap-1", "0x1.331ad00ec0cdap-1")
+
+# The totals of the per-chunk rounding and directed merge.
+CHUNKED_31 = ("0x1.7866e4b1fb607p-5", "0x1.6585086a5144fp-4",
+              "0x1.f21b4df9c19d5p-1", "0x1.f21b4df9c1a0dp-1")
+CHUNKED_353 = ("0x1.ca390100aae33p-6", "0x1.b6fcffc55300ep-2",
+               "0x1.331ad00ec0cc2p-1", "0x1.331ad00ec0ce3p-1")
 
 
 def total_bits(report) -> tuple:
     return tuple(getattr(report, name).value.hex() for name in TOTALS)
+
+
+def assert_within(bits, outer) -> None:
+    """lower and covered_lo no lower, upper and covered_hi no higher than
+    the outer totals."""
+    (lo, up, c_lo, c_hi), (o_lo, o_up, o_c_lo, o_c_hi) = (
+        map(float.fromhex, t) for t in (bits, outer))
+    assert lo >= o_lo and c_lo >= o_c_lo
+    assert up <= o_up and c_hi <= o_c_hi
 
 
 def table_digest(table) -> str:
@@ -56,12 +75,14 @@ def test_totals_y31(threads):
     report = run_bounds(31, 10**6, 200, threads=threads)
     assert report.pair_count == 135331
     assert total_bits(report) == GOLDEN_31
+    assert_within(GOLDEN_31, CHUNKED_31)
 
 
 def test_totals_y353():
     report = run_bounds(353, 10**5, 500, threads=1)
     assert report.pair_count == 148128
     assert total_bits(report) == GOLDEN_353
+    assert_within(GOLDEN_353, CHUNKED_353)
 
 
 def test_table_y2_saturating():

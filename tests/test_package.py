@@ -33,7 +33,9 @@ _ALL = {
 # _check_sieve is part of counting's block driver.
 # exp_up_wide, _exp_up_core, _tail_factor: dirround.exp_up is the one
 # directed exp, over arrays, and the scalar form is an oracle;
-# _bound_curves is moments.bound_curves.
+# _bound_curves is moments.bound_curves. _merge, _upper_with_tail, next_dn:
+# the cell totals add as exact integers (exact_sum) and each reported number
+# is rounded once from them, so no directed merge or chunk step is left.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
@@ -51,6 +53,7 @@ _REMOVED = (
     "PrimeTable", "FactoredSmooth", "CellDensity", "split_smooth", "sieve_primes",
     "_validate_factored", "_cell_arg", "_primes_upto", "_check_y", "_check_sieve",
     "exp_up_wide", "_exp_up_core", "_tail_factor", "_bound_curves",
+    "_merge", "_upper_with_tail", "next_dn",
 )
 
 # Methods dropped along with the code that called them. The table holds
@@ -98,8 +101,31 @@ def test_no_private_names_cross_modules():
     assert found == []
 
 
+def test_no_unused_imports():
+    """Every name a module of the package imports is used in that module
+    (__init__.py, which imports to re-export, aside)."""
+    found = []
+    for path in sorted(pathlib.Path(sigbound.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used]
+    assert found == []
+
+
 # np.nextafter steps one element at a time and math.fsum needs a Python list;
-# the array kernels of dirround (ulp_up, ulp_dn, exact_sum) give the same bits.
+# the array kernels of dirround (ulp_up, ulp_dn) give the same bits, and
+# exact_sum gives the exact sum as an integer, which a total rounds once.
 _SLOW_PRIMITIVES = {("numpy", "nextafter"), ("np", "nextafter"), ("math", "fsum")}
 
 
