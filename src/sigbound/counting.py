@@ -331,14 +331,9 @@ def moment_sum(a: int, b: int, y: int, r: int, x: int) -> tuple[float, float]:
         if mask.any():
             sig = sieve()
             m = np.arange(lo, hi, dtype=np.int64)
-            if r == 0:
-                cnt = float(np.count_nonzero(mask))
-                total_odd += cnt
-                total_even += cnt
-            else:
-                h_odd = sig[1::2][mask] / m[1::2][mask]
-                h_even = sig[0::2][mask] / m[0::2][mask]
-                with np.errstate(over="ignore"):
-                    total_odd += float(np.sum(h_odd**r))
-                    total_even += float(np.sum(h_even**r))
+            h_odd = sig[1::2][mask] / m[1::2][mask]
+            h_even = sig[0::2][mask] / m[0::2][mask]
+            with np.errstate(over="ignore"):
+                total_odd += float(np.sum(h_odd**r))
+                total_even += float(np.sum(h_even**r))
     return total_odd, total_even

@@ -141,10 +141,6 @@ _ROW_BUDGET = 1 << 18
 _CHUNK_MIN = 1 << 8
 _CHUNK = 1 << 14
 
-# The largest double below 2**63: every value in [0, 2**63) converts to a
-# double no larger than 2**63, and this one still converts back to an int64.
-_F63 = float(2**63 - 1024)
-
 
 class _Consts(NamedTuple):
     """The z-independent engine state: the odd primes <= y, the directed
@@ -198,14 +194,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _float_dir(v: np.ndarray):
-    """(dn, up): doubles with dn <= v <= up for int64 v >= 0, both equal to v
-    where it converts exactly (the cast rounds to nearest above 2**53)."""
-    f = np.minimum(v.astype(np.float64), _F63)
-    back = f.astype(np.int64)
-    return ulp_dn(f.copy(), back > v), ulp_up(f, back < v)
-
-
 class _Rows(NamedTuple):
     """Smooth numbers with what a cell needs of each, one array per column.
 
@@ -234,8 +222,9 @@ class _Rows(NamedTuple):
 
 def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
                  budget: Optional[int] = None):
-    """Every even (or odd) number <= limit built from 2 (or not) and a prefix
-    of the odd primes `odd`, sorted by value, with F started at f0.
+    """Every even (or odd) number v <= limit built from 2 (or not) and a
+    prefix of the odd primes `odd`, sorted by value, with the density factor
+    f0 * F(v)/v and the abundancy h(v).
 
     The odd primes join in increasing order while the table stays within
     `budget` rows. Returns the rows and the number of odd primes used.
@@ -245,14 +234,15 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
     batch v * p^k of the values v so far with v * p^k <= limit, recorded as
     (prime index, p^k, parent indices). The second sorts the values once and
     writes every other column straight into its sorted place, batch by batch
-    and so parents before children, each child taking one directed step from
-    its parent.
+    and so parents before children. The heads are the powers of 2 (e >= 1
+    on the even side, e = 0 on the odd), with the factor f0 / 2^e, exact,
+    and the abundancy (2^(e+1)-1)/2^e; a child v * p^k multiplies its
+    parent's factor by (p-1)/((p-2) p^k) and its abundancy by h(p^k), each
+    an exact ratio rounded to its side, and takes one directed step. No
+    integer is rounded to a float on the way.
     """
-    if even:
-        pows = [2**e for e in range(1, limit.bit_length())]
-        value = np.array(pows, dtype=np.int64)
-    else:
-        value = np.ones(1, dtype=np.int64)
+    heads = [2**e for e in range(1, limit.bit_length())] if even else [1]
+    value = np.array(heads, dtype=np.int64)
     n0 = value.size
     batches = []
     used = 0
@@ -286,13 +276,10 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
     mask = np.zeros((-(-used // 64), n), np.uint64)
     d_dn, d_up, h_dn, h_up = (np.empty(n) for _ in range(4))
     head = pos[:n0]
-    d_dn[head] = f0_dn
-    d_up[head] = f0_up
-    if even:
-        h_dn[head] = [ratio_dn(2 * v - 1, v) for v in pows]
-        h_up[head] = [ratio_up(2 * v - 1, v) for v in pows]
-    else:
-        h_dn[head] = h_up[head] = 1.0
+    d_dn[head] = [f0_dn / v for v in heads]  # exact: v is a power of 2
+    d_up[head] = [f0_up / v for v in heads]
+    h_dn[head] = [ratio_dn(2 * v - 1, v) for v in heads]
+    h_up[head] = [ratio_up(2 * v - 1, v) for v in heads]
     start = n0
     batches.reverse()
     while batches:  # popped, so each batch's indices go once it is written
@@ -305,13 +292,10 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
         m[j // 64] |= np.uint64(1 << (j % 64))
         mask[:, dst] = m
         sig_dn, sig_up = ratio_dn(pk * p - 1, pk * (p - 1)), ratio_up(pk * p - 1, pk * (p - 1))
-        d_dn[dst] = ulp_dn(d_dn[par] * ratio_dn(p - 1, p - 2))
-        d_up[dst] = ulp_up(d_up[par] * ratio_up(p - 1, p - 2))
+        d_dn[dst] = ulp_dn(d_dn[par] * ratio_dn(p - 1, (p - 2) * pk))
+        d_up[dst] = ulp_up(d_up[par] * ratio_up(p - 1, (p - 2) * pk))
         h_dn[dst] = ulp_dn(h_dn[par] * sig_dn)
         h_up[dst] = ulp_up(h_up[par] * sig_up)
-    v_dn, v_up = _float_dir(value)
-    ulp_dn(np.divide(d_dn, v_up, out=d_dn))
-    ulp_up(np.divide(d_up, v_dn, out=d_up))
     return _Rows(value, mask, d_dn, d_up, h_dn, h_up), used
 
 

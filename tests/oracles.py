@@ -30,7 +30,7 @@ from sigbound.dirround import (
     up_mul,
     up_sub,
 )
-from sigbound.engine import _GRID_HI, _GRID_LO, _GRID_SIZE, _float_dir, _Rows
+from sigbound.engine import _GRID_HI, _GRID_LO, _GRID_SIZE, _Rows
 from sigbound.errors import InvalidParameterError
 from sigbound.moments import _TAIL_RATE, _mid_primes, check_y
 
@@ -241,17 +241,18 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None):
     if even:
         pows = [2**e for e in range(1, limit.bit_length())]
         value = np.array(pows, dtype=np.int64)
+        d_dn = np.array([f0_dn / v for v in pows])
+        d_up = np.array([f0_up / v for v in pows])
         h_dn = np.array([ratio_dn(2 * v - 1, v) for v in pows])
         h_up = np.array([ratio_up(2 * v - 1, v) for v in pows])
     else:
         value = np.ones(1, dtype=np.int64)
+        d_dn, d_up = np.full(1, f0_dn), np.full(1, f0_up)
         h_dn = h_up = np.ones(1)
     n = value.size
-    rows = _Rows(value, np.zeros((-(-len(odd) // 64), n), np.uint64),
-                 np.full(n, f0_dn), np.full(n, f0_up), h_dn, h_up)
+    rows = _Rows(value, np.zeros((-(-len(odd) // 64), n), np.uint64), d_dn, d_up, h_dn, h_up)
     used = 0
     for j, p in enumerate(odd):
-        fp_dn, fp_up = ratio_dn(p - 1, p - 2), ratio_up(p - 1, p - 2)
         bit = np.uint64(1 << (j % 64))
         parts = [rows]
         size = n
@@ -269,8 +270,8 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None):
             sig_dn, sig_up = ratio_dn(pk * p - 1, pk * (p - 1)), ratio_up(pk * p - 1, pk * (p - 1))
             parts.append(_Rows(
                 value, mask,
-                ulp_dn(rows.d_dn[sel] * fp_dn),
-                ulp_up(rows.d_up[sel] * fp_up),
+                ulp_dn(rows.d_dn[sel] * ratio_dn(p - 1, (p - 2) * pk)),
+                ulp_up(rows.d_up[sel] * ratio_up(p - 1, (p - 2) * pk)),
                 ulp_dn(rows.h_dn[sel] * sig_dn),
                 ulp_up(rows.h_up[sel] * sig_up),
             ))
@@ -281,13 +282,7 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None):
         n = size
         used += 1
     rows = rows.take(np.argsort(rows.value, kind="stable"))
-    v_dn, v_up = _float_dir(rows.value)
-    rows = _Rows(
-        rows.value, rows.mask[: -(-used // 64)],
-        ulp_dn(rows.d_dn / v_up), ulp_up(rows.d_up / v_dn),
-        rows.h_dn, rows.h_up,
-    )
-    return rows, used
+    return rows._replace(mask=rows.mask[: -(-used // 64)]), used
 
 
 # ---------------------------------------------------------------------------

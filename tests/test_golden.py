@@ -1,10 +1,13 @@
 """Pinned bits of the certified totals, the moment tables and the bound
 curves.
 
-The totals were taken when the cell totals became exact integer sums,
-rounded once to their side. The totals of the engine before that, which
-rounded each chunk total one ULP outward and merged them with directed adds,
-stay pinned as outer bounds: the exact totals are at least as tight. The
+The totals were taken when each density factor of the smooth-number tables
+became its parent's times one exact ratio, with no integer rounded to a
+float. Two earlier sets of totals stay pinned as outer bounds, each at least
+as loose as the one after it: those of the tables that divided each factor
+by its directed value at the end, and before them those of the engine that
+rounded each chunk total one ULP outward and merged them with directed adds
+(the cell totals have since been exact integer sums, rounded once). The
 tables were taken from the engine as it stood before its numpy kernels
 switched from np.nextafter and math.fsum to the int64-view ULP steps and
 exact_sum of `sigbound.dirround`; the curve digests from the grid
@@ -26,10 +29,16 @@ from sigbound.moments import build_moment_table
 
 TOTALS = ("lower_total", "upper_total", "covered_lo", "covered_hi")
 
-GOLDEN_31 = ("0x1.7866e4b1fb60ep-5", "0x1.6585086a513b9p-4",
-             "0x1.f21b4df9c19e6p-1", "0x1.f21b4df9c19fdp-1")
-GOLDEN_353 = ("0x1.ca390100aae3ap-6", "0x1.b6fcffc552ffap-2",
-              "0x1.331ad00ec0ccap-1", "0x1.331ad00ec0cdap-1")
+GOLDEN_31 = ("0x1.7866e4b1fb60ep-5", "0x1.6585086a513abp-4",
+             "0x1.f21b4df9c19e8p-1", "0x1.f21b4df9c19fbp-1")
+GOLDEN_353 = ("0x1.ca390100aae3cp-6", "0x1.b6fcffc552ff7p-2",
+              "0x1.331ad00ec0cccp-1", "0x1.331ad00ec0cd9p-1")
+
+# The totals of the tables that divided each density factor by its value.
+DIVIDED_31 = ("0x1.7866e4b1fb60ep-5", "0x1.6585086a513b9p-4",
+              "0x1.f21b4df9c19e6p-1", "0x1.f21b4df9c19fdp-1")
+DIVIDED_353 = ("0x1.ca390100aae3ap-6", "0x1.b6fcffc552ffap-2",
+               "0x1.331ad00ec0ccap-1", "0x1.331ad00ec0cdap-1")
 
 # The totals of the per-chunk rounding and directed merge.
 CHUNKED_31 = ("0x1.7866e4b1fb607p-5", "0x1.6585086a5144fp-4",
@@ -75,14 +84,16 @@ def test_totals_y31(threads):
     report = run_bounds(31, 10**6, 200, threads=threads)
     assert report.pair_count == 135331
     assert total_bits(report) == GOLDEN_31
-    assert_within(GOLDEN_31, CHUNKED_31)
+    assert_within(GOLDEN_31, DIVIDED_31)
+    assert_within(DIVIDED_31, CHUNKED_31)
 
 
 def test_totals_y353():
     report = run_bounds(353, 10**5, 500, threads=1)
     assert report.pair_count == 148128
     assert total_bits(report) == GOLDEN_353
-    assert_within(GOLDEN_353, CHUNKED_353)
+    assert_within(GOLDEN_353, DIVIDED_353)
+    assert_within(DIVIDED_353, CHUNKED_353)
 
 
 def test_table_y2_saturating():

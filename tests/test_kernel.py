@@ -1,5 +1,6 @@
 """The chunked cell kernel of `engine.run_bounds`: the exact audit of its
-bracket, its bound curves, the (a, t) split and its int-to-float step."""
+bracket, its bound curves, the (a, t) split and the directed factors of its
+smooth-number tables."""
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import abundancy, enumerate_cells, factorize, ratio_grids_per_r
 from sigbound import engine
+from sigbound.dirround import ratio_dn, ratio_up
 from sigbound.engine import cell_density, run_bounds
 from sigbound.errors import InvalidParameterError
 from sigbound.moments import MomentTable, bound_curves, build_moment_table
@@ -164,16 +166,30 @@ def test_small_row_budget_moves_primes_to_the_a_side(table_y31_r200, monkeypatch
     assert up == pytest.approx(full.upper_total.value, rel=1e-12)
 
 
-def test_directed_int_to_float_above_2_53():
-    ints = [2**53 + k for k in range(1, 40, 2)] + [2**62 + 1, 2**63 - 1, 2**63 - 513, 12345, 0]
-    dn, up = engine._float_dir(np.array(ints, dtype=np.int64))
-    for v, lo, hi in zip(ints, dn.tolist(), up.tolist()):
-        assert Fraction(lo) <= v <= Fraction(hi)
-        if lo == hi:
-            assert lo == v
-        else:  # the two neighbours of an inexact int
-            assert np.nextafter(lo, np.inf) == hi
-    assert dn[0] == 2.0**53 and up[0] == 2.0**53 + 2
+def exact_factors(v, f0):
+    """(f0 * F(v)/v, sigma(v)/v) as Fractions."""
+    fac = factorize(v)
+    f = f0
+    for p, _ in fac:
+        if p > 2:
+            f *= Fraction(p - 1, p - 2)
+    return f / v, abundancy(fac)
+
+
+def test_table_factors_are_directed_past_2_53():
+    # about 10**4 even rows up to 2**62; the odd side starts from the
+    # directed base (1/3)(3/5) = 1/5, which is not a double
+    odd, limit = (3, 5), 2**62
+    for even, f0 in ((True, Fraction(1)), (False, Fraction(1, 5))):
+        f0_dirs = ratio_dn(f0.numerator, f0.denominator), ratio_up(f0.numerator, f0.denominator)
+        rows, used = engine._smooth_rows(odd, limit, even, *f0_dirs)
+        assert used == 2
+        values = rows.value.tolist()
+        assert max(values) > 2**53
+        for v, d_dn, d_up, h_dn, h_up in zip(values, *(col.tolist() for col in rows[2:])):
+            d, h = exact_factors(v, f0)
+            assert Fraction(d_dn) <= d <= Fraction(d_up), v
+            assert Fraction(h_dn) <= h <= Fraction(h_up), v
 
 
 def test_z_beyond_int64_is_rejected():

@@ -36,6 +36,8 @@ _ALL = {
 # _bound_curves is moments.bound_curves. _merge, _upper_with_tail, next_dn:
 # the cell totals add as exact integers (exact_sum) and each reported number
 # is rounded once from them, so no directed merge or chunk step is left.
+# _float_dir, _F63: each table density factor is its parent's times one
+# exact ratio, so no integer value is rounded to a float.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
@@ -53,7 +55,7 @@ _REMOVED = (
     "PrimeTable", "FactoredSmooth", "CellDensity", "split_smooth", "sieve_primes",
     "_validate_factored", "_cell_arg", "_primes_upto", "_check_y", "_check_sieve",
     "exp_up_wide", "_exp_up_core", "_tail_factor", "_bound_curves",
-    "_merge", "_upper_with_tail", "next_dn",
+    "_merge", "_upper_with_tail", "next_dn", "_float_dir", "_F63",
 )
 
 # Methods dropped along with the code that called them. The table holds
