@@ -22,7 +22,8 @@ def primes_upto(bound: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     base = primes_upto(isqrt(bound))[1:]
     # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962); the
-    # pages of the unused tail are never touched
+    # pages of the unused tail are never touched. log only sizes this
+    # allocation: an array too short fails on the write past its end.
     out = np.empty(int(1.25506 * bound / log(bound)) + 2, dtype=np.int64)
     out[0] = 2
     count = 1

@@ -59,10 +59,6 @@ def dn_add(x: float, y: float) -> float:
     return _nextafter(x + y, -_INF)
 
 
-def up_sub(x: float, y: float) -> float:
-    return _nextafter(x - y, _INF)
-
-
 def dn_sub(x: float, y: float) -> float:
     return _nextafter(x - y, -_INF)
 

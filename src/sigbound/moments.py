@@ -215,9 +215,9 @@ def bound_curves(table: MomentTable, q: np.ndarray):
     max_r (1 - (M(r)-1)/(q'^r-1)) >= rl[i], because both expressions are
     monotone in q'. On the engine's grid one lookup per cell then replaces
     the whole r search, at a tightness cost bounded by the grid spacing
-    (4e-5 in log q). rl is taken from ru once, after the r loop: 1 - c
-    stepped down is monotone in c, so the best lower candidate belongs to
-    the best upper one.
+    (at most 2^-16 relative). rl is taken from ru once, after the r loop:
+    1 - c stepped down is monotone in c, so the best lower candidate belongs
+    to the best upper one.
 
     Order r caps q^r at c_r = min(1e9 M(r), 1e300). q^r is rounded down and
     non-decreasing along q, so the points where it reaches c_r form a
@@ -251,7 +251,9 @@ def _upper_curve(table: MomentTable, q: np.ndarray) -> np.ndarray:
         # q >= bound makes the DOWN-stepped q^r reach the cap: each of the
         # r-1 multiplies loses less than a factor 1 - 2^-51 (half an ULP of
         # rounding, one ULP of step), and 2^-36 in the exponent covers the
-        # rounding of log, exp and the division
+        # rounding of log, exp and the division. The bound is only a guess:
+        # one too low raises the "fell short of its cap" AssertionError
+        # below, and one too high only carries q^r on a longer prefix.
         bound = np.exp((np.log(cap) - (r - 1) * math.log1p(-2.0**-51)) / r + 2.0**-36)
         reach = np.searchsorted(q, bound) + 1
         # later orders may reach further: keep what any of them still reads

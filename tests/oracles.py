@@ -28,9 +28,8 @@ from sigbound.dirround import (
     up_add,
     up_div,
     up_mul,
-    up_sub,
 )
-from sigbound.engine import _GRID_HI, _GRID_LO, _GRID_SIZE, _Rows
+from sigbound.engine import _Rows, _grid
 from sigbound.errors import InvalidParameterError
 from sigbound.moments import _TAIL_RATE, _mid_primes, check_y
 
@@ -49,8 +48,7 @@ def ratio_grids_per_r(table, q=None):
     vals = table.values
     inf = np.inf
     if q is None:
-        q = np.geomspace(_GRID_LO, _GRID_HI, _GRID_SIZE)
-        np.maximum.accumulate(q, out=q)
+        q = _grid()
     qr = q.copy()
     ru = np.ones(q.size)
     rl = np.zeros(q.size)
@@ -86,6 +84,10 @@ def naive_sigma_upto(n):
 # ---------------------------------------------------------------------------
 # directed kernels only the references use
 # ---------------------------------------------------------------------------
+
+def up_sub(x, y):
+    return math.nextafter(x - y, math.inf)
+
 
 def dn_div(x, y):
     return math.nextafter(x / y, -math.inf)

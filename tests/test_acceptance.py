@@ -23,14 +23,17 @@ from sigbound.moments import build_moment_table, moment_r1_exact
 
 # canonical desk-scale regression values (any thread count, y=31, z=1e8,
 # r_max=200); full-precision engine outputs:
-#   lower   0.04782853319837742
-#   upper   0.06493222320113845
-#   covered 0.9975129594562883
+#   lower   0.047830123268461984
+#   upper   0.06492978977948966
+#   covered 0.9975129594563145
 DESK_PAIRS = 1608738
-DESK_LOWER_10 = 0.04782853319  # outward (floor) 10 significant digits
-DESK_UPPER_10 = 0.06493222321  # outward (ceiling) 10 significant digits
-# The bracket of the per-cell summation that the chunked sums replaced: a
-# change of summation may tighten the bracket but never leave this one.
+DESK_LOWER_10 = 0.04783012326  # outward (floor) 10 significant digits
+DESK_UPPER_10 = 0.06492978978  # outward (ceiling) 10 significant digits
+# The brackets of the geometric ratio grid that the bit grid replaced, and
+# of the per-cell summation that the chunked sums replaced, each inside the
+# next: a change may tighten the bracket but never leave either one.
+GEOMETRIC_LOWER = 0.04782853319837742
+GEOMETRIC_UPPER = 0.06493222320113845
 EARLIER_LOWER = 0.04782853319777166
 EARLIER_UPPER = 0.06493222337119742
 
@@ -95,10 +98,11 @@ class TestCriterion2DeskBracket:
         ok_envelope = lower >= 0.01 and upper <= 0.25
         ok_regression = (
             r.pair_count == DESK_PAIRS
-            and lower == pytest.approx(0.04782853319837742, rel=1e-9)
-            and upper == pytest.approx(0.06493222320113845, rel=1e-9)
+            and lower == pytest.approx(0.047830123268461984, rel=1e-9)
+            and upper == pytest.approx(0.06492978977948966, rel=1e-9)
         )
-        ok_inside = lower >= EARLIER_LOWER and upper <= EARLIER_UPPER
+        ok_inside = (lower >= GEOMETRIC_LOWER and upper <= GEOMETRIC_UPPER
+                     and GEOMETRIC_LOWER >= EARLIER_LOWER and GEOMETRIC_UPPER <= EARLIER_UPPER)
         ok = ok_time and ok_proxy and ok_envelope and ok_regression and ok_inside
         report(
             ok,
@@ -107,7 +111,8 @@ class TestCriterion2DeskBracket:
             f"pairs={r.pair_count} in {elapsed:.1f}s (budget 600s); "
             f"proxy {EMPIRICAL_PROXY} inside with 1e-4 slack: {ok_proxy}; "
             f"envelope [0.01, 0.25]: {ok_envelope}; regression fixtures: {ok_regression}; "
-            f"inside [{EARLIER_LOWER}, {EARLIER_UPPER}]: {ok_inside}",
+            f"inside [{GEOMETRIC_LOWER}, {GEOMETRIC_UPPER}] inside "
+            f"[{EARLIER_LOWER}, {EARLIER_UPPER}]: {ok_inside}",
         )
 
     def test_cli_surface_json(self, capsys, desk_run):

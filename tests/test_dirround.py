@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dn_div, exp_up_wide, pow_up
+from oracles import dn_div, exp_up_wide, pow_up, up_sub
 from sigbound import dirround, engine
 from sigbound.dirround import (
     ZETA2_UP,
@@ -25,7 +25,6 @@ from sigbound.dirround import (
     ulp_dn,
     ulp_up,
     up_mul,
-    up_sub,
 )
 from sigbound.errors import InvalidParameterError
 

@@ -1,17 +1,17 @@
 """Pinned bits of the certified totals, the moment tables and the bound
 curves.
 
-The totals were taken when each density factor of the smooth-number tables
-became its parent's times one exact ratio, with no integer rounded to a
-float. Two earlier sets of totals stay pinned as outer bounds, each at least
-as loose as the one after it: those of the tables that divided each factor
-by its directed value at the end, and before them those of the engine that
-rounded each chunk total one ULP outward and merged them with directed adds
-(the cell totals have since been exact integer sums, rounded once). The
-tables were taken from the engine as it stood before its numpy kernels
-switched from np.nextafter and math.fsum to the int64-view ULP steps and
-exact_sum of `sigbound.dirround`; the curve digests from the grid
-build that still stepped q^r over every grid point below 1e300; the
+The totals and the curve digests were taken when the ratio grid became the
+doubles 1 + i 2^-16 on [1, 2) and 2 + j 2^-15 on [2, 4], with each cell's
+slot read off the bits of its ratio. Three earlier sets of totals stay
+pinned as outer bounds, each at least as loose as the one after it: those
+of the geometric grid from 1 + 2^-16 to 32; before them those of the tables
+that divided each density factor by its directed value at the end; and
+before them those of the engine that rounded each chunk total one ULP
+outward and merged them with directed adds (the cell totals have since been
+exact integer sums, rounded once). The tables were taken from the engine as
+it stood before its numpy kernels switched from np.nextafter and math.fsum
+to the int64-view ULP steps and exact_sum of `sigbound.dirround`; the
 y = 353, r_max = 8200 table digest from the table loop that still clamped
 every step and evaluated each order's tail factor on its own. Any change
 of the rounding path that moves one bit of a total, a table entry or a curve
@@ -29,10 +29,16 @@ from sigbound.moments import build_moment_table
 
 TOTALS = ("lower_total", "upper_total", "covered_lo", "covered_hi")
 
-GOLDEN_31 = ("0x1.7866e4b1fb60ep-5", "0x1.6585086a513abp-4",
+GOLDEN_31 = ("0x1.786a15f4f8dc1p-5", "0x1.65828db74df4fp-4",
              "0x1.f21b4df9c19e8p-1", "0x1.f21b4df9c19fbp-1")
-GOLDEN_353 = ("0x1.ca390100aae3cp-6", "0x1.b6fcffc552ff7p-2",
+GOLDEN_353 = ("0x1.ca3e509fd7936p-6", "0x1.b6fc7108d98fap-2",
               "0x1.331ad00ec0cccp-1", "0x1.331ad00ec0cd9p-1")
+
+# The totals of the geometric grid, whose slots came from a log guess.
+GEOMETRIC_31 = ("0x1.7866e4b1fb60ep-5", "0x1.6585086a513abp-4",
+                "0x1.f21b4df9c19e8p-1", "0x1.f21b4df9c19fbp-1")
+GEOMETRIC_353 = ("0x1.ca390100aae3cp-6", "0x1.b6fcffc552ff7p-2",
+                 "0x1.331ad00ec0cccp-1", "0x1.331ad00ec0cd9p-1")
 
 # The totals of the tables that divided each density factor by its value.
 DIVIDED_31 = ("0x1.7866e4b1fb60ep-5", "0x1.6585086a513b9p-4",
@@ -84,7 +90,8 @@ def test_totals_y31(threads):
     report = run_bounds(31, 10**6, 200, threads=threads)
     assert report.pair_count == 135331
     assert total_bits(report) == GOLDEN_31
-    assert_within(GOLDEN_31, DIVIDED_31)
+    assert_within(GOLDEN_31, GEOMETRIC_31)
+    assert_within(GEOMETRIC_31, DIVIDED_31)
     assert_within(DIVIDED_31, CHUNKED_31)
 
 
@@ -92,7 +99,8 @@ def test_totals_y353():
     report = run_bounds(353, 10**5, 500, threads=1)
     assert report.pair_count == 148128
     assert total_bits(report) == GOLDEN_353
-    assert_within(GOLDEN_353, DIVIDED_353)
+    assert_within(GOLDEN_353, GEOMETRIC_353)
+    assert_within(GEOMETRIC_353, DIVIDED_353)
     assert_within(DIVIDED_353, CHUNKED_353)
 
 
@@ -117,8 +125,8 @@ def test_table_y157():
 
 
 @pytest.mark.parametrize("y,r_max,digest", [
-    (31, 200, "d31e30bfd86d1fda6ccf433beaadba61cc6c35639067ef2ea8333125a067aa2e"),
-    (353, 500, "de62225cd6f859989a1bd684cf7247bbbebcc6aa9823f888732569cb720905d0"),
-])
+    (31, 200, "82964e01e853e41d110f691bcb1c1be64a85c46fea4066cd91edcc7bcba5ec08"),
+    (353, 500, "b4e8a11c61d02ae1920f634e4e751ba3af69a19093cc2aa170b52a20bdec152f"),
+], ids=["31-200", "353-500"])
 def test_curves(y, r_max, digest):
     assert curve_digest(build_moment_table(y, r_max)) == digest

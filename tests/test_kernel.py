@@ -22,7 +22,7 @@ def grid_curves(table):
     """The engine's grid and its curves (g, ru, rl), as run_bounds reads
     them."""
     consts = engine._engine_consts(table)
-    return consts.edges[1:-1], consts.ru_at[1:], consts.rl_at[1:]
+    return engine._grid(), consts.ru_at[1:], consts.rl_at[1:]
 
 
 def exact_slot(g, q: Fraction) -> int:
@@ -98,7 +98,8 @@ def short_ratios(seed):
     engine's grid range with both neighbours of each, and 512 seeded random
     ones from just above 1 to 1e4 (where q^r overflows early), 64 of them
     repeated."""
-    g = np.geomspace(engine._GRID_LO, engine._GRID_HI, 512)
+    grid = engine._grid()
+    g = np.geomspace(grid[0], grid[-1], 512)
     rng = np.random.default_rng(seed)
     r = np.exp(rng.uniform(math.log1p(2.0**-30), math.log(1e4), 448))
     return np.sort(np.concatenate([g, np.nextafter(g, 0.0), np.nextafter(g, np.inf),
@@ -138,16 +139,25 @@ def test_bound_curves_hold_an_overflowing_candidate_at_inf():
     assert_curves_match_the_oracle(table, q)
 
 
-def test_grid_slot_is_searchsorted_right(table_y31_r200):
-    consts = engine._engine_consts(table_y31_r200)
-    g = consts.edges[1:-1]
+def test_grid_is_increasing_with_relative_spacing_at_most_2_to_the_minus_16():
+    g = engine._grid()
+    assert g.dtype == np.float64 and g.size == 2**17
+    assert np.all(np.diff(g) > 0)
+    assert g[0] == 1.0 + 2.0**-16 and g[-1] == 4.0
+    step = Fraction(2**16 + 1, 2**16)
+    q = [Fraction(v) for v in g.tolist()]
+    assert all(b <= a * step for a, b in zip(q, q[1:]))
+
+
+def test_grid_slot_is_searchsorted_right():
+    g = engine._grid()
     rng = np.random.default_rng(5)
     x = np.concatenate([
         np.exp(rng.uniform(-1.0, 4.0, 20000)),
-        g[::97], np.nextafter(g[::89], 0.0), np.nextafter(g[::83], np.inf),
-        [g[0], g[-1], 1e-300, 1.0, 1e300],
+        g[::97], np.nextafter(g[::97], 0.0), np.nextafter(g[::97], np.inf),
+        [0.0, 5e-324, 1e-300, 1.0, 4.0, 4.0 + 2.0**-50, 6.9, 1e300, np.inf],
     ])
-    assert np.array_equal(engine._grid_slot(consts, x), np.searchsorted(g, x, "right"))
+    assert np.array_equal(engine._slot(x), np.searchsorted(g, x, "right"))
 
 
 def test_small_row_budget_moves_primes_to_the_a_side(table_y31_r200, monkeypatch):

@@ -37,7 +37,10 @@ _ALL = {
 # the cell totals add as exact integers (exact_sum) and each reported number
 # is rounded once from them, so no directed merge or chunk step is left.
 # _float_dir, _F63: each table density factor is its parent's times one
-# exact ratio, so no integer value is rounded to a float.
+# exact ratio, so no integer value is rounded to a float. _grid_slot,
+# _GRID_LO, _GRID_HI: the ratio grid is a run of doubles, and a cell's slot
+# is read off the bits of its ratio with no log guess. up_sub: only the
+# references in tests/oracles.py subtract rounding up.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
@@ -56,6 +59,7 @@ _REMOVED = (
     "_validate_factored", "_cell_arg", "_primes_upto", "_check_y", "_check_sieve",
     "exp_up_wide", "_exp_up_core", "_tail_factor", "_bound_curves",
     "_merge", "_upper_with_tail", "next_dn", "_float_dir", "_F63",
+    "_grid_slot", "_GRID_LO", "_GRID_HI", "up_sub",
 )
 
 # Methods dropped along with the code that called them. The table holds
@@ -148,3 +152,50 @@ def test_one_directed_rounding_path():
             if pair in _SLOW_PRIMITIVES:
                 found.append(f"{path.name}:{node.lineno} {pair[0]}.{pair[1]}")
     assert found == []
+
+
+# Transcendental functions of numpy and math. IEEE 754 leaves their rounding
+# to the library, so no directed step after one is a certificate; the
+# package may call one only as a guess that an exact check settles, or to
+# size an allocation.
+_TRANSCENDENTAL = {"log", "log1p", "log2", "log10", "exp", "expm1", "exp2", "pow", "power"}
+
+# The functions allowed such a call, each next to a comment naming its guard:
+# primes_upto sizes its output from pi(x) < 1.25506 x / ln x (a short array
+# fails on the write past its end), and _upper_curve's reach bound raises
+# when q^r falls short of its cap there.
+_GUARDED = {("arith.py", "primes_upto"), ("moments.py", "_upper_curve")}
+
+
+def _transcendental_uses(tree):
+    """The nodes of tree that name a transcendental of numpy or math, as an
+    attribute of the module or as a name imported from it."""
+    imported = {alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy")
+                for alias in node.names if alias.name in _TRANSCENDENTAL}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("np", "numpy", "math") and node.attr in _TRANSCENDENTAL:
+                yield node
+        elif isinstance(node, ast.Name) and node.id in imported:
+            yield node
+
+
+def test_transcendentals_only_behind_guards():
+    """No module of the package uses log, exp or pow of numpy or math
+    outside the functions of _GUARDED, and each of those still does."""
+    found, guarded = [], set()
+    for path in sorted(pathlib.Path(sigbound.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in _GUARDED:
+                owner.update((id(sub), node.name) for sub in ast.walk(node))
+        for node in _transcendental_uses(tree):
+            if id(node) in owner:
+                guarded.add((path.name, owner[id(node)]))
+            else:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+    assert guarded == _GUARDED
