@@ -17,7 +17,8 @@ orders come from one dirround.exp_up pass.
 
 bound_curves turns a table into the per-cell bound: min over r of
 (M(r)-1)/(q^r-1), and 1 minus it, at any non-decreasing array of ratios
-q > 1. The engine evaluates it once, on its grid.
+q > 1. The engine evaluates it once, on its grid; it carries q^r only up to
+the cap crossings it has seen, with no guess of where they fall.
 """
 from __future__ import annotations
 
@@ -221,10 +222,13 @@ def bound_curves(table: MomentTable, q: np.ndarray):
 
     Order r caps q^r at c_r = min(1e9 M(r), 1e300). q^r is rounded down and
     non-decreasing along q, so the points where it reaches c_r form a
-    suffix, and there the candidate is the one scalar (M(r)-1)/(c_r-1).
-    Hence q^r is only carried on the prefix that this or a later order can
-    read below its cap, and each capped scalar goes to the first point of
-    its suffix in `tail`; one running min spreads them after the loop.
+    suffix, and there the candidate is the one scalar s_r =
+    (M(r)-1)/(c_r-1) (+inf if c_r - 1 steps down to <= 0); it goes to the
+    first point k of the suffix in `tail`, and one running min spreads the
+    scalars after the loop. No candidate of an order is below its s_r, so
+    if no later order has a smaller s, none can lower ru past k, and q^r is
+    carried on the points before k only. M(r) of a built table never
+    falls, so there every crossing shrinks the prefix.
 
     Two of the three steps per order are bare int64 steps, each where the
     clamp of ulp_dn cannot act (it acts only at +0.0): q^r >= q > 1, and
@@ -245,29 +249,23 @@ def _upper_curve(table: MomentTable, q: np.ndarray) -> np.ndarray:
     stop = np.flatnonzero(~np.isfinite(lam))
     if stop.size:
         lam = lam[: stop[0]]
-    r = np.arange(1, lam.size + 1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cap = np.minimum(1e9 * lam, 1e300)
-        # q >= bound makes the DOWN-stepped q^r reach the cap: each of the
-        # r-1 multiplies loses less than a factor 1 - 2^-51 (half an ULP of
-        # rounding, one ULP of step), and 2^-36 in the exponent covers the
-        # rounding of log, exp and the division. The bound is only a guess:
-        # one too low raises the "fell short of its cap" AssertionError
-        # below, and one too high only carries q^r on a longer prefix.
-        bound = np.exp((np.log(cap) - (r - 1) * math.log1p(-2.0**-51)) / r + 2.0**-36)
-        reach = np.searchsorted(q, bound) + 1
-        # later orders may reach further: keep what any of them still reads
-        keep = np.minimum(np.maximum.accumulate(reach[::-1])[::-1], n)
-        top = int(keep[0]) if keep.size else 0
-        qr = q[:top].copy()  # q^r rounded down, on the prefix still read
-        ru = np.ones(n)
-        # tail[k]: the least capped scalar of the orders whose capped suffix
-        # starts at point k (k = n when no point reaches the cap)
-        tail = np.ones(n + 1)
-        cand = np.empty(top)
-        qr_b, cand_b = qr.view(np.int64), cand.view(np.int64)
-        for i in range(lam.size):
-            m = int(keep[i])
+    with np.errstate(over="ignore"):  # 1e9 M(r) may overflow; the cap holds
+        cap = np.minimum(1e9 * lam, 1e300).tolist()
+    nums = [next_up(v - 1.0) for v in lam.tolist()]
+    scalars = [up_div(num, d) if (d := dn_sub(c, 1.0)) > 0.0 else math.inf
+               for num, c in zip(nums, cap)]
+    # later[i]: the least capped scalar of the orders after order i
+    later = np.minimum.accumulate([math.inf, *scalars[:0:-1]])[::-1].tolist()
+    qr = q.copy()  # q^r rounded down, on the prefix still read
+    ru = np.ones(n)
+    # tail[k]: the least capped scalar of the orders whose capped suffix
+    # starts at point k
+    tail = np.ones(n)
+    cand = np.empty(n)
+    qr_b, cand_b = qr.view(np.int64), cand.view(np.int64)
+    m = n
+    with np.errstate(over="ignore"):  # q^r and num / d may overflow
+        for i, (num, c, s) in enumerate(zip(nums, cap, scalars)):
             if i:
                 head = qr[:m]
                 np.multiply(head, q[:m], out=head)
@@ -275,11 +273,7 @@ def _upper_curve(table: MomentTable, q: np.ndarray) -> np.ndarray:
                 # where ulp_dn's clamp acts (+inf steps to the largest
                 # finite double either way)
                 qr_b[:m] -= 1
-            c = float(cap[i])
             k = int(np.searchsorted(qr[:m], c))  # qr[:k] < c <= qr[k:m]
-            if k == m < n:
-                raise AssertionError("q^r fell short of its cap at the reach bound; this is a bug")
-            num = next_up(float(lam[i]) - 1.0)
             cd = cand[:k]
             np.subtract(qr[:k], 1.0, out=cd)
             # bare step down: q^r - 1 >= q[0] - 1 > 0, exactly, so the
@@ -289,9 +283,10 @@ def _upper_curve(table: MomentTable, q: np.ndarray) -> np.ndarray:
             # clamped: num / d may overflow to +inf, which must stay +inf
             ulp_up(cd)
             np.minimum(ru[:k], cd, out=ru[:k])
-            dcap = dn_sub(c, 1.0)
-            if dcap > 0.0:
-                tail[k] = min(tail[k], up_div(num, dcap))
+            if k < m:
+                tail[k] = min(tail[k], s)
+                if s <= later[i]:  # no later order can lower ru past k
+                    m = k
     np.minimum.accumulate(tail, out=tail)
-    np.minimum(ru, tail[:n], out=ru)
+    np.minimum(ru, tail, out=ru)
     return ru

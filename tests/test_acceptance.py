@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_cells, primorial, solve_progression
-from sigbound.cli import main
+from sigbound.cli import _outward, main
 from sigbound.counting import count_sigma_ge, moment_sum, smooth_part_block
 from sigbound.engine import cell_density, run_bounds
 from sigbound.moments import build_moment_table, moment_r1_exact
@@ -101,9 +101,11 @@ class TestCriterion2DeskBracket:
             and lower == pytest.approx(0.047830123268461984, rel=1e-9)
             and upper == pytest.approx(0.06492978977948966, rel=1e-9)
         )
+        ok_printed = (_outward(lower, True) == DESK_LOWER_10
+                      and _outward(upper, False) == DESK_UPPER_10)
         ok_inside = (lower >= GEOMETRIC_LOWER and upper <= GEOMETRIC_UPPER
                      and GEOMETRIC_LOWER >= EARLIER_LOWER and GEOMETRIC_UPPER <= EARLIER_UPPER)
-        ok = ok_time and ok_proxy and ok_envelope and ok_regression and ok_inside
+        ok = ok_time and ok_proxy and ok_envelope and ok_regression and ok_printed and ok_inside
         report(
             ok,
             "criterion 2",
@@ -111,6 +113,7 @@ class TestCriterion2DeskBracket:
             f"pairs={r.pair_count} in {elapsed:.1f}s (budget 600s); "
             f"proxy {EMPIRICAL_PROXY} inside with 1e-4 slack: {ok_proxy}; "
             f"envelope [0.01, 0.25]: {ok_envelope}; regression fixtures: {ok_regression}; "
+            f"printed [{DESK_LOWER_10}, {DESK_UPPER_10}]: {ok_printed}; "
             f"inside [{GEOMETRIC_LOWER}, {GEOMETRIC_UPPER}] inside "
             f"[{EARLIER_LOWER}, {EARLIER_UPPER}]: {ok_inside}",
         )

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -40,6 +40,22 @@ class TestSievePrimes:
     def test_strictly_increasing(self):
         primes = primes_upto(1000).tolist()
         assert all(a < b for a, b in zip(primes, primes[1:]))
+
+    def test_powers_of_two_and_their_neighbours_against_a_plain_sieve(self):
+        # ln x = (L-1) ln 2 exactly at x = 2^k, where the output size bound
+        # is tightest; 2^22 passes the first segment boundary, 3 + 2^21
+        top = 2**22 + 1
+        is_prime = np.ones(top + 1, dtype=bool)
+        is_prime[:2] = False
+        for p in range(2, isqrt(top) + 1):
+            if is_prime[p]:
+                is_prime[p * p :: p] = False
+        plain = np.flatnonzero(is_prime)
+        for k in range(1, 23):
+            for x in (2**k - 1, 2**k, 2**k + 1):
+                got = primes_upto(x)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, plain[plain <= x]), x
 
     def test_no_primes_below_two(self):
         for bound in (1, 0, -5):

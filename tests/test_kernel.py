@@ -121,11 +121,23 @@ def test_bound_curves_match_the_oracle_on_short_arrays(y, r_max):
 
 
 def test_bound_curves_carry_the_prefix_a_later_order_reads():
-    # (1e9 M(r))^(1/r) is 2.9 at r = 20 and 10.7 at r = 21, so order 21
-    # reads q^r on a longer prefix than order 20 needs
+    # (1e9 M(r))^(1/r) is 2.9 at r = 20 and 10.7 at r = 21: orders 3 to 20
+    # shrink the prefix at their cap crossings (none has a later capped
+    # scalar below its own), and past the last one order 21 is still below
+    # its cap, with candidates no smaller than order 20's scalar
     vals = [1.5] * 20 + [4.0**r for r in range(21, 31)]
     table = MomentTable(y=3, r_max=30, values=(math.nan, *vals))
     assert_curves_match_the_oracle(table, short_ratios(0))
+
+
+def test_bound_curves_keep_the_prefix_when_a_later_cap_is_lower():
+    # M(r) falls from 2.0 at r = 5 to 1.5 at r = 6, and both orders reach
+    # their caps at q = 100: the capped scalar 1/(2e9 - 1) = 5e-10 of order
+    # 5 is above order 6's 0.5/(1.5e9 - 1) = 3.3e-10, so order 5's crossing
+    # must not shrink the prefix before order 6 reads it
+    vals = [1.2, 1.2, 1.2, 1.2, 2.0, 1.5]
+    table = MomentTable(y=3, r_max=6, values=(math.nan, *vals))
+    assert_curves_match_the_oracle(table, np.array([1.5, 2.0, 100.0]))
 
 
 def test_bound_curves_hold_an_overflowing_candidate_at_inf():

@@ -155,16 +155,9 @@ def test_one_directed_rounding_path():
 
 
 # Transcendental functions of numpy and math. IEEE 754 leaves their rounding
-# to the library, so no directed step after one is a certificate; the
-# package may call one only as a guess that an exact check settles, or to
-# size an allocation.
+# to the library, so no directed step after one is a certificate, and the
+# package calls none.
 _TRANSCENDENTAL = {"log", "log1p", "log2", "log10", "exp", "expm1", "exp2", "pow", "power"}
-
-# The functions allowed such a call, each next to a comment naming its guard:
-# primes_upto sizes its output from pi(x) < 1.25506 x / ln x (a short array
-# fails on the write past its end), and _upper_curve's reach bound raises
-# when q^r falls short of its cap there.
-_GUARDED = {("arith.py", "primes_upto"), ("moments.py", "_upper_curve")}
 
 
 def _transcendental_uses(tree):
@@ -182,20 +175,10 @@ def _transcendental_uses(tree):
             yield node
 
 
-def test_transcendentals_only_behind_guards():
-    """No module of the package uses log, exp or pow of numpy or math
-    outside the functions of _GUARDED, and each of those still does."""
-    found, guarded = [], set()
+def test_package_calls_no_transcendental():
+    """No module of the package uses log, exp or pow of numpy or math."""
+    found = []
     for path in sorted(pathlib.Path(sigbound.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        owner = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in _GUARDED:
-                owner.update((id(sub), node.name) for sub in ast.walk(node))
-        for node in _transcendental_uses(tree):
-            if id(node) in owner:
-                guarded.add((path.name, owner[id(node)]))
-            else:
-                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+        found += [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+                  for node in _transcendental_uses(ast.parse(path.read_text()))]
     assert found == []
-    assert guarded == _GUARDED
