@@ -18,8 +18,9 @@ its side; it carries no arithmetic of its own.
 The numpy kernels `ulp_up` / `ulp_dn` take the same one-ULP step on whole
 float64 arrays, in place, through the int64 view of the bits;
 `exact_sum` gives the exact sum of an array of nonnegative doubles as an
-integer count of 2**-1074, so that totals add exactly in any order and a
-directed total is one `ratio_dn` / `ratio_up` of the count over 2**1074;
+integer count of 2**-1074, by rounds of error-free extraction, so that
+totals add exactly in any order and a directed total is one `ratio_dn` /
+`ratio_up` of the count over 2**1074;
 and `exp_up` bounds e^v from above for a whole array of exponents.
 """
 from __future__ import annotations
@@ -151,10 +152,12 @@ def ulp_dn(x: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
     return x
 
 
-# exact_sum splits each 53-bit integer mantissa into a high part of 27 bits
-# and a low part of 26. A bucket sum of fewer than 2**26 such parts stays
-# below 2**53, so np.bincount adds them exactly in float64.
+# exact_sum takes fewer than 2**26 terms: with L = bit_length(n) <= 26, a
+# round of the extraction clears at least 53 - 1 - L >= 26 bits of every
+# remainder, and the large terms of a sum near DBL_MAX stay normal when
+# scaled by 2**-_SCALE (they are at least 2**(1023 - L)).
 _SUM_MAX_TERMS = 1 << 26
+_SCALE = 64
 
 
 def exact_sum(x: np.ndarray) -> int:
@@ -162,38 +165,59 @@ def exact_sum(x: np.ndarray) -> int:
     the integer n with sum = n * 2**-1074.
 
     Every double is a whole multiple of 2**-1074, the smallest subnormal, so
-    n is an integer. Each element is m * 2**e with m = frexp mantissa;
-    M = m * 2**53 is an integer below 2**53, cut into M = hi * 2**26 + lo.
-    np.bincount sums hi and lo per exponent e, exactly (see _SUM_MAX_TERMS).
-    The buckets are combined into one Python int, and a shift by the
-    smallest exponent scales it to units of 2**-1074, dropping only zero
-    bits. An empty x sums to 0.
+    n is an integer. The sum is taken by extraction (Rump, Ogita and Oishi,
+    "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31,
+    2008, ExtractVector): with n < 2**L terms, all below 2**e, and
+    sigma = 2**(e + L), each q = (r + sigma) - sigma is r rounded to a whole
+    multiple of 2**(e + L - 53), r - q is exact and at most that unit, and
+    the float sum of the q is exact in any order, since every partial sum is
+    such a multiple of magnitude below sigma. Each round adds that sum to a Python int
+    and goes on with the remainders r - q, under a sigma taken from their
+    largest magnitude, until they are all zero. When sigma would overflow,
+    the terms of 2**(1023 - L) and above are summed apart, scaled down by
+    2**-64, which is exact for them. An empty x sums to 0.
     """
     if x.size == 0:
         return 0
     if x.size >= _SUM_MAX_TERMS:
         raise InvalidParameterError(f"exact_sum takes fewer than 2**26 terms, got {x.size}")
     bits = x.view(np.int64)
-    if bits.min() < 0 or bits.max() >= _INF_BITS:
+    top = int(bits.max())
+    if bits.min() < 0 or top >= _INF_BITS:
         raise InvalidParameterError("exact_sum needs finite doubles >= +0.0")
-    m, e = np.frexp(x)
-    t = m * 2.0**27  # exact: a power-of-two scaling
-    hi = np.floor(t)
-    lo = t - hi  # exact: the fraction bits of t
-    lo *= 2.0**26
-    e_min = int(e.min())
-    e -= e_min
-    hi_sums = np.bincount(e, weights=hi)
-    lo_sums = np.bincount(e, weights=lo)
-    nz = np.flatnonzero(hi_sums)  # hi >= 2**26 for every nonzero element
+    size = x.size.bit_length()
+    if (top >> 52) - 1022 + size <= 1023:
+        return _extract(x, top, size)
+    big = x >= math.ldexp(1.0, 1023 - size)
+    small = x[~big]
+    scaled = x[big] * math.ldexp(1.0, -_SCALE)  # exact: the results stay normal
+    return (_extract(small, int(small.view(np.int64).max(initial=0)), size)
+            + (_extract(scaled, int(scaled.view(np.int64).max()), size) << _SCALE))
+
+
+def _extract(x: np.ndarray, top: int, size: int) -> int:
+    """exact_sum of the finite doubles x >= +0.0, of fewer than 2**size
+    terms, whose largest term has the int64 bits `top` and lies below
+    2**(1023 - size)."""
+    if top == 0:  # every term is +0.0
+        return 0
+    # x < 2**e, e from the largest term's exponent field (2**-1022 bounds a
+    # subnormal)
+    sigma = math.ldexp(1.0, (top >> 52) - 1022 + size)
+    q = x + sigma
+    q -= sigma
+    r = x - q
     total = 0
-    for k, h, lo_k in zip(nz.tolist(), hi_sums[nz].astype(np.int64).tolist(),
-                          lo_sums[nz].astype(np.int64).tolist()):
-        total += ((h << 26) + lo_k) << k
-    # the sum is total * 2**(e_min - 53), a whole multiple of 2**-1074, so
-    # a right shift (subnormals only) drops zero bits
-    shift = e_min - 53 + 1074
-    return total << shift if shift >= 0 else total >> -shift
+    while True:
+        num, den = float(q.sum()).as_integer_ratio()
+        total += (num << 1074) // den  # den is a power of two <= 2**1074
+        m = max(r.max(), -r.min())
+        if m == 0.0:
+            return total
+        sigma = math.ldexp(1.0, math.frexp(m)[1] + size)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,17 @@ density of the whole set.
 
 run_bounds evaluates the cells in numpy. It builds a table of even b values
 and the odd a side once per run, each row carrying its prime mask, directed
-density factor and directed abundancy, and cuts the candidate pairs (a, b)
-with b <= z // a into chunks. Per chunk it drops the pairs whose masks
-intersect, computes each cell's directed terms, reads the grid slot of its
-abundancy ratio off the ratio's bits, and sums each total exactly with
-exact_sum, as an integer count of 2**-1074. Integer addition is exact in
-any order, so the totals do not depend on the chunk cut or on the thread
-count. The pool's threads share the tables, which are marked read-only.
+density factor and directed abundancy. The b table is sorted by class, the
+set of the first three of its odd primes that divide b, and then by value,
+so that the candidate pairs (a, b) with b <= z // a, taken only from the b
+classes disjoint from a's own, are ranges of the table; they are cut into
+chunks. Per chunk it drops the pairs whose masks still intersect, computes
+each cell's directed terms, reads the grid slot of its abundancy ratio off
+the ratio's bits (the lower curve only for the cells whose DOWN-directed
+h(b)/h(a) is at most 1), and sums each total exactly with exact_sum, as an
+integer count of 2**-1074. Integer addition is exact in any order, so the
+totals do not depend on the chunk cut or on the thread count. The pool's
+threads share the tables, which are marked read-only.
 
 Directed rounding discipline: lower quantities round DOWN, upper ones UP.
 Each cell term takes a one-ULP step after every operation; the totals over
@@ -146,6 +150,12 @@ _ROW_BUDGET = 1 << 18
 _CHUNK_MIN = 1 << 8
 _CHUNK = 1 << 14
 
+# The first _CLASS_PRIMES odd primes of the b table split it into classes
+# (see _classes), so that each a-side row is paired only with the b classes
+# its own class is disjoint from; the mask filter drops the pairs that share
+# one of the other primes.
+_CLASS_PRIMES = 3
+
 
 class _Consts(NamedTuple):
     """The z-independent engine state: the odd primes <= y, the directed
@@ -221,18 +231,17 @@ class _Rows(NamedTuple):
     h_dn: np.ndarray
     h_up: np.ndarray
 
-    def take(self, idx) -> "_Rows":
-        return _Rows(*(col[..., idx] for col in self))
-
     def read_only(self) -> "_Rows":
         return _Rows(*map(_read_only, self))
 
 
 def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
-                 budget: Optional[int] = None):
+                 budget: Optional[int] = None, classes: int = 0):
     """Every even (or odd) number v <= limit built from 2 (or not) and a
-    prefix of the odd primes `odd`, sorted by value, with the density factor
-    f0 * F(v)/v and the abundancy h(v).
+    prefix of the odd primes `odd`, sorted by class and then by value, with
+    the density factor f0 * F(v)/v and the abundancy h(v). A row's class is
+    the set of the first `classes` primes used that divide v (see
+    _classes); with classes = 0 the rows are sorted by value alone.
 
     The odd primes join in increasing order while the table stays within
     `budget` rows. Returns the rows and the number of odd primes used.
@@ -240,8 +249,9 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
     The build keeps its memory near the size of the result. The first phase
     generates the values alone: each prime p appends, for k = 1, 2, ..., the
     batch v * p^k of the values v so far with v * p^k <= limit, recorded as
-    (prime index, p^k, parent indices). The second sorts the values once and
-    writes every other column straight into its sorted place, batch by batch
+    (prime index, p^k, parent indices). The second sorts the values (by
+    value, then stably by class) and writes every other column straight into
+    its sorted place, batch by batch
     and so parents before children. The heads are the powers of 2 (e >= 1
     on the even side, e = 0 on the odd), with the factor f0 / 2^e, exact,
     and the abundancy (2^(e+1)-1)/2^e; a child v * p^k multiplies its
@@ -275,7 +285,14 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
         used += 1
     parts = new = None  # free the last prime's pieces before the columns
 
-    order = np.argsort(value, kind="stable")
+    # each value is generated once, from its factorization, so the values
+    # are distinct and any sort gives the same order: no stable sort needed
+    order = np.argsort(value)
+    if classes:  # bit j of a class is bit j of the mask
+        cls = np.zeros(value.size, np.uint8)
+        for j, p in enumerate(odd[:min(classes, used)]):
+            cls |= (value % p == 0).view(np.uint8) << np.uint8(j)
+        order = order[np.argsort(cls[order], kind="stable")]
     value = value[order]
     pos = np.empty_like(order)  # generation index -> sorted position
     pos[order] = np.arange(order.size)
@@ -379,10 +396,12 @@ def _a_block(small: _Rows, visits: list, size: int) -> _Rows:
 
 
 class _Chunk(NamedTuple):
-    """Candidate rows: for a-side row i of `rows`, the b-table rows
-    j_lo[i] <= j < j_hi[i] (a prefix range of the b values <= z // value)."""
+    """Candidate rows: for each range k, a-side row a[k] of `rows` against
+    the b-table rows j_lo[k] <= j < j_hi[k], b values of one class disjoint
+    from the row's own and at most z // the row's value."""
 
     rows: _Rows
+    a: np.ndarray
     j_lo: np.ndarray
     j_hi: np.ndarray
 
@@ -391,37 +410,77 @@ def _cell_tables(consts: _Consts, z: int):
     """The b table and the chunks of candidate rows, in their fixed order.
 
     The b table holds the even numbers <= z built from 2 and the longest
-    prefix of the odd primes that keeps it within _ROW_BUDGET rows; the odd
-    primes outside it go to the a side (see _a_blocks). The b table and the
-    a-side blocks come back read-only.
+    prefix of the odd primes that keeps it within _ROW_BUDGET rows, sorted by
+    class and then by value (see _classes); the odd primes outside it go to
+    the a side (see _a_blocks). The b table and the a-side blocks come back
+    read-only.
     """
-    b, used = _smooth_rows(consts.odd, z, True, 1.0, 1.0, _ROW_BUDGET)
+    b, used = _smooth_rows(consts.odd, z, True, 1.0, 1.0, _ROW_BUDGET, _CLASS_PRIMES)
     small, _ = _smooth_rows(consts.odd[:used], z // 2, False, consts.base_dn, consts.base_up)
     blocks = (rows.read_only() for rows in _a_blocks(small, consts.odd[used:], z))
-    return b.read_only(), _chunks(blocks, b.value, z)
+    b = b.read_only()
+    return b, _chunks(blocks, b, (1 << min(used, _CLASS_PRIMES)) - 1, z)
 
 
-def _chunks(blocks, b_value: np.ndarray, z: int):
-    """Cut each block's candidate rows, a-side row by row and b ascending,
-    into chunks of the sizes set by _CHUNK_MIN and _CHUNK."""
+def _classes(rows: _Rows, cmask: int) -> np.ndarray:
+    """Each row's class, as uint8: its mask bits under cmask, i.e. the set
+    of the b table's class primes (its first odd primes) dividing its value."""
+    if not cmask:
+        return np.zeros(rows.value.size, np.uint8)
+    return (rows.mask[0] & np.uint64(cmask)).astype(np.uint8)
+
+
+def _ranges(rows: _Rows, b: _Rows, bounds: np.ndarray, cmask: int, z: int):
+    """The candidate ranges (a, j_lo, count) of the a-side block `rows`:
+    per a-side row and per b class disjoint from the row's class, the b rows
+    of that class with value <= z // the row's value. `bounds[c]` is where
+    class c starts in the b table. Yielded in batches of _CHUNK >>
+    _CLASS_PRIMES rows, at most _CHUNK ranges each, so that the ranges held
+    at once stay near the size of a chunk whatever the block's size; a range
+    of length 0 is dropped."""
+    a_cls = _classes(rows, cmask)
+    step = max(1, _CHUNK >> _CLASS_PRIMES)
+    for g in range(0, rows.value.size, step):
+        lim = z // rows.value[g:g + step]
+        cls = a_cls[g:g + step]
+        parts = []
+        for c in range(cmask + 1):
+            sel = np.flatnonzero(cls & c == 0)
+            cnt = np.searchsorted(b.value[bounds[c]:bounds[c + 1]], lim[sel], "right")
+            nz = np.flatnonzero(cnt)
+            parts.append((sel[nz] + g, np.full(nz.size, bounds[c]), cnt[nz]))
+        yield tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _chunks(blocks, b: _Rows, cmask: int, z: int):
+    """Cut each block's candidate ranges (see _ranges) into chunks of the
+    sizes set by _CHUNK_MIN and _CHUNK; the last chunk of a block takes the
+    rows left over. A range may be split between chunks."""
+    bounds = np.searchsorted(_classes(b, cmask), np.arange(cmask + 2))
     size = _CHUNK_MIN
     for rows in blocks:
-        cnt = np.searchsorted(b_value, z // rows.value, "right")
-        ends = np.cumsum(cnt)
-        starts = ends - cnt
-        total = int(ends[-1])
-        s = 0
-        while s < total:
-            e = min(total, s + size)
-            r0 = int(np.searchsorted(ends, s, "right"))
-            r1 = int(np.searchsorted(ends, e - 1, "right")) + 1
-            yield _Chunk(
-                rows.take(slice(r0, r1)),
-                np.maximum(s - starts[r0:r1], 0),
-                np.minimum(e - starts[r0:r1], cnt[r0:r1]),
-            )
-            s = e
-            size = min(2 * size, _CHUNK)
+        a = lo = cnt = np.empty(0, np.int64)  # the ranges not yet cut
+        for batch in _ranges(rows, b, bounds, cmask, z):
+            a, lo, cnt = (np.concatenate(pair) for pair in zip((a, lo, cnt), batch))
+            ends = np.cumsum(cnt)
+            s = 0
+            while cnt.size and ends[-1] - s >= size:
+                r0 = int(np.searchsorted(ends, s, "right"))
+                r1 = int(np.searchsorted(ends, s + size - 1, "right")) + 1
+                starts = ends[r0:r1] - cnt[r0:r1]
+                yield _Chunk(
+                    rows,
+                    a[r0:r1],
+                    lo[r0:r1] + np.maximum(s - starts, 0),
+                    lo[r0:r1] + np.minimum(s + size - starts, cnt[r0:r1]),
+                )
+                s += size
+                size = min(2 * size, _CHUNK)
+            r = int(np.searchsorted(ends, s, "right"))
+            done = np.maximum(s - (ends[r:] - cnt[r:]), 0)
+            a, lo, cnt = a[r:], lo[r:] + done, cnt[r:] - done
+        if cnt.size:
+            yield _Chunk(rows, a, lo, lo + cnt)
 
 
 def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
@@ -431,31 +490,44 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     sums as exact_sum gives them, integer counts of 2**-1074. Every cell term
     is directed (a one-ULP step after each operation); the sums of them are
     exact.
+
+    A cell is on the b side when q, a DOWN bound on h(b)/h(a), is above 1,
+    and on the a side otherwise. The grid starts above 1, so an a-side q
+    reads slot 0, ru = 1, and ru is read for every cell (most are on the b
+    side); a b-side cell has h(a)/h(b) < 1, so its DOWN bound w would read
+    slot 0, rl = 0, and w and rl are formed for the a-side cells alone.
+    Each sum is taken as soon as its terms are formed, and the upper terms
+    overwrite the densities: the chunk's arrays set the run's peak memory.
     """
     rows = ch.rows
-    lens = ch.j_hi - ch.j_lo
-    ai = np.repeat(np.arange(lens.size), lens)
-    bi = np.arange(ai.size) - np.repeat(np.cumsum(lens) - lens - ch.j_lo, lens)
-    if b.mask.shape[0]:  # keep the coprime pairs, one mask word at a time
-        clash = rows.mask[0][ai] & b.mask[0][bi]
-        for w in range(1, b.mask.shape[0]):
-            clash |= rows.mask[w][ai] & b.mask[w][bi]
-        keep = np.flatnonzero(clash == 0)
-        ai = ai[keep]
-        bi = bi[keep]
+    ai, bi = _coprime_pairs(b, ch)
     dens_dn = ulp_dn(rows.d_dn[ai] * b.d_dn[bi])
     dens_up = ulp_up(rows.d_up[ai] * b.d_up[bi])
+    covered = exact_sum(dens_dn), exact_sum(dens_up)
     q = ulp_dn(b.h_dn[bi] / rows.h_up[ai])  # <= h(b)/h(a)
+    ru = consts.ru_at[_slot(q)]
+    upper = exact_sum(ulp_up(np.multiply(dens_up, ru, out=dens_up), ru < 1.0))  # ru = 1 is exact
+    a_side = np.flatnonzero(q <= 1.0)
+    ai = ai[a_side]
+    bi = bi[a_side]
     w = ulp_dn(rows.h_dn[ai] / b.h_up[bi])  # <= h(a)/h(b)
-    # the grid starts above 1, so at most one of q and w reaches it
-    b_side = q > w
-    slot = _slot(np.where(b_side, q, w))
-    ru = np.where(b_side, consts.ru_at[slot], 1.0)
-    rl = np.where(b_side, 0.0, consts.rl_at[slot])
-    up_cell = ulp_up(dens_up * ru, ru < 1.0)  # ru = 1 is exact
-    lo_cell = ulp_dn(dens_dn * rl)
-    lo_cell = lo_cell[lo_cell > 0.0]
-    return exact_sum(lo_cell), exact_sum(up_cell), exact_sum(dens_dn), exact_sum(dens_up), int(ai.size)
+    lower = exact_sum(ulp_dn(dens_dn[a_side] * consts.rl_at[_slot(w)]))
+    return lower, upper, *covered, int(dens_dn.size)
+
+
+def _coprime_pairs(b: _Rows, ch: _Chunk):
+    """The a-side and b-table row indices of the chunk's candidate pairs
+    whose masks do not intersect, the pairs with coprime values."""
+    lens = ch.j_hi - ch.j_lo
+    ai = np.repeat(ch.a, lens)
+    bi = np.arange(ai.size) - np.repeat(np.cumsum(lens) - lens - ch.j_lo, lens)
+    if not b.mask.shape[0]:
+        return ai, bi
+    clash = ch.rows.mask[0][ai] & b.mask[0][bi]  # one mask word at a time
+    for w in range(1, b.mask.shape[0]):
+        clash |= ch.rows.mask[w][ai] & b.mask[w][bi]
+    keep = np.flatnonzero(clash == 0)
+    return ai[keep], bi[keep]
 
 
 def _usable_cpus() -> int:

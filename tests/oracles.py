@@ -114,6 +114,33 @@ def flt_dn(n):
     return f if f <= n else math.nextafter(f, -math.inf)
 
 
+def bincount_sum(x):
+    """`dirround.exact_sum` of the finite doubles x >= +0.0 (an integer
+    count of 2**-1074) by exponent buckets: each element is m * 2**e with m
+    the frexp mantissa, and M = m * 2**53, an integer below 2**53, is cut
+    into M = hi * 2**26 + lo. np.bincount sums hi and lo per exponent e,
+    exactly for fewer than 2**26 terms (each bucket stays below 2**53), and
+    the buckets join into one Python int, shifted by the smallest exponent
+    into units of 2**-1074 (a right shift, for subnormals, drops only zero
+    bits). `dirround.exact_sum` sums by extraction instead."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        return 0
+    m, e = np.frexp(x)
+    t = m * 2.0**27  # exact: a power-of-two scaling
+    hi = np.floor(t)
+    lo = (t - hi) * 2.0**26  # exact: the fraction bits of t
+    e_min = int(e.min())
+    e -= e_min
+    hi_sums = np.bincount(e, weights=hi)
+    lo_sums = np.bincount(e, weights=lo)
+    total = 0
+    for k in np.flatnonzero(hi_sums).tolist():
+        total += ((int(hi_sums[k]) << 26) + int(lo_sums[k])) << k
+    shift = e_min - 53 + 1074
+    return total << shift if shift >= 0 else total >> -shift
+
+
 _E_UP = math.nextafter(math.e, math.inf)
 
 
@@ -232,11 +259,12 @@ def _concat(parts: list) -> _Rows:
     return _Rows(*(np.concatenate(cols, axis=-1) for cols in zip(*parts)))
 
 
-def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None):
+def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None, classes=0):
     """The smooth-number table of `engine._smooth_rows` (same arguments and
     result), built the direct way: every column of every row is extended
     prime by prime, each prime's table re-concatenated from the last one's,
-    and all six columns sorted by value at the end.
+    and all six columns sorted at the end by class (the mask bits of the
+    first `classes` primes used) and then by value, in one lexsort.
 
     `engine._smooth_rows` builds the values first and writes each other
     column once, in sorted order; every byte of its result must equal this.
@@ -284,8 +312,13 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None):
         rows = _concat(parts)
         n = size
         used += 1
-    rows = rows.take(np.argsort(rows.value, kind="stable"))
-    return rows._replace(mask=rows.mask[: -(-used // 64)]), used
+    rows = rows._replace(mask=rows.mask[: -(-used // 64)])
+    if used:
+        cls = rows.mask[0] & np.uint64((1 << min(classes, used)) - 1)
+    else:
+        cls = np.zeros(rows.value.size, np.uint64)
+    order = np.lexsort((rows.value, cls))
+    return _Rows(*(col[..., order] for col in rows)), used
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dn_div, exp_up_wide, pow_up, up_sub
+from oracles import bincount_sum, dn_div, exp_up_wide, pow_up, up_sub
 from sigbound import dirround, engine
 from sigbound.dirround import (
     ZETA2_UP,
@@ -327,6 +327,27 @@ class TestExactSum:
         assert_sum_matches([1.0, 2.0, 3.0])
         with pytest.raises(InvalidParameterError):
             exact_sum(np.ones(4))
+
+
+# Biased exponent fields of the terms: 0 is subnormal, 2046 holds DBL_MAX.
+EXPONENT_SPANS = st.one_of(
+    st.sampled_from([(0, 2046), (0, 0), (0, 60), (990, 1060), (1980, 2046), (2046, 2046)]),
+    st.tuples(st.integers(0, 2046), st.integers(0, 2046)).map(sorted),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 100, 4097, engine._CHUNK]),
+       span=EXPONENT_SPANS, zeros=st.sampled_from([0.0, 0.5]))
+def test_exact_sum_matches_the_bincount_oracle(seed, n, span, zeros):
+    """Random bit patterns with exponents spread over `span`, some terms
+    zeroed: the extraction rounds and the exponent buckets of
+    oracles.bincount_sum give the same integer."""
+    rng = np.random.default_rng(seed)
+    field = rng.integers(span[0], span[1] + 1, n)
+    x = ((field << 52) | rng.integers(0, 1 << 52, n)).view(np.float64)
+    x[rng.random(n) < zeros] = 0.0
+    assert exact_sum(x) == bincount_sum(x)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 bracket, its bound curves, the (a, t) split and the directed factors of its
 smooth-number tables."""
 import math
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import abundancy, enumerate_cells, factorize, ratio_grids_per_r
 from sigbound import engine
+from sigbound.arith import primes_upto
 from sigbound.dirround import ratio_dn, ratio_up
 from sigbound.engine import cell_density, run_bounds
 from sigbound.errors import InvalidParameterError
@@ -186,6 +188,49 @@ def test_small_row_budget_moves_primes_to_the_a_side(table_y31_r200, monkeypatch
     # the same cell bounds, summed in other chunks
     assert lo == pytest.approx(full.lower_total.value, rel=1e-12)
     assert up == pytest.approx(full.upper_total.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("y,z,r_max,budget,used", [
+    (31, 10**6, 200, engine._ROW_BUDGET, 10),
+    (353, 10**5, 500, engine._ROW_BUDGET, 70),  # two mask words
+    (31, 10**6, 200, 512, 2),  # fewer odd primes than the class primes
+    (31, 20, 200, 8, 1),  # one class prime
+    (31, 10**6, 200, 8, 0),  # no odd prime in the b table
+])
+def test_class_split_moves_no_bit(y, z, r_max, budget, used, monkeypatch):
+    """Pairing each a-side row only with the b classes disjoint from its own
+    drops only pairs the mask filter drops too: with no class primes, the
+    pair count and the four totals keep every bit."""
+    table = build_moment_table(y, r_max)
+    monkeypatch.setattr(engine, "_ROW_BUDGET", budget)
+    odd = tuple(primes_upto(y).tolist()[1:])
+    assert engine._smooth_rows(odd, z, True, 1.0, 1.0, budget)[1] == used
+
+    def totals():
+        r = run_bounds(y, z, r_max, threads=1, table=table)
+        return r.pair_count, tuple(getattr(r, t).value.hex() for t in
+                                   ("lower_total", "upper_total", "covered_lo", "covered_hi"))
+
+    split = totals()
+    monkeypatch.setattr(engine, "_CLASS_PRIMES", 0)
+    assert totals() == split
+
+
+# The traced peak of run_bounds(31, 1e7, 200) was 6.85 MB before the b
+# classes and the extraction sum, and is 5.89 MB with them; the bound is the
+# former plus a margin of 0.1 MB. Building the candidate ranges of a whole
+# a-side block at once, not 2048 rows at a time, reads 7.05 MB.
+_PEAK_BOUND = 6_950_000
+
+
+def test_cell_walk_peak_memory():
+    tracemalloc.start()
+    try:
+        run_bounds(31, 10**7, 200, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PEAK_BOUND, peak
 
 
 def exact_factors(v, f0):

@@ -63,11 +63,14 @@ _REMOVED = (
 )
 
 # Methods dropped along with the code that called them. The table holds
-# floats, so value_floats() has nothing left to unwrap.
+# floats, so value_floats() has nothing left to unwrap. A chunk holds its
+# whole a-side block and the row index of each range, so _Rows.take() has
+# no caller.
 _REMOVED_METHODS = (
     ("moments", "MomentTable", "root_floats"),
     ("moments", "MomentTable", "usable"),
     ("moments", "MomentTable", "value_floats"),
+    ("engine", "_Rows", "take"),
 )
 
 

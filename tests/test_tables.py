@@ -49,6 +49,10 @@ def test_tables_match_the_direct_build(y, z, budget, used):
     b = engine._smooth_rows(odd, z, True, 1.0, 1.0, budget)
     assert_same_table(b, smooth_rows(odd, z, True, 1.0, 1.0, budget))
     assert b[1] == used and b[0].value.size <= budget
+    # sorted by class first, as _cell_tables builds the b table
+    classes = engine._CLASS_PRIMES
+    assert_same_table(engine._smooth_rows(odd, z, True, 1.0, 1.0, budget, classes),
+                      smooth_rows(odd, z, True, 1.0, 1.0, budget, classes))
     # the odd side over the b table's primes, as _cell_tables builds it
     f0 = density_base(odd)
     assert_same_table(engine._smooth_rows(odd[:used], z // 2, False, *f0),
@@ -59,7 +63,8 @@ def test_b_table_build_peaks_below_one_and_a_half_times_its_size():
     odd = odd_primes(31)
     tracemalloc.start()
     try:
-        rows, _ = engine._smooth_rows(odd, 10**8, True, 1.0, 1.0, engine._ROW_BUDGET)
+        rows, _ = engine._smooth_rows(odd, 10**8, True, 1.0, 1.0, engine._ROW_BUDGET,
+                                      engine._CLASS_PRIMES)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
