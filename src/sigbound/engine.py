@@ -17,11 +17,12 @@ so that the candidate pairs (a, b) with b <= z // a, taken only from the b
 classes disjoint from a's own, are ranges of the table; they are cut into
 chunks. Per chunk it drops the pairs whose masks still intersect, computes
 each cell's directed terms, reads the grid slot of its abundancy ratio off
-the ratio's bits (the lower curve only for the cells whose DOWN-directed
-h(b)/h(a) is at most 1), and sums each total exactly with exact_sum, as an
-integer count of 2**-1074. Integer addition is exact in any order, so the
-totals do not depend on the chunk cut or on the thread count. The pool's
-threads share the tables, which are marked read-only.
+the ratio's bits (and forms the lower curve, 1 - ru stepped down, only
+for the cells whose DOWN-directed h(b)/h(a) is at most 1), and sums the
+three totals (lower, upper cells, covered mass DOWN) exactly with
+exact_sum, each an integer count of 2**-1074. Integer addition is exact in
+any order, so the totals do not depend on the chunk cut or on the thread
+count. The pool's threads share the tables, which are marked read-only.
 
 Directed rounding discipline: lower quantities round DOWN, upper ones UP.
 Each cell term takes a one-ULP step after every operation; the totals over
@@ -62,6 +63,11 @@ class ProgressEvent:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """The certified bracket of one run, from its three exact totals:
+    lower_total <= density <= upper_total, and covered_lo, the enumerated
+    cells' mass rounded DOWN, whose complement upper_total charges as the
+    unenumerated tail. threads is the count used."""
+
     y: int
     z: int
     r_max: int
@@ -69,7 +75,6 @@ class BoundReport:
     lower_total: DirScalar
     upper_total: DirScalar
     covered_lo: DirScalar
-    covered_hi: DirScalar
     pair_count: int
     elapsed_seconds: float
 
@@ -159,18 +164,19 @@ _CLASS_PRIMES = 3
 
 class _Consts(NamedTuple):
     """The z-independent engine state: the odd primes <= y, the directed
-    density base prod (p-2)/p over them, and the ratio curves.
+    density base prod (p-2)/p over them, and the ratio curve.
 
-    ru_at and rl_at are ru and rl on the grid behind a sentinel (1 and 0):
-    index _slot(q) reads the curve at the largest grid point <= q, or the
-    trivial ratio when q lies below the grid.
+    ru_at is the curve ru of moments.bound_curves on the grid behind a
+    sentinel 1: index _slot(q) reads the curve at the largest grid point
+    <= q, or the trivial ratio 1 when q lies below the grid. The lower
+    curve is ulp_dn(1 - ru_at), formed at lookup (see _chunk_sums); at the
+    sentinel it is +0.0.
     """
 
     odd: tuple[int, ...]
     base_dn: float
     base_up: float
     ru_at: np.ndarray
-    rl_at: np.ndarray
 
 
 def _grid() -> np.ndarray:
@@ -195,13 +201,12 @@ def _engine_consts(table: MomentTable) -> _Consts:
     for p in odd:
         num *= p - 2
         den *= p
-    ru, rl = bound_curves(table, _grid())
+    ru = bound_curves(table, _grid())
     return _Consts(
         odd=odd,
         base_dn=ratio_dn(num, den),
         base_up=ratio_up(num, den),
         ru_at=_read_only(np.concatenate(([1.0], ru))),
-        rl_at=_read_only(np.concatenate(([0.0], rl))),
     )
 
 
@@ -486,24 +491,25 @@ def _chunks(blocks, b: _Rows, cmask: int, z: int):
 def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     """Exact sums of the directed cell terms of one chunk.
 
-    Returns (lower, upper_cells, covered_dn, covered_up, pairs), the four
-    sums as exact_sum gives them, integer counts of 2**-1074. Every cell term
-    is directed (a one-ULP step after each operation); the sums of them are
+    Returns (lower, upper_cells, covered_dn, pairs), the three sums as
+    exact_sum gives them, integer counts of 2**-1074. Every cell term is
+    directed (a one-ULP step after each operation); the sums of them are
     exact.
 
     A cell is on the b side when q, a DOWN bound on h(b)/h(a), is above 1,
     and on the a side otherwise. The grid starts above 1, so an a-side q
     reads slot 0, ru = 1, and ru is read for every cell (most are on the b
     side); a b-side cell has h(a)/h(b) < 1, so its DOWN bound w would read
-    slot 0, rl = 0, and w and rl are formed for the a-side cells alone.
-    Each sum is taken as soon as its terms are formed, and the upper terms
-    overwrite the densities: the chunk's arrays set the run's peak memory.
+    slot 0, where the lower curve is +0.0, and w and rl = ulp_dn(1 - ru)
+    are formed for the a-side cells alone. Each sum is taken as soon as its
+    terms are formed, and the upper terms overwrite the densities: the
+    chunk's arrays set the run's peak memory.
     """
     rows = ch.rows
     ai, bi = _coprime_pairs(b, ch)
     dens_dn = ulp_dn(rows.d_dn[ai] * b.d_dn[bi])
     dens_up = ulp_up(rows.d_up[ai] * b.d_up[bi])
-    covered = exact_sum(dens_dn), exact_sum(dens_up)
+    covered = exact_sum(dens_dn)
     q = ulp_dn(b.h_dn[bi] / rows.h_up[ai])  # <= h(b)/h(a)
     ru = consts.ru_at[_slot(q)]
     upper = exact_sum(ulp_up(np.multiply(dens_up, ru, out=dens_up), ru < 1.0))  # ru = 1 is exact
@@ -511,8 +517,9 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     ai = ai[a_side]
     bi = bi[a_side]
     w = ulp_dn(rows.h_dn[ai] / b.h_up[bi])  # <= h(a)/h(b)
-    lower = exact_sum(ulp_dn(dens_dn[a_side] * consts.rl_at[_slot(w)]))
-    return lower, upper, *covered, int(dens_dn.size)
+    rl = ulp_dn(1.0 - consts.ru_at[_slot(w)])  # ru = 1 gives +0.0
+    lower = exact_sum(ulp_dn(np.multiply(dens_dn[a_side], rl, out=rl)))
+    return lower, upper, covered, int(dens_dn.size)
 
 
 def _coprime_pairs(b: _Rows, ch: _Chunk):
@@ -608,7 +615,7 @@ def run_bounds(
     else:
         done = _pooled(consts, b, chunks, threads)
 
-    sums, pairs = [0, 0, 0, 0], 0  # the exact totals (see _chunk_sums)
+    sums, pairs = [0, 0, 0], 0  # the exact totals (see _chunk_sums)
     next_tick = t_start + 1.0
     for *part, k in done:
         sums = [s + p for s, p in zip(sums, part)]
@@ -617,11 +624,11 @@ def run_bounds(
             continue
         flush = bool(flush_every) and pairs // flush_every > before // flush_every
         if flush or time.perf_counter() >= next_tick:
-            lower, upper, covered, _ = _directed(*sums)
+            lower, upper, covered = _directed(*sums)
             progress(ProgressEvent(pairs=pairs, lower=lower, upper=upper, covered=covered, flush=flush))
             next_tick = time.perf_counter() + 1.0
 
-    lower, upper, covered_lo, covered_hi = _directed(*sums)
+    lower, upper, covered_lo = _directed(*sums)
     if lower > upper:
         raise AssertionError("certified bracket inverted; this is a bug")
     return BoundReport(
@@ -632,7 +639,6 @@ def run_bounds(
         lower_total=DirScalar(lower, DOWN),
         upper_total=DirScalar(upper, UP),
         covered_lo=DirScalar(covered_lo, DOWN),
-        covered_hi=DirScalar(covered_hi, UP),
         pair_count=pairs,
         elapsed_seconds=time.perf_counter() - t_start,
     )
@@ -641,13 +647,13 @@ def run_bounds(
 _ONE = 1 << 1074  # 1.0 in the units of exact_sum
 
 
-def _directed(lo: int, up_cells: int, cov_dn: int, cov_up: int):
-    """(lower, upper, covered_lo, covered_hi): the exact totals, in units of
-    2**-1074, each rounded once to its side. upper adds the unenumerated
-    tail 1 - covered to the cells' upper sum and is capped at 1."""
+def _directed(lo: int, up_cells: int, cov_dn: int):
+    """(lower, upper, covered_lo): the exact totals, in units of 2**-1074,
+    each rounded once to its side. upper adds the unenumerated tail
+    1 - covered, with covered taken DOWN, to the cells' upper sum and is
+    capped at 1."""
     return (
         ratio_dn(lo, _ONE),
         min(ratio_up(up_cells + _ONE - cov_dn, _ONE), 1.0),
         ratio_dn(cov_dn, _ONE),
-        ratio_up(cov_up, _ONE),
     )

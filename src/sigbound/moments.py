@@ -16,9 +16,10 @@ before an order saturates (see _bulk_values); the tail factors of all
 orders come from one dirround.exp_up pass.
 
 bound_curves turns a table into the per-cell bound: min over r of
-(M(r)-1)/(q^r-1), and 1 minus it, at any non-decreasing array of ratios
-q > 1. The engine evaluates it once, on its grid; it carries q^r only up to
-the cap crossings it has seen, with no guess of where they fall.
+(M(r)-1)/(q^r-1), at any non-decreasing array of ratios q > 1; the lower
+bound is 1 minus it, stepped down, formed by the caller. The engine
+evaluates it once, on its grid; it carries q^r only up to the cap
+crossings it has seen, with no guess of where they fall.
 """
 from __future__ import annotations
 
@@ -207,18 +208,18 @@ def build_moment_table(y: int, r_max: int) -> MomentTable:
     return MomentTable(y=y, r_max=r_max, values=tuple(values))
 
 
-def bound_curves(table: MomentTable, q: np.ndarray):
-    """The bound-ratio curves at the ratios q.
+def bound_curves(table: MomentTable, q: np.ndarray) -> np.ndarray:
+    """The bound-ratio curve ru at the ratios q.
 
     q is a non-decreasing float64 array with q[0] > 1. For each q[i] and any
-    cell ratio q' >= q[i] the upper curve satisfies
-    min_r (M(r)-1)/(q'^r-1) <= ru[i] and the lower curve
-    max_r (1 - (M(r)-1)/(q'^r-1)) >= rl[i], because both expressions are
-    monotone in q'. On the engine's grid one lookup per cell then replaces
-    the whole r search, at a tightness cost bounded by the grid spacing
-    (at most 2^-16 relative). rl is taken from ru once, after the r loop:
-    1 - c stepped down is monotone in c, so the best lower candidate belongs
-    to the best upper one.
+    cell ratio q' >= q[i], min_r (M(r)-1)/(q'^r-1) <= ru[i], because the
+    expression is monotone in q'. On the engine's grid one lookup per cell
+    then replaces the whole r search, at a tightness cost bounded by the
+    grid spacing (at most 2^-16 relative). The lower bound needs no curve
+    of its own: 1 - c stepped down is monotone in c, so the best lower
+    candidate belongs to the best upper one, and
+    max_r (1 - (M(r)-1)/(q'^r-1)) >= ulp_dn(1 - ru[i]), which a caller forms
+    where it reads it (ru <= 1, and ru = 1 gives +0.0).
 
     Order r caps q^r at c_r = min(1e9 M(r), 1e300). q^r is rounded down and
     non-decreasing along q, so the points where it reaches c_r form a
@@ -235,14 +236,8 @@ def bound_curves(table: MomentTable, q: np.ndarray):
     q^r - 1 >= q[0] - 1 > 0, exactly. The quotient (M(r)-1)/(q^r-1) may
     overflow, so it steps through the clamped ulp_up, which holds +inf.
 
-    Returns the arrays (ru, rl), ru non-increasing and rl non-decreasing.
+    Returns ru, non-increasing and at most 1.
     """
-    ru = _upper_curve(table, q)
-    return ru, ulp_dn(1.0 - ru)  # ru <= 1, and ru = 1 gives rl = 0
-
-
-def _upper_curve(table: MomentTable, q: np.ndarray) -> np.ndarray:
-    """ru of bound_curves; its work buffers are freed before rl is made."""
     n = q.size
     # orders only saturate upward: stop at the first non-finite one
     lam = np.array(table.values[1:])

@@ -40,11 +40,11 @@ def ratio_grids_per_r(table, q=None):
     point and order, clamped at 1e300, and both curves are updated inside
     the r loop.
 
-    `moments.bound_curves` takes rl from ru after the loop, spreads the
-    capped candidates with one running min, stops carrying q^r past a cap
-    crossing once no later order has a smaller capped candidate, and steps
-    q^r and q^r - 1 without a clamp; all of that must leave every bit as
-    this form has it.
+    `moments.bound_curves` returns ru alone (the engine forms rl =
+    ulp_dn(1 - ru) where it reads it), spreads the capped candidates with
+    one running min, stops carrying q^r past a cap crossing once no later
+    order has a smaller capped candidate, and steps q^r and q^r - 1 without
+    a clamp; all of that must leave every bit as this form has it.
     """
     vals = table.values
     inf = np.inf

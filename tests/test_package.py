@@ -1,5 +1,6 @@
 """The package's public surface."""
 import ast
+import dataclasses
 import importlib
 import pathlib
 
@@ -40,7 +41,9 @@ _ALL = {
 # exact ratio, so no integer value is rounded to a float. _grid_slot,
 # _GRID_LO, _GRID_HI: the ratio grid is a run of doubles, and a cell's slot
 # is read off the bits of its ratio with no log guess. up_sub: only the
-# references in tests/oracles.py subtract rounding up.
+# references in tests/oracles.py subtract rounding up. _upper_curve:
+# moments.bound_curves returns the one curve ru, and the engine forms the
+# lower curve from it at lookup.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
@@ -59,7 +62,7 @@ _REMOVED = (
     "_validate_factored", "_cell_arg", "_primes_upto", "_check_y", "_check_sieve",
     "exp_up_wide", "_exp_up_core", "_tail_factor", "_bound_curves",
     "_merge", "_upper_with_tail", "next_dn", "_float_dir", "_F63",
-    "_grid_slot", "_GRID_LO", "_GRID_HI", "up_sub",
+    "_grid_slot", "_GRID_LO", "_GRID_HI", "up_sub", "_upper_curve",
 )
 
 # Methods dropped along with the code that called them. The table holds
@@ -71,6 +74,15 @@ _REMOVED_METHODS = (
     ("moments", "MomentTable", "usable"),
     ("moments", "MomentTable", "value_floats"),
     ("engine", "_Rows", "take"),
+)
+
+# Fields of typed engine state, dropped with the work that filled them. The
+# lower curve is ulp_dn(1 - ru), formed for the cells that read it, so
+# _Consts carries no rl_at; no caller read the UP-rounded covered mass, so
+# the engine no longer sums it for BoundReport.covered_hi.
+_REMOVED_FIELDS = (
+    ("engine", "_Consts", "rl_at"),
+    ("engine", "BoundReport", "covered_hi"),
 )
 
 
@@ -88,6 +100,14 @@ def test_removed_names_stay_removed():
     assert set(_REMOVED).isdisjoint(sigbound.__all__)
     for mod, cls, meth in _REMOVED_METHODS:
         assert not hasattr(getattr(importlib.import_module(f"sigbound.{mod}"), cls), meth)
+
+
+def test_removed_fields_stay_removed():
+    for mod, cls, field in _REMOVED_FIELDS:
+        cls = getattr(importlib.import_module(f"sigbound.{mod}"), cls)
+        names = ([f.name for f in dataclasses.fields(cls)]
+                 if dataclasses.is_dataclass(cls) else cls._fields)
+        assert field not in names, (cls.__name__, field)
 
 
 def test_public_names_are_pinned():
