@@ -17,8 +17,8 @@ its side; it carries no arithmetic of its own.
 
 The numpy kernels `ulp_up` / `ulp_dn` take the same one-ULP step on whole
 float64 arrays, in place, through the int64 view of the bits;
-`exact_sum` gives the exact sum of an array of nonnegative doubles as an
-integer count of 2**-1074, by rounds of error-free extraction, so that
+`exact_sum` gives the exact sum of an array of doubles in [+0.0, 2**997) as
+an integer count of 2**-1074, by rounds of error-free extraction, so that
 totals add exactly in any order and a directed total is one `ratio_dn` /
 `ratio_up` of the count over 2**1074;
 and `exp_up` bounds e^v from above for a whole array of exponents.
@@ -96,8 +96,6 @@ def ratio_up(num: int, den: int) -> float:
         f = num / den
     except OverflowError:
         return _INF
-    if math.isinf(f):
-        return f
     nf, df = f.as_integer_ratio()
     return f if nf * den == num * df else _nextafter(f, _INF)
 
@@ -107,8 +105,6 @@ def ratio_dn(num: int, den: int) -> float:
         f = num / den
     except OverflowError:
         return _nextafter(_INF, 0.0)
-    if math.isinf(f):
-        return _nextafter(f, 0.0)
     nf, df = f.as_integer_ratio()
     return f if nf * den == num * df else _nextafter(f, -_INF)
 
@@ -152,17 +148,17 @@ def ulp_dn(x: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
     return x
 
 
-# exact_sum takes fewer than 2**26 terms: with L = bit_length(n) <= 26, a
-# round of the extraction clears at least 53 - 1 - L >= 26 bits of every
-# remainder, and the large terms of a sum near DBL_MAX stay normal when
-# scaled by 2**-_SCALE (they are at least 2**(1023 - L)).
+# exact_sum takes fewer than 2**26 terms, each below 2**997: with
+# L = bit_length(n) <= 26 and every term below 2**e, e <= 997, a round of the
+# extraction clears at least 53 - 1 - L >= 26 bits of every remainder, and
+# sigma = 2**(e + L) <= 2**1023 stays finite.
 _SUM_MAX_TERMS = 1 << 26
-_SCALE = 64
+_SUM_BOUND_BITS = (997 + 1023) << 52  # the int64 bits of 2**997
 
 
 def exact_sum(x: np.ndarray) -> int:
-    """The exact sum of the float64 array x of finite doubles >= +0.0, as
-    the integer n with sum = n * 2**-1074.
+    """The exact sum of the float64 array x of finite doubles in
+    [+0.0, 2**997), as the integer n with sum = n * 2**-1074.
 
     Every double is a whole multiple of 2**-1074, the smallest subnormal, so
     n is an integer. The sum is taken by extraction (Rump, Ogita and Oishi,
@@ -171,11 +167,9 @@ def exact_sum(x: np.ndarray) -> int:
     sigma = 2**(e + L), each q = (r + sigma) - sigma is r rounded to a whole
     multiple of 2**(e + L - 53), r - q is exact and at most that unit, and
     the float sum of the q is exact in any order, since every partial sum is
-    such a multiple of magnitude below sigma. Each round adds that sum to a Python int
-    and goes on with the remainders r - q, under a sigma taken from their
-    largest magnitude, until they are all zero. When sigma would overflow,
-    the terms of 2**(1023 - L) and above are summed apart, scaled down by
-    2**-64, which is exact for them. An empty x sums to 0.
+    such a multiple of magnitude below sigma. Each round adds that sum to a
+    Python int and goes on with the remainders r - q, under a sigma taken
+    from their largest magnitude, until all are zero. An empty x sums to 0.
     """
     if x.size == 0:
         return 0
@@ -183,24 +177,9 @@ def exact_sum(x: np.ndarray) -> int:
         raise InvalidParameterError(f"exact_sum takes fewer than 2**26 terms, got {x.size}")
     bits = x.view(np.int64)
     top = int(bits.max())
-    if bits.min() < 0 or top >= _INF_BITS:
-        raise InvalidParameterError("exact_sum needs finite doubles >= +0.0")
+    if bits.min() < 0 or top >= _SUM_BOUND_BITS:
+        raise InvalidParameterError("exact_sum needs finite doubles in [+0.0, 2**997)")
     size = x.size.bit_length()
-    if (top >> 52) - 1022 + size <= 1023:
-        return _extract(x, top, size)
-    big = x >= math.ldexp(1.0, 1023 - size)
-    small = x[~big]
-    scaled = x[big] * math.ldexp(1.0, -_SCALE)  # exact: the results stay normal
-    return (_extract(small, int(small.view(np.int64).max(initial=0)), size)
-            + (_extract(scaled, int(scaled.view(np.int64).max()), size) << _SCALE))
-
-
-def _extract(x: np.ndarray, top: int, size: int) -> int:
-    """exact_sum of the finite doubles x >= +0.0, of fewer than 2**size
-    terms, whose largest term has the int64 bits `top` and lies below
-    2**(1023 - size)."""
-    if top == 0:  # every term is +0.0
-        return 0
     # x < 2**e, e from the largest term's exponent field (2**-1022 bounds a
     # subnormal)
     sigma = math.ldexp(1.0, (top >> 52) - 1022 + size)

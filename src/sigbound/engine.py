@@ -222,7 +222,8 @@ class _Rows(NamedTuple):
 
     A b-side row is an even b. An a-side row stands for an odd a and a t
     (see _a_blocks) and its value is a*t. mask holds one uint64 word per 64
-    odd primes of the b table's prime set, bit j for the j-th odd prime.
+    odd primes of the b table's prime set, bit j for the j-th odd prime, and
+    at least one word, all zero when the set is empty.
     d_* is the directed density factor F(value)/value, F the product of
     (p-1)/(p-2) over the odd primes dividing value, with the density base
     folded into the a side. h_* is the directed abundancy h(b) = sigma(b)/b,
@@ -303,7 +304,7 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
     pos[order] = np.arange(order.size)
     del order
     n = value.size
-    mask = np.zeros((-(-used // 64), n), np.uint64)
+    mask = np.zeros((max(1, -(-used // 64)), n), np.uint64)
     d_dn, d_up, h_dn, h_up = (np.empty(n) for _ in range(4))
     head = pos[:n0]
     d_dn[head] = [f0_dn / v for v in heads]  # exact: v is a power of 2
@@ -430,8 +431,6 @@ def _cell_tables(consts: _Consts, z: int):
 def _classes(rows: _Rows, cmask: int) -> np.ndarray:
     """Each row's class, as uint8: its mask bits under cmask, i.e. the set
     of the b table's class primes (its first odd primes) dividing its value."""
-    if not cmask:
-        return np.zeros(rows.value.size, np.uint8)
     return (rows.mask[0] & np.uint64(cmask)).astype(np.uint8)
 
 
@@ -458,18 +457,16 @@ def _ranges(rows: _Rows, b: _Rows, bounds: np.ndarray, cmask: int, z: int):
 
 
 def _chunks(blocks, b: _Rows, cmask: int, z: int):
-    """Cut each block's candidate ranges (see _ranges) into chunks of the
-    sizes set by _CHUNK_MIN and _CHUNK; the last chunk of a block takes the
+    """Cut each batch of candidate ranges (see _ranges) into chunks of the
+    sizes set by _CHUNK_MIN and _CHUNK; the last chunk of a batch takes the
     rows left over. A range may be split between chunks."""
     bounds = np.searchsorted(_classes(b, cmask), np.arange(cmask + 2))
     size = _CHUNK_MIN
     for rows in blocks:
-        a = lo = cnt = np.empty(0, np.int64)  # the ranges not yet cut
-        for batch in _ranges(rows, b, bounds, cmask, z):
-            a, lo, cnt = (np.concatenate(pair) for pair in zip((a, lo, cnt), batch))
+        for a, lo, cnt in _ranges(rows, b, bounds, cmask, z):
             ends = np.cumsum(cnt)
             s = 0
-            while cnt.size and ends[-1] - s >= size:
+            while cnt.size and s < ends[-1]:
                 r0 = int(np.searchsorted(ends, s, "right"))
                 r1 = int(np.searchsorted(ends, s + size - 1, "right")) + 1
                 starts = ends[r0:r1] - cnt[r0:r1]
@@ -481,11 +478,6 @@ def _chunks(blocks, b: _Rows, cmask: int, z: int):
                 )
                 s += size
                 size = min(2 * size, _CHUNK)
-            r = int(np.searchsorted(ends, s, "right"))
-            done = np.maximum(s - (ends[r:] - cnt[r:]), 0)
-            a, lo, cnt = a[r:], lo[r:] + done, cnt[r:] - done
-        if cnt.size:
-            yield _Chunk(rows, a, lo, lo + cnt)
 
 
 def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
@@ -528,8 +520,6 @@ def _coprime_pairs(b: _Rows, ch: _Chunk):
     lens = ch.j_hi - ch.j_lo
     ai = np.repeat(ch.a, lens)
     bi = np.arange(ai.size) - np.repeat(np.cumsum(lens) - lens - ch.j_lo, lens)
-    if not b.mask.shape[0]:
-        return ai, bi
     clash = ch.rows.mask[0][ai] & b.mask[0][bi]  # one mask word at a time
     for w in range(1, b.mask.shape[0]):
         clash |= ch.rows.mask[w][ai] & b.mask[w][bi]
@@ -598,7 +588,7 @@ def run_bounds(
     t_start = time.perf_counter()
     if table is None:
         table = build_moment_table(y, r_max)  # validates y
-    elif table.y != y or table.r_max < r_max:
+    elif table.y != y or table.r_max != r_max:
         raise InvalidParameterError("supplied moment table does not match y/r_max")
     consts = _engine_consts(table)
     b, chunks = _cell_tables(consts, z)

@@ -281,7 +281,8 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None, classes=0):
         d_dn, d_up = np.full(1, f0_dn), np.full(1, f0_up)
         h_dn = h_up = np.ones(1)
     n = value.size
-    rows = _Rows(value, np.zeros((-(-len(odd) // 64), n), np.uint64), d_dn, d_up, h_dn, h_up)
+    words = max(1, -(-len(odd) // 64))  # at least one mask word, as the engine keeps
+    rows = _Rows(value, np.zeros((words, n), np.uint64), d_dn, d_up, h_dn, h_up)
     used = 0
     for j, p in enumerate(odd):
         bit = np.uint64(1 << (j % 64))
@@ -312,11 +313,8 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None, classes=0):
         rows = _concat(parts)
         n = size
         used += 1
-    rows = rows._replace(mask=rows.mask[: -(-used // 64)])
-    if used:
-        cls = rows.mask[0] & np.uint64((1 << min(classes, used)) - 1)
-    else:
-        cls = np.zeros(rows.value.size, np.uint64)
+    rows = rows._replace(mask=rows.mask[: max(1, -(-used // 64))])
+    cls = rows.mask[0] & np.uint64((1 << min(classes, used)) - 1)
     order = np.lexsort((rows.value, cls))
     return _Rows(*(col[..., order] for col in rows)), used
 

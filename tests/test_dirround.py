@@ -189,6 +189,10 @@ class TestZeta2:
 EDGE_FLOATS = [0.0, 5e-324, math.nextafter(2.0**-1022, 0.0), 2.0**-1022, 1.0,
                1.7976931348623157e308, math.inf]
 
+# exact_sum takes the doubles below 2**997.
+SUM_BOUND = 2.0**997
+BELOW_SUM_BOUND = math.nextafter(SUM_BOUND, 0.0)
+
 # The kernels' domain: +0.0 <= x <= +inf (no -0.0).
 domain_floats = st.floats(min_value=0.0, allow_nan=False, allow_infinity=True).filter(
     lambda v: math.copysign(1.0, v) > 0.0)
@@ -281,12 +285,14 @@ class TestExactSum:
         assert exact_sum(np.zeros(3)) == 0
 
     def test_edge_values(self):
-        finite = EDGE_FLOATS[:-2]
+        # the terms below 2**997, up to the largest double the domain holds
+        finite = [v for v in EDGE_FLOATS if v < SUM_BOUND] + [BELOW_SUM_BOUND]
         for v in finite:
             assert_sum_matches([v])
             assert_sum_matches([v] * 7)
         assert_sum_matches(finite)
-        assert_sum_matches([1.7976931348623157e308, 1.0, 5e-324])
+        assert_sum_matches([BELOW_SUM_BOUND, 1.0, 5e-324])
+        assert_sum_matches(np.full(4097, BELOW_SUM_BOUND))
 
     def test_subnormals(self):
         rng = np.random.default_rng(1)
@@ -311,7 +317,7 @@ class TestExactSum:
         assert_sum_matches(x[::3])
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e300, allow_nan=False).filter(
+    @given(st.lists(st.floats(min_value=0.0, max_value=BELOW_SUM_BOUND, allow_nan=False).filter(
         lambda v: math.copysign(1.0, v) > 0.0), max_size=200))
     def test_matches_fsum(self, values):
         assert_sum_matches(values)
@@ -321,6 +327,12 @@ class TestExactSum:
         with pytest.raises(InvalidParameterError):
             exact_sum(np.array([1.0, bad, 2.0]))
 
+    @pytest.mark.parametrize("big", [SUM_BOUND, 1.7976931348623157e308])
+    def test_rejects_terms_from_the_bound_up(self, big):
+        # sigma = 2**(e + L) stays finite for terms below 2**997 alone
+        with pytest.raises(InvalidParameterError):
+            exact_sum(np.array([1.0, big, 2.0]))
+
     def test_rejects_too_many_terms(self, monkeypatch):
         # the bucket sums stay exact below _SUM_MAX_TERMS terms
         monkeypatch.setattr(dirround, "_SUM_MAX_TERMS", 4)
@@ -329,10 +341,11 @@ class TestExactSum:
             exact_sum(np.ones(4))
 
 
-# Biased exponent fields of the terms: 0 is subnormal, 2046 holds DBL_MAX.
+# Biased exponent fields of the terms: 0 is subnormal, 2019 holds the terms
+# just below 2**997, the largest exact_sum takes.
 EXPONENT_SPANS = st.one_of(
-    st.sampled_from([(0, 2046), (0, 0), (0, 60), (990, 1060), (1980, 2046), (2046, 2046)]),
-    st.tuples(st.integers(0, 2046), st.integers(0, 2046)).map(sorted),
+    st.sampled_from([(0, 2019), (0, 0), (0, 60), (990, 1060), (1980, 2019), (2019, 2019)]),
+    st.tuples(st.integers(0, 2019), st.integers(0, 2019)).map(sorted),
 )
 
 

@@ -224,6 +224,11 @@ class TestRunBounds:
             run_bounds(31, 100, 0)
         with pytest.raises(InvalidParameterError):
             run_bounds(31, 100, 10, threads=0)
+        # a table of other orders than r_max would move the curves
+        with pytest.raises(InvalidParameterError):
+            run_bounds(31, 100, 10, table=build_moment_table(31, 20))
+        with pytest.raises(InvalidParameterError):
+            run_bounds(31, 100, 10, table=build_moment_table(3, 10))
 
     def test_pair_count_matches_oracle_enumeration(self, table_y31_r200):
         oracle = sum(1 for _ in enumerate_cells(31, 10**4))
@@ -303,10 +308,18 @@ class TestRunBounds:
         assert r2.covered_lo == r1.covered_lo
         assert r2.lower_total.value <= r2.upper_total.value
 
-    @pytest.mark.parametrize("cut", [(1 << 6, 1 << 10), (1 << 12, 1 << 16)])
-    def test_totals_do_not_depend_on_the_chunk_cut(self, table_y31_r200, monkeypatch, cut):
+    @pytest.mark.parametrize("y,z,budget,cut", [
+        (31, 10**6, engine._ROW_BUDGET, (1 << 6, 1 << 10)),
+        (31, 10**6, engine._ROW_BUDGET, (1 << 12, 1 << 16)),
+        (2, 10**15, engine._ROW_BUDGET, (1 << 2, 1 << 4)),  # one class, a zero mask word
+        (31, 10**6, 512, (1 << 6, 1 << 10)),  # the a side walks the primes past 5
+    ], ids=["cut0", "cut1", "y2", "budget512"])
+    def test_totals_do_not_depend_on_the_chunk_cut(self, monkeypatch, y, z, budget, cut):
+        table = build_moment_table(y, 200)
+        monkeypatch.setattr(engine, "_ROW_BUDGET", budget)
+
         def totals(threads):
-            r = run_bounds(31, 10**6, 200, threads=threads, table=table_y31_r200)
+            r = run_bounds(y, z, 200, threads=threads, table=table)
             return r.pair_count, r.lower_total, r.upper_total, r.covered_lo
 
         default = totals(1)

@@ -34,6 +34,9 @@ GOLDEN_31 = ("0x1.786a15f4f8dc1p-5", "0x1.65828db74df4fp-4",
              "0x1.f21b4df9c19e8p-1")
 GOLDEN_353 = ("0x1.ca3e509fd7936p-6", "0x1.b6fc7108d98fap-2",
               "0x1.331ad00ec0cccp-1")
+# y = 2 has no odd prime: one b class, one mask word of zeros. y = 3 has one.
+GOLDEN_2 = ("0x0.0p+0", "0x1.3339afe3f42a1p-2", "0x1.fffffffffffeep-1")
+GOLDEN_3 = ("0x0.0p+0", "0x1.79d5bce0f5397p-3", "0x1.fffcce11ac84fp-1")
 
 # The totals of the geometric grid, whose slots came from a log guess.
 GEOMETRIC_31 = ("0x1.7866e4b1fb60ep-5", "0x1.6585086a513abp-4",
@@ -103,6 +106,16 @@ def test_totals_y353():
     assert_within(GOLDEN_353, GEOMETRIC_353)
     assert_within(GEOMETRIC_353, DIVIDED_353)
     assert_within(DIVIDED_353, CHUNKED_353)
+
+
+@pytest.mark.parametrize("y,z,r_max,pairs,golden", [
+    (2, 10**15, 200, 49, GOLDEN_2),
+    (3, 10**6, 200, 239, GOLDEN_3),
+], ids=["2-1e15", "3-1e6"])
+def test_totals_few_odd_primes(y, z, r_max, pairs, golden):
+    report = run_bounds(y, z, r_max, threads=1)
+    assert report.pair_count == pairs
+    assert total_bits(report) == golden
 
 
 def test_table_y2_saturating():

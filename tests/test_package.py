@@ -63,6 +63,7 @@ _REMOVED = (
     "exp_up_wide", "_exp_up_core", "_tail_factor", "_bound_curves",
     "_merge", "_upper_with_tail", "next_dn", "_float_dir", "_F63",
     "_grid_slot", "_GRID_LO", "_GRID_HI", "up_sub", "_upper_curve",
+    "_extract", "_SCALE",
 )
 
 # Methods dropped along with the code that called them. The table holds
