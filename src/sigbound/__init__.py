@@ -2,7 +2,7 @@
 
 from .counting import count_sigma_ge, moment_sum
 from .dirround import DOWN, UP, Direction, DirScalar
-from .engine import BoundReport, ProgressEvent, cell_density, run_bounds
+from .engine import BoundReport, cell_density, run_bounds
 from .errors import (
     InvalidCellError,
     InvalidParameterError,
@@ -20,7 +20,6 @@ __all__ = [
     "InvalidCellError",
     "InvalidParameterError",
     "MomentTable",
-    "ProgressEvent",
     "UP",
     "UnsupportedParameterError",
     "build_moment_table",

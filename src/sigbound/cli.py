@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--z", type=scaled_int, default=10**8, help="enumerate cells with ab <= z (default 1e8)")
     b.add_argument("--rmax", type=scaled_int, default=200, help="maximum moment order (default 200)")
     b.add_argument("--threads", type=scaled_int, default=None, help="worker threads (default: all usable cores)")
-    b.add_argument("--flush-every", type=scaled_int, default=0, help="emit an intermediate certified bracket every N cells")
+    b.add_argument("--flush-every", type=scaled_int, default=0,
+                   help="emit an intermediate certified bracket after each chunk that crosses a multiple of N cells")
     b.add_argument("--format", choices=("text", "json"), default="text")
 
     e = sub.add_parser("empirical", help="exact count of n <= x with sigma(2n+1) >= sigma(2n)")
@@ -110,11 +111,12 @@ def _emit(payload: dict, lines: list[str], fmt: str) -> None:
 
 
 def _cmd_bounds(args) -> int:
-    def progress(ev):
+    def progress(part, flush):
         print(
-            f"{'flush' if ev.flush else 'progress'}: pairs={ev.pairs} "
-            f"covered>={_fmt_cert(ev.covered, True)} "
-            f"lower>={_fmt_cert(ev.lower, True)} upper<={_fmt_cert(ev.upper, False)}",
+            f"{'flush' if flush else 'progress'}: pairs={part.pair_count} "
+            f"covered>={_fmt_cert(part.covered_mass, True)} "
+            f"lower>={_fmt_cert(part.lower_total.value, True)} "
+            f"upper<={_fmt_cert(part.upper_total.value, False)}",
             file=sys.stderr,
         )
 
@@ -141,7 +143,7 @@ def _cmd_bounds(args) -> int:
     lines = [
         f"bounds  y={report.y}  z={report.z}  r_max={report.r_max}  threads={report.threads}",
         f"pairs enumerated : {report.pair_count}",
-        f"covered mass     : >= {report.covered_mass:.10f}",
+        f"covered mass     : >= {_fmt_cert(report.covered_mass, True)}",
         f"certified bracket: {lower:.10g} <= density <= {upper:.10g}",
         f"elapsed          : {report.elapsed_seconds:.2f} s",
     ]

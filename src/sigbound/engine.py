@@ -27,8 +27,8 @@ count. The pool's threads share the tables, which are marked read-only.
 Directed rounding discipline: lower quantities round DOWN, upper ones UP.
 Each cell term takes a one-ULP step after every operation; the totals over
 the cells are exact, and each reported number is rounded once, to its side,
-from them (see _directed). So the reported bracket is a certificate no
-matter how many cells were summed.
+from them (see run_bounds). So the reported bracket is a certificate no
+matter how many cells were summed, and so is each progress report.
 """
 from __future__ import annotations
 
@@ -53,20 +53,12 @@ from .moments import MomentTable, bound_curves, build_moment_table, check_y
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProgressEvent:
-    pairs: int
-    lower: float  # certified lower bound accumulated so far
-    upper: float  # certified upper bound if the run stopped now (tail included)
-    covered: float  # DOWN-directed covered mass so far
-    flush: bool = False
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """The certified bracket of one run, from its three exact totals:
     lower_total <= density <= upper_total, and covered_lo, the enumerated
     cells' mass rounded DOWN, whose complement upper_total charges as the
-    unenumerated tail. threads is the count used."""
+    unenumerated tail. threads is the count used. A progress report is one
+    too, over the pair_count cells summed so far, with the time so far."""
 
     y: int
     z: int
@@ -554,12 +546,15 @@ def _pooled(consts: _Consts, b: _Rows, chunks, threads: int):
             yield fut.result()
 
 
+_ONE = 1 << 1074  # 1.0 in the units of exact_sum
+
+
 def run_bounds(
     y: int,
     z: int,
     r_max: int,
     threads: Optional[int] = None,
-    progress: Optional[Callable[[ProgressEvent], None]] = None,
+    progress: Optional[Callable[[BoundReport, bool], None]] = None,
     flush_every: int = 0,
     table: Optional[MomentTable] = None,
 ) -> BoundReport:
@@ -571,9 +566,10 @@ def run_bounds(
     reported number is rounded once, to its side, from the exact totals, so
     neither the chunk cut nor the thread count moves a bit. `threads` is
     capped at the usable cores and at the chunk count; the report carries
-    the count used. `progress` gets one event per chunk that crosses a
-    multiple of `flush_every` pairs (flush set), and otherwise at most one a
-    second.
+    the count used. `progress(report, flush)` gets the BoundReport of the
+    cells summed so far, itself a certified bracket, after each chunk that
+    crosses a multiple of `flush_every` cells (flush True), and otherwise
+    at most once a second (flush False).
     """
     if z < 2:
         raise InvalidParameterError(f"z must be >= 2, got {z}")
@@ -605,6 +601,26 @@ def run_bounds(
     else:
         done = _pooled(consts, b, chunks, threads)
 
+    def report(lo: int, up_cells: int, cov_dn: int, pairs: int) -> BoundReport:
+        # the exact totals, in units of 2**-1074, each rounded once to its
+        # side; upper adds the unenumerated tail 1 - covered, with covered
+        # taken DOWN, to the cells' upper sum and is capped at 1
+        lower = ratio_dn(lo, _ONE)
+        upper = min(ratio_up(up_cells + _ONE - cov_dn, _ONE), 1.0)
+        if lower > upper:
+            raise AssertionError("certified bracket inverted; this is a bug")
+        return BoundReport(
+            y=y,
+            z=z,
+            r_max=r_max,
+            threads=threads,
+            lower_total=DirScalar(lower, DOWN),
+            upper_total=DirScalar(upper, UP),
+            covered_lo=DirScalar(ratio_dn(cov_dn, _ONE), DOWN),
+            pair_count=pairs,
+            elapsed_seconds=time.perf_counter() - t_start,
+        )
+
     sums, pairs = [0, 0, 0], 0  # the exact totals (see _chunk_sums)
     next_tick = t_start + 1.0
     for *part, k in done:
@@ -614,36 +630,6 @@ def run_bounds(
             continue
         flush = bool(flush_every) and pairs // flush_every > before // flush_every
         if flush or time.perf_counter() >= next_tick:
-            lower, upper, covered = _directed(*sums)
-            progress(ProgressEvent(pairs=pairs, lower=lower, upper=upper, covered=covered, flush=flush))
+            progress(report(*sums, pairs), flush)
             next_tick = time.perf_counter() + 1.0
-
-    lower, upper, covered_lo = _directed(*sums)
-    if lower > upper:
-        raise AssertionError("certified bracket inverted; this is a bug")
-    return BoundReport(
-        y=y,
-        z=z,
-        r_max=r_max,
-        threads=threads,
-        lower_total=DirScalar(lower, DOWN),
-        upper_total=DirScalar(upper, UP),
-        covered_lo=DirScalar(covered_lo, DOWN),
-        pair_count=pairs,
-        elapsed_seconds=time.perf_counter() - t_start,
-    )
-
-
-_ONE = 1 << 1074  # 1.0 in the units of exact_sum
-
-
-def _directed(lo: int, up_cells: int, cov_dn: int):
-    """(lower, upper, covered_lo): the exact totals, in units of 2**-1074,
-    each rounded once to its side. upper adds the unenumerated tail
-    1 - covered, with covered taken DOWN, to the cells' upper sum and is
-    capped at 1."""
-    return (
-        ratio_dn(lo, _ONE),
-        min(ratio_up(up_cells + _ONE - cov_dn, _ONE), 1.0),
-        ratio_dn(cov_dn, _ONE),
-    )
+    return report(*sums, pairs)

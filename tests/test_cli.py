@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
+import pathlib
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -54,6 +57,20 @@ class TestExitCodes:
             assert code == 3, argv
             assert out == ""
             assert "10000" in err
+
+    def test_module_entry_point(self):
+        # cli.entry() turns main's return value into the process exit code
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "sigbound.cli", "bounds", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+
+        ok = run("--y", "3", "--z", "1e4", "--rmax", "20", "--threads", "1", "--format", "json")
+        assert ok.returncode == 0, ok.stderr
+        assert json.loads(ok.stdout)["command"] == "bounds"
+        assert run("--z", "1").returncode == 2
+        assert run("--y", "65536").returncode == 3
 
 
 class TestEmpirical:
@@ -163,6 +180,16 @@ class TestBounds:
         # round trip
         assert json.loads(json.dumps(data)) == data
 
+    def test_covered_mass_line_is_certified(self, capsys, table_y31_r200):
+        # rounded to nearest, 0.815110074980389 would print as 0.8151100750
+        code, out, _ = run_cli(capsys, "bounds", "--y", "31", "--z", "1e4", "--rmax", "200",
+                               "--threads", "1")
+        assert code == 0
+        m = re.search(r"^covered mass +: >= (\S+)$", out, re.M)
+        assert m, out
+        r = run_bounds(31, 10**4, 200, threads=1, table=table_y31_r200)
+        assert float(m[1]) <= r.covered_mass
+
     def test_thread1_bit_reproducible(self, capsys):
         out1 = run_cli(capsys, "bounds", "--y", "3", "--z", "1e4", "--rmax", "20",
                        "--threads", "1", "--format", "json")[1]
@@ -187,8 +214,9 @@ class TestBounds:
 
 
     def test_flush_every_with_two_threads(self, capsys):
-        # parallel runs report per merged batch; a batch that crosses a
-        # multiple of --flush-every must still print a flush line
+        # the pool's chunk sums come back in chunk order and a chunk holds
+        # many cells; a chunk that crosses a multiple of --flush-every must
+        # still print a flush line
         code, _, err = run_cli(
             capsys, "bounds", "--y", "3", "--z", "1e4", "--rmax", "20",
             "--threads", "2", "--flush-every", "50",
@@ -203,9 +231,9 @@ class TestBounds:
         events = []
 
         def recorded(*args, progress, **kwargs):
-            def both(ev):
-                events.append(ev)
-                progress(ev)
+            def both(part, flush):
+                events.append((part, flush))
+                progress(part, flush)
             return run_bounds(*args, progress=both, **kwargs)
 
         monkeypatch.setattr(cli, "run_bounds", recorded)
@@ -214,16 +242,16 @@ class TestBounds:
         assert code == 0
         lines = err.splitlines()
         assert len(lines) == len(events) > 1
-        assert {ev.flush for ev in events} == {True, False}
-        for line, ev in zip(lines, events):
+        assert {flush for _, flush in events} == {True, False}
+        for line, (part, flush) in zip(lines, events):
             m = re.fullmatch(r"(flush|progress): pairs=(\d+) covered>=(\S+) "
                              r"lower>=(\S+) upper<=(\S+)", line)
             assert m, line
-            assert m[1] == ("flush" if ev.flush else "progress")
-            assert int(m[2]) == ev.pairs
-            assert float(m[3]) <= ev.covered
-            assert float(m[4]) <= ev.lower
-            assert float(m[5]) >= ev.upper
+            assert m[1] == ("flush" if flush else "progress")
+            assert int(m[2]) == part.pair_count
+            assert float(m[3]) <= part.covered_mass
+            assert float(m[4]) <= part.lower_total.value
+            assert float(m[5]) >= part.upper_total.value
 
     def test_huge_thread_request_is_capped(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--y", "31", "--z", "1e3",

@@ -291,6 +291,8 @@ class TestRunBounds:
     def test_parallel_matches_serial_closely(self, table_y31_r200, monkeypatch):
         if usable_cores() < 2:
             pytest.skip("needs 2 usable cores to enter the pool")
+        # the pool is threads sharing the read-only tables: a run that asked
+        # multiprocessing for a context would raise here
         import multiprocessing
 
         def no_processes(*args, **kwargs):
@@ -367,12 +369,12 @@ class TestRunBounds:
         events = []
         run_bounds(
             31, 10**5, 200, threads=1, table=table_y31_r200,
-            progress=events.append, flush_every=10000,
+            progress=lambda part, flush: events.append((part, flush)), flush_every=10000,
         )
         assert events, "flush events expected"
-        assert all(ev.flush for ev in events if ev.pairs % 10000 == 0)
-        for ev in events:
-            assert 0.0 <= ev.lower <= ev.upper <= 1.0
+        assert all(flush for part, flush in events if part.pair_count % 10000 == 0)
+        for part, _ in events:
+            assert 0.0 <= part.lower_total.value <= part.upper_total.value <= 1.0
 
     def test_progress_is_one_stream_for_any_thread_count(self, table_y31_r200):
         # flush_every=1 makes every chunk a flush, so no 1 s tick interleaves
@@ -380,9 +382,10 @@ class TestRunBounds:
         for threads in (1, 2):
             events = []
             run_bounds(31, 10**6, 200, threads=threads, table=table_y31_r200,
-                       progress=events.append, flush_every=1)
-            streams.append([(ev.pairs, ev.lower, ev.upper, ev.covered, ev.flush)
-                            for ev in events])
+                       progress=lambda part, flush: events.append((part, flush)),
+                       flush_every=1)
+            streams.append([(part.pair_count, part.lower_total, part.upper_total,
+                             part.covered_lo, flush) for part, flush in events])
         assert streams[0] == streams[1]
         assert len(streams[0]) > 1
         assert all(ev[4] for ev in streams[0])

@@ -11,7 +11,7 @@ _MODULES = ("arith", "cli", "counting", "dirround", "engine", "errors", "moments
 _ALL = {
     "BoundReport", "DOWN", "DirScalar", "Direction",
     "InvalidCellError", "InvalidParameterError",
-    "MomentTable", "ProgressEvent", "UP",
+    "MomentTable", "UP",
     "UnsupportedParameterError", "build_moment_table", "cell_density",
     "count_sigma_ge", "moment_sum", "run_bounds",
 }
@@ -43,7 +43,9 @@ _ALL = {
 # is read off the bits of its ratio with no log guess. up_sub: only the
 # references in tests/oracles.py subtract rounding up. _upper_curve:
 # moments.bound_curves returns the one curve ru, and the engine forms the
-# lower curve from it at lookup.
+# lower curve from it at lookup. ProgressEvent, _directed: a progress
+# callback gets a BoundReport of the cells summed so far, built by the one
+# report builder in run_bounds.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
@@ -63,7 +65,7 @@ _REMOVED = (
     "exp_up_wide", "_exp_up_core", "_tail_factor", "_bound_curves",
     "_merge", "_upper_with_tail", "next_dn", "_float_dir", "_F63",
     "_grid_slot", "_GRID_LO", "_GRID_HI", "up_sub", "_upper_curve",
-    "_extract", "_SCALE",
+    "_extract", "_SCALE", "ProgressEvent", "_directed",
 )
 
 # Methods dropped along with the code that called them. The table holds
@@ -113,7 +115,7 @@ def test_removed_fields_stay_removed():
 
 def test_public_names_are_pinned():
     assert set(sigbound.__all__) == _ALL
-    assert len(sigbound.__all__) == 15
+    assert len(sigbound.__all__) == 14
 
 
 def test_no_private_names_cross_modules():
