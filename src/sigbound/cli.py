@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--y", type=scaled_int, default=31, help="smoothness bound (default 31)")
     b.add_argument("--z", type=scaled_int, default=10**8, help="enumerate cells with ab <= z (default 1e8)")
     b.add_argument("--rmax", type=scaled_int, default=200, help="maximum moment order (default 200)")
-    b.add_argument("--threads", type=scaled_int, default=None, help="worker threads (default: all usable cores)")
+    b.add_argument("--threads", type=scaled_int, default=1,
+                   help="worker threads, capped at the usable cores (default 1)")
     b.add_argument("--flush-every", type=scaled_int, default=0,
                    help="emit an intermediate certified bracket after each chunk that crosses a multiple of N cells")
     b.add_argument("--format", choices=("text", "json"), default="text")

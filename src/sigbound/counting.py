@@ -169,12 +169,12 @@ def _strided(
     scratch: np.ndarray,
 ) -> None:
     """One strided pass per prime power: the multiples of p^k in the block
-    are a slice with step p^k, updated in place."""
+    are a slice with step p^k, updated in place. Each p is at most
+    n // _STRIDED_MULTIPLES (see sigma_block), so it has a multiple in the
+    block."""
     n = sig.size
     for p in primes:
         start = (-lo) % p
-        if start >= n:
-            continue
         # term[i] becomes sigma(p^e) for the i-th multiple of p, p^e || m
         term = scratch[: (n - 1 - start) // p + 1]
         term.fill(p + 1)

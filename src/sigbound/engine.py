@@ -37,7 +37,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
 from math import gcd
 from typing import Callable, NamedTuple, Optional
 
@@ -57,8 +56,9 @@ class BoundReport:
     """The certified bracket of one run, from its three exact totals:
     lower_total <= density <= upper_total, and covered_lo, the enumerated
     cells' mass rounded DOWN, whose complement upper_total charges as the
-    unenumerated tail. threads is the count used. A progress report is one
-    too, over the pair_count cells summed so far, with the time so far."""
+    unenumerated tail. threads is the count used, the request capped at the
+    usable cores. A progress report is one too, over the pair_count cells
+    summed so far, with the time so far."""
 
     y: int
     z: int
@@ -140,11 +140,8 @@ _ONE_BITS = 0x3FF0_0000_0000_0000  # the int64 bits of 1.0
 # any z.
 _ROW_BUDGET = 1 << 18
 
-# Candidate (a, b) rows per chunk. The first chunk holds _CHUNK_MIN rows and
-# each next one twice as many, up to _CHUNK, so that small runs still split
-# into several chunks for the pool. The chunk sums are exact, so the cut
+# Candidate (a, b) rows per chunk. The chunk sums are exact, so the cut
 # moves no bit of the totals.
-_CHUNK_MIN = 1 << 8
 _CHUNK = 1 << 14
 
 # The first _CLASS_PRIMES odd primes of the b table split it into classes
@@ -449,27 +446,25 @@ def _ranges(rows: _Rows, b: _Rows, bounds: np.ndarray, cmask: int, z: int):
 
 
 def _chunks(blocks, b: _Rows, cmask: int, z: int):
-    """Cut each batch of candidate ranges (see _ranges) into chunks of the
-    sizes set by _CHUNK_MIN and _CHUNK; the last chunk of a batch takes the
-    rows left over. A range may be split between chunks."""
+    """Cut each batch of candidate ranges (see _ranges) into chunks of
+    _CHUNK candidate rows; the last chunk of a batch takes the rows left
+    over. A range may be split between chunks."""
     bounds = np.searchsorted(_classes(b, cmask), np.arange(cmask + 2))
-    size = _CHUNK_MIN
     for rows in blocks:
         for a, lo, cnt in _ranges(rows, b, bounds, cmask, z):
             ends = np.cumsum(cnt)
             s = 0
             while cnt.size and s < ends[-1]:
                 r0 = int(np.searchsorted(ends, s, "right"))
-                r1 = int(np.searchsorted(ends, s + size - 1, "right")) + 1
+                r1 = int(np.searchsorted(ends, s + _CHUNK - 1, "right")) + 1
                 starts = ends[r0:r1] - cnt[r0:r1]
                 yield _Chunk(
                     rows,
                     a[r0:r1],
                     lo[r0:r1] + np.maximum(s - starts, 0),
-                    lo[r0:r1] + np.minimum(s + size - starts, cnt[r0:r1]),
+                    lo[r0:r1] + np.minimum(s + _CHUNK - starts, cnt[r0:r1]),
                 )
-                s += size
-                size = min(2 * size, _CHUNK)
+                s += _CHUNK
 
 
 def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
@@ -553,7 +548,7 @@ def run_bounds(
     y: int,
     z: int,
     r_max: int,
-    threads: Optional[int] = None,
+    threads: int = 1,
     progress: Optional[Callable[[BoundReport, bool], None]] = None,
     flush_every: int = 0,
     table: Optional[MomentTable] = None,
@@ -564,12 +559,13 @@ def run_bounds(
     UP-directed upper cell terms plus the covered mass exactly, as integers,
     then charges the unenumerated tail (1 - covered) to the upper side. Each
     reported number is rounded once, to its side, from the exact totals, so
-    neither the chunk cut nor the thread count moves a bit. `threads` is
-    capped at the usable cores and at the chunk count; the report carries
-    the count used. `progress(report, flush)` gets the BoundReport of the
-    cells summed so far, itself a certified bracket, after each chunk that
-    crosses a multiple of `flush_every` cells (flush True), and otherwise
-    at most once a second (flush False).
+    neither the chunk cut nor the thread count moves a bit. One thread sums
+    the chunks in the calling thread; more share a pool (see _pooled).
+    `threads` is capped at the usable cores, and the report carries the
+    count used. `progress(report, flush)` gets the BoundReport of the cells
+    summed so far, itself a certified bracket, after each chunk that crosses
+    a multiple of `flush_every` cells (flush True), and otherwise at most
+    once a second (flush False).
     """
     if z < 2:
         raise InvalidParameterError(f"z must be >= 2, got {z}")
@@ -577,8 +573,6 @@ def run_bounds(
         raise InvalidParameterError(f"z must be below 2**63, got {z}")
     if r_max < 1:
         raise InvalidParameterError(f"r_max must be >= 1, got {r_max}")
-    if threads is None:
-        threads = _usable_cpus()
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     t_start = time.perf_counter()
@@ -589,13 +583,8 @@ def run_bounds(
     consts = _engine_consts(table)
     b, chunks = _cell_tables(consts, z)
 
+    # capped, so that a huge request opens no huge window of futures
     threads = min(threads, _usable_cpus())
-    if threads > 1:
-        # the report names the count used: no more workers than usable
-        # cores, nor than chunks to hand them
-        head = list(islice(chunks, threads))
-        threads = len(head)
-        chunks = chain(head, chunks)
     if threads == 1:
         done = (_chunk_sums(consts, b, ch) for ch in chunks)
     else:

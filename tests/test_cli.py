@@ -43,6 +43,7 @@ class TestExitCodes:
         assert run_cli(capsys, "empirical", "--x", "0")[0] == 2
         assert run_cli(capsys, "bounds", "--z", "1.5e3")[0] == 2
         assert run_cli(capsys, "dens-s", "--a", "2", "--b", "2", "--y", "3")[0] == 2
+        assert run_cli(capsys, "lambda", "--y", "31", "--rmax", "0")[0] == 2
 
     def test_unsupported_parameter_is_3(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--y", "70000", "--z", "100")
@@ -260,11 +261,12 @@ class TestBounds:
         assert 1 <= json.loads(out)["params"]["threads"] <= _usable_cpus()
 
     def test_default_threads_ignore_the_environment(self, capsys, monkeypatch):
-        # the default is run_bounds' own: all usable cores
-        monkeypatch.setenv("SIGBOUND_THREADS", "1")
+        # the default is run_bounds' own: one thread
+        monkeypatch.setenv("SIGBOUND_THREADS", "2")
         code, out, _ = run_cli(capsys, "bounds", "--y", "31", "--z", "1e5", "--format", "json")
         assert code == 0
-        assert json.loads(out)["params"]["threads"] == run_bounds(31, 10**5, 200).threads
+        assert json.loads(out)["params"]["threads"] == 1
+        assert run_bounds(31, 10**5, 200).threads == 1
 
 
 class TestMoment:

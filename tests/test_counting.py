@@ -233,6 +233,12 @@ class TestSmoothPartBlock:
         # up to hi - 1 and gives the result of y = hi - 1
         assert np.array_equal(smooth_part_block(10, 20, 10**18), smooth_part_block(10, 20, 19))
 
+    def test_bad_range(self):
+        with pytest.raises(InvalidParameterError):
+            smooth_part_block(0, 10, 3)
+        with pytest.raises(InvalidParameterError):
+            smooth_part_block(5, 5, 3)
+
     def test_two_part_near_2_to_58(self):
         lo, hi = 2**58 - 5, 2**58 + 6
         assert [int(v) for v in smooth_part_block(lo, hi, 2)] == [m & -m for m in range(lo, hi)]

@@ -17,13 +17,15 @@ from oracles import (
     pair_bounds,
     solve_progression,
 )
-from sigbound import engine
-from sigbound.dirround import ulp_up
+from sigbound import counting, engine
+from sigbound.counting import smooth_part_block
+from sigbound.dirround import ratio_dn, ulp_dn, ulp_up
 from sigbound.engine import (
     _cell_tables,
     _chunk_sums,
     _engine_consts,
     _pooled,
+    _slot,
     cell_density,
     run_bounds,
 )
@@ -209,6 +211,41 @@ class TestPairBounds:
             assert pb.upper.value <= float(dens) * (1 + 1e-12) + 1e-300
 
 
+class TestCellAudit:
+    def test_cell_bounds_hold_on_exact_counts(self, table_y31_r200):
+        # every n <= x grouped by its cell at y = 31; each cell with at least
+        # min_members members holds hits <= U * members + slack and hits >=
+        # L * members - slack, with U and L read off the engine's curve as
+        # _chunk_sums reads them, at q <= h(b)/h(a) and w <= h(a)/h(b)
+        # rounded DOWN from the exact abundancies. n = 1 is the one hit of
+        # the cell (3, 2), 20,678 members against U = 2.6e-7, so the slack
+        # is one member; every other cell keeps within its bounds without
+        # it. This catches a wrong side of the curve or of its read, not
+        # small slack.
+        x, min_members, slack = 10**6, 100, 1
+        keys, hit = [], []
+        for lo, hi, sieve in counting._blocks(x):
+            sig = sieve()
+            hit.append(sig[1::2] >= sig[0::2])
+            part = smooth_part_block(lo, hi, 31)
+            keys.append(part[1::2] * (2 * x + 2) + part[0::2])  # a, b as one key
+        cells, cell_of, members = np.unique(np.concatenate(keys), return_inverse=True,
+                                            return_counts=True)
+        hits = np.bincount(cell_of, weights=np.concatenate(hit))
+        big = np.flatnonzero(members >= min_members)
+        q, w = [], []
+        for a, b in zip(*(v.tolist() for v in np.divmod(cells[big], 2 * x + 2))):
+            r = abundancy(factorize(b)) / abundancy(factorize(a))
+            q.append(ratio_dn(r.numerator, r.denominator))
+            w.append(ratio_dn(r.denominator, r.numerator))
+        ru_at = _engine_consts(table_y31_r200).ru_at
+        upper = ru_at[_slot(np.array(q))]
+        lower = ulp_dn(1.0 - ru_at[_slot(np.array(w))])
+        assert big.size > 1000 and (upper < 0.5).any() and (lower > 0.5).any()
+        assert np.all(hits[big] <= upper * members[big] + slack)
+        assert np.all(hits[big] >= lower * members[big] - slack)
+
+
 class TestRunBounds:
     def test_single_cell_run(self):
         r = run_bounds(2, 2, 10, threads=1)
@@ -311,10 +348,10 @@ class TestRunBounds:
         assert r2.lower_total.value <= r2.upper_total.value
 
     @pytest.mark.parametrize("y,z,budget,cut", [
-        (31, 10**6, engine._ROW_BUDGET, (1 << 6, 1 << 10)),
-        (31, 10**6, engine._ROW_BUDGET, (1 << 12, 1 << 16)),
-        (2, 10**15, engine._ROW_BUDGET, (1 << 2, 1 << 4)),  # one class, a zero mask word
-        (31, 10**6, 512, (1 << 6, 1 << 10)),  # the a side walks the primes past 5
+        (31, 10**6, engine._ROW_BUDGET, 1 << 6),
+        (31, 10**6, engine._ROW_BUDGET, 1 << 16),
+        (2, 10**15, engine._ROW_BUDGET, 1 << 2),  # one class, a zero mask word
+        (31, 10**6, 512, 1 << 6),  # the a side walks the primes past 5
     ], ids=["cut0", "cut1", "y2", "budget512"])
     def test_totals_do_not_depend_on_the_chunk_cut(self, monkeypatch, y, z, budget, cut):
         table = build_moment_table(y, 200)
@@ -325,8 +362,7 @@ class TestRunBounds:
             return r.pair_count, r.lower_total, r.upper_total, r.covered_lo
 
         default = totals(1)
-        monkeypatch.setattr(engine, "_CHUNK_MIN", cut[0])
-        monkeypatch.setattr(engine, "_CHUNK", cut[1])
+        monkeypatch.setattr(engine, "_CHUNK", cut)
         assert totals(1) == default
         assert totals(2) == default
 

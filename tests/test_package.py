@@ -45,7 +45,8 @@ _ALL = {
 # moments.bound_curves returns the one curve ru, and the engine forms the
 # lower curve from it at lookup. ProgressEvent, _directed: a progress
 # callback gets a BoundReport of the cells summed so far, built by the one
-# report builder in run_bounds.
+# report builder in run_bounds. _CHUNK_MIN: every chunk holds _CHUNK
+# candidate rows; the ramp of small first chunks only fed the pool.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
@@ -65,7 +66,7 @@ _REMOVED = (
     "exp_up_wide", "_exp_up_core", "_tail_factor", "_bound_curves",
     "_merge", "_upper_with_tail", "next_dn", "_float_dir", "_F63",
     "_grid_slot", "_GRID_LO", "_GRID_HI", "up_sub", "_upper_curve",
-    "_extract", "_SCALE", "ProgressEvent", "_directed",
+    "_extract", "_SCALE", "ProgressEvent", "_directed", "_CHUNK_MIN",
 )
 
 # Methods dropped along with the code that called them. The table holds
