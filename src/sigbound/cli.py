@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Results go to stdout, progress to stderr, so pipes stay clean. Exit codes:
-0 success, 2 invalid parameters, 3 unsupported parameters. Certified numbers
-are printed to 10 significant digits rounded outward (lower bounds down,
-upper bounds up), so the printed digits remain certificates.
+0 success, 2 invalid parameters, 3 unsupported parameters; a reader that
+closes stdout early (`| head`) ends the command quietly, with 0. Certified
+numbers are printed to 10 significant digits rounded outward (lower bounds
+down, upper bounds up), so the printed digits remain certificates.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import decimal
 import json
 import math
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -256,7 +258,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # here, so that a closed pipe raises inside the try
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): what it read stands, so
+        # exit 0, with stdout on devnull so the exit's flush raises no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

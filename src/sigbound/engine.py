@@ -155,11 +155,12 @@ class _Consts(NamedTuple):
     """The z-independent engine state: the odd primes <= y, the directed
     density base prod (p-2)/p over them, and the ratio curve.
 
-    ru_at is the curve ru of moments.bound_curves on the grid behind a
-    sentinel 1: index _slot(q) reads the curve at the largest grid point
-    <= q, or the trivial ratio 1 when q lies below the grid. The lower
-    curve is ulp_dn(1 - ru_at), formed at lookup (see _chunk_sums); at the
-    sentinel it is +0.0.
+    ru_at is the curve ru of moments.bound_curves on the grid, capped at
+    1/2 (the symmetry lemma of moments), behind a sentinel 1: index
+    _slot(q) reads the curve at the largest grid point <= q, or the trivial
+    ratio 1 when q lies below the grid. The lower curve is
+    ulp_dn(1 - ru_at), formed at lookup (see _chunk_sums); it is at least
+    1/2 stepped down on the grid, and +0.0 at the sentinel.
     """
 
     odd: tuple[int, ...]
@@ -190,7 +191,9 @@ def _engine_consts(table: MomentTable) -> _Consts:
     for p in odd:
         num *= p - 2
         den *= p
-    ru = bound_curves(table, _grid())
+    # capped at 1/2 by the symmetry lemma (see moments); the sentinel is not,
+    # as slot 0 holds the ratios q <= 1 the lemma does not cover
+    ru = np.minimum(bound_curves(table, _grid()), 0.5)
     return _Consts(
         odd=odd,
         base_dn=ratio_dn(num, den),

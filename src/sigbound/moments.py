@@ -20,6 +20,37 @@ bound_curves turns a table into the per-cell bound: min over r of
 bound is 1 minus it, stepped down, formed by the caller. The engine
 evaluates it once, on its grid; it carries q^r only up to the cap
 crossings it has seen, with no guess of where they fall.
+
+The symmetry cap. The engine reads min(ru, 1/2) wherever q > 1, by this
+lemma. Fix a cell (a, b), so 2n+1 = aA and 2n = bB with A, B free of the
+primes <= y, and let X = log h(A) - log h(B) under the cell's density: the
+cell's share of the target set is P(X >= log h(b)/h(a)).
+1. Exchangeable atoms. The cell is a union of classes modulo a number M
+   built from the primes <= y. For a prime p > y and k >= 1, p^k || 2n+1
+   and p^k || 2n are each one class modulo p^k less one modulo p^(k+1),
+   and p divides at most one of 2n+1 and 2n. By CRT (gcd(M, p) = 1) each
+   has relative density (1 - 1/p)/p^k in the cell, and for distinct primes
+   these conditions are independent of each other and of the cell. So the
+   pair (v_p(2n+1), v_p(2n)) has the same law as (v_p(2n), v_p(2n+1)), and
+   the pairs of distinct primes are independent.
+2. X is symmetric. The truncation X_Y, the sum over the primes y < p <= Y
+   of log h(p^v_p(2n+1)) - log h(p^v_p(2n)), is then a sum of independent
+   symmetric terms, so X_Y and -X_Y have the same law. A prime p > Y
+   divides 2n(2n+1) with density 2/p and then moves X by at most
+   log(p/(p-1)) <= 1/(p-1), so E|X - X_Y| <= 2 sum_{p > Y} 1/(p(p-1)),
+   which tends to 0: the same truncation-plus-tail limit the paper takes
+   for the moments. So X_Y tends to X in law, and a limit in law of
+   symmetric laws is symmetric: P(X > s) = P(X < -s) for every s.
+3. The cap. For t > 0, P(X >= t) <= P(X > 0) = P(X < 0), and the two add to
+   at most 1, so P(X >= t) <= 1/2. No continuity of the law is needed: an
+   atom at 0 only lowers both sides.
+4. The mirror. For t < 0, P(X >= t) = 1 - P(X < t) = 1 - P(-X > -t) >=
+   1 - 1/2, by step 3 applied to -X, which has the same law. So an a-side
+   cell, q < 1, reads the lower bound 1 - min(ru(w), 1/2) at w <= 1/q.
+The cap needs q > 1 strictly: at q = 1 the share P(X >= 0) is at least
+1/2, and the engine's sentinel slot, which holds every q below 1 + 2^-16,
+stays at 1. bound_curves itself stays the moment bound, uncapped: the cap
+is a property of X, not of the table.
 """
 from __future__ import annotations
 

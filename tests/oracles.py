@@ -44,7 +44,8 @@ def ratio_grids_per_r(table, q=None):
     ulp_dn(1 - ru) where it reads it), spreads the capped candidates with
     one running min, stops carrying q^r past a cap crossing once no later
     order has a smaller capped candidate, and steps q^r and q^r - 1 without
-    a clamp; all of that must leave every bit as this form has it.
+    a clamp; all of that must leave every bit as this form has it. The
+    engine reads the curves under the symmetry cap (see symmetry_capped).
     """
     vals = table.values
     inf = np.inf
@@ -413,9 +414,21 @@ def solve_progression(a, b, t1, t2, modulus):
 # per-cell moment bounds by a consecutive r search
 # ---------------------------------------------------------------------------
 
+# The symmetry cap of `sigbound.moments`: a cell's share is at most 1/2
+# when h(b) > h(a), and at least 1/2 when h(a) > h(b).
+SYMMETRY_CAP = 0.5
+
+
+def symmetry_capped(ru, rl):
+    """The curves (ru, rl) of ratio_grids_per_r under the symmetry cap: ru
+    at most 1/2, and rl at least 1/2 stepped down."""
+    return np.minimum(ru, SYMMETRY_CAP), np.maximum(rl, math.nextafter(1.0 - SYMMETRY_CAP, 0.0))
+
+
 @dataclass(frozen=True)
 class PairBound:
-    """Certified per-cell bounds; r_* = 0 records a trivial fallback."""
+    """Certified per-cell bounds; r_* = 0 records that no moment order beat
+    the symmetry cap (the trivial bound when h(a) = h(b))."""
 
     dens: Fraction
     lower: DirScalar
@@ -460,8 +473,9 @@ def pair_bounds(dens, table, ha, hb):
     exact density `dens`.
 
     With q the larger of hb/ha and ha/hb, the candidate at order r is
-    dens * (M(r)-1)/(q^r-1) subtracted from the appropriate side; only the
-    side whose abundancy dominates can beat the trivial bounds [0, dens].
+    dens * (M(r)-1)/(q^r-1), capped at dens/2, subtracted from the
+    appropriate side; only the side whose abundancy dominates can beat the
+    trivial bounds [0, dens].
     """
     dens_dn = ratio_dn(dens.numerator, dens.denominator)
     dens_up = ratio_up(dens.numerator, dens.denominator)
@@ -469,18 +483,14 @@ def pair_bounds(dens, table, ha, hb):
     roots = table.roots
     lower_v, r_lo = 0.0, 0
     upper_v, r_up = dens_up, 0
-    if hb > ha:
-        best, r = _scan_best_ratio(hb / ha, vals, roots, table.r_max)
-        if best is not None and best < 1.0:
+    if ha != hb:
+        best, r = _scan_best_ratio(max(hb / ha, ha / hb), vals, roots, table.r_max)
+        if best is None or best >= SYMMETRY_CAP:
+            best, r = SYMMETRY_CAP, 0
+        if hb > ha:
             upper_v, r_up = up_mul(dens_up, best), r
-    elif ha > hb:
-        best, r = _scan_best_ratio(ha / hb, vals, roots, table.r_max)
-        if best is not None and best < 1.0:
-            ratio = dn_sub(1.0, best)
-            if ratio > 0.0:
-                cand = dn_mul(dens_dn, ratio)
-                if cand > 0.0:
-                    lower_v, r_lo = cand, r
+        else:
+            lower_v, r_lo = max(dn_mul(dens_dn, dn_sub(1.0, best)), 0.0), r
     return PairBound(dens, DirScalar(lower_v, DOWN), DirScalar(upper_v, UP), r_lo, r_up)
 
 

@@ -73,6 +73,21 @@ class TestExitCodes:
         assert run("--z", "1").returncode == 2
         assert run("--y", "65536").returncode == 3
 
+    def test_closed_pipe_exits_quietly(self):
+        # 220 kB of JSON, past any pipe buffer, so the write meets the
+        # closed pipe whenever the reader closes it
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sigbound.cli", "lambda", "--y", "3", "--rmax", "1e4",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(10) == b'{"command"'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+
 
 class TestEmpirical:
     def test_text_format(self, capsys):

@@ -178,20 +178,34 @@ class TestPairBounds:
         assert pb.lower.value == 0.0 and pb.r_lower == 0
 
     def test_lower_example_r1(self):
+        # w = h(45)/h(2) = 52/45, where the r = 1 candidate 0.339 beats the
+        # symmetry cap 1/2
         table = build_moment_table(5, 1)
-        dens = cell_density(15, 2, 5)
-        pb = pair_bounds(dens, table, Fraction(8, 5), Fraction(3, 2))
+        dens = cell_density(45, 2, 5)
+        pb = pair_bounds(dens, table, Fraction(26, 15), Fraction(3, 2))
         lam = mp.zeta(2) * 2 / 3 * Fraction(24, 25)
-        w = mp.mpf(16) / 15
-        reference = (w - lam) / (w - 1) * mp.mpf(4) / 225
+        w = mp.mpf(52) / 45
+        reference = (w - lam) / (w - 1) * mp.mpf(dens.numerator) / dens.denominator
         assert pb.r_lower == 1
         assert pb.lower.value <= reference
         assert pb.lower.value == pytest.approx(float(reference), rel=1e-9)
         assert pb.upper.value >= float(dens)
 
+    def test_lower_reads_the_cap(self):
+        # w = h(15)/h(2) = 16/15: the r = 1 candidate 0.79 leaves the lower
+        # bound 0.21 dens, and the cap lifts it to dens/2, stepped down
+        table = build_moment_table(5, 1)
+        dens = cell_density(15, 2, 5)
+        pb = pair_bounds(dens, table, Fraction(8, 5), Fraction(3, 2))
+        assert pb.r_lower == 0
+        assert Fraction(pb.lower.value) <= dens / 2
+        assert pb.lower.value == pytest.approx(float(dens) / 2, rel=1e-15)
+        assert pb.upper.value >= float(dens)
+
     def test_trivial_fallback(self, table_y3_r50):
         # q = h(2)/h(9) = 27/26 ~ 1.038 stays below every tabulated root for
-        # y=3 (the smallest is ~1.0966), so the upper bound stays trivial
+        # y=3 (the smallest is ~1.0966), so no moment order bounds the upper
+        # side and only the symmetry cap does: dens/2, stepped up
         dens = cell_density(9, 2, 3)
         assert all(
             table_y3_r50.roots[r] > 27 / 26 for r in range(1, 51)
@@ -199,7 +213,8 @@ class TestPairBounds:
         pb = pair_bounds(dens, table_y3_r50, Fraction(13, 9), Fraction(3, 2))
         assert pb.r_lower == 0 and pb.lower.value == 0.0
         assert pb.r_upper == 0
-        assert Fraction(pb.upper.value) >= dens
+        assert Fraction(pb.upper.value) >= dens / 2
+        assert pb.upper.value == pytest.approx(float(dens) / 2, rel=1e-15)
 
     def test_sandwich_on_enumerated_cells(self):
         table = build_moment_table(5, 30)
@@ -211,39 +226,90 @@ class TestPairBounds:
             assert pb.upper.value <= float(dens) * (1 + 1e-12) + 1e-300
 
 
+@pytest.fixture(scope="class")
+def audit_cells():
+    """Every n <= 1e6 grouped by its cell at y = 31: per cell, the exact
+    ratio h(b)/h(a), the member count and the hits, the members with
+    sigma(2n+1) >= sigma(2n)."""
+    x = 10**6
+    keys, hit = [], []
+    for lo, hi, sieve in counting._blocks(x):
+        sig = sieve()
+        hit.append(sig[1::2] >= sig[0::2])
+        part = smooth_part_block(lo, hi, 31)
+        keys.append(part[1::2] * (2 * x + 2) + part[0::2])  # a, b as one key
+    cells, cell_of, members = np.unique(np.concatenate(keys), return_inverse=True,
+                                        return_counts=True)
+    hits = np.bincount(cell_of, weights=np.concatenate(hit))
+    ratios = [abundancy(factorize(b)) / abundancy(factorize(a))
+              for a, b in zip(*(v.tolist() for v in np.divmod(cells, 2 * x + 2)))]
+    return ratios, members, hits
+
+
+def curve_reads(table, ratios):
+    """(U, L) per cell, read off the engine's curve as _chunk_sums reads
+    them, at q <= h(b)/h(a) and w <= h(a)/h(b) rounded DOWN from the exact
+    ratios."""
+    q = np.array([ratio_dn(r.numerator, r.denominator) for r in ratios])
+    w = np.array([ratio_dn(r.denominator, r.numerator) for r in ratios])
+    ru_at = _engine_consts(table).ru_at
+    return ru_at[_slot(q)], ulp_dn(1.0 - ru_at[_slot(w)])
+
+
 class TestCellAudit:
-    def test_cell_bounds_hold_on_exact_counts(self, table_y31_r200):
-        # every n <= x grouped by its cell at y = 31; each cell with at least
-        # min_members members holds hits <= U * members + slack and hits >=
-        # L * members - slack, with U and L read off the engine's curve as
-        # _chunk_sums reads them, at q <= h(b)/h(a) and w <= h(a)/h(b)
-        # rounded DOWN from the exact abundancies. n = 1 is the one hit of
-        # the cell (3, 2), 20,678 members against U = 2.6e-7, so the slack
-        # is one member; every other cell keeps within its bounds without
-        # it. This catches a wrong side of the curve or of its read, not
-        # small slack.
-        x, min_members, slack = 10**6, 100, 1
-        keys, hit = [], []
-        for lo, hi, sieve in counting._blocks(x):
-            sig = sieve()
-            hit.append(sig[1::2] >= sig[0::2])
-            part = smooth_part_block(lo, hi, 31)
-            keys.append(part[1::2] * (2 * x + 2) + part[0::2])  # a, b as one key
-        cells, cell_of, members = np.unique(np.concatenate(keys), return_inverse=True,
-                                            return_counts=True)
-        hits = np.bincount(cell_of, weights=np.concatenate(hit))
+    def test_cell_bounds_hold_on_exact_counts(self, audit_cells, table_y31_r200):
+        # each cell with at least min_members members holds hits <= U *
+        # members + slack and hits >= L * members - slack. n = 1 is the one
+        # hit of the cell (3, 2), 20,678 members against U = 2.6e-7, so the
+        # slack is one member; every other cell keeps within its bounds
+        # without it. This catches a wrong side of the curve or of its read,
+        # not small slack. At x = 1e6, 8 of the 1,156 audited cells read the
+        # cap U = 1/2 (their shares run from 0.155 to 0.260), and all 71 on
+        # the a side read L >= 1/2 stepped down (shares 0.696 to 0.766).
+        ratios, members, hits = audit_cells
+        min_members, slack = 100, 1
         big = np.flatnonzero(members >= min_members)
-        q, w = [], []
-        for a, b in zip(*(v.tolist() for v in np.divmod(cells[big], 2 * x + 2))):
-            r = abundancy(factorize(b)) / abundancy(factorize(a))
-            q.append(ratio_dn(r.numerator, r.denominator))
-            w.append(ratio_dn(r.denominator, r.numerator))
-        ru_at = _engine_consts(table_y31_r200).ru_at
-        upper = ru_at[_slot(np.array(q))]
-        lower = ulp_dn(1.0 - ru_at[_slot(np.array(w))])
+        upper, lower = curve_reads(table_y31_r200, [ratios[i] for i in big])
+        a_side = np.array([ratios[i] < 1 for i in big])
         assert big.size > 1000 and (upper < 0.5).any() and (lower > 0.5).any()
+        assert np.count_nonzero(upper == 0.5) >= 8
+        assert np.count_nonzero(a_side) >= 71
+        assert np.all(lower[a_side] >= math.nextafter(0.5, 0.0))
         assert np.all(hits[big] <= upper * members[big] + slack)
         assert np.all(hits[big] >= lower * members[big] - slack)
+
+    def test_pooled_band_shares(self, audit_cells, table_y31_r200):
+        # the symmetry lemma on exact counts, pooled over every cell of a
+        # band whatever its size: 1,202 of 4,973 members (0.242) with
+        # h(b)/h(a) in (1, 1.01] and 1,728 of 2,400 (0.720) in [0.99, 1)
+        ratios, members, hits = audit_cells
+        r = np.array(ratios, dtype=object)
+
+        def pooled(sel):
+            return hits[sel].sum(), members[sel].sum()
+
+        got, of = pooled((r > 1) & (r <= Fraction(101, 100)))
+        assert of > 4000 and got <= of / 2
+        got, of = pooled((r >= Fraction(99, 100)) & (r < 1))
+        assert of > 2000 and got >= of / 2
+
+        # and the hits of each narrower band stay inside the summed curve
+        # bounds. The cap binds on every cell of these bands; (hits, sum L,
+        # sum U) read (249, 0, 360.5), (444, 0, 889), (509, 0, 1238),
+        # (265, 209.5, 419), (557, 384.5, 769) and (906, 606, 1212). A cap
+        # at 0.3 would put sum U at 215.7 in the first band and sum L at
+        # 293.3 in the fourth; capping the sentinel slot too, sum U at 209.5
+        # in the fourth.
+        upper, lower = curve_reads(table_y31_r200, ratios)
+        bands = [(1, Fraction(1002, 1000)), (Fraction(1002, 1000), Fraction(1005, 1000)),
+                 (Fraction(1005, 1000), Fraction(101, 100)),
+                 (Fraction(998, 1000), 1), (Fraction(995, 1000), Fraction(998, 1000)),
+                 (Fraction(99, 100), Fraction(995, 1000))]
+        for lo, hi in bands:
+            sel = (r > lo) & (r <= hi) if lo >= 1 else (r >= lo) & (r < hi)
+            got, of = pooled(sel)
+            assert of > 400
+            assert (lower[sel] * members[sel]).sum() <= got <= (upper[sel] * members[sel]).sum()
 
 
 class TestRunBounds:

@@ -1,11 +1,14 @@
 """Pinned bits of the certified totals, the moment tables and the bound
 curves.
 
-The totals and the curve digests were taken when the ratio grid became the
+The totals and the engine's curve digests were taken when its curve was
+capped at 1/2 (the symmetry lemma of `sigbound.moments`). Four earlier sets
+of totals stay pinned as outer bounds, each at least as loose as the one
+after it: those of the uncapped curve, taken when the ratio grid became the
 doubles 1 + i 2^-16 on [1, 2) and 2 + j 2^-15 on [2, 4], with each cell's
-slot read off the bits of its ratio. Three earlier sets of totals stay
-pinned as outer bounds, each at least as loose as the one after it: those
-of the geometric grid from 1 + 2^-16 to 32; before them those of the tables
+slot read off the bits of its ratio (their curve digests now pin the
+uncapped moment curve of `bound_curves`); before them those of the
+geometric grid from 1 + 2^-16 to 32; before them those of the tables
 that divided each density factor by its directed value at the end; and
 before them those of the engine that rounded each chunk total one ULP
 outward and merged them with directed adds (the cell totals have since been
@@ -25,18 +28,27 @@ import struct
 import pytest
 
 from sigbound.dirround import ulp_dn
-from sigbound.engine import _engine_consts, run_bounds
-from sigbound.moments import build_moment_table
+from sigbound.engine import _engine_consts, _grid, run_bounds
+from sigbound.moments import bound_curves, build_moment_table
 
 TOTALS = ("lower_total", "upper_total", "covered_lo")
 
-GOLDEN_31 = ("0x1.786a15f4f8dc1p-5", "0x1.65828db74df4fp-4",
+GOLDEN_31 = ("0x1.808844838a5c0p-5", "0x1.5e3ca3d2b75d8p-4",
              "0x1.f21b4df9c19e8p-1")
-GOLDEN_353 = ("0x1.ca3e509fd7936p-6", "0x1.b6fc7108d98fap-2",
+GOLDEN_353 = ("0x1.cb0ab34044c32p-6", "0x1.b6ecc49ee785fp-2",
               "0x1.331ad00ec0cccp-1")
 # y = 2 has no odd prime: one b class, one mask word of zeros. y = 3 has one.
+# At y = 2 every cell is (1, 2^k), with q = h(2^k) >= 3/2, where the moment
+# curve is already below 1/2 (0.465 at 3/2): the cap moves no bit.
 GOLDEN_2 = ("0x0.0p+0", "0x1.3339afe3f42a1p-2", "0x1.fffffffffffeep-1")
-GOLDEN_3 = ("0x0.0p+0", "0x1.79d5bce0f5397p-3", "0x1.fffcce11ac84fp-1")
+GOLDEN_3 = ("0x0.0p+0", "0x1.01f82ccf9c076p-3", "0x1.fffcce11ac84fp-1")
+
+# The totals of the uncapped curve.
+UNCAPPED_31 = ("0x1.786a15f4f8dc1p-5", "0x1.65828db74df4fp-4",
+               "0x1.f21b4df9c19e8p-1")
+UNCAPPED_353 = ("0x1.ca3e509fd7936p-6", "0x1.b6fc7108d98fap-2",
+                "0x1.331ad00ec0cccp-1")
+UNCAPPED_3 = ("0x0.0p+0", "0x1.79d5bce0f5397p-3", "0x1.fffcce11ac84fp-1")
 
 # The totals of the geometric grid, whose slots came from a log guess.
 GEOMETRIC_31 = ("0x1.7866e4b1fb60ep-5", "0x1.6585086a513abp-4",
@@ -79,10 +91,9 @@ def table_digest(table) -> str:
     return h.hexdigest()
 
 
-def curve_digest(table) -> str:
-    """SHA-256 of the engine's ru then rl = ulp_dn(1 - ru), the lower curve
-    as the cells form it, over its grid, packed as little-endian doubles."""
-    ru = _engine_consts(table).ru_at[1:]
+def curve_digest(ru) -> str:
+    """SHA-256 of ru then rl = ulp_dn(1 - ru), the lower curve as the cells
+    form it, over the engine's grid, packed as little-endian doubles."""
     h = hashlib.sha256()
     for curve in (ru, ulp_dn(1.0 - ru)):
         h.update(curve.astype("<f8").tobytes())
@@ -94,7 +105,8 @@ def test_totals_y31(threads):
     report = run_bounds(31, 10**6, 200, threads=threads)
     assert report.pair_count == 135331
     assert total_bits(report) == GOLDEN_31
-    assert_within(GOLDEN_31, GEOMETRIC_31)
+    assert_within(GOLDEN_31, UNCAPPED_31)
+    assert_within(UNCAPPED_31, GEOMETRIC_31)
     assert_within(GEOMETRIC_31, DIVIDED_31)
     assert_within(DIVIDED_31, CHUNKED_31)
 
@@ -103,19 +115,21 @@ def test_totals_y353():
     report = run_bounds(353, 10**5, 500, threads=1)
     assert report.pair_count == 148128
     assert total_bits(report) == GOLDEN_353
-    assert_within(GOLDEN_353, GEOMETRIC_353)
+    assert_within(GOLDEN_353, UNCAPPED_353)
+    assert_within(UNCAPPED_353, GEOMETRIC_353)
     assert_within(GEOMETRIC_353, DIVIDED_353)
     assert_within(DIVIDED_353, CHUNKED_353)
 
 
-@pytest.mark.parametrize("y,z,r_max,pairs,golden", [
-    (2, 10**15, 200, 49, GOLDEN_2),
-    (3, 10**6, 200, 239, GOLDEN_3),
+@pytest.mark.parametrize("y,z,r_max,pairs,golden,outer", [
+    (2, 10**15, 200, 49, GOLDEN_2, GOLDEN_2),
+    (3, 10**6, 200, 239, GOLDEN_3, UNCAPPED_3),
 ], ids=["2-1e15", "3-1e6"])
-def test_totals_few_odd_primes(y, z, r_max, pairs, golden):
+def test_totals_few_odd_primes(y, z, r_max, pairs, golden, outer):
     report = run_bounds(y, z, r_max, threads=1)
     assert report.pair_count == pairs
     assert total_bits(report) == golden
+    assert_within(golden, outer)
 
 
 def test_table_y2_saturating():
@@ -138,9 +152,13 @@ def test_table_y157():
     assert table_digest(table) == "e020b697837621510e850ac1e4ce3f7d9405565e20a3e808852143a314329dcb"
 
 
-@pytest.mark.parametrize("y,r_max,digest", [
-    (31, 200, "82964e01e853e41d110f691bcb1c1be64a85c46fea4066cd91edcc7bcba5ec08"),
-    (353, 500, "b4e8a11c61d02ae1920f634e4e751ba3af69a19093cc2aa170b52a20bdec152f"),
+@pytest.mark.parametrize("y,r_max,digest,uncapped", [
+    (31, 200, "053c86a34b3334f29819fc120e2692eca623307ef00cd445ebea0a411b3dc31c",
+     "82964e01e853e41d110f691bcb1c1be64a85c46fea4066cd91edcc7bcba5ec08"),
+    (353, 500, "cb079a3bef4475d6b2a1b02113582f2334c4710107b968662ce192e892ea5d4d",
+     "b4e8a11c61d02ae1920f634e4e751ba3af69a19093cc2aa170b52a20bdec152f"),
 ], ids=["31-200", "353-500"])
-def test_curves(y, r_max, digest):
-    assert curve_digest(build_moment_table(y, r_max)) == digest
+def test_curves(y, r_max, digest, uncapped):
+    table = build_moment_table(y, r_max)
+    assert curve_digest(_engine_consts(table).ru_at[1:]) == digest
+    assert curve_digest(bound_curves(table, _grid())) == uncapped

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import abundancy, enumerate_cells, factorize, ratio_grids_per_r
+from oracles import abundancy, enumerate_cells, factorize, ratio_grids_per_r, symmetry_capped
 from sigbound import engine
 from sigbound.arith import primes_upto
 from sigbound.dirround import ratio_dn, ratio_up, ulp_dn
@@ -81,17 +81,23 @@ def test_bracket_is_on_the_safe_side_of_exact_sums(y, z, r_max, budget):
 
 @pytest.mark.parametrize("y,r_max", [(31, 200), (353, 500)])
 def test_ratio_curves_are_monotone(y, r_max):
-    g, ru, rl = grid_curves(build_moment_table(y, r_max))
+    table = build_moment_table(y, r_max)
+    g, ru, rl = grid_curves(table)
     assert np.all(np.diff(g) > 0)
     assert np.all(np.diff(ru) <= 0)
     assert np.all(np.diff(rl) >= 0)
-    assert 0 < np.count_nonzero(ru < 1.0) < g.size
+    # the cap binds on a head of the grid only, and the sentinel stays 1
+    assert 0 < np.count_nonzero(ru < 0.5) < g.size
+    assert engine._engine_consts(table).ru_at[0] == 1.0
 
 
 @pytest.mark.parametrize("y,r_max", [(2, 5), (3, 20), (5, 30), (31, 200), (353, 60)])
 def test_ratio_grids_match_the_per_r_loop_bit_for_bit(y, r_max):
     table = build_moment_table(y, r_max)
-    for got, want in zip(grid_curves(table), ratio_grids_per_r(table)):
+    g, ru, rl = grid_curves(table)
+    want_g, want_ru, want_rl = ratio_grids_per_r(table)
+    want_ru, want_rl = symmetry_capped(want_ru, want_rl)
+    for got, want in ((g, want_g), (ru, want_ru), (rl, want_rl)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
