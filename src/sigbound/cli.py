@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Results go to stdout, progress to stderr, so pipes stay clean. Exit codes:
-0 success, 2 invalid parameters, 3 unsupported parameters; a reader that
+0 success, 2 invalid parameters, 3 unsupported parameters, 4 stdout could
+not be written (a full disk, say), with one line on stderr; a reader that
 closes stdout early (`| head`) ends the command quietly, with 0. Certified
 numbers are printed to 10 significant digits rounded outward (lower bounds
 down, upper bounds up), so the printed digits remain certificates.
@@ -260,12 +261,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def entry() -> None:
     try:
         code = main()
-        sys.stdout.flush()  # here, so that a closed pipe raises inside the try
-    except BrokenPipeError:
-        # the reader closed stdout early (`| head`): what it read stands, so
-        # exit 0, with stdout on devnull so the exit's flush raises no more
+        sys.stdout.flush()  # here, so that a failed write raises inside the try
+    except OSError as exc:  # stdout is the one file the commands write
+        if isinstance(exc, BrokenPipeError):
+            code = 0  # the reader closed stdout early (`| head`): what it read stands
+        else:
+            print(f"cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+            code = 4
+        # stdout on devnull, so that the exit's flush raises no more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 0
     sys.exit(code)
 
 

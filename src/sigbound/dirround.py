@@ -271,7 +271,7 @@ def exp_up(v) -> np.ndarray:
 
 # ln 2 and zeta(2) = pi^2/6 to 30 decimal places, truncated and bumped, then
 # rounded UP to a double.
-_LN2_UP = ratio_up(693147180559945309417232121459, 10**30)
+LN2_UP = ratio_up(693147180559945309417232121459, 10**30)
 ZETA2_UP = ratio_up(1644934066848226436472415166647, 10**30)
 
 
@@ -302,5 +302,5 @@ def log_up(v: float) -> float:
     s = up_add(s, tail)
     total = up_mul(2.0, s)
     if e:
-        total = up_add(total, up_mul(float(e), _LN2_UP))
+        total = up_add(total, up_mul(float(e), LN2_UP))
     return total

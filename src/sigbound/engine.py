@@ -17,12 +17,13 @@ so that the candidate pairs (a, b) with b <= z // a, taken only from the b
 classes disjoint from a's own, are ranges of the table; they are cut into
 chunks. Per chunk it drops the pairs whose masks still intersect, computes
 each cell's directed terms, reads the grid slot of its abundancy ratio off
-the ratio's bits (and forms the lower curve, 1 - ru stepped down, only
-for the cells whose DOWN-directed h(b)/h(a) is at most 1), and sums the
-three totals (lower, upper cells, covered mass DOWN) exactly with
-exact_sum, each an integer count of 2**-1074. Integer addition is exact in
-any order, so the totals do not depend on the chunk cut or on the thread
-count. The pool's threads share the tables, which are marked read-only.
+the ratio's bits and the bound curve ru there (and, for the cells whose
+inverse ratio can reach the part of the curve below 1, forms the lower
+bound 1 - ru stepped down at that ratio), and sums the three totals
+(lower, upper cells, covered mass DOWN) exactly with exact_sum, each an
+integer count of 2**-1074. Integer addition is exact in any order, so the
+totals do not depend on the chunk cut or on the thread count. The pool's
+threads share the tables, which are marked read-only.
 
 Directed rounding discipline: lower quantities round DOWN, upper ones UP.
 Each cell term takes a one-ULP step after every operation; the totals over
@@ -43,9 +44,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .arith import primes_upto
-from .dirround import DOWN, UP, DirScalar, exact_sum, ratio_dn, ratio_up, ulp_dn, ulp_up
+from .dirround import DOWN, UP, DirScalar, exact_sum, ratio_dn, ratio_up, ulp_dn, ulp_up, up_div
 from .errors import InvalidCellError, InvalidParameterError
-from .moments import MomentTable, bound_curves, build_moment_table, check_y
+from .moments import MomentTable, bound_curves, build_moment_table, check_y, fold_curve
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -125,15 +126,29 @@ def cell_density(a: int, b: int, y: int) -> Fraction:
 # ratio curves on a bit grid, cells in numpy chunks
 # ---------------------------------------------------------------------------
 
-# Grid point i, for i = 1 .. _GRID_SIZE, is the double whose int64 bits are
-# those of 1.0 plus i << _GRID_SHIFT: 1 + i 2^-16 on [1, 2) and
-# 2 + j 2^-15 on [2, 4], ending at 4.0, so each point is within a factor
-# 1 + 2^-16 of the next. A ratio above 4.0 reads the curves at 4.0, which
-# bound it too, as they are monotone; ratios stay below 7 (q <= h(b) < 7 for
-# every b below 1.97e24), and 0.6% of the cells at y = 31, z = 1e8 pass 4.
-_GRID_SIZE = 1 << 17
+# Grid point i, for i = 0 .. _GRID_SIZE - 1, is the double whose int64 bits
+# are those of 1/2 plus i << _GRID_SHIFT: 2^e (1 + j 2^-16) on each binade
+# [2^e, 2^(e+1)) for e = -1 .. 1, ending at 4.0, so each point is within a
+# factor 1 + 2^-16 of the next. Point _ONE_SLOT is 1.0. A ratio above 4.0
+# reads the curve at 4.0, which bounds it too, as it is monotone; ratios
+# stay below 7 (q <= h(b) < 7 for every b below 1.97e24), and 0.6% of the
+# cells at y = 31, z = 1e8 pass 4. A ratio below 1/2 reads 1: q < 1/2 needs
+# h(a) > 3, and at 1/2 the folded curve is within 7.7e-10 of 1 at y = 3 and
+# is 1 from y = 5 (a grid from 1/4 moved no bit at y = 2 or 5 to 353, and
+# the lower total at y = 3 by 1.3e-9, for 0.5 MB more).
+_GRID_SIZE = (3 << 16) + 1
 _GRID_SHIFT = 36
-_ONE_BITS = 0x3FF0_0000_0000_0000  # the int64 bits of 1.0
+_ONE_SLOT = 1 << 16
+_SLOT_BASE = 0x3FE0_0000_0000_0000 - (1 << _GRID_SHIFT)  # 1/2, one point down
+
+# The level of the moment table run_bounds builds when it is given none, for
+# y <= _FOLD_MAX_Y: the primes in (y, _FOLD_LEVEL] are folded into the bound
+# curve (see _engine_consts). Folding them tightened both ends of every
+# bracket measured at y <= 881 (z = 1e5, 1e6, 1e7) and widened those at
+# y = 907 and 997, where the few primes folded gain less than the log grid
+# of the fold loses.
+_FOLD_LEVEL = 1009
+_FOLD_MAX_Y = 809
 
 # Row cap of the smooth-number tables (the b table, the odd part of the a
 # side) and of one block of a-side rows: the memory of a run is bounded for
@@ -153,52 +168,74 @@ _CLASS_PRIMES = 3
 
 class _Consts(NamedTuple):
     """The z-independent engine state: the odd primes <= y, the directed
-    density base prod (p-2)/p over them, and the ratio curve.
+    density base prod (p-2)/p over them, the bound curve and where its
+    lower side starts.
 
-    ru_at is the curve ru of moments.bound_curves on the grid, capped at
-    1/2 (the symmetry lemma of moments), behind a sentinel 1: index
-    _slot(q) reads the curve at the largest grid point <= q, or the trivial
-    ratio 1 when q lies below the grid. The lower curve is
-    ulp_dn(1 - ru_at), formed at lookup (see _chunk_sums); it is at least
-    1/2 stepped down on the grid, and +0.0 at the sentinel.
+    ru_at is the bound curve on the grid behind a sentinel 1: index
+    _slot(q) reads it at the largest grid point <= q, or the trivial 1
+    when q lies below the grid. A cell reads its upper bound at q <=
+    h(b)/h(a) and its lower bound, ulp_dn(1 - ru_at), formed at lookup, at
+    w <= h(a)/h(b) (see _chunk_sums and the lemmas of moments). Only the
+    cells with q <= q_lower can have w at or above the first grid point
+    where the curve is below 1; the others read +0.0 there.
     """
 
     odd: tuple[int, ...]
     base_dn: float
     base_up: float
     ru_at: np.ndarray
+    q_lower: float
 
 
-def _grid() -> np.ndarray:
-    """The grid points, increasing, from 1 + 2^-16 to 4.0."""
-    i = np.arange(1, _GRID_SIZE + 1, dtype=np.int64)
-    return ((i << _GRID_SHIFT) + _ONE_BITS).view(np.float64)
+def _grid(start: int = 0) -> np.ndarray:
+    """The grid points from point `start` on, increasing, to 4.0."""
+    i = np.arange(start + 1, _GRID_SIZE + 1, dtype=np.int64)
+    return ((i << _GRID_SHIFT) + _SLOT_BASE).view(np.float64)
 
 
 def _slot(x: np.ndarray) -> np.ndarray:
     """searchsorted(_grid(), x, 'right') for x >= +0.0, from the bits of x:
     non-negative doubles order like their int64 bits (see dirround.ulp_up),
-    so the grid points <= x are those whose offset from the bits of 1.0 is
+    so the grid points <= x are those whose offset from the bits of 1/2 is
     at most that of x."""
-    s = x.view(np.int64) - _ONE_BITS
+    s = x.view(np.int64) - _SLOT_BASE
     s >>= _GRID_SHIFT
     return np.clip(s, 0, _GRID_SIZE, out=s)
 
 
-def _engine_consts(table: MomentTable) -> _Consts:
-    odd = tuple(primes_upto(table.y).tolist()[1:])
+def _engine_consts(table: MomentTable, y: int) -> _Consts:
+    """The engine state for the cells at level y <= table.y.
+
+    The curve folds the primes in (y, table.y] (moments.fold_curve): each
+    grid point reads the folded curve at its last point whose upper bound
+    hi is at most the grid point, or 1 below the first. With none to fold,
+    it is the moment curve on the grid points above 1, and 1 at and below
+    1. Either is capped at 1/2 above 1 by the symmetry lemma (see moments),
+    which gives no upper bound at and below 1.
+    """
+    odd = tuple(primes_upto(y).tolist()[1:])
     num, den = 1, 1
     for p in odd:
         num *= p - 2
         den *= p
-    # capped at 1/2 by the symmetry lemma (see moments); the sentinel is not,
-    # as slot 0 holds the ratios q <= 1 the lemma does not cover
-    ru = np.minimum(bound_curves(table, _grid()), 0.5)
+    ru_at = np.ones(_GRID_SIZE + 1)  # behind the sentinel, the curve ru
+    ru = ru_at[1:]
+    above = ru[_ONE_SLOT + 1:]
+    if table.y > y:
+        hi, s = fold_curve(table, y)
+        first = _slot(ulp_dn(hi))  # of the grid points below hi[k]
+        ru[first[0]:] = np.repeat(s, np.diff(first, append=ru.size))
+    else:
+        above[...] = bound_curves(table, _grid(_ONE_SLOT + 1))
+    np.minimum(above, 0.5, out=above)
+    k = int(np.argmax(ru < 1.0))  # ru is non-increasing
     return _Consts(
         odd=odd,
         base_dn=ratio_dn(num, den),
         base_up=ratio_up(num, den),
-        ru_at=_read_only(np.concatenate(([1.0], ru))),
+        ru_at=_read_only(ru_at),
+        # q > q_lower >= 1/(point k) gives w <= 1/q < point k
+        q_lower=up_div(1.0, float(_grid(k)[0])) if ru[k] < 1.0 else 0.0,
     )
 
 
@@ -478,14 +515,12 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     directed (a one-ULP step after each operation); the sums of them are
     exact.
 
-    A cell is on the b side when q, a DOWN bound on h(b)/h(a), is above 1,
-    and on the a side otherwise. The grid starts above 1, so an a-side q
-    reads slot 0, ru = 1, and ru is read for every cell (most are on the b
-    side); a b-side cell has h(a)/h(b) < 1, so its DOWN bound w would read
-    slot 0, where the lower curve is +0.0, and w and rl = ulp_dn(1 - ru)
-    are formed for the a-side cells alone. Each sum is taken as soon as its
-    terms are formed, and the upper terms overwrite the densities: the
-    chunk's arrays set the run's peak memory.
+    Every cell reads ru at q, a DOWN bound on h(b)/h(a). Its lower bound
+    rl = ulp_dn(1 - ru) is read at w, a DOWN bound on h(a)/h(b) <= 1/q, and
+    is +0.0 unless w reaches the first grid point where ru < 1, so w and rl
+    are formed for the cells with q <= consts.q_lower alone. Each sum is
+    taken as soon as its terms are formed, and the upper terms overwrite
+    the densities: the chunk's arrays set the run's peak memory.
     """
     rows = ch.rows
     ai, bi = _coprime_pairs(b, ch)
@@ -495,12 +530,12 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     q = ulp_dn(b.h_dn[bi] / rows.h_up[ai])  # <= h(b)/h(a)
     ru = consts.ru_at[_slot(q)]
     upper = exact_sum(ulp_up(np.multiply(dens_up, ru, out=dens_up), ru < 1.0))  # ru = 1 is exact
-    a_side = np.flatnonzero(q <= 1.0)
-    ai = ai[a_side]
-    bi = bi[a_side]
+    low = np.flatnonzero(q <= consts.q_lower)
+    ai = ai[low]
+    bi = bi[low]
     w = ulp_dn(rows.h_dn[ai] / b.h_up[bi])  # <= h(a)/h(b)
     rl = ulp_dn(1.0 - consts.ru_at[_slot(w)])  # ru = 1 gives +0.0
-    lower = exact_sum(ulp_dn(np.multiply(dens_dn[a_side], rl, out=rl)))
+    lower = exact_sum(ulp_dn(np.multiply(dens_dn[low], rl, out=rl)))
     return lower, upper, covered, int(dens_dn.size)
 
 
@@ -568,7 +603,10 @@ def run_bounds(
     count used. `progress(report, flush)` gets the BoundReport of the cells
     summed so far, itself a certified bracket, after each chunk that crosses
     a multiple of `flush_every` cells (flush True), and otherwise at most
-    once a second (flush False).
+    once a second (flush False). With no `table`, the run builds one at
+    level _FOLD_LEVEL for y <= _FOLD_MAX_Y, and at y otherwise; a supplied
+    table of level table.y >= y folds the primes in (y, table.y] into the
+    bound curve (see _engine_consts).
     """
     if z < 2:
         raise InvalidParameterError(f"z must be >= 2, got {z}")
@@ -578,12 +616,13 @@ def run_bounds(
         raise InvalidParameterError(f"r_max must be >= 1, got {r_max}")
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
+    check_y(y)
     t_start = time.perf_counter()
     if table is None:
-        table = build_moment_table(y, r_max)  # validates y
-    elif table.y != y or table.r_max != r_max:
+        table = build_moment_table(_FOLD_LEVEL if y <= _FOLD_MAX_Y else y, r_max)
+    elif table.y < y or table.r_max != r_max:
         raise InvalidParameterError("supplied moment table does not match y/r_max")
-    consts = _engine_consts(table)
+    consts = _engine_consts(table, y)
     b, chunks = _cell_tables(consts, z)
 
     # capped, so that a huge request opens no huge window of futures

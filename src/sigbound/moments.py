@@ -48,13 +48,34 @@ cell's share of the target set is P(X >= log h(b)/h(a)).
    1 - 1/2, by step 3 applied to -X, which has the same law. So an a-side
    cell, q < 1, reads the lower bound 1 - min(ru(w), 1/2) at w <= 1/q.
 The cap needs q > 1 strictly: at q = 1 the share P(X >= 0) is at least
-1/2, and the engine's sentinel slot, which holds every q below 1 + 2^-16,
-stays at 1. bound_curves itself stays the moment bound, uncapped: the cap
-is a property of X, not of the table.
+1/2, so the engine's curve stays at 1 on the ratios q <= 1 when it reads
+the moment curve alone. bound_curves itself stays the moment bound,
+uncapped: the cap is a property of X, not of the table.
+
+The fold. fold_curve bounds the same share with a moment table at a level
+Y2 > y, by this lemma. In a cell (a, b) at level y, split A = A1 A2 and
+B = B1 B2, with A1 and B1 made of the primes in (y, Y2], so that
+X = X1 + X2 with X1 = log h(A1) - log h(B1).
+1. By step 1, X1 is a sum of independent per-prime terms, each 0 with mass
+   1 - 2/p and +log h(p^k) or -log h(p^k) with mass (1 - 1/p)/p^k each
+   (k >= 1), and X1 is independent of X2. Given (A1, B1), the pair
+   (a A1, b B1) is a cell at level Y2, of which X2 is the X.
+2. At level Y2, P(X2 >= s) <= g(s), with g(s) = min(ru(e^s), 1/2) for
+   s > 0 (ru the moment curve of the Y2 table, and the cap at level Y2)
+   and g(s) = 1 for s <= 0.
+3. So P(X >= t) <= S(t) = sum_x P(X1 = x) g(t - x), and S is
+   non-increasing. With the cap at level y, a cell reads min(S, 1/2) at
+   q > 1.
+4. The other side: by step 2, P(X < t) = P(X > -t) <= S(-t), so
+   P(X >= t) >= 1 - S(-t). One curve gives both bounds of every cell,
+   U = S(log q) and L = 1 - S(log w), on either side of q = 1.
+fold_curve evaluates S UP on a grid of base-2 logs with one shift-add per
+atom (see there); at Y2 = y there is nothing to fold.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -63,12 +84,14 @@ import numpy as np
 
 from .arith import primes_upto
 from .dirround import (
+    LN2_UP,
     ZETA2_UP,
     dn_sub,
     exp_up,
     log_up,
     next_up,
     pow_dn,
+    ratio_dn,
     ratio_up,
     ulp_dn,
     ulp_up,
@@ -86,6 +109,15 @@ MAX_ORDER = 10_000
 
 # Tail correction per unit moment order, exp(_TAIL_RATE * r).
 _TAIL_RATE = Fraction(16623114, 10**13)  # 1.6623114e-6
+
+# The grid of fold_curve: point i is log2 q = i 2^-_LOG_BITS, for
+# |i| <= _LOG_HALF, which spans the ratios [1/4, 4].
+_LOG_BITS = 12
+_LOG_HALF = 2 << _LOG_BITS
+
+# A folded prime's atoms past the first stop below this mass; the rest of
+# each side is read where it bounds them all (see _law).
+_FOLD_CUTOFF = Fraction(1, 2**60)
 
 
 @dataclass(frozen=True)
@@ -316,3 +348,106 @@ def bound_curves(table: MomentTable, q: np.ndarray) -> np.ndarray:
     np.minimum.accumulate(tail, out=tail)
     np.minimum(ru, tail, out=ru)
     return ru
+
+
+def _pow2_bounds(bits: int, n: int):
+    """(lo, hi), increasing, with lo[k] <= 2^(i 2^-bits) <= hi[k] for
+    i = k - n in -n .. n.
+
+    With e[j] >= 2^(j 2^-bits) from exp_up for j = 0 .. 2^bits, made
+    non-decreasing, hi is 2^d e[j] and lo is 2^(d+1) times 1 / e[2^bits -
+    j], stepped down, for i = d 2^bits + j.
+    """
+    one = 1 << bits
+    e = exp_up(ulp_up(np.arange(one + 1) * (LN2_UP / one)))  # one: a power of 2
+    e[0], e[one] = 1.0, 2.0
+    np.maximum.accumulate(e, out=e)
+    i = np.arange(-n, n + 1)
+    d, j = i >> bits, i & (one - 1)
+    return np.ldexp(ulp_dn(1.0 / e[one - j]), d + 1), np.ldexp(e[j], d)
+
+
+def _law(p: int, lo: list, hi: list, cutoff: Fraction):
+    """The term of the prime p in X1 (see the fold lemma) on a log grid, as
+    ((offset, mass), ...), offsets increasing; lo and hi bound 2^(i delta)
+    for i = 0, 1, ... as _pow2_bounds does.
+
+    The atom +log h(p^k) is read at offset -c, c the least with lo[c] >=
+    h(p^k), and -log h(p^k) at +f, f the largest with hi[f] <= h(p^k): each
+    at a grid point at or below its exact one, where the curve it reads is
+    no lower. Atoms at one offset share one mass, their exact sum rounded
+    UP. h(p^k) rises to p/(p-1), so every + atom may also be read at the c
+    of p/(p-1), and every - atom past k at k's offset. The atoms stop at the
+    first k whose offsets reach those of p/(p-1), or after it whose mass
+    (1 - 1/p)/p^(k+1) is below cutoff; the rest of each side, of mass
+    1/p^(k+1), is read at the c of p/(p-1) and at k's f.
+    """
+    lim = ratio_up(p, p - 1)
+    c_lim, f_lim = bisect_left(lo, lim), bisect_right(hi, lim) - 1
+    atoms = []  # (offset, p^k)
+    c = f = 0
+    pk = p
+    while True:
+        num, den = pk * p - 1, pk * (p - 1)  # h(p^k) = num / den
+        if c < c_lim:
+            c = bisect_left(lo, ratio_up(num, den))
+        if f < f_lim:
+            f = bisect_right(hi, ratio_dn(num, den)) - 1
+        atoms += [(-c, pk), (f, pk)]
+        if c == c_lim and f == f_lim or (p - 1) * cutoff.denominator < pk * p * p * cutoff.numerator:
+            break
+        pk *= p
+    # masses as numerators over p^(K+1), K the last k
+    mass = {0: (p - 2) * pk, -c_lim: 1}
+    mass[f] = mass.get(f, 0) + 1
+    for off, pj in atoms:
+        mass[off] = mass.get(off, 0) + (p - 1) * (pk // pj)
+    return tuple((off, ratio_up(m, pk * p)) for off, m in sorted(mass.items()))
+
+
+def _fold(f: np.ndarray, laws) -> np.ndarray:
+    """The curve f on a log grid, folded with each law of _law in turn:
+    point i of the result is the sum of mass * f[i + offset], with f read as
+    1 below the grid and as its last point above it (f is non-increasing).
+    Each multiply and add takes one bare step up, +1 on the int64 view, as
+    in _bulk_values: every value is a finite double in [+0.0, 2), where the
+    bare step is ulp_up's."""
+    n = f.size
+    pad = max((abs(off) for law in laws for off, _ in law), default=0)
+    cur = np.empty(n + 2 * pad)
+    cur[:pad] = 1.0
+    cur[pad:pad + n] = f
+    acc, tmp = np.empty(n), np.empty(n)
+    acc_b, tmp_b = acc.view(np.int64), tmp.view(np.int64)
+    for law in laws:
+        cur[pad + n:] = cur[pad + n - 1]
+        (off, mass), *rest = law
+        np.multiply(cur[pad + off:pad + off + n], mass, out=acc)
+        acc_b += 1
+        for off, mass in rest:
+            np.multiply(cur[pad + off:pad + off + n], mass, out=tmp)
+            tmp_b += 1
+            acc += tmp
+            acc_b += 1
+        cur[pad:pad + n] = acc
+    return cur[pad:pad + n].copy()
+
+
+def fold_curve(table: MomentTable, y: int):
+    """The folded curve S of the fold lemma, for the cells at level
+    y <= table.y, on its grid: (hi, s), hi increasing, with s[k] >=
+    P(X >= log q) for every q >= hi[k] in every cell at level y, and so
+    1 - s[k] <= P(X >= log q) for every q with 1/q >= hi[k] (step 4 of
+    the lemma). s is non-increasing and at most 1.
+
+    S lives on base-2 logs, point i at log2 q = i 2^-12 for |i| <= 2^13,
+    with the bounds (lo, hi) of _pow2_bounds: g is the capped moment curve
+    of the table at lo, and each prime in (y, table.y] folds in by _fold.
+    """
+    n = _LOG_HALF
+    lo, hi = _pow2_bounds(_LOG_BITS, n)
+    g = np.ones(2 * n + 1)
+    g[n + 1:] = np.minimum(bound_curves(table, lo[n + 1:]), 0.5)
+    lo_up, hi_up = lo[n:].tolist(), hi[n:].tolist()
+    laws = [_law(p, lo_up, hi_up, _FOLD_CUTOFF) for p in primes_upto(table.y).tolist() if p > y]
+    return hi, np.minimum(_fold(g, laws), 1.0)

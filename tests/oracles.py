@@ -419,10 +419,13 @@ def solve_progression(a, b, t1, t2, modulus):
 SYMMETRY_CAP = 0.5
 
 
-def symmetry_capped(ru, rl):
-    """The curves (ru, rl) of ratio_grids_per_r under the symmetry cap: ru
-    at most 1/2, and rl at least 1/2 stepped down."""
-    return np.minimum(ru, SYMMETRY_CAP), np.maximum(rl, math.nextafter(1.0 - SYMMETRY_CAP, 0.0))
+def symmetry_capped(q, ru, rl):
+    """The curves (ru, rl) of ratio_grids_per_r at the ratios q under the
+    symmetry cap, which holds where q > 1: there ru at most 1/2, and rl at
+    least 1/2 stepped down."""
+    above = q > 1.0
+    return (np.where(above, np.minimum(ru, SYMMETRY_CAP), ru),
+            np.where(above, np.maximum(rl, math.nextafter(1.0 - SYMMETRY_CAP, 0.0)), rl))
 
 
 @dataclass(frozen=True)
@@ -521,3 +524,48 @@ def moment_upper(y, r, mids=None):
             break
         acc = up_mul(acc, up_add(1.0, up_add(t1, up_div(float(r), den))))
     return up_mul(acc, tail_factor(r))
+
+
+# ---------------------------------------------------------------------------
+# the fold of a prime's law into a bound curve, in exact arithmetic
+# ---------------------------------------------------------------------------
+
+def log2_floor(num, den, bits):
+    """floor(2^bits log2(num/den)) for num > den > 0, exactly: the largest f
+    with 2^f den^(2^bits) <= num^(2^bits)."""
+    return (num ** (1 << bits) // den ** (1 << bits)).bit_length() - 1
+
+
+def exact_fold(f, primes, bits, cutoff, tight):
+    """The curve f, a non-increasing list on the log grid of step 2^-bits,
+    folded with the law of each prime in exact arithmetic.
+
+    The atoms +log h(p^k) and -log h(p^k) are kept for k <= K, K the last k
+    with (1 - 1/p)/p^k >= cutoff, each read at the exact -ceil and +floor of
+    2^bits log2 h(p^k) with its exact mass. The rest of each side, of mass
+    1/p^(K+1), is read where it bounds the fold of every atom from below
+    (tight False: + at atom K+1's offset, - at the floor of p/(p-1)'s) or
+    from above (tight True: + at the ceil of p/(p-1)'s, - at atom K's).
+    The curve reads 1 below the grid and its last point above it. Returns
+    Fractions.
+    """
+    cur = [Fraction(v) for v in f]
+    n = len(cur)
+    for p in primes:
+        law = {0: Fraction(p - 2, p)}
+        pk = p
+        while True:
+            fl = log2_floor(pk * p - 1, pk * (p - 1), bits)  # h(p^k)
+            for off in (-fl - 1, fl):
+                law[off] = law.get(off, 0) + Fraction(p - 1, pk * p)
+            if Fraction(p - 1, pk * p * p) < cutoff:
+                break
+            pk *= p
+        lim = log2_floor(p, p - 1, bits)
+        nxt = log2_floor(pk * p * p - 1, pk * p * (p - 1), bits)  # h(p^(K+1))
+        rest = ((-lim - 1, fl) if tight else (-nxt - 1, lim))
+        for off in rest:
+            law[off] = law.get(off, 0) + Fraction(1, pk * p)
+        cur = [sum(m * (1 if i + off < 0 else cur[min(i + off, n - 1)])
+                   for off, m in law.items()) for i in range(n)]
+    return cur

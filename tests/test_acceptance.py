@@ -22,17 +22,21 @@ from sigbound.engine import cell_density, run_bounds
 from sigbound.moments import build_moment_table, moment_r1_exact
 
 # canonical desk-scale regression values (any thread count, y=31, z=1e8,
-# r_max=200); full-precision engine outputs:
-#   lower   0.04887130655566928
-#   upper   0.06310434631693457
+# r_max=200, the primes in (31, 1009] folded into the bound curve);
+# full-precision engine outputs:
+#   lower   0.05416251716607616
+#   upper   0.057224307061519514
 #   covered 0.9975129594563145
 DESK_PAIRS = 1608738
-DESK_LOWER_10 = 0.04887130655  # outward (floor) 10 significant digits
-DESK_UPPER_10 = 0.06310434632  # outward (ceiling) 10 significant digits
-# The brackets of the uncapped bound curve that the symmetry cap tightened,
-# of the geometric ratio grid that the bit grid replaced, and of the
-# per-cell summation that the chunked sums replaced, each inside the next:
-# a change may tighten the bracket but never leave any one.
+DESK_LOWER_10 = 0.05416251716  # outward (floor) 10 significant digits
+DESK_UPPER_10 = 0.05722430707  # outward (ceiling) 10 significant digits
+# The brackets of the capped curve that folded nothing, of the uncapped
+# bound curve that the symmetry cap tightened, of the geometric ratio grid
+# that the bit grid replaced, and of the per-cell summation that the
+# chunked sums replaced, each inside the next: a change may tighten the
+# bracket but never leave any one.
+CAPPED_LOWER = 0.04887130655566928
+CAPPED_UPPER = 0.06310434631693457
 UNCAPPED_LOWER = 0.047830123268461984
 UNCAPPED_UPPER = 0.06492978977948966
 GEOMETRIC_LOWER = 0.04782853319837742
@@ -101,12 +105,13 @@ class TestCriterion2DeskBracket:
         ok_envelope = lower >= 0.01 and upper <= 0.25
         ok_regression = (
             r.pair_count == DESK_PAIRS
-            and lower == pytest.approx(0.04887130655566928, rel=1e-9)
-            and upper == pytest.approx(0.06310434631693457, rel=1e-9)
+            and lower == pytest.approx(0.05416251716607616, rel=1e-9)
+            and upper == pytest.approx(0.057224307061519514, rel=1e-9)
         )
         ok_printed = (_outward(lower, True) == DESK_LOWER_10
                       and _outward(upper, False) == DESK_UPPER_10)
-        ok_inside = (lower >= UNCAPPED_LOWER and upper <= UNCAPPED_UPPER
+        ok_inside = (lower >= CAPPED_LOWER and upper <= CAPPED_UPPER
+                     and CAPPED_LOWER >= UNCAPPED_LOWER and CAPPED_UPPER <= UNCAPPED_UPPER
                      and UNCAPPED_LOWER >= GEOMETRIC_LOWER and UNCAPPED_UPPER <= GEOMETRIC_UPPER
                      and GEOMETRIC_LOWER >= EARLIER_LOWER and GEOMETRIC_UPPER <= EARLIER_UPPER)
         ok = ok_time and ok_proxy and ok_envelope and ok_regression and ok_printed and ok_inside
@@ -118,7 +123,8 @@ class TestCriterion2DeskBracket:
             f"proxy {EMPIRICAL_PROXY} inside with 1e-4 slack: {ok_proxy}; "
             f"envelope [0.01, 0.25]: {ok_envelope}; regression fixtures: {ok_regression}; "
             f"printed [{DESK_LOWER_10}, {DESK_UPPER_10}]: {ok_printed}; "
-            f"inside [{UNCAPPED_LOWER}, {UNCAPPED_UPPER}] inside "
+            f"inside [{CAPPED_LOWER}, {CAPPED_UPPER}] inside "
+            f"[{UNCAPPED_LOWER}, {UNCAPPED_UPPER}] inside "
             f"[{GEOMETRIC_LOWER}, {GEOMETRIC_UPPER}] inside "
             f"[{EARLIER_LOWER}, {EARLIER_UPPER}]: {ok_inside}",
         )
@@ -135,6 +141,14 @@ class TestCriterion2DeskBracket:
             and data["certified"] is True
         )
         report(ok, "criterion 2", f"CLI JSON schema intact: {sorted(data)}")
+
+
+    def test_cli_desk_lower_end_meets_the_criterion_8_target(self, capsys):
+        # the lower target of criterion 8, reached at the desk setting
+        data, _ = run_cli_json(capsys, "bounds", "--y", "31", "--z", "1e8", "--rmax", "200",
+                               "--format", "json")
+        report(data["lower"] >= 0.0539171, "criterion 8",
+               f"bounds y=31 z=1e8 rmax=200: lower {data['lower']} >= 0.0539171")
 
 
 class TestCriterion3TheoremConsistency:

@@ -88,6 +88,19 @@ class TestExitCodes:
         assert proc.wait(timeout=120) == 0
         assert err == b""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_failed_write_exits_4_with_one_line(self):
+        # every write to /dev/full fails with ENOSPC
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sigbound.cli", "lambda", "--y", "3", "--rmax", "30",
+                 "--format", "json"],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+        assert proc.returncode == 4
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cannot write the output: ")
+
 
 class TestEmpirical:
     def test_text_format(self, capsys):

@@ -252,7 +252,7 @@ def curve_reads(table, ratios):
     ratios."""
     q = np.array([ratio_dn(r.numerator, r.denominator) for r in ratios])
     w = np.array([ratio_dn(r.denominator, r.numerator) for r in ratios])
-    ru_at = _engine_consts(table).ru_at
+    ru_at = _engine_consts(table, 31).ru_at
     return ru_at[_slot(q)], ulp_dn(1.0 - ru_at[_slot(w)])
 
 
@@ -312,6 +312,48 @@ class TestCellAudit:
             assert (lower[sel] * members[sel]).sum() <= got <= (upper[sel] * members[sel]).sum()
 
 
+    def test_folded_cell_bounds_hold_on_exact_counts(self, audit_cells, table_y31_r200,
+                                                      table_y1009_r200):
+        # the curve that folds the primes in (31, 1009], read two-sided: U
+        # at q for every cell and L at 1/q for every cell. It sits close to
+        # the shares, so the check allows a binomial slack of five standard
+        # deviations plus one member. At x = 1e6 the 1,156 cells with at
+        # least 100 members reach z = 3.24 above U (187 members, U = 0.065)
+        # and 4.07 below L (172 members, L = 0.995); 55 a-side cells read
+        # U < 1 and 118 b-side cells L > 0, and every cell of the audit
+        # reads bounds inside those of the capped curve that folds nothing.
+        ratios, members, hits = audit_cells
+        big = np.flatnonzero(members >= 100)
+        sub = [ratios[i] for i in big]
+        upper, lower = curve_reads(table_y1009_r200, sub)
+        capped_upper, capped_lower = curve_reads(table_y31_r200, sub)
+        m, h = members[big], hits[big]
+        q = np.array([float(r) for r in sub])
+        assert np.count_nonzero((q < 1) & (upper < 1)) >= 55
+        assert np.count_nonzero((q > 1) & (lower > 0)) >= 118
+        assert np.all(upper <= capped_upper) and np.all(lower >= capped_lower)
+        assert np.all(h <= upper * m + 5 * np.sqrt(m * upper * (1 - upper)) + 1)
+        assert np.all(h >= lower * m - 5 * np.sqrt(m * lower * (1 - lower)) - 1)
+
+    def test_folded_band_shares(self, audit_cells, table_y1009_r200):
+        # the hits of each band, pooled over every cell of the band, stay
+        # within three standard deviations of the summed folded bounds: at
+        # x = 1e6 the largest excess is 1.15 above sum U, in (1.01, 1.02],
+        # and 2.11 below sum L, in [0.99, 0.995)
+        ratios, members, hits = audit_cells
+        r = np.array(ratios, dtype=object)
+        upper, lower = curve_reads(table_y1009_r200, ratios)
+        edges = [Fraction(v, 1000) for v in (950, 980, 990, 995, 998, 1000, 1002, 1005, 1010,
+                                             1020, 1050)]
+        for lo, hi in zip(edges, edges[1:]):
+            sel = (r > lo) & (r <= hi) if lo >= 1 else (r >= lo) & (r < hi)
+            m, got = members[sel], hits[sel].sum()
+            assert m.sum() > 400
+            u, lw = upper[sel], lower[sel]
+            assert got <= (u * m).sum() + 3 * np.sqrt((m * u * (1 - u)).sum())
+            assert got >= (lw * m).sum() - 3 * np.sqrt((m * lw * (1 - lw)).sum())
+
+
 class TestRunBounds:
     def test_single_cell_run(self):
         r = run_bounds(2, 2, 10, threads=1)
@@ -332,6 +374,13 @@ class TestRunBounds:
             run_bounds(31, 100, 10, table=build_moment_table(31, 20))
         with pytest.raises(InvalidParameterError):
             run_bounds(31, 100, 10, table=build_moment_table(3, 10))
+
+    def test_default_table_folds_up_to_y_809(self):
+        # with no table, a run at y <= 809 folds the primes in (y, 1009]
+        for y, level in ((809, 1009), (811, 811)):
+            table = build_moment_table(level, 20)
+            got, want = run_bounds(y, 10**4, 20), run_bounds(y, 10**4, 20, table=table)
+            assert (got.lower_total, got.upper_total) == (want.lower_total, want.upper_total)
 
     def test_pair_count_matches_oracle_enumeration(self, table_y31_r200):
         oracle = sum(1 for _ in enumerate_cells(31, 10**4))
@@ -434,7 +483,7 @@ class TestRunBounds:
 
     def test_shared_tables_are_read_only(self, table_y31_r200):
         # the pool's threads share these arrays: an in-place step must raise
-        consts = _engine_consts(table_y31_r200)
+        consts = _engine_consts(table_y31_r200, 31)
         b, chunks = _cell_tables(consts, 10**5)
         for arr in (consts.ru_at, *b, *next(chunks).rows):
             with pytest.raises(ValueError):
@@ -445,7 +494,7 @@ class TestRunBounds:
     def test_pool_under_contention_matches_inline(self, table_y31_r200):
         # more threads than cores and a short switch interval: every chunk's
         # sums still come back whole and in chunk order
-        consts = _engine_consts(table_y31_r200)
+        consts = _engine_consts(table_y31_r200, 31)
         b, chunks = _cell_tables(consts, 10**5)
         chunks = list(chunks)
         inline = [_chunk_sums(consts, b, ch) for ch in chunks]

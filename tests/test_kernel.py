@@ -6,6 +6,7 @@ import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,13 +18,14 @@ from sigbound.arith import primes_upto
 from sigbound.dirround import ratio_dn, ratio_up, ulp_dn
 from sigbound.engine import cell_density, run_bounds
 from sigbound.errors import InvalidParameterError
-from sigbound.moments import MomentTable, bound_curves, build_moment_table
+from sigbound.moments import MomentTable, bound_curves, build_moment_table, fold_curve
 
 
-def grid_curves(table):
-    """The engine's grid and its curves (g, ru, rl), as run_bounds reads
-    them: rl = ulp_dn(1 - ru), formed at lookup."""
-    ru = engine._engine_consts(table).ru_at[1:]
+def grid_curves(table, y=None):
+    """The engine's grid and its curves (g, ru, rl) for the cells at level
+    y (table.y by default), as run_bounds reads them: rl = ulp_dn(1 - ru),
+    formed at lookup."""
+    ru = engine._engine_consts(table, table.y if y is None else y).ru_at[1:]
     return engine._grid(), ru, ulp_dn(1.0 - ru)
 
 
@@ -39,8 +41,9 @@ def exact_slot(g, q: Fraction) -> int:
 
 def exact_sums(y, z, table):
     """The bracket of the grid method in exact arithmetic: Fraction
-    densities, exact q = sigma(b) a / (sigma(a) b), exact grid slots."""
-    g, ru, rl = grid_curves(table)
+    densities, exact q = sigma(b) a / (sigma(a) b), exact grid slots, each
+    cell reading its upper bound at q and its lower bound at 1/q."""
+    g, ru, rl = grid_curves(table, y)
     g = g.tolist()
     lower = upper = covered = Fraction(0)
     pairs = 0
@@ -49,14 +52,11 @@ def exact_sums(y, z, table):
         q = abundancy(factorize(b)) / abundancy(factorize(a))
         covered += dens
         pairs += 1
-        if q > 1:
-            s = exact_slot(g, q)
-            upper += dens * (Fraction(min(ru[s - 1], 1.0)) if s else 1)
-        else:
-            upper += dens
-            s = exact_slot(g, 1 / q) if q < 1 else 0
-            if s:
-                lower += dens * Fraction(rl[s - 1])
+        s = exact_slot(g, q)
+        upper += dens * (Fraction(ru[s - 1]) if s else 1)
+        s = exact_slot(g, 1 / q)
+        if s:
+            lower += dens * Fraction(rl[s - 1])
     return lower, upper + 1 - covered, covered, pairs
 
 
@@ -66,9 +66,11 @@ def exact_sums(y, z, table):
     z=st.integers(2, 3000),
     r_max=st.integers(1, 30),
     budget=st.sampled_from([8, engine._ROW_BUDGET]),
+    level=st.sampled_from([0, 13, 61]),
 )
-def test_bracket_is_on_the_safe_side_of_exact_sums(y, z, r_max, budget):
-    table = build_moment_table(y, r_max)
+def test_bracket_is_on_the_safe_side_of_exact_sums(y, z, r_max, budget, level):
+    # level 0 folds nothing; 13 and 61 fold the primes in (y, level]
+    table = build_moment_table(max(y, level), r_max)
     lower, upper, covered, pairs = exact_sums(y, z, table)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_ROW_BUDGET", budget)  # 8 moves primes to the a side
@@ -86,9 +88,12 @@ def test_ratio_curves_are_monotone(y, r_max):
     assert np.all(np.diff(g) > 0)
     assert np.all(np.diff(ru) <= 0)
     assert np.all(np.diff(rl) >= 0)
-    # the cap binds on a head of the grid only, and the sentinel stays 1
-    assert 0 < np.count_nonzero(ru < 0.5) < g.size
-    assert engine._engine_consts(table).ru_at[0] == 1.0
+    # the cap binds on a head of the points above 1 only, the curve is 1 at
+    # and below 1, and the sentinel stays 1
+    above = g > 1.0
+    assert 0 < np.count_nonzero(ru < 0.5) < np.count_nonzero(above)
+    assert np.all(ru[~above] == 1.0)
+    assert engine._engine_consts(table, y).ru_at[0] == 1.0
 
 
 @pytest.mark.parametrize("y,r_max", [(2, 5), (3, 20), (5, 30), (31, 200), (353, 60)])
@@ -96,17 +101,17 @@ def test_ratio_grids_match_the_per_r_loop_bit_for_bit(y, r_max):
     table = build_moment_table(y, r_max)
     g, ru, rl = grid_curves(table)
     want_g, want_ru, want_rl = ratio_grids_per_r(table)
-    want_ru, want_rl = symmetry_capped(want_ru, want_rl)
+    want_ru, want_rl = symmetry_capped(want_g, want_ru, want_rl)
     for got, want in ((g, want_g), (ru, want_ru), (rl, want_rl)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def short_ratios(seed):
     """2048 non-decreasing ratios above 1: 512 geometric points over the
-    engine's grid range with both neighbours of each, and 512 seeded random
-    ones from just above 1 to 1e4 (where q^r overflows early), 64 of them
-    repeated."""
-    grid = engine._grid()
+    engine's grid range above 1 with both neighbours of each, and 512 seeded
+    random ones from just above 1 to 1e4 (where q^r overflows early), 64 of
+    them repeated."""
+    grid = engine._grid(engine._ONE_SLOT + 1)
     g = np.geomspace(grid[0], grid[-1], 512)
     rng = np.random.default_rng(seed)
     r = np.exp(rng.uniform(math.log1p(2.0**-30), math.log(1e4), 448))
@@ -162,9 +167,10 @@ def test_bound_curves_hold_an_overflowing_candidate_at_inf():
 
 def test_grid_is_increasing_with_relative_spacing_at_most_2_to_the_minus_16():
     g = engine._grid()
-    assert g.dtype == np.float64 and g.size == 2**17
+    assert g.dtype == np.float64 and g.size == 3 * 2**16 + 1
     assert np.all(np.diff(g) > 0)
-    assert g[0] == 1.0 + 2.0**-16 and g[-1] == 4.0
+    assert g[0] == 0.5 and g[engine._ONE_SLOT] == 1.0 and g[-1] == 4.0
+    assert np.array_equal(engine._grid(1000), g[1000:])
     step = Fraction(2**16 + 1, 2**16)
     q = [Fraction(v) for v in g.tolist()]
     assert all(b <= a * step for a, b in zip(q, q[1:]))
@@ -174,17 +180,35 @@ def test_grid_slot_is_searchsorted_right():
     g = engine._grid()
     rng = np.random.default_rng(5)
     x = np.concatenate([
-        np.exp(rng.uniform(-1.0, 4.0, 20000)),
+        np.exp(rng.uniform(-2.0, 4.0, 20000)),
         g[::97], np.nextafter(g[::97], 0.0), np.nextafter(g[::97], np.inf),
         [0.0, 5e-324, 1e-300, 1.0, 4.0, 4.0 + 2.0**-50, 6.9, 1e300, np.inf],
     ])
     assert np.array_equal(engine._slot(x), np.searchsorted(g, x, "right"))
 
 
+def test_folded_curve_is_read_at_the_last_log_point_below_each_grid_point(table_y1009_r200):
+    # the engine's grid point g reads the folded curve at the largest log
+    # point i with 2^(i 2^-12) <= g, capped at 1/2 past 1; the lower read
+    # starts at the first point below 1
+    mpmath.mp.dps = 40
+    hi, s = fold_curve(table_y1009_r200, 31)
+    consts = engine._engine_consts(table_y1009_r200, 31)
+    ru, g = consts.ru_at[1:], engine._grid()
+    n = s.size // 2
+    for m in list(range(0, g.size, 61)) + [engine._ONE_SLOT, engine._ONE_SLOT + 1, g.size - 1]:
+        i = int(mpmath.floor(mpmath.log(mpmath.mpf(float(g[m])), 2) * 4096))
+        want = min(s[i + n], 0.5) if g[m] > 1.0 else s[i + n]
+        assert ru[m] == want, m
+    first = int(np.argmax(ru < 1.0))
+    assert 0 < first < engine._ONE_SLOT and ru[first - 1] == 1.0
+    assert 1 <= Fraction(consts.q_lower) * Fraction(float(g[first])) <= 1 + Fraction(1, 2**50)
+
+
 def test_small_row_budget_moves_primes_to_the_a_side(table_y31_r200, monkeypatch):
     full = run_bounds(31, 10**5, 200, threads=1, table=table_y31_r200)
     monkeypatch.setattr(engine, "_ROW_BUDGET", 512)
-    b, _ = engine._cell_tables(engine._engine_consts(table_y31_r200), 10**5)
+    b, _ = engine._cell_tables(engine._engine_consts(table_y31_r200, 31), 10**5)
     # 3 and 5 stay on the b side, the primes 7..31 move to the a side
     assert b.value.size <= 512 and b.mask.shape[0] == 1
     assert int(np.bitwise_or.reduce(b.mask[0])) == 0b11
@@ -224,11 +248,14 @@ def test_class_split_moves_no_bit(y, z, r_max, budget, used, monkeypatch):
 
 
 # The traced peak of run_bounds(31, 1e7, 200) was 6.85 MB before the b
-# classes and the extraction sum, 5.90 MB with them, and is 5.28 MB since
-# the lower curve is formed at lookup and the UP-rounded covered mass is no
-# longer summed; the bound is the last plus a margin of 0.1 MB. Building
-# the candidate ranges of a whole a-side block at once, not 2048 rows at a
-# time, reads 7.05 MB.
+# classes and the extraction sum, 5.90 MB with them, and 5.28 MB once the
+# lower curve was formed at lookup and the UP-rounded covered mass no longer
+# summed; the bound is the last plus a margin of 0.1 MB. That peak was the
+# curve build's, with the cell walk's at 4.68 MB. The folded curve's build
+# peaks at 4.94 MB, and its grid from 1/2 to 4 adds 2^16 + 1 doubles
+# (0.52 MB) to the curve the walk holds: the walk's peak, 5.24 MB, is the
+# run's. Building the candidate ranges of a whole a-side block at once,
+# not 2048 rows at a time, read 7.05 MB.
 _PEAK_BOUND = 5_385_000
 
 

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import moment_upper, tail_factor
+from oracles import exact_fold, moment_upper, tail_factor
 from sigbound import moments
 from sigbound.arith import primes_upto
 from sigbound.dirround import pow_dn, ratio_up, up_mul
@@ -178,3 +178,86 @@ class TestBuildTable:
             with pytest.raises(UnsupportedParameterError, match=str(MAX_ORDER)):
                 build_moment_table(31, r_max)
         assert build_moment_table(2, MAX_ORDER).r_max == MAX_ORDER
+
+
+class TestFold:
+    """moments.fold_curve and its parts: the log grid bounds, the law of
+    one prime and the fold of the laws into a curve (the fold lemma in the
+    moments docstring)."""
+
+    def test_pow2_bounds_bracket_every_grid_point(self):
+        mp.mp.dps = 40
+        n = 2 << 12
+        lo, hi = moments._pow2_bounds(12, n)
+        assert lo.size == hi.size == 2 * n + 1
+        assert np.all(np.diff(lo) > 0) and np.all(np.diff(hi) > 0)
+        assert hi[0] == 0.25 and hi[n] == 1.0 and hi[-1] == 4.0
+        for i in range(-n, n + 1, 7):
+            exact = mp.power(2, mp.mpf(i) / 4096)
+            assert lo[i + n] <= exact <= hi[i + n], i
+            # exp_up's halvings and squarings leave a relative slack of
+            # about 1e-14
+            assert hi[i + n] - lo[i + n] <= 1e-13 * hi[i + n]
+
+    def test_law_is_the_exact_law_moved_to_safe_offsets(self):
+        # as a law over the offsets, each prime's term puts at least the
+        # exact mass at or below every offset (so a non-increasing curve
+        # reads it no lower), and no more than rounding adds: every atom the
+        # law keeps sits at its exact offset, and the rest of each side
+        # where the atoms past the last kept one sit once they converge
+        mp.mp.dps = 60
+        n = 2 << 12
+        lo, hi = (b[n:].tolist() for b in moments._pow2_bounds(12, n))
+        for p in primes_upto(1009).tolist()[1:]:
+            law = moments._law(p, lo, hi, moments._FOLD_CUTOFF)
+            exact = {0: Fraction(p - 2, p)}
+            pk = p
+            while Fraction(p - 1, pk * p) > Fraction(1, 2**80):
+                h = mp.mpf(pk * p - 1) / (pk * (p - 1))
+                fl = int(mp.floor(mp.log(h, 2) * 4096))
+                for off in (-fl - 1, fl):
+                    exact[off] = exact.get(off, 0) + Fraction(p - 1, pk * p)
+                pk *= p
+            got, want = Fraction(0), Fraction(0)
+            for off in sorted(set(exact) | {off for off, _ in law}):
+                got += sum(Fraction(m) for o, m in law if o == off)
+                want += exact.get(off, 0)
+                assert want - Fraction(1, 2**70) <= got <= want + Fraction(1, 2**48), (p, off)
+
+    # The box oracle: the curve 1 / (1 + (i/16)^2) on a log grid of step
+    # 2^-6, folded with the primes in (2, 13]. The cutoff 1/81 keeps three
+    # atoms of 3 on each side, two of 5 and 7 and one of 11 and 13, and
+    # leaves a rest of mass 1/81 of 3 on each side.
+    BOX_BITS = 6
+    BOX_CUTOFF = Fraction(1, 81)
+    BOX_PRIMES = (3, 5, 7, 11, 13)
+
+    def box_curves(self):
+        n = 2 << self.BOX_BITS
+        lo, hi = (b[n:].tolist() for b in moments._pow2_bounds(self.BOX_BITS, n))
+        f = [1.0] * (n + 1) + [1.0 / (1.0 + (i / 16) ** 2) for i in range(1, n + 1)]
+        laws = [moments._law(p, lo, hi, self.BOX_CUTOFF) for p in self.BOX_PRIMES]
+        return f, moments._fold(np.array(f), laws)
+
+    def test_fold_lies_above_the_exact_box_fold(self):
+        f, got = self.box_curves()
+        low = exact_fold(f, self.BOX_PRIMES, self.BOX_BITS, self.BOX_CUTOFF, tight=False)
+        assert all(Fraction(g) >= w for g, w in zip(got.tolist(), low))
+        # and by more than rounding somewhere: the rest of 3 is read at
+        # other offsets than the exact lower fold reads it
+        assert max(float(Fraction(g) - w) for g, w in zip(got.tolist(), low)) > 1e-5
+
+    def test_fold_is_the_box_fold_up_to_rounding(self):
+        f, got = self.box_curves()
+        high = exact_fold(f, self.BOX_PRIMES, self.BOX_BITS, self.BOX_CUTOFF, tight=True)
+        assert all(abs(Fraction(g) - w) <= Fraction(1, 10**13) for g, w in zip(got.tolist(), high))
+
+    def test_fold_curve_is_a_non_increasing_bound_at_most_one(self, table_y1009_r200):
+        hi, s = moments.fold_curve(table_y1009_r200, 31)
+        assert hi.size == s.size == 2 * (2 << 12) + 1
+        assert np.all(np.diff(s) <= 0) and s[0] == 1.0 and 0.0 < s[-1] < 1e-9
+        # a table at y folds nothing, but fold_curve still reads its moment
+        # curve on the log grid, at most 1/2 past 1 and 1 up to 1
+        hi, s = moments.fold_curve(build_moment_table(1009, 200), 1009)
+        n = 2 << 12
+        assert np.all(s[:n + 1] == 1.0) and np.all(s[n + 1:] <= 0.5)
