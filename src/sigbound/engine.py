@@ -5,13 +5,19 @@ divisor of 2n+1 and b the largest y-smooth divisor of 2n, so a is odd, b is
 even and coprime to a, and each cell is a finite union of arithmetic
 progressions with an exactly computable density. Per cell, moment inequalities
 turn the abundancy ratio of a and b into certified bounds on how much of the
-cell satisfies the target inequality; summing over all cells with ab <= z and
-charging the unenumerated tail to the upper side yields a bracket for the
+cell satisfies the target inequality. The lower side sums them over all cells
+with ab <= z. The upper side charges the cells of each odd a <= z // 2 by
+group, k = min(v2(b), 3), each group at one read of the bound curve that
+bounds all its cells, enumerated or not, and takes off what each enumerated
+cell's own read saves against its group's (the tail lemma of moments); the
+cells of the a past z // 2 are charged at 1. That yields a bracket for the
 density of the whole set.
 
 run_bounds evaluates the cells in numpy. It builds a table of even b values
 and the odd a side once per run, each row carrying its prime mask, directed
-density factor and directed abundancy. The b table is sorted by class, the
+density factor and directed abundancy, and each odd a its directed mass.
+Each a-side block's group reads and net charge are formed when the block is
+built. The b table is sorted by class, the
 set of the first three of its odd primes that divide b, and then by value,
 so that the candidate pairs (a, b) with b <= z // a, taken only from the b
 classes disjoint from a's own, are ranges of the table; they are cut into
@@ -20,7 +26,7 @@ each cell's directed terms, reads the grid slot of its abundancy ratio off
 the ratio's bits and the bound curve ru there (and, for the cells whose
 inverse ratio can reach the part of the curve below 1, forms the lower
 bound 1 - ru stepped down at that ratio), and sums the three totals
-(lower, upper cells, covered mass DOWN) exactly with exact_sum, each an
+(lower, saving, covered mass DOWN) exactly with exact_sum, each an
 integer count of 2**-1074. Integer addition is exact in any order, so the
 totals do not depend on the chunk cut or on the thread count. The pool's
 threads share the tables, which are marked read-only.
@@ -54,12 +60,11 @@ from .moments import MomentTable, bound_curves, build_moment_table, check_y, fol
 
 @dataclass(frozen=True)
 class BoundReport:
-    """The certified bracket of one run, from its three exact totals:
+    """The certified bracket of one run, from its exact totals:
     lower_total <= density <= upper_total, and covered_lo, the enumerated
-    cells' mass rounded DOWN, whose complement upper_total charges as the
-    unenumerated tail. threads is the count used, the request capped at the
-    usable cores. A progress report is one too, over the pair_count cells
-    summed so far, with the time so far."""
+    cells' mass rounded DOWN. threads is the count used, the request capped
+    at the usable cores. A progress report is one too, over the pair_count
+    cells summed so far, with the time so far."""
 
     y: int
     z: int
@@ -165,11 +170,15 @@ _CHUNK = 1 << 14
 # one of the other primes.
 _CLASS_PRIMES = 3
 
+# The cells of an odd a are charged in groups by k = min(v2(b), _V2_CAP),
+# each at the curve read at h(2^k)/h(a) (see _group_reads and the tail lemma
+# of moments).
+_V2_CAP = 3
+
 
 class _Consts(NamedTuple):
-    """The z-independent engine state: the odd primes <= y, the directed
-    density base prod (p-2)/p over them, the bound curve and where its
-    lower side starts.
+    """The z-independent engine state: the odd primes <= y, the bound curve
+    and where its lower side starts.
 
     ru_at is the bound curve on the grid behind a sentinel 1: index
     _slot(q) reads it at the largest grid point <= q, or the trivial 1
@@ -181,8 +190,6 @@ class _Consts(NamedTuple):
     """
 
     odd: tuple[int, ...]
-    base_dn: float
-    base_up: float
     ru_at: np.ndarray
     q_lower: float
 
@@ -214,10 +221,6 @@ def _engine_consts(table: MomentTable, y: int) -> _Consts:
     which gives no upper bound at and below 1.
     """
     odd = tuple(primes_upto(y).tolist()[1:])
-    num, den = 1, 1
-    for p in odd:
-        num *= p - 2
-        den *= p
     ru_at = np.ones(_GRID_SIZE + 1)  # behind the sentinel, the curve ru
     ru = ru_at[1:]
     above = ru[_ONE_SLOT + 1:]
@@ -231,8 +234,6 @@ def _engine_consts(table: MomentTable, y: int) -> _Consts:
     k = int(np.argmax(ru < 1.0))  # ru is non-increasing
     return _Consts(
         odd=odd,
-        base_dn=ratio_dn(num, den),
-        base_up=ratio_up(num, den),
         ru_at=_read_only(ru_at),
         # q > q_lower >= 1/(point k) gives w <= 1/q < point k
         q_lower=up_div(1.0, float(_grid(k)[0])) if ru[k] < 1.0 else 0.0,
@@ -253,30 +254,34 @@ class _Rows(NamedTuple):
     (see _a_blocks) and its value is a*t. mask holds one uint64 word per 64
     odd primes of the b table's prime set, bit j for the j-th odd prime, and
     at least one word, all zero when the set is empty.
-    d_* is the directed density factor F(value)/value, F the product of
+    d_dn is the density factor F(value)/value rounded DOWN, F the product of
     (p-1)/(p-2) over the odd primes dividing value, with the density base
     folded into the a side. h_* is the directed abundancy h(b) = sigma(b)/b,
-    or h(a)/h(t) on the a side.
+    or h(a)/h(t) on the a side. m_* is the directed mass M(a) of the cells
+    of an odd a (the tail lemma of moments), on the odd S-smooth table that
+    starts the a side; the b table's and the a-block walk's are empty.
     """
 
     value: np.ndarray
     mask: np.ndarray
     d_dn: np.ndarray
-    d_up: np.ndarray
     h_dn: np.ndarray
     h_up: np.ndarray
+    m_dn: np.ndarray
+    m_up: np.ndarray
 
     def read_only(self) -> "_Rows":
         return _Rows(*map(_read_only, self))
 
 
-def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
+def _smooth_rows(odd, limit: int, even: bool, f0: float, m0: tuple = (),
                  budget: Optional[int] = None, classes: int = 0):
     """Every even (or odd) number v <= limit built from 2 (or not) and a
     prefix of the odd primes `odd`, sorted by class and then by value, with
-    the density factor f0 * F(v)/v and the abundancy h(v). A row's class is
-    the set of the first `classes` primes used that divide v (see
-    _classes); with classes = 0 the rows are sorted by value alone.
+    the density factor f0 * F(v)/v rounded DOWN, the abundancy h(v) and,
+    given m0 = (m0_dn, m0_up), the mass m0/v, directed (empty without). A
+    row's class is the set of the first `classes` primes used that divide v
+    (see _classes); with classes = 0 the rows are sorted by value alone.
 
     The odd primes join in increasing order while the table stays within
     `budget` rows. Returns the rows and the number of odd primes used.
@@ -288,11 +293,12 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
     value, then stably by class) and writes every other column straight into
     its sorted place, batch by batch
     and so parents before children. The heads are the powers of 2 (e >= 1
-    on the even side, e = 0 on the odd), with the factor f0 / 2^e, exact,
-    and the abundancy (2^(e+1)-1)/2^e; a child v * p^k multiplies its
-    parent's factor by (p-1)/((p-2) p^k) and its abundancy by h(p^k), each
-    an exact ratio rounded to its side, and takes one directed step. No
-    integer is rounded to a float on the way.
+    on the even side, e = 0 on the odd), with the factor f0 / 2^e and the
+    mass m0 / 2^e, exact, and the abundancy (2^(e+1)-1)/2^e; a child
+    v * p^k multiplies its parent's factor by (p-1)/((p-2) p^k), its mass by
+    1/p^k and its abundancy by h(p^k), each an exact ratio rounded to its
+    side, and takes one directed step. No integer is rounded to a float on
+    the way.
     """
     heads = [2**e for e in range(1, limit.bit_length())] if even else [1]
     value = np.array(heads, dtype=np.int64)
@@ -334,12 +340,15 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
     del order
     n = value.size
     mask = np.zeros((max(1, -(-used // 64)), n), np.uint64)
-    d_dn, d_up, h_dn, h_up = (np.empty(n) for _ in range(4))
+    d_dn, h_dn, h_up = (np.empty(n) for _ in range(3))
+    m_dn, m_up = (np.empty(n if m0 else 0) for _ in range(2))
     head = pos[:n0]
-    d_dn[head] = [f0_dn / v for v in heads]  # exact: v is a power of 2
-    d_up[head] = [f0_up / v for v in heads]
+    d_dn[head] = [f0 / v for v in heads]  # exact: v is a power of 2
     h_dn[head] = [ratio_dn(2 * v - 1, v) for v in heads]
     h_up[head] = [ratio_up(2 * v - 1, v) for v in heads]
+    if m0:
+        m_dn[head] = [m0[0] / v for v in heads]
+        m_up[head] = [m0[1] / v for v in heads]
     start = n0
     batches.reverse()
     while batches:  # popped, so each batch's indices go once it is written
@@ -353,27 +362,33 @@ def _smooth_rows(odd, limit: int, even: bool, f0_dn: float, f0_up: float,
         mask[:, dst] = m
         sig_dn, sig_up = ratio_dn(pk * p - 1, pk * (p - 1)), ratio_up(pk * p - 1, pk * (p - 1))
         d_dn[dst] = ulp_dn(d_dn[par] * ratio_dn(p - 1, (p - 2) * pk))
-        d_up[dst] = ulp_up(d_up[par] * ratio_up(p - 1, (p - 2) * pk))
         h_dn[dst] = ulp_dn(h_dn[par] * sig_dn)
         h_up[dst] = ulp_up(h_up[par] * sig_up)
-    return _Rows(value, mask, d_dn, d_up, h_dn, h_up), used
+        if m0:
+            m_dn[dst] = ulp_dn(m_dn[par] * ratio_dn(1, pk))
+            m_up[dst] = ulp_up(m_up[par] * ratio_up(1, pk))
+    return _Rows(value, mask, d_dn, h_dn, h_up, m_dn, m_up), used
 
 
-def _a_blocks(small: _Rows, rest: tuple, z: int):
-    """The a side of every cell, in blocks of about _ROW_BUDGET rows.
+def _a_blocks(consts: _Consts, small: _Rows, rest: tuple, z: int):
+    """The a side of every cell, in blocks of about _ROW_BUDGET rows, each
+    with its group reads and net charge (see _group_charge), read-only.
 
     With S the primes of the b table, a cell (a, b) splits as a = c*m and
     b = s*t: c and s are S-smooth, m and t are coprime and built from the
     remaining odd primes `rest`. A depth-first walk over `rest` visits every
     (m, t) with m*t <= z//2; each visit emits a row per c in `small` (the odd
     S-smooth numbers, sorted, base folded in) with c*m*t <= z//2, with value
-    c*m*t, c's mask, density factor d(c) F(m)F(t)/(mt) and
-    abundancy h(c) h(m)/h(t). When S holds every prime, the one visit is
-    (1, 1) and the block is `small` itself.
+    c*m*t, c's mask, density factor d(c) F(m)F(t)/(mt) and abundancy
+    h(c) h(m)/h(t). Every row reads the groups of its a = c*m, whatever its
+    t, and a's charge is taken once, at the visit with t = 1, with the mass
+    M(c)/m: so the split moves the groups of no cell. When S holds every
+    prime, the one visit is (1, 1) and the block is `small` itself.
     """
     lim = z // 2
     if not rest:
-        yield small
+        c = _group_reads(consts, small.h_up)
+        yield small.read_only(), _read_only(c.ravel()), _group_charge(c, small.m_dn, small.m_up)
         return
 
     def walk(i, m, t, sm, st, fnum, fden):
@@ -396,46 +411,65 @@ def _a_blocks(small: _Rows, rest: tuple, z: int):
         pending.append((*visit, k))
         size += k
         if size >= _ROW_BUDGET:
-            yield _a_block(small, pending, size)
+            yield _a_block(consts, small, pending, size)
             pending, size = [], 0
     if pending:
-        yield _a_block(small, pending, size)
+        yield _a_block(consts, small, pending, size)
 
 
-def _a_block(small: _Rows, visits: list, size: int) -> _Rows:
+def _a_block(consts: _Consts, small: _Rows, visits: list, size: int):
     """The rows of the (m, t, sm, st, fnum, fden, k) `visits`, written
     straight into one block of `size` rows (see _a_blocks): the first k rows
     of `small` each, scaled by m*t, so the build holds little beyond the
-    block."""
+    block. Returns the block, its group reads and its net charge."""
+    empty = np.empty(0)
     block = _Rows(
         np.empty(size, np.int64),
         np.empty((small.mask.shape[0], size), np.uint64),
-        *(np.empty(size) for _ in range(4)),
+        *(np.empty(size) for _ in range(3)),
+        empty,
+        empty,
     )
+    c = np.empty((size, _V2_CAP))
+    charge = 0
     o = 0
     for m, t, sm, st, fnum, fden, k in visits:
         rows = _Rows(*(col[..., o:o + k] for col in block))
+        cr = c[o:o + k]
         o += k
         mt = m * t
         if mt == 1:
-            for col, src in zip(rows, small):
+            for col, src in zip(rows[:5], small):
                 col[...] = src[..., :k]
-            continue
-        np.multiply(small.value[:k], mt, out=rows.value)
-        rows.mask[...] = small.mask[:, :k]
-        ulp_dn(np.multiply(small.d_dn[:k], ratio_dn(fnum, fden * mt), out=rows.d_dn))
-        ulp_up(np.multiply(small.d_up[:k], ratio_up(fnum, fden * mt), out=rows.d_up))
-        ulp_dn(np.multiply(small.h_dn[:k], ratio_dn(sm * t, m * st), out=rows.h_dn))
-        ulp_up(np.multiply(small.h_up[:k], ratio_up(sm * t, m * st), out=rows.h_up))
-    return block
+        else:
+            np.multiply(small.value[:k], mt, out=rows.value)
+            rows.mask[...] = small.mask[:, :k]
+            ulp_dn(np.multiply(small.d_dn[:k], ratio_dn(fnum, fden * mt), out=rows.d_dn))
+            ulp_dn(np.multiply(small.h_dn[:k], ratio_dn(sm * t, m * st), out=rows.h_dn))
+            ulp_up(np.multiply(small.h_up[:k], ratio_up(sm * t, m * st), out=rows.h_up))
+        # the groups of a = c*m, and its charge at its own visit, t = 1
+        h_a = rows.h_up if t == 1 else ulp_up(small.h_up[:k] * ratio_up(sm, m))
+        cr[...] = _group_reads(consts, h_a)
+        if t == 1:
+            m_dn, m_up = small.m_dn[:k], small.m_up[:k]
+            if m > 1:
+                m_dn, m_up = ulp_dn(m_dn * ratio_dn(1, m)), ulp_up(m_up * ratio_up(1, m))
+            charge += _group_charge(cr, m_dn, m_up)
+    return block.read_only(), _read_only(c.ravel()), charge
 
 
 class _Chunk(NamedTuple):
     """Candidate rows: for each range k, a-side row a[k] of `rows` against
     the b-table rows j_lo[k] <= j < j_hi[k], b values of one class disjoint
-    from the row's own and at most z // the row's value."""
+    from the row's own and at most z // the row's value. groups holds the
+    block's group reads (see _group_reads), _V2_CAP per row, and b_group
+    each b-table row's group, min(v2(b), _V2_CAP) - 1. charge is the block's
+    net charge on its first chunk and 0 on the others."""
 
     rows: _Rows
+    groups: np.ndarray
+    b_group: np.ndarray
+    charge: int
     a: np.ndarray
     j_lo: np.ndarray
     j_hi: np.ndarray
@@ -445,16 +479,52 @@ def _cell_tables(consts: _Consts, z: int):
     """The b table and the chunks of candidate rows, in their fixed order.
 
     The b table holds the even numbers <= z built from 2 and the longest
-    prefix of the odd primes that keeps it within _ROW_BUDGET rows, sorted by
-    class and then by value (see _classes); the odd primes outside it go to
-    the a side (see _a_blocks). The b table and the a-side blocks come back
-    read-only.
+    prefix S of the odd primes that keeps it within _ROW_BUDGET rows, sorted
+    by class and then by value (see _classes); the odd primes outside it go
+    to the a side (see _a_blocks). The odd S-smooth numbers start the a side
+    with the density base prod (p-2)/p and the mass base prod (p-1)/p over
+    the odd primes, so that a row's mass is M(a) of the tail lemma (see
+    moments). The b table and the a-side blocks come back read-only.
     """
-    b, used = _smooth_rows(consts.odd, z, True, 1.0, 1.0, _ROW_BUDGET, _CLASS_PRIMES)
-    small, _ = _smooth_rows(consts.odd[:used], z // 2, False, consts.base_dn, consts.base_up)
-    blocks = (rows.read_only() for rows in _a_blocks(small, consts.odd[used:], z))
+    b, used = _smooth_rows(consts.odd, z, True, 1.0, (), _ROW_BUDGET, _CLASS_PRIMES)
+    base, mass, den = 1, 1, 1
+    for p in consts.odd:
+        base *= p - 2
+        mass *= p - 1
+        den *= p
+    small, _ = _smooth_rows(consts.odd[:used], z // 2, False, ratio_dn(base, den),
+                            (ratio_dn(mass, den), ratio_up(mass, den)))
+    blocks = _a_blocks(consts, small, consts.odd[used:], z)
     b = b.read_only()
     return b, _chunks(blocks, b, (1 << min(used, _CLASS_PRIMES)) - 1, z)
+
+
+def _group_reads(consts: _Consts, h_up: np.ndarray) -> np.ndarray:
+    """The group reads of the odd a with h(a) <= h_up, one row of _V2_CAP
+    per a (the tail lemma of moments).
+
+    Group (a, k) holds a's cells with min(v2(b), _V2_CAP) = k, and each of
+    them has q >= h(2^k)/h(a); so the curve read at the DOWN bound
+    ulp_dn(h_dn(2^k) / h_up) bounds them all.
+    """
+    c = np.empty((h_up.size, _V2_CAP))
+    for k in range(1, _V2_CAP + 1):
+        c[:, k - 1] = consts.ru_at[_slot(ulp_dn(ratio_dn(2 ** (k + 1) - 1, 2**k) / h_up))]
+    return c
+
+
+def _group_charge(c: np.ndarray, m_dn: np.ndarray, m_up: np.ndarray) -> int:
+    """The exact net charge of the a with group reads c (see _group_reads)
+    and mass m_dn <= M(a) <= m_up: the sum of the group charges
+    M_up 2^-k c, each stepped UP (2^-k is exact, and c = 1 is), over the
+    groups k, of mass M 2^-k, or M 2^-(_V2_CAP-1) at k = _V2_CAP, less the
+    mass M_dn, in units of 2**-1074."""
+    charge = -exact_sum(m_dn)
+    for k in range(1, _V2_CAP + 1):
+        ck = c[:, k - 1]
+        mc = np.multiply(m_up, 2.0 ** -min(k, _V2_CAP - 1))
+        charge += exact_sum(ulp_up(np.multiply(mc, ck, out=mc), ck < 1.0))
+    return charge
 
 
 def _classes(rows: _Rows, cmask: int) -> np.ndarray:
@@ -488,9 +558,15 @@ def _ranges(rows: _Rows, b: _Rows, bounds: np.ndarray, cmask: int, z: int):
 def _chunks(blocks, b: _Rows, cmask: int, z: int):
     """Cut each batch of candidate ranges (see _ranges) into chunks of
     _CHUNK candidate rows; the last chunk of a batch takes the rows left
-    over. A range may be split between chunks."""
+    over. A range may be split between chunks. The first chunk of each
+    block carries the block's net charge (see _group_charge): every row has
+    value <= z // 2, so b = 2 pairs with it and every block has a chunk."""
     bounds = np.searchsorted(_classes(b, cmask), np.arange(cmask + 2))
-    for rows in blocks:
+    b_group = np.zeros(b.value.size, np.uint8)
+    for j in range(2, _V2_CAP + 1):
+        b_group += (b.value & ((1 << j) - 1)) == 0
+    b_group = _read_only(b_group)
+    for rows, groups, charge in blocks:
         for a, lo, cnt in _ranges(rows, b, bounds, cmask, z):
             ends = np.cumsum(cnt)
             s = 0
@@ -500,43 +576,50 @@ def _chunks(blocks, b: _Rows, cmask: int, z: int):
                 starts = ends[r0:r1] - cnt[r0:r1]
                 yield _Chunk(
                     rows,
+                    groups,
+                    b_group,
+                    charge,
                     a[r0:r1],
                     lo[r0:r1] + np.maximum(s - starts, 0),
                     lo[r0:r1] + np.minimum(s + _CHUNK - starts, cnt[r0:r1]),
                 )
+                charge = 0
                 s += _CHUNK
 
 
 def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     """Exact sums of the directed cell terms of one chunk.
 
-    Returns (lower, upper_cells, covered_dn, pairs), the three sums as
-    exact_sum gives them, integer counts of 2**-1074. Every cell term is
-    directed (a one-ULP step after each operation); the sums of them are
-    exact.
+    Returns (lower, upper, covered_dn, pairs): the sums as exact_sum gives
+    them, integer counts of 2**-1074, with upper the chunk's charge less
+    its saving. Every cell term is directed (a one-ULP step after each
+    operation); the sums of them are exact.
 
-    Every cell reads ru at q, a DOWN bound on h(b)/h(a). Its lower bound
-    rl = ulp_dn(1 - ru) is read at w, a DOWN bound on h(a)/h(b) <= 1/q, and
-    is +0.0 unless w reaches the first grid point where ru < 1, so w and rl
-    are formed for the cells with q <= consts.q_lower alone. Each sum is
-    taken as soon as its terms are formed, and the upper terms overwrite
-    the densities: the chunk's arrays set the run's peak memory.
+    Every cell reads ru at q, a DOWN bound on h(b)/h(a), and saves
+    dens_dn (c - ru) stepped DOWN, or 0 where c <= ru, off its group's read
+    c (the tail lemma of moments). Its lower bound rl = ulp_dn(1 - ru) is
+    read at w, a DOWN bound on h(a)/h(b) <= 1/q, and is +0.0 unless w
+    reaches the first grid point where ru < 1, so w and rl are formed for
+    the cells with q <= consts.q_lower alone. Each sum is taken as soon as
+    its terms are formed, and the savings overwrite the group reads: the
+    chunk's arrays set the run's peak memory.
     """
     rows = ch.rows
     ai, bi = _coprime_pairs(b, ch)
     dens_dn = ulp_dn(rows.d_dn[ai] * b.d_dn[bi])
-    dens_up = ulp_up(rows.d_up[ai] * b.d_up[bi])
     covered = exact_sum(dens_dn)
     q = ulp_dn(b.h_dn[bi] / rows.h_up[ai])  # <= h(b)/h(a)
     ru = consts.ru_at[_slot(q)]
-    upper = exact_sum(ulp_up(np.multiply(dens_up, ru, out=dens_up), ru < 1.0))  # ru = 1 is exact
+    gap = ch.groups[ai * _V2_CAP + ch.b_group[bi]]
+    ulp_dn(np.maximum(np.subtract(gap, ru, out=gap), 0.0, out=gap))
+    saving = exact_sum(ulp_dn(np.multiply(dens_dn, gap, out=gap)))
     low = np.flatnonzero(q <= consts.q_lower)
     ai = ai[low]
     bi = bi[low]
     w = ulp_dn(rows.h_dn[ai] / b.h_up[bi])  # <= h(a)/h(b)
     rl = ulp_dn(1.0 - consts.ru_at[_slot(w)])  # ru = 1 gives +0.0
     lower = exact_sum(ulp_dn(np.multiply(dens_dn[low], rl, out=rl)))
-    return lower, upper, covered, int(dens_dn.size)
+    return lower, ch.charge - saving, covered, int(dens_dn.size)
 
 
 def _coprime_pairs(b: _Rows, ch: _Chunk):
@@ -593,11 +676,16 @@ def run_bounds(
 ) -> BoundReport:
     """Certified bracket for the density of n with sigma(2n+1) >= sigma(2n).
 
-    Enumerates every cell with ab <= z and sums the DOWN-directed lower and
-    UP-directed upper cell terms plus the covered mass exactly, as integers,
-    then charges the unenumerated tail (1 - covered) to the upper side. Each
-    reported number is rounded once, to its side, from the exact totals, so
-    neither the chunk cut nor the thread count moves a bit. One thread sums
+    Enumerates every cell with ab <= z and sums the DOWN-directed lower cell
+    terms and the covered mass exactly, as integers. The upper side charges
+    the cells of every odd a <= z // 2 by group, each group at one read of
+    the bound curve, charges the cells of the a above z // 2 at 1, and takes
+    off each enumerated cell's saving against its group's read (the tail
+    lemma of moments): so the unenumerated cells of an a are bounded by the
+    curve too, not by 1. A block's charge is added when the block is built,
+    before any of its cells. Each reported number is rounded once, to its
+    side, from the exact totals, so neither the chunk cut nor the thread
+    count moves a bit. One thread sums
     the chunks in the calling thread; more share a pool (see _pooled).
     `threads` is capped at the usable cores, and the report carries the
     count used. `progress(report, flush)` gets the BoundReport of the cells
@@ -632,12 +720,13 @@ def run_bounds(
     else:
         done = _pooled(consts, b, chunks, threads)
 
-    def report(lo: int, up_cells: int, cov_dn: int, pairs: int) -> BoundReport:
+    def report(lo: int, up: int, cov_dn: int, pairs: int) -> BoundReport:
         # the exact totals, in units of 2**-1074, each rounded once to its
-        # side; upper adds the unenumerated tail 1 - covered, with covered
-        # taken DOWN, to the cells' upper sum and is capped at 1
+        # side; up is the group charges of the blocks begun less their mass
+        # and the savings of the cells summed, so upper adds the 1 that the
+        # a not yet begun are charged, and is capped at 1
         lower = ratio_dn(lo, _ONE)
-        upper = min(ratio_up(up_cells + _ONE - cov_dn, _ONE), 1.0)
+        upper = min(ratio_up(up + _ONE, _ONE), 1.0)
         if lower > upper:
             raise AssertionError("certified bracket inverted; this is a bug")
         return BoundReport(

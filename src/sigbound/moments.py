@@ -71,6 +71,33 @@ X = X1 + X2 with X1 = log h(A1) - log h(B1).
    U = S(log q) and L = 1 - S(log w), on either side of q = 1.
 fold_curve evaluates S UP on a grid of base-2 logs with one shift-add per
 atom (see there); at Y2 = y there is nothing to fold.
+
+The tail lemma. The engine charges the upper side by groups of cells, each
+at one read of its curve U (non-increasing in q, and bounding the share of
+every cell at q <= h(b)/h(a)), whether or not the cells are enumerated. The
+cells of an odd y-smooth a are the (a, b) with b even, y-smooth and coprime
+to a.
+1. Mass. The cell density (2/ab) prod_{p|ab} (1-1/p) prod_{p∤ab} (1-2/p)
+   factors over the primes. Summed over b, the power 2^k of 2 in b gives
+   2^-k, and an odd p not dividing a gives
+   (1 - 2/p) + sum_{j>=1} (1 - 1/p)/p^j = 1 - 1/p. So the cells of a hold
+   M(a) = (1/a) prod_{odd p<=y} (1 - 1/p), and those with v2(b) = k hold
+   M(a) 2^-k. The cells partition the integers, so the M(a) add to 1.
+2. One read per group. h is multiplicative, at least 1, and h(2^j) grows
+   with j, so a cell with v2(b) >= k has h(b) >= h(2^k), and
+   q = h(b)/h(a) >= h(2^k)/h(a). U is non-increasing, so its read c at
+   h(2^k)/h(a) bounds the share of every cell of a with v2(b) >= k.
+3. The charge. Group the cells of a by k = min(v2(b), K): group k holds
+   M(a) 2^-k for k < K and M(a) 2^-(K-1) at k = K. A cell's share is at
+   most its group's c and at most its own read ru, so at most
+   min(c, ru) = c - max(0, c - ru). So the density is at most
+   sum_groups M c - sum_{enumerated cells} dens max(0, c - ru)
+   + (1 - sum_a M(a)), where the last term charges the a left out at 1.
+The engine takes K = 3 and the a <= z // 2, which hold every cell with
+ab <= z (b >= 2). Where its b table leaves odd primes to the a side, the
+engine enumerates the cells of an a on several rows, one per odd part t of
+b built from those primes; every such row reads a's groups, and a's charge
+is taken once.
 """
 from __future__ import annotations
 

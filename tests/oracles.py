@@ -260,11 +260,11 @@ def _concat(parts: list) -> _Rows:
     return _Rows(*(np.concatenate(cols, axis=-1) for cols in zip(*parts)))
 
 
-def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None, classes=0):
+def smooth_rows(odd, limit, even, f0, m0=(), budget=None, classes=0):
     """The smooth-number table of `engine._smooth_rows` (same arguments and
     result), built the direct way: every column of every row is extended
     prime by prime, each prime's table re-concatenated from the last one's,
-    and all six columns sorted at the end by class (the mask bits of the
+    and all the columns sorted at the end by class (the mask bits of the
     first `classes` primes used) and then by value, in one lexsort.
 
     `engine._smooth_rows` builds the values first and writes each other
@@ -273,17 +273,18 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None, classes=0):
     if even:
         pows = [2**e for e in range(1, limit.bit_length())]
         value = np.array(pows, dtype=np.int64)
-        d_dn = np.array([f0_dn / v for v in pows])
-        d_up = np.array([f0_up / v for v in pows])
         h_dn = np.array([ratio_dn(2 * v - 1, v) for v in pows])
         h_up = np.array([ratio_up(2 * v - 1, v) for v in pows])
     else:
+        pows = [1]
         value = np.ones(1, dtype=np.int64)
-        d_dn, d_up = np.full(1, f0_dn), np.full(1, f0_up)
         h_dn = h_up = np.ones(1)
+    d_dn = np.array([f0 / v for v in pows])
+    # without m0 the mass columns are carried at 0 and emptied at the end
+    m_dn, m_up = (np.array([m / v for v in pows]) for m in (m0 or (0.0, 0.0)))
     n = value.size
     words = max(1, -(-len(odd) // 64))  # at least one mask word, as the engine keeps
-    rows = _Rows(value, np.zeros((words, n), np.uint64), d_dn, d_up, h_dn, h_up)
+    rows = _Rows(value, np.zeros((words, n), np.uint64), d_dn, h_dn, h_up, m_dn, m_up)
     used = 0
     for j, p in enumerate(odd):
         bit = np.uint64(1 << (j % 64))
@@ -304,9 +305,10 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None, classes=0):
             parts.append(_Rows(
                 value, mask,
                 ulp_dn(rows.d_dn[sel] * ratio_dn(p - 1, (p - 2) * pk)),
-                ulp_up(rows.d_up[sel] * ratio_up(p - 1, (p - 2) * pk)),
                 ulp_dn(rows.h_dn[sel] * sig_dn),
                 ulp_up(rows.h_up[sel] * sig_up),
+                ulp_dn(rows.m_dn[sel] * ratio_dn(1, pk)),
+                ulp_up(rows.m_up[sel] * ratio_up(1, pk)),
             ))
             pk *= p
         if budget is not None and size > budget:
@@ -317,7 +319,10 @@ def smooth_rows(odd, limit, even, f0_dn, f0_up, budget=None, classes=0):
     rows = rows._replace(mask=rows.mask[: max(1, -(-used // 64))])
     cls = rows.mask[0] & np.uint64((1 << min(classes, used)) - 1)
     order = np.lexsort((rows.value, cls))
-    return _Rows(*(col[..., order] for col in rows)), used
+    rows = _Rows(*(col[..., order] for col in rows))
+    if not m0:
+        rows = rows._replace(m_dn=np.empty(0), m_up=np.empty(0))
+    return rows, used
 
 
 # ---------------------------------------------------------------------------

@@ -22,19 +22,23 @@ from sigbound.engine import cell_density, run_bounds
 from sigbound.moments import build_moment_table, moment_r1_exact
 
 # canonical desk-scale regression values (any thread count, y=31, z=1e8,
-# r_max=200, the primes in (31, 1009] folded into the bound curve);
+# r_max=200, the primes in (31, 1009] folded into the bound curve, the
+# cells of each a-side row charged by group off that curve);
 # full-precision engine outputs:
 #   lower   0.05416251716607616
-#   upper   0.057224307061519514
+#   upper   0.05529416243025519
 #   covered 0.9975129594563145
 DESK_PAIRS = 1608738
 DESK_LOWER_10 = 0.05416251716  # outward (floor) 10 significant digits
-DESK_UPPER_10 = 0.05722430707  # outward (ceiling) 10 significant digits
-# The brackets of the capped curve that folded nothing, of the uncapped
-# bound curve that the symmetry cap tightened, of the geometric ratio grid
-# that the bit grid replaced, and of the per-cell summation that the
-# chunked sums replaced, each inside the next: a change may tighten the
-# bracket but never leave any one.
+DESK_UPPER_10 = 0.05529416244  # outward (ceiling) 10 significant digits
+# The brackets of the folded curve that charged the unenumerated tail at 1,
+# of the capped curve that folded nothing, of the uncapped bound curve that
+# the symmetry cap tightened, of the geometric ratio grid that the bit grid
+# replaced, and of the per-cell summation that the chunked sums replaced,
+# each inside the next: a change may tighten the bracket but never leave
+# any one.
+FOLDED_LOWER = 0.05416251716607616
+FOLDED_UPPER = 0.057224307061519514
 CAPPED_LOWER = 0.04887130655566928
 CAPPED_UPPER = 0.06310434631693457
 UNCAPPED_LOWER = 0.047830123268461984
@@ -106,11 +110,12 @@ class TestCriterion2DeskBracket:
         ok_regression = (
             r.pair_count == DESK_PAIRS
             and lower == pytest.approx(0.05416251716607616, rel=1e-9)
-            and upper == pytest.approx(0.057224307061519514, rel=1e-9)
+            and upper == pytest.approx(0.05529416243025519, rel=1e-9)
         )
         ok_printed = (_outward(lower, True) == DESK_LOWER_10
                       and _outward(upper, False) == DESK_UPPER_10)
-        ok_inside = (lower >= CAPPED_LOWER and upper <= CAPPED_UPPER
+        ok_inside = (lower >= FOLDED_LOWER and upper <= FOLDED_UPPER
+                     and FOLDED_LOWER >= CAPPED_LOWER and FOLDED_UPPER <= CAPPED_UPPER
                      and CAPPED_LOWER >= UNCAPPED_LOWER and CAPPED_UPPER <= UNCAPPED_UPPER
                      and UNCAPPED_LOWER >= GEOMETRIC_LOWER and UNCAPPED_UPPER <= GEOMETRIC_UPPER
                      and GEOMETRIC_LOWER >= EARLIER_LOWER and GEOMETRIC_UPPER <= EARLIER_UPPER)
@@ -123,7 +128,8 @@ class TestCriterion2DeskBracket:
             f"proxy {EMPIRICAL_PROXY} inside with 1e-4 slack: {ok_proxy}; "
             f"envelope [0.01, 0.25]: {ok_envelope}; regression fixtures: {ok_regression}; "
             f"printed [{DESK_LOWER_10}, {DESK_UPPER_10}]: {ok_printed}; "
-            f"inside [{CAPPED_LOWER}, {CAPPED_UPPER}] inside "
+            f"inside [{FOLDED_LOWER}, {FOLDED_UPPER}] inside "
+            f"[{CAPPED_LOWER}, {CAPPED_UPPER}] inside "
             f"[{UNCAPPED_LOWER}, {UNCAPPED_UPPER}] inside "
             f"[{GEOMETRIC_LOWER}, {GEOMETRIC_UPPER}] inside "
             f"[{EARLIER_LOWER}, {EARLIER_UPPER}]: {ok_inside}",
@@ -149,6 +155,16 @@ class TestCriterion2DeskBracket:
                                "--format", "json")
         report(data["lower"] >= 0.0539171, "criterion 8",
                f"bounds y=31 z=1e8 rmax=200: lower {data['lower']} >= 0.0539171")
+
+    def test_cli_certifies_the_published_bracket(self, capsys):
+        # criterion 8 in full: both ends of the published bracket
+        # [0.0539171, 0.0549446] at once, in well under a second
+        data, elapsed = run_cli_json(capsys, "bounds", "--y", "13", "--z", "1e11",
+                                     "--rmax", "2000", "--format", "json")
+        ok = data["certified"] is True and data["lower"] >= 0.0539171 and data["upper"] <= 0.0549446
+        report(ok, "criterion 8",
+               f"bounds y=13 z=1e11 rmax=2000: [{data['lower']}, {data['upper']}] inside "
+               f"[0.0539171, 0.0549446] in {elapsed:.2f}s")
 
 
 class TestCriterion3TheoremConsistency:

@@ -18,6 +18,7 @@ from oracles import (
     solve_progression,
 )
 from sigbound import counting, engine
+from sigbound.arith import primes_upto
 from sigbound.counting import smooth_part_block
 from sigbound.dirround import ratio_dn, ulp_dn, ulp_up
 from sigbound.engine import (
@@ -229,8 +230,8 @@ class TestPairBounds:
 @pytest.fixture(scope="class")
 def audit_cells():
     """Every n <= 1e6 grouped by its cell at y = 31: per cell, the exact
-    ratio h(b)/h(a), the member count and the hits, the members with
-    sigma(2n+1) >= sigma(2n)."""
+    ratio h(b)/h(a), the member count, the hits, the members with
+    sigma(2n+1) >= sigma(2n), and the cell (a, b)."""
     x = 10**6
     keys, hit = [], []
     for lo, hi, sieve in counting._blocks(x):
@@ -241,9 +242,9 @@ def audit_cells():
     cells, cell_of, members = np.unique(np.concatenate(keys), return_inverse=True,
                                         return_counts=True)
     hits = np.bincount(cell_of, weights=np.concatenate(hit))
-    ratios = [abundancy(factorize(b)) / abundancy(factorize(a))
-              for a, b in zip(*(v.tolist() for v in np.divmod(cells, 2 * x + 2)))]
-    return ratios, members, hits
+    cells = list(zip(*(v.tolist() for v in np.divmod(cells, 2 * x + 2))))
+    ratios = [abundancy(factorize(b)) / abundancy(factorize(a)) for a, b in cells]
+    return ratios, members, hits, cells
 
 
 def curve_reads(table, ratios):
@@ -266,7 +267,7 @@ class TestCellAudit:
         # not small slack. At x = 1e6, 8 of the 1,156 audited cells read the
         # cap U = 1/2 (their shares run from 0.155 to 0.260), and all 71 on
         # the a side read L >= 1/2 stepped down (shares 0.696 to 0.766).
-        ratios, members, hits = audit_cells
+        ratios, members, hits, _ = audit_cells
         min_members, slack = 100, 1
         big = np.flatnonzero(members >= min_members)
         upper, lower = curve_reads(table_y31_r200, [ratios[i] for i in big])
@@ -282,7 +283,7 @@ class TestCellAudit:
         # the symmetry lemma on exact counts, pooled over every cell of a
         # band whatever its size: 1,202 of 4,973 members (0.242) with
         # h(b)/h(a) in (1, 1.01] and 1,728 of 2,400 (0.720) in [0.99, 1)
-        ratios, members, hits = audit_cells
+        ratios, members, hits, _ = audit_cells
         r = np.array(ratios, dtype=object)
 
         def pooled(sel):
@@ -322,7 +323,7 @@ class TestCellAudit:
         # and 4.07 below L (172 members, L = 0.995); 55 a-side cells read
         # U < 1 and 118 b-side cells L > 0, and every cell of the audit
         # reads bounds inside those of the capped curve that folds nothing.
-        ratios, members, hits = audit_cells
+        ratios, members, hits, _ = audit_cells
         big = np.flatnonzero(members >= 100)
         sub = [ratios[i] for i in big]
         upper, lower = curve_reads(table_y1009_r200, sub)
@@ -340,7 +341,7 @@ class TestCellAudit:
         # within three standard deviations of the summed folded bounds: at
         # x = 1e6 the largest excess is 1.15 above sum U, in (1.01, 1.02],
         # and 2.11 below sum L, in [0.99, 0.995)
-        ratios, members, hits = audit_cells
+        ratios, members, hits, _ = audit_cells
         r = np.array(ratios, dtype=object)
         upper, lower = curve_reads(table_y1009_r200, ratios)
         edges = [Fraction(v, 1000) for v in (950, 980, 990, 995, 998, 1000, 1002, 1005, 1010,
@@ -352,6 +353,30 @@ class TestCellAudit:
             u, lw = upper[sel], lower[sel]
             assert got <= (u * m).sum() + 3 * np.sqrt((m * u * (1 - u)).sum())
             assert got >= (lw * m).sum() - 3 * np.sqrt((m * lw * (1 - lw)).sum())
+
+    def test_tail_groups_hold_on_exact_counts(self, audit_cells, table_y1009_r200):
+        # the tail lemma of moments on exact counts: the cells with ab > z
+        # of each group (a, min(v2(b), 3)), pooled, hold hits <= c * members
+        # plus a binomial slack of five standard deviations and one member,
+        # c the folded curve read at h(2^k)/h(a), rounded DOWN, as
+        # _group_reads reads it. At x = 1e6 and z = 1000, 485 groups have
+        # at least 100 members and 388 of them read c < 1/2; six pass
+        # c * members, none by more than 1.72 standard deviations.
+        _, members, hits, cells = audit_cells
+        z = 1000
+        ru_at = _engine_consts(table_y1009_r200, 31).ru_at
+        pooled = {}
+        for (a, b), m, h in zip(cells, members.tolist(), hits.tolist()):
+            if a * b > z:
+                key = a, min((b & -b).bit_length() - 1, 3)
+                got, of = pooled.get(key, (0, 0))
+                pooled[key] = got + h, of + m
+        keys = [key for key, (_, of) in pooled.items() if of >= 100]
+        q = [Fraction(2 ** (k + 1) - 1, 2**k) / abundancy(factorize(a)) for a, k in keys]
+        c = ru_at[_slot(np.array([ratio_dn(r.numerator, r.denominator) for r in q]))]
+        got, of = (np.array([pooled[key][i] for key in keys]) for i in (0, 1))
+        assert len(keys) >= 485 and np.count_nonzero(c < 0.5) >= 388
+        assert np.all(got <= c * of + 5 * np.sqrt(of * c * (1 - c)) + 1)
 
 
 class TestRunBounds:
@@ -543,14 +568,28 @@ class TestRunBounds:
         assert [ev[0] for ev in streams[0]] == sorted(ev[0] for ev in streams[0])
 
     def test_grid_path_close_to_reference_scan(self, table_y31_r200):
-        lo_ref = up_ref = cov = 0.0
+        # the upper side as the tail lemma of moments charges it: per odd a
+        # <= z // 2 and k = min(v2(b), 3), the mass M(a) 2^-k (2^-2 at k =
+        # 3) at the scan's bound c at h(2^k)/h(a), less each cell's
+        # max(0, dens c - its own bound), plus the mass of the larger a at 1
+        lo_ref = up_ref = 0.0
+        odd = primes_upto(31).tolist()[1:]
+        base = math.prod(Fraction(p - 1, p) for p in odd)
+        groups = {}
         for a, b in enumerate_cells(31, 10**4):
             dens = cell_density(a, b, 31)
-            pb = pair_bounds(dens, table_y31_r200, abundancy(factorize(a)), abundancy(factorize(b)))
+            ha = abundancy(factorize(a))
+            pb = pair_bounds(dens, table_y31_r200, ha, abundancy(factorize(b)))
+            if a not in groups:
+                groups[a] = [pair_bounds(Fraction(1), table_y31_r200, ha,
+                                         Fraction(2 ** (k + 1) - 1, 2**k)).upper.value
+                             for k in (1, 2, 3)]
+            c = groups[a][min((b & -b).bit_length() - 1, 3) - 1]
             lo_ref += pb.lower.value
-            up_ref += pb.upper.value
-            cov += float(dens)
-        up_ref += 1.0 - cov
+            up_ref -= max(0.0, float(dens) * c - pb.upper.value)
+        for a, (c1, c2, c3) in groups.items():
+            up_ref += float(base / a) * (c1 / 2 + c2 / 4 + c3 / 4 - 1)
+        up_ref += 1.0
         r = run_bounds(31, 10**4, 200, threads=1, table=table_y31_r200)
         assert r.lower_total.value == pytest.approx(lo_ref, rel=2e-3)
         assert r.upper_total.value == pytest.approx(up_ref, rel=2e-3)

@@ -41,23 +41,56 @@ def exact_slot(g, q: Fraction) -> int:
 
 def exact_sums(y, z, table):
     """The bracket of the grid method in exact arithmetic: Fraction
-    densities, exact q = sigma(b) a / (sigma(a) b), exact grid slots, each
-    cell reading its upper bound at q and its lower bound at 1/q."""
+    densities, exact q = sigma(b) a / (sigma(a) b) and exact grid slots,
+    each cell reading its upper bound ru at q and its lower bound at 1/q.
+
+    The upper side is charged by groups (the tail lemma of moments): the
+    cells of an odd a hold the closed-form mass
+    M(a) = (1/a) prod_{odd p <= y} (1 - 1/p), and group (a, k), the cells
+    with min(v2(b), _V2_CAP) = k, reads c at the exact slot of h(2^k)/h(a)
+    and holds the share 2^-k of M(a), 2^-(_V2_CAP-1) at k = _V2_CAP. Every
+    a <= z // 2 has the cell (a, 2), so the a charged are those of the
+    cells; upper is the sum of M c over the groups, plus 1 less the mass of
+    the a, less each cell's dens * max(0, c - ru). No part of it depends on
+    how the engine splits the primes between its b table and its a side.
+    """
     g, ru, rl = grid_curves(table, y)
     g = g.tolist()
-    lower = upper = covered = Fraction(0)
+    K = engine._V2_CAP
+    base = Fraction(1)
+    for p in primes_upto(y).tolist()[1:]:
+        base *= Fraction(p - 1, p)
+
+    def read(q):
+        s = exact_slot(g, q)
+        return Fraction(ru[s - 1]) if s else Fraction(1)
+
+    lower = saving = covered = Fraction(0)
     pairs = 0
+    rows = {}  # a -> (M(a), group reads, the mass of its cells summed)
     for a, b in enumerate_cells(y, z):
         dens = cell_density(a, b, y)
         q = abundancy(factorize(b)) / abundancy(factorize(a))
         covered += dens
         pairs += 1
-        s = exact_slot(g, q)
-        upper += dens * (Fraction(ru[s - 1]) if s else 1)
+        if a not in rows:
+            h_a = abundancy(factorize(a))
+            reads = [read(Fraction(2 ** (k + 1) - 1, 2**k) / h_a) for k in range(1, K + 1)]
+            rows[a] = [base / a, reads, Fraction(0)]
+        row = rows[a]
+        row[2] += dens
+        c = row[1][min((b & -b).bit_length() - 1, K) - 1]
+        saving += dens * max(Fraction(0), c - read(q))
         s = exact_slot(g, 1 / q)
         if s:
             lower += dens * Fraction(rl[s - 1])
-    return lower, upper + 1 - covered, covered, pairs
+    charge = mass = Fraction(0)
+    for m, reads, summed in rows.values():
+        assert summed <= m
+        charge += m * sum(Fraction(1, 2 ** min(k, K - 1)) * c
+                          for k, c in enumerate(reads, 1))
+        mass += m
+    return lower, charge + 1 - mass - saving, covered, pairs
 
 
 @settings(max_examples=30, deadline=None)
@@ -216,9 +249,10 @@ def test_small_row_budget_moves_primes_to_the_a_side(table_y31_r200, monkeypatch
     assert split.pair_count == full.pair_count
     lo, up = split.lower_total.value, split.upper_total.value
     assert 0.0 < lo <= up < 1.0
-    # the same cell bounds, summed in other chunks
+    # the same cell bounds and group charges, summed in other chunks
     assert lo == pytest.approx(full.lower_total.value, rel=1e-12)
     assert up == pytest.approx(full.upper_total.value, rel=1e-12)
+    assert split.covered_mass == pytest.approx(full.covered_mass, rel=1e-12)
 
 
 @pytest.mark.parametrize("y,z,r_max,budget,used", [
@@ -235,7 +269,7 @@ def test_class_split_moves_no_bit(y, z, r_max, budget, used, monkeypatch):
     table = build_moment_table(y, r_max)
     monkeypatch.setattr(engine, "_ROW_BUDGET", budget)
     odd = tuple(primes_upto(y).tolist()[1:])
-    assert engine._smooth_rows(odd, z, True, 1.0, 1.0, budget)[1] == used
+    assert engine._smooth_rows(odd, z, True, 1.0, (), budget)[1] == used
 
     def totals():
         r = run_bounds(y, z, r_max, threads=1, table=table)
@@ -281,18 +315,30 @@ def exact_factors(v, f0):
 
 def test_table_factors_are_directed_past_2_53():
     # about 10**4 even rows up to 2**62; the odd side starts from the
-    # directed base (1/3)(3/5) = 1/5, which is not a double
+    # directed density base (1/3)(3/5) = 1/5 and mass base (2/3)(4/5) =
+    # 8/15, neither a double, and its masses m0/v stay on their sides where
+    # v itself is no double
     odd, limit = (3, 5), 2**62
+    m0 = Fraction(8, 15)
     for even, f0 in ((True, Fraction(1)), (False, Fraction(1, 5))):
-        f0_dirs = ratio_dn(f0.numerator, f0.denominator), ratio_up(f0.numerator, f0.denominator)
-        rows, used = engine._smooth_rows(odd, limit, even, *f0_dirs)
+        m0_dirs = () if even else (ratio_dn(m0.numerator, m0.denominator),
+                                   ratio_up(m0.numerator, m0.denominator))
+        rows, used = engine._smooth_rows(odd, limit, even,
+                                         ratio_dn(f0.numerator, f0.denominator), m0_dirs)
         assert used == 2
         values = rows.value.tolist()
         assert max(values) > 2**53
-        for v, d_dn, d_up, h_dn, h_up in zip(values, *(col.tolist() for col in rows[2:])):
+        assert sum(float(v) != v for v in values) > 100
+        cols = (rows.d_dn, rows.h_dn, rows.h_up)
+        for v, d_dn, h_dn, h_up in zip(values, *(col.tolist() for col in cols)):
             d, h = exact_factors(v, f0)
-            assert Fraction(d_dn) <= d <= Fraction(d_up), v
+            assert Fraction(d_dn) <= d, v
             assert Fraction(h_dn) <= h <= Fraction(h_up), v
+        if even:
+            assert rows.m_dn.size == rows.m_up.size == 0
+            continue
+        for v, m_dn, m_up in zip(values, rows.m_dn.tolist(), rows.m_up.tolist()):
+            assert Fraction(m_dn) <= m0 / v <= Fraction(m_up), v
 
 
 def test_z_beyond_int64_is_rejected():

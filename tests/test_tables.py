@@ -11,19 +11,23 @@ from oracles import smooth_rows
 from sigbound import engine
 from sigbound.arith import primes_upto
 from sigbound.dirround import ratio_dn, ratio_up
+from sigbound.moments import build_moment_table
 
 
 def odd_primes(y):
     return tuple(primes_upto(y).tolist()[1:])
 
 
-def density_base(odd):
-    """The directed base prod (p-2)/p over `odd`, as run_bounds folds it
-    into the odd side."""
-    base = Fraction(1)
+def odd_side_bases(odd):
+    """The density base prod (p-2)/p over `odd`, rounded DOWN, and the
+    directed mass base prod (p-1)/p over `odd`, as run_bounds starts the
+    odd side."""
+    base = mass = Fraction(1)
     for p in odd:
         base *= Fraction(p - 2, p)
-    return ratio_dn(base.numerator, base.denominator), ratio_up(base.numerator, base.denominator)
+        mass *= Fraction(p - 1, p)
+    return (ratio_dn(base.numerator, base.denominator),
+            (ratio_dn(mass.numerator, mass.denominator), ratio_up(mass.numerator, mass.denominator)))
 
 
 def assert_same_table(got, want):
@@ -46,24 +50,25 @@ def assert_same_table(got, want):
 ])
 def test_tables_match_the_direct_build(y, z, budget, used):
     odd = odd_primes(y)
-    b = engine._smooth_rows(odd, z, True, 1.0, 1.0, budget)
-    assert_same_table(b, smooth_rows(odd, z, True, 1.0, 1.0, budget))
+    b = engine._smooth_rows(odd, z, True, 1.0, (), budget)
+    assert_same_table(b, smooth_rows(odd, z, True, 1.0, (), budget))
     assert b[1] == used and b[0].value.size <= budget
+    assert b[0].m_dn.size == b[0].m_up.size == 0  # the b table carries no mass
     # sorted by class first, as _cell_tables builds the b table
     classes = engine._CLASS_PRIMES
-    assert_same_table(engine._smooth_rows(odd, z, True, 1.0, 1.0, budget, classes),
-                      smooth_rows(odd, z, True, 1.0, 1.0, budget, classes))
+    assert_same_table(engine._smooth_rows(odd, z, True, 1.0, (), budget, classes),
+                      smooth_rows(odd, z, True, 1.0, (), budget, classes))
     # the odd side over the b table's primes, as _cell_tables builds it
-    f0 = density_base(odd)
-    assert_same_table(engine._smooth_rows(odd[:used], z // 2, False, *f0),
-                      smooth_rows(odd[:used], z // 2, False, *f0))
+    f0, m0 = odd_side_bases(odd)
+    assert_same_table(engine._smooth_rows(odd[:used], z // 2, False, f0, m0),
+                      smooth_rows(odd[:used], z // 2, False, f0, m0))
 
 
 def test_b_table_build_peaks_below_one_and_a_half_times_its_size():
     odd = odd_primes(31)
     tracemalloc.start()
     try:
-        rows, _ = engine._smooth_rows(odd, 10**8, True, 1.0, 1.0, engine._ROW_BUDGET,
+        rows, _ = engine._smooth_rows(odd, 10**8, True, 1.0, (), engine._ROW_BUDGET,
                                       engine._CLASS_PRIMES)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -76,23 +81,25 @@ def test_a_blocks_build_peaks_below_twice_their_size():
     # at (101, 1e8) the b table keeps 15 of the 25 odd primes and the walk
     # over the other 10 yields two blocks
     odd, z = odd_primes(101), 10**8
-    _, used = engine._smooth_rows(odd, z, True, 1.0, 1.0, engine._ROW_BUDGET)
-    small, _ = engine._smooth_rows(odd[:used], z // 2, False, *density_base(odd))
-    blocks = engine._a_blocks(small, odd[used:], z)
+    _, used = engine._smooth_rows(odd, z, True, 1.0, (), engine._ROW_BUDGET)
+    small, _ = engine._smooth_rows(odd[:used], z // 2, False, *odd_side_bases(odd))
+    consts = engine._engine_consts(build_moment_table(101, 5), 101)
+    blocks = engine._a_blocks(consts, small, odd[used:], z)
     built = 0
     tracemalloc.start()
     try:
         while True:
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
-            rows = next(blocks, None)
-            if rows is None:
+            block = next(blocks, None)
+            if block is None:
                 break
             _, peak = tracemalloc.get_traced_memory()
-            size = sum(col.nbytes for col in rows)
+            rows, groups, _ = block
+            size = sum(col.nbytes for col in rows) + groups.nbytes
             assert peak - before <= 2 * size, (built, peak - before, size)
             built += 1
-            del rows
+            del block, rows, groups
     finally:
         tracemalloc.stop()
     assert used == 15 and built == 2
