@@ -28,13 +28,24 @@ _INT_RE = re.compile(r"(\d+)(?:[eE](\d+))?")
 
 def scaled_int(text: str) -> int:
     """Exact integer, optionally in scientific notation with an integer
-    mantissa ('1e13'); fractional mantissas are rejected."""
+    mantissa ('1e13'); fractional mantissas are rejected. A value of more
+    digits than Python's int-to-str limit (sys.get_int_max_str_digits, 4300
+    by default) is rejected before the power is formed, as plain digits
+    past that limit are: 10**(10**7) alone takes seconds."""
     m = _INT_RE.fullmatch(text.strip())
     if not m:
         raise argparse.ArgumentTypeError(
             f"expected an integer like 100000 or 1e5, got {text!r}"
         )
-    return int(m.group(1)) * 10 ** int(m.group(2) or 0)
+    mantissa, exponent = m.group(1).lstrip("0"), int(m.group(2) or 0)
+    if not mantissa:
+        return 0
+    limit = sys.get_int_max_str_digits()
+    if limit and len(mantissa) + exponent > limit:
+        raise argparse.ArgumentTypeError(
+            f"{text.strip()!r} has more than {limit} digits"
+        )
+    return int(mantissa) * 10**exponent
 
 
 def _outward(x: float, down: bool) -> float:

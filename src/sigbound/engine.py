@@ -7,23 +7,26 @@ progressions with an exactly computable density. Per cell, moment inequalities
 turn the abundancy ratio of a and b into certified bounds on how much of the
 cell satisfies the target inequality. The lower side sums them over all cells
 with ab <= z. The upper side charges the cells of each odd a <= z // 2 by
-group, k = min(v2(b), 3), each group at one read of the bound curve that
-bounds all its cells, enumerated or not, and takes off what each enumerated
-cell's own read saves against its group's (the tail lemma of moments); the
-cells of the a past z // 2 are charged at 1. That yields a bracket for the
-density of the whole set.
+group (k, C), k = min(v2(b), 3) and C the set of the first three odd primes
+<= y that divide b, each group at its closed-form mass and at one read of
+the bound curve that bounds all its cells, enumerated or not, and takes off
+what each enumerated cell's own read saves against its group's (the tail
+lemma of moments); the cells of the a past z // 2 are charged at 1. That
+yields a bracket for the density of the whole set.
 
 run_bounds evaluates the cells in numpy. It builds a table of even b values
 and the odd a side once per run, each row carrying its prime mask, directed
 density factor and directed abundancy, and each odd a its directed mass.
-Each a-side block's group reads and net charge are formed when the block is
-built. The b table is sorted by class, the
-set of the first three of its odd primes that divide b, and then by value,
-so that the candidate pairs (a, b) with b <= z // a, taken only from the b
-classes disjoint from a's own, are ranges of the table; they are cut into
-chunks. Per chunk it drops the pairs whose masks still intersect, computes
-each cell's directed terms, reads the grid slot of its abundancy ratio off
-the ratio's bits and the bound curve ru there (and, for the cells whose
+Each a-side block's net charge is formed when the block is built, from the
+24 groups' ratios and weights, tables that depend on y alone.
+The b table is sorted by class, the set of the first three of its odd
+primes that divide b, and then by value, so that the candidate pairs
+(a, b) with b <= z // a, taken only from the b classes disjoint from a's
+own, are ranges of the table; they are cut into chunks. Per chunk it drops
+the pairs whose masks still intersect, computes each cell's directed terms,
+reads the grid slot of its abundancy ratio off the ratio's bits and the
+bound curve ru there, reads its group's curve value from its group's ratio
+and h(a), in the same bits as the charge did (and, for the cells whose
 inverse ratio can reach the part of the curve below 1, forms the lower
 bound 1 - ru stepped down at that ratio), and sums the three totals
 (lower, saving, covered mass DOWN) exactly with exact_sum, each an
@@ -170,15 +173,24 @@ _CHUNK = 1 << 14
 # one of the other primes.
 _CLASS_PRIMES = 3
 
-# The cells of an odd a are charged in groups by k = min(v2(b), _V2_CAP),
-# each at the curve read at h(2^k)/h(a) (see _group_reads and the tail lemma
-# of moments).
+# The cells of an odd a are charged in groups (k, C) by k = min(v2(b),
+# _V2_CAP) and the set C of the group primes, the first _GROUP_PRIMES odd
+# primes <= y, that divide b; each is read at h(2^k) prod_{p in C} h(p) /
+# h(a) (see _group_tables and the tail lemma of moments). Group g is
+# (k - 1) << _GROUP_PRIMES | C, bit j of C for the j-th odd prime, as in the
+# masks. Fixed by y alone, the groups move with neither the split of the
+# primes between the b table and the a side nor _CLASS_PRIMES. With no
+# group prime the groups are those of k alone. Three group primes narrowed
+# deep's width from 1.13e-3 to 9.58e-4; four reach 9.25e-4 and five
+# 9.01e-4, for twice and four times the groups.
 _V2_CAP = 3
+_GROUP_PRIMES = 3
 
 
 class _Consts(NamedTuple):
-    """The z-independent engine state: the odd primes <= y, the bound curve
-    and where its lower side starts.
+    """The z-independent engine state: the odd primes <= y, the bound curve,
+    where its lower side starts, and the groups' ratios and weights (see
+    _group_tables).
 
     ru_at is the bound curve on the grid behind a sentinel 1: index
     _slot(q) reads it at the largest grid point <= q, or the trivial 1
@@ -192,6 +204,8 @@ class _Consts(NamedTuple):
     odd: tuple[int, ...]
     ru_at: np.ndarray
     q_lower: float
+    group_h: np.ndarray
+    group_w: np.ndarray
 
 
 def _grid(start: int = 0) -> np.ndarray:
@@ -232,12 +246,97 @@ def _engine_consts(table: MomentTable, y: int) -> _Consts:
         above[...] = bound_curves(table, _grid(_ONE_SLOT + 1))
     np.minimum(above, 0.5, out=above)
     k = int(np.argmax(ru < 1.0))  # ru is non-increasing
+    group_h, group_w = _group_tables(odd)
     return _Consts(
         odd=odd,
         ru_at=_read_only(ru_at),
         # q > q_lower >= 1/(point k) gives w <= 1/q < point k
         q_lower=up_div(1.0, float(_grid(k)[0])) if ru[k] < 1.0 else 0.0,
+        group_h=_read_only(group_h),
+        group_w=_read_only(group_w),
     )
+
+
+def _group_tables(odd: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The ratios and the weights of the groups (k, C) of the tail lemma of
+    moments, for the odd primes `odd`, with G the first _GROUP_PRIMES of
+    them and group g = (k - 1) << _GROUP_PRIMES | C (bit j of C for G[j]).
+
+    h[g] is h(2^k) prod_{p in C} (p+1)/p rounded DOWN, at most h(b) for
+    every b of the group. w[A, g] is the share of M(a) that group g holds
+    for the odd a divisible by the primes of G in A and by no other,
+    rounded UP: 2^-k (2^-(_V2_CAP-1) at k = _V2_CAP), times 1/(p-1) for
+    each p in C and (p-2)/(p-1) for each p of G in neither C nor A. It is 0
+    where C meets A, or names a prime past G: the group holds no cell.
+    """
+    gp = odd[:_GROUP_PRIMES]
+    n = 1 << _GROUP_PRIMES
+    h = np.empty(_V2_CAP * n)
+    w = np.zeros((n, h.size))
+    for g in range(h.size):
+        k, C = (g >> _GROUP_PRIMES) + 1, g & (n - 1)
+        num, den = 2 ** (k + 1) - 1, 2**k
+        for j, p in enumerate(gp):
+            if C >> j & 1:
+                num, den = num * (p + 1), den * p
+        h[g] = ratio_dn(num, den)
+        if C >> len(gp):
+            continue
+        for A in range(n):
+            if C & A:
+                continue
+            num, den = 1, 2 ** min(k, _V2_CAP - 1)
+            for j, p in enumerate(gp):
+                if C >> j & 1:
+                    den *= p - 1
+                elif not A >> j & 1:
+                    num, den = num * (p - 2), den * (p - 1)
+            w[A, g] = ratio_up(num, den)
+    return h, w
+
+
+def _group_read(consts: _Consts, h, h_a: np.ndarray) -> np.ndarray:
+    """The curve read of a group of ratio h (from consts.group_h, one or one
+    per a) for the odd a with h(a) <= h_a: ru at ulp_dn(h / h_a), at most
+    the q of every cell of the group. The charge (see _group_charge) and the
+    cells (see _chunk_sums) read it here, in the same bits.
+
+    This is ru_at[_slot(ulp_dn(x))], x = h / h_a > 0, formed in place: the
+    bits of ulp_dn(x) are those of x less 1, and take's clip mode is
+    _slot's clip."""
+    s = np.divide(h, h_a).view(np.int64)
+    s -= _SLOT_BASE + 1
+    s >>= _GRID_SHIFT
+    return consts.ru_at.take(s, mode="clip")
+
+
+def _group_charge(consts: _Consts, h_a: np.ndarray, a_grp: np.ndarray,
+                  m_dn: np.ndarray, m_up: np.ndarray) -> int:
+    """The exact net charge of the odd a with h(a) <= h_a, mass
+    m_dn <= M(a) <= m_up and the group primes a_grp dividing them (uint8,
+    bit j for the j-th odd prime): the sum of the group charges M_up w c,
+    w = consts.group_w[A, g] and c the group's read (see _group_read), over
+    the groups g of nonzero weight, less the mass M_dn, in units of
+    2**-1074. Each product steps UP where it may be inexact: M_up w unless
+    every w of A is a power of 2 (as at y <= 3), (M_up w) c unless c = 1.
+    The a are taken by A, all groups at once, in steps of about _CHUNK
+    terms, as many as a chunk's cells (see _chunk_sums)."""
+    charge = -exact_sum(m_dn)
+    for A in np.flatnonzero(np.bincount(a_grp)).tolist():
+        live = np.flatnonzero(consts.group_w[A])
+        w = consts.group_w[A, live, None]
+        exact = bool(np.all(np.frexp(w)[0] == 0.5))
+        sel = np.flatnonzero(a_grp == A)
+        step = max(1, _CHUNK // live.size)
+        for s in range(0, sel.size, step):
+            part = sel[s:s + step]
+            c = _group_read(consts, consts.group_h[live, None], h_a[part])
+            mc = np.multiply(m_up[part], w)
+            if not exact:
+                ulp_up(mc)
+            ulp_up(np.multiply(mc, c, out=mc), c < 1.0)
+            charge += exact_sum(mc.ravel())
+    return charge
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -371,8 +470,9 @@ def _smooth_rows(odd, limit: int, even: bool, f0: float, m0: tuple = (),
 
 
 def _a_blocks(consts: _Consts, small: _Rows, rest: tuple, z: int):
-    """The a side of every cell, in blocks of about _ROW_BUDGET rows, each
-    with its group reads and net charge (see _group_charge), read-only.
+    """The a side of every cell, in blocks of about _ROW_BUDGET rows: each
+    block is (rows, h_a, t_grp, charge), read-only, with charge its net
+    charge (see _group_charge).
 
     With S the primes of the b table, a cell (a, b) splits as a = c*m and
     b = s*t: c and s are S-smooth, m and t are coprime and built from the
@@ -380,15 +480,22 @@ def _a_blocks(consts: _Consts, small: _Rows, rest: tuple, z: int):
     (m, t) with m*t <= z//2; each visit emits a row per c in `small` (the odd
     S-smooth numbers, sorted, base folded in) with c*m*t <= z//2, with value
     c*m*t, c's mask, density factor d(c) F(m)F(t)/(mt) and abundancy
-    h(c) h(m)/h(t). Every row reads the groups of its a = c*m, whatever its
-    t, and a's charge is taken once, at the visit with t = 1, with the mass
-    M(c)/m: so the split moves the groups of no cell. When S holds every
-    prime, the one visit is (1, 1) and the block is `small` itself.
+    h(c) h(m)/h(t). Each row carries in h_a the UP bound on h(a) of its
+    a = c*m at which a's groups are read, the same bits on every row of a,
+    and in t_grp the group primes dividing its t (see _group_tables): a cell
+    of the row is in group (k, C) with C that of s joined with t_grp. a's
+    charge is taken once, at the visit with t = 1, with the mass M(c)/m: so
+    the split moves the groups of no cell. When S holds every prime, the one
+    visit is (1, 1), the block is `small` itself, h_a is its h_up and t_grp
+    is all 0.
     """
     lim = z // 2
+    c_grp = _classes(small, (1 << _GROUP_PRIMES) - 1)
     if not rest:
-        c = _group_reads(consts, small.h_up)
-        yield small.read_only(), _read_only(c.ravel()), _group_charge(c, small.m_dn, small.m_up)
+        small = small.read_only()
+        t_grp = _read_only(np.zeros(small.value.size, np.uint8))
+        yield small, small.h_up, t_grp, _group_charge(consts, small.h_up, c_grp,
+                                                      small.m_dn, small.m_up)
         return
 
     def walk(i, m, t, sm, st, fnum, fden):
@@ -411,17 +518,18 @@ def _a_blocks(consts: _Consts, small: _Rows, rest: tuple, z: int):
         pending.append((*visit, k))
         size += k
         if size >= _ROW_BUDGET:
-            yield _a_block(consts, small, pending, size)
+            yield _a_block(consts, small, c_grp, pending, size)
             pending, size = [], 0
     if pending:
-        yield _a_block(consts, small, pending, size)
+        yield _a_block(consts, small, c_grp, pending, size)
 
 
-def _a_block(consts: _Consts, small: _Rows, visits: list, size: int):
+def _a_block(consts: _Consts, small: _Rows, c_grp: np.ndarray, visits: list, size: int):
     """The rows of the (m, t, sm, st, fnum, fden, k) `visits`, written
     straight into one block of `size` rows (see _a_blocks): the first k rows
     of `small` each, scaled by m*t, so the build holds little beyond the
-    block. Returns the block, its group reads and its net charge."""
+    block. c_grp is the group primes of each row of `small`. Returns the
+    block, its h_a and t_grp columns and its net charge."""
     empty = np.empty(0)
     block = _Rows(
         np.empty(size, np.int64),
@@ -430,12 +538,14 @@ def _a_block(consts: _Consts, small: _Rows, visits: list, size: int):
         empty,
         empty,
     )
-    c = np.empty((size, _V2_CAP))
-    charge = 0
+    h_a, t_grp = np.empty(size), np.empty(size, np.uint8)
+    gp = consts.odd[:_GROUP_PRIMES]
+    own = []  # the a of the visits with t = 1: (h_a, group primes, m_dn, m_up)
     o = 0
     for m, t, sm, st, fnum, fden, k in visits:
         rows = _Rows(*(col[..., o:o + k] for col in block))
-        cr = c[o:o + k]
+        ha = h_a[o:o + k]
+        t_grp[o:o + k] = sum(1 << j for j, p in enumerate(gp) if t % p == 0)
         o += k
         mt = m * t
         if mt == 1:
@@ -447,27 +557,31 @@ def _a_block(consts: _Consts, small: _Rows, visits: list, size: int):
             ulp_dn(np.multiply(small.d_dn[:k], ratio_dn(fnum, fden * mt), out=rows.d_dn))
             ulp_dn(np.multiply(small.h_dn[:k], ratio_dn(sm * t, m * st), out=rows.h_dn))
             ulp_up(np.multiply(small.h_up[:k], ratio_up(sm * t, m * st), out=rows.h_up))
-        # the groups of a = c*m, and its charge at its own visit, t = 1
-        h_a = rows.h_up if t == 1 else ulp_up(small.h_up[:k] * ratio_up(sm, m))
-        cr[...] = _group_reads(consts, h_a)
+        if m == 1:
+            ha[...] = small.h_up[:k]
+        else:
+            ulp_up(np.multiply(small.h_up[:k], ratio_up(sm, m), out=ha))
         if t == 1:
+            m_grp = sum(1 << j for j, p in enumerate(gp) if m % p == 0)
             m_dn, m_up = small.m_dn[:k], small.m_up[:k]
             if m > 1:
                 m_dn, m_up = ulp_dn(m_dn * ratio_dn(1, m)), ulp_up(m_up * ratio_up(1, m))
-            charge += _group_charge(cr, m_dn, m_up)
-    return block.read_only(), _read_only(c.ravel()), charge
+            own.append((ha, c_grp[:k] | np.uint8(m_grp), m_dn, m_up))
+    charge = _group_charge(consts, *map(np.concatenate, zip(*own))) if own else 0
+    return block.read_only(), _read_only(h_a), _read_only(t_grp), charge
 
 
 class _Chunk(NamedTuple):
     """Candidate rows: for each range k, a-side row a[k] of `rows` against
     the b-table rows j_lo[k] <= j < j_hi[k], b values of one class disjoint
-    from the row's own and at most z // the row's value. groups holds the
-    block's group reads (see _group_reads), _V2_CAP per row, and b_group
-    each b-table row's group, min(v2(b), _V2_CAP) - 1. charge is the block's
-    net charge on its first chunk and 0 on the others."""
+    from the row's own and at most z // the row's value. h_a and t_grp are
+    the block's columns (see _a_blocks), and b_group is each b-table row's
+    group (see _group_tables), of the C its own primes make. charge is the
+    block's net charge on its first chunk and 0 on the others."""
 
     rows: _Rows
-    groups: np.ndarray
+    h_a: np.ndarray
+    t_grp: np.ndarray
     b_group: np.ndarray
     charge: int
     a: np.ndarray
@@ -499,37 +613,10 @@ def _cell_tables(consts: _Consts, z: int):
     return b, _chunks(blocks, b, (1 << min(used, _CLASS_PRIMES)) - 1, z)
 
 
-def _group_reads(consts: _Consts, h_up: np.ndarray) -> np.ndarray:
-    """The group reads of the odd a with h(a) <= h_up, one row of _V2_CAP
-    per a (the tail lemma of moments).
-
-    Group (a, k) holds a's cells with min(v2(b), _V2_CAP) = k, and each of
-    them has q >= h(2^k)/h(a); so the curve read at the DOWN bound
-    ulp_dn(h_dn(2^k) / h_up) bounds them all.
-    """
-    c = np.empty((h_up.size, _V2_CAP))
-    for k in range(1, _V2_CAP + 1):
-        c[:, k - 1] = consts.ru_at[_slot(ulp_dn(ratio_dn(2 ** (k + 1) - 1, 2**k) / h_up))]
-    return c
-
-
-def _group_charge(c: np.ndarray, m_dn: np.ndarray, m_up: np.ndarray) -> int:
-    """The exact net charge of the a with group reads c (see _group_reads)
-    and mass m_dn <= M(a) <= m_up: the sum of the group charges
-    M_up 2^-k c, each stepped UP (2^-k is exact, and c = 1 is), over the
-    groups k, of mass M 2^-k, or M 2^-(_V2_CAP-1) at k = _V2_CAP, less the
-    mass M_dn, in units of 2**-1074."""
-    charge = -exact_sum(m_dn)
-    for k in range(1, _V2_CAP + 1):
-        ck = c[:, k - 1]
-        mc = np.multiply(m_up, 2.0 ** -min(k, _V2_CAP - 1))
-        charge += exact_sum(ulp_up(np.multiply(mc, ck, out=mc), ck < 1.0))
-    return charge
-
-
 def _classes(rows: _Rows, cmask: int) -> np.ndarray:
-    """Each row's class, as uint8: its mask bits under cmask, i.e. the set
-    of the b table's class primes (its first odd primes) dividing its value."""
+    """Each row's mask bits under cmask, as uint8: the set of the odd
+    primes of those bits that divide its value, of the b table's class
+    primes (its first odd primes) or of the group primes."""
     return (rows.mask[0] & np.uint64(cmask)).astype(np.uint8)
 
 
@@ -562,11 +649,11 @@ def _chunks(blocks, b: _Rows, cmask: int, z: int):
     block carries the block's net charge (see _group_charge): every row has
     value <= z // 2, so b = 2 pairs with it and every block has a chunk."""
     bounds = np.searchsorted(_classes(b, cmask), np.arange(cmask + 2))
-    b_group = np.zeros(b.value.size, np.uint8)
+    k = np.zeros(b.value.size, np.uint8)  # min(v2(b), _V2_CAP) - 1
     for j in range(2, _V2_CAP + 1):
-        b_group += (b.value & ((1 << j) - 1)) == 0
-    b_group = _read_only(b_group)
-    for rows, groups, charge in blocks:
+        k += (b.value & ((1 << j) - 1)) == 0
+    b_group = _read_only(k << np.uint8(_GROUP_PRIMES) | _classes(b, (1 << _GROUP_PRIMES) - 1))
+    for rows, h_a, t_grp, charge in blocks:
         for a, lo, cnt in _ranges(rows, b, bounds, cmask, z):
             ends = np.cumsum(cnt)
             s = 0
@@ -576,7 +663,8 @@ def _chunks(blocks, b: _Rows, cmask: int, z: int):
                 starts = ends[r0:r1] - cnt[r0:r1]
                 yield _Chunk(
                     rows,
-                    groups,
+                    h_a,
+                    t_grp,
                     b_group,
                     charge,
                     a[r0:r1],
@@ -597,20 +685,24 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
 
     Every cell reads ru at q, a DOWN bound on h(b)/h(a), and saves
     dens_dn (c - ru) stepped DOWN, or 0 where c <= ru, off its group's read
-    c (the tail lemma of moments). Its lower bound rl = ulp_dn(1 - ru) is
-    read at w, a DOWN bound on h(a)/h(b) <= 1/q, and is +0.0 unless w
-    reaches the first grid point where ru < 1, so w and rl are formed for
-    the cells with q <= consts.q_lower alone. Each sum is taken as soon as
-    its terms are formed, and the savings overwrite the group reads: the
-    chunk's arrays set the run's peak memory.
+    c, in the bits its a's charge read it (see _group_read and the tail
+    lemma of moments). Its lower bound rl = ulp_dn(1 - ru) is read at w, a
+    DOWN bound on h(a)/h(b) <= 1/q, and is +0.0 unless w reaches the first
+    grid point where ru < 1, so w and rl are formed for the cells with
+    q <= consts.q_lower alone. Each sum is taken as soon as its terms are
+    formed, and the savings overwrite the group reads: the chunk's arrays
+    set the run's peak memory.
     """
     rows = ch.rows
     ai, bi = _coprime_pairs(b, ch)
     dens_dn = ulp_dn(rows.d_dn[ai] * b.d_dn[bi])
     covered = exact_sum(dens_dn)
-    q = ulp_dn(b.h_dn[bi] / rows.h_up[ai])  # <= h(b)/h(a)
+    g = ch.b_group.take(bi)  # b = s t: C joins the group primes of s and of t
+    g |= ch.t_grp.take(ai)
+    gap = _group_read(consts, consts.group_h.take(g), ch.h_a.take(ai))
+    h = rows.h_up[ai]  # h(a), or h(a)/h(t) on the walk's rows
+    q = ulp_dn(np.divide(b.h_dn[bi], h, out=h))  # <= h(b)/h(a)
     ru = consts.ru_at[_slot(q)]
-    gap = ch.groups[ai * _V2_CAP + ch.b_group[bi]]
     ulp_dn(np.maximum(np.subtract(gap, ru, out=gap), 0.0, out=gap))
     saving = exact_sum(ulp_dn(np.multiply(dens_dn, gap, out=gap)))
     low = np.flatnonzero(q <= consts.q_lower)
@@ -699,7 +791,8 @@ def run_bounds(
     if z < 2:
         raise InvalidParameterError(f"z must be >= 2, got {z}")
     if z >= 2**63:
-        raise InvalidParameterError(f"z must be below 2**63, got {z}")
+        # a z past the int-to-str limit cannot be formatted
+        raise InvalidParameterError(f"z must be below 2**63, got a {z.bit_length()}-bit z")
     if r_max < 1:
         raise InvalidParameterError(f"r_max must be >= 1, got {r_max}")
     if threads < 1:

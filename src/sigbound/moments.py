@@ -76,28 +76,42 @@ The tail lemma. The engine charges the upper side by groups of cells, each
 at one read of its curve U (non-increasing in q, and bounding the share of
 every cell at q <= h(b)/h(a)), whether or not the cells are enumerated. The
 cells of an odd y-smooth a are the (a, b) with b even, y-smooth and coprime
-to a.
+to a. Let G be the group primes, the first three odd primes <= y (fewer
+for y < 7), and A the primes of G dividing a.
 1. Mass. The cell density (2/ab) prod_{p|ab} (1-1/p) prod_{p∤ab} (1-2/p)
    factors over the primes. Summed over b, the power 2^k of 2 in b gives
    2^-k, and an odd p not dividing a gives
-   (1 - 2/p) + sum_{j>=1} (1 - 1/p)/p^j = 1 - 1/p. So the cells of a hold
-   M(a) = (1/a) prod_{odd p<=y} (1 - 1/p), and those with v2(b) = k hold
-   M(a) 2^-k. The cells partition the integers, so the M(a) add to 1.
-2. One read per group. h is multiplicative, at least 1, and h(2^j) grows
-   with j, so a cell with v2(b) >= k has h(b) >= h(2^k), and
-   q = h(b)/h(a) >= h(2^k)/h(a). U is non-increasing, so its read c at
-   h(2^k)/h(a) bounds the share of every cell of a with v2(b) >= k.
-3. The charge. Group the cells of a by k = min(v2(b), K): group k holds
-   M(a) 2^-k for k < K and M(a) 2^-(K-1) at k = K. A cell's share is at
-   most its group's c and at most its own read ru, so at most
-   min(c, ru) = c - max(0, c - ru). So the density is at most
-   sum_groups M c - sum_{enumerated cells} dens max(0, c - ru)
+   (1 - 2/p) + sum_{j>=1} (1 - 1/p)/p^j = (1 - 2/p) + 1/p = 1 - 1/p,
+   of which 1/p comes from the b that p divides. So the cells of a hold
+   M(a) = (1/a) prod_{odd p<=y} (1 - 1/p), the M(a) add to 1 (the cells
+   partition the integers), and, relative to M(a), the events v2(b) = k
+   and p | b for the odd p not dividing a are independent, with
+   P(v2(b) = k) = 2^-k, P(p | b) = (1/p)/(1 - 1/p) = 1/(p-1) and
+   P(p ∤ b) = (1 - 2/p)/(1 - 1/p) = (p-2)/(p-1). A p of A divides no b.
+2. The groups. Group the cells of a by (k, C), k = min(v2(b), K) and C the
+   set of primes of G dividing b. Group (k, C) holds M(a) w(k, C), with
+   w(k, C) = 2^-k (2^-(K-1) at k = K) prod_{p in C} 1/(p-1)
+   prod_{p in G, p not in C or A} (p-2)/(p-1),
+   and nothing where C meets A. For each A the w add to 1: the factors of
+   k and of each p of G outside A are laws that add to 1.
+3. One read per group. h is multiplicative, at least 1, and h(p^j) grows
+   with j. In a cell of group (k, C), 2^k and each p in C divide b, so
+   h(b) >= h(2^k) prod_{p in C} h(p) = H(k, C), with h(p) = (p+1)/p, and
+   q = h(b)/h(a) >= H(k, C)/h(a). U is non-increasing, so its read c at
+   H(k, C)/h(a) bounds the share of every cell of the group.
+4. The charge. A cell's share is at most its group's c and at most its own
+   read ru, so at most min(c, ru) = c - max(0, c - ru). So the density is
+   at most sum_groups M w c - sum_{enumerated cells} dens max(0, c - ru)
    + (1 - sum_a M(a)), where the last term charges the a left out at 1.
-The engine takes K = 3 and the a <= z // 2, which hold every cell with
-ab <= z (b >= 2). Where its b table leaves odd primes to the a side, the
-engine enumerates the cells of an a on several rows, one per odd part t of
-b built from those primes; every such row reads a's groups, and a's charge
-is taken once.
+   The bound holds as well with any c' <= c in the saving, as
+   c - max(0, c' - ru) >= min(c, ru), but not with a c' > c: a cell must
+   read its group at the charge's ratio or above it.
+The engine takes K = 3, the a <= z // 2, which hold every cell with ab <= z
+(b >= 2), and rounds w UP and H DOWN. Where its b table leaves odd primes
+to the a side, the engine enumerates the cells of an a on several rows, one
+per odd part t of b built from those primes; every such row reads a's
+groups, each cell that of its own b, and a's charge is taken once. G is
+fixed by y alone, so the split moves no group.
 """
 from __future__ import annotations
 

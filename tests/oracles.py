@@ -4,6 +4,7 @@ None of this runs in the library: these are slow, direct forms of what the
 production path computes in bulk (cells one at a time, moment bounds one
 order at a time, per-cell r searches, exact divisor sums).
 """
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -343,6 +344,41 @@ def enumerate_cells(y, z):
             for m in iter_smooth(rest, limit // v2):
                 yield a, v2 * m
             v2 *= 2
+
+
+def group_primes(y):
+    """The group primes of the tail lemma (see `sigbound.moments`): the first
+    three odd primes <= y."""
+    return primes_upto(y).tolist()[1:4]
+
+
+def tail_group(y, b):
+    """The group (k, C) of the tail lemma that holds the cells (a, b):
+    k = min(v2(b), 3) and C the group primes dividing b."""
+    return (min((b & -b).bit_length() - 1, 3),
+            frozenset(p for p in group_primes(y) if b % p == 0))
+
+
+def tail_groups(y, a):
+    """The groups (k, C) of the cells of the odd a, C made of the group
+    primes not dividing a, each with (ratio, share): its ratio
+    h(2^k) prod_{p in C} (p+1)/p, at most h(b) for each of its b, and the
+    share of M(a) it holds, 2^-k (2^-2 at k = 3) times, per group prime p
+    not dividing a, 1/(p-1) if p is in C and (p-2)/(p-1) if not."""
+    free = [p for p in group_primes(y) if a % p]
+    groups = {}
+    for k in (1, 2, 3):
+        for n in range(len(free) + 1):
+            for C in itertools.combinations(free, n):
+                ratio, share = Fraction(2 ** (k + 1) - 1, 2**k), Fraction(1, 2 ** min(k, 2))
+                for p in free:
+                    if p in C:
+                        ratio *= Fraction(p + 1, p)
+                        share /= p - 1
+                    else:
+                        share *= Fraction(p - 2, p - 1)
+                groups[k, frozenset(C)] = ratio, share
+    return groups
 
 
 def _divides_exactly(pk, p, m):

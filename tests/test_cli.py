@@ -34,6 +34,24 @@ class TestScaledInt:
             with pytest.raises(argparse.ArgumentTypeError):
                 scaled_int(bad)
 
+    def test_rejects_more_digits_than_the_str_limit_at_once(self, capsys):
+        # the same limit as plain digits, checked before the power is
+        # formed: 10**(10**7) alone took 14 s, and a z of 5001 digits made
+        # run_bounds' error message raise ValueError (exit 1, a traceback)
+        import argparse
+
+        limit = sys.get_int_max_str_digits()
+        assert scaled_int(f"1e{limit - 1}") == 10 ** (limit - 1)
+        assert scaled_int("0e10000000") == 0
+        for bad in (f"1e{limit}", "1e10000000", "12e4299"):
+            with pytest.raises(argparse.ArgumentTypeError, match="digits"):
+                scaled_int(bad)
+        for z in ("1e10000000", "1e5000", f"1e{limit - 1}"):
+            t0 = time.perf_counter()
+            code, out, err = run_cli(capsys, "bounds", "--z", z)
+            assert code == 2 and out == "" and "Traceback" not in err, z
+            assert time.perf_counter() - t0 < 1.0, z
+
 
 class TestExitCodes:
     def test_success(self, capsys):

@@ -16,6 +16,8 @@ from oracles import (
     local_cell_density,
     pair_bounds,
     solve_progression,
+    tail_group,
+    tail_groups,
 )
 from sigbound import counting, engine
 from sigbound.arith import primes_upto
@@ -356,26 +358,28 @@ class TestCellAudit:
 
     def test_tail_groups_hold_on_exact_counts(self, audit_cells, table_y1009_r200):
         # the tail lemma of moments on exact counts: the cells with ab > z
-        # of each group (a, min(v2(b), 3)), pooled, hold hits <= c * members
-        # plus a binomial slack of five standard deviations and one member,
-        # c the folded curve read at h(2^k)/h(a), rounded DOWN, as
-        # _group_reads reads it. At x = 1e6 and z = 1000, 485 groups have
-        # at least 100 members and 388 of them read c < 1/2; six pass
-        # c * members, none by more than 1.72 standard deviations.
+        # of each group (a, k, C) (oracles.tail_group), pooled, hold
+        # hits <= c * members plus a binomial slack of five standard
+        # deviations and one member, c the folded curve read at the group's
+        # ratio over h(a), rounded DOWN, as _group_read reads it. At x = 1e6
+        # and z = 1000, 710 groups of 150 a have at least 100 members and
+        # 635 of them read c < 1/2; nine pass c * members, none by more than
+        # 2.39 standard deviations. Grouped by k alone, 485 groups had 100
+        # members, and six passed, by at most 1.72.
         _, members, hits, cells = audit_cells
         z = 1000
         ru_at = _engine_consts(table_y1009_r200, 31).ru_at
         pooled = {}
         for (a, b), m, h in zip(cells, members.tolist(), hits.tolist()):
             if a * b > z:
-                key = a, min((b & -b).bit_length() - 1, 3)
+                key = a, tail_group(31, b)
                 got, of = pooled.get(key, (0, 0))
                 pooled[key] = got + h, of + m
         keys = [key for key, (_, of) in pooled.items() if of >= 100]
-        q = [Fraction(2 ** (k + 1) - 1, 2**k) / abundancy(factorize(a)) for a, k in keys]
+        q = [tail_groups(31, a)[group][0] / abundancy(factorize(a)) for a, group in keys]
         c = ru_at[_slot(np.array([ratio_dn(r.numerator, r.denominator) for r in q]))]
         got, of = (np.array([pooled[key][i] for key in keys]) for i in (0, 1))
-        assert len(keys) >= 485 and np.count_nonzero(c < 0.5) >= 388
+        assert len(keys) >= 710 and np.count_nonzero(c < 0.5) >= 635
         assert np.all(got <= c * of + 5 * np.sqrt(of * c * (1 - c)) + 1)
 
 
@@ -569,9 +573,10 @@ class TestRunBounds:
 
     def test_grid_path_close_to_reference_scan(self, table_y31_r200):
         # the upper side as the tail lemma of moments charges it: per odd a
-        # <= z // 2 and k = min(v2(b), 3), the mass M(a) 2^-k (2^-2 at k =
-        # 3) at the scan's bound c at h(2^k)/h(a), less each cell's
-        # max(0, dens c - its own bound), plus the mass of the larger a at 1
+        # <= z // 2 and group (k, C) (oracles.tail_groups), the mass M(a)
+        # times the group's share at the scan's bound c at the group's
+        # ratio over h(a), less each cell's max(0, dens c - its own bound),
+        # plus the mass of the larger a at 1
         lo_ref = up_ref = 0.0
         odd = primes_upto(31).tolist()[1:]
         base = math.prod(Fraction(p - 1, p) for p in odd)
@@ -581,14 +586,14 @@ class TestRunBounds:
             ha = abundancy(factorize(a))
             pb = pair_bounds(dens, table_y31_r200, ha, abundancy(factorize(b)))
             if a not in groups:
-                groups[a] = [pair_bounds(Fraction(1), table_y31_r200, ha,
-                                         Fraction(2 ** (k + 1) - 1, 2**k)).upper.value
-                             for k in (1, 2, 3)]
-            c = groups[a][min((b & -b).bit_length() - 1, 3) - 1]
+                groups[a] = {key: (share, pair_bounds(Fraction(1), table_y31_r200, ha,
+                                                      ratio).upper.value)
+                             for key, (ratio, share) in tail_groups(31, a).items()}
+            c = groups[a][tail_group(31, b)][1]
             lo_ref += pb.lower.value
             up_ref -= max(0.0, float(dens) * c - pb.upper.value)
-        for a, (c1, c2, c3) in groups.items():
-            up_ref += float(base / a) * (c1 / 2 + c2 / 4 + c3 / 4 - 1)
+        for a, reads in groups.items():
+            up_ref += float(base / a) * (sum(float(share) * c for share, c in reads.values()) - 1)
         up_ref += 1.0
         r = run_bounds(31, 10**4, 200, threads=1, table=table_y31_r200)
         assert r.lower_total.value == pytest.approx(lo_ref, rel=2e-3)

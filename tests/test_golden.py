@@ -2,12 +2,14 @@
 curves.
 
 The totals were taken when the upper side came to charge every a-side row's
-cells by group, each group at one read of the bound curve (the tail lemma of
-`sigbound.moments`), where it had charged the unenumerated tail at 1; a run
-given no table folds the primes in (y, 1009] into its bound curve (the fold
-lemma), and a run given a table at y folds nothing, and each is pinned. Six
-earlier sets of totals stay pinned as outer bounds, each at least as loose
-as the one after it: those of the folded curve with the tail at 1; those of
+cells by group (k, C), k = min(v2(b), 3) and C the first three odd primes
+that divide b, each group at one read of the bound curve (the tail lemma of
+`sigbound.moments`); a run given no table folds the primes in (y, 1009]
+into its bound curve (the fold lemma), and a run given a table at y folds
+nothing, and each is pinned. Seven earlier sets of totals stay pinned as
+outer bounds, each at least as loose as the one after it: those of the
+groups by k alone, for both kinds of run; those of the folded curve with
+the tail at 1; those of
 the curve capped at 1/2 (the symmetry lemma) that folded nothing, also the
 outer bounds of the pins of a table at y, and whose curve digests stay
 pinned on the grid points above 1; those of the uncapped curve, taken when the ratio grid became the
@@ -34,27 +36,39 @@ import struct
 import numpy as np
 import pytest
 
+from sigbound import engine
 from sigbound.dirround import ulp_dn
 from sigbound.engine import _ONE_SLOT, _engine_consts, _grid, run_bounds
 from sigbound.moments import bound_curves, build_moment_table
 
 TOTALS = ("lower_total", "upper_total", "covered_lo")
 
-GOLDEN_31 = ("0x1.aab428728353ap-5", "0x1.dcaedcac8a188p-5",
+GOLDEN_31 = ("0x1.aab428728353ap-5", "0x1.d10342f9a9561p-5",
              "0x1.f21b4df9c19e8p-1")
-GOLDEN_353 = ("0x1.ccb68480ffb18p-6", "0x1.18d3785eef8f9p-3",
+GOLDEN_353 = ("0x1.ccb68480ffb18p-6", "0x1.0b42b547e0d40p-3",
               "0x1.331ad00ec0cccp-1")
-# y = 2 has no odd prime: one b class, one mask word of zeros. y = 3 has one.
-# At y = 2 with z = 1e15 every cell but a tail of 2e-15 is summed, so the
-# group charge moves the upper end by no more than that.
+# y = 2 has no odd prime: one b class, one mask word of zeros, and no group
+# prime, so its groups are those of k alone. y = 3 has one. At y = 2 with
+# z = 1e15 every cell but a tail of 2e-15 is summed, so the group charge
+# moves the upper end by no more than that.
 GOLDEN_2 = ("0x1.bc884657c0b53p-5", "0x1.c30c3957672c8p-5", "0x1.fffffffffffeep-1")
-GOLDEN_3 = ("0x1.bd0202f0a2ffcp-5", "0x1.c2e08a12c790bp-5", "0x1.fffcce11ac84fp-1")
+GOLDEN_3 = ("0x1.bd0202f0a2ffcp-5", "0x1.c2e088acb610bp-5", "0x1.fffcce11ac84fp-1")
 
 # The totals of a table at y, the capped curve that folds nothing.
-AT_Y_31 = ("0x1.808844838a5c0p-5", "0x1.073475376d7dbp-4", "0x1.f21b4df9c19e8p-1")
-AT_Y_353 = ("0x1.cb0ab34044c32p-6", "0x1.19639e6f25b0fp-3", "0x1.331ad00ec0cccp-1")
+AT_Y_31 = ("0x1.808844838a5c0p-5", "0x1.00cd9c7440c2dp-4", "0x1.f21b4df9c19e8p-1")
+AT_Y_353 = ("0x1.cb0ab34044c32p-6", "0x1.0bb3aab5d7e37p-3", "0x1.331ad00ec0cccp-1")
 AT_Y_2 = ("0x0.0p+0", "0x1.3339afe3f4281p-2", "0x1.fffffffffffeep-1")
-AT_Y_3 = ("0x0.0p+0", "0x1.01ee2f03c209bp-3", "0x1.fffcce11ac84fp-1")
+AT_Y_3 = ("0x0.0p+0", "0x1.01ee2b7e6aefap-3", "0x1.fffcce11ac84fp-1")
+
+# The totals of the groups by k alone, with no table and with a table at y.
+KGROUP_31 = ("0x1.aab428728353ap-5", "0x1.dcaedcac8a188p-5",
+             "0x1.f21b4df9c19e8p-1")
+KGROUP_353 = ("0x1.ccb68480ffb18p-6", "0x1.18d3785eef8f9p-3",
+              "0x1.331ad00ec0cccp-1")
+KGROUP_3 = ("0x1.bd0202f0a2ffcp-5", "0x1.c2e08a12c790bp-5", "0x1.fffcce11ac84fp-1")
+KGROUP_AT_Y_31 = ("0x1.808844838a5c0p-5", "0x1.073475376d7dbp-4", "0x1.f21b4df9c19e8p-1")
+KGROUP_AT_Y_353 = ("0x1.cb0ab34044c32p-6", "0x1.19639e6f25b0fp-3", "0x1.331ad00ec0cccp-1")
+KGROUP_AT_Y_3 = ("0x0.0p+0", "0x1.01ee2f03c209bp-3", "0x1.fffcce11ac84fp-1")
 
 # The totals of the folded curve with the tail charged at 1.
 FOLDED_31 = ("0x1.aab428728353ap-5", "0x1.46c801464c06fp-4",
@@ -137,7 +151,8 @@ def test_totals_y31(threads):
     report = run_bounds(31, 10**6, 200, threads=threads)
     assert report.pair_count == 135331
     assert total_bits(report) == GOLDEN_31
-    assert_within(GOLDEN_31, FOLDED_31)
+    assert_within(GOLDEN_31, KGROUP_31)
+    assert_within(KGROUP_31, FOLDED_31)
     assert_within(FOLDED_31, CAPPED_31)
     assert_within(CAPPED_31, UNCAPPED_31)
     assert_within(UNCAPPED_31, GEOMETRIC_31)
@@ -149,7 +164,8 @@ def test_totals_y353():
     report = run_bounds(353, 10**5, 500, threads=1)
     assert report.pair_count == 148128
     assert total_bits(report) == GOLDEN_353
-    assert_within(GOLDEN_353, FOLDED_353)
+    assert_within(GOLDEN_353, KGROUP_353)
+    assert_within(KGROUP_353, FOLDED_353)
     assert_within(FOLDED_353, CAPPED_353)
     assert_within(CAPPED_353, UNCAPPED_353)
     assert_within(UNCAPPED_353, GEOMETRIC_353)
@@ -159,7 +175,7 @@ def test_totals_y353():
 
 @pytest.mark.parametrize("y,z,r_max,pairs,golden,outer", [
     (2, 10**15, 200, 49, GOLDEN_2, (FOLDED_2, CAPPED_2)),
-    (3, 10**6, 200, 239, GOLDEN_3, (FOLDED_3, CAPPED_3, UNCAPPED_3)),
+    (3, 10**6, 200, 239, GOLDEN_3, (KGROUP_3, FOLDED_3, CAPPED_3, UNCAPPED_3)),
 ], ids=["2-1e15", "3-1e6"])
 def test_totals_few_odd_primes(y, z, r_max, pairs, golden, outer):
     report = run_bounds(y, z, r_max, threads=1)
@@ -169,16 +185,27 @@ def test_totals_few_odd_primes(y, z, r_max, pairs, golden, outer):
         assert_within(inner, bound)
 
 
-@pytest.mark.parametrize("y,z,r_max,at_y,capped", [
-    (31, 10**6, 200, AT_Y_31, CAPPED_31),
-    (353, 10**5, 500, AT_Y_353, CAPPED_353),
-    (2, 10**15, 200, AT_Y_2, CAPPED_2),
-    (3, 10**6, 200, AT_Y_3, CAPPED_3),
+@pytest.mark.parametrize("y,z,r_max,at_y,outer", [
+    (31, 10**6, 200, AT_Y_31, (KGROUP_AT_Y_31, CAPPED_31)),
+    (353, 10**5, 500, AT_Y_353, (KGROUP_AT_Y_353, CAPPED_353)),
+    (2, 10**15, 200, AT_Y_2, (CAPPED_2,)),
+    (3, 10**6, 200, AT_Y_3, (KGROUP_AT_Y_3, CAPPED_3)),
 ], ids=["31-1e6", "353-1e5", "2-1e15", "3-1e6"])
-def test_a_table_at_y_folds_nothing(y, z, r_max, at_y, capped):
+def test_a_table_at_y_folds_nothing(y, z, r_max, at_y, outer):
     report = run_bounds(y, z, r_max, threads=1, table=build_moment_table(y, r_max))
     assert total_bits(report) == at_y
-    assert_within(at_y, capped)
+    for inner, bound in zip((at_y, *outer), outer):
+        assert_within(inner, bound)
+
+
+@pytest.mark.parametrize("y,z,r_max,kgroup", [
+    (31, 10**6, 200, KGROUP_31),
+    (3, 10**6, 200, KGROUP_3),
+], ids=["31-1e6", "3-1e6"])
+def test_no_group_primes_leaves_the_groups_by_k_alone(y, z, r_max, kgroup, monkeypatch):
+    # with no group prime every group is (k, {}), weighed 2^-k exactly
+    monkeypatch.setattr(engine, "_GROUP_PRIMES", 0)
+    assert total_bits(run_bounds(y, z, r_max, threads=1)) == kgroup
 
 
 def test_table_y2_saturating():

@@ -12,7 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import abundancy, enumerate_cells, factorize, ratio_grids_per_r, symmetry_capped
+from oracles import (
+    abundancy,
+    enumerate_cells,
+    factorize,
+    group_primes,
+    iter_smooth,
+    ratio_grids_per_r,
+    symmetry_capped,
+    tail_group,
+    tail_groups,
+)
 from sigbound import engine
 from sigbound.arith import primes_upto
 from sigbound.dirround import ratio_dn, ratio_up, ulp_dn
@@ -46,17 +56,17 @@ def exact_sums(y, z, table):
 
     The upper side is charged by groups (the tail lemma of moments): the
     cells of an odd a hold the closed-form mass
-    M(a) = (1/a) prod_{odd p <= y} (1 - 1/p), and group (a, k), the cells
-    with min(v2(b), _V2_CAP) = k, reads c at the exact slot of h(2^k)/h(a)
-    and holds the share 2^-k of M(a), 2^-(_V2_CAP-1) at k = _V2_CAP. Every
-    a <= z // 2 has the cell (a, 2), so the a charged are those of the
-    cells; upper is the sum of M c over the groups, plus 1 less the mass of
-    the a, less each cell's dens * max(0, c - ru). No part of it depends on
-    how the engine splits the primes between its b table and its a side.
+    M(a) = (1/a) prod_{odd p <= y} (1 - 1/p), and each group (k, C) of a
+    (oracles.tail_groups: k = min(v2(b), 3), C the group primes dividing b)
+    holds its share of M(a) and reads c at the exact slot of its ratio over
+    h(a). Every a <= z // 2 has the cell (a, 2), so the a charged are those
+    of the cells; upper is the sum of M share c over the groups of every a,
+    cells or none, plus 1 less the mass of the a, less each cell's
+    dens * max(0, c - ru), c its group's read. No part of it depends on how
+    the engine splits the primes between its b table and its a side.
     """
     g, ru, rl = grid_curves(table, y)
     g = g.tolist()
-    K = engine._V2_CAP
     base = Fraction(1)
     for p in primes_upto(y).tolist()[1:]:
         base *= Fraction(p - 1, p)
@@ -67,7 +77,7 @@ def exact_sums(y, z, table):
 
     lower = saving = covered = Fraction(0)
     pairs = 0
-    rows = {}  # a -> (M(a), group reads, the mass of its cells summed)
+    rows = {}  # a -> (M(a), {group: (share, read)}, the mass of its cells summed)
     for a, b in enumerate_cells(y, z):
         dens = cell_density(a, b, y)
         q = abundancy(factorize(b)) / abundancy(factorize(a))
@@ -75,20 +85,21 @@ def exact_sums(y, z, table):
         pairs += 1
         if a not in rows:
             h_a = abundancy(factorize(a))
-            reads = [read(Fraction(2 ** (k + 1) - 1, 2**k) / h_a) for k in range(1, K + 1)]
-            rows[a] = [base / a, reads, Fraction(0)]
+            groups = {key: (share, read(ratio / h_a))
+                      for key, (ratio, share) in tail_groups(y, a).items()}
+            rows[a] = [base / a, groups, Fraction(0)]
         row = rows[a]
         row[2] += dens
-        c = row[1][min((b & -b).bit_length() - 1, K) - 1]
+        c = row[1][tail_group(y, b)][1]
         saving += dens * max(Fraction(0), c - read(q))
         s = exact_slot(g, 1 / q)
         if s:
             lower += dens * Fraction(rl[s - 1])
     charge = mass = Fraction(0)
-    for m, reads, summed in rows.values():
+    for m, groups, summed in rows.values():
         assert summed <= m
-        charge += m * sum(Fraction(1, 2 ** min(k, K - 1)) * c
-                          for k, c in enumerate(reads, 1))
+        assert sum(share for share, _ in groups.values()) == 1
+        charge += m * sum(share * c for share, c in groups.values())
         mass += m
     return lower, charge + 1 - mass - saving, covered, pairs
 
@@ -112,6 +123,58 @@ def test_bracket_is_on_the_safe_side_of_exact_sums(y, z, r_max, budget, level):
     assert Fraction(r.lower_total.value) <= lower
     assert Fraction(r.upper_total.value) >= upper
     assert Fraction(r.covered_lo.value) <= covered
+
+
+@pytest.mark.parametrize("y", [2, 3, 5, 7, 31])
+def test_group_masses_partition_the_mass_of_a(y):
+    """The groups (k, C) of the tail lemma of moments split M(a) exactly,
+    for every set A of group primes dividing a: the exact shares
+    (oracles.tail_groups) add to 1, each of the engine's UP weights is at
+    least its share, and the groups where C meets A, or names a prime past
+    the group primes, weigh 0. Each DOWN ratio is at most its group's."""
+    consts = engine._engine_consts(build_moment_table(y, 2), y)
+    gp = group_primes(y)
+    assert gp == list(consts.odd[:engine._GROUP_PRIMES])
+    n = 1 << engine._GROUP_PRIMES
+    assert consts.group_h.shape == (engine._V2_CAP * n,)
+    assert consts.group_w.shape == (n, engine._V2_CAP * n)
+    for A in range(1 << len(gp)):
+        a = math.prod(p for j, p in enumerate(gp) if A >> j & 1)
+        groups = tail_groups(y, a)
+        assert len(groups) == 3 << (len(gp) - A.bit_count())
+        assert sum(share for _, share in groups.values()) == 1
+        weighed = set()
+        for g in range(engine._V2_CAP * n):
+            k, C = (g >> engine._GROUP_PRIMES) + 1, g & (n - 1)
+            if C & A or C >> len(gp):
+                assert consts.group_w[A, g] == 0.0, (A, g)
+                continue
+            key = k, frozenset(p for j, p in enumerate(gp) if C >> j & 1)
+            ratio, share = groups[key]
+            assert Fraction(consts.group_w[A, g]) >= share, (A, g)
+            assert Fraction(consts.group_h[g]) <= ratio, g
+            weighed.add(key)
+        assert weighed == set(groups)
+
+
+@pytest.mark.parametrize("a", [1, 3, 35])
+def test_group_shares_are_the_limits_of_cell_sums(a):
+    """At y = 7 the cells (a, b) of each group with b <= 2^20 sum to at most
+    M(a) times its share, and to within 2% of it: the share of a group
+    prime p not dividing a is P(p | b) = 1/(p-1), not 1/p."""
+    y, x = 7, 2**20
+    mass = Fraction(1, a) * Fraction(2, 3) * Fraction(4, 5) * Fraction(6, 7)
+    sums = {}
+    for m in iter_smooth([p for p in (3, 5, 7) if a % p], x // 2):
+        b = 2
+        while b * m <= x:
+            key = tail_group(y, b * m)
+            sums[key] = sums.get(key, 0) + cell_density(a, b * m, y)
+            b *= 2
+    groups = tail_groups(y, a)
+    assert set(sums) == set(groups)
+    for key, (_, share) in groups.items():
+        assert 0.98 * mass * share <= sums[key] <= mass * share, key
 
 
 @pytest.mark.parametrize("y,r_max", [(31, 200), (353, 500)])

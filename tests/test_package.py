@@ -67,6 +67,7 @@ _REMOVED = (
     "_merge", "_upper_with_tail", "next_dn", "_float_dir", "_F63",
     "_grid_slot", "_GRID_LO", "_GRID_HI", "up_sub", "_upper_curve",
     "_extract", "_SCALE", "ProgressEvent", "_directed", "_CHUNK_MIN",
+    "_group_reads",
 )
 
 # Methods dropped along with the code that called them. The table holds
@@ -83,10 +84,13 @@ _REMOVED_METHODS = (
 # Fields of typed engine state, dropped with the work that filled them. The
 # lower curve is ulp_dn(1 - ru), formed for the cells that read it, so
 # _Consts carries no rl_at; no caller read the UP-rounded covered mass, so
-# the engine no longer sums it for BoundReport.covered_hi.
+# the engine no longer sums it for BoundReport.covered_hi. A cell forms its
+# group's read from h(a) and a 24-entry table, so a chunk carries no table
+# of reads per a-side row.
 _REMOVED_FIELDS = (
     ("engine", "_Consts", "rl_at"),
     ("engine", "BoundReport", "covered_hi"),
+    ("engine", "_Chunk", "groups"),
 )
 
 

@@ -95,11 +95,11 @@ def test_a_blocks_build_peaks_below_twice_their_size():
             if block is None:
                 break
             _, peak = tracemalloc.get_traced_memory()
-            rows, groups, _ = block
-            size = sum(col.nbytes for col in rows) + groups.nbytes
+            rows, h_a, t_grp, _ = block
+            size = sum(col.nbytes for col in rows) + h_a.nbytes + t_grp.nbytes
             assert peak - before <= 2 * size, (built, peak - before, size)
             built += 1
-            del block, rows, groups
+            del block, rows, h_a, t_grp
     finally:
         tracemalloc.stop()
     assert used == 15 and built == 2
