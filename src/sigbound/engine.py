@@ -151,12 +151,20 @@ _SLOT_BASE = 0x3FE0_0000_0000_0000 - (1 << _GRID_SHIFT)  # 1/2, one point down
 
 # The level of the moment table run_bounds builds when it is given none, for
 # y <= _FOLD_MAX_Y: the primes in (y, _FOLD_LEVEL] are folded into the bound
-# curve (see _engine_consts). Folding them tightened both ends of every
-# bracket measured at y <= 881 (z = 1e5, 1e6, 1e7) and widened those at
-# y = 907 and 997, where the few primes folded gain less than the log grid
-# of the fold loses.
+# curve (see _engine_consts). On the 2^-13 log grid of the fold, folding
+# tightened both ends of the bracket at every prime y <= 911 at each of
+# (z, r_max) = (1e5, 500), (1e6, 200) and (1e7, 200); past that the few
+# primes folded gain less than the log grid loses. The change of width,
+# folded minus a table at y (* where one end moved out):
+#     y      (1e5, 500)  (1e6, 200)  (1e7, 200)
+#     809     -3.34e-5    -5.43e-5    -6.01e-5
+#     907     -7.74e-6    -1.53e-5    -1.67e-5
+#     911     -6.32e-6    -1.30e-5    -1.43e-5
+#     919     -4.93e-6 *  -1.09e-5    -1.18e-5
+#     947     +3.87e-7 *  -2.43e-6 *  -2.37e-6 *
+#     997     +8.93e-6 *  +1.12e-5 *  +1.30e-5 *
 _FOLD_LEVEL = 1009
-_FOLD_MAX_Y = 809
+_FOLD_MAX_Y = 911
 
 # Row cap of the smooth-number tables (the b table, the odd part of the a
 # side) and of one block of a-side rows: the memory of a run is bounded for

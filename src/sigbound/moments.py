@@ -72,6 +72,39 @@ X = X1 + X2 with X1 = log h(A1) - log h(B1).
 fold_curve evaluates S UP on a grid of base-2 logs with one shift-add per
 atom (see there); at Y2 = y there is nothing to fold.
 
+The rounding of the fold. _fold folds law k, of m_k offsets, in m_k
+round-to-nearest multiplies and m_k - 1 adds, with no directed step, and
+multiplies the last curve by one slack 1 + 4 M u rounded UP, u = 2^-53 and
+M = sum_k m_k. A point all of whose reads are 1s of the curve before it
+(or the 1 below the grid) is set to 1 and not computed. This is the bound
+for recursive summation of nonnegative terms (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 2002, sec. 4.2), as
+_bulk_values uses it across the primes. Let S_k be the fold of the first k
+laws with their exact masses, which add to 1, so S_k <= 1 as the first
+curve is at most 1.
+1. One law. Its masses are the exact ones rounded UP, so the law is a
+   linear map F_k with nonnegative coefficients, at least the map with the
+   exact masses and monotone in the curve it reads (the 1 read below the
+   grid included). A rounded multiply or add whose result is a normal
+   double is the exact one times some 1 + d with |d| <= u. Each term meets
+   one multiply and at most m_k - 1 adds, so at a computed point the
+   rounded fold of a curve c is at least (1 - u)^m_k F_k(c).
+2. By induction. Let the rounded curve c_(k-1) be at least (1 - u)^K
+   S_(k-1), K the offsets of the laws before k (the 1 below the grid is at
+   least (1 - u)^K too). At a computed point, as F_k is monotone,
+   c_k >= (1 - u)^m_k F_k(c_(k-1)) >= (1 - u)^(K + m_k) S_k; at a point
+   set to 1, c_k = 1 >= S_k.
+3. The slack. (1 - u)^-M <= 1 + 2 M u while M u <= 1/2, so the slack, with
+   a doubled margin as in _bulk_values, makes the last curve at least S.
+Step 1 needs every product and partial sum to be a normal double or an
+exact 0. Each law's masses add to at least 1, so no point of a curve falls
+below (1 - u)^M times the least point of the first, and every partial sum
+is at least one of its products. So it is enough that the least point of
+the first curve times the least mass is at least 2^-1021 (twice 2^-1022,
+the least normal double, for the (1 - u)^M); _fold checks this and raises
+AssertionError if it fails, a bug. The first curve is at most 1 and each
+mass sum exceeds 1 by rounding only, so no value comes near overflow.
+
 The tail lemma. The engine charges the upper side by groups of cells, each
 at one read of its curve U (non-increasing in q, and bounding the share of
 every cell at q <= h(b)/h(a)), whether or not the cells are enumerated. The
@@ -152,8 +185,9 @@ MAX_ORDER = 10_000
 _TAIL_RATE = Fraction(16623114, 10**13)  # 1.6623114e-6
 
 # The grid of fold_curve: point i is log2 q = i 2^-_LOG_BITS, for
-# |i| <= _LOG_HALF, which spans the ratios [1/4, 4].
-_LOG_BITS = 12
+# |i| <= _LOG_HALF = 2^(_LOG_BITS + 1), so log2 q spans [-2, 2] (the ratios
+# [1/4, 4]) in 2^(_LOG_BITS + 2) + 1 points.
+_LOG_BITS = 13
 _LOG_HALF = 2 << _LOG_BITS
 
 # A folded prime's atoms past the first stop below this mass; the rest of
@@ -408,7 +442,7 @@ def _pow2_bounds(bits: int, n: int):
     return np.ldexp(ulp_dn(1.0 / e[one - j]), d + 1), np.ldexp(e[j], d)
 
 
-def _law(p: int, lo: list, hi: list, cutoff: Fraction):
+def _law(p: int, lo: np.ndarray, hi: np.ndarray, cutoff: Fraction):
     """The term of the prime p in X1 (see the fold lemma) on a log grid, as
     ((offset, mass), ...), offsets increasing; lo and hi bound 2^(i delta)
     for i = 0, 1, ... as _pow2_bounds does.
@@ -447,31 +481,44 @@ def _law(p: int, lo: list, hi: list, cutoff: Fraction):
 
 
 def _fold(f: np.ndarray, laws) -> np.ndarray:
-    """The curve f on a log grid, folded with each law of _law in turn:
-    point i of the result is the sum of mass * f[i + offset], with f read as
-    1 below the grid and as its last point above it (f is non-increasing).
-    Each multiply and add takes one bare step up, +1 on the int64 view, as
-    in _bulk_values: every value is a finite double in [+0.0, 2), where the
-    bare step is ulp_up's."""
+    """The curve f, non-increasing and at most 1, on a log grid, folded
+    with each law of _law in turn: point i of the result is at least the
+    sum of mass * f[i + offset] over the exact masses of the law, with f
+    read as 1 below the grid and as its last point above it.
+
+    Each law is m round-to-nearest multiplies and m - 1 adds, m its offsets,
+    between two padded buffers that swap roles, on the points that read
+    more than 1s; one slack 1 + 4 M 2^-53, M the offsets of all laws,
+    rounded UP, covers the rounding (see the rounding of the fold in the
+    module docstring). Raises AssertionError if a product could leave the
+    normal doubles.
+    """
+    if not laws:
+        return f.copy()
     n = f.size
-    pad = max((abs(off) for law in laws for off, _ in law), default=0)
-    cur = np.empty(n + 2 * pad)
-    cur[:pad] = 1.0
-    cur[pad:pad + n] = f
-    acc, tmp = np.empty(n), np.empty(n)
-    acc_b, tmp_b = acc.view(np.int64), tmp.view(np.int64)
+    pad = max(abs(off) for law in laws for off, _ in law)
+    least = min(mass for law in laws for _, mass in law)
+    if not float(f.min()) * least >= 2.0**-1021:
+        raise AssertionError("fold product below the normal doubles; this is a bug")
+    ones = n - int(np.count_nonzero(f < 1.0))  # f[:ones] is all 1
+    src, dst = np.ones(n + 2 * pad), np.ones(n + 2 * pad)
+    src[pad:pad + n] = f
+    tmp = np.empty(n)
     for law in laws:
-        cur[pad + n:] = cur[pad + n - 1]
+        src[pad + n:] = src[pad + n - 1]
+        # the points that read only the 1s of src stay 1; ones never rises,
+        # so no law has written dst below it
+        ones = min(ones, max(0, ones - max(off for off, _ in law)))
+        start, m = pad + ones, n - ones
+        acc, part = dst[start:pad + n], tmp[:m]
         (off, mass), *rest = law
-        np.multiply(cur[pad + off:pad + off + n], mass, out=acc)
-        acc_b += 1
+        np.multiply(src[start + off:start + off + m], mass, out=acc)
         for off, mass in rest:
-            np.multiply(cur[pad + off:pad + off + n], mass, out=tmp)
-            tmp_b += 1
-            acc += tmp
-            acc_b += 1
-        cur[pad:pad + n] = acc
-    return cur[pad:pad + n].copy()
+            np.multiply(src[start + off:start + off + m], mass, out=part)
+            acc += part
+        src, dst = dst, src
+    slack = 1.0 + 4.0 * sum(map(len, laws)) * 2.0**-53
+    return ulp_up(np.multiply(src[pad:pad + n], slack))
 
 
 def fold_curve(table: MomentTable, y: int):
@@ -481,14 +528,14 @@ def fold_curve(table: MomentTable, y: int):
     1 - s[k] <= P(X >= log q) for every q with 1/q >= hi[k] (step 4 of
     the lemma). s is non-increasing and at most 1.
 
-    S lives on base-2 logs, point i at log2 q = i 2^-12 for |i| <= 2^13,
-    with the bounds (lo, hi) of _pow2_bounds: g is the capped moment curve
-    of the table at lo, and each prime in (y, table.y] folds in by _fold.
+    S lives on base-2 logs, point i at log2 q = i 2^-_LOG_BITS for
+    |i| <= _LOG_HALF, with the bounds (lo, hi) of _pow2_bounds: g is the
+    capped moment curve of the table at lo, and each prime in (y, table.y]
+    folds in by _fold.
     """
     n = _LOG_HALF
     lo, hi = _pow2_bounds(_LOG_BITS, n)
     g = np.ones(2 * n + 1)
     g[n + 1:] = np.minimum(bound_curves(table, lo[n + 1:]), 0.5)
-    lo_up, hi_up = lo[n:].tolist(), hi[n:].tolist()
-    laws = [_law(p, lo_up, hi_up, _FOLD_CUTOFF) for p in primes_upto(table.y).tolist() if p > y]
+    laws = [_law(p, lo[n:], hi[n:], _FOLD_CUTOFF) for p in primes_upto(table.y).tolist() if p > y]
     return hi, np.minimum(_fold(g, laws), 1.0)

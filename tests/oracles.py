@@ -590,8 +590,7 @@ def exact_fold(f, primes, bits, cutoff, tight):
     The curve reads 1 below the grid and its last point above it. Returns
     Fractions.
     """
-    cur = [Fraction(v) for v in f]
-    n = len(cur)
+    laws = []
     for p in primes:
         law = {0: Fraction(p - 2, p)}
         pk = p
@@ -607,6 +606,33 @@ def exact_fold(f, primes, bits, cutoff, tight):
         rest = ((-lim - 1, fl) if tight else (-nxt - 1, lim))
         for off in rest:
             law[off] = law.get(off, 0) + Fraction(1, pk * p)
-        cur = [sum(m * (1 if i + off < 0 else cur[min(i + off, n - 1)])
-                   for off, m in law.items()) for i in range(n)]
+        laws.append(law.items())
+    return fold_laws(f, laws)
+
+
+def fold_laws(f, laws):
+    """The curve f folded with each law ((offset, mass), ...) in turn, in
+    exact arithmetic, read as 1 below the grid and as its last point above
+    it. Returns Fractions."""
+    cur = [Fraction(v) for v in f]
+    n = len(cur)
+    for law in laws:
+        cur = [sum(Fraction(m) * (1 if i + off < 0 else cur[min(i + off, n - 1)])
+                   for off, m in law) for i in range(n)]
+    return cur
+
+
+def fold_nearest(f, laws):
+    """The fold of fold_laws in round-to-nearest doubles, each law's terms
+    added in its order, with no slack: what _fold rounds before its slack."""
+    pad = max(abs(off) for law in laws for off, _ in law)
+    n = f.size
+    cur = f
+    for law in laws:
+        ext = np.concatenate([np.ones(pad), cur, np.full(pad, cur[-1])])
+        (off, mass), *rest = law
+        acc = ext[pad + off:pad + off + n] * mass
+        for off, mass in rest:
+            acc = acc + ext[pad + off:pad + off + n] * mass
+        cur = acc
     return cur

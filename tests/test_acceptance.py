@@ -25,21 +25,23 @@ from sigbound.engine import cell_density, run_bounds
 from sigbound.moments import build_moment_table, moment_r1_exact
 
 # canonical desk-scale regression values (any thread count, y=31, z=1e8,
-# r_max=200, the primes in (31, 1009] folded into the bound curve, the
-# cells of each a-side row charged by group (k, C) off that curve);
-# full-precision engine outputs:
-#   lower   0.05416251716607616
-#   upper   0.05512056931449539
+# r_max=200, the primes in (31, 1009] folded into the bound curve on a log
+# grid of step 2^-13, the cells of each a-side row charged by group (k, C)
+# off that curve); full-precision engine outputs:
+#   lower   0.0542058855882322
+#   upper   0.05507854787411567
 #   covered 0.9975129594563145
 DESK_PAIRS = 1608738
-DESK_LOWER_10 = 0.05416251716  # outward (floor) 10 significant digits
-DESK_UPPER_10 = 0.05512056932  # outward (ceiling) 10 significant digits
-# The brackets of the groups by k alone, of the folded curve that charged
-# the unenumerated tail at 1, of the capped curve that folded nothing, of
-# the uncapped bound curve that the symmetry cap tightened, of the
-# geometric ratio grid that the bit grid replaced, and of the per-cell
-# summation that the chunked sums replaced, each inside the next: a change
-# may tighten the bracket but never leave any one.
+DESK_LOWER_10 = 0.05420588558  # outward (floor) 10 significant digits
+DESK_UPPER_10 = 0.05507854788  # outward (ceiling) 10 significant digits
+# The brackets of the fold's 2^-12 log step, of the groups by k alone, of
+# the folded curve that charged the unenumerated tail at 1, of the capped
+# curve that folded nothing, of the uncapped bound curve that the symmetry
+# cap tightened, of the geometric ratio grid that the bit grid replaced,
+# and of the per-cell summation that the chunked sums replaced, each inside
+# the next: a change may tighten the bracket but never leave any one.
+LOG12_LOWER = 0.05416251716607616
+LOG12_UPPER = 0.05512056931449539
 KGROUP_LOWER = 0.05416251716607616
 KGROUP_UPPER = 0.05529416243025519
 FOLDED_LOWER = 0.05416251716607616
@@ -114,12 +116,13 @@ class TestCriterion2DeskBracket:
         ok_envelope = lower >= 0.01 and upper <= 0.25
         ok_regression = (
             r.pair_count == DESK_PAIRS
-            and lower == pytest.approx(0.05416251716607616, rel=1e-9)
-            and upper == pytest.approx(0.05512056931449539, rel=1e-9)
+            and lower == pytest.approx(0.0542058855882322, rel=1e-9)
+            and upper == pytest.approx(0.05507854787411567, rel=1e-9)
         )
         ok_printed = (_outward(lower, True) == DESK_LOWER_10
                       and _outward(upper, False) == DESK_UPPER_10)
-        ok_inside = (lower >= KGROUP_LOWER and upper <= KGROUP_UPPER
+        ok_inside = (lower >= LOG12_LOWER and upper <= LOG12_UPPER
+                     and LOG12_LOWER >= KGROUP_LOWER and LOG12_UPPER <= KGROUP_UPPER
                      and KGROUP_LOWER >= FOLDED_LOWER and KGROUP_UPPER <= FOLDED_UPPER
                      and FOLDED_LOWER >= CAPPED_LOWER and FOLDED_UPPER <= CAPPED_UPPER
                      and CAPPED_LOWER >= UNCAPPED_LOWER and CAPPED_UPPER <= UNCAPPED_UPPER
@@ -134,7 +137,8 @@ class TestCriterion2DeskBracket:
             f"proxy {EMPIRICAL_PROXY} inside with 1e-4 slack: {ok_proxy}; "
             f"envelope [0.01, 0.25]: {ok_envelope}; regression fixtures: {ok_regression}; "
             f"printed [{DESK_LOWER_10}, {DESK_UPPER_10}]: {ok_printed}; "
-            f"inside [{KGROUP_LOWER}, {KGROUP_UPPER}] inside "
+            f"inside [{LOG12_LOWER}, {LOG12_UPPER}] inside "
+            f"[{KGROUP_LOWER}, {KGROUP_UPPER}] inside "
             f"[{FOLDED_LOWER}, {FOLDED_UPPER}] inside "
             f"[{CAPPED_LOWER}, {CAPPED_UPPER}] inside "
             f"[{UNCAPPED_LOWER}, {UNCAPPED_UPPER}] inside "
@@ -163,14 +167,16 @@ class TestCriterion2DeskBracket:
         report(data["lower"] >= 0.0539171, "criterion 8",
                f"bounds y=31 z=1e8 rmax=200: lower {data['lower']} >= 0.0539171")
 
-    def test_cli_certifies_the_published_bracket(self, capsys):
+    @pytest.mark.parametrize("y,z", [("13", "1e11"), ("2", "1e15")], ids=["13-1e11", "2-1e15"])
+    def test_cli_certifies_the_published_bracket(self, capsys, y, z):
         # criterion 8 in full: both ends of the published bracket
-        # [0.0539171, 0.0549446] at once, in well under a second
-        data, elapsed = run_cli_json(capsys, "bounds", "--y", "13", "--z", "1e11",
+        # [0.0539171, 0.0549446] at once, in well under a second; y = 2
+        # folds every odd prime up to 1009, y = 13 enumerates those up to 13
+        data, elapsed = run_cli_json(capsys, "bounds", "--y", y, "--z", z,
                                      "--rmax", "2000", "--format", "json")
         ok = data["certified"] is True and data["lower"] >= 0.0539171 and data["upper"] <= 0.0549446
         report(ok, "criterion 8",
-               f"bounds y=13 z=1e11 rmax=2000: [{data['lower']}, {data['upper']}] inside "
+               f"bounds y={y} z={z} rmax=2000: [{data['lower']}, {data['upper']}] inside "
                f"[0.0539171, 0.0549446] in {elapsed:.2f}s")
 
 

@@ -1,15 +1,17 @@
 """Pinned bits of the certified totals, the moment tables and the bound
 curves.
 
-The totals were taken when the upper side came to charge every a-side row's
+The totals were taken when the fold's log step went from 2^-12 to 2^-13,
+with the fold rounded to nearest under one certified slack (the rounding of
+the fold in `sigbound.moments`). The upper side charges every a-side row's
 cells by group (k, C), k = min(v2(b), 3) and C the first three odd primes
-that divide b, each group at one read of the bound curve (the tail lemma of
-`sigbound.moments`); a run given no table folds the primes in (y, 1009]
-into its bound curve (the fold lemma), and a run given a table at y folds
-nothing, and each is pinned. Seven earlier sets of totals stay pinned as
-outer bounds, each at least as loose as the one after it: those of the
-groups by k alone, for both kinds of run; those of the folded curve with
-the tail at 1; those of
+that divide b, each group at one read of the bound curve (the tail lemma);
+a run given no table folds the primes in (y, 1009] into its bound curve
+(the fold lemma), and a run given a table at y folds nothing, and each is
+pinned, as are the totals with no group prime. Eight earlier sets of
+totals stay pinned as outer bounds, each at least as loose as the one
+after it: those of the 2^-12 log step; those of the groups by k alone, for
+both kinds of run; those of the folded curve with the tail at 1; those of
 the curve capped at 1/2 (the symmetry lemma) that folded nothing, also the
 outer bounds of the pins of a table at y, and whose curve digests stay
 pinned on the grid points above 1; those of the uncapped curve, taken when the ratio grid became the
@@ -43,16 +45,20 @@ from sigbound.moments import bound_curves, build_moment_table
 
 TOTALS = ("lower_total", "upper_total", "covered_lo")
 
-GOLDEN_31 = ("0x1.aab428728353ap-5", "0x1.d10342f9a9561p-5",
+GOLDEN_31 = ("0x1.ab0c9d7f1a5a0p-5", "0x1.d0aa8ce88baebp-5",
              "0x1.f21b4df9c19e8p-1")
-GOLDEN_353 = ("0x1.ccb68480ffb18p-6", "0x1.0b42b547e0d40p-3",
+GOLDEN_353 = ("0x1.ccd84b3a333d3p-6", "0x1.0b395dc270dc0p-3",
               "0x1.331ad00ec0cccp-1")
 # y = 2 has no odd prime: one b class, one mask word of zeros, and no group
 # prime, so its groups are those of k alone. y = 3 has one. At y = 2 with
 # z = 1e15 every cell but a tail of 2e-15 is summed, so the group charge
 # moves the upper end by no more than that.
-GOLDEN_2 = ("0x1.bc884657c0b53p-5", "0x1.c30c3957672c8p-5", "0x1.fffffffffffeep-1")
-GOLDEN_3 = ("0x1.bd0202f0a2ffcp-5", "0x1.c2e088acb610bp-5", "0x1.fffcce11ac84fp-1")
+GOLDEN_2 = ("0x1.bd600da069018p-5", "0x1.c249b59e00c18p-5", "0x1.fffffffffffeep-1")
+GOLDEN_3 = ("0x1.bda0a1f1ee77ap-5", "0x1.c22dce2a6aef2p-5", "0x1.fffcce11ac84fp-1")
+
+# The totals with no group prime, the groups by k alone.
+NO_GROUP_31 = ("0x1.ab0c9d7f1a5a0p-5", "0x1.dc538b8659d46p-5", "0x1.f21b4df9c19e8p-1")
+NO_GROUP_3 = ("0x1.bda0a1f1ee77ap-5", "0x1.c22dcf8cb872ap-5", "0x1.fffcce11ac84fp-1")
 
 # The totals of a table at y, the capped curve that folds nothing.
 AT_Y_31 = ("0x1.808844838a5c0p-5", "0x1.00cd9c7440c2dp-4", "0x1.f21b4df9c19e8p-1")
@@ -60,7 +66,16 @@ AT_Y_353 = ("0x1.cb0ab34044c32p-6", "0x1.0bb3aab5d7e37p-3", "0x1.331ad00ec0cccp-
 AT_Y_2 = ("0x0.0p+0", "0x1.3339afe3f4281p-2", "0x1.fffffffffffeep-1")
 AT_Y_3 = ("0x0.0p+0", "0x1.01ee2b7e6aefap-3", "0x1.fffcce11ac84fp-1")
 
-# The totals of the groups by k alone, with no table and with a table at y.
+# The totals of the 2^-12 log step.
+LOG12_31 = ("0x1.aab428728353ap-5", "0x1.d10342f9a9561p-5",
+            "0x1.f21b4df9c19e8p-1")
+LOG12_353 = ("0x1.ccb68480ffb18p-6", "0x1.0b42b547e0d40p-3",
+             "0x1.331ad00ec0cccp-1")
+LOG12_2 = ("0x1.bc884657c0b53p-5", "0x1.c30c3957672c8p-5", "0x1.fffffffffffeep-1")
+LOG12_3 = ("0x1.bd0202f0a2ffcp-5", "0x1.c2e088acb610bp-5", "0x1.fffcce11ac84fp-1")
+
+# The totals of the groups by k alone, with no table and with a table at y,
+# on the 2^-12 log step.
 KGROUP_31 = ("0x1.aab428728353ap-5", "0x1.dcaedcac8a188p-5",
              "0x1.f21b4df9c19e8p-1")
 KGROUP_353 = ("0x1.ccb68480ffb18p-6", "0x1.18d3785eef8f9p-3",
@@ -151,7 +166,9 @@ def test_totals_y31(threads):
     report = run_bounds(31, 10**6, 200, threads=threads)
     assert report.pair_count == 135331
     assert total_bits(report) == GOLDEN_31
-    assert_within(GOLDEN_31, KGROUP_31)
+    assert_within(GOLDEN_31, NO_GROUP_31)
+    assert_within(GOLDEN_31, LOG12_31)
+    assert_within(LOG12_31, KGROUP_31)
     assert_within(KGROUP_31, FOLDED_31)
     assert_within(FOLDED_31, CAPPED_31)
     assert_within(CAPPED_31, UNCAPPED_31)
@@ -164,7 +181,8 @@ def test_totals_y353():
     report = run_bounds(353, 10**5, 500, threads=1)
     assert report.pair_count == 148128
     assert total_bits(report) == GOLDEN_353
-    assert_within(GOLDEN_353, KGROUP_353)
+    assert_within(GOLDEN_353, LOG12_353)
+    assert_within(LOG12_353, KGROUP_353)
     assert_within(KGROUP_353, FOLDED_353)
     assert_within(FOLDED_353, CAPPED_353)
     assert_within(CAPPED_353, UNCAPPED_353)
@@ -174,8 +192,8 @@ def test_totals_y353():
 
 
 @pytest.mark.parametrize("y,z,r_max,pairs,golden,outer", [
-    (2, 10**15, 200, 49, GOLDEN_2, (FOLDED_2, CAPPED_2)),
-    (3, 10**6, 200, 239, GOLDEN_3, (KGROUP_3, FOLDED_3, CAPPED_3, UNCAPPED_3)),
+    (2, 10**15, 200, 49, GOLDEN_2, (LOG12_2, FOLDED_2, CAPPED_2)),
+    (3, 10**6, 200, 239, GOLDEN_3, (LOG12_3, KGROUP_3, FOLDED_3, CAPPED_3, UNCAPPED_3)),
 ], ids=["2-1e15", "3-1e6"])
 def test_totals_few_odd_primes(y, z, r_max, pairs, golden, outer):
     report = run_bounds(y, z, r_max, threads=1)
@@ -198,14 +216,16 @@ def test_a_table_at_y_folds_nothing(y, z, r_max, at_y, outer):
         assert_within(inner, bound)
 
 
-@pytest.mark.parametrize("y,z,r_max,kgroup", [
-    (31, 10**6, 200, KGROUP_31),
-    (3, 10**6, 200, KGROUP_3),
+@pytest.mark.parametrize("y,z,r_max,no_group,kgroup", [
+    (31, 10**6, 200, NO_GROUP_31, KGROUP_31),
+    (3, 10**6, 200, NO_GROUP_3, KGROUP_3),
 ], ids=["31-1e6", "3-1e6"])
-def test_no_group_primes_leaves_the_groups_by_k_alone(y, z, r_max, kgroup, monkeypatch):
+def test_no_group_primes_leaves_the_groups_by_k_alone(y, z, r_max, no_group, kgroup,
+                                                       monkeypatch):
     # with no group prime every group is (k, {}), weighed 2^-k exactly
     monkeypatch.setattr(engine, "_GROUP_PRIMES", 0)
-    assert total_bits(run_bounds(y, z, r_max, threads=1)) == kgroup
+    assert total_bits(run_bounds(y, z, r_max, threads=1)) == no_group
+    assert_within(no_group, kgroup)
 
 
 def test_table_y2_saturating():
@@ -231,10 +251,10 @@ def test_table_y157():
 @pytest.mark.parametrize("y,r_max,digest,uncapped,folded", [
     (31, 200, "053c86a34b3334f29819fc120e2692eca623307ef00cd445ebea0a411b3dc31c",
      "82964e01e853e41d110f691bcb1c1be64a85c46fea4066cd91edcc7bcba5ec08",
-     "7d3698a6ac313dd4fb6039a3cebcd05fecd00f3b2690c915e08190cb1ff00465"),
+     "8908454383a1b3c2bd460e71e4cf570fb6d370a099eaca3c0258d43b34cd4460"),
     (353, 500, "cb079a3bef4475d6b2a1b02113582f2334c4710107b968662ce192e892ea5d4d",
      "b4e8a11c61d02ae1920f634e4e751ba3af69a19093cc2aa170b52a20bdec152f",
-     "cf27a7a2549c43fb1e5edcad289e5124ddd193b6e79f33bf38cdbde8c688b04f"),
+     "7a5dcbbfb34b21dc0741ef0d7a2ae273a69d86551b0f37d07828949a4689c0d5"),
 ], ids=["31-200", "353-500"])
 def test_curves(y, r_max, digest, uncapped, folded):
     # digest and uncapped are over the grid points above 1, where the

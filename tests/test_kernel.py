@@ -23,7 +23,7 @@ from oracles import (
     tail_group,
     tail_groups,
 )
-from sigbound import engine
+from sigbound import engine, moments
 from sigbound.arith import primes_upto
 from sigbound.dirround import ratio_dn, ratio_up, ulp_dn
 from sigbound.engine import cell_density, run_bounds
@@ -285,15 +285,15 @@ def test_grid_slot_is_searchsorted_right():
 
 def test_folded_curve_is_read_at_the_last_log_point_below_each_grid_point(table_y1009_r200):
     # the engine's grid point g reads the folded curve at the largest log
-    # point i with 2^(i 2^-12) <= g, capped at 1/2 past 1; the lower read
-    # starts at the first point below 1
+    # point i with 2^(i 2^-bits) <= g, bits = moments._LOG_BITS, capped at
+    # 1/2 past 1; the lower read starts at the first point below 1
     mpmath.mp.dps = 40
     hi, s = fold_curve(table_y1009_r200, 31)
     consts = engine._engine_consts(table_y1009_r200, 31)
     ru, g = consts.ru_at[1:], engine._grid()
     n = s.size // 2
     for m in list(range(0, g.size, 61)) + [engine._ONE_SLOT, engine._ONE_SLOT + 1, g.size - 1]:
-        i = int(mpmath.floor(mpmath.log(mpmath.mpf(float(g[m])), 2) * 4096))
+        i = int(mpmath.floor(mpmath.log(mpmath.mpf(float(g[m])), 2) * 2**moments._LOG_BITS))
         want = min(s[i + n], 0.5) if g[m] > 1.0 else s[i + n]
         assert ru[m] == want, m
     first = int(np.argmax(ru < 1.0))

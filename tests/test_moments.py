@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import exact_fold, moment_upper, tail_factor
+from oracles import exact_fold, fold_laws, fold_nearest, moment_upper, tail_factor
 from sigbound import moments
 from sigbound.arith import primes_upto
 from sigbound.dirround import pow_dn, ratio_up, up_mul
@@ -187,13 +187,14 @@ class TestFold:
 
     def test_pow2_bounds_bracket_every_grid_point(self):
         mp.mp.dps = 40
-        n = 2 << 12
-        lo, hi = moments._pow2_bounds(12, n)
+        bits = moments._LOG_BITS
+        n = 2 << bits
+        lo, hi = moments._pow2_bounds(bits, n)
         assert lo.size == hi.size == 2 * n + 1
         assert np.all(np.diff(lo) > 0) and np.all(np.diff(hi) > 0)
         assert hi[0] == 0.25 and hi[n] == 1.0 and hi[-1] == 4.0
         for i in range(-n, n + 1, 7):
-            exact = mp.power(2, mp.mpf(i) / 4096)
+            exact = mp.power(2, mp.mpf(i) / 2**bits)
             assert lo[i + n] <= exact <= hi[i + n], i
             # exp_up's halvings and squarings leave a relative slack of
             # about 1e-14
@@ -206,15 +207,16 @@ class TestFold:
         # law keeps sits at its exact offset, and the rest of each side
         # where the atoms past the last kept one sit once they converge
         mp.mp.dps = 60
-        n = 2 << 12
-        lo, hi = (b[n:].tolist() for b in moments._pow2_bounds(12, n))
+        bits = moments._LOG_BITS
+        n = 2 << bits
+        lo, hi = (b[n:] for b in moments._pow2_bounds(bits, n))
         for p in primes_upto(1009).tolist()[1:]:
             law = moments._law(p, lo, hi, moments._FOLD_CUTOFF)
             exact = {0: Fraction(p - 2, p)}
             pk = p
             while Fraction(p - 1, pk * p) > Fraction(1, 2**80):
                 h = mp.mpf(pk * p - 1) / (pk * (p - 1))
-                fl = int(mp.floor(mp.log(h, 2) * 4096))
+                fl = int(mp.floor(mp.log(h, 2) * 2**bits))
                 for off in (-fl - 1, fl):
                     exact[off] = exact.get(off, 0) + Fraction(p - 1, pk * p)
                 pk *= p
@@ -234,7 +236,7 @@ class TestFold:
 
     def box_curves(self):
         n = 2 << self.BOX_BITS
-        lo, hi = (b[n:].tolist() for b in moments._pow2_bounds(self.BOX_BITS, n))
+        lo, hi = (b[n:] for b in moments._pow2_bounds(self.BOX_BITS, n))
         f = [1.0] * (n + 1) + [1.0 / (1.0 + (i / 16) ** 2) for i in range(1, n + 1)]
         laws = [moments._law(p, lo, hi, self.BOX_CUTOFF) for p in self.BOX_PRIMES]
         return f, moments._fold(np.array(f), laws)
@@ -252,12 +254,41 @@ class TestFold:
         high = exact_fold(f, self.BOX_PRIMES, self.BOX_BITS, self.BOX_CUTOFF, tight=True)
         assert all(abs(Fraction(g) - w) <= Fraction(1, 10**13) for g, w in zip(got.tolist(), high))
 
+    def test_fold_is_at_least_the_exact_fold_where_sums_round_down(self):
+        # dyadic masses make every product exact, so only the adds round
+        # 1. Ties: point i of the curve is c_i 2^-53 with c_i + c_(i+1) = 1
+        #    mod 4, so each sum (c_i + c_(i+1)) 2^-54 of the law (1/2, 1/2)
+        #    is a tie, which rounds to the even c below it, at every point
+        #    but the last (which reads its own value twice).
+        # 2. Eight laws on a seeded non-increasing curve: their rounding
+        #    falls more than one ULP below the exact fold at some point, so
+        #    one step UP without the slack does not cover it either.
+        def exact_and_nearest(f, laws):
+            exact = fold_laws(f.tolist(), laws)
+            got = moments._fold(f, laws)
+            assert all(Fraction(g) >= e for g, e in zip(got.tolist(), exact))
+            return exact, fold_nearest(f, laws).tolist()
+
+        c = [2**53 - 1 - 4 * (i // 2) - i % 2 for i in range(257)]
+        exact, nearest = exact_and_nearest(np.array(c) * 2.0**-53, [((0, 0.5), (1, 0.5))])
+        assert sum(Fraction(v) < e for v, e in zip(nearest, exact)) == 256
+        f = np.sort(np.random.default_rng(1).uniform(0.5, 1.0, 257))[::-1].copy()
+        laws = ([((0, 0.375), (1, 0.25), (2, 0.25), (3, 0.125))] * 4
+                + [((-1, 0.125), (0, 0.5), (2, 0.375))] * 4)
+        exact, nearest = exact_and_nearest(f, laws)
+        assert any(Fraction(math.nextafter(v, 2.0)) < e for v, e in zip(nearest, exact))
+
+    def test_fold_refuses_products_below_the_normal_doubles(self):
+        # 2^-1000 * 2^-30 would be subnormal, where the rounding bound fails
+        with pytest.raises(AssertionError, match="bug"):
+            moments._fold(np.full(8, 2.0**-1000), [((0, 2.0**-30), (1, 1.0))])
+
     def test_fold_curve_is_a_non_increasing_bound_at_most_one(self, table_y1009_r200):
         hi, s = moments.fold_curve(table_y1009_r200, 31)
-        assert hi.size == s.size == 2 * (2 << 12) + 1
+        n = moments._LOG_HALF
+        assert hi.size == s.size == 2 * n + 1 == (1 << (moments._LOG_BITS + 2)) + 1
         assert np.all(np.diff(s) <= 0) and s[0] == 1.0 and 0.0 < s[-1] < 1e-9
         # a table at y folds nothing, but fold_curve still reads its moment
         # curve on the log grid, at most 1/2 past 1 and 1 up to 1
         hi, s = moments.fold_curve(build_moment_table(1009, 200), 1009)
-        n = 2 << 12
         assert np.all(s[:n + 1] == 1.0) and np.all(s[n + 1:] <= 0.5)
