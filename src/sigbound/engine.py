@@ -5,20 +5,24 @@ divisor of 2n+1 and b the largest y-smooth divisor of 2n, so a is odd, b is
 even and coprime to a, and each cell is a finite union of arithmetic
 progressions with an exactly computable density. Per cell, moment inequalities
 turn the abundancy ratio of a and b into certified bounds on how much of the
-cell satisfies the target inequality. The lower side sums them over all cells
-with ab <= z. The upper side charges the cells of each odd a <= z // 2 by
-group (k, C), k = min(v2(b), 3) and C the set of the first three odd primes
-<= y that divide b, each group at its closed-form mass and at one read of
-the bound curve that bounds all its cells, enumerated or not, and takes off
-what each enumerated cell's own read saves against its group's (the tail
-lemma of moments); the cells of the a past z // 2 are charged at 1. That
-yields a bracket for the density of the whole set.
+cell satisfies the target inequality. Both sides charge the cells of each
+odd a <= z // 2 by group, each group at its closed-form mass and at one
+read of the bound curve that bounds all its cells, enumerated or not. The
+upper side groups them by (k, C), k = min(v2(b), 3) and C the set of the
+first four odd primes <= y that divide b, and takes off what each
+enumerated cell's own read saves against its group's (the tail lemma of
+moments); the cells of the a past z // 2 are charged at 1. The lower side
+groups them by (k, C, R), R whether b has an odd prime past those four,
+and adds what each enumerated cell's own read gains over its group's (the
+lower tail lemma); the cells of the a past z // 2 count at 0. That yields
+a bracket for the density of the whole set.
 
 run_bounds evaluates the cells in numpy. It builds a table of even b values
 and the odd a side once per run, each row carrying its prime mask, directed
-density factor and directed abundancy, and each odd a its directed mass.
-Each a-side block's net charge is formed when the block is built, from the
-24 groups' ratios and weights, tables that depend on y alone.
+density factor and directed abundancy, and each odd a its directed masses
+and the bounds its groups are read at. Each a-side block's net charges are
+formed when the block is built, from the 96 groups' ratios and weights,
+tables that depend on y alone.
 The b table is sorted by class, the set of the first three of its odd
 primes that divide b, and then by value, so that the candidate pairs
 (a, b) with b <= z // a, taken only from the b classes disjoint from a's
@@ -28,11 +32,12 @@ reads the grid slot of its abundancy ratio off the ratio's bits and the
 bound curve ru there, reads its group's curve value from its group's ratio
 and h(a), in the same bits as the charge did (and, for the cells whose
 inverse ratio can reach the part of the curve below 1, forms the lower
-bound 1 - ru stepped down at that ratio), and sums the three totals
-(lower, saving, covered mass DOWN) exactly with exact_sum, each an
-integer count of 2**-1074. Integer addition is exact in any order, so the
-totals do not depend on the chunk cut or on the thread count. The pool's
-threads share the tables, which are marked read-only.
+bound 1 - ru stepped down at that ratio and its group's lower read, in the
+charge's bits too), and sums the three totals (lower, saving, covered mass
+DOWN) exactly with exact_sum, each an integer count of 2**-1074. Integer
+addition is exact in any order, so the totals do not depend on the chunk
+cut or on the thread count. The pool's threads share the tables, which are
+marked read-only.
 
 Directed rounding discipline: lower quantities round DOWN, upper ones UP.
 Each cell term takes a one-ULP step after every operation; the totals over
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import os
 import time
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,18 +187,22 @@ _CHUNK = 1 << 14
 # one of the other primes.
 _CLASS_PRIMES = 3
 
-# The cells of an odd a are charged in groups (k, C) by k = min(v2(b),
-# _V2_CAP) and the set C of the group primes, the first _GROUP_PRIMES odd
-# primes <= y, that divide b; each is read at h(2^k) prod_{p in C} h(p) /
-# h(a) (see _group_tables and the tail lemma of moments). Group g is
-# (k - 1) << _GROUP_PRIMES | C, bit j of C for the j-th odd prime, as in the
-# masks. Fixed by y alone, the groups move with neither the split of the
-# primes between the b table and the a side nor _CLASS_PRIMES. With no
-# group prime the groups are those of k alone. Three group primes narrowed
-# deep's width from 1.13e-3 to 9.58e-4; four reach 9.25e-4 and five
-# 9.01e-4, for twice and four times the groups.
+# The cells of an odd a are charged in groups (k, C, R) by k = min(v2(b),
+# _V2_CAP), the set C of the group primes, the first _GROUP_PRIMES odd
+# primes <= y, that divide b, and R, whether b has an odd prime outside
+# them. The upper side reads each (k, C) at h(2^k) prod_{p in C} h(p) / h(a),
+# whatever R; the lower side reads each (k, C, R) at h(a) over a bound on
+# the h(b) of its cells (see _group_tables and the tail lemmas of moments).
+# Group g is (k - 1) << (_GROUP_PRIMES + 1) | R << _GROUP_PRIMES | C, bit j
+# of C for the j-th odd prime, as in the masks. Fixed by y alone, the groups
+# move with neither the split of the primes between the b table and the a
+# side nor _CLASS_PRIMES. With no group prime the groups are those of k and
+# R alone. With the lower groups, deep's width at 3, 4 and 5 group primes
+# is 8.13e-4, 7.60e-4 and 7.13e-4; each prime doubles the groups and the
+# charge's terms, and five made deep's run 15-19% slower in process, where
+# four cost about 9%.
 _V2_CAP = 3
-_GROUP_PRIMES = 3
+_GROUP_PRIMES = 4
 
 
 class _Consts(NamedTuple):
@@ -204,16 +214,20 @@ class _Consts(NamedTuple):
     _slot(q) reads it at the largest grid point <= q, or the trivial 1
     when q lies below the grid. A cell reads its upper bound at q <=
     h(b)/h(a) and its lower bound, ulp_dn(1 - ru_at), formed at lookup, at
-    w <= h(a)/h(b) (see _chunk_sums and the lemmas of moments). Only the
-    cells with q <= q_lower can have w at or above the first grid point
-    where the curve is below 1; the others read +0.0 there.
+    w <= h(a)/h(b) (see _chunk_sums and the lemmas of moments). w_lower is
+    the first grid point where the curve is below 1 (+inf if none): a lower
+    read at a w below it is +0.0. Only the cells with q <= q_lower can have
+    w at or above it.
     """
 
     odd: tuple[int, ...]
     ru_at: np.ndarray
     q_lower: float
+    w_lower: float
     group_h: np.ndarray
     group_w: np.ndarray
+    group_hx: np.ndarray
+    group_wl: np.ndarray
 
 
 def _grid(start: int = 0) -> np.ndarray:
@@ -254,53 +268,76 @@ def _engine_consts(table: MomentTable, y: int) -> _Consts:
         above[...] = bound_curves(table, _grid(_ONE_SLOT + 1))
     np.minimum(above, 0.5, out=above)
     k = int(np.argmax(ru < 1.0))  # ru is non-increasing
-    group_h, group_w = _group_tables(odd)
+    w_lower = float(_grid(k)[0]) if ru[k] < 1.0 else math.inf
+    group_h, group_w, group_hx, group_wl = _group_tables(odd)
     return _Consts(
         odd=odd,
         ru_at=_read_only(ru_at),
-        # q > q_lower >= 1/(point k) gives w <= 1/q < point k
-        q_lower=up_div(1.0, float(_grid(k)[0])) if ru[k] < 1.0 else 0.0,
+        # q > q_lower >= 1/w_lower gives w <= 1/q < w_lower
+        q_lower=up_div(1.0, w_lower) if ru[k] < 1.0 else 0.0,
+        w_lower=w_lower,
         group_h=_read_only(group_h),
         group_w=_read_only(group_w),
+        group_hx=_read_only(group_hx),
+        group_wl=_read_only(group_wl),
     )
 
 
-def _group_tables(odd: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The ratios and the weights of the groups (k, C) of the tail lemma of
-    moments, for the odd primes `odd`, with G the first _GROUP_PRIMES of
-    them and group g = (k - 1) << _GROUP_PRIMES | C (bit j of C for G[j]).
+def _group_tables(odd: tuple):
+    """The ratios and the weights of the groups (k, C, R) of the tail lemmas
+    of moments, for the odd primes `odd`, with G the first _GROUP_PRIMES of
+    them and group g = (k - 1) << (_GROUP_PRIMES + 1) | R << _GROUP_PRIMES
+    | C (bit j of C for G[j]). Returns (h, w, hx, wl).
 
-    h[g] is h(2^k) prod_{p in C} (p+1)/p rounded DOWN, at most h(b) for
-    every b of the group. w[A, g] is the share of M(a) that group g holds
-    for the odd a divisible by the primes of G in A and by no other,
-    rounded UP: 2^-k (2^-(_V2_CAP-1) at k = _V2_CAP), times 1/(p-1) for
-    each p in C and (p-2)/(p-1) for each p of G in neither C nor A. It is 0
-    where C meets A, or names a prime past G: the group holds no cell.
+    The upper side: h[g] is h(2^k) prod_{p in C} (p+1)/p rounded DOWN, at
+    most h(b) for every b of the group. w[A, g] is the share of M(a) that
+    group (k, C) holds for the odd a divisible by the primes of G in A and
+    by no other, rounded UP: 2^-k (2^-(_V2_CAP-1) at k = _V2_CAP), times
+    1/(p-1) for each p in C and (p-2)/(p-1) for each p of G in neither C
+    nor A. It is set on the entries with R = 0 alone, and is 0 where C
+    meets A, or names a prime past G: the group holds no cell.
+
+    The lower side: hx[g] is h+(2^k) prod_{p in C} p/(p-1) rounded UP, with
+    h+(2^k) = h(2^k) below _V2_CAP and 2 at it, at least h(b) for every b
+    of group (k, C, 0); a b of (k, C, 1) has h(b) at most hx[g] times the
+    rest factor of a, which the a side carries (see _smooth_rows). wl[A,
+    g] is w[A, g] of group (k, C) rounded DOWN, for either R, with 0 where w
+    is 0; the share of R (rho(a) or 1 - rho(a)) comes with the a's mass.
     """
     gp = odd[:_GROUP_PRIMES]
     n = 1 << _GROUP_PRIMES
-    h = np.empty(_V2_CAP * n)
-    w = np.zeros((n, h.size))
-    for g in range(h.size):
-        k, C = (g >> _GROUP_PRIMES) + 1, g & (n - 1)
-        num, den = 2 ** (k + 1) - 1, 2**k
+    h, hx = np.empty(2 * _V2_CAP * n), np.empty(2 * _V2_CAP * n)
+    w, wl = np.zeros((n, h.size)), np.zeros((n, h.size))
+    for C in range(n):
+        hnum = hden = xnum = xden = 1  # the factors of the primes of C
         for j, p in enumerate(gp):
             if C >> j & 1:
-                num, den = num * (p + 1), den * p
-        h[g] = ratio_dn(num, den)
+                hnum, hden, xnum, xden = hnum * (p + 1), hden * p, xnum * p, xden * (p - 1)
+        for k in range(1, _V2_CAP + 1):
+            g = (k - 1) << (_GROUP_PRIMES + 1) | C
+            num, den = 2 ** (k + 1) - 1, 2**k
+            h[g] = h[g | n] = ratio_dn(num * hnum, den * hden)
+            num, den = (num, den) if k < _V2_CAP else (2, 1)
+            hx[g] = hx[g | n] = ratio_up(num * xnum, den * xden)
         if C >> len(gp):
             continue
         for A in range(n):
             if C & A:
                 continue
-            num, den = 1, 2 ** min(k, _V2_CAP - 1)
+            num = den = 1
             for j, p in enumerate(gp):
                 if C >> j & 1:
                     den *= p - 1
                 elif not A >> j & 1:
                     num, den = num * (p - 2), den * (p - 1)
-            w[A, g] = ratio_up(num, den)
-    return h, w
+            # the factor of k is a power of 2: scaling by it is exact
+            up, dn = ratio_up(num, den), ratio_dn(num, den)
+            for k in range(1, _V2_CAP + 1):
+                g = (k - 1) << (_GROUP_PRIMES + 1) | C
+                e = -min(k, _V2_CAP - 1)
+                w[A, g] = math.ldexp(up, e)
+                wl[A, g] = wl[A, g | n] = math.ldexp(dn, e)
+    return h, w, hx, wl
 
 
 def _group_read(consts: _Consts, h, h_a: np.ndarray) -> np.ndarray:
@@ -318,33 +355,117 @@ def _group_read(consts: _Consts, h, h_a: np.ndarray) -> np.ndarray:
     return consts.ru_at.take(s, mode="clip")
 
 
-def _group_charge(consts: _Consts, h_a: np.ndarray, a_grp: np.ndarray,
-                  m_dn: np.ndarray, m_up: np.ndarray) -> int:
-    """The exact net charge of the odd a with h(a) <= h_a, mass
-    m_dn <= M(a) <= m_up and the group primes a_grp dividing them (uint8,
-    bit j for the j-th odd prime): the sum of the group charges M_up w c,
-    w = consts.group_w[A, g] and c the group's read (see _group_read), over
-    the groups g of nonzero weight, less the mass M_dn, in units of
-    2**-1074. Each product steps UP where it may be inexact: M_up w unless
-    every w of A is a power of 2 (as at y <= 3), (M_up w) c unless c = 1.
-    The a are taken by A, all groups at once, in steps of about _CHUNK
-    terms, as many as a chunk's cells (see _chunk_sums)."""
-    charge = -exact_sum(m_dn)
-    for A in np.flatnonzero(np.bincount(a_grp)).tolist():
-        live = np.flatnonzero(consts.group_w[A])
-        w = consts.group_w[A, live, None]
-        exact = bool(np.all(np.frexp(w)[0] == 0.5))
-        sel = np.flatnonzero(a_grp == A)
-        step = max(1, _CHUNK // live.size)
-        for s in range(0, sel.size, step):
-            part = sel[s:s + step]
-            c = _group_read(consts, consts.group_h[live, None], h_a[part])
-            mc = np.multiply(m_up[part], w)
-            if not exact:
-                ulp_up(mc)
-            ulp_up(np.multiply(mc, c, out=mc), c < 1.0)
-            charge += exact_sum(mc.ravel())
-    return charge
+def _lower_read(consts: _Consts, base: np.ndarray, hx: np.ndarray) -> np.ndarray:
+    """The lower read of a group of bound hx (from consts.group_hx, one per
+    term) for the odd a with base <= h(a), or base <= hl(a) on a group with
+    R = 1: ulp_dn(1 - ru) at ulp_dn(base / hx), at most the w of every cell
+    of the group, formed as _group_read forms its read. The charge and the
+    cells read it here, in the same bits."""
+    s = np.divide(base, hx).view(np.int64)
+    s -= _SLOT_BASE + 1
+    s >>= _GRID_SHIFT
+    ru = consts.ru_at.take(s, mode="clip")
+    return ulp_dn(np.subtract(1.0, ru, out=ru))
+
+
+class _Own(NamedTuple):
+    """The odd a whose cells a block charges, one entry each: h_up >= h(a),
+    h_dn <= h(a) and hl_dn <= hl(a) = h(a) / rest(a), each in the bits its
+    cells read their groups at; grp, the group primes dividing a (bit j for
+    the j-th odd prime); m_dn <= M(a) <= m_up, and mr_dn <= M(a) rho(a) <=
+    mr_up (see _smooth_rows)."""
+
+    h_up: np.ndarray
+    h_dn: np.ndarray
+    hl_dn: np.ndarray
+    grp: np.ndarray
+    m_dn: np.ndarray
+    m_up: np.ndarray
+    mr_dn: np.ndarray
+    mr_up: np.ndarray
+
+
+def _upper_charge(consts: _Consts, A: int, h_up: np.ndarray, m_up: np.ndarray) -> int:
+    """The sum of the upper group charges M_up w c of the odd a with h(a)
+    <= h_up, M(a) <= m_up and the group primes A, w = consts.group_w[A, g]
+    and c the group's read (see _group_read), over the groups g of nonzero
+    weight, in units of 2**-1074. Each product steps UP where it may be
+    inexact: M_up w unless every w of A is a power of 2 (as at y <= 3),
+    (M_up w) c unless c = 1. All groups are taken at once, in steps of
+    about _CHUNK terms, as many as a chunk's cells (see _chunk_sums)."""
+    live = np.flatnonzero(consts.group_w[A])
+    w = consts.group_w[A, live, None]
+    exact = bool(np.all(np.frexp(w)[0] == 0.5))
+    step = max(1, _CHUNK // live.size)
+    total = 0
+    for s in range(0, h_up.size, step):
+        c = _group_read(consts, consts.group_h[live, None], h_up[s:s + step])
+        mc = np.multiply(m_up[s:s + step], w)
+        if not exact:
+            ulp_up(mc)
+        ulp_up(np.multiply(mc, c, out=mc), c < 1.0)
+        total += exact_sum(mc.ravel())
+    return total
+
+
+def _group_charge(consts: _Consts, own: _Own) -> tuple[int, int]:
+    """The exact group charges (lower, upper) of the odd a of `own`, in
+    units of 2**-1074.
+
+    upper is the sum of the upper group charges (see _upper_charge) less
+    the mass M_dn. lower is the sum of M_R w l over the groups (k, C, R), w
+    = consts.group_wl[A, g], l the group's lower read (see _lower_read) and
+    M_R the mass of R rounded DOWN: mr_dn for R = 0 and m_dn - mr_up for
+    R = 1. M_R w and (M_R w) l each step DOWN, as a cell's dens_dn and its
+    lower term do: where a group is one cell, enumerated, the charge is that
+    cell's lower term, bit for bit. Only the terms whose read can be above 0
+    are formed: a base below w_lower hx (1 - 2^-40), the product rounded,
+    gives base / hx below w_lower, where the read is +0.0. Per R the a are
+    sorted by A and then by base, so those of each A and group that are
+    formed are a tail of A's part of the order, and the terms are taken in
+    steps of _CHUNK.
+    """
+    n = 1 << _GROUP_PRIMES
+    upper = -exact_sum(own.m_dn)
+    lower = 0
+    cut = consts.w_lower * (1.0 - 2.0**-40)
+    rest_mass = ulp_dn(np.maximum(np.subtract(own.m_dn, own.mr_up), 0.0))
+    for r, base, mass in ((0, own.h_dn, own.mr_dn), (1, own.hl_dn, rest_mass)):
+        order = np.argsort(base)
+        order = order[np.argsort(own.grp[order], kind="stable")]  # by A, then by base
+        bounds = np.searchsorted(own.grp[order], np.arange(n + 1)).tolist()
+        base, mass = base[order], mass[order]
+        # the segments (g, w, start, count): the a of A whose base reaches
+        # group g's threshold, a tail of A's part of the order
+        segs = []
+        for A in range(n):
+            lo, hi = bounds[A], bounds[A + 1]
+            if lo == hi:
+                continue
+            if not r:  # the upper charges take each A once, in R = 0's order
+                upper += _upper_charge(consts, A, own.h_up[order[lo:hi]], own.m_up[order[lo:hi]])
+            live = np.flatnonzero(consts.group_wl[A])
+            live = live[(live >> _GROUP_PRIMES & 1) == r]
+            start = lo + np.searchsorted(base[lo:hi], consts.group_hx[live] * cut)
+            segs.append((live, consts.group_wl[A, live], start, hi - start))
+        if not segs:
+            continue
+        g, w, start, cnt = (np.concatenate(col) for col in zip(*segs))
+        hx = consts.group_hx[g]
+        ends = np.cumsum(cnt)
+        for s in range(0, int(ends[-1]), _CHUNK):
+            r0 = int(np.searchsorted(ends, s, "right"))
+            r1 = int(np.searchsorted(ends, s + _CHUNK - 1, "right")) + 1
+            first = ends[r0:r1] - cnt[r0:r1]  # of the segments, in the terms
+            skip = np.maximum(s - first, 0)
+            lens = np.minimum(s + _CHUNK - first, cnt[r0:r1]) - skip
+            # the positions in the order of each segment's terms in the part
+            pos = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - start[r0:r1] - skip,
+                                                    lens)
+            mw = ulp_dn(np.multiply(mass.take(pos), np.repeat(w[r0:r1], lens)))
+            l = _lower_read(consts, base.take(pos), np.repeat(hx[r0:r1], lens))
+            lower += exact_sum(ulp_dn(np.multiply(mw, l, out=mw)))
+    return lower, upper
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -364,9 +485,12 @@ class _Rows(NamedTuple):
     d_dn is the density factor F(value)/value rounded DOWN, F the product of
     (p-1)/(p-2) over the odd primes dividing value, with the density base
     folded into the a side. h_* is the directed abundancy h(b) = sigma(b)/b,
-    or h(a)/h(t) on the a side. m_* is the directed mass M(a) of the cells
-    of an odd a (the tail lemma of moments), on the odd S-smooth table that
-    starts the a side; the b table's and the a-block walk's are empty.
+    or h(a)/h(t) on the a side. The last five columns are those of the odd
+    S-smooth table that starts the a side, and empty on the b table, the
+    a-block walk's rows and a block once charged: m_* is the directed mass
+    M(a) of the cells of an odd a, mr_* the directed M(a) rho(a) of those
+    whose b has no odd prime outside the group primes, and hl_dn is hl(a) =
+    h(a) / rest(a) rounded DOWN (the tail lemmas of moments).
     """
 
     value: np.ndarray
@@ -376,6 +500,9 @@ class _Rows(NamedTuple):
     h_up: np.ndarray
     m_dn: np.ndarray
     m_up: np.ndarray
+    mr_dn: np.ndarray
+    mr_up: np.ndarray
+    hl_dn: np.ndarray
 
     def read_only(self) -> "_Rows":
         return _Rows(*map(_read_only, self))
@@ -385,10 +512,13 @@ def _smooth_rows(odd, limit: int, even: bool, f0: float, m0: tuple = (),
                  budget: Optional[int] = None, classes: int = 0):
     """Every even (or odd) number v <= limit built from 2 (or not) and a
     prefix of the odd primes `odd`, sorted by class and then by value, with
-    the density factor f0 * F(v)/v rounded DOWN, the abundancy h(v) and,
-    given m0 = (m0_dn, m0_up), the mass m0/v, directed (empty without). A
-    row's class is the set of the first `classes` primes used that divide v
-    (see _classes); with classes = 0 the rows are sorted by value alone.
+    the density factor f0 * F(v)/v rounded DOWN and the abundancy h(v),
+    directed. On the odd side, m0 = (m_dn, m_up, mr_dn, mr_up, hl_dn) gives
+    the heads of the last five columns (see _Rows) at v = 1, directed; they
+    are empty without. A row's class is the set of the first `classes`
+    primes used that divide v (see _classes); with classes = 0 the rows are
+    sorted by value alone. The first _GROUP_PRIMES of `odd` are the group
+    primes.
 
     The odd primes join in increasing order while the table stays within
     `budget` rows. Returns the rows and the number of odd primes used.
@@ -400,12 +530,13 @@ def _smooth_rows(odd, limit: int, even: bool, f0: float, m0: tuple = (),
     value, then stably by class) and writes every other column straight into
     its sorted place, batch by batch
     and so parents before children. The heads are the powers of 2 (e >= 1
-    on the even side, e = 0 on the odd), with the factor f0 / 2^e and the
-    mass m0 / 2^e, exact, and the abundancy (2^(e+1)-1)/2^e; a child
-    v * p^k multiplies its parent's factor by (p-1)/((p-2) p^k), its mass by
-    1/p^k and its abundancy by h(p^k), each an exact ratio rounded to its
-    side, and takes one directed step. No integer is rounded to a float on
-    the way.
+    on the even side, e = 0 on the odd), with the factor f0 / 2^e, exact,
+    and the abundancy (2^(e+1)-1)/2^e; a child v * p^k multiplies its
+    parent's factor by (p-1)/((p-2) p^k), its abundancy by h(p^k), its mass
+    by 1/p^k, and, for a p outside the group primes, its mr by
+    (p-1)/((p-2) p^k) and its hl by h(p^k) p/(p-1) (by 1/p^k and h(p^k) for
+    a group prime), each an exact ratio rounded to its side, and takes one
+    directed step. No integer is rounded to a float on the way.
     """
     heads = [2**e for e in range(1, limit.bit_length())] if even else [1]
     value = np.array(heads, dtype=np.int64)
@@ -448,14 +579,16 @@ def _smooth_rows(odd, limit: int, even: bool, f0: float, m0: tuple = (),
     n = value.size
     mask = np.zeros((max(1, -(-used // 64)), n), np.uint64)
     d_dn, h_dn, h_up = (np.empty(n) for _ in range(3))
-    m_dn, m_up = (np.empty(n if m0 else 0) for _ in range(2))
+    # the last five columns as the rows of one array, the DOWN ones first:
+    # m_dn, mr_dn, hl_dn, m_up, mr_up, each batch stepped in one pass
+    last = np.empty((5, n if m0 else 0))
     head = pos[:n0]
     d_dn[head] = [f0 / v for v in heads]  # exact: v is a power of 2
     h_dn[head] = [ratio_dn(2 * v - 1, v) for v in heads]
     h_up[head] = [ratio_up(2 * v - 1, v) for v in heads]
-    if m0:
-        m_dn[head] = [m0[0] / v for v in heads]
-        m_up[head] = [m0[1] / v for v in heads]
+    if m0:  # the odd side: one head, v = 1
+        m_dn, m_up, mr_dn, mr_up, hl_dn = m0
+        last[:, head] = [[m_dn], [mr_dn], [hl_dn], [m_up], [mr_up]]
     start = n0
     batches.reverse()
     while batches:  # popped, so each batch's indices go once it is written
@@ -467,20 +600,28 @@ def _smooth_rows(odd, limit: int, even: bool, f0: float, m0: tuple = (),
         m = mask[:, par]
         m[j // 64] |= np.uint64(1 << (j % 64))
         mask[:, dst] = m
-        sig_dn, sig_up = ratio_dn(pk * p - 1, pk * (p - 1)), ratio_up(pk * p - 1, pk * (p - 1))
+        snum, sden = pk * p - 1, pk * (p - 1)  # h(p^k)
         d_dn[dst] = ulp_dn(d_dn[par] * ratio_dn(p - 1, (p - 2) * pk))
-        h_dn[dst] = ulp_dn(h_dn[par] * sig_dn)
-        h_up[dst] = ulp_up(h_up[par] * sig_up)
+        h_dn[dst] = ulp_dn(h_dn[par] * ratio_dn(snum, sden))
+        h_up[dst] = ulp_up(h_up[par] * ratio_up(snum, sden))
         if m0:
-            m_dn[dst] = ulp_dn(m_dn[par] * ratio_dn(1, pk))
-            m_up[dst] = ulp_up(m_up[par] * ratio_up(1, pk))
-    return _Rows(value, mask, d_dn, h_dn, h_up, m_dn, m_up), used
+            if j < _GROUP_PRIMES:
+                rnum, rden, lnum, lden = 1, pk, snum, sden
+            else:  # rho(v) and rest(v) lose their factors of p
+                rnum, rden, lnum, lden = p - 1, (p - 2) * pk, snum * p, sden * (p - 1)
+            part = last.take(par, axis=1)
+            part *= np.array([ratio_dn(1, pk), ratio_dn(rnum, rden), ratio_dn(lnum, lden),
+                              ratio_up(1, pk), ratio_up(rnum, rden)])[:, None]
+            ulp_dn(part[:3])
+            ulp_up(part[3:])
+            last[:, dst] = part
+    return _Rows(value, mask, d_dn, h_dn, h_up, last[0], last[3], last[1], last[4], last[2]), used
 
 
 def _a_blocks(consts: _Consts, small: _Rows, rest: tuple, z: int):
     """The a side of every cell, in blocks of about _ROW_BUDGET rows: each
-    block is (rows, h_a, t_grp, charge), read-only, with charge its net
-    charge (see _group_charge).
+    block is (rows, h_a, hd_a, hl_a, t_grp, charge), read-only, with charge
+    its net charges (lower, upper) (see _group_charge).
 
     With S the primes of the b table, a cell (a, b) splits as a = c*m and
     b = s*t: c and s are S-smooth, m and t are coprime and built from the
@@ -488,39 +629,57 @@ def _a_blocks(consts: _Consts, small: _Rows, rest: tuple, z: int):
     (m, t) with m*t <= z//2; each visit emits a row per c in `small` (the odd
     S-smooth numbers, sorted, base folded in) with c*m*t <= z//2, with value
     c*m*t, c's mask, density factor d(c) F(m)F(t)/(mt) and abundancy
-    h(c) h(m)/h(t). Each row carries in h_a the UP bound on h(a) of its
-    a = c*m at which a's groups are read, the same bits on every row of a,
-    and in t_grp the group primes dividing its t (see _group_tables): a cell
-    of the row is in group (k, C) with C that of s joined with t_grp. a's
-    charge is taken once, at the visit with t = 1, with the mass M(c)/m: so
-    the split moves the groups of no cell. When S holds every prime, the one
-    visit is (1, 1), the block is `small` itself, h_a is its h_up and t_grp
-    is all 0.
+    h(c) h(m)/h(t). Each row carries the bounds on a = c*m at which a's
+    groups are read, the same bits on every row of a: h_a >= h(a) for the
+    upper side, hd_a <= h(a) and hl_a <= hl(a) for the lower; and in t_grp
+    the group primes dividing its t and the bit R if t has an odd prime
+    outside them (see _group_tables): a cell of the row is in group (k, C,
+    R) with C and R those of s joined with t_grp. a's charge is taken once,
+    at the visit with t = 1, with the masses of c over m: so the split moves
+    the groups of no cell. When S holds every prime, the one visit is (1,
+    1), the block is `small` itself, less its mass columns once charged,
+    h_a, hd_a and hl_a are its h_up, h_dn and hl_dn, and t_grp is None, as
+    every t is 1.
     """
     lim = z // 2
     c_grp = _classes(small, (1 << _GROUP_PRIMES) - 1)
     if not rest:
         small = small.read_only()
-        t_grp = _read_only(np.zeros(small.value.size, np.uint8))
-        yield small, small.h_up, t_grp, _group_charge(consts, small.h_up, c_grp,
-                                                      small.m_dn, small.m_up)
+        charge = _group_charge(consts, _Own(small.h_up, small.h_dn, small.hl_dn, c_grp,
+                                            *small[5:9]))
+        # hl_dn alone outlives the charge: copied, it frees the masses' array
+        empty = _read_only(np.empty(0))
+        small = small._replace(m_dn=empty, m_up=empty, mr_dn=empty, mr_up=empty,
+                               hl_dn=_read_only(small.hl_dn.copy()))
+        yield small, small.h_up, small.h_dn, small.hl_dn, None, charge
         return
 
-    def walk(i, m, t, sm, st, fnum, fden):
-        yield m, t, sm, st, fnum, fden
+    # the bit of each group prime in the groups, and R for the others
+    bits = {p: 1 << j for j, p in enumerate(consts.odd[:_GROUP_PRIMES])}
+    r_bit = 1 << _GROUP_PRIMES
+
+    def walk(i, m, t, sm, st, fnum, fden, mg, tg, lr):
+        # mg and tg: the group bits of m and of t; lr: the factors rest(a)
+        # and rho(a) lose to the primes of m outside the group primes, as
+        # the numerators and denominators of p/(p-1) and (p-1)/(p-2)
+        yield m, t, sm, st, fnum, fden, mg, tg, lr
         for j in range(i, len(rest)):
             p = rest[j]
             if m * t * p > lim:
                 break
+            g = bits.get(p, 0)
+            mlr = lr if g else (lr[0] * p, lr[1] * (p - 1), lr[2] * (p - 1), lr[3] * (p - 2))
             pk, s = p, 1 + p
             while m * t * pk <= lim:
-                yield from walk(j + 1, m * pk, t, sm * s, st, fnum * (p - 1), fden * (p - 2))
-                yield from walk(j + 1, m, t * pk, sm, st * s, fnum * (p - 1), fden * (p - 2))
+                yield from walk(j + 1, m * pk, t, sm * s, st, fnum * (p - 1), fden * (p - 2),
+                                mg | g, tg, mlr)
+                yield from walk(j + 1, m, t * pk, sm, st * s, fnum * (p - 1), fden * (p - 2),
+                                mg, tg | (g or r_bit), lr)
                 pk *= p
                 s = s * p + 1
 
     pending, size = [], 0
-    for visit in walk(0, 1, 1, 1, 1, 1, 1):
+    for visit in walk(0, 1, 1, 1, 1, 1, 1, 0, 0, (1, 1, 1, 1)):
         m, t = visit[:2]
         k = int(np.searchsorted(small.value, lim // (m * t), "right"))
         pending.append((*visit, k))
@@ -533,27 +692,28 @@ def _a_blocks(consts: _Consts, small: _Rows, rest: tuple, z: int):
 
 
 def _a_block(consts: _Consts, small: _Rows, c_grp: np.ndarray, visits: list, size: int):
-    """The rows of the (m, t, sm, st, fnum, fden, k) `visits`, written
-    straight into one block of `size` rows (see _a_blocks): the first k rows
-    of `small` each, scaled by m*t, so the build holds little beyond the
-    block. c_grp is the group primes of each row of `small`. Returns the
-    block, its h_a and t_grp columns and its net charge."""
+    """The rows of the (m, t, sm, st, fnum, fden, mg, tg, lr, k) `visits`
+    (see the walk of _a_blocks), written straight into one block of `size`
+    rows (see
+    _a_blocks): the first k rows of `small` each, scaled by m*t, so the
+    build holds little beyond the block. c_grp is the group primes of each
+    row of `small`. Returns the block, its h_a, hd_a, hl_a and t_grp columns
+    and its net charges."""
     empty = np.empty(0)
     block = _Rows(
         np.empty(size, np.int64),
         np.empty((small.mask.shape[0], size), np.uint64),
         *(np.empty(size) for _ in range(3)),
-        empty,
-        empty,
+        *(empty,) * 5,
     )
-    h_a, t_grp = np.empty(size), np.empty(size, np.uint8)
-    gp = consts.odd[:_GROUP_PRIMES]
-    own = []  # the a of the visits with t = 1: (h_a, group primes, m_dn, m_up)
+    h_a, hd_a, hl_a = (np.empty(size) for _ in range(3))
+    t_grp = np.empty(size, np.uint8)
+    own = []  # the a of the visits with t = 1, as the columns of _Own
     o = 0
-    for m, t, sm, st, fnum, fden, k in visits:
-        rows = _Rows(*(col[..., o:o + k] for col in block))
-        ha = h_a[o:o + k]
-        t_grp[o:o + k] = sum(1 << j for j, p in enumerate(gp) if t % p == 0)
+    for m, t, sm, st, fnum, fden, mg, tg, (lnum, lden, rnum, rden), k in visits:
+        rows = _Rows(*(col[..., o:o + k] for col in block[:5]), *block[5:])
+        ha, hd, hl = h_a[o:o + k], hd_a[o:o + k], hl_a[o:o + k]
+        t_grp[o:o + k] = tg
         o += k
         mt = m * t
         if mt == 1:
@@ -567,31 +727,41 @@ def _a_block(consts: _Consts, small: _Rows, c_grp: np.ndarray, visits: list, siz
             ulp_up(np.multiply(small.h_up[:k], ratio_up(sm * t, m * st), out=rows.h_up))
         if m == 1:
             ha[...] = small.h_up[:k]
+            hd[...] = small.h_dn[:k]
+            hl[...] = small.hl_dn[:k]
         else:
             ulp_up(np.multiply(small.h_up[:k], ratio_up(sm, m), out=ha))
+            ulp_dn(np.multiply(small.h_dn[:k], ratio_dn(sm, m), out=hd))
+            ulp_dn(np.multiply(small.hl_dn[:k], ratio_dn(sm * lnum, m * lden), out=hl))
         if t == 1:
-            m_grp = sum(1 << j for j, p in enumerate(gp) if m % p == 0)
-            m_dn, m_up = small.m_dn[:k], small.m_up[:k]
+            masses = [col[:k] for col in small[5:9]]
             if m > 1:
-                m_dn, m_up = ulp_dn(m_dn * ratio_dn(1, m)), ulp_up(m_up * ratio_up(1, m))
-            own.append((ha, c_grp[:k] | np.uint8(m_grp), m_dn, m_up))
-    charge = _group_charge(consts, *map(np.concatenate, zip(*own))) if own else 0
-    return block.read_only(), _read_only(h_a), _read_only(t_grp), charge
+                masses = [ulp_dn(masses[0] * ratio_dn(1, m)), ulp_up(masses[1] * ratio_up(1, m)),
+                          ulp_dn(masses[2] * ratio_dn(rnum, m * rden)),
+                          ulp_up(masses[3] * ratio_up(rnum, m * rden))]
+            own.append((ha, hd, hl, c_grp[:k] | np.uint8(mg), *masses))
+    charge = _group_charge(consts, _Own(*map(np.concatenate, zip(*own)))) if own else (0, 0)
+    return (block.read_only(), _read_only(h_a), _read_only(hd_a), _read_only(hl_a),
+            _read_only(t_grp), charge)
 
 
 class _Chunk(NamedTuple):
     """Candidate rows: for each range k, a-side row a[k] of `rows` against
     the b-table rows j_lo[k] <= j < j_hi[k], b values of one class disjoint
-    from the row's own and at most z // the row's value. h_a and t_grp are
-    the block's columns (see _a_blocks), and b_group is each b-table row's
-    group (see _group_tables), of the C its own primes make. charge is the
-    block's net charge on its first chunk and 0 on the others."""
+    from the row's own and at most z // the row's value. h_a, hd_a, hl_a and
+    t_grp are the block's columns (see _a_blocks; t_grp is None where every
+    t is 1), and b_group is each
+    b-table row's group (see _group_tables), of the C and R its own primes
+    make. charge is the block's net charges (lower, upper) on its first
+    chunk and (0, 0) on the others."""
 
     rows: _Rows
     h_a: np.ndarray
+    hd_a: np.ndarray
+    hl_a: np.ndarray
     t_grp: np.ndarray
     b_group: np.ndarray
-    charge: int
+    charge: tuple
     a: np.ndarray
     j_lo: np.ndarray
     j_hi: np.ndarray
@@ -606,16 +776,23 @@ def _cell_tables(consts: _Consts, z: int):
     to the a side (see _a_blocks). The odd S-smooth numbers start the a side
     with the density base prod (p-2)/p and the mass base prod (p-1)/p over
     the odd primes, so that a row's mass is M(a) of the tail lemma (see
-    moments). The b table and the a-side blocks come back read-only.
+    moments); its mr starts at the mass base times rho(1), the product of
+    (p-2)/(p-1), and its hl at 1/rest(1), the product of (p-1)/p, both over
+    the odd primes outside the group primes. The b table and the a-side
+    blocks come back read-only.
     """
     b, used = _smooth_rows(consts.odd, z, True, 1.0, (), _ROW_BUDGET, _CLASS_PRIMES)
-    base, mass, den = 1, 1, 1
-    for p in consts.odd:
+    base, mass, den, rho, rho_den, rest, rest_den = 1, 1, 1, 1, 1, 1, 1
+    for j, p in enumerate(consts.odd):
         base *= p - 2
         mass *= p - 1
         den *= p
-    small, _ = _smooth_rows(consts.odd[:used], z // 2, False, ratio_dn(base, den),
-                            (ratio_dn(mass, den), ratio_up(mass, den)))
+        if j >= _GROUP_PRIMES:
+            rho, rho_den = rho * (p - 2), rho_den * (p - 1)
+            rest, rest_den = rest * (p - 1), rest_den * p
+    m0 = (ratio_dn(mass, den), ratio_up(mass, den), ratio_dn(mass * rho, den * rho_den),
+          ratio_up(mass * rho, den * rho_den), ratio_dn(rest, rest_den))
+    small, _ = _smooth_rows(consts.odd[:used], z // 2, False, ratio_dn(base, den), m0)
     blocks = _a_blocks(consts, small, consts.odd[used:], z)
     b = b.read_only()
     return b, _chunks(blocks, b, (1 << min(used, _CLASS_PRIMES)) - 1, z)
@@ -654,14 +831,19 @@ def _chunks(blocks, b: _Rows, cmask: int, z: int):
     """Cut each batch of candidate ranges (see _ranges) into chunks of
     _CHUNK candidate rows; the last chunk of a batch takes the rows left
     over. A range may be split between chunks. The first chunk of each
-    block carries the block's net charge (see _group_charge): every row has
+    block carries the block's net charges (see _group_charge): every row has
     value <= z // 2, so b = 2 pairs with it and every block has a chunk."""
     bounds = np.searchsorted(_classes(b, cmask), np.arange(cmask + 2))
     k = np.zeros(b.value.size, np.uint8)  # min(v2(b), _V2_CAP) - 1
     for j in range(2, _V2_CAP + 1):
         k += (b.value & ((1 << j) - 1)) == 0
-    b_group = _read_only(k << np.uint8(_GROUP_PRIMES) | _classes(b, (1 << _GROUP_PRIMES) - 1))
-    for rows, h_a, t_grp, charge in blocks:
+    r = (b.mask[0] >> np.uint64(_GROUP_PRIMES)) != 0  # an odd prime past the group primes
+    for word in b.mask[1:]:
+        r |= word != 0
+    b_group = k << np.uint8(_GROUP_PRIMES + 1) | r.view(np.uint8) << np.uint8(_GROUP_PRIMES)
+    b_group |= _classes(b, (1 << _GROUP_PRIMES) - 1)
+    b_group = _read_only(b_group)
+    for rows, h_a, hd_a, hl_a, t_grp, charge in blocks:
         for a, lo, cnt in _ranges(rows, b, bounds, cmask, z):
             ends = np.cumsum(cnt)
             s = 0
@@ -672,6 +854,8 @@ def _chunks(blocks, b: _Rows, cmask: int, z: int):
                 yield _Chunk(
                     rows,
                     h_a,
+                    hd_a,
+                    hl_a,
                     t_grp,
                     b_group,
                     charge,
@@ -679,7 +863,7 @@ def _chunks(blocks, b: _Rows, cmask: int, z: int):
                     lo[r0:r1] + np.maximum(s - starts, 0),
                     lo[r0:r1] + np.minimum(s + _CHUNK - starts, cnt[r0:r1]),
                 )
-                charge = 0
+                charge = (0, 0)
                 s += _CHUNK
 
 
@@ -687,39 +871,52 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     """Exact sums of the directed cell terms of one chunk.
 
     Returns (lower, upper, covered_dn, pairs): the sums as exact_sum gives
-    them, integer counts of 2**-1074, with upper the chunk's charge less
-    its saving. Every cell term is directed (a one-ULP step after each
-    operation); the sums of them are exact.
+    them, integer counts of 2**-1074, with lower the chunk's lower charge
+    and its cells' excesses, and upper its upper charge less its saving.
+    Every cell term is directed (a one-ULP step after each operation); the
+    sums of them are exact.
 
     Every cell reads ru at q, a DOWN bound on h(b)/h(a), and saves
     dens_dn (c - ru) stepped DOWN, or 0 where c <= ru, off its group's read
     c, in the bits its a's charge read it (see _group_read and the tail
     lemma of moments). Its lower bound rl = ulp_dn(1 - ru) is read at w, a
-    DOWN bound on h(a)/h(b) <= 1/q, and is +0.0 unless w reaches the first
-    grid point where ru < 1, so w and rl are formed for the cells with
-    q <= consts.q_lower alone. Each sum is taken as soon as its terms are
-    formed, and the savings overwrite the group reads: the chunk's arrays
-    set the run's peak memory.
+    DOWN bound on h(a)/h(b) <= 1/q, and is +0.0 unless w reaches
+    consts.w_lower, so w and rl are formed for the cells with q <=
+    consts.q_lower alone. Such a cell adds dens_dn (rl - l) stepped DOWN, or
+    0 where rl <= l, over its group's lower read l, in the bits its a's
+    charge read it (see _lower_read and the lower tail lemma of moments);
+    the difference steps only where l > 0, as rl - 0 is exact. Each sum is
+    taken as soon as its terms are formed, and the savings overwrite the
+    group reads: the chunk's arrays set the run's peak memory.
     """
     rows = ch.rows
     ai, bi = _coprime_pairs(b, ch)
     dens_dn = ulp_dn(rows.d_dn[ai] * b.d_dn[bi])
     covered = exact_sum(dens_dn)
-    g = ch.b_group.take(bi)  # b = s t: C joins the group primes of s and of t
-    g |= ch.t_grp.take(ai)
-    gap = _group_read(consts, consts.group_h.take(g), ch.h_a.take(ai))
+    g = ch.b_group.take(bi)
+    if ch.t_grp is not None:  # b = s t: C and R join those of s and of t
+        g |= ch.t_grp.take(ai)
     h = rows.h_up[ai]  # h(a), or h(a)/h(t) on the walk's rows
+    # on the odd table itself h_a is h_up, and one gather serves both
+    gap = _group_read(consts, consts.group_h.take(g),
+                      h if ch.h_a is rows.h_up else ch.h_a.take(ai))
     q = ulp_dn(np.divide(b.h_dn[bi], h, out=h))  # <= h(b)/h(a)
     ru = consts.ru_at[_slot(q)]
     ulp_dn(np.maximum(np.subtract(gap, ru, out=gap), 0.0, out=gap))
     saving = exact_sum(ulp_dn(np.multiply(dens_dn, gap, out=gap)))
+    pairs = dens_dn.size
     low = np.flatnonzero(q <= consts.q_lower)
-    ai = ai[low]
-    bi = bi[low]
-    w = ulp_dn(rows.h_dn[ai] / b.h_up[bi])  # <= h(a)/h(b)
+    del gap, ru, q, h  # the lower reads take the low cells alone
+    ai, bi, g, dens_dn = ai[low], bi[low], g[low], dens_dn[low]
+    h = rows.h_dn[ai]
+    w = ulp_dn(np.divide(h, b.h_up[bi]))  # <= h(a)/h(b)
     rl = ulp_dn(1.0 - consts.ru_at[_slot(w)])  # ru = 1 gives +0.0
-    lower = exact_sum(ulp_dn(np.multiply(dens_dn[low], rl, out=rl)))
-    return lower, ch.charge - saving, covered, int(dens_dn.size)
+    r = (g & np.uint8(1 << _GROUP_PRIMES)) != 0
+    base = np.where(r, ch.hl_a.take(ai), h if ch.hd_a is rows.h_dn else ch.hd_a.take(ai))
+    l = _lower_read(consts, base, consts.group_hx.take(g))
+    ulp_dn(np.maximum(np.subtract(rl, l, out=rl), 0.0, out=rl), l > 0.0)
+    lower = exact_sum(ulp_dn(np.multiply(dens_dn, rl, out=rl)))
+    return ch.charge[0] + lower, ch.charge[1] - saving, covered, pairs
 
 
 def _coprime_pairs(b: _Rows, ch: _Chunk):
@@ -776,14 +973,16 @@ def run_bounds(
 ) -> BoundReport:
     """Certified bracket for the density of n with sigma(2n+1) >= sigma(2n).
 
-    Enumerates every cell with ab <= z and sums the DOWN-directed lower cell
-    terms and the covered mass exactly, as integers. The upper side charges
-    the cells of every odd a <= z // 2 by group, each group at one read of
-    the bound curve, charges the cells of the a above z // 2 at 1, and takes
-    off each enumerated cell's saving against its group's read (the tail
-    lemma of moments): so the unenumerated cells of an a are bounded by the
-    curve too, not by 1. A block's charge is added when the block is built,
-    before any of its cells. Each reported number is rounded once, to its
+    Enumerates every cell with ab <= z and sums the directed cell terms and
+    the covered mass exactly, as integers. Each side charges the cells of
+    every odd a <= z // 2 by group, each group at one read of the bound
+    curve: the upper side charges the cells of the a above z // 2 at 1 and
+    takes off each enumerated cell's saving against its group's read (the
+    tail lemma of moments), the lower side adds each enumerated cell's gain
+    over its group's lower read (the lower tail lemma): so the unenumerated
+    cells of an a are bounded by the curve on both sides, not by 1 and 0. A
+    block's charges are added when the block is built, before any of its
+    cells. Each reported number is rounded once, to its
     side, from the exact totals, so neither the chunk cut nor the thread
     count moves a bit. One thread sums
     the chunks in the calling thread; more share a pool (see _pooled).

@@ -109,8 +109,8 @@ The tail lemma. The engine charges the upper side by groups of cells, each
 at one read of its curve U (non-increasing in q, and bounding the share of
 every cell at q <= h(b)/h(a)), whether or not the cells are enumerated. The
 cells of an odd y-smooth a are the (a, b) with b even, y-smooth and coprime
-to a. Let G be the group primes, the first three odd primes <= y (fewer
-for y < 7), and A the primes of G dividing a.
+to a. Let G be the group primes, the first four odd primes <= y (fewer
+for y < 11), and A the primes of G dividing a.
 1. Mass. The cell density (2/ab) prod_{p|ab} (1-1/p) prod_{p∤ab} (1-2/p)
    factors over the primes. Summed over b, the power 2^k of 2 in b gives
    2^-k, and an odd p not dividing a gives
@@ -145,6 +145,41 @@ to the a side, the engine enumerates the cells of an a on several rows, one
 per odd part t of b built from those primes; every such row reads a's
 groups, each cell that of its own b, and a's charge is taken once. G is
 fixed by y alone, so the split moves no group.
+
+The lower tail lemma. The engine charges the lower side by groups of
+cells too, each at one read of its curve L (non-decreasing in w, and
+bounding the share of every cell at w <= h(a)/h(b) from below). Take a,
+G, A and the groups (k, C) as in the tail lemma, and let P be the odd
+primes <= y outside G that do not divide a; the odd primes of a b outside
+G are in P, as b is coprime to a.
+1. The rest bit. Split each group (k, C) by R, whether b has a prime of
+   P. By step 1 of the tail lemma, relative to M(a) w(k, C) the events
+   p ∤ b for p in P are independent of each other and of (k, C), each of
+   probability (p-2)/(p-1). So R = {} holds the share
+   rho(a) = prod_{p in P} (p-2)/(p-1) of the group and R != {} the rest,
+   1 - rho(a); with P empty, R != {} holds no cell.
+2. A bound on h(b). h(2^j) = 2 - 2^-j < 2 and h(p^j) < p/(p-1) for odd p.
+   A b of (k, C, {}) is 2^j, with j = k for k < K and j >= K at k = K,
+   times powers of the primes of C, so h(b) <= Hx(k, C) =
+   h+(2^k) prod_{p in C} p/(p-1), h+(2^k) = h(2^k) for k < K and 2 at
+   k = K. A b of (k, C, R != {}) may hold powers of the primes of P too,
+   so h(b) <= Hx(k, C) rest(a), rest(a) = prod_{p in P} p/(p-1).
+3. One read per group. So w = h(a)/h(b) >= h(a)/Hx(k, C) on R = {} and
+   >= hl(a)/Hx(k, C) on R != {}, hl(a) = h(a)/rest(a). L is
+   non-decreasing, so its read l there bounds the share of every cell of
+   the group from below.
+4. The charge. A cell's share is at least its group's l and at least its
+   own read rl, so at least max(l, rl) = l + max(0, rl - l). So the
+   density is at least sum_groups M w rho_R l + sum_{enumerated cells}
+   dens max(0, rl - l), rho_R = rho(a) for R = {} and 1 - rho(a) for
+   R != {}, over the a <= z // 2; the cells of the a left out count at 0.
+   The bound holds as well with any l' >= l in a cell's term, as
+   l + max(0, rl - l') <= max(l, rl), but not with an l' < l: a cell must
+   read its group at the charge's ratio or above it.
+The engine rounds the masses M rho_R and w DOWN (the mass of R != {} as
+M - M rho, each rounded to its side), Hx UP and h(a) and hl(a) DOWN. A
+group charged at 0 is sound too, so the engine forms the charges of the
+groups whose read can be above 0 alone.
 """
 from __future__ import annotations
 

@@ -4,6 +4,7 @@ None of this runs in the library: these are slow, direct forms of what the
 production path computes in bulk (cells one at a time, moment bounds one
 order at a time, per-cell r searches, exact divisor sums).
 """
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from sigbound.dirround import (
     up_div,
     up_mul,
 )
+from sigbound import engine
 from sigbound.engine import _Rows, _grid
 from sigbound.errors import InvalidParameterError
 from sigbound.moments import _TAIL_RATE, _mid_primes, check_y
@@ -281,11 +283,12 @@ def smooth_rows(odd, limit, even, f0, m0=(), budget=None, classes=0):
         value = np.ones(1, dtype=np.int64)
         h_dn = h_up = np.ones(1)
     d_dn = np.array([f0 / v for v in pows])
-    # without m0 the mass columns are carried at 0 and emptied at the end
-    m_dn, m_up = (np.array([m / v for v in pows]) for m in (m0 or (0.0, 0.0)))
+    # without m0 the last five columns are carried at 0 and emptied at the
+    # end; with it, the odd side's one head is v = 1
+    last = [np.array([m] * len(pows)) for m in (m0 or (0.0,) * 5)]
     n = value.size
     words = max(1, -(-len(odd) // 64))  # at least one mask word, as the engine keeps
-    rows = _Rows(value, np.zeros((words, n), np.uint64), d_dn, h_dn, h_up, m_dn, m_up)
+    rows = _Rows(value, np.zeros((words, n), np.uint64), d_dn, h_dn, h_up, *last)
     used = 0
     for j, p in enumerate(odd):
         bit = np.uint64(1 << (j % 64))
@@ -303,6 +306,10 @@ def smooth_rows(odd, limit, even, f0, m0=(), budget=None, classes=0):
             mask[j // 64] |= bit
             value = rows.value[sel] * pk
             sig_dn, sig_up = ratio_dn(pk * p - 1, pk * (p - 1)), ratio_up(pk * p - 1, pk * (p - 1))
+            # rho and 1/rest lose the factors of a p outside the group primes
+            grouped = j < engine._GROUP_PRIMES
+            rho = Fraction(1, pk) if grouped else Fraction(p - 1, (p - 2) * pk)
+            rest = Fraction(pk * p - 1, pk * (p - 1)) * (1 if grouped else Fraction(p, p - 1))
             parts.append(_Rows(
                 value, mask,
                 ulp_dn(rows.d_dn[sel] * ratio_dn(p - 1, (p - 2) * pk)),
@@ -310,6 +317,9 @@ def smooth_rows(odd, limit, even, f0, m0=(), budget=None, classes=0):
                 ulp_up(rows.h_up[sel] * sig_up),
                 ulp_dn(rows.m_dn[sel] * ratio_dn(1, pk)),
                 ulp_up(rows.m_up[sel] * ratio_up(1, pk)),
+                ulp_dn(rows.mr_dn[sel] * ratio_dn(rho.numerator, rho.denominator)),
+                ulp_up(rows.mr_up[sel] * ratio_up(rho.numerator, rho.denominator)),
+                ulp_dn(rows.hl_dn[sel] * ratio_dn(rest.numerator, rest.denominator)),
             ))
             pk *= p
         if budget is not None and size > budget:
@@ -322,7 +332,8 @@ def smooth_rows(odd, limit, even, f0, m0=(), budget=None, classes=0):
     order = np.lexsort((rows.value, cls))
     rows = _Rows(*(col[..., order] for col in rows))
     if not m0:
-        rows = rows._replace(m_dn=np.empty(0), m_up=np.empty(0))
+        empty = np.empty(0)
+        rows = rows._replace(m_dn=empty, m_up=empty, mr_dn=empty, mr_up=empty, hl_dn=empty)
     return rows, used
 
 
@@ -346,17 +357,22 @@ def enumerate_cells(y, z):
             v2 *= 2
 
 
+@functools.lru_cache(maxsize=None)
+def _group_primes(y):
+    return tuple(primes_upto(y).tolist()[1:5])
+
+
 def group_primes(y):
-    """The group primes of the tail lemma (see `sigbound.moments`): the first
-    three odd primes <= y."""
-    return primes_upto(y).tolist()[1:4]
+    """The group primes of the tail lemmas (see `sigbound.moments`): the
+    first four odd primes <= y."""
+    return list(_group_primes(y))
 
 
 def tail_group(y, b):
     """The group (k, C) of the tail lemma that holds the cells (a, b):
     k = min(v2(b), 3) and C the group primes dividing b."""
     return (min((b & -b).bit_length() - 1, 3),
-            frozenset(p for p in group_primes(y) if b % p == 0))
+            frozenset(p for p in _group_primes(y) if b % p == 0))
 
 
 def tail_groups(y, a):
@@ -378,6 +394,40 @@ def tail_groups(y, a):
                     else:
                         share *= Fraction(p - 2, p - 1)
                 groups[k, frozenset(C)] = ratio, share
+    return groups
+
+
+def lower_tail_group(y, b):
+    """The group (k, C, R) of the lower tail lemma that holds the cells
+    (a, b): (k, C) as in tail_group, and R whether b has an odd prime
+    outside the group primes."""
+    m = b >> (b & -b).bit_length() - 1
+    for p in _group_primes(y):
+        while m % p == 0:
+            m //= p
+    return (*tail_group(y, b), m > 1)
+
+
+def lower_tail_groups(y, a):
+    """The groups (k, C, R) of the cells of the odd a, each with (bound,
+    share). With P the odd primes <= y outside the group primes that do not
+    divide a, and rho = prod_{p in P} (p-2)/(p-1) the share of the b with
+    no prime of P: bound is h+(2^k) prod_{p in C} p/(p-1), times
+    prod_{p in P} p/(p-1) for R, above h(b) for each b of the group, with
+    h+(2^k) = h(2^k) for k < 3 and 2 at k = 3; share is the share of (k, C)
+    in tail_groups times rho, or 1 - rho for R. With P empty, R holds no
+    cell and is left out."""
+    rest = [p for p in primes_upto(y).tolist()[1:] if p not in group_primes(y) and a % p]
+    rho = math.prod(Fraction(p - 2, p - 1) for p in rest)
+    spread = math.prod(Fraction(p, p - 1) for p in rest)
+    groups = {}
+    for (k, C), (_, share) in tail_groups(y, a).items():
+        bound = Fraction(2 ** (k + 1) - 1, 2**k) if k < 3 else Fraction(2)
+        for p in C:
+            bound *= Fraction(p, p - 1)
+        groups[k, C, False] = bound, share * rho
+        if rest:
+            groups[k, C, True] = bound * spread, share * (1 - rho)
     return groups
 
 

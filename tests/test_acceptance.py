@@ -26,20 +26,24 @@ from sigbound.moments import build_moment_table, moment_r1_exact
 
 # canonical desk-scale regression values (any thread count, y=31, z=1e8,
 # r_max=200, the primes in (31, 1009] folded into the bound curve on a log
-# grid of step 2^-13, the cells of each a-side row charged by group (k, C)
-# off that curve); full-precision engine outputs:
-#   lower   0.0542058855882322
-#   upper   0.05507854787411567
+# grid of step 2^-13, the cells of each odd a charged by group off that
+# curve on both sides, (k, C) above and (k, C, R) below, C of the first
+# four odd primes); full-precision engine outputs:
+#   lower   0.054286232433012546
+#   upper   0.05504595026642775
 #   covered 0.9975129594563145
 DESK_PAIRS = 1608738
-DESK_LOWER_10 = 0.05420588558  # outward (floor) 10 significant digits
-DESK_UPPER_10 = 0.05507854788  # outward (ceiling) 10 significant digits
-# The brackets of the fold's 2^-12 log step, of the groups by k alone, of
+DESK_LOWER_10 = 0.05428623243  # outward (floor) 10 significant digits
+DESK_UPPER_10 = 0.05504595027  # outward (ceiling) 10 significant digits
+# The brackets of three group primes whose lower side charged no group, of
+# the fold's 2^-12 log step, of the groups by k alone, of
 # the folded curve that charged the unenumerated tail at 1, of the capped
 # curve that folded nothing, of the uncapped bound curve that the symmetry
 # cap tightened, of the geometric ratio grid that the bit grid replaced,
 # and of the per-cell summation that the chunked sums replaced, each inside
 # the next: a change may tighten the bracket but never leave any one.
+NO_LOWER_LOWER = 0.0542058855882322
+NO_LOWER_UPPER = 0.05507854787411567
 LOG12_LOWER = 0.05416251716607616
 LOG12_UPPER = 0.05512056931449539
 KGROUP_LOWER = 0.05416251716607616
@@ -116,12 +120,13 @@ class TestCriterion2DeskBracket:
         ok_envelope = lower >= 0.01 and upper <= 0.25
         ok_regression = (
             r.pair_count == DESK_PAIRS
-            and lower == pytest.approx(0.0542058855882322, rel=1e-9)
-            and upper == pytest.approx(0.05507854787411567, rel=1e-9)
+            and lower == pytest.approx(0.054286232433012546, rel=1e-9)
+            and upper == pytest.approx(0.05504595026642775, rel=1e-9)
         )
         ok_printed = (_outward(lower, True) == DESK_LOWER_10
                       and _outward(upper, False) == DESK_UPPER_10)
-        ok_inside = (lower >= LOG12_LOWER and upper <= LOG12_UPPER
+        ok_inside = (lower >= NO_LOWER_LOWER and upper <= NO_LOWER_UPPER
+                     and NO_LOWER_LOWER >= LOG12_LOWER and NO_LOWER_UPPER <= LOG12_UPPER
                      and LOG12_LOWER >= KGROUP_LOWER and LOG12_UPPER <= KGROUP_UPPER
                      and KGROUP_LOWER >= FOLDED_LOWER and KGROUP_UPPER <= FOLDED_UPPER
                      and FOLDED_LOWER >= CAPPED_LOWER and FOLDED_UPPER <= CAPPED_UPPER
@@ -137,7 +142,8 @@ class TestCriterion2DeskBracket:
             f"proxy {EMPIRICAL_PROXY} inside with 1e-4 slack: {ok_proxy}; "
             f"envelope [0.01, 0.25]: {ok_envelope}; regression fixtures: {ok_regression}; "
             f"printed [{DESK_LOWER_10}, {DESK_UPPER_10}]: {ok_printed}; "
-            f"inside [{LOG12_LOWER}, {LOG12_UPPER}] inside "
+            f"inside [{NO_LOWER_LOWER}, {NO_LOWER_UPPER}] inside "
+            f"[{LOG12_LOWER}, {LOG12_UPPER}] inside "
             f"[{KGROUP_LOWER}, {KGROUP_UPPER}] inside "
             f"[{FOLDED_LOWER}, {FOLDED_UPPER}] inside "
             f"[{CAPPED_LOWER}, {CAPPED_UPPER}] inside "

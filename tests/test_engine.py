@@ -14,6 +14,8 @@ from oracles import (
     enumerate_cells,
     factorize,
     local_cell_density,
+    lower_tail_group,
+    lower_tail_groups,
     pair_bounds,
     solve_progression,
     tail_group,
@@ -384,6 +386,33 @@ class TestCellAudit:
         assert len(keys) >= 710 and np.count_nonzero(c < 0.5) >= 635
         assert np.all(got <= c * of + 5 * np.sqrt(of * c * (1 - c)) + 1)
 
+    def test_lower_tail_groups_hold_on_exact_counts(self, audit_cells, table_y1009_r200):
+        # the lower tail lemma of moments on exact counts: the cells with
+        # ab > z of each group (a, k, C, R) (oracles.lower_tail_group),
+        # pooled, hold hits >= l * members less a binomial slack of five
+        # standard deviations and one member, l the folded lower curve read
+        # at h(a) over the group's bound, rounded DOWN, as _lower_read
+        # reads it. At x = 1e6 and z = 1000, 758 groups of 110 a have at
+        # least 100 members and 57 of them read l > 0, holding 4,244 hits
+        # against 2,731.6 members times l; 24 fall short of l * members,
+        # none by more than 1.09 standard deviations net of the one member.
+        _, members, hits, cells = audit_cells
+        z = 1000
+        ru_at = _engine_consts(table_y1009_r200, 31).ru_at
+        pooled = {}
+        for (a, b), m, h in zip(cells, members.tolist(), hits.tolist()):
+            if a * b > z:
+                key = a, lower_tail_group(31, b)
+                got, of = pooled.get(key, (0, 0))
+                pooled[key] = got + h, of + m
+        keys = [key for key, (_, of) in pooled.items() if of >= 100]
+        groups = {a: lower_tail_groups(31, a) for a, _ in keys}
+        w = [abundancy(factorize(a)) / groups[a][group][0] for a, group in keys]
+        lw = ulp_dn(1.0 - ru_at[_slot(np.array([ratio_dn(r.numerator, r.denominator) for r in w]))])
+        got, of = (np.array([pooled[key][i] for key in keys]) for i in (0, 1))
+        assert len(keys) >= 758 and np.count_nonzero(lw > 0) >= 57
+        assert np.all(got >= lw * of - 5 * np.sqrt(of * lw * (1 - lw)) - 1)
+
 
 class TestRunBounds:
     def test_single_cell_run(self):
@@ -573,16 +602,34 @@ class TestRunBounds:
         assert all(ev[4] for ev in streams[0])
         assert [ev[0] for ev in streams[0]] == sorted(ev[0] for ev in streams[0])
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_progress_brackets_nest(self, threads):
+        # every progress report is a bracket around the final one: the
+        # lower charges and the cells' excesses over their groups' reads
+        # only add to the lower total, and after the block's charge the
+        # savings only take from the upper one
+        events = []
+        final = run_bounds(31, 10**6, 200, threads=threads,
+                           progress=lambda part, flush: events.append(part), flush_every=10000)
+        assert len(events) >= 10
+        for part in events:
+            assert part.lower_total.value <= final.lower_total.value
+            assert part.upper_total.value >= final.upper_total.value
+
     def test_grid_path_close_to_reference_scan(self, table_y31_r200):
         # the upper side as the tail lemma of moments charges it: per odd a
         # <= z // 2 and group (k, C) (oracles.tail_groups), the mass M(a)
         # times the group's share at the scan's bound c at the group's
         # ratio over h(a), less each cell's max(0, dens c - its own bound),
-        # plus the mass of the larger a at 1
+        # plus the mass of the larger a at 1; the lower side as the lower
+        # tail lemma charges it: per a and group (k, C, R)
+        # (oracles.lower_tail_groups), M(a) times the group's share at the
+        # scan's lower bound l at h(a) over the group's bound, plus each
+        # cell's max(0, its own lower bound - dens l)
         lo_ref = up_ref = 0.0
         odd = primes_upto(31).tolist()[1:]
         base = math.prod(Fraction(p - 1, p) for p in odd)
-        groups = {}
+        groups, lows = {}, {}
         for a, b in enumerate_cells(31, 10**4):
             dens = cell_density(a, b, 31)
             ha = abundancy(factorize(a))
@@ -591,11 +638,16 @@ class TestRunBounds:
                 groups[a] = {key: (share, pair_bounds(Fraction(1), table_y31_r200, ha,
                                                       ratio).upper.value)
                              for key, (ratio, share) in tail_groups(31, a).items()}
+                lows[a] = {key: (share, pair_bounds(Fraction(1), table_y31_r200, ha,
+                                                    bound).lower.value)
+                           for key, (bound, share) in lower_tail_groups(31, a).items()}
             c = groups[a][tail_group(31, b)][1]
-            lo_ref += pb.lower.value
+            l = lows[a][lower_tail_group(31, b)][1]
+            lo_ref += max(0.0, pb.lower.value - float(dens) * l)
             up_ref -= max(0.0, float(dens) * c - pb.upper.value)
         for a, reads in groups.items():
             up_ref += float(base / a) * (sum(float(share) * c for share, c in reads.values()) - 1)
+            lo_ref += float(base / a) * sum(float(share) * l for share, l in lows[a].values())
         up_ref += 1.0
         r = run_bounds(31, 10**4, 200, threads=1, table=table_y31_r200)
         assert r.lower_total.value == pytest.approx(lo_ref, rel=2e-3)

@@ -1,16 +1,20 @@
 """Pinned bits of the certified totals, the moment tables and the bound
 curves.
 
-The totals were taken when the fold's log step went from 2^-12 to 2^-13,
-with the fold rounded to nearest under one certified slack (the rounding of
-the fold in `sigbound.moments`). The upper side charges every a-side row's
-cells by group (k, C), k = min(v2(b), 3) and C the first three odd primes
-that divide b, each group at one read of the bound curve (the tail lemma);
-a run given no table folds the primes in (y, 1009] into its bound curve
-(the fold lemma), and a run given a table at y folds nothing, and each is
-pinned, as are the totals with no group prime. Eight earlier sets of
-totals stay pinned as outer bounds, each at least as loose as the one
-after it: those of the 2^-12 log step; those of the groups by k alone, for
+The totals were taken when the lower side began to charge the cells of
+each odd a by group too (the lower tail lemma in `sigbound.moments`) and
+the group primes went from three to four. The upper side charges every
+a-side row's cells by group (k, C), k = min(v2(b), 3) and C the first four
+odd primes that divide b, each group at one read of the bound curve (the
+tail lemma); the lower side by group (k, C, R), R whether b has an odd
+prime past them, each at one lower read; a run given no table folds the
+primes in (y, 1009] into its bound curve (the fold lemma), and a run given
+a table at y folds nothing, and each is pinned, as are the totals with no
+group prime. Nine earlier sets of totals stay pinned as outer bounds, each
+at least as loose as the one after it: those of three group primes whose
+lower side charged no group, on the fold's 2^-13 log step rounded to
+nearest under one certified slack (the rounding of the fold); those of the
+2^-12 log step; those of the groups by k alone, for
 both kinds of run; those of the folded curve with the tail at 1; those of
 the curve capped at 1/2 (the symmetry lemma) that folded nothing, also the
 outer bounds of the pins of a table at y, and whose curve digests stay
@@ -45,26 +49,41 @@ from sigbound.moments import bound_curves, build_moment_table
 
 TOTALS = ("lower_total", "upper_total", "covered_lo")
 
-GOLDEN_31 = ("0x1.ab0c9d7f1a5a0p-5", "0x1.d0aa8ce88baebp-5",
+GOLDEN_31 = ("0x1.afe4a7db769a3p-5", "0x1.ce68a7c0cc4d9p-5",
              "0x1.f21b4df9c19e8p-1")
-GOLDEN_353 = ("0x1.ccd84b3a333d3p-6", "0x1.0b395dc270dc0p-3",
+GOLDEN_353 = ("0x1.d7f5c1c64449ep-6", "0x1.087e5ff1dc96ap-3",
               "0x1.331ad00ec0cccp-1")
 # y = 2 has no odd prime: one b class, one mask word of zeros, and no group
 # prime, so its groups are those of k alone. y = 3 has one. At y = 2 with
 # z = 1e15 every cell but a tail of 2e-15 is summed, so the group charge
-# moves the upper end by no more than that.
+# moves the upper end by no more than that. Its lower groups (k, {}, {})
+# each hold one cell, (1, 2^k), enumerated, and the charge of each is that
+# cell's lower term bit for bit: the lower groups move no bit at y = 2.
 GOLDEN_2 = ("0x1.bd600da069018p-5", "0x1.c249b59e00c18p-5", "0x1.fffffffffffeep-1")
-GOLDEN_3 = ("0x1.bda0a1f1ee77ap-5", "0x1.c22dce2a6aef2p-5", "0x1.fffcce11ac84fp-1")
+GOLDEN_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22dce2a6aef2p-5", "0x1.fffcce11ac84fp-1")
 
-# The totals with no group prime, the groups by k alone.
-NO_GROUP_31 = ("0x1.ab0c9d7f1a5a0p-5", "0x1.dc538b8659d46p-5", "0x1.f21b4df9c19e8p-1")
-NO_GROUP_3 = ("0x1.bda0a1f1ee77ap-5", "0x1.c22dcf8cb872ap-5", "0x1.fffcce11ac84fp-1")
+# The totals with no group prime, the groups by k (and R on the lower side)
+# alone.
+NO_GROUP_31 = ("0x1.ad1a023c7c919p-5", "0x1.dc538b8659d46p-5", "0x1.f21b4df9c19e8p-1")
+NO_GROUP_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22dcf8cb872ap-5", "0x1.fffcce11ac84fp-1")
 
-# The totals of a table at y, the capped curve that folds nothing.
-AT_Y_31 = ("0x1.808844838a5c0p-5", "0x1.00cd9c7440c2dp-4", "0x1.f21b4df9c19e8p-1")
-AT_Y_353 = ("0x1.cb0ab34044c32p-6", "0x1.0bb3aab5d7e37p-3", "0x1.331ad00ec0cccp-1")
+# The totals of a table at y, the capped curve that folds nothing. Its
+# lower side is 0 at y <= 3, where no cell's w reaches a point above 1.
+AT_Y_31 = ("0x1.84d29c5c67c81p-5", "0x1.ff3bcb929c0b7p-5", "0x1.f21b4df9c19e8p-1")
+AT_Y_353 = ("0x1.d60f23b4a7183p-6", "0x1.08f4aac9f4c1dp-3", "0x1.331ad00ec0cccp-1")
 AT_Y_2 = ("0x0.0p+0", "0x1.3339afe3f4281p-2", "0x1.fffffffffffeep-1")
 AT_Y_3 = ("0x0.0p+0", "0x1.01ee2b7e6aefap-3", "0x1.fffcce11ac84fp-1")
+
+# The totals of three group primes whose lower side charged no group, with
+# no table, with no group prime and with a table at y.
+NO_LOWER_31 = ("0x1.ab0c9d7f1a5a0p-5", "0x1.d0aa8ce88baebp-5", "0x1.f21b4df9c19e8p-1")
+NO_LOWER_353 = ("0x1.ccd84b3a333d3p-6", "0x1.0b395dc270dc0p-3", "0x1.331ad00ec0cccp-1")
+NO_LOWER_3 = ("0x1.bda0a1f1ee77ap-5", "0x1.c22dce2a6aef2p-5", "0x1.fffcce11ac84fp-1")
+NO_LOWER_NO_GROUP_31 = ("0x1.ab0c9d7f1a5a0p-5", "0x1.dc538b8659d46p-5",
+                        "0x1.f21b4df9c19e8p-1")
+NO_LOWER_NO_GROUP_3 = ("0x1.bda0a1f1ee77ap-5", "0x1.c22dcf8cb872ap-5", "0x1.fffcce11ac84fp-1")
+NO_LOWER_AT_Y_31 = ("0x1.808844838a5c0p-5", "0x1.00cd9c7440c2dp-4", "0x1.f21b4df9c19e8p-1")
+NO_LOWER_AT_Y_353 = ("0x1.cb0ab34044c32p-6", "0x1.0bb3aab5d7e37p-3", "0x1.331ad00ec0cccp-1")
 
 # The totals of the 2^-12 log step.
 LOG12_31 = ("0x1.aab428728353ap-5", "0x1.d10342f9a9561p-5",
@@ -167,7 +186,8 @@ def test_totals_y31(threads):
     assert report.pair_count == 135331
     assert total_bits(report) == GOLDEN_31
     assert_within(GOLDEN_31, NO_GROUP_31)
-    assert_within(GOLDEN_31, LOG12_31)
+    assert_within(GOLDEN_31, NO_LOWER_31)
+    assert_within(NO_LOWER_31, LOG12_31)
     assert_within(LOG12_31, KGROUP_31)
     assert_within(KGROUP_31, FOLDED_31)
     assert_within(FOLDED_31, CAPPED_31)
@@ -181,7 +201,8 @@ def test_totals_y353():
     report = run_bounds(353, 10**5, 500, threads=1)
     assert report.pair_count == 148128
     assert total_bits(report) == GOLDEN_353
-    assert_within(GOLDEN_353, LOG12_353)
+    assert_within(GOLDEN_353, NO_LOWER_353)
+    assert_within(NO_LOWER_353, LOG12_353)
     assert_within(LOG12_353, KGROUP_353)
     assert_within(KGROUP_353, FOLDED_353)
     assert_within(FOLDED_353, CAPPED_353)
@@ -193,7 +214,8 @@ def test_totals_y353():
 
 @pytest.mark.parametrize("y,z,r_max,pairs,golden,outer", [
     (2, 10**15, 200, 49, GOLDEN_2, (LOG12_2, FOLDED_2, CAPPED_2)),
-    (3, 10**6, 200, 239, GOLDEN_3, (LOG12_3, KGROUP_3, FOLDED_3, CAPPED_3, UNCAPPED_3)),
+    (3, 10**6, 200, 239, GOLDEN_3,
+     (NO_LOWER_3, LOG12_3, KGROUP_3, FOLDED_3, CAPPED_3, UNCAPPED_3)),
 ], ids=["2-1e15", "3-1e6"])
 def test_totals_few_odd_primes(y, z, r_max, pairs, golden, outer):
     report = run_bounds(y, z, r_max, threads=1)
@@ -204,8 +226,8 @@ def test_totals_few_odd_primes(y, z, r_max, pairs, golden, outer):
 
 
 @pytest.mark.parametrize("y,z,r_max,at_y,outer", [
-    (31, 10**6, 200, AT_Y_31, (KGROUP_AT_Y_31, CAPPED_31)),
-    (353, 10**5, 500, AT_Y_353, (KGROUP_AT_Y_353, CAPPED_353)),
+    (31, 10**6, 200, AT_Y_31, (NO_LOWER_AT_Y_31, KGROUP_AT_Y_31, CAPPED_31)),
+    (353, 10**5, 500, AT_Y_353, (NO_LOWER_AT_Y_353, KGROUP_AT_Y_353, CAPPED_353)),
     (2, 10**15, 200, AT_Y_2, (CAPPED_2,)),
     (3, 10**6, 200, AT_Y_3, (KGROUP_AT_Y_3, CAPPED_3)),
 ], ids=["31-1e6", "353-1e5", "2-1e15", "3-1e6"])
@@ -216,16 +238,18 @@ def test_a_table_at_y_folds_nothing(y, z, r_max, at_y, outer):
         assert_within(inner, bound)
 
 
-@pytest.mark.parametrize("y,z,r_max,no_group,kgroup", [
-    (31, 10**6, 200, NO_GROUP_31, KGROUP_31),
-    (3, 10**6, 200, NO_GROUP_3, KGROUP_3),
+@pytest.mark.parametrize("y,z,r_max,no_group,no_lower,kgroup", [
+    (31, 10**6, 200, NO_GROUP_31, NO_LOWER_NO_GROUP_31, KGROUP_31),
+    (3, 10**6, 200, NO_GROUP_3, NO_LOWER_NO_GROUP_3, KGROUP_3),
 ], ids=["31-1e6", "3-1e6"])
-def test_no_group_primes_leaves_the_groups_by_k_alone(y, z, r_max, no_group, kgroup,
+def test_no_group_primes_leaves_the_groups_by_k_alone(y, z, r_max, no_group, no_lower, kgroup,
                                                        monkeypatch):
-    # with no group prime every group is (k, {}), weighed 2^-k exactly
+    # with no group prime every upper group is (k, {}), weighed 2^-k
+    # exactly, and every lower one (k, {}, R)
     monkeypatch.setattr(engine, "_GROUP_PRIMES", 0)
     assert total_bits(run_bounds(y, z, r_max, threads=1)) == no_group
-    assert_within(no_group, kgroup)
+    assert_within(no_group, no_lower)
+    assert_within(no_lower, kgroup)
 
 
 def test_table_y2_saturating():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -18,6 +18,8 @@ from oracles import (
     factorize,
     group_primes,
     iter_smooth,
+    lower_tail_group,
+    lower_tail_groups,
     ratio_grids_per_r,
     symmetry_capped,
     tail_group,
@@ -62,8 +64,14 @@ def exact_sums(y, z, table):
     h(a). Every a <= z // 2 has the cell (a, 2), so the a charged are those
     of the cells; upper is the sum of M share c over the groups of every a,
     cells or none, plus 1 less the mass of the a, less each cell's
-    dens * max(0, c - ru), c its group's read. No part of it depends on how
-    the engine splits the primes between its b table and its a side.
+    dens * max(0, c - ru), c its group's read. The lower side is charged by
+    groups too (the lower tail lemma): each group (k, C, R) of a
+    (oracles.lower_tail_groups) holds its share of M(a) and reads l, the
+    lower curve at the exact slot of h(a) over its bound; lower is the sum
+    of M share l over the groups of every a plus each cell's
+    dens * max(0, rl - l), rl its own lower read and l its group's. No part
+    of it depends on how the engine splits the primes between its b table
+    and its a side.
     """
     g, ru, rl = grid_curves(table, y)
     g = g.tolist()
@@ -75,9 +83,15 @@ def exact_sums(y, z, table):
         s = exact_slot(g, q)
         return Fraction(ru[s - 1]) if s else Fraction(1)
 
+    def read_lower(w):
+        s = exact_slot(g, w)
+        return Fraction(rl[s - 1]) if s else Fraction(0)
+
     lower = saving = covered = Fraction(0)
     pairs = 0
-    rows = {}  # a -> (M(a), {group: (share, read)}, the mass of its cells summed)
+    # a -> (M(a), {group: (share, read)}, the mass of its cells summed,
+    # {lower group: (share, lower read)})
+    rows = {}
     for a, b in enumerate_cells(y, z):
         dens = cell_density(a, b, y)
         q = abundancy(factorize(b)) / abundancy(factorize(a))
@@ -87,19 +101,22 @@ def exact_sums(y, z, table):
             h_a = abundancy(factorize(a))
             groups = {key: (share, read(ratio / h_a))
                       for key, (ratio, share) in tail_groups(y, a).items()}
-            rows[a] = [base / a, groups, Fraction(0)]
+            lows = {key: (share, read_lower(h_a / bound))
+                    for key, (bound, share) in lower_tail_groups(y, a).items()}
+            rows[a] = [base / a, groups, Fraction(0), lows]
         row = rows[a]
         row[2] += dens
         c = row[1][tail_group(y, b)][1]
         saving += dens * max(Fraction(0), c - read(q))
-        s = exact_slot(g, 1 / q)
-        if s:
-            lower += dens * Fraction(rl[s - 1])
+        l = row[3][lower_tail_group(y, b)][1]
+        lower += dens * max(Fraction(0), read_lower(1 / q) - l)
     charge = mass = Fraction(0)
-    for m, groups, summed in rows.values():
+    for m, groups, summed, lows in rows.values():
         assert summed <= m
         assert sum(share for share, _ in groups.values()) == 1
+        assert sum(share for share, _ in lows.values()) == 1
         charge += m * sum(share * c for share, c in groups.values())
+        lower += m * sum(share * l for share, l in lows.values())
         mass += m
     return lower, charge + 1 - mass - saving, covered, pairs
 
@@ -112,6 +129,11 @@ def exact_sums(y, z, table):
     budget=st.sampled_from([8, engine._ROW_BUDGET]),
     level=st.sampled_from([0, 13, 61]),
 )
+# a lower group read above 0 on the a-block walk; and 13, the one prime
+# past the group primes, read by the groups with R on both sides of the split
+@example(y=3, z=6, r_max=1, budget=8, level=61)
+@example(y=13, z=3000, r_max=30, budget=8, level=61)
+@example(y=13, z=3000, r_max=30, budget=engine._ROW_BUDGET, level=61)
 def test_bracket_is_on_the_safe_side_of_exact_sums(y, z, r_max, budget, level):
     # level 0 folds nothing; 13 and 61 fold the primes in (y, level]
     table = build_moment_table(max(y, level), r_max)
@@ -136,16 +158,19 @@ def test_group_masses_partition_the_mass_of_a(y):
     gp = group_primes(y)
     assert gp == list(consts.odd[:engine._GROUP_PRIMES])
     n = 1 << engine._GROUP_PRIMES
-    assert consts.group_h.shape == (engine._V2_CAP * n,)
-    assert consts.group_w.shape == (n, engine._V2_CAP * n)
+    # the upper side weighs the groups (k, C, R = 0) alone
+    assert consts.group_h.shape == (2 * engine._V2_CAP * n,)
+    assert consts.group_w.shape == (n, 2 * engine._V2_CAP * n)
+    assert not consts.group_w[:, group_ids(1)].any()
     for A in range(1 << len(gp)):
         a = math.prod(p for j, p in enumerate(gp) if A >> j & 1)
         groups = tail_groups(y, a)
         assert len(groups) == 3 << (len(gp) - A.bit_count())
         assert sum(share for _, share in groups.values()) == 1
         weighed = set()
-        for g in range(engine._V2_CAP * n):
-            k, C = (g >> engine._GROUP_PRIMES) + 1, g & (n - 1)
+        for g in group_ids(0).tolist():
+            k, C = (g >> (engine._GROUP_PRIMES + 1)) + 1, g & (n - 1)
+            assert consts.group_h[g] == consts.group_h[g | n]  # R moves no upper read
             if C & A or C >> len(gp):
                 assert consts.group_w[A, g] == 0.0, (A, g)
                 continue
@@ -155,6 +180,65 @@ def test_group_masses_partition_the_mass_of_a(y):
             assert Fraction(consts.group_h[g]) <= ratio, g
             weighed.add(key)
         assert weighed == set(groups)
+
+
+def group_ids(R):
+    """The engine's group indices with the bit R."""
+    g = np.arange(2 * engine._V2_CAP << engine._GROUP_PRIMES)
+    return g[(g >> engine._GROUP_PRIMES & 1) == R]
+
+
+@pytest.mark.parametrize("y", [2, 3, 5, 7, 31])
+def test_lower_groups_partition_the_mass_of_a(y):
+    """The groups (k, C, R) of the lower tail lemma of moments split M(a)
+    exactly, for every set A of group primes dividing a: the exact shares
+    (oracles.lower_tail_groups) add to 1, and each of the engine's DOWN
+    weights times rho(a), or 1 - rho(a) with R, is at most its share. Each
+    engine bound, times the rest factor of a with R, is at least the exact
+    bound, and at least h(b) for every b <= 2^20 of its group (the cells of
+    a = 1); only b = 2 and 4 meet it, where hx = h(2^k) exactly."""
+    consts = engine._engine_consts(build_moment_table(y, 2), y)
+    gp = group_primes(y)
+    n = 1 << engine._GROUP_PRIMES
+    rest = [p for p in consts.odd if p not in gp]
+    rho = math.prod(Fraction(p - 2, p - 1) for p in rest)
+    spread = math.prod(Fraction(p, p - 1) for p in rest)
+    for A in range(1 << len(gp)):
+        a = math.prod(p for j, p in enumerate(gp) if A >> j & 1)
+        groups = lower_tail_groups(y, a)
+        assert len(groups) == (6 if rest else 3) << (len(gp) - A.bit_count())
+        assert sum(share for _, share in groups.values()) == 1
+        weighed = set()
+        for g in range(2 * engine._V2_CAP * n):
+            k, R = (g >> (engine._GROUP_PRIMES + 1)) + 1, g >> engine._GROUP_PRIMES & 1
+            C = g & (n - 1)
+            key = k, frozenset(p for j, p in enumerate(gp) if C >> j & 1), bool(R)
+            if C & A or C >> len(gp):
+                assert consts.group_wl[A, g] == 0.0, (A, g)
+                continue
+            assert Fraction(consts.group_hx[g]) >= Fraction(2 ** (k + 1) - 1, 2**k), g
+            if key not in groups:  # R holds no cell: no prime outside the group primes
+                assert R and not rest
+                continue
+            bound, share = groups[key]
+            assert Fraction(consts.group_wl[A, g]) * (1 - rho if R else rho) <= share, (A, g)
+            assert Fraction(consts.group_hx[g]) * (spread if R else 1) >= bound, g
+            weighed.add(key)
+        assert weighed == set(groups)
+    tight = 0
+    for m in iter_smooth(consts.odd, 2**19):
+        h_m = abundancy(factorize(m))
+        b = 2
+        while b * m <= 2**20:
+            k, C, R = lower_tail_group(y, b * m)
+            g = ((k - 1) << (engine._GROUP_PRIMES + 1) | R << engine._GROUP_PRIMES
+                 | sum(1 << j for j, p in enumerate(gp) if p in C))
+            bound = Fraction(consts.group_hx[g]) * (spread if R else 1)
+            h_b = Fraction(2 * b - 1, b) * h_m
+            assert bound >= h_b, b * m
+            tight += bound == h_b
+            b *= 2
+    assert tight == 2
 
 
 @pytest.mark.parametrize("a", [1, 3, 35])
@@ -380,12 +464,13 @@ def test_table_factors_are_directed_past_2_53():
     # about 10**4 even rows up to 2**62; the odd side starts from the
     # directed density base (1/3)(3/5) = 1/5 and mass base (2/3)(4/5) =
     # 8/15, neither a double, and its masses m0/v stay on their sides where
-    # v itself is no double
+    # v itself is no double. 3 and 5 are group primes, so rho and rest are
+    # 1: the odd side's M rho is its mass, and hl its abundancy
     odd, limit = (3, 5), 2**62
     m0 = Fraction(8, 15)
     for even, f0 in ((True, Fraction(1)), (False, Fraction(1, 5))):
         m0_dirs = () if even else (ratio_dn(m0.numerator, m0.denominator),
-                                   ratio_up(m0.numerator, m0.denominator))
+                                   ratio_up(m0.numerator, m0.denominator)) * 2 + (1.0,)
         rows, used = engine._smooth_rows(odd, limit, even,
                                          ratio_dn(f0.numerator, f0.denominator), m0_dirs)
         assert used == 2
@@ -398,10 +483,39 @@ def test_table_factors_are_directed_past_2_53():
             assert Fraction(d_dn) <= d, v
             assert Fraction(h_dn) <= h <= Fraction(h_up), v
         if even:
-            assert rows.m_dn.size == rows.m_up.size == 0
+            assert all(col.size == 0 for col in rows[5:])
             continue
         for v, m_dn, m_up in zip(values, rows.m_dn.tolist(), rows.m_up.tolist()):
             assert Fraction(m_dn) <= m0 / v <= Fraction(m_up), v
+        assert rows.mr_dn.tobytes() == rows.m_dn.tobytes()
+        assert rows.mr_up.tobytes() == rows.m_up.tobytes()
+        assert rows.hl_dn.tobytes() == rows.h_dn.tobytes()
+
+
+def test_lower_columns_are_directed():
+    # the odd side's mass of the b with no odd prime outside the group
+    # primes, M(v) rho(v), and hl(v) = h(v) / rest(v), for v up to 2^40
+    # built from 3 .. 17: 13 and 17 are outside the group primes
+    odd, limit = (3, 5, 7, 11, 13, 17), 2**40
+    gp = odd[:engine._GROUP_PRIMES]
+    rest = [p for p in odd if p not in gp]
+    m0 = Fraction(1, 3)
+    mr0 = m0 * math.prod(Fraction(p - 2, p - 1) for p in rest)
+    hl0 = math.prod(Fraction(p - 1, p) for p in rest)
+    heads = (ratio_dn(m0.numerator, m0.denominator), ratio_up(m0.numerator, m0.denominator),
+             ratio_dn(mr0.numerator, mr0.denominator), ratio_up(mr0.numerator, mr0.denominator),
+             ratio_dn(hl0.numerator, hl0.denominator))
+    rows, used = engine._smooth_rows(odd, limit, False, 1.0, heads)
+    assert used == len(odd) and rows.value.size > 10**4
+    cols = (rows.mr_dn, rows.mr_up, rows.hl_dn)
+    for v, mr_dn, mr_up, hl_dn in zip(rows.value.tolist(), *(col.tolist() for col in cols)):
+        mr, hl = mr0 / v, hl0 * abundancy(factorize(v))
+        for p in rest:
+            if v % p == 0:
+                mr *= Fraction(p - 1, p - 2)
+                hl *= Fraction(p, p - 1)
+        assert Fraction(mr_dn) <= mr <= Fraction(mr_up), v
+        assert Fraction(hl_dn) <= hl, v
 
 
 def test_z_beyond_int64_is_rejected():

@@ -19,15 +19,23 @@ def odd_primes(y):
 
 
 def odd_side_bases(odd):
-    """The density base prod (p-2)/p over `odd`, rounded DOWN, and the
-    directed mass base prod (p-1)/p over `odd`, as run_bounds starts the
-    odd side."""
-    base = mass = Fraction(1)
-    for p in odd:
+    """The density base prod (p-2)/p over `odd`, rounded DOWN, and the heads
+    of the odd side's last five columns, as run_bounds starts it: the
+    directed mass base M = prod (p-1)/p over `odd`, the directed M rho and
+    1/rest rounded DOWN, rho the product of (p-2)/(p-1) and 1/rest that of
+    (p-1)/p over the primes of `odd` past the group primes."""
+    base = mass = rho = rest = Fraction(1)
+    for j, p in enumerate(odd):
         base *= Fraction(p - 2, p)
         mass *= Fraction(p - 1, p)
+        if j >= engine._GROUP_PRIMES:
+            rho *= Fraction(p - 2, p - 1)
+            rest *= Fraction(p - 1, p)
+    mr = mass * rho
     return (ratio_dn(base.numerator, base.denominator),
-            (ratio_dn(mass.numerator, mass.denominator), ratio_up(mass.numerator, mass.denominator)))
+            (ratio_dn(mass.numerator, mass.denominator), ratio_up(mass.numerator, mass.denominator),
+             ratio_dn(mr.numerator, mr.denominator), ratio_up(mr.numerator, mr.denominator),
+             ratio_dn(rest.numerator, rest.denominator)))
 
 
 def assert_same_table(got, want):
@@ -53,7 +61,7 @@ def test_tables_match_the_direct_build(y, z, budget, used):
     b = engine._smooth_rows(odd, z, True, 1.0, (), budget)
     assert_same_table(b, smooth_rows(odd, z, True, 1.0, (), budget))
     assert b[1] == used and b[0].value.size <= budget
-    assert b[0].m_dn.size == b[0].m_up.size == 0  # the b table carries no mass
+    assert all(col.size == 0 for col in b[0][5:])  # the b table carries no mass
     # sorted by class first, as _cell_tables builds the b table
     classes = engine._CLASS_PRIMES
     assert_same_table(engine._smooth_rows(odd, z, True, 1.0, (), budget, classes),
@@ -95,11 +103,10 @@ def test_a_blocks_build_peaks_below_twice_their_size():
             if block is None:
                 break
             _, peak = tracemalloc.get_traced_memory()
-            rows, h_a, t_grp, _ = block
-            size = sum(col.nbytes for col in rows) + h_a.nbytes + t_grp.nbytes
+            size = sum(col.nbytes for col in block[0]) + sum(col.nbytes for col in block[1:5])
             assert peak - before <= 2 * size, (built, peak - before, size)
             built += 1
-            del block, rows, h_a, t_grp
+            del block
     finally:
         tracemalloc.stop()
     assert used == 15 and built == 2
