@@ -17,10 +17,11 @@ its side; it carries no arithmetic of its own.
 
 The numpy kernels `ulp_up` / `ulp_dn` take the same one-ULP step on whole
 float64 arrays, in place, through the int64 view of the bits;
-`exact_sum` gives the exact sum of an array of doubles in [+0.0, 2**997) as
-an integer count of 2**-1074, by rounds of error-free extraction, so that
-totals add exactly in any order and a directed total is one `ratio_dn` /
-`ratio_up` of the count over 2**1074;
+`fixed_sum` gives the sum of an array of doubles in [+0.0, 4), each
+floored (DOWN) or ceiled (UP) to a whole multiple of 2**-FIXED_BITS, as an
+integer count of 2**-FIXED_BITS, exactly, in one pass, so that directed
+totals add exactly in any order and a reported total is one `ratio_dn` /
+`ratio_up` of the count over 2**FIXED_BITS;
 and `exp_up` bounds e^v from above for a whole array of exponents.
 """
 from __future__ import annotations
@@ -148,55 +149,61 @@ def ulp_dn(x: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
     return x
 
 
-# exact_sum takes fewer than 2**26 terms, each below 2**997: with
-# L = bit_length(n) <= 26 and every term below 2**e, e <= 997, a round of the
-# extraction clears at least 53 - 1 - L >= 26 bits of every remainder, and
-# sigma = 2**(e + L) <= 2**1023 stays finite.
-_SUM_MAX_TERMS = 1 << 26
-_SUM_BOUND_BITS = (997 + 1023) << 52  # the int64 bits of 2**997
+# fixed_sum counts in units of 2**-FIXED_BITS. Each term x in [+0.0, 4) splits
+# as q + r with q a whole multiple of 2**-50 and |r| <= 2**-51, so
+# |floor(r 2**FIXED_BITS)| and |ceil(r 2**FIXED_BITS)| are at most
+# 2**(FIXED_BITS - 51) = 2**43, and _FIXED_MAX_TERMS = 2**19 of them sum to
+# at most 2**62 in magnitude: the int64 sum cannot overflow (at 2**19 terms
+# FIXED_BITS = 95 could reach 2**63). The engine's largest sum, the masses of
+# an a-side block, has fewer than twice its _ROW_BUDGET = 2**18 terms.
+FIXED_BITS = 94
+_FIXED_MAX_TERMS = 1 << 19
+_FIXED_SCALE = 2.0**FIXED_BITS
+_FOUR_BITS = np.uint64(0x4010_0000_0000_0000)  # the bits of 4.0
 
 
-def exact_sum(x: np.ndarray) -> int:
-    """The exact sum of the float64 array x of finite doubles in
-    [+0.0, 2**997), as the integer n with sum = n * 2**-1074.
+def fixed_sum(x: np.ndarray, direction: Direction) -> int:
+    """The sum of floor(x_i 2**FIXED_BITS) (DOWN) or of ceil(x_i
+    2**FIXED_BITS) (UP) over the float64 array x, exactly, as an int: a
+    count n of 2**-FIXED_BITS with n 2**-FIXED_BITS <= sum x (DOWN) or >=
+    it (UP), off by less than one unit per term.
 
-    Every double is a whole multiple of 2**-1074, the smallest subnormal, so
-    n is an integer. The sum is taken by extraction (Rump, Ogita and Oishi,
-    "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31,
-    2008, ExtractVector): with n < 2**L terms, all below 2**e, and
-    sigma = 2**(e + L), each q = (r + sigma) - sigma is r rounded to a whole
-    multiple of 2**(e + L - 53), r - q is exact and at most that unit, and
-    the float sum of the q is exact in any order, since every partial sum is
-    such a multiple of magnitude below sigma. Each round adds that sum to a
-    Python int and goes on with the remainders r - q, under a sigma taken
-    from their largest magnitude, until all are zero. An empty x sums to 0.
+    Domain: at most _FIXED_MAX_TERMS terms, each a double in [+0.0, 4), and
+    the sum of their high parts (below) below 8; anything else raises
+    InvalidParameterError. An empty x sums to 0.
+
+    Each term is split once, at 2**-50, the spacing of the doubles in [4, 8):
+    q = (x + 4) - 4 is x rounded to a whole multiple of 2**-50 (the
+    subtraction is exact), and r = x - q is exact, with |r| <= 2**-51
+    (Rump, Ogita and Oishi, "Accurate floating-point summation, part I",
+    SIAM J. Sci. Comput. 31, 2008, ExtractScalar). The q are nonnegative
+    multiples of 2**-50, so a partial float sum of them below 8 is exact,
+    and one at or above 8 leaves the total at or above 8: a total below 8
+    is exact, in any order of summation. q 2**FIXED_BITS is an integer, so
+    floor(x 2**FIXED_BITS) = q 2**FIXED_BITS + floor(r 2**FIXED_BITS), and
+    r 2**FIXED_BITS, a power-of-two scaling, is exact; the floors (or ceils)
+    are summed as int64 (see _FIXED_MAX_TERMS). 2**-FIXED_BITS is far below
+    the spacing of the doubles near the totals the engine rounds these sums
+    to (2**-57 near 0.05), so the directed floor moves few of their bits.
     """
+    if x.size > _FIXED_MAX_TERMS:
+        raise InvalidParameterError(
+            f"fixed_sum takes at most {_FIXED_MAX_TERMS} terms, got {x.size}")
     if x.size == 0:
         return 0
-    if x.size >= _SUM_MAX_TERMS:
-        raise InvalidParameterError(f"exact_sum takes fewer than 2**26 terms, got {x.size}")
-    bits = x.view(np.int64)
-    top = int(bits.max())
-    if bits.min() < 0 or top >= _SUM_BOUND_BITS:
-        raise InvalidParameterError("exact_sum needs finite doubles in [+0.0, 2**997)")
-    size = x.size.bit_length()
-    # x < 2**e, e from the largest term's exponent field (2**-1022 bounds a
-    # subnormal)
-    sigma = math.ldexp(1.0, (top >> 52) - 1022 + size)
-    q = x + sigma
-    q -= sigma
-    r = x - q
-    total = 0
-    while True:
-        num, den = float(q.sum()).as_integer_ratio()
-        total += (num << 1074) // den  # den is a power of two <= 2**1074
-        m = max(r.max(), -r.min())
-        if m == 0.0:
-            return total
-        sigma = math.ldexp(1.0, math.frexp(m)[1] + size)
-        np.add(r, sigma, out=q)
-        q -= sigma
-        r -= q
+    # as uint64, a negative double, -0.0 or a NaN of either sign is at or
+    # above the bits of +inf, above those of 4.0
+    if x.view(np.uint64).max() >= _FOUR_BITS:
+        raise InvalidParameterError("fixed_sum needs doubles in [+0.0, 4)")
+    q = x + 4.0
+    q -= 4.0
+    high = float(q.sum())
+    if not high < 8.0:
+        raise InvalidParameterError(f"fixed_sum needs a sum below 8, got {high}")
+    r = np.subtract(x, q, out=q)
+    r *= _FIXED_SCALE
+    (np.floor if direction is DOWN else np.ceil)(r, out=r)
+    return int(math.ldexp(high, FIXED_BITS)) + int(r.astype(np.int64).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -33,17 +33,20 @@ bound curve ru there, reads its group's curve value from its group's ratio
 and h(a), in the same bits as the charge did (and, for the cells whose
 inverse ratio can reach the part of the curve below 1, forms the lower
 bound 1 - ru stepped down at that ratio and its group's lower read, in the
-charge's bits too), and sums the three totals (lower, saving, covered mass
-DOWN) exactly with exact_sum, each an integer count of 2**-1074. Integer
-addition is exact in any order, so the totals do not depend on the chunk
-cut or on the thread count. The pool's threads share the tables, which are
-marked read-only.
+charge's bits too), and sums the three totals (lower, saving, covered mass)
+DOWN with fixed_sum, each an integer count of 2**-FIXED_BITS = 2**-94.
+Integer addition is exact in any order, so the totals do not depend on the
+chunk cut or on the thread count. The pool's threads share the tables,
+which are marked read-only.
 
 Directed rounding discipline: lower quantities round DOWN, upper ones UP.
-Each cell term takes a one-ULP step after every operation; the totals over
-the cells are exact, and each reported number is rounded once, to its side,
-from them (see run_bounds). So the reported bracket is a certificate no
-matter how many cells were summed, and so is each progress report.
+Each cell term takes a one-ULP step after every operation; each sum of
+terms is floored (or, for the upper charges, ceiled) to a whole count of
+2**-94 and added as an integer, to its side: the covered mass, the lower
+terms, the savings and the masses the upper side takes off DOWN, the upper
+charges UP. Each reported number is rounded once, to its side, from those
+integer totals (see run_bounds). So the reported bracket is a certificate
+no matter how many cells were summed, and so is each progress report.
 """
 from __future__ import annotations
 
@@ -59,8 +62,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .arith import primes_upto
-from .dirround import DOWN, UP, DirScalar, exact_sum, ratio_dn, ratio_up, ulp_dn, ulp_up, up_div
-from .errors import InvalidCellError, InvalidParameterError
+from .dirround import (DOWN, FIXED_BITS, UP, DirScalar, fixed_sum, ratio_dn, ratio_up, ulp_dn,
+                       ulp_up, up_div)
+from .errors import InvalidCellError, InvalidParameterError, UnsupportedParameterError
 from .moments import MomentTable, bound_curves, build_moment_table, check_y, fold_curve
 
 # ---------------------------------------------------------------------------
@@ -69,7 +73,7 @@ from .moments import MomentTable, bound_curves, build_moment_table, check_y, fol
 
 @dataclass(frozen=True)
 class BoundReport:
-    """The certified bracket of one run, from its exact totals:
+    """The certified bracket of one run, from its integer totals:
     lower_total <= density <= upper_total, and covered_lo, the enumerated
     cells' mass rounded DOWN. threads is the count used, the request capped
     at the usable cores. A progress report is one too, over the pair_count
@@ -177,7 +181,7 @@ _FOLD_MAX_Y = 911
 # any z.
 _ROW_BUDGET = 1 << 18
 
-# Candidate (a, b) rows per chunk. The chunk sums are exact, so the cut
+# Candidate (a, b) rows per chunk. The chunk sums are integers, so the cut
 # moves no bit of the totals.
 _CHUNK = 1 << 14
 
@@ -303,7 +307,16 @@ def _group_tables(odd: tuple):
     rest factor of a, which the a side carries (see _smooth_rows). wl[A,
     g] is w[A, g] of group (k, C) rounded DOWN, for either R, with 0 where w
     is 0; the share of R (rho(a) or 1 - rho(a)) comes with the a's mass.
+
+    The cells carry their groups as uint8 codes (see _chunks and _a_blocks),
+    so a (_V2_CAP, _GROUP_PRIMES) whose largest code passes 255 raises
+    UnsupportedParameterError rather than wrap.
     """
+    top = (_V2_CAP - 1) << (_GROUP_PRIMES + 1) | (2 << _GROUP_PRIMES) - 1
+    if top > 255:
+        raise UnsupportedParameterError(
+            f"group code {top} of _V2_CAP = {_V2_CAP} and _GROUP_PRIMES = {_GROUP_PRIMES} "
+            "does not fit uint8")
     gp = odd[:_GROUP_PRIMES]
     n = 1 << _GROUP_PRIMES
     h, hx = np.empty(2 * _V2_CAP * n), np.empty(2 * _V2_CAP * n)
@@ -340,31 +353,35 @@ def _group_tables(odd: tuple):
     return h, w, hx, wl
 
 
-def _group_read(consts: _Consts, h, h_a: np.ndarray) -> np.ndarray:
-    """The curve read of a group of ratio h (from consts.group_h, one or one
-    per a) for the odd a with h(a) <= h_a: ru at ulp_dn(h / h_a), at most
-    the q of every cell of the group. The charge (see _group_charge) and the
-    cells (see _chunk_sums) read it here, in the same bits.
-
-    This is ru_at[_slot(ulp_dn(x))], x = h / h_a > 0, formed in place: the
-    bits of ulp_dn(x) are those of x less 1, and take's clip mode is
-    _slot's clip."""
-    s = np.divide(h, h_a).view(np.int64)
-    s -= _SLOT_BASE + 1
+def _read(consts: _Consts, s: np.ndarray) -> np.ndarray:
+    """ru_at[_slot(x)] for s = bits(x) - _SLOT_BASE, x >= +0.0 as an int64,
+    or for s = bits(x) - _SLOT_BASE - 1, which is that of ulp_dn(x) for x >
+    0: the shift gives the slot, and take's clip mode is _slot's clip. s is
+    overwritten. Every read of the curve goes through here."""
     s >>= _GRID_SHIFT
     return consts.ru_at.take(s, mode="clip")
 
 
+def _group_read(consts: _Consts, h, h_a: np.ndarray) -> np.ndarray:
+    """The curve read of a group of ratio h (from consts.group_h, one or one
+    per a) for the odd a with h(a) <= h_a: ru at ulp_dn(h / h_a), at most
+    the q of every cell of the group. The charge (see _group_charge) and the
+    cells (see _chunk_sums) read it here, in the same bits."""
+    s = np.divide(h, h_a).view(np.int64)
+    s -= _SLOT_BASE + 1
+    return _read(consts, s)
+
+
 def _lower_read(consts: _Consts, base: np.ndarray, hx: np.ndarray) -> np.ndarray:
-    """The lower read of a group of bound hx (from consts.group_hx, one per
-    term) for the odd a with base <= h(a), or base <= hl(a) on a group with
-    R = 1: ulp_dn(1 - ru) at ulp_dn(base / hx), at most the w of every cell
-    of the group, formed as _group_read forms its read. The charge and the
-    cells read it here, in the same bits."""
+    """The lower read ulp_dn(1 - ru) at ulp_dn(base / hx). For a group of
+    bound hx (from consts.group_hx, one per term) and the odd a with base
+    <= h(a), or base <= hl(a) on a group with R = 1, ulp_dn(base / hx) is at
+    most the w of every cell of the group: the charge and the cells read it
+    here, in the same bits. A cell reads its own lower bound here too, at
+    ulp_dn(h(a) / h(b)) from its directed abundancies (see _chunk_sums)."""
     s = np.divide(base, hx).view(np.int64)
     s -= _SLOT_BASE + 1
-    s >>= _GRID_SHIFT
-    ru = consts.ru_at.take(s, mode="clip")
+    ru = _read(consts, s)
     return ulp_dn(np.subtract(1.0, ru, out=ru))
 
 
@@ -389,7 +406,8 @@ def _upper_charge(consts: _Consts, A: int, h_up: np.ndarray, m_up: np.ndarray) -
     """The sum of the upper group charges M_up w c of the odd a with h(a)
     <= h_up, M(a) <= m_up and the group primes A, w = consts.group_w[A, g]
     and c the group's read (see _group_read), over the groups g of nonzero
-    weight, in units of 2**-1074. Each product steps UP where it may be
+    weight, summed UP in units of 2**-FIXED_BITS (see dirround.fixed_sum).
+    Each product steps UP where it may be
     inexact: M_up w unless every w of A is a power of 2 (as at y <= 3),
     (M_up w) c unless c = 1. All groups are taken at once, in steps of
     about _CHUNK terms, as many as a chunk's cells (see _chunk_sums)."""
@@ -404,13 +422,14 @@ def _upper_charge(consts: _Consts, A: int, h_up: np.ndarray, m_up: np.ndarray) -
         if not exact:
             ulp_up(mc)
         ulp_up(np.multiply(mc, c, out=mc), c < 1.0)
-        total += exact_sum(mc.ravel())
+        total += fixed_sum(mc.ravel(), UP)
     return total
 
 
 def _group_charge(consts: _Consts, own: _Own) -> tuple[int, int]:
-    """The exact group charges (lower, upper) of the odd a of `own`, in
-    units of 2**-1074.
+    """The group charges (lower, upper) of the odd a of `own`, in units of
+    2**-FIXED_BITS: lower summed DOWN, upper summed UP less the masses
+    summed DOWN.
 
     upper is the sum of the upper group charges (see _upper_charge) less
     the mass M_dn. lower is the sum of M_R w l over the groups (k, C, R), w
@@ -426,7 +445,7 @@ def _group_charge(consts: _Consts, own: _Own) -> tuple[int, int]:
     steps of _CHUNK.
     """
     n = 1 << _GROUP_PRIMES
-    upper = -exact_sum(own.m_dn)
+    upper = -fixed_sum(own.m_dn, DOWN)
     lower = 0
     cut = consts.w_lower * (1.0 - 2.0**-40)
     rest_mass = ulp_dn(np.maximum(np.subtract(own.m_dn, own.mr_up), 0.0))
@@ -464,7 +483,7 @@ def _group_charge(consts: _Consts, own: _Own) -> tuple[int, int]:
                                                     lens)
             mw = ulp_dn(np.multiply(mass.take(pos), np.repeat(w[r0:r1], lens)))
             l = _lower_read(consts, base.take(pos), np.repeat(hx[r0:r1], lens))
-            lower += exact_sum(ulp_dn(np.multiply(mw, l, out=mw)))
+            lower += fixed_sum(ulp_dn(np.multiply(mw, l, out=mw)), DOWN)
     return lower, upper
 
 
@@ -868,13 +887,14 @@ def _chunks(blocks, b: _Rows, cmask: int, z: int):
 
 
 def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
-    """Exact sums of the directed cell terms of one chunk.
+    """The directed sums of the cell terms of one chunk.
 
-    Returns (lower, upper, covered_dn, pairs): the sums as exact_sum gives
-    them, integer counts of 2**-1074, with lower the chunk's lower charge
-    and its cells' excesses, and upper its upper charge less its saving.
-    Every cell term is directed (a one-ULP step after each operation); the
-    sums of them are exact.
+    Returns (lower, upper, covered_dn, pairs): the sums as fixed_sum gives
+    them, integer counts of 2**-FIXED_BITS, with lower the chunk's lower
+    charge and its cells' excesses, and upper its upper charge less its
+    saving. Every cell term is directed (a one-ULP step after each
+    operation), and every sum of them is taken DOWN: the covered mass, the
+    excesses and the saving, which the upper side takes off.
 
     Every cell reads ru at q, a DOWN bound on h(b)/h(a), and saves
     dens_dn (c - ru) stepped DOWN, or 0 where c <= ru, off its group's read
@@ -892,7 +912,7 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     rows = ch.rows
     ai, bi = _coprime_pairs(b, ch)
     dens_dn = ulp_dn(rows.d_dn[ai] * b.d_dn[bi])
-    covered = exact_sum(dens_dn)
+    covered = fixed_sum(dens_dn, DOWN)
     g = ch.b_group.take(bi)
     if ch.t_grp is not None:  # b = s t: C and R join those of s and of t
         g |= ch.t_grp.take(ai)
@@ -901,21 +921,20 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     gap = _group_read(consts, consts.group_h.take(g),
                       h if ch.h_a is rows.h_up else ch.h_a.take(ai))
     q = ulp_dn(np.divide(b.h_dn[bi], h, out=h))  # <= h(b)/h(a)
-    ru = consts.ru_at[_slot(q)]
+    ru = _read(consts, np.subtract(q.view(np.int64), _SLOT_BASE))
     ulp_dn(np.maximum(np.subtract(gap, ru, out=gap), 0.0, out=gap))
-    saving = exact_sum(ulp_dn(np.multiply(dens_dn, gap, out=gap)))
+    saving = fixed_sum(ulp_dn(np.multiply(dens_dn, gap, out=gap)), DOWN)
     pairs = dens_dn.size
     low = np.flatnonzero(q <= consts.q_lower)
     del gap, ru, q, h  # the lower reads take the low cells alone
     ai, bi, g, dens_dn = ai[low], bi[low], g[low], dens_dn[low]
     h = rows.h_dn[ai]
-    w = ulp_dn(np.divide(h, b.h_up[bi]))  # <= h(a)/h(b)
-    rl = ulp_dn(1.0 - consts.ru_at[_slot(w)])  # ru = 1 gives +0.0
+    rl = _lower_read(consts, h, b.h_up.take(bi))  # at w <= h(a)/h(b); ru = 1 gives +0.0
     r = (g & np.uint8(1 << _GROUP_PRIMES)) != 0
     base = np.where(r, ch.hl_a.take(ai), h if ch.hd_a is rows.h_dn else ch.hd_a.take(ai))
     l = _lower_read(consts, base, consts.group_hx.take(g))
     ulp_dn(np.maximum(np.subtract(rl, l, out=rl), 0.0, out=rl), l > 0.0)
-    lower = exact_sum(ulp_dn(np.multiply(dens_dn, rl, out=rl)))
+    lower = fixed_sum(ulp_dn(np.multiply(dens_dn, rl, out=rl)), DOWN)
     return ch.charge[0] + lower, ch.charge[1] - saving, covered, pairs
 
 
@@ -959,7 +978,7 @@ def _pooled(consts: _Consts, b: _Rows, chunks, threads: int):
             yield fut.result()
 
 
-_ONE = 1 << 1074  # 1.0 in the units of exact_sum
+_ONE = 1 << FIXED_BITS  # 1.0 in the units of fixed_sum
 
 
 def run_bounds(
@@ -974,18 +993,19 @@ def run_bounds(
     """Certified bracket for the density of n with sigma(2n+1) >= sigma(2n).
 
     Enumerates every cell with ab <= z and sums the directed cell terms and
-    the covered mass exactly, as integers. Each side charges the cells of
-    every odd a <= z // 2 by group, each group at one read of the bound
-    curve: the upper side charges the cells of the a above z // 2 at 1 and
-    takes off each enumerated cell's saving against its group's read (the
-    tail lemma of moments), the lower side adds each enumerated cell's gain
-    over its group's lower read (the lower tail lemma): so the unenumerated
-    cells of an a are bounded by the curve on both sides, not by 1 and 0. A
-    block's charges are added when the block is built, before any of its
-    cells. Each reported number is rounded once, to its
-    side, from the exact totals, so neither the chunk cut nor the thread
-    count moves a bit. One thread sums
-    the chunks in the calling thread; more share a pool (see _pooled).
+    the covered mass, each sum floored or ceiled to its side as an integer
+    count of 2**-FIXED_BITS (see dirround.fixed_sum). Each side charges the
+    cells of every odd a <= z // 2 by group, each group at one read of the
+    bound curve: the upper side charges the cells of the a above z // 2 at
+    1 and takes off each enumerated cell's saving against its group's read
+    (the tail lemma of moments), the lower side adds each enumerated cell's
+    gain over its group's lower read (the lower tail lemma): so the
+    unenumerated cells of an a are bounded by the curve on both sides, not
+    by 1 and 0. A block's charges are added when the block is built, before
+    any of its cells. Each reported number is rounded once, to its side,
+    from the integer totals, so neither the chunk cut nor the thread count
+    moves a bit. One thread sums the chunks in the calling thread; more
+    share a pool (see _pooled).
     `threads` is capped at the usable cores, and the report carries the
     count used. `progress(report, flush)` gets the BoundReport of the cells
     summed so far, itself a certified bracket, after each chunk that crosses
@@ -1021,10 +1041,10 @@ def run_bounds(
         done = _pooled(consts, b, chunks, threads)
 
     def report(lo: int, up: int, cov_dn: int, pairs: int) -> BoundReport:
-        # the exact totals, in units of 2**-1074, each rounded once to its
-        # side; up is the group charges of the blocks begun less their mass
-        # and the savings of the cells summed, so upper adds the 1 that the
-        # a not yet begun are charged, and is capped at 1
+        # the integer totals, in units of 2**-FIXED_BITS, each rounded once
+        # to its side; up is the group charges of the blocks begun less
+        # their mass and the savings of the cells summed, so upper adds the
+        # 1 that the a not yet begun are charged, and is capped at 1
         lower = ratio_dn(lo, _ONE)
         upper = min(ratio_up(up + _ONE, _ONE), 1.0)
         if lower > upper:
@@ -1041,7 +1061,7 @@ def run_bounds(
             elapsed_seconds=time.perf_counter() - t_start,
         )
 
-    sums, pairs = [0, 0, 0], 0  # the exact totals (see _chunk_sums)
+    sums, pairs = [0, 0, 0], 0  # the integer totals (see _chunk_sums)
     next_tick = t_start + 1.0
     for *part, k in done:
         sums = [s + p for s, p in zip(sums, part)]

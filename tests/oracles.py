@@ -17,6 +17,7 @@ import numpy as np
 from sigbound.arith import primes_upto
 from sigbound.dirround import (
     DOWN,
+    FIXED_BITS,
     UP,
     DirScalar,
     dn_mul,
@@ -118,31 +119,34 @@ def flt_dn(n):
     return f if f <= n else math.nextafter(f, -math.inf)
 
 
-def bincount_sum(x):
-    """`dirround.exact_sum` of the finite doubles x >= +0.0 (an integer
-    count of 2**-1074) by exponent buckets: each element is m * 2**e with m
-    the frexp mantissa, and M = m * 2**53, an integer below 2**53, is cut
-    into M = hi * 2**26 + lo. np.bincount sums hi and lo per exponent e,
+def bincount_sum(x, direction):
+    """`dirround.fixed_sum` of the doubles x in [+0.0, 4): the sum of floor
+    (DOWN) or ceil (UP) of x_i 2**FIXED_BITS, by exponent buckets. Each x_i
+    is M 2**(e - 53), with (m, e) its frexp and M = m 2**53 an integer below
+    2**53. Where s = e - 53 + FIXED_BITS >= 0, x_i 2**FIXED_BITS = M 2**s is
+    whole: M is cut into hi 2**26 + lo, np.bincount sums hi and lo per s,
     exactly for fewer than 2**26 terms (each bucket stays below 2**53), and
-    the buckets join into one Python int, shifted by the smallest exponent
-    into units of 2**-1074 (a right shift, for subnormals, drops only zero
-    bits). `dirround.exact_sum` sums by extraction instead."""
+    the buckets join into one Python int. Elsewhere the floor is M >> -s,
+    and the ceil adds 1 where the shift drops a bit. `dirround.fixed_sum`
+    splits each term at 2**-50 instead."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return 0
     m, e = np.frexp(x)
-    t = m * 2.0**27  # exact: a power-of-two scaling
+    s = e.astype(np.int64) + (FIXED_BITS - 53)
+    whole = s >= 0
+    t = m[whole] * 2.0**27  # exact: a power-of-two scaling
     hi = np.floor(t)
     lo = (t - hi) * 2.0**26  # exact: the fraction bits of t
-    e_min = int(e.min())
-    e -= e_min
-    hi_sums = np.bincount(e, weights=hi)
-    lo_sums = np.bincount(e, weights=lo)
-    total = 0
-    for k in np.flatnonzero(hi_sums).tolist():
-        total += ((int(hi_sums[k]) << 26) + int(lo_sums[k])) << k
-    shift = e_min - 53 + 1074
-    return total << shift if shift >= 0 else total >> -shift
+    hi_sums = np.bincount(s[whole], weights=hi).tolist()
+    lo_sums = np.bincount(s[whole], weights=lo).tolist()
+    total = sum(((int(h) << 26) + int(l)) << k for k, (h, l) in enumerate(zip(hi_sums, lo_sums)))
+    big = (m[~whole] * 2.0**53).astype(np.int64)  # M, exact
+    shift = np.minimum(-s[~whole], 63)
+    part = big >> shift
+    if direction is UP:
+        part += (part << shift) != big
+    return total + sum(part.tolist())
 
 
 _E_UP = math.nextafter(math.e, math.inf)
@@ -358,13 +362,20 @@ def enumerate_cells(y, z):
 
 
 @functools.lru_cache(maxsize=None)
+def _first_odd_primes(y, n):
+    return tuple(primes_upto(y).tolist()[1:1 + n])
+
+
 def _group_primes(y):
-    return tuple(primes_upto(y).tolist()[1:5])
+    """The first engine._GROUP_PRIMES odd primes <= y, read at each call so
+    that a test which patches the count gets its groups."""
+    return _first_odd_primes(y, engine._GROUP_PRIMES)
 
 
 def group_primes(y):
     """The group primes of the tail lemmas (see `sigbound.moments`): the
-    first four odd primes <= y."""
+    first engine._GROUP_PRIMES odd primes <= y. The oracles build every
+    group from them themselves."""
     return list(_group_primes(y))
 
 

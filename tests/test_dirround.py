@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from oracles import bincount_sum, dn_div, exp_up_wide, pow_up, up_sub
 from sigbound import dirround, engine
 from sigbound.dirround import (
+    DOWN,
+    FIXED_BITS,
+    UP,
     ZETA2_UP,
     dn_add,
     dn_mul,
     dn_sub,
-    exact_sum,
     exp_up,
+    fixed_sum,
     log_up,
     pow_dn,
     ratio_dn,
@@ -181,17 +184,13 @@ class TestZeta2:
 
 
 # ---------------------------------------------------------------------------
-# array kernels: one-ULP steps through the int64 view, exact bucketed sum
+# array kernels: one-ULP steps through the int64 view, directed fixed-point sum
 # ---------------------------------------------------------------------------
 
 # +0.0, the smallest subnormal, the largest subnormal, the smallest normal,
 # 1.0, the largest finite double and +inf
 EDGE_FLOATS = [0.0, 5e-324, math.nextafter(2.0**-1022, 0.0), 2.0**-1022, 1.0,
                1.7976931348623157e308, math.inf]
-
-# exact_sum takes the doubles below 2**997.
-SUM_BOUND = 2.0**997
-BELOW_SUM_BOUND = math.nextafter(SUM_BOUND, 0.0)
 
 # The kernels' domain: +0.0 <= x <= +inf (no -0.0).
 domain_floats = st.floats(min_value=0.0, allow_nan=False, allow_infinity=True).filter(
@@ -268,84 +267,136 @@ class TestUlpKernels:
         assert same_bits(ulp_dn(x.copy(), sel), np.where(sel, nextafter(x, 0.0), x))
 
 
+# fixed_sum's unit and its largest term
+UNIT = 2.0**-FIXED_BITS
+BELOW_FOUR = math.nextafter(4.0, 0.0)
+
+
+def fixed_oracle(x, direction) -> int:
+    """The sum of floor (DOWN) or ceil (UP) of Fraction(x_i) 2**FIXED_BITS."""
+    rnd = math.floor if direction is DOWN else math.ceil
+    return sum(rnd(Fraction(v) * 2**FIXED_BITS) for v in np.asarray(x, np.float64).tolist())
+
+
 def assert_sum_matches(x) -> None:
-    """exact_sum(x) is the exact sum in units of 2**-1074; rounded to
-    nearest, it is the correctly rounded sum math.fsum returns."""
+    """fixed_sum(x) in both directions is the Fraction oracle's integer."""
     x = np.asarray(x, dtype=np.float64)
-    got = exact_sum(x)
-    assert type(got) is int
-    assert Fraction(got, 2**1074) == sum(map(Fraction, x.tolist()))
-    assert float(Fraction(got, 2**1074)).hex() == math.fsum(x.tolist()).hex()
+    for direction in (DOWN, UP):
+        got = fixed_sum(x, direction)
+        assert type(got) is int
+        assert got == fixed_oracle(x, direction), direction
 
 
 class TestExactSum:
+    """fixed_sum is the exact sum of the terms' directed fixed-point values,
+    floor (DOWN) or ceil (UP) of x_i 2**FIXED_BITS, on its whole domain."""
+
     def test_empty_and_zeros(self):
         assert_sum_matches([])
         assert_sum_matches(np.zeros(1000))
-        assert exact_sum(np.zeros(3)) == 0
+        assert fixed_sum(np.zeros(3), UP) == 0
 
     def test_edge_values(self):
-        # the terms below 2**997, up to the largest double the domain holds
-        finite = [v for v in EDGE_FLOATS if v < SUM_BOUND] + [BELOW_SUM_BOUND]
-        for v in finite:
+        # the unit and one ULP either side of it, the smallest subnormal,
+        # and the largest term
+        for v in (math.nextafter(UNIT, 0.0), UNIT, math.nextafter(UNIT, 1.0), 5e-324,
+                  2.0**-1022, BELOW_FOUR):
             assert_sum_matches([v])
+            assert_sum_matches([v, 1.0, 2.0**-60])
+        for v in (math.nextafter(UNIT, 0.0), UNIT, math.nextafter(UNIT, 1.0)):
             assert_sum_matches([v] * 7)
-        assert_sum_matches(finite)
-        assert_sum_matches([BELOW_SUM_BOUND, 1.0, 5e-324])
-        assert_sum_matches(np.full(4097, BELOW_SUM_BOUND))
+        assert fixed_sum(np.array([UNIT] * 7), DOWN) == fixed_sum(np.array([UNIT] * 7), UP) == 7
+        assert_sum_matches([BELOW_FOUR, 4.0 - 2.0**-50])
 
     def test_subnormals(self):
-        rng = np.random.default_rng(1)
-        assert_sum_matches(rng.random(5000) * 2.0**-1022)
+        rng = np.random.default_rng(2)
         assert_sum_matches(rng.integers(0, 1 << 52, 5000).view(np.float64))
         assert_sum_matches(np.full(4097, 5e-324))
+        assert fixed_sum(np.full(4097, 5e-324), DOWN) == 0
+        assert fixed_sum(np.full(4097, 5e-324), UP) == 4097
 
     def test_exponent_spread(self):
-        rng = np.random.default_rng(2)
-        for n in (1, 2, 3, 100, 4096, engine._CHUNK - 1, engine._CHUNK):
-            assert_sum_matches(10.0 ** rng.uniform(-300.0, 0.0, n))
-            assert_sum_matches(rng.random(n) * 10.0 ** rng.integers(-25, 1, n))
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 3, 100, 4097, engine._CHUNK):
+            assert_sum_matches(rng.random(n) * (7.0 / n))
+            # exponents spread past the unit on both sides
+            assert_sum_matches(10.0 ** rng.uniform(-30.0, 0.0, n) / n)
+            assert_sum_matches(rng.random(n) * 10.0 ** rng.integers(-35, 1, n) / n)
 
     def test_ties_round_to_even(self):
-        # 1 + 2**-53 is a tie between 1 and the double above it
-        assert_sum_matches([1.0, 2.0**-53])
-        assert_sum_matches([1.0 + 2.0**-52, 2.0**-53])
-        assert_sum_matches([1.0, 2.0**-53, 2.0**-1074])
+        # the split rounds x + 4 to nearest: 2**-51 + 4 ties down to 4 and 3
+        # * 2**-51 + 4 up to 4 + 2**-49, low parts of +2**-51 and -2**-51,
+        # the largest; the most terms the int64 sum takes, at either
+        n = dirround._FIXED_MAX_TERMS
+        for low in (2.0**-51, 3 * 2.0**-51):
+            for direction in (DOWN, UP):
+                assert fixed_sum(np.full(n, low), direction) == n * fixed_oracle([low], direction)
+            # 4 - 2**-51 + 4 ties up to 8: a high part of 4
+            assert_sum_matches([low, BELOW_FOUR])
+
+    def test_a_sum_just_below_eight(self):
+        # high parts 4 - 2**-50, 4 - 2**-50 and 2**-50: 8 - 2**-50
+        x = [4.0 - 2.0**-50, 4.0 - 2.0**-50, 2.0**-50 - 2.0**-94]
+        assert_sum_matches(x)
+        assert fixed_sum(np.array(x), DOWN) == (1 << FIXED_BITS + 3) - (1 << FIXED_BITS - 50) - 1
 
     def test_strided_view(self):
-        x = 10.0 ** np.random.default_rng(3).uniform(-30.0, 0.0, 999)
+        x = 10.0 ** np.random.default_rng(3).uniform(-35.0, -3.0, 999)
         assert_sum_matches(x[::3])
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(min_value=0.0, max_value=BELOW_SUM_BOUND, allow_nan=False).filter(
-        lambda v: math.copysign(1.0, v) > 0.0), max_size=200))
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0).filter(
+        lambda v: math.copysign(1.0, v) > 0.0), max_size=7))
     def test_matches_fsum(self, values):
+        # every double from 2**-42 up is a whole multiple of the unit: there
+        # both sides are the exact sum, which rounds to math.fsum's
         assert_sum_matches(values)
+        whole = [v for v in values if v >= 2.0**-42]
+        dn, up = (fixed_sum(np.array(whole), d) for d in (DOWN, UP))
+        assert dn == up
+        assert float(Fraction(dn, 1 << FIXED_BITS)).hex() == math.fsum(whole).hex()
 
-    @pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, -0.0, math.nan, math.inf, -math.inf])
     def test_rejects_negative_nan_and_infinite(self, bad):
-        with pytest.raises(InvalidParameterError):
-            exact_sum(np.array([1.0, bad, 2.0]))
+        for direction in (DOWN, UP):
+            with pytest.raises(InvalidParameterError):
+                fixed_sum(np.array([1.0, bad, 2.0]), direction)
+        with pytest.raises(InvalidParameterError):  # a NaN with its sign bit set
+            fixed_sum(np.array([1.0, -math.nan]), DOWN)
 
-    @pytest.mark.parametrize("big", [SUM_BOUND, 1.7976931348623157e308])
+    @pytest.mark.parametrize("big", [4.0, 5.0, 2.0**997, 1.7976931348623157e308])
     def test_rejects_terms_from_the_bound_up(self, big):
-        # sigma = 2**(e + L) stays finite for terms below 2**997 alone
+        # a term from 4 up splits at a coarser spacing, and its low part
+        # can pass 2**-51
+        for direction in (DOWN, UP):
+            with pytest.raises(InvalidParameterError):
+                fixed_sum(np.array([1.0, big, 2.0]), direction)
+
+    @pytest.mark.parametrize("x", [
+        [4.0 - 2.0**-50, 4.0 - 2.0**-50, 2.0**-49],  # high parts summing to 8
+        [BELOW_FOUR, BELOW_FOUR],  # each high part 4
+        [1.0] * 8,
+        [BELOW_FOUR] * 3,
+    ], ids=["eight", "ties", "ones", "twelve"])
+    def test_rejects_a_sum_from_eight_up(self, x):
+        # a partial sum of the high parts from 8 up may round
+        for direction in (DOWN, UP):
+            with pytest.raises(InvalidParameterError):
+                fixed_sum(np.array(x), direction)
+
+    def test_rejects_too_many_terms(self):
+        # the int64 sum of the low parts stays below 2**63 up to
+        # _FIXED_MAX_TERMS terms
+        assert fixed_sum(np.full(dirround._FIXED_MAX_TERMS, 2.0**-40), DOWN) == 1 << FIXED_BITS - 21
         with pytest.raises(InvalidParameterError):
-            exact_sum(np.array([1.0, big, 2.0]))
-
-    def test_rejects_too_many_terms(self, monkeypatch):
-        # the bucket sums stay exact below _SUM_MAX_TERMS terms
-        monkeypatch.setattr(dirround, "_SUM_MAX_TERMS", 4)
-        assert_sum_matches([1.0, 2.0, 3.0])
-        with pytest.raises(InvalidParameterError):
-            exact_sum(np.ones(4))
+            fixed_sum(np.zeros(dirround._FIXED_MAX_TERMS + 1), DOWN)
 
 
-# Biased exponent fields of the terms: 0 is subnormal, 2019 holds the terms
-# just below 2**997, the largest exact_sum takes.
+# Biased exponent fields of the terms: 0 is subnormal, 1023 holds [1, 2).
+# Fields past 1024 - bit_length(n) are cut to it, so that n terms sum below 8.
 EXPONENT_SPANS = st.one_of(
-    st.sampled_from([(0, 2019), (0, 0), (0, 60), (990, 1060), (1980, 2019), (2019, 2019)]),
-    st.tuples(st.integers(0, 2019), st.integers(0, 2019)).map(sorted),
+    st.sampled_from([(0, 1023), (0, 0), (0, 60), (920, 1000), (980, 1023), (1023, 1023)]),
+    st.tuples(st.integers(0, 1023), st.integers(0, 1023)).map(sorted),
 )
 
 
@@ -354,13 +405,14 @@ EXPONENT_SPANS = st.one_of(
        span=EXPONENT_SPANS, zeros=st.sampled_from([0.0, 0.5]))
 def test_exact_sum_matches_the_bincount_oracle(seed, n, span, zeros):
     """Random bit patterns with exponents spread over `span`, some terms
-    zeroed: the extraction rounds and the exponent buckets of
-    oracles.bincount_sum give the same integer."""
+    zeroed: the one split of fixed_sum and the exponent buckets of
+    oracles.bincount_sum give the same integer, in both directions."""
     rng = np.random.default_rng(seed)
-    field = rng.integers(span[0], span[1] + 1, n)
+    field = np.minimum(rng.integers(span[0], span[1] + 1, n), 1024 - n.bit_length())
     x = ((field << 52) | rng.integers(0, 1 << 52, n)).view(np.float64)
     x[rng.random(n) < zeros] = 0.0
-    assert exact_sum(x) == bincount_sum(x)
+    for direction in (DOWN, UP):
+        assert fixed_sum(x, direction) == bincount_sum(x, direction)
 
 
 # ---------------------------------------------------------------------------

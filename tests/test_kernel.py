@@ -27,9 +27,9 @@ from oracles import (
 )
 from sigbound import engine, moments
 from sigbound.arith import primes_upto
-from sigbound.dirround import ratio_dn, ratio_up, ulp_dn
+from sigbound.dirround import FIXED_BITS, ratio_dn, ratio_up, ulp_dn
 from sigbound.engine import cell_density, run_bounds
-from sigbound.errors import InvalidParameterError
+from sigbound.errors import InvalidParameterError, UnsupportedParameterError
 from sigbound.moments import MomentTable, bound_curves, build_moment_table, fold_curve
 
 
@@ -495,7 +495,7 @@ def test_table_factors_are_directed_past_2_53():
 def test_lower_columns_are_directed():
     # the odd side's mass of the b with no odd prime outside the group
     # primes, M(v) rho(v), and hl(v) = h(v) / rest(v), for v up to 2^40
-    # built from 3 .. 17: 13 and 17 are outside the group primes
+    # built from 3 .. 17: those past the group primes lose their factors
     odd, limit = (3, 5, 7, 11, 13, 17), 2**40
     gp = odd[:engine._GROUP_PRIMES]
     rest = [p for p in odd if p not in gp]
@@ -516,6 +516,47 @@ def test_lower_columns_are_directed():
                 hl *= Fraction(p, p - 1)
         assert Fraction(mr_dn) <= mr <= Fraction(mr_up), v
         assert Fraction(hl_dn) <= hl, v
+
+
+def test_sums_below_the_unit_round_to_their_sides(table_y1009_r200):
+    """Terms below 2**-FIXED_BITS, the unit of the sums: the upper charge
+    sums UP, so each of its terms counts a whole unit; the covered mass, the
+    saving and the lower excess sum DOWN, so none of theirs counts. A sum
+    taken to the other side moves the upper total down or the lower total up
+    past the exact one."""
+    consts = engine._engine_consts(table_y1009_r200, 31)
+    one = 1 << FIXED_BITS
+    # the upper charges of three a with no group prime (A = 0), at a mass
+    # of 2**-120 each: at least the exact sum of M w c
+    h_up, m_up = np.array([1.0, 1.5, 3.25]), np.full(3, 2.0**-120)
+    total = engine._upper_charge(consts, 0, h_up, m_up)
+    live = np.flatnonzero(consts.group_w[0])
+    c = engine._group_read(consts, consts.group_h[live, None], h_up)
+    exact = sum(Fraction(m) * Fraction(w) * Fraction(r)
+                for w, row in zip(consts.group_w[0, live].tolist(), c.tolist())
+                for m, r in zip(m_up.tolist(), row))
+    assert exact > 0 and Fraction(total, one) >= exact
+    # one chunk's cells, their densities scaled by 2**-110: the chunk adds
+    # nothing to its block's charges and covers nothing
+    b, chunks = engine._cell_tables(consts, 10**4)
+    ch = next(chunks)
+    lower, upper, covered, pairs = engine._chunk_sums(consts, b, ch)
+    assert upper < ch.charge[1] and pairs > 100  # some cells save
+    tiny = b._replace(d_dn=b.d_dn * 2.0**-110)
+    assert engine._chunk_sums(consts, tiny, ch) == (*ch.charge, 0, pairs)
+
+
+def test_group_codes_that_pass_uint8_are_rejected(monkeypatch):
+    # at _V2_CAP = 3 the largest code is 2 << (G + 1) | (2 << G) - 1: 191 at
+    # five group primes, 383 at six, which b_group and t_grp would wrap
+    table = build_moment_table(31, 2)
+    monkeypatch.setattr(engine, "_GROUP_PRIMES", 5)
+    assert engine._engine_consts(table, 31).group_h.size == 192
+    monkeypatch.setattr(engine, "_GROUP_PRIMES", 6)
+    with pytest.raises(UnsupportedParameterError):
+        engine._engine_consts(table, 31)
+    with pytest.raises(UnsupportedParameterError):
+        run_bounds(31, 10**3, 2, threads=1, table=table)
 
 
 def test_z_beyond_int64_is_rejected():

@@ -35,7 +35,7 @@ _ALL = {
 # exp_up_wide, _exp_up_core, _tail_factor: dirround.exp_up is the one
 # directed exp, over arrays, and the scalar form is an oracle;
 # _bound_curves is moments.bound_curves. _merge, _upper_with_tail, next_dn:
-# the cell totals add as exact integers (exact_sum) and each reported number
+# the cell totals add as exact integers (fixed_sum) and each reported number
 # is rounded once from them, so no directed merge or chunk step is left.
 # _float_dir, _F63: each table density factor is its parent's times one
 # exact ratio, so no integer value is rounded to a float. _grid_slot,
@@ -47,6 +47,9 @@ _ALL = {
 # callback gets a BoundReport of the cells summed so far, built by the one
 # report builder in run_bounds. _CHUNK_MIN: every chunk holds _CHUNK
 # candidate rows; the ramp of small first chunks only fed the pool.
+# exact_sum, _SUM_MAX_TERMS, _SUM_BOUND_BITS: the totals are directed sums
+# in units of 2**-94 (fixed_sum, one split of each term), not exact ones in
+# units of 2**-1074 by rounds of extraction.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
@@ -68,6 +71,7 @@ _REMOVED = (
     "_grid_slot", "_GRID_LO", "_GRID_HI", "up_sub", "_upper_curve",
     "_extract", "_SCALE", "ProgressEvent", "_directed", "_CHUNK_MIN",
     "_group_reads",
+    "exact_sum", "_SUM_MAX_TERMS", "_SUM_BOUND_BITS",
 )
 
 # Methods dropped along with the code that called them. The table holds
@@ -162,7 +166,7 @@ def test_no_unused_imports():
 
 # np.nextafter steps one element at a time and math.fsum needs a Python list;
 # the array kernels of dirround (ulp_up, ulp_dn) give the same bits, and
-# exact_sum gives the exact sum as an integer, which a total rounds once.
+# fixed_sum gives the directed sum as an integer, which a total rounds once.
 _SLOW_PRIMITIVES = {("numpy", "nextafter"), ("np", "nextafter"), ("math", "fsum")}
 
 
