@@ -9,10 +9,10 @@ cell satisfies the target inequality. Both sides charge the cells of each
 odd a <= z // 2 by group, each group at its closed-form mass and at one
 read of the bound curve that bounds all its cells, enumerated or not. The
 upper side groups them by (k, C), k = min(v2(b), 3) and C the set of the
-first four odd primes <= y that divide b, and takes off what each
+first five odd primes <= y that divide b, and takes off what each
 enumerated cell's own read saves against its group's (the tail lemma of
 moments); the cells of the a past z // 2 are charged at 1. The lower side
-groups them by (k, C, R), R whether b has an odd prime past those four,
+groups them by (k, C, R), R whether b has an odd prime past those five,
 and adds what each enumerated cell's own read gains over its group's (the
 lower tail lemma); the cells of the a past z // 2 count at 0. That yields
 a bracket for the density of the whole set.
@@ -21,7 +21,7 @@ run_bounds evaluates the cells in numpy. It builds a table of even b values
 and the odd a side once per run, each row carrying its prime mask, directed
 density factor and directed abundancy, and each odd a its directed masses
 and the bounds its groups are read at. Each a-side block's net charges are
-formed when the block is built, from the 96 groups' ratios and weights,
+formed when the block is built, from the 192 groups' ratios and weights,
 tables that depend on y alone.
 The b table is sorted by class, the set of the first three of its odd
 primes that divide b, and then by value, so that the candidate pairs
@@ -202,11 +202,15 @@ _CLASS_PRIMES = 3
 # move with neither the split of the primes between the b table and the a
 # side nor _CLASS_PRIMES. With no group prime the groups are those of k and
 # R alone. With the lower groups, deep's width at 3, 4 and 5 group primes
-# is 8.13e-4, 7.60e-4 and 7.13e-4; each prime doubles the groups and the
-# charge's terms, and five made deep's run 15-19% slower in process, where
-# four cost about 9%.
+# is 8.13e-4, 7.60e-4 and 7.13e-4. Each prime doubles the groups and the
+# upper charge's terms (deep's 284k to 447k, wide's 246k to 460k). With the
+# rounds of exact extraction that summed the terms before dirround.fixed_sum,
+# five made deep's run 15-19% slower in process than four; with fixed_sum,
+# deep's charge takes 13 ms at five against 9 ms at four, and its run
+# (0.13 s) is faster than four groups were with the exact sums (0.14 s).
+# Six would pass the uint8 group codes (see _group_tables).
 _V2_CAP = 3
-_GROUP_PRIMES = 4
+_GROUP_PRIMES = 5
 
 
 class _Consts(NamedTuple):
@@ -911,24 +915,24 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     """
     rows = ch.rows
     ai, bi = _coprime_pairs(b, ch)
-    dens_dn = ulp_dn(rows.d_dn[ai] * b.d_dn[bi])
+    dens_dn = ulp_dn(np.multiply(rows.d_dn.take(ai), b.d_dn.take(bi)))
     covered = fixed_sum(dens_dn, DOWN)
     g = ch.b_group.take(bi)
     if ch.t_grp is not None:  # b = s t: C and R join those of s and of t
         g |= ch.t_grp.take(ai)
-    h = rows.h_up[ai]  # h(a), or h(a)/h(t) on the walk's rows
+    h = rows.h_up.take(ai)  # h(a), or h(a)/h(t) on the walk's rows
     # on the odd table itself h_a is h_up, and one gather serves both
     gap = _group_read(consts, consts.group_h.take(g),
                       h if ch.h_a is rows.h_up else ch.h_a.take(ai))
-    q = ulp_dn(np.divide(b.h_dn[bi], h, out=h))  # <= h(b)/h(a)
+    q = ulp_dn(np.divide(b.h_dn.take(bi), h, out=h))  # <= h(b)/h(a)
     ru = _read(consts, np.subtract(q.view(np.int64), _SLOT_BASE))
     ulp_dn(np.maximum(np.subtract(gap, ru, out=gap), 0.0, out=gap))
     saving = fixed_sum(ulp_dn(np.multiply(dens_dn, gap, out=gap)), DOWN)
     pairs = dens_dn.size
     low = np.flatnonzero(q <= consts.q_lower)
     del gap, ru, q, h  # the lower reads take the low cells alone
-    ai, bi, g, dens_dn = ai[low], bi[low], g[low], dens_dn[low]
-    h = rows.h_dn[ai]
+    ai, bi, g, dens_dn = ai.take(low), bi.take(low), g.take(low), dens_dn.take(low)
+    h = rows.h_dn.take(ai)
     rl = _lower_read(consts, h, b.h_up.take(bi))  # at w <= h(a)/h(b); ru = 1 gives +0.0
     r = (g & np.uint8(1 << _GROUP_PRIMES)) != 0
     base = np.where(r, ch.hl_a.take(ai), h if ch.hd_a is rows.h_dn else ch.hd_a.take(ai))
@@ -944,11 +948,11 @@ def _coprime_pairs(b: _Rows, ch: _Chunk):
     lens = ch.j_hi - ch.j_lo
     ai = np.repeat(ch.a, lens)
     bi = np.arange(ai.size) - np.repeat(np.cumsum(lens) - lens - ch.j_lo, lens)
-    clash = ch.rows.mask[0][ai] & b.mask[0][bi]  # one mask word at a time
+    clash = ch.rows.mask[0].take(ai) & b.mask[0].take(bi)  # one mask word at a time
     for w in range(1, b.mask.shape[0]):
-        clash |= ch.rows.mask[w][ai] & b.mask[w][bi]
+        clash |= ch.rows.mask[w].take(ai) & b.mask[w].take(bi)
     keep = np.flatnonzero(clash == 0)
-    return ai[keep], bi[keep]
+    return ai.take(keep), bi.take(keep)
 
 
 def _usable_cpus() -> int:

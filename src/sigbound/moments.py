@@ -109,8 +109,8 @@ The tail lemma. The engine charges the upper side by groups of cells, each
 at one read of its curve U (non-increasing in q, and bounding the share of
 every cell at q <= h(b)/h(a)), whether or not the cells are enumerated. The
 cells of an odd y-smooth a are the (a, b) with b even, y-smooth and coprime
-to a. Let G be the group primes, the first four odd primes <= y (fewer
-for y < 11), and A the primes of G dividing a.
+to a. Let G be the group primes, the first five odd primes <= y (fewer
+for y < 13), and A the primes of G dividing a.
 1. Mass. The cell density (2/ab) prod_{p|ab} (1-1/p) prod_{p∤ab} (1-2/p)
    factors over the primes. Summed over b, the power 2^k of 2 in b gives
    2^-k, and an odd p not dividing a gives

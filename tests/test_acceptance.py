@@ -28,20 +28,24 @@ from sigbound.moments import build_moment_table, moment_r1_exact
 # r_max=200, the primes in (31, 1009] folded into the bound curve on a log
 # grid of step 2^-13, the cells of each odd a charged by group off that
 # curve on both sides, (k, C) above and (k, C, R) below, C of the first
-# four odd primes); full-precision engine outputs:
-#   lower   0.054286232433012546
-#   upper   0.05504595026642775
+# five odd primes, every total a directed sum in units of 2^-94);
+# full-precision engine outputs:
+#   lower   0.05430786461824297
+#   upper   0.055021258764539706
 #   covered 0.9975129594563145
 DESK_PAIRS = 1608738
-DESK_LOWER_10 = 0.05428623243  # outward (floor) 10 significant digits
-DESK_UPPER_10 = 0.05504595027  # outward (ceiling) 10 significant digits
-# The brackets of three group primes whose lower side charged no group, of
+DESK_LOWER_10 = 0.05430786461  # outward (floor) 10 significant digits
+DESK_UPPER_10 = 0.05502125877  # outward (ceiling) 10 significant digits
+# The brackets of four group primes, of three group primes whose lower side
+# charged no group, of
 # the fold's 2^-12 log step, of the groups by k alone, of
 # the folded curve that charged the unenumerated tail at 1, of the capped
 # curve that folded nothing, of the uncapped bound curve that the symmetry
 # cap tightened, of the geometric ratio grid that the bit grid replaced,
 # and of the per-cell summation that the chunked sums replaced, each inside
 # the next: a change may tighten the bracket but never leave any one.
+FOUR_LOWER = 0.054286232433012546
+FOUR_UPPER = 0.05504595026642775
 NO_LOWER_LOWER = 0.0542058855882322
 NO_LOWER_UPPER = 0.05507854787411567
 LOG12_LOWER = 0.05416251716607616
@@ -120,12 +124,13 @@ class TestCriterion2DeskBracket:
         ok_envelope = lower >= 0.01 and upper <= 0.25
         ok_regression = (
             r.pair_count == DESK_PAIRS
-            and lower == pytest.approx(0.054286232433012546, rel=1e-9)
-            and upper == pytest.approx(0.05504595026642775, rel=1e-9)
+            and lower == pytest.approx(0.05430786461824297, rel=1e-9)
+            and upper == pytest.approx(0.055021258764539706, rel=1e-9)
         )
         ok_printed = (_outward(lower, True) == DESK_LOWER_10
                       and _outward(upper, False) == DESK_UPPER_10)
-        ok_inside = (lower >= NO_LOWER_LOWER and upper <= NO_LOWER_UPPER
+        ok_inside = (lower >= FOUR_LOWER and upper <= FOUR_UPPER
+                     and FOUR_LOWER >= NO_LOWER_LOWER and FOUR_UPPER <= NO_LOWER_UPPER
                      and NO_LOWER_LOWER >= LOG12_LOWER and NO_LOWER_UPPER <= LOG12_UPPER
                      and LOG12_LOWER >= KGROUP_LOWER and LOG12_UPPER <= KGROUP_UPPER
                      and KGROUP_LOWER >= FOLDED_LOWER and KGROUP_UPPER <= FOLDED_UPPER
@@ -142,7 +147,8 @@ class TestCriterion2DeskBracket:
             f"proxy {EMPIRICAL_PROXY} inside with 1e-4 slack: {ok_proxy}; "
             f"envelope [0.01, 0.25]: {ok_envelope}; regression fixtures: {ok_regression}; "
             f"printed [{DESK_LOWER_10}, {DESK_UPPER_10}]: {ok_printed}; "
-            f"inside [{NO_LOWER_LOWER}, {NO_LOWER_UPPER}] inside "
+            f"inside [{FOUR_LOWER}, {FOUR_UPPER}] inside "
+            f"[{NO_LOWER_LOWER}, {NO_LOWER_UPPER}] inside "
             f"[{LOG12_LOWER}, {LOG12_UPPER}] inside "
             f"[{KGROUP_LOWER}, {KGROUP_UPPER}] inside "
             f"[{FOLDED_LOWER}, {FOLDED_UPPER}] inside "

@@ -1,17 +1,21 @@
 """Pinned bits of the certified totals, the moment tables and the bound
 curves.
 
-The totals were taken when the lower side began to charge the cells of
-each odd a by group too (the lower tail lemma in `sigbound.moments`) and
-the group primes went from three to four. The upper side charges every
-a-side row's cells by group (k, C), k = min(v2(b), 3) and C the first four
+The totals were taken when the group primes went from four to five and
+every total became a directed sum in units of 2^-94 (`dirround.fixed_sum`:
+the covered mass, the lower terms and the savings floored, the upper
+charges ceiled). At four group primes that sum moved no bit of the exact
+sums in units of 2^-1074 that it replaced. The upper side charges every
+a-side row's cells by group (k, C), k = min(v2(b), 3) and C the first five
 odd primes that divide b, each group at one read of the bound curve (the
 tail lemma); the lower side by group (k, C, R), R whether b has an odd
 prime past them, each at one lower read; a run given no table folds the
 primes in (y, 1009] into its bound curve (the fold lemma), and a run given
 a table at y folds nothing, and each is pinned, as are the totals with no
-group prime. Nine earlier sets of totals stay pinned as outer bounds, each
-at least as loose as the one after it: those of three group primes whose
+group prime. Ten earlier sets of totals stay pinned as outer bounds, each
+at least as loose as the one after it: those of four group primes, taken
+when the lower side began to charge the cells of each odd a by group too
+(the lower tail lemma in `sigbound.moments`); those of three group primes whose
 lower side charged no group, on the fold's 2^-13 log step rounded to
 nearest under one certified slack (the rounding of the fold); those of the
 2^-12 log step; those of the groups by k alone, for
@@ -26,9 +30,9 @@ geometric grid from 1 + 2^-16 to 32; before them those of the tables
 that divided each density factor by its directed value at the end; and
 before them those of the engine that rounded each chunk total one ULP
 outward and merged them with directed adds (the cell totals have since been
-exact integer sums, rounded once). The tables were taken from the engine as
+integer sums, rounded once). The tables were taken from the engine as
 it stood before its numpy kernels switched from np.nextafter and math.fsum
-to the int64-view ULP steps and exact_sum of `sigbound.dirround`; the
+to the int64-view ULP steps and the exact sums of `sigbound.dirround`; the
 y = 353, r_max = 8200 table digest from the table loop that still clamped
 every step and evaluated each order's tail factor on its own. Any change
 of the rounding path that moves one bit of a total, a table entry or a curve
@@ -49,12 +53,13 @@ from sigbound.moments import bound_curves, build_moment_table
 
 TOTALS = ("lower_total", "upper_total", "covered_lo")
 
-GOLDEN_31 = ("0x1.afe4a7db769a3p-5", "0x1.ce68a7c0cc4d9p-5",
+GOLDEN_31 = ("0x1.b1b17c50bd2adp-5", "0x1.ccb579de09ad7p-5",
              "0x1.f21b4df9c19e8p-1")
-GOLDEN_353 = ("0x1.d7f5c1c64449ep-6", "0x1.087e5ff1dc96ap-3",
+GOLDEN_353 = ("0x1.dc705a15149c4p-6", "0x1.066969d3b3ac9p-3",
               "0x1.331ad00ec0cccp-1")
 # y = 2 has no odd prime: one b class, one mask word of zeros, and no group
-# prime, so its groups are those of k alone. y = 3 has one. At y = 2 with
+# prime, so its groups are those of k alone. y = 3 has one, so the fifth
+# group prime moved neither. At y = 2 with
 # z = 1e15 every cell but a tail of 2e-15 is summed, so the group charge
 # moves the upper end by no more than that. Its lower groups (k, {}, {})
 # each hold one cell, (1, 2^k), enumerated, and the charge of each is that
@@ -69,10 +74,16 @@ NO_GROUP_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22dcf8cb872ap-5", "0x1.fffcce11ac84f
 
 # The totals of a table at y, the capped curve that folds nothing. Its
 # lower side is 0 at y <= 3, where no cell's w reaches a point above 1.
-AT_Y_31 = ("0x1.84d29c5c67c81p-5", "0x1.ff3bcb929c0b7p-5", "0x1.f21b4df9c19e8p-1")
-AT_Y_353 = ("0x1.d60f23b4a7183p-6", "0x1.08f4aac9f4c1dp-3", "0x1.331ad00ec0cccp-1")
+AT_Y_31 = ("0x1.868149ce3bb1cp-5", "0x1.fd7382d0d75f6p-5", "0x1.f21b4df9c19e8p-1")
+AT_Y_353 = ("0x1.da8547d2e49b1p-6", "0x1.06de38556eb28p-3", "0x1.331ad00ec0cccp-1")
 AT_Y_2 = ("0x0.0p+0", "0x1.3339afe3f4281p-2", "0x1.fffffffffffeep-1")
 AT_Y_3 = ("0x0.0p+0", "0x1.01ee2b7e6aefap-3", "0x1.fffcce11ac84fp-1")
+
+# The totals of four group primes, with no table and with a table at y.
+FOUR_31 = ("0x1.afe4a7db769a3p-5", "0x1.ce68a7c0cc4d9p-5", "0x1.f21b4df9c19e8p-1")
+FOUR_353 = ("0x1.d7f5c1c64449ep-6", "0x1.087e5ff1dc96ap-3", "0x1.331ad00ec0cccp-1")
+FOUR_AT_Y_31 = ("0x1.84d29c5c67c81p-5", "0x1.ff3bcb929c0b7p-5", "0x1.f21b4df9c19e8p-1")
+FOUR_AT_Y_353 = ("0x1.d60f23b4a7183p-6", "0x1.08f4aac9f4c1dp-3", "0x1.331ad00ec0cccp-1")
 
 # The totals of three group primes whose lower side charged no group, with
 # no table, with no group prime and with a table at y.
@@ -186,7 +197,8 @@ def test_totals_y31(threads):
     assert report.pair_count == 135331
     assert total_bits(report) == GOLDEN_31
     assert_within(GOLDEN_31, NO_GROUP_31)
-    assert_within(GOLDEN_31, NO_LOWER_31)
+    assert_within(GOLDEN_31, FOUR_31)
+    assert_within(FOUR_31, NO_LOWER_31)
     assert_within(NO_LOWER_31, LOG12_31)
     assert_within(LOG12_31, KGROUP_31)
     assert_within(KGROUP_31, FOLDED_31)
@@ -201,7 +213,8 @@ def test_totals_y353():
     report = run_bounds(353, 10**5, 500, threads=1)
     assert report.pair_count == 148128
     assert total_bits(report) == GOLDEN_353
-    assert_within(GOLDEN_353, NO_LOWER_353)
+    assert_within(GOLDEN_353, FOUR_353)
+    assert_within(FOUR_353, NO_LOWER_353)
     assert_within(NO_LOWER_353, LOG12_353)
     assert_within(LOG12_353, KGROUP_353)
     assert_within(KGROUP_353, FOLDED_353)
@@ -226,8 +239,9 @@ def test_totals_few_odd_primes(y, z, r_max, pairs, golden, outer):
 
 
 @pytest.mark.parametrize("y,z,r_max,at_y,outer", [
-    (31, 10**6, 200, AT_Y_31, (NO_LOWER_AT_Y_31, KGROUP_AT_Y_31, CAPPED_31)),
-    (353, 10**5, 500, AT_Y_353, (NO_LOWER_AT_Y_353, KGROUP_AT_Y_353, CAPPED_353)),
+    (31, 10**6, 200, AT_Y_31, (FOUR_AT_Y_31, NO_LOWER_AT_Y_31, KGROUP_AT_Y_31, CAPPED_31)),
+    (353, 10**5, 500, AT_Y_353,
+     (FOUR_AT_Y_353, NO_LOWER_AT_Y_353, KGROUP_AT_Y_353, CAPPED_353)),
     (2, 10**15, 200, AT_Y_2, (CAPPED_2,)),
     (3, 10**6, 200, AT_Y_3, (KGROUP_AT_Y_3, CAPPED_3)),
 ], ids=["31-1e6", "353-1e5", "2-1e15", "3-1e6"])
