@@ -324,7 +324,7 @@ def _group_tables(odd: tuple):
     gp = odd[:_GROUP_PRIMES]
     n = 1 << _GROUP_PRIMES
     h, hx = np.empty(2 * _V2_CAP * n), np.empty(2 * _V2_CAP * n)
-    w, wl = np.zeros((n, h.size)), np.zeros((n, h.size))
+    up, dn = np.zeros((n, n)), np.zeros((n, n))  # [A, C]: the factors of G, 0 where no cell
     for C in range(n):
         hnum = hden = xnum = xden = 1  # the factors of the primes of C
         for j, p in enumerate(gp):
@@ -347,13 +347,14 @@ def _group_tables(odd: tuple):
                     den *= p - 1
                 elif not A >> j & 1:
                     num, den = num * (p - 2), den * (p - 1)
-            # the factor of k is a power of 2: scaling by it is exact
-            up, dn = ratio_up(num, den), ratio_dn(num, den)
-            for k in range(1, _V2_CAP + 1):
-                g = (k - 1) << (_GROUP_PRIMES + 1) | C
-                e = -min(k, _V2_CAP - 1)
-                w[A, g] = math.ldexp(up, e)
-                wl[A, g] = wl[A, g | n] = math.ldexp(dn, e)
+            up[A, C], dn[A, C] = ratio_up(num, den), ratio_dn(num, den)
+    # the factor of k is a power of 2: scaling by it is exact
+    k = np.arange(1, _V2_CAP + 1)
+    g = ((k - 1) << (_GROUP_PRIMES + 1))[:, None] | np.arange(n)  # [k, C]
+    scale = np.ldexp(1.0, -np.minimum(k, _V2_CAP - 1))[:, None]
+    w, wl = np.zeros((n, h.size)), np.zeros((n, h.size))
+    w[:, g] = up[:, None, :] * scale
+    wl[:, g] = wl[:, g | n] = dn[:, None, :] * scale
     return h, w, hx, wl
 
 
@@ -411,10 +412,10 @@ def _upper_charge(consts: _Consts, A: int, h_up: np.ndarray, m_up: np.ndarray) -
     <= h_up, M(a) <= m_up and the group primes A, w = consts.group_w[A, g]
     and c the group's read (see _group_read), over the groups g of nonzero
     weight, summed UP in units of 2**-FIXED_BITS (see dirround.fixed_sum).
-    Each product steps UP where it may be
-    inexact: M_up w unless every w of A is a power of 2 (as at y <= 3),
-    (M_up w) c unless c = 1. All groups are taken at once, in steps of
-    about _CHUNK terms, as many as a chunk's cells (see _chunk_sums)."""
+    Each product steps UP where it may be inexact: M_up w unless every w of
+    A is a power of 2 (as at y <= 3), (M_up w) c unless c = 1. All groups
+    are taken at once, in steps of about _CHUNK terms, as many as a chunk's
+    cells (see _chunk_sums)."""
     live = np.flatnonzero(consts.group_w[A])
     w = consts.group_w[A, live, None]
     exact = bool(np.all(np.frexp(w)[0] == 0.5))
