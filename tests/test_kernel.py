@@ -540,7 +540,7 @@ def test_sums_below_the_unit_round_to_their_sides(table_y1009_r200):
     # nothing to its block's charges and covers nothing
     b, chunks = engine._cell_tables(consts, 10**4)
     ch = next(chunks)
-    lower, upper, covered, pairs = engine._chunk_sums(consts, b, ch)
+    _, upper, _, pairs = engine._chunk_sums(consts, b, ch)
     assert upper < ch.charge[1] and pairs > 100  # some cells save
     tiny = b._replace(d_dn=b.d_dn * 2.0**-110)
     assert engine._chunk_sums(consts, tiny, ch) == (*ch.charge, 0, pairs)
