@@ -155,7 +155,7 @@ def ulp_dn(x: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
 # 2**(FIXED_BITS - 51) = 2**43, and _FIXED_MAX_TERMS = 2**19 of them sum to
 # at most 2**62 in magnitude: the int64 sum cannot overflow (at 2**19 terms
 # FIXED_BITS = 95 could reach 2**63). The engine's largest sum, the masses of
-# an a-side block, has fewer than twice its _ROW_BUDGET = 2**18 terms.
+# the a side, has at most its _ROW_BUDGET = 2**18 terms.
 FIXED_BITS = 94
 _FIXED_MAX_TERMS = 1 << 19
 _FIXED_SCALE = 2.0**FIXED_BITS

@@ -18,11 +18,12 @@ lower tail lemma); the cells of the a past z // 2 count at 0. That yields
 a bracket for the density of the whole set.
 
 run_bounds evaluates the cells in numpy. It builds a table of even b values
-and the odd a side once per run, each row carrying its prime mask, directed
-density factor and directed abundancy, and each odd a its directed masses
-and the bounds its groups are read at. Each a-side block's net charges are
-formed when the block is built, from the 192 groups' ratios and weights,
-tables that depend on y alone.
+and a table of the odd a once per run, each row carrying its prime mask,
+directed density factor and directed abundancy, and each odd a its directed
+masses and the bounds its groups are read at. The a side's net charges are
+formed once, from those masses and the 192 groups' ratios and weights,
+tables that depend on y alone. A (y, z) whose b table would pass
+_ROW_BUDGET rows is refused, with the largest y that fits at that z.
 The b table is sorted by class, the set of the first three of its odd
 primes that divide b, and then by value, so that the candidate pairs
 (a, b) with b <= z // a, taken only from the b classes disjoint from a's
@@ -176,9 +177,9 @@ _SLOT_BASE = 0x3FE0_0000_0000_0000 - (1 << _GRID_SHIFT)  # 1/2, one point down
 _FOLD_LEVEL = 1009
 _FOLD_MAX_Y = 911
 
-# Row cap of the smooth-number tables (the b table, the odd part of the a
-# side) and of one block of a-side rows: the memory of a run is bounded for
-# any z.
+# Row cap of the b table, and so of the odd a side, which holds no more
+# rows (2a is in the b table for every a): a (y, z) past it is refused (see
+# _cell_tables), so the memory of a run is bounded for any z.
 _ROW_BUDGET = 1 << 18
 
 # Candidate (a, b) rows per chunk. The chunk sums are integers, so the cut
@@ -312,7 +313,7 @@ def _group_tables(odd: tuple):
     g] is w[A, g] of group (k, C) rounded DOWN, for either R, with 0 where w
     is 0; the share of R (rho(a) or 1 - rho(a)) comes with the a's mass.
 
-    The cells carry their groups as uint8 codes (see _chunks and _a_blocks),
+    The cells carry their groups as uint8 codes (see _chunks),
     so a (_V2_CAP, _GROUP_PRIMES) whose largest code passes 255 raises
     UnsupportedParameterError rather than wrap.
     """
@@ -390,23 +391,6 @@ def _lower_read(consts: _Consts, base: np.ndarray, hx: np.ndarray) -> np.ndarray
     return ulp_dn(np.subtract(1.0, ru, out=ru))
 
 
-class _Own(NamedTuple):
-    """The odd a whose cells a block charges, one entry each: h_up >= h(a),
-    h_dn <= h(a) and hl_dn <= hl(a) = h(a) / rest(a), each in the bits its
-    cells read their groups at; grp, the group primes dividing a (bit j for
-    the j-th odd prime); m_dn <= M(a) <= m_up, and mr_dn <= M(a) rho(a) <=
-    mr_up (see _smooth_rows)."""
-
-    h_up: np.ndarray
-    h_dn: np.ndarray
-    hl_dn: np.ndarray
-    grp: np.ndarray
-    m_dn: np.ndarray
-    m_up: np.ndarray
-    mr_dn: np.ndarray
-    mr_up: np.ndarray
-
-
 def _upper_charge(consts: _Consts, A: int, h_up: np.ndarray, m_up: np.ndarray) -> int:
     """The sum of the upper group charges M_up w c of the odd a with h(a)
     <= h_up, M(a) <= m_up and the group primes A, w = consts.group_w[A, g]
@@ -431,10 +415,12 @@ def _upper_charge(consts: _Consts, A: int, h_up: np.ndarray, m_up: np.ndarray) -
     return total
 
 
-def _group_charge(consts: _Consts, own: _Own) -> tuple[int, int]:
-    """The group charges (lower, upper) of the odd a of `own`, in units of
-    2**-FIXED_BITS: lower summed DOWN, upper summed UP less the masses
-    summed DOWN.
+def _group_charge(consts: _Consts, rows: _Rows, grp: np.ndarray) -> tuple[int, int]:
+    """The group charges (lower, upper) of the odd a of the a-side table
+    `rows`, in units of 2**-FIXED_BITS: lower summed DOWN, upper summed UP
+    less the masses summed DOWN. Each row's h_up, h_dn and hl_dn are in
+    the bits its cells read their groups at; grp holds the group primes
+    dividing each a (bit j for the j-th odd prime).
 
     upper is the sum of the upper group charges (see _upper_charge) less
     the mass M_dn. lower is the sum of M_R w l over the groups (k, C, R), w
@@ -450,14 +436,14 @@ def _group_charge(consts: _Consts, own: _Own) -> tuple[int, int]:
     steps of _CHUNK.
     """
     n = 1 << _GROUP_PRIMES
-    upper = -fixed_sum(own.m_dn, DOWN)
+    upper = -fixed_sum(rows.m_dn, DOWN)
     lower = 0
     cut = consts.w_lower * (1.0 - 2.0**-40)
-    rest_mass = ulp_dn(np.maximum(np.subtract(own.m_dn, own.mr_up), 0.0))
-    for r, base, mass in ((0, own.h_dn, own.mr_dn), (1, own.hl_dn, rest_mass)):
+    rest_mass = ulp_dn(np.maximum(np.subtract(rows.m_dn, rows.mr_up), 0.0))
+    for r, base, mass in ((0, rows.h_dn, rows.mr_dn), (1, rows.hl_dn, rest_mass)):
         order = np.argsort(base)
-        order = order[np.argsort(own.grp[order], kind="stable")]  # by A, then by base
-        bounds = np.searchsorted(own.grp[order], np.arange(n + 1)).tolist()
+        order = order[np.argsort(grp[order], kind="stable")]  # by A, then by base
+        bounds = np.searchsorted(grp[order], np.arange(n + 1)).tolist()
         base, mass = base[order], mass[order]
         # the segments (g, w, start, count): the a of A whose base reaches
         # group g's threshold, a tail of A's part of the order
@@ -467,7 +453,7 @@ def _group_charge(consts: _Consts, own: _Own) -> tuple[int, int]:
             if lo == hi:
                 continue
             if not r:  # the upper charges take each A once, in R = 0's order
-                upper += _upper_charge(consts, A, own.h_up[order[lo:hi]], own.m_up[order[lo:hi]])
+                upper += _upper_charge(consts, A, rows.h_up[order[lo:hi]], rows.m_up[order[lo:hi]])
             live = np.flatnonzero(consts.group_wl[A])
             live = live[(live >> _GROUP_PRIMES & 1) == r]
             start = lo + np.searchsorted(base[lo:hi], consts.group_hx[live] * cut)
@@ -502,19 +488,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _Rows(NamedTuple):
     """Smooth numbers with what a cell needs of each, one array per column.
 
-    A b-side row is an even b. An a-side row stands for an odd a and a t
-    (see _a_blocks) and its value is a*t. mask holds one uint64 word per 64
-    odd primes of the b table's prime set, bit j for the j-th odd prime, and
-    at least one word, all zero when the set is empty.
+    A b-side row is an even b, an a-side row an odd a. mask holds one
+    uint64 word per 64 odd primes <= y, bit j for the j-th odd prime, and
+    at least one word, all zero when there is none.
     d_dn is the density factor F(value)/value rounded DOWN, F the product of
     (p-1)/(p-2) over the odd primes dividing value, with the density base
-    folded into the a side. h_* is the directed abundancy h(b) = sigma(b)/b,
-    or h(a)/h(t) on the a side. The last five columns are those of the odd
-    S-smooth table that starts the a side, and empty on the b table, the
-    a-block walk's rows and a block once charged: m_* is the directed mass
-    M(a) of the cells of an odd a, mr_* the directed M(a) rho(a) of those
-    whose b has no odd prime outside the group primes, and hl_dn is hl(a) =
-    h(a) / rest(a) rounded DOWN (the tail lemmas of moments).
+    folded into the a side. h_* is the directed abundancy sigma(v)/v of the
+    value v. The last five columns are those of the a side, and empty on
+    the b table and on the a side once charged, but for hl_dn: m_* is the
+    directed mass M(a) of the cells of an odd a, mr_* the directed M(a)
+    rho(a) of those whose b has no odd prime outside the group primes, and
+    hl_dn is hl(a) = h(a) / rest(a) rounded DOWN (the tail lemmas of
+    moments).
     """
 
     value: np.ndarray
@@ -642,148 +627,15 @@ def _smooth_rows(odd, limit: int, even: bool, f0: float, m0: tuple = (),
     return _Rows(value, mask, d_dn, h_dn, h_up, last[0], last[3], last[1], last[4], last[2]), used
 
 
-def _a_blocks(consts: _Consts, small: _Rows, rest: tuple, z: int):
-    """The a side of every cell, in blocks of about _ROW_BUDGET rows: each
-    block is (rows, h_a, hd_a, hl_a, t_grp, charge), read-only, with charge
-    its net charges (lower, upper) (see _group_charge).
-
-    With S the primes of the b table, a cell (a, b) splits as a = c*m and
-    b = s*t: c and s are S-smooth, m and t are coprime and built from the
-    remaining odd primes `rest`. A depth-first walk over `rest` visits every
-    (m, t) with m*t <= z//2; each visit emits a row per c in `small` (the odd
-    S-smooth numbers, sorted, base folded in) with c*m*t <= z//2, with value
-    c*m*t, c's mask, density factor d(c) F(m)F(t)/(mt) and abundancy
-    h(c) h(m)/h(t). Each row carries the bounds on a = c*m at which a's
-    groups are read, the same bits on every row of a: h_a >= h(a) for the
-    upper side, hd_a <= h(a) and hl_a <= hl(a) for the lower; and in t_grp
-    the group primes dividing its t and the bit R if t has an odd prime
-    outside them (see _group_tables): a cell of the row is in group (k, C,
-    R) with C and R those of s joined with t_grp. a's charge is taken once,
-    at the visit with t = 1, with the masses of c over m: so the split moves
-    the groups of no cell. When S holds every prime, the one visit is (1,
-    1), the block is `small` itself, less its mass columns once charged,
-    h_a, hd_a and hl_a are its h_up, h_dn and hl_dn, and t_grp is None, as
-    every t is 1.
-    """
-    lim = z // 2
-    c_grp = _classes(small, (1 << _GROUP_PRIMES) - 1)
-    if not rest:
-        small = small.read_only()
-        charge = _group_charge(consts, _Own(small.h_up, small.h_dn, small.hl_dn, c_grp,
-                                            *small[5:9]))
-        # hl_dn alone outlives the charge: copied, it frees the masses' array
-        empty = _read_only(np.empty(0))
-        small = small._replace(m_dn=empty, m_up=empty, mr_dn=empty, mr_up=empty,
-                               hl_dn=_read_only(small.hl_dn.copy()))
-        yield small, small.h_up, small.h_dn, small.hl_dn, None, charge
-        return
-
-    # the bit of each group prime in the groups, and R for the others
-    bits = {p: 1 << j for j, p in enumerate(consts.odd[:_GROUP_PRIMES])}
-    r_bit = 1 << _GROUP_PRIMES
-
-    def walk(i, m, t, sm, st, fnum, fden, mg, tg, lr):
-        # mg and tg: the group bits of m and of t; lr: the factors rest(a)
-        # and rho(a) lose to the primes of m outside the group primes, as
-        # the numerators and denominators of p/(p-1) and (p-1)/(p-2)
-        yield m, t, sm, st, fnum, fden, mg, tg, lr
-        for j in range(i, len(rest)):
-            p = rest[j]
-            if m * t * p > lim:
-                break
-            g = bits.get(p, 0)
-            mlr = lr if g else (lr[0] * p, lr[1] * (p - 1), lr[2] * (p - 1), lr[3] * (p - 2))
-            pk, s = p, 1 + p
-            while m * t * pk <= lim:
-                yield from walk(j + 1, m * pk, t, sm * s, st, fnum * (p - 1), fden * (p - 2),
-                                mg | g, tg, mlr)
-                yield from walk(j + 1, m, t * pk, sm, st * s, fnum * (p - 1), fden * (p - 2),
-                                mg, tg | (g or r_bit), lr)
-                pk *= p
-                s = s * p + 1
-
-    pending, size = [], 0
-    for visit in walk(0, 1, 1, 1, 1, 1, 1, 0, 0, (1, 1, 1, 1)):
-        m, t = visit[:2]
-        k = int(np.searchsorted(small.value, lim // (m * t), "right"))
-        pending.append((*visit, k))
-        size += k
-        if size >= _ROW_BUDGET:
-            yield _a_block(consts, small, c_grp, pending, size)
-            pending, size = [], 0
-    if pending:
-        yield _a_block(consts, small, c_grp, pending, size)
-
-
-def _a_block(consts: _Consts, small: _Rows, c_grp: np.ndarray, visits: list, size: int):
-    """The rows of the (m, t, sm, st, fnum, fden, mg, tg, lr, k) `visits`
-    (see the walk of _a_blocks), written straight into one block of `size`
-    rows (see
-    _a_blocks): the first k rows of `small` each, scaled by m*t, so the
-    build holds little beyond the block. c_grp is the group primes of each
-    row of `small`. Returns the block, its h_a, hd_a, hl_a and t_grp columns
-    and its net charges."""
-    empty = np.empty(0)
-    block = _Rows(
-        np.empty(size, np.int64),
-        np.empty((small.mask.shape[0], size), np.uint64),
-        *(np.empty(size) for _ in range(3)),
-        *(empty,) * 5,
-    )
-    h_a, hd_a, hl_a = (np.empty(size) for _ in range(3))
-    t_grp = np.empty(size, np.uint8)
-    own = []  # the a of the visits with t = 1, as the columns of _Own
-    o = 0
-    for m, t, sm, st, fnum, fden, mg, tg, (lnum, lden, rnum, rden), k in visits:
-        rows = _Rows(*(col[..., o:o + k] for col in block[:5]), *block[5:])
-        ha, hd, hl = h_a[o:o + k], hd_a[o:o + k], hl_a[o:o + k]
-        t_grp[o:o + k] = tg
-        o += k
-        mt = m * t
-        if mt == 1:
-            for col, src in zip(rows[:5], small):
-                col[...] = src[..., :k]
-        else:
-            np.multiply(small.value[:k], mt, out=rows.value)
-            rows.mask[...] = small.mask[:, :k]
-            ulp_dn(np.multiply(small.d_dn[:k], ratio_dn(fnum, fden * mt), out=rows.d_dn))
-            ulp_dn(np.multiply(small.h_dn[:k], ratio_dn(sm * t, m * st), out=rows.h_dn))
-            ulp_up(np.multiply(small.h_up[:k], ratio_up(sm * t, m * st), out=rows.h_up))
-        if m == 1:
-            ha[...] = small.h_up[:k]
-            hd[...] = small.h_dn[:k]
-            hl[...] = small.hl_dn[:k]
-        else:
-            ulp_up(np.multiply(small.h_up[:k], ratio_up(sm, m), out=ha))
-            ulp_dn(np.multiply(small.h_dn[:k], ratio_dn(sm, m), out=hd))
-            ulp_dn(np.multiply(small.hl_dn[:k], ratio_dn(sm * lnum, m * lden), out=hl))
-        if t == 1:
-            masses = [col[:k] for col in small[5:9]]
-            if m > 1:
-                masses = [ulp_dn(masses[0] * ratio_dn(1, m)), ulp_up(masses[1] * ratio_up(1, m)),
-                          ulp_dn(masses[2] * ratio_dn(rnum, m * rden)),
-                          ulp_up(masses[3] * ratio_up(rnum, m * rden))]
-            own.append((ha, hd, hl, c_grp[:k] | np.uint8(mg), *masses))
-    charge = _group_charge(consts, _Own(*map(np.concatenate, zip(*own)))) if own else (0, 0)
-    return (block.read_only(), _read_only(h_a), _read_only(hd_a), _read_only(hl_a),
-            _read_only(t_grp), charge)
-
-
 class _Chunk(NamedTuple):
     """Candidate rows: for each range k, a-side row a[k] of `rows` against
     the b-table rows j_lo[k] <= j < j_hi[k], b values of one class disjoint
-    from the row's own and at most z // the row's value. h_a, hd_a, hl_a and
-    t_grp are the block's columns (see _a_blocks; t_grp is None where every
-    t is 1), and b_group is each
+    from the row's own and at most z // the row's value. b_group is each
     b-table row's group (see _group_tables), of the C and R its own primes
-    make. charge is the block's net charges (lower, upper) on its first
+    make. charge is the a side's net charges (lower, upper) on the first
     chunk and (0, 0) on the others."""
 
     rows: _Rows
-    h_a: np.ndarray
-    hd_a: np.ndarray
-    hl_a: np.ndarray
-    t_grp: np.ndarray
     b_group: np.ndarray
     charge: tuple
     a: np.ndarray
@@ -794,18 +646,25 @@ class _Chunk(NamedTuple):
 def _cell_tables(consts: _Consts, z: int):
     """The b table and the chunks of candidate rows, in their fixed order.
 
-    The b table holds the even numbers <= z built from 2 and the longest
-    prefix S of the odd primes that keeps it within _ROW_BUDGET rows, sorted
-    by class and then by value (see _classes); the odd primes outside it go
-    to the a side (see _a_blocks). The odd S-smooth numbers start the a side
-    with the density base prod (p-2)/p and the mass base prod (p-1)/p over
-    the odd primes, so that a row's mass is M(a) of the tail lemma (see
-    moments); its mr starts at the mass base times rho(1), the product of
-    (p-2)/(p-1), and its hl at 1/rest(1), the product of (p-1)/p, both over
-    the odd primes outside the group primes. The b table and the a-side
-    blocks come back read-only.
+    The b table holds the even y-smooth numbers <= z, sorted by class and
+    then by value (see _classes). If it would pass _ROW_BUDGET rows, the
+    run is refused with UnsupportedParameterError, which names the largest
+    y whose table fits: that of the longest prefix of the odd primes that
+    _smooth_rows keeps within the budget. The a side holds the odd y-smooth
+    numbers <= z // 2 with the density base prod (p-2)/p and the mass base
+    prod (p-1)/p over the odd primes, so that a row's mass is M(a) of the
+    tail lemma (see moments); its mr starts at the mass base times rho(1),
+    the product of (p-2)/(p-1), and its hl at 1/rest(1), the product of
+    (p-1)/p, both over the odd primes outside the group primes. Its net
+    charges are taken here (see _group_charge). The tables come back
+    read-only.
     """
     b, used = _smooth_rows(consts.odd, z, True, 1.0, (), _ROW_BUDGET, _CLASS_PRIMES)
+    if used < len(consts.odd):
+        fits = consts.odd[used - 1] if used else 2
+        raise UnsupportedParameterError(
+            f"the even y-smooth numbers <= {z} pass the row budget of {_ROW_BUDGET}; "
+            f"at this z use y <= {fits}")
     base, mass, den, rho, rho_den, rest, rest_den = 1, 1, 1, 1, 1, 1, 1
     for j, p in enumerate(consts.odd):
         base *= p - 2
@@ -816,10 +675,15 @@ def _cell_tables(consts: _Consts, z: int):
             rest, rest_den = rest * (p - 1), rest_den * p
     m0 = (ratio_dn(mass, den), ratio_up(mass, den), ratio_dn(mass * rho, den * rho_den),
           ratio_up(mass * rho, den * rho_den), ratio_dn(rest, rest_den))
-    small, _ = _smooth_rows(consts.odd[:used], z // 2, False, ratio_dn(base, den), m0)
-    blocks = _a_blocks(consts, small, consts.odd[used:], z)
+    a, _ = _smooth_rows(consts.odd, z // 2, False, ratio_dn(base, den), m0)
+    a = a.read_only()
+    charge = _group_charge(consts, a, _classes(a, (1 << _GROUP_PRIMES) - 1))
+    # hl_dn alone outlives the charge: copied, it frees the masses' array
+    empty = _read_only(np.empty(0))
+    a = a._replace(m_dn=empty, m_up=empty, mr_dn=empty, mr_up=empty,
+                   hl_dn=_read_only(a.hl_dn.copy()))
     b = b.read_only()
-    return b, _chunks(blocks, b, (1 << min(used, _CLASS_PRIMES)) - 1, z)
+    return b, _chunks(a, charge, b, (1 << min(used, _CLASS_PRIMES)) - 1, z)
 
 
 def _classes(rows: _Rows, cmask: int) -> np.ndarray:
@@ -830,12 +694,12 @@ def _classes(rows: _Rows, cmask: int) -> np.ndarray:
 
 
 def _ranges(rows: _Rows, b: _Rows, bounds: np.ndarray, cmask: int, z: int):
-    """The candidate ranges (a, j_lo, count) of the a-side block `rows`:
+    """The candidate ranges (a, j_lo, count) of the a side `rows`:
     per a-side row and per b class disjoint from the row's class, the b rows
     of that class with value <= z // the row's value. `bounds[c]` is where
     class c starts in the b table. Yielded in batches of _CHUNK >>
     _CLASS_PRIMES rows, at most _CHUNK ranges each, so that the ranges held
-    at once stay near the size of a chunk whatever the block's size; a range
+    at once stay near the size of a chunk whatever the a side's size; a range
     of length 0 is dropped."""
     a_cls = _classes(rows, cmask)
     step = max(1, _CHUNK >> _CLASS_PRIMES)
@@ -851,12 +715,12 @@ def _ranges(rows: _Rows, b: _Rows, bounds: np.ndarray, cmask: int, z: int):
         yield tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _chunks(blocks, b: _Rows, cmask: int, z: int):
-    """Cut each batch of candidate ranges (see _ranges) into chunks of
-    _CHUNK candidate rows; the last chunk of a batch takes the rows left
-    over. A range may be split between chunks. The first chunk of each
-    block carries the block's net charges (see _group_charge): every row has
-    value <= z // 2, so b = 2 pairs with it and every block has a chunk."""
+def _chunks(rows: _Rows, charge: tuple, b: _Rows, cmask: int, z: int):
+    """Cut each batch of candidate ranges of the a side `rows` (see
+    _ranges) into chunks of _CHUNK candidate rows; the last chunk of a
+    batch takes the rows left over. A range may be split between chunks.
+    The first chunk carries the a side's net charges `charge`: the row a =
+    1 pairs with b = 2, so there is a chunk."""
     bounds = np.searchsorted(_classes(b, cmask), np.arange(cmask + 2))
     k = np.zeros(b.value.size, np.uint8)  # min(v2(b), _V2_CAP) - 1
     for j in range(2, _V2_CAP + 1):
@@ -867,28 +731,23 @@ def _chunks(blocks, b: _Rows, cmask: int, z: int):
     b_group = k << np.uint8(_GROUP_PRIMES + 1) | r.view(np.uint8) << np.uint8(_GROUP_PRIMES)
     b_group |= _classes(b, (1 << _GROUP_PRIMES) - 1)
     b_group = _read_only(b_group)
-    for rows, h_a, hd_a, hl_a, t_grp, charge in blocks:
-        for a, lo, cnt in _ranges(rows, b, bounds, cmask, z):
-            ends = np.cumsum(cnt)
-            s = 0
-            while cnt.size and s < ends[-1]:
-                r0 = int(np.searchsorted(ends, s, "right"))
-                r1 = int(np.searchsorted(ends, s + _CHUNK - 1, "right")) + 1
-                starts = ends[r0:r1] - cnt[r0:r1]
-                yield _Chunk(
-                    rows,
-                    h_a,
-                    hd_a,
-                    hl_a,
-                    t_grp,
-                    b_group,
-                    charge,
-                    a[r0:r1],
-                    lo[r0:r1] + np.maximum(s - starts, 0),
-                    lo[r0:r1] + np.minimum(s + _CHUNK - starts, cnt[r0:r1]),
-                )
-                charge = (0, 0)
-                s += _CHUNK
+    for a, lo, cnt in _ranges(rows, b, bounds, cmask, z):
+        ends = np.cumsum(cnt)
+        s = 0
+        while cnt.size and s < ends[-1]:
+            r0 = int(np.searchsorted(ends, s, "right"))
+            r1 = int(np.searchsorted(ends, s + _CHUNK - 1, "right")) + 1
+            starts = ends[r0:r1] - cnt[r0:r1]
+            yield _Chunk(
+                rows,
+                b_group,
+                charge,
+                a[r0:r1],
+                lo[r0:r1] + np.maximum(s - starts, 0),
+                lo[r0:r1] + np.minimum(s + _CHUNK - starts, cnt[r0:r1]),
+            )
+            charge = (0, 0)
+            s += _CHUNK
 
 
 def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
@@ -919,12 +778,8 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     dens_dn = ulp_dn(np.multiply(rows.d_dn.take(ai), b.d_dn.take(bi)))
     covered = fixed_sum(dens_dn, DOWN)
     g = ch.b_group.take(bi)
-    if ch.t_grp is not None:  # b = s t: C and R join those of s and of t
-        g |= ch.t_grp.take(ai)
-    h = rows.h_up.take(ai)  # h(a), or h(a)/h(t) on the walk's rows
-    # on the odd table itself h_a is h_up, and one gather serves both
-    gap = _group_read(consts, consts.group_h.take(g),
-                      h if ch.h_a is rows.h_up else ch.h_a.take(ai))
+    h = rows.h_up.take(ai)
+    gap = _group_read(consts, consts.group_h.take(g), h)
     q = ulp_dn(np.divide(b.h_dn.take(bi), h, out=h))  # <= h(b)/h(a)
     ru = _read(consts, np.subtract(q.view(np.int64), _SLOT_BASE))
     ulp_dn(np.maximum(np.subtract(gap, ru, out=gap), 0.0, out=gap))
@@ -936,7 +791,7 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     h = rows.h_dn.take(ai)
     rl = _lower_read(consts, h, b.h_up.take(bi))  # at w <= h(a)/h(b); ru = 1 gives +0.0
     r = (g & np.uint8(1 << _GROUP_PRIMES)) != 0
-    base = np.where(r, ch.hl_a.take(ai), h if ch.hd_a is rows.h_dn else ch.hd_a.take(ai))
+    base = np.where(r, rows.hl_dn.take(ai), h)
     l = _lower_read(consts, base, consts.group_hx.take(g))
     ulp_dn(np.maximum(np.subtract(rl, l, out=rl), 0.0, out=rl), l > 0.0)
     lower = fixed_sum(ulp_dn(np.multiply(dens_dn, rl, out=rl)), DOWN)
@@ -967,7 +822,7 @@ def _pooled(consts: _Consts, b: _Rows, chunks, threads: int):
     """Yield each chunk's sums in chunk order, computed on a thread pool.
 
     numpy releases the GIL in its array loops, and the threads share consts,
-    the b table and the a-side blocks, all read-only. At most four chunks per
+    the b table and the a side, all read-only. At most four chunks per
     worker are in flight, so memory stays bounded.
     """
     # imported here: runs without a pool need not pay for the import
@@ -1006,7 +861,7 @@ def run_bounds(
     (the tail lemma of moments), the lower side adds each enumerated cell's
     gain over its group's lower read (the lower tail lemma): so the
     unenumerated cells of an a are bounded by the curve on both sides, not
-    by 1 and 0. A block's charges are added when the block is built, before
+    by 1 and 0. The a side's charges are added with the first chunk, before
     any of its cells. Each reported number is rounded once, to its side,
     from the integer totals, so neither the chunk cut nor the thread count
     moves a bit. One thread sums the chunks in the calling thread; more
@@ -1047,9 +902,9 @@ def run_bounds(
 
     def report(lo: int, up: int, cov_dn: int, pairs: int) -> BoundReport:
         # the integer totals, in units of 2**-FIXED_BITS, each rounded once
-        # to its side; up is the group charges of the blocks begun less
-        # their mass and the savings of the cells summed, so upper adds the
-        # 1 that the a not yet begun are charged, and is capped at 1
+        # to its side; up is the a side's group charges less its mass and
+        # the savings of the cells summed, so upper adds the 1 that charges
+        # the cells of the a past z // 2, and is capped at 1
         lower = ratio_dn(lo, _ONE)
         upper = min(ratio_up(up + _ONE, _ONE), 1.0)
         if lower > upper:

@@ -2,15 +2,13 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The heavy desk-scale bounds
 run happens once (module-scoped fixture) and is shared by the criteria that
-consume it. Criterion 8 at the paper's own parameter sets is opt-in via
-SIGBOUND_LONG_RUNS=1: those runs have never been made (both go through the
-a-block walk, and the last estimate for the upper one was weeks), and
-TestCriterion2DeskBracket checks the published bracket at a setting that
-takes well under a second.
+consume it. TestCriterion2DeskBracket checks criterion 8, the published
+bracket, at settings that take well under a second. The paper's own
+parameter sets for it, y=353 z=1e13 and y=157 z=1e16, pass the engine's row
+budget and are refused with exit code 3 (TestCriterion8PaperSettings).
 """
 import json
 import math
-import os
 import time
 from fractions import Fraction
 from math import gcd
@@ -300,25 +298,12 @@ class TestCriterion7DirectedRounding:
         )
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SIGBOUND_LONG_RUNS"),
-    reason="never run: both sets go through the a-block walk, and the last estimate "
-    "for the upper one was weeks; set SIGBOUND_LONG_RUNS=1 to run "
-    "(expected: lower >= 0.0539171 at y=353 z=1e13, upper <= 0.0549446 at y=157 z=1e16)",
-)
-class TestCriterion8LongRuns:
-    def test_lower_full_scale(self):
-        r = run_bounds(353, 10**13, 2000)
-        report(
-            r.lower_total.value >= 0.0539171,
-            "criterion 8",
-            f"y=353 z=1e13 rmax=2000: lower {r.lower_total.value:.7f} >= 0.0539171",
-        )
-
-    def test_upper_full_scale(self):
-        r = run_bounds(157, 10**16, 2000)
-        report(
-            r.upper_total.value <= 0.0549446,
-            "criterion 8",
-            f"y=157 z=1e16 rmax=2000: upper {r.upper_total.value:.7f} <= 0.0549446",
-        )
+class TestCriterion8PaperSettings:
+    @pytest.mark.parametrize("y,z", [("353", "1e13"), ("157", "1e16")])
+    def test_paper_settings_are_refused(self, capsys, y, z):
+        # the even y-smooth numbers <= z pass the row budget: the run is
+        # refused before any cell, naming the largest y that fits
+        code = main(["bounds", "--y", y, "--z", z, "--rmax", "2000"])
+        err = capsys.readouterr().err
+        report(code == 3 and "use y <= " in err, "criterion 8",
+               f"bounds y={y} z={z} rmax=2000: exit {code}, {err.strip()}")

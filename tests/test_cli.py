@@ -68,6 +68,10 @@ class TestExitCodes:
         assert code == 3
         assert "65536" in err
         assert run_cli(capsys, "lambda", "--y", "65536", "--rmax", "1")[0] == 3
+        # a b table past the row budget: the primes up to 53 fit at z = 1e8
+        code, out, err = run_cli(capsys, "bounds", "--y", "157", "--z", "1e8")
+        assert (code, out) == (3, "")
+        assert err.rstrip().endswith("use y <= 53")
         # moment orders above moments.MAX_ORDER
         for argv in (("lambda", "--y", "31", "--rmax", "1e30"),
                      ("lambda", "--y", "31", "--rmax", "10001", "--format", "json"),

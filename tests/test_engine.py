@@ -522,15 +522,13 @@ class TestRunBounds:
         assert r2.covered_lo == r1.covered_lo
         assert r2.lower_total.value <= r2.upper_total.value
 
-    @pytest.mark.parametrize("y,z,budget,cut", [
-        (31, 10**6, engine._ROW_BUDGET, 1 << 6),
-        (31, 10**6, engine._ROW_BUDGET, 1 << 16),
-        (2, 10**15, engine._ROW_BUDGET, 1 << 2),  # one class, a zero mask word
-        (31, 10**6, 512, 1 << 6),  # the a side walks the primes past 5
-    ], ids=["cut0", "cut1", "y2", "budget512"])
-    def test_totals_do_not_depend_on_the_chunk_cut(self, monkeypatch, y, z, budget, cut):
+    @pytest.mark.parametrize("y,z,cut", [
+        (31, 10**6, 1 << 6),
+        (31, 10**6, 1 << 16),
+        (2, 10**15, 1 << 2),  # one class, a zero mask word
+    ], ids=["cut0", "cut1", "y2"])
+    def test_totals_do_not_depend_on_the_chunk_cut(self, monkeypatch, y, z, cut):
         table = build_moment_table(y, 200)
-        monkeypatch.setattr(engine, "_ROW_BUDGET", budget)
 
         def totals(threads):
             r = run_bounds(y, z, 200, threads=threads, table=table)

@@ -27,6 +27,7 @@ from oracles import (
 )
 from sigbound import engine, moments
 from sigbound.arith import primes_upto
+from sigbound.cli import main
 from sigbound.dirround import FIXED_BITS, ratio_dn, ratio_up, ulp_dn
 from sigbound.engine import cell_density, run_bounds
 from sigbound.errors import InvalidParameterError, UnsupportedParameterError
@@ -123,24 +124,21 @@ def exact_sums(y, z, table):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    y=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    y=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19]),
     z=st.integers(2, 3000),
     r_max=st.integers(1, 30),
-    budget=st.sampled_from([8, engine._ROW_BUDGET]),
     level=st.sampled_from([0, 13, 61]),
 )
-# a lower group read above 0 on the a-block walk; and 13, the one prime
-# past the group primes, read by the groups with R on both sides of the split
-@example(y=3, z=6, r_max=1, budget=8, level=61)
-@example(y=13, z=3000, r_max=30, budget=8, level=61)
-@example(y=13, z=3000, r_max=30, budget=engine._ROW_BUDGET, level=61)
-def test_bracket_is_on_the_safe_side_of_exact_sums(y, z, r_max, budget, level):
+# a lower group read above 0; and 17, the first prime past the five group
+# primes, which puts cells in the lower groups with R = 1
+@example(y=3, z=6, r_max=1, level=61)
+@example(y=13, z=3000, r_max=30, level=61)
+@example(y=17, z=3000, r_max=30, level=61)
+def test_bracket_is_on_the_safe_side_of_exact_sums(y, z, r_max, level):
     # level 0 folds nothing; 13 and 61 fold the primes in (y, level]
     table = build_moment_table(max(y, level), r_max)
     lower, upper, covered, pairs = exact_sums(y, z, table)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_ROW_BUDGET", budget)  # 8 moves primes to the a side
-        r = run_bounds(y, z, r_max, threads=1, table=table)
+    r = run_bounds(y, z, r_max, threads=1, table=table)
     assert r.pair_count == pairs
     assert Fraction(r.lower_total.value) <= lower
     assert Fraction(r.upper_total.value) >= upper
@@ -385,36 +383,29 @@ def test_folded_curve_is_read_at_the_last_log_point_below_each_grid_point(table_
     assert 1 <= Fraction(consts.q_lower) * Fraction(float(g[first])) <= 1 + Fraction(1, 2**50)
 
 
-def test_small_row_budget_moves_primes_to_the_a_side(table_y31_r200, monkeypatch):
-    full = run_bounds(31, 10**5, 200, threads=1, table=table_y31_r200)
+def test_a_y_past_the_row_budget_is_refused(table_y31_r200, capsys, monkeypatch):
+    # at 512 rows the even smooth numbers <= 1e5 keep 3 and 5 alone: the run
+    # is refused, naming the largest y that fits, and the CLI exits 3
     monkeypatch.setattr(engine, "_ROW_BUDGET", 512)
-    b, _ = engine._cell_tables(engine._engine_consts(table_y31_r200, 31), 10**5)
-    # 3 and 5 stay on the b side, the primes 7..31 move to the a side
-    assert b.value.size <= 512 and b.mask.shape[0] == 1
-    assert int(np.bitwise_or.reduce(b.mask[0])) == 0b11
-    split = run_bounds(31, 10**5, 200, threads=1, table=table_y31_r200)
-    assert split.pair_count == full.pair_count
-    lo, up = split.lower_total.value, split.upper_total.value
-    assert 0.0 < lo <= up < 1.0
-    # the same cell bounds and group charges, summed in other chunks
-    assert lo == pytest.approx(full.lower_total.value, rel=1e-12)
-    assert up == pytest.approx(full.upper_total.value, rel=1e-12)
-    assert split.covered_mass == pytest.approx(full.covered_mass, rel=1e-12)
+    with pytest.raises(UnsupportedParameterError, match=r"use y <= 5$"):
+        run_bounds(31, 10**5, 200, threads=1, table=table_y31_r200)
+    assert main(["bounds", "--y", "31", "--z", "1e5", "--rmax", "200"]) == 3
+    assert capsys.readouterr().err.rstrip().endswith("use y <= 5")
+    assert run_bounds(5, 10**5, 200, threads=1).pair_count > 0
 
 
 @pytest.mark.parametrize("y,z,r_max,budget,used", [
     (31, 10**6, 200, engine._ROW_BUDGET, 10),
     (353, 10**5, 500, engine._ROW_BUDGET, 70),  # two mask words
-    (31, 10**6, 200, 512, 2),  # fewer odd primes than the class primes
-    (31, 20, 200, 8, 1),  # one class prime
-    (31, 10**6, 200, 8, 0),  # no odd prime in the b table
+    (5, 10**6, 200, engine._ROW_BUDGET, 2),  # fewer odd primes than the class primes
+    (3, 20, 200, engine._ROW_BUDGET, 1),  # one class prime
+    (2, 10**6, 200, engine._ROW_BUDGET, 0),  # no odd prime at all
 ])
 def test_class_split_moves_no_bit(y, z, r_max, budget, used, monkeypatch):
     """Pairing each a-side row only with the b classes disjoint from its own
     drops only pairs the mask filter drops too: with no class primes, the
     pair count and the three totals keep every bit."""
     table = build_moment_table(y, r_max)
-    monkeypatch.setattr(engine, "_ROW_BUDGET", budget)
     odd = tuple(primes_upto(y).tolist()[1:])
     assert engine._smooth_rows(odd, z, True, 1.0, (), budget)[1] == used
 
@@ -548,7 +539,7 @@ def test_sums_below_the_unit_round_to_their_sides(table_y1009_r200):
 
 def test_group_codes_that_pass_uint8_are_rejected(monkeypatch):
     # at _V2_CAP = 3 the largest code is 2 << (G + 1) | (2 << G) - 1: 191 at
-    # five group primes, 383 at six, which b_group and t_grp would wrap
+    # five group primes, 383 at six, which b_group would wrap
     table = build_moment_table(31, 2)
     monkeypatch.setattr(engine, "_GROUP_PRIMES", 5)
     assert engine._engine_consts(table, 31).group_h.size == 192

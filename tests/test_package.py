@@ -49,7 +49,9 @@ _ALL = {
 # candidate rows; the ramp of small first chunks only fed the pool.
 # exact_sum, _SUM_MAX_TERMS, _SUM_BOUND_BITS: the totals are directed sums
 # in units of 2**-94 (fixed_sum, one split of each term), not exact ones in
-# units of 2**-1074 by rounds of extraction.
+# units of 2**-1074 by rounds of extraction. _a_blocks, _a_block, _Own: a
+# (y, z) whose b table passes the row budget is refused, so the a side is
+# one table of the odd a, charged whole, and no walk splits a as c*m.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
@@ -72,6 +74,7 @@ _REMOVED = (
     "_extract", "_SCALE", "ProgressEvent", "_directed", "_CHUNK_MIN",
     "_group_reads",
     "exact_sum", "_SUM_MAX_TERMS", "_SUM_BOUND_BITS",
+    "_a_blocks", "_a_block", "_Own",
 )
 
 # Methods dropped along with the code that called them. The table holds
@@ -90,11 +93,16 @@ _REMOVED_METHODS = (
 # _Consts carries no rl_at; no caller read the UP-rounded covered mass, so
 # the engine no longer sums it for BoundReport.covered_hi. A cell forms its
 # group's read from h(a) and a 24-entry table, so a chunk carries no table
-# of reads per a-side row.
+# of reads per a-side row. The a side is one table of the odd a, so a chunk
+# carries no per-row bounds on h(a) or group bits of a cofactor t.
 _REMOVED_FIELDS = (
     ("engine", "_Consts", "rl_at"),
     ("engine", "BoundReport", "covered_hi"),
     ("engine", "_Chunk", "groups"),
+    ("engine", "_Chunk", "h_a"),
+    ("engine", "_Chunk", "hd_a"),
+    ("engine", "_Chunk", "hl_a"),
+    ("engine", "_Chunk", "t_grp"),
 )
 
 

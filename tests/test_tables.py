@@ -11,7 +11,6 @@ from oracles import smooth_rows
 from sigbound import engine
 from sigbound.arith import primes_upto
 from sigbound.dirround import ratio_dn, ratio_up
-from sigbound.moments import build_moment_table
 
 
 def odd_primes(y):
@@ -83,30 +82,3 @@ def test_b_table_build_peaks_below_one_and_a_half_times_its_size():
         tracemalloc.stop()
     size = sum(col.nbytes for col in {id(col): col for col in rows}.values())
     assert peak <= 1.5 * size, (peak, size)
-
-
-def test_a_blocks_build_peaks_below_twice_their_size():
-    # at (101, 1e8) the b table keeps 15 of the 25 odd primes and the walk
-    # over the other 10 yields two blocks
-    odd, z = odd_primes(101), 10**8
-    _, used = engine._smooth_rows(odd, z, True, 1.0, (), engine._ROW_BUDGET)
-    small, _ = engine._smooth_rows(odd[:used], z // 2, False, *odd_side_bases(odd))
-    consts = engine._engine_consts(build_moment_table(101, 5), 101)
-    blocks = engine._a_blocks(consts, small, odd[used:], z)
-    built = 0
-    tracemalloc.start()
-    try:
-        while True:
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            block = next(blocks, None)
-            if block is None:
-                break
-            _, peak = tracemalloc.get_traced_memory()
-            size = sum(col.nbytes for col in block[0]) + sum(col.nbytes for col in block[1:5])
-            assert peak - before <= 2 * size, (built, peak - before, size)
-            built += 1
-            del block
-    finally:
-        tracemalloc.stop()
-    assert used == 15 and built == 2
