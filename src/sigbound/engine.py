@@ -368,13 +368,22 @@ def _read(consts: _Consts, s: np.ndarray) -> np.ndarray:
     return consts.ru_at.take(s, mode="clip")
 
 
+def _quotient_dn(num, den: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """num / den rounded DOWN, for num > 0 and den >= 1: the rounded
+    quotient stepped one ULP down, but where den is exactly 1.0, as h(a) is
+    at a = 1, whose quotient is num itself, exact. `out` may be den."""
+    step = den != 1.0
+    return ulp_dn(np.divide(num, den, out=out), step)
+
+
 def _group_read(consts: _Consts, h, h_a: np.ndarray) -> np.ndarray:
     """The curve read of a group of ratio h (from consts.group_h, one or one
-    per a) for the odd a with h(a) <= h_a: ru at ulp_dn(h / h_a), at most
-    the q of every cell of the group. The charge (see _group_charge) and the
-    cells (see _chunk_sums) read it here, in the same bits."""
-    s = np.divide(h, h_a).view(np.int64)
-    s -= _SLOT_BASE + 1
+    per a) for the odd a with h(a) <= h_a: ru at h / h_a rounded DOWN (see
+    _quotient_dn), at most the q of every cell of the group. The charge (see
+    _group_charge) and the cells (see _chunk_sums) read it here, in the same
+    bits."""
+    s = _quotient_dn(h, h_a).view(np.int64)
+    s -= _SLOT_BASE
     return _read(consts, s)
 
 
@@ -780,7 +789,7 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     g = ch.b_group.take(bi)
     h = rows.h_up.take(ai)
     gap = _group_read(consts, consts.group_h.take(g), h)
-    q = ulp_dn(np.divide(b.h_dn.take(bi), h, out=h))  # <= h(b)/h(a)
+    q = _quotient_dn(b.h_dn.take(bi), h, out=h)  # <= h(b)/h(a)
     ru = _read(consts, np.subtract(q.view(np.int64), _SLOT_BASE))
     ulp_dn(np.maximum(np.subtract(gap, ru, out=gap), 0.0, out=gap))
     saving = fixed_sum(ulp_dn(np.multiply(dens_dn, gap, out=gap)), DOWN)

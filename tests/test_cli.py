@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -210,6 +211,15 @@ class TestLambda:
         assert len(data["rows"]) == 5
         for r, value, root in data["rows"]:
             assert value >= 1.0 and root >= 1.0
+
+    def test_rows_keep_their_bits(self, capsys):
+        # every order 1..r_max, each value and root as the every-order
+        # table builds them
+        _, out, _ = run_cli(capsys, "lambda", "--y", "31", "--rmax", "200", "--format", "json")
+        rows = json.loads(out)["rows"]
+        assert [r for r, _, _ in rows] == list(range(1, 201))
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "6694c76f93722d649a96210d43bfa74158bea4203aeb5fa40078fae96ae8bc07"
 
 
 class TestBounds:

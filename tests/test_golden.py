@@ -12,8 +12,10 @@ tail lemma); the lower side by group (k, C, R), R whether b has an odd
 prime past them, each at one lower read; a run given no table folds the
 primes in (y, 1009] into its bound curve (the fold lemma), and a run given
 a table at y folds nothing, and each is pinned, as are the totals with no
-group prime. Ten earlier sets of totals stay pinned as outer bounds, each
-at least as loose as the one after it: those of four group primes, taken
+group prime. Each quotient by h(a) = 1.0, at a = 1, is exact. Eleven
+earlier sets of totals stay pinned as outer bounds, each at least as loose
+as the one after it: those that read such a quotient one slot low where it
+is a grid point; those of four group primes, taken
 when the lower side began to charge the cells of each odd a by group too
 (the lower tail lemma in `sigbound.moments`); those of three group primes whose
 lower side charged no group, on the fold's 2^-13 log step rounded to
@@ -53,7 +55,7 @@ from sigbound.moments import bound_curves, build_moment_table
 
 TOTALS = ("lower_total", "upper_total", "covered_lo")
 
-GOLDEN_31 = ("0x1.b1b17c50bd2adp-5", "0x1.ccb579de09ad7p-5",
+GOLDEN_31 = ("0x1.b1b17c50bd2adp-5", "0x1.ccb579de09ad2p-5",
              "0x1.f21b4df9c19e8p-1")
 GOLDEN_353 = ("0x1.dc705a15149c4p-6", "0x1.066969d3b3ac9p-3",
               "0x1.331ad00ec0cccp-1")
@@ -64,20 +66,33 @@ GOLDEN_353 = ("0x1.dc705a15149c4p-6", "0x1.066969d3b3ac9p-3",
 # moves the upper end by no more than that. Its lower groups (k, {}, {})
 # each hold one cell, (1, 2^k), enumerated, and the charge of each is that
 # cell's lower term bit for bit: the lower groups move no bit at y = 2.
-GOLDEN_2 = ("0x1.bd600da069018p-5", "0x1.c249b59e00c18p-5", "0x1.fffffffffffeep-1")
-GOLDEN_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22dce2a6aef2p-5", "0x1.fffcce11ac84fp-1")
+GOLDEN_2 = ("0x1.bd600da069018p-5", "0x1.c20e747b445c0p-5", "0x1.fffffffffffeep-1")
+GOLDEN_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22ba1fb322bfp-5", "0x1.fffcce11ac84fp-1")
 
 # The totals with no group prime, the groups by k (and R on the lower side)
 # alone.
-NO_GROUP_31 = ("0x1.ad1a023c7c919p-5", "0x1.dc538b8659d46p-5", "0x1.f21b4df9c19e8p-1")
-NO_GROUP_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22dcf8cb872ap-5", "0x1.fffcce11ac84fp-1")
+NO_GROUP_31 = ("0x1.ad1a023c7c919p-5", "0x1.dc538b8659d42p-5", "0x1.f21b4df9c19e8p-1")
+NO_GROUP_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22ba35ccac58p-5", "0x1.fffcce11ac84fp-1")
 
 # The totals of a table at y, the capped curve that folds nothing. Its
 # lower side is 0 at y <= 3, where no cell's w reaches a point above 1.
 AT_Y_31 = ("0x1.868149ce3bb1cp-5", "0x1.fd7382d0d75f6p-5", "0x1.f21b4df9c19e8p-1")
 AT_Y_353 = ("0x1.da8547d2e49b1p-6", "0x1.06de38556eb28p-3", "0x1.331ad00ec0cccp-1")
-AT_Y_2 = ("0x0.0p+0", "0x1.3339afe3f4281p-2", "0x1.fffffffffffeep-1")
-AT_Y_3 = ("0x0.0p+0", "0x1.01ee2b7e6aefap-3", "0x1.fffcce11ac84fp-1")
+AT_Y_2 = ("0x0.0p+0", "0x1.333617c5c0cdbp-2", "0x1.fffffffffffeep-1")
+AT_Y_3 = ("0x0.0p+0", "0x1.01ed9998eb120p-3", "0x1.fffcce11ac84fp-1")
+
+# The totals that read the exact quotients of a = 1, whose h(a) is 1.0,
+# one slot low where they are grid points (the h(2^k), k <= 16, of the
+# cells (1, 2^k) and of the group ratios at y = 2): those of a run with no
+# table, with no group prime and with a table at y. At y = 353 no bit moved.
+SLOT_LOW_31 = ("0x1.b1b17c50bd2adp-5", "0x1.ccb579de09ad7p-5", "0x1.f21b4df9c19e8p-1")
+SLOT_LOW_2 = ("0x1.bd600da069018p-5", "0x1.c249b59e00c18p-5", "0x1.fffffffffffeep-1")
+SLOT_LOW_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22dce2a6aef2p-5", "0x1.fffcce11ac84fp-1")
+SLOT_LOW_NO_GROUP_31 = ("0x1.ad1a023c7c919p-5", "0x1.dc538b8659d46p-5",
+                        "0x1.f21b4df9c19e8p-1")
+SLOT_LOW_NO_GROUP_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22dcf8cb872ap-5", "0x1.fffcce11ac84fp-1")
+SLOT_LOW_AT_Y_2 = ("0x0.0p+0", "0x1.3339afe3f4281p-2", "0x1.fffffffffffeep-1")
+SLOT_LOW_AT_Y_3 = ("0x0.0p+0", "0x1.01ee2b7e6aefap-3", "0x1.fffcce11ac84fp-1")
 
 # The totals of four group primes, with no table and with a table at y.
 FOUR_31 = ("0x1.afe4a7db769a3p-5", "0x1.ce68a7c0cc4d9p-5", "0x1.f21b4df9c19e8p-1")
@@ -197,7 +212,8 @@ def test_totals_y31(threads):
     assert report.pair_count == 135331
     assert total_bits(report) == GOLDEN_31
     assert_within(GOLDEN_31, NO_GROUP_31)
-    assert_within(GOLDEN_31, FOUR_31)
+    assert_within(GOLDEN_31, SLOT_LOW_31)
+    assert_within(SLOT_LOW_31, FOUR_31)
     assert_within(FOUR_31, NO_LOWER_31)
     assert_within(NO_LOWER_31, LOG12_31)
     assert_within(LOG12_31, KGROUP_31)
@@ -226,9 +242,9 @@ def test_totals_y353():
 
 
 @pytest.mark.parametrize("y,z,r_max,pairs,golden,outer", [
-    (2, 10**15, 200, 49, GOLDEN_2, (LOG12_2, FOLDED_2, CAPPED_2)),
+    (2, 10**15, 200, 49, GOLDEN_2, (SLOT_LOW_2, LOG12_2, FOLDED_2, CAPPED_2)),
     (3, 10**6, 200, 239, GOLDEN_3,
-     (NO_LOWER_3, LOG12_3, KGROUP_3, FOLDED_3, CAPPED_3, UNCAPPED_3)),
+     (SLOT_LOW_3, NO_LOWER_3, LOG12_3, KGROUP_3, FOLDED_3, CAPPED_3, UNCAPPED_3)),
 ], ids=["2-1e15", "3-1e6"])
 def test_totals_few_odd_primes(y, z, r_max, pairs, golden, outer):
     report = run_bounds(y, z, r_max, threads=1)
@@ -242,8 +258,8 @@ def test_totals_few_odd_primes(y, z, r_max, pairs, golden, outer):
     (31, 10**6, 200, AT_Y_31, (FOUR_AT_Y_31, NO_LOWER_AT_Y_31, KGROUP_AT_Y_31, CAPPED_31)),
     (353, 10**5, 500, AT_Y_353,
      (FOUR_AT_Y_353, NO_LOWER_AT_Y_353, KGROUP_AT_Y_353, CAPPED_353)),
-    (2, 10**15, 200, AT_Y_2, (CAPPED_2,)),
-    (3, 10**6, 200, AT_Y_3, (KGROUP_AT_Y_3, CAPPED_3)),
+    (2, 10**15, 200, AT_Y_2, (SLOT_LOW_AT_Y_2, CAPPED_2)),
+    (3, 10**6, 200, AT_Y_3, (SLOT_LOW_AT_Y_3, KGROUP_AT_Y_3, CAPPED_3)),
 ], ids=["31-1e6", "353-1e5", "2-1e15", "3-1e6"])
 def test_a_table_at_y_folds_nothing(y, z, r_max, at_y, outer):
     report = run_bounds(y, z, r_max, threads=1, table=build_moment_table(y, r_max))
@@ -252,17 +268,18 @@ def test_a_table_at_y_folds_nothing(y, z, r_max, at_y, outer):
         assert_within(inner, bound)
 
 
-@pytest.mark.parametrize("y,z,r_max,no_group,no_lower,kgroup", [
-    (31, 10**6, 200, NO_GROUP_31, NO_LOWER_NO_GROUP_31, KGROUP_31),
-    (3, 10**6, 200, NO_GROUP_3, NO_LOWER_NO_GROUP_3, KGROUP_3),
+@pytest.mark.parametrize("y,z,r_max,no_group,slot_low,no_lower,kgroup", [
+    (31, 10**6, 200, NO_GROUP_31, SLOT_LOW_NO_GROUP_31, NO_LOWER_NO_GROUP_31, KGROUP_31),
+    (3, 10**6, 200, NO_GROUP_3, SLOT_LOW_NO_GROUP_3, NO_LOWER_NO_GROUP_3, KGROUP_3),
 ], ids=["31-1e6", "3-1e6"])
-def test_no_group_primes_leaves_the_groups_by_k_alone(y, z, r_max, no_group, no_lower, kgroup,
-                                                       monkeypatch):
+def test_no_group_primes_leaves_the_groups_by_k_alone(y, z, r_max, no_group, slot_low, no_lower,
+                                                       kgroup, monkeypatch):
     # with no group prime every upper group is (k, {}), weighed 2^-k
     # exactly, and every lower one (k, {}, R)
     monkeypatch.setattr(engine, "_GROUP_PRIMES", 0)
     assert total_bits(run_bounds(y, z, r_max, threads=1)) == no_group
-    assert_within(no_group, no_lower)
+    assert_within(no_group, slot_low)
+    assert_within(slot_low, no_lower)
     assert_within(no_lower, kgroup)
 
 

@@ -365,6 +365,39 @@ def test_grid_slot_is_searchsorted_right():
     assert np.array_equal(engine._slot(x), np.searchsorted(g, x, "right"))
 
 
+@pytest.mark.parametrize("y", [2, 13])
+def test_a_one_reads_the_slot_of_the_exact_quotient(y):
+    # a curve whose value is its slot shows the slot each read takes: at
+    # a = 1, h(a) = 1.0, each group read and each cell's q are the exact
+    # quotients, and at y = 2 these are the grid points h(2^k), k <= 16;
+    # every other a reads at or below its exact quotient's slot
+    consts = engine._engine_consts(build_moment_table(y, 2), y)
+    consts = consts._replace(ru_at=np.arange(engine._GRID_SIZE + 1, dtype=np.float64))
+    g = engine._grid().tolist()
+    a, _ = engine._smooth_rows(consts.odd, 10**4, False, 1.0)
+    assert a.value[0] == 1 and a.h_up[0] == 1.0
+    h_a = a.h_up[:40]
+    slots = engine._group_read(consts, consts.group_h[:, None], h_a)
+    for i, h in enumerate(consts.group_h.tolist()):
+        for j, d in enumerate(h_a.tolist()):
+            want = exact_slot(g, Fraction(h) / Fraction(d))
+            assert slots[i, j] == want if d == 1.0 else slots[i, j] <= want, (h, d)
+    b, _ = engine._smooth_rows(consts.odd, 2**17, True, 1.0)
+    assert np.array_equal(engine._quotient_dn(b.h_dn, np.ones(b.h_dn.size)), b.h_dn)
+    assert sum(map(g.__contains__, b.h_dn.tolist())) >= 16
+
+
+def test_a_quotient_rounded_onto_a_grid_point_steps_below_it():
+    # num / den rounds to nearest onto the grid point 1.5, though the exact
+    # quotient lies below it: unless den is 1.0 the quotient steps down, and
+    # reads the slot below
+    num, den = float.fromhex("0x1.983bb254a19a7p+0"), float.fromhex("0x1.1027cc386bbc5p+0")
+    assert num / den == 1.5 and Fraction(num) / Fraction(den) < Fraction(3, 2)
+    q = engine._quotient_dn(np.array([num, 1.5]), np.array([den, 1.0]))
+    assert Fraction(q[0]) <= Fraction(num) / Fraction(den) and q[1] == 1.5
+    assert np.array_equal(engine._slot(q) - engine._slot(np.array([1.5])), [-1, 0])
+
+
 def test_folded_curve_is_read_at_the_last_log_point_below_each_grid_point(table_y1009_r200):
     # the engine's grid point g reads the folded curve at the largest log
     # point i with 2^(i 2^-bits) <= g, bits = moments._LOG_BITS, capped at
