@@ -179,7 +179,7 @@ _FOLD_MAX_Y = 911
 
 # Row cap of the b table, and so of the odd a side, which holds no more
 # rows (2a is in the b table for every a): a (y, z) past it is refused (see
-# _cell_tables), so the memory of a run is bounded for any z.
+# _b_table), so the memory of a run is bounded for any z.
 _ROW_BUDGET = 1 << 18
 
 # Candidate (a, b) rows per chunk. The chunk sums are integers, so the cut
@@ -239,9 +239,10 @@ class _Consts(NamedTuple):
     group_wl: np.ndarray
 
 
-def _grid(start: int = 0) -> np.ndarray:
-    """The grid points from point `start` on, increasing, to 4.0."""
-    i = np.arange(start + 1, _GRID_SIZE + 1, dtype=np.int64)
+def _grid(start: int = 0, stop: int = _GRID_SIZE) -> np.ndarray:
+    """The grid points from point `start` up to `stop`, increasing; by
+    default to the last, 4.0."""
+    i = np.arange(start + 1, stop + 1, dtype=np.int64)
     return ((i << _GRID_SHIFT) + _SLOT_BASE).view(np.float64)
 
 
@@ -272,12 +273,18 @@ def _engine_consts(table: MomentTable, y: int) -> _Consts:
     if table.y > y:
         hi, s = fold_curve(table, y)
         first = _slot(ulp_dn(hi))  # of the grid points below hi[k]
-        ru[first[0]:] = np.repeat(s, np.diff(first, append=ru.size))
+        # each grid point from first[k] on reads s[k] until the next first:
+        # s is non-increasing, so a running min spreads the last s of each
+        # first
+        last = np.append(first[1:] != first[:-1], True)
+        from_first = ru[first[0]:]
+        from_first[first[last] - first[0]] = s[last]
+        np.minimum.accumulate(from_first, out=from_first)
     else:
         above[...] = bound_curves(table, _grid(_ONE_SLOT + 1))
     np.minimum(above, 0.5, out=above)
     k = int(np.argmax(ru < 1.0))  # ru is non-increasing
-    w_lower = float(_grid(k)[0]) if ru[k] < 1.0 else math.inf
+    w_lower = float(_grid(k, k + 1)[0]) if ru[k] < 1.0 else math.inf
     group_h, group_w, group_hx, group_wl = _group_tables(odd)
     return _Consts(
         odd=odd,
@@ -652,28 +659,34 @@ class _Chunk(NamedTuple):
     j_hi: np.ndarray
 
 
-def _cell_tables(consts: _Consts, z: int):
-    """The b table and the chunks of candidate rows, in their fixed order.
+def _b_table(odd: tuple, z: int) -> _Rows:
+    """The b table, read-only: the even y-smooth numbers <= z, `odd` the
+    odd primes <= y, sorted by class and then by value (see _classes). If
+    it would pass _ROW_BUDGET rows, the run is refused with
+    UnsupportedParameterError, which names the largest y whose table fits:
+    that of the longest prefix of the odd primes that _smooth_rows keeps
+    within the budget. It needs no moment table, so run_bounds builds it
+    first."""
+    b, used = _smooth_rows(odd, z, True, 1.0, (), _ROW_BUDGET, _CLASS_PRIMES)
+    if used < len(odd):
+        fits = odd[used - 1] if used else 2
+        raise UnsupportedParameterError(
+            f"the even y-smooth numbers <= {z} pass the row budget of {_ROW_BUDGET}; "
+            f"at this z use y <= {fits}")
+    return b.read_only()
 
-    The b table holds the even y-smooth numbers <= z, sorted by class and
-    then by value (see _classes). If it would pass _ROW_BUDGET rows, the
-    run is refused with UnsupportedParameterError, which names the largest
-    y whose table fits: that of the longest prefix of the odd primes that
-    _smooth_rows keeps within the budget. The a side holds the odd y-smooth
+
+def _cell_tables(consts: _Consts, b: _Rows, z: int):
+    """The chunks of candidate rows of the b table `b` (see _b_table), in
+    their fixed order. The a side holds the odd y-smooth
     numbers <= z // 2 with the density base prod (p-2)/p and the mass base
     prod (p-1)/p over the odd primes, so that a row's mass is M(a) of the
     tail lemma (see moments); its mr starts at the mass base times rho(1),
     the product of (p-2)/(p-1), and its hl at 1/rest(1), the product of
     (p-1)/p, both over the odd primes outside the group primes. Its net
-    charges are taken here (see _group_charge). The tables come back
+    charges are taken here (see _group_charge). Its table comes back
     read-only.
     """
-    b, used = _smooth_rows(consts.odd, z, True, 1.0, (), _ROW_BUDGET, _CLASS_PRIMES)
-    if used < len(consts.odd):
-        fits = consts.odd[used - 1] if used else 2
-        raise UnsupportedParameterError(
-            f"the even y-smooth numbers <= {z} pass the row budget of {_ROW_BUDGET}; "
-            f"at this z use y <= {fits}")
     base, mass, den, rho, rho_den, rest, rest_den = 1, 1, 1, 1, 1, 1, 1
     for j, p in enumerate(consts.odd):
         base *= p - 2
@@ -691,8 +704,7 @@ def _cell_tables(consts: _Consts, z: int):
     empty = _read_only(np.empty(0))
     a = a._replace(m_dn=empty, m_up=empty, mr_dn=empty, mr_up=empty,
                    hl_dn=_read_only(a.hl_dn.copy()))
-    b = b.read_only()
-    return b, _chunks(a, charge, b, (1 << min(used, _CLASS_PRIMES)) - 1, z)
+    return _chunks(a, charge, b, (1 << min(len(consts.odd), _CLASS_PRIMES)) - 1, z)
 
 
 def _classes(rows: _Rows, cmask: int) -> np.ndarray:
@@ -882,7 +894,8 @@ def run_bounds(
     once a second (flush False). With no `table`, the run builds one at
     level _FOLD_LEVEL for y <= _FOLD_MAX_Y, and at y otherwise; a supplied
     table of level table.y >= y folds the primes in (y, table.y] into the
-    bound curve (see _engine_consts).
+    bound curve (see _engine_consts). A (y, z) whose b table passes the row
+    budget is refused before any moment table is built (see _b_table).
     """
     if z < 2:
         raise InvalidParameterError(f"z must be >= 2, got {z}")
@@ -894,13 +907,14 @@ def run_bounds(
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     check_y(y)
+    if table is not None and (table.y < y or table.r_max != r_max):
+        raise InvalidParameterError("supplied moment table does not match y/r_max")
     t_start = time.perf_counter()
+    b = _b_table(tuple(primes_upto(y).tolist()[1:]), z)  # refused before the table is built
     if table is None:
         table = build_moment_table(_FOLD_LEVEL if y <= _FOLD_MAX_Y else y, r_max)
-    elif table.y < y or table.r_max != r_max:
-        raise InvalidParameterError("supplied moment table does not match y/r_max")
     consts = _engine_consts(table, y)
-    b, chunks = _cell_tables(consts, z)
+    chunks = _cell_tables(consts, b, z)
 
     # capped, so that a huge request opens no huge window of futures
     threads = min(threads, _usable_cpus())

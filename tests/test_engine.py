@@ -26,6 +26,7 @@ from sigbound.arith import primes_upto
 from sigbound.counting import smooth_part_block
 from sigbound.dirround import ratio_dn, ulp_dn, ulp_up
 from sigbound.engine import (
+    _b_table,
     _cell_tables,
     _chunk_sums,
     _engine_consts,
@@ -542,7 +543,8 @@ class TestRunBounds:
     def test_shared_tables_are_read_only(self, table_y31_r200):
         # the pool's threads share these arrays: an in-place step must raise
         consts = _engine_consts(table_y31_r200, 31)
-        b, chunks = _cell_tables(consts, 10**5)
+        b = _b_table(consts.odd, 10**5)
+        chunks = _cell_tables(consts, b, 10**5)
         for arr in (consts.ru_at, *b, *next(chunks).rows):
             with pytest.raises(ValueError):
                 ulp_up(arr)
@@ -553,7 +555,8 @@ class TestRunBounds:
         # more threads than cores and a short switch interval: every chunk's
         # sums still come back whole and in chunk order
         consts = _engine_consts(table_y31_r200, 31)
-        b, chunks = _cell_tables(consts, 10**5)
+        b = _b_table(consts.odd, 10**5)
+        chunks = _cell_tables(consts, b, 10**5)
         chunks = list(chunks)
         inline = [_chunk_sums(consts, b, ch) for ch in chunks]
         interval = sys.getswitchinterval()

@@ -427,6 +427,17 @@ def test_a_y_past_the_row_budget_is_refused(table_y31_r200, capsys, monkeypatch)
     assert run_bounds(5, 10**5, 200, threads=1).pair_count > 0
 
 
+def test_a_y_past_the_row_budget_is_refused_before_the_table_is_built(monkeypatch):
+    # the b table needs only the odd primes <= y and z, so a refused run
+    # builds no moment table
+    def no_table(*args):
+        raise AssertionError("moment table built for a refused run")
+
+    monkeypatch.setattr(engine, "build_moment_table", no_table)
+    with pytest.raises(UnsupportedParameterError, match=r"use y <= 53$"):
+        run_bounds(157, 10**8, 200, threads=1)
+
+
 @pytest.mark.parametrize("y,z,r_max,budget,used", [
     (31, 10**6, 200, engine._ROW_BUDGET, 10),
     (353, 10**5, 500, engine._ROW_BUDGET, 70),  # two mask words
@@ -562,7 +573,8 @@ def test_sums_below_the_unit_round_to_their_sides(table_y1009_r200):
     assert exact > 0 and Fraction(total, one) >= exact
     # one chunk's cells, their densities scaled by 2**-110: the chunk adds
     # nothing to its block's charges and covers nothing
-    b, chunks = engine._cell_tables(consts, 10**4)
+    b = engine._b_table(consts.odd, 10**4)
+    chunks = engine._cell_tables(consts, b, 10**4)
     ch = next(chunks)
     _, upper, _, pairs = engine._chunk_sums(consts, b, ch)
     assert upper < ch.charge[1] and pairs > 100  # some cells save

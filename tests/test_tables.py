@@ -61,7 +61,7 @@ def test_tables_match_the_direct_build(y, z, budget, used):
     assert_same_table(b, smooth_rows(odd, z, True, 1.0, (), budget))
     assert b[1] == used and b[0].value.size <= budget
     assert all(col.size == 0 for col in b[0][5:])  # the b table carries no mass
-    # sorted by class first, as _cell_tables builds the b table
+    # sorted by class first, as _b_table builds it
     classes = engine._CLASS_PRIMES
     assert_same_table(engine._smooth_rows(odd, z, True, 1.0, (), budget, classes),
                       smooth_rows(odd, z, True, 1.0, (), budget, classes))
