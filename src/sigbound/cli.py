@@ -202,8 +202,8 @@ def _cmd_dens_s(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    table = build_moment_table(args.y, args.rmax)
-    rows = [[r, _finite(table.values[r]), _finite(table.roots[r])] for r in range(1, args.rmax + 1)]
+    table = build_moment_table(args.y, args.rmax, every_order=True)
+    rows = [[r, _finite(v), _finite(w)] for r, v, w in zip(table.orders, table.values, table.roots)]
     payload = {
         "command": "lambda",
         "params": {"y": args.y, "r_max": args.rmax},

@@ -10,15 +10,35 @@ the discarded tail. Both the 65536 ceiling and the correction constant
 why y must stay below the ceiling.
 
 Every evaluation is UP-directed so the tabulated numbers are certificates.
-The loop over the orders steps its reused buffers by a bare +1 or -1 on
+A table holds an increasing tuple of orders, starting at 1, and one value
+per order. The curve is a min over the orders, and the best order moves
+slowly with q, so a run needs few of them: build_moment_table takes every
+order up to _DENSE_ORDERS = 32 and then ceil(32 (21/20)^k) for k = 1, 2,
+... below r_max, and r_max itself (moment_orders: 70 orders at r_max =
+200, 89 at 500, 117 at 2000). The orders left out only drop candidates of
+a min, so each bound stays a certificate; it can only rise, by at most
+1.0e-13 at each end of the engine's bracket at r_max <= 500 and 4.2e-10
+at 2000. lambda asks for every order 1..r_max.
+
+The loop over the orders moves (1 + 1/p)^r UP and (1 - 1/p)^(r-1) DOWN
+from one order to the next by the power of the gap: it multiplies by the
+directed squares base^(2^j), one for each bit j of the gap, and steps
+after each multiply. Each square is a chain of directed multiplies from
+the directed base, and each multiply of two UP (DOWN) bounds of positive
+numbers, stepped UP (DOWN), bounds their product, so the factor at every
+order bounds its exact value just as the step by one factor did, and
+values[k] still bounds the constant of order orders[k]. At a gap of 1 the
+one square is the base itself: an every-order table has the bits of the
+step-by-one loop. The loop steps its reused buffers by a bare +1 or -1 on
 their int64 view, without the clamps of ulp_up / ulp_dn, which cannot act
 before an order saturates (see _bulk_values); the tail factors of all
 orders come from one dirround.exp_up pass.
 
-bound_curves turns a table into the per-cell bound: min over r of
-(M(r)-1)/(q^r-1), at any non-decreasing array of ratios q > 1; the lower
-bound is 1 minus it, stepped down, formed by the caller. The engine
-evaluates it once, on its grid; it carries q^r only up to the cap
+bound_curves turns a table into the per-cell bound: min over its orders r
+of (M(r)-1)/(q^r-1), at any non-decreasing array of ratios q > 1; the
+lower bound is 1 minus it, stepped down, formed by the caller. The engine
+evaluates it once, on its grid; it carries q^r from one order to the next
+by the power of the gap, DOWN, in the same way, and only up to the cap
 crossings it has seen, with no guess of where they fall.
 
 The symmetry cap. The engine reads min(ru, 1/2) wherever q > 1, by this
@@ -219,6 +239,15 @@ MAX_ORDER = 10_000
 # Tail correction per unit moment order, exp(_TAIL_RATE * r).
 _TAIL_RATE = Fraction(16623114, 10**13)  # 1.6623114e-6
 
+# The orders of a table run_bounds builds (see moment_orders): every order
+# up to _DENSE_ORDERS, then the ceilings of _DENSE_ORDERS _ORDER_RATIO^k.
+# Masking an every-order table to this set moved each end of the bracket
+# out by at most 7.6e-14 at (y, z, r_max) = (31, 1e8, 200), 1.0e-13 at
+# (353, 1e5, 500), 4.2e-10 at (13, 1e9, 2000) and 3.5e-10 at (2, 1e15,
+# 2000). A ratio of 1.02 cut these moves about 3x, at about 1.7x the orders.
+_DENSE_ORDERS = 32
+_ORDER_RATIO = Fraction(21, 20)
+
 # The grid of fold_curve: point i is log2 q = i 2^-_LOG_BITS, for
 # |i| <= _LOG_HALF = 2^(_LOG_BITS + 1), so log2 q spans [-2, 2] (the ratios
 # [1/4, 4]) in 2^(_LOG_BITS + 2) + 1 points.
@@ -234,30 +263,43 @@ _FOLD_CUTOFF = Fraction(1, 2**60)
 class MomentTable:
     """Per-order certified upper bounds, as floats rounded UP.
 
-    values[r] bounds the moment-mean constant of order r and roots[r] its
-    r-th root, for r = 1..r_max; index 0 is unused (nan). A non-finite value
-    marks an order whose bound overflowed and must not be used (the engine
-    then falls back to trivial cell bounds).
+    orders is strictly increasing and starts at 1; values[k] bounds the
+    moment-mean constant of order orders[k] and roots[k] its r-th root. A
+    non-finite value marks an order whose bound overflowed and must not be
+    used (the engine then falls back to trivial cell bounds); the orders
+    after it overflow too.
     """
 
     y: int
-    r_max: int
+    orders: tuple[int, ...]
     values: tuple[float, ...]
+
+    def __post_init__(self):
+        orders = self.orders
+        if (not orders or orders[0] != 1 or len(self.values) != len(orders)
+                or any(a >= b for a, b in zip(orders, orders[1:]))):
+            raise InvalidParameterError(
+                "a moment table needs increasing orders from 1, one value each")
+
+    @property
+    def r_max(self) -> int:
+        """The largest order."""
+        return self.orders[-1]
 
     @cached_property
     def roots(self) -> tuple[float, ...]:
-        """The r-th roots of values[r], computed on first access: the
+        """The r-th roots of the values, computed on first access: the
         engine never reads them."""
         vals = self.values
-        roots = [math.nan, vals[1]] + [math.inf] * (self.r_max - 1)
-        orders = [r for r in range(2, self.r_max + 1) if math.isfinite(vals[r])]
-        expo = [up_div(log_up(max(vals[r], 1.0)), float(r)) for r in orders]
-        for r, root in zip(orders, exp_up(expo).tolist()):
-            v = max(vals[r], 1.0)
+        roots = [vals[0]] + [math.inf] * (len(vals) - 1)
+        live = [k for k in range(1, len(vals)) if math.isfinite(vals[k])]
+        expo = [up_div(log_up(max(vals[k], 1.0)), float(self.orders[k])) for k in live]
+        for k, root in zip(live, exp_up(expo).tolist()):
+            r, v = self.orders[k], max(vals[k], 1.0)
             # certify root^r >= value by DOWN-powering; bump if rounding fell short
             while pow_dn(root, r) < v:
                 root = next_up(root)
-            roots[r] = root
+            roots[k] = root
         return tuple(roots)
 
 
@@ -288,40 +330,59 @@ def moment_r1_exact(y: int) -> float:
     return acc
 
 
-def _tail_factors(r_max: int) -> np.ndarray:
-    """UP bounds on exp(_TAIL_RATE * r) for r = 0..r_max, in one array."""
+def moment_orders(r_max: int) -> tuple[int, ...]:
+    """The orders of the table run_bounds builds at r_max: every order up to
+    _DENSE_ORDERS, then ceil(_DENSE_ORDERS _ORDER_RATIO^k) for k = 1, 2,
+    ... below r_max, then r_max. Each ceiling is exact, and they are
+    distinct, as the products grow by at least 1.6 a step."""
+    orders = list(range(1, min(r_max, _DENSE_ORDERS) + 1))
+    num, den = _ORDER_RATIO.numerator, _ORDER_RATIO.denominator
+    k = 1
+    while orders[-1] < r_max:
+        orders.append(min(r_max, -(-_DENSE_ORDERS * num**k // den**k)))
+        k += 1
+    return tuple(orders)
+
+
+def _tail_factors(orders) -> np.ndarray:
+    """UP bounds on exp(_TAIL_RATE * r) for each r of orders, in one array."""
     rate = ratio_up(_TAIL_RATE.numerator, _TAIL_RATE.denominator)
-    return exp_up(ulp_up(rate * np.arange(r_max + 1, dtype=np.float64)))
+    return exp_up(ulp_up(rate * np.asarray(orders, dtype=np.float64)))
 
 
-def _bulk_values(r_max: int, mids: tuple[int, ...]) -> list[float]:
-    """Vectorized product over the mid primes for every r in 2..r_max.
+def _bulk_values(orders: tuple[int, ...], mids: tuple[int, ...]) -> list[float]:
+    """Vectorized product over the mid primes at every order of orders
+    (increasing, from 1), past the first; the first value is nan.
 
     The per-element factor construction takes a one-ULP step after each
-    operation, as the scalar reference in tests/oracles.py does. The setup
-    steps through the clamped ulp_up / ulp_dn; the eight steps per order in
-    the loop are bare, a +1 or -1 on the int64 view of a reused buffer. A
-    bare step equals the clamped one everywhere but at +inf (up) and +0.0
+    operation, as the scalar reference in tests/oracles.py does. From one
+    order to the next, u = (1+1/p)^r and w = (1-1/p)^(r-1) are multiplied
+    by the directed squares base^(2^j) of the bits j of the gap, in
+    increasing j, each multiply stepped (see the module docstring); at a
+    gap of 1 that is one multiply by the base. The setup, the squares
+    included, steps through the clamped ulp_up / ulp_dn; the steps in the
+    loop are bare, a +1 or -1 on the int64 view of a reused buffer. A bare
+    step equals the clamped one everywhere but at +inf (up) and +0.0
     (down), where it gives a NaN instead of holding the value. Every value
     in the loop stays finite and above +0.0 up to the first order whose
     product is not finite, so there the bits are those of the clamped steps.
-    That order is the one where (1+1/p)^r overflows, (1-1/p)^(r-1)
-    underflows to +0.0 (so r/den overflows), or f or the product overflows.
-    There the clamped steps give +inf where the bare ones give a NaN; every
-    buffer reaches f through arithmetic, so either one makes the product
-    non-finite, and the same order saturates.
+    That order is the one where (1+1/p)^r overflows (a square may be +inf
+    already), (1-1/p)^(r-1) underflows to +0.0 (so r/den overflows), or f
+    or the product overflows. There the clamped steps give +inf where the
+    bare ones give a NaN; every buffer reaches f through arithmetic, so
+    either one makes the product non-finite, and the same order saturates.
 
     The reduction across primes uses round-to-nearest multiplies, so the
     result is inflated by (1+u)^(m-1) <= 1 + 2(m-1)u (u = 2^-53, m*u << 1),
     with a doubled margin for safety. The products, that slack and the tail
     factors meet in one array pass after the loop.
     """
-    tails = _tail_factors(r_max)
+    tails = _tail_factors(orders)
     if not mids:
         values = tails.tolist()
-        values[0] = values[1] = math.nan
+        values[0] = math.nan
         return values
-    prods = np.full(r_max + 1, np.inf)  # the orders the loop leaves saturate
+    prods = np.full(len(orders), np.inf)  # the orders the loop leaves saturate
     p = np.array(mids, dtype=np.float64)  # mid primes are exact in a double
     inv_up = ulp_up(1.0 / p)
     base_up = ulp_up(1.0 + inv_up)  # >= 1 + 1/p
@@ -330,6 +391,12 @@ def _bulk_values(r_max: int, mids: tuple[int, ...]) -> list[float]:
     p4_dn = ulp_dn(p2 * p2)
     pden_dn = ulp_dn(p4_dn - p2)  # <= p^4 - p^2
     slack = 1.0 + 4.0 * len(mids) * 2.0**-53
+    gaps = [r - s for s, r in zip(orders, orders[1:])]
+    squares = [(base_up, base_dn)]  # base^(2^j), UP and DOWN
+    with np.errstate(over="ignore", under="ignore"):
+        for _ in range(1, max(gaps, default=1).bit_length()):
+            up, dn = squares[-1]
+            squares.append((ulp_up(up * up), ulp_dn(dn * dn)))
     u = base_up.copy()  # (1+1/p)^r, UP, currently r = 1
     w = np.ones_like(p)  # (1-1/p)^(r-1), DOWN, currently r = 1
     t1 = np.empty_like(p)
@@ -337,11 +404,13 @@ def _bulk_values(r_max: int, mids: tuple[int, ...]) -> list[float]:
     f = np.empty_like(p)
     u_b, w_b, t1_b, t2_b, f_b = (a.view(np.int64) for a in (u, w, t1, t2, f))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for r in range(2, r_max + 1):
-            np.multiply(u, base_up, out=u)
-            u_b += 1  # u > 1; NaN once u overflows
-            np.multiply(w, base_dn, out=w)
-            w_b -= 1  # w > 0; NaN once w underflows to +0.0
+        for i, (r, gap) in enumerate(zip(orders[1:], gaps), 1):
+            for j, (up, dn) in enumerate(squares):
+                if gap >> j & 1:
+                    np.multiply(u, up, out=u)
+                    u_b += 1  # u > 1; NaN once u overflows
+                    np.multiply(w, dn, out=w)
+                    w_b -= 1  # w > 0; NaN once w underflows to +0.0
             np.subtract(u, 1.0, out=t1)
             t1_b += 1  # u - 1 > 0, as u >= 1 + 1/p
             np.divide(t1, p, out=t1)
@@ -360,15 +429,16 @@ def _bulk_values(r_max: int, mids: tuple[int, ...]) -> list[float]:
                 # with it the product, only grows with r: all later
                 # orders overflow too
                 break
-            prods[r] = prod
+            prods[i] = prod
     ulp_up(np.multiply(prods, slack, out=prods))
     values = ulp_up(np.multiply(prods, tails, out=prods)).tolist()
-    values[0] = values[1] = math.nan
+    values[0] = math.nan
     return values
 
 
-def build_moment_table(y: int, r_max: int) -> MomentTable:
-    """Tabulate orders 1..r_max once; the table is immutable afterwards."""
+def build_moment_table(y: int, r_max: int, every_order: bool = False) -> MomentTable:
+    """Tabulate the orders of moment_orders(r_max), or every order 1..r_max
+    with every_order, once; the table is immutable afterwards."""
     check_y(y)
     if r_max < 1:
         raise InvalidParameterError(f"r_max must be >= 1, got {r_max}")
@@ -376,17 +446,40 @@ def build_moment_table(y: int, r_max: int) -> MomentTable:
         raise UnsupportedParameterError(
             f"r_max must be at most {MAX_ORDER}, got {r_max}"
         )
-    values = _bulk_values(r_max, _mid_primes(y))
-    values[1] = moment_r1_exact(y)
-    return MomentTable(y=y, r_max=r_max, values=tuple(values))
+    orders = tuple(range(1, r_max + 1)) if every_order else moment_orders(r_max)
+    values = _bulk_values(orders, _mid_primes(y))
+    values[0] = moment_r1_exact(y)
+    return MomentTable(y=y, orders=orders, values=tuple(values))
+
+
+def _carry_power(x: np.ndarray, q: np.ndarray, gap: int, square: np.ndarray) -> None:
+    """x times q^gap, in place, DOWN, for x >= 1 and q > 1 of one size:
+    one multiply by each square q^(2^j) of the bits j of gap, in increasing
+    j, each square the last one squared into `square`, a buffer of the same
+    size; every multiply takes a bare step down on the int64 view. At a
+    gap of 1 that is one multiply by q. No value is +0.0, the one value
+    where ulp_dn's clamp acts: each is at least q > 1 (+inf steps to the
+    largest finite double either way)."""
+    x_b, sq_b = x.view(np.int64), square.view(np.int64)
+    power = q
+    while True:
+        if gap & 1:
+            np.multiply(x, power, out=x)
+            x_b -= 1
+        gap >>= 1
+        if not gap:
+            return
+        np.multiply(power, power, out=square)
+        sq_b -= 1
+        power = square
 
 
 def bound_curves(table: MomentTable, q: np.ndarray) -> np.ndarray:
     """The bound-ratio curve ru at the ratios q.
 
     q is a non-decreasing float64 array with q[0] > 1. For each q[i] and any
-    cell ratio q' >= q[i], min_r (M(r)-1)/(q'^r-1) <= ru[i], because the
-    expression is monotone in q'. On the engine's grid one lookup per cell
+    cell ratio q' >= q[i], min_r (M(r)-1)/(q'^r-1) <= ru[i] over the
+    table's orders r, because the expression is monotone in q'. On the engine's grid one lookup per cell
     then replaces the whole r search, at a tightness cost bounded by the
     grid spacing (at most 2^-16 relative). The lower bound needs no curve
     of its own: 1 - c stepped down is monotone in c, so the best lower
@@ -404,16 +497,19 @@ def bound_curves(table: MomentTable, q: np.ndarray) -> np.ndarray:
     carried on the points before k only. M(r) of a built table never
     falls, so there every crossing shrinks the prefix.
 
-    Two of the three steps per order are bare int64 steps, each where the
-    clamp of ulp_dn cannot act (it acts only at +0.0): q^r >= q > 1, and
-    q^r - 1 >= q[0] - 1 > 0, exactly. The quotient (M(r)-1)/(q^r-1) may
-    overflow, so it steps through the clamped ulp_up, which holds +inf.
+    q^r moves from one order to the next by the power of the gap (see
+    _carry_power), with bare steps down, and so does the square it uses;
+    q^r - 1 steps down bare too, as q^r - 1 >= q[0] - 1 > 0, exactly, is
+    never +0.0, where alone the clamp of ulp_dn acts. The quotient
+    (M(r)-1)/(q^r-1) may overflow, so it steps through the clamped ulp_up,
+    which holds +inf.
 
     Returns ru, non-increasing and at most 1.
     """
     n = q.size
+    orders = table.orders
     # orders only saturate upward: stop at the first non-finite one
-    lam = np.array(table.values[1:])
+    lam = np.array(table.values)
     stop = np.flatnonzero(~np.isfinite(lam))
     if stop.size:
         lam = lam[: stop[0]]
@@ -430,17 +526,14 @@ def bound_curves(table: MomentTable, q: np.ndarray) -> np.ndarray:
     # starts at point k
     tail = np.ones(n)
     cand = np.empty(n)
-    qr_b, cand_b = qr.view(np.int64), cand.view(np.int64)
+    # the squares q^(2^j) of a gap past 1; an every-order table needs none
+    square = np.empty(n if orders[-1] > len(orders) else 0)
+    cand_b = cand.view(np.int64)
     m = n
     with np.errstate(over="ignore"):  # q^r and num / d may overflow
         for i, (num, c, s) in enumerate(zip(nums, cap, scalars)):
             if i:
-                head = qr[:m]
-                np.multiply(head, q[:m], out=head)
-                # bare step down: q^r >= q > 1 is never +0.0, the one value
-                # where ulp_dn's clamp acts (+inf steps to the largest
-                # finite double either way)
-                qr_b[:m] -= 1
+                _carry_power(qr[:m], q[:m], orders[i] - orders[i - 1], square[:m])
             k = int(np.searchsorted(qr[:m], c))  # qr[:k] < c <= qr[k:m]
             cd = cand[:k]
             np.subtract(qr[:k], 1.0, out=cd)

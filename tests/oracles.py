@@ -41,30 +41,37 @@ from sigbound.moments import _TAIL_RATE, _mid_primes, check_y
 def ratio_grids_per_r(table, q=None):
     """The ratio curves at the ratios q (the engine's grid when q is None),
     returned as (q, ru, rl), in their direct form: q^r is stepped at every
-    point and order, clamped at 1e300, and both curves are updated inside
-    the r loop.
+    point and order of the table, clamped at 1e300, and both curves are
+    updated inside the loop over the orders. From one order to the next,
+    q^r is multiplied by the squares q^(2^j), each the last one squared and
+    stepped down, of the bits j of the gap, in increasing j: at a gap of 1,
+    by q.
 
     `moments.bound_curves` returns ru alone (the engine forms rl =
     ulp_dn(1 - ru) where it reads it), spreads the capped candidates with
     one running min, stops carrying q^r past a cap crossing once no later
-    order has a smaller capped candidate, and steps q^r and q^r - 1 without
-    a clamp; all of that must leave every bit as this form has it. The
-    engine reads the curves under the symmetry cap (see symmetry_capped).
+    order has a smaller capped candidate, and steps q^r, its squares and
+    q^r - 1 without a clamp; all of that must leave every bit as this form
+    has it. The engine reads the curves under the symmetry cap (see
+    symmetry_capped).
     """
-    vals = table.values
     inf = np.inf
     if q is None:
         q = _grid()
     qr = q.copy()
     ru = np.ones(q.size)
     rl = np.zeros(q.size)
+    prev = 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for r in range(1, table.r_max + 1):
-            lam = vals[r]
+        for r, lam in zip(table.orders, table.values):
             if not math.isfinite(lam):
                 break
-            if r > 1:
-                qr = np.minimum(np.nextafter(qr * q, 0.0), 1e300)
+            gap, square, prev = r - prev, q, r
+            while gap:
+                if gap & 1:
+                    qr = np.minimum(np.nextafter(qr * square, 0.0), 1e300)
+                gap >>= 1
+                square = np.nextafter(square * square, 0.0)
             num = next_up(lam - 1.0)
             cap = 1e9 * lam if math.isfinite(1e9 * lam) else 1e300
             qe = np.minimum(qr, cap)
@@ -542,24 +549,23 @@ class PairBound:
     r_upper: int
 
 
-def _scan_best_ratio(q, vals, roots, r_max):
-    """Walk r upward per the local stop rule and return (best_g, r) where
-    best_g is an UP bound on min_r (M(r)-1)/(q^r-1), or (None, 0).
+def _scan_best_ratio(q, table):
+    """Walk the table's orders r upward per the local stop rule and return
+    (best_g, r) where best_g is an UP bound on min_r (M(r)-1)/(q^r-1), or
+    (None, 0).
 
     Stops at the first non-improving candidate, except that stopping is never
     allowed before r=2 has been looked at (the r=1 candidate alone can be a
     spurious plateau).
     """
     q_dn = ratio_dn(q.numerator, q.denominator)
-    qr = 1.0
     best = None
     best_r = 0
-    for r in range(1, r_max + 1):
-        qr = dn_mul(qr, q_dn)
-        lam = vals[r]
+    for r, lam, root in zip(table.orders, table.values, table.roots):
+        qr = pow_dn(q_dn, r)
         if not math.isfinite(lam):
             break  # saturated orders never recover: discard, never use
-        if q_dn <= roots[r]:
+        if q_dn <= root:
             continue
         cap = 1e9 * lam
         den = dn_sub(min(qr, cap), 1.0)
@@ -584,12 +590,10 @@ def pair_bounds(dens, table, ha, hb):
     """
     dens_dn = ratio_dn(dens.numerator, dens.denominator)
     dens_up = ratio_up(dens.numerator, dens.denominator)
-    vals = table.values
-    roots = table.roots
     lower_v, r_lo = 0.0, 0
     upper_v, r_up = dens_up, 0
     if ha != hb:
-        best, r = _scan_best_ratio(max(hb / ha, ha / hb), vals, roots, table.r_max)
+        best, r = _scan_best_ratio(max(hb / ha, ha / hb), table)
         if best is None or best >= SYMMETRY_CAP:
             best, r = SYMMETRY_CAP, 0
         if hb > ha:

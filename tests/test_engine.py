@@ -213,9 +213,7 @@ class TestPairBounds:
         # y=3 (the smallest is ~1.0966), so no moment order bounds the upper
         # side and only the symmetry cap does: dens/2, stepped up
         dens = cell_density(9, 2, 3)
-        assert all(
-            table_y3_r50.roots[r] > 27 / 26 for r in range(1, 51)
-        )
+        assert all(root > 27 / 26 for root in table_y3_r50.roots)
         pb = pair_bounds(dens, table_y3_r50, Fraction(13, 9), Fraction(3, 2))
         assert pb.r_lower == 0 and pb.lower.value == 0.0
         assert pb.r_upper == 0

@@ -1,7 +1,18 @@
 """Pinned bits of the certified totals, the moment tables and the bound
 curves.
 
-The totals were taken when the group primes went from four to five and
+A run given no table builds one at the sparse orders of
+`moments.moment_orders`; its totals are pinned, and so are those of the
+same run given an every-order table, which are the pins below from
+before the sparse orders, bit for bit. The sparse orders drop candidates
+of the curve's min, so each end of a run moves out, by at most 1e-12 at
+r_max <= 500 and 5e-10 at r_max = 2000: the every-order bracket lies
+inside the sparse one, and the sparse one inside every outer bound but
+those that read the quotients at a = 1 one slot low (see below), which
+lie less far out than the orders move. The table digests pin every-order
+tables; the digests of sparse tables are pinned apart.
+
+The every-order totals were taken when the group primes went from four to five and
 every total became a directed sum in units of 2^-94 (`dirround.fixed_sum`:
 the covered mass, the lower terms and the savings floored, the upper
 charges ceiled). At four group primes that sum moved no bit of the exact
@@ -48,17 +59,24 @@ import struct
 import numpy as np
 import pytest
 
-from sigbound import engine
+from sigbound import engine, moments
 from sigbound.dirround import ulp_dn
 from sigbound.engine import _ONE_SLOT, _engine_consts, _grid, run_bounds
 from sigbound.moments import bound_curves, build_moment_table
 
 TOTALS = ("lower_total", "upper_total", "covered_lo")
 
-GOLDEN_31 = ("0x1.b1b17c50bd2adp-5", "0x1.ccb579de09ad2p-5",
-             "0x1.f21b4df9c19e8p-1")
-GOLDEN_353 = ("0x1.dc705a15149c4p-6", "0x1.066969d3b3ac9p-3",
-              "0x1.331ad00ec0cccp-1")
+# The totals of a run given no table, at the sparse orders.
+GOLDEN_31 = ("0x1.b1b17c50bcf03p-5", "0x1.ccb579de0c577p-5", "0x1.f21b4df9c19e8p-1")
+GOLDEN_353 = ("0x1.dc705a151394cp-6", "0x1.066969d3b48d3p-3", "0x1.331ad00ec0cccp-1")
+GOLDEN_2 = ("0x1.bd600da068c4ap-5", "0x1.c20e747b4705bp-5", "0x1.fffffffffffeep-1")
+GOLDEN_3 = ("0x1.bda12c7af9665p-5", "0x1.c22ba1fb34d42p-5", "0x1.fffcce11ac84fp-1")
+
+# The totals of the same runs given an every-order table at level 1009.
+EVERY_31 = ("0x1.b1b17c50bd2adp-5", "0x1.ccb579de09ad2p-5",
+            "0x1.f21b4df9c19e8p-1")
+EVERY_353 = ("0x1.dc705a15149c4p-6", "0x1.066969d3b3ac9p-3",
+             "0x1.331ad00ec0cccp-1")
 # y = 2 has no odd prime: one b class, one mask word of zeros, and no group
 # prime, so its groups are those of k alone. y = 3 has one, so the fifth
 # group prime moved neither. At y = 2 with
@@ -66,16 +84,17 @@ GOLDEN_353 = ("0x1.dc705a15149c4p-6", "0x1.066969d3b3ac9p-3",
 # moves the upper end by no more than that. Its lower groups (k, {}, {})
 # each hold one cell, (1, 2^k), enumerated, and the charge of each is that
 # cell's lower term bit for bit: the lower groups move no bit at y = 2.
-GOLDEN_2 = ("0x1.bd600da069018p-5", "0x1.c20e747b445c0p-5", "0x1.fffffffffffeep-1")
-GOLDEN_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22ba1fb322bfp-5", "0x1.fffcce11ac84fp-1")
+EVERY_2 = ("0x1.bd600da069018p-5", "0x1.c20e747b445c0p-5", "0x1.fffffffffffeep-1")
+EVERY_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22ba1fb322bfp-5", "0x1.fffcce11ac84fp-1")
 
 # The totals with no group prime, the groups by k (and R on the lower side)
-# alone.
+# alone, given an every-order table.
 NO_GROUP_31 = ("0x1.ad1a023c7c919p-5", "0x1.dc538b8659d42p-5", "0x1.f21b4df9c19e8p-1")
 NO_GROUP_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22ba35ccac58p-5", "0x1.fffcce11ac84fp-1")
 
-# The totals of a table at y, the capped curve that folds nothing. Its
-# lower side is 0 at y <= 3, where no cell's w reaches a point above 1.
+# The totals of an every-order table at y, the capped curve that folds
+# nothing. Its lower side is 0 at y <= 3, where no cell's w reaches a point
+# above 1.
 AT_Y_31 = ("0x1.868149ce3bb1cp-5", "0x1.fd7382d0d75f6p-5", "0x1.f21b4df9c19e8p-1")
 AT_Y_353 = ("0x1.da8547d2e49b1p-6", "0x1.06de38556eb28p-3", "0x1.331ad00ec0cccp-1")
 AT_Y_2 = ("0x0.0p+0", "0x1.333617c5c0cdbp-2", "0x1.fffffffffffeep-1")
@@ -179,6 +198,17 @@ def total_bits(report) -> tuple:
     return tuple(getattr(report, name).value.hex() for name in TOTALS)
 
 
+def assert_close(bits, other, tol) -> None:
+    """Each end of one bracket within tol of the other's."""
+    for i in (0, 1):
+        assert abs(float.fromhex(bits[i]) - float.fromhex(other[i])) <= tol
+
+
+def every_order_run(y, z, r_max, level=1009, threads=1):
+    return run_bounds(y, z, r_max, threads=threads,
+                      table=build_moment_table(level, r_max, every_order=True))
+
+
 def assert_within(bits, outer) -> None:
     """lower and covered_lo no lower, upper no higher than the outer
     totals."""
@@ -189,11 +219,11 @@ def assert_within(bits, outer) -> None:
 
 
 def table_digest(table) -> str:
-    """SHA-256 of values[1..r_max] then roots[1..r_max], packed as
+    """SHA-256 of the values then the roots, one per order, packed as
     little-endian doubles."""
     h = hashlib.sha256()
     for col in (table.values, table.roots):
-        h.update(struct.pack(f"<{table.r_max}d", *col[1:]))
+        h.update(struct.pack(f"<{len(col)}d", *col))
     return h.hexdigest()
 
 
@@ -211,8 +241,12 @@ def test_totals_y31(threads):
     report = run_bounds(31, 10**6, 200, threads=threads)
     assert report.pair_count == 135331
     assert total_bits(report) == GOLDEN_31
-    assert_within(GOLDEN_31, NO_GROUP_31)
-    assert_within(GOLDEN_31, SLOT_LOW_31)
+    assert total_bits(every_order_run(31, 10**6, 200, threads=threads)) == EVERY_31
+    assert_close(GOLDEN_31, EVERY_31, 1e-12)
+    assert_within(EVERY_31, GOLDEN_31)
+    assert_within(GOLDEN_31, FOUR_31)
+    assert_within(EVERY_31, NO_GROUP_31)
+    assert_within(EVERY_31, SLOT_LOW_31)
     assert_within(SLOT_LOW_31, FOUR_31)
     assert_within(FOUR_31, NO_LOWER_31)
     assert_within(NO_LOWER_31, LOG12_31)
@@ -229,7 +263,11 @@ def test_totals_y353():
     report = run_bounds(353, 10**5, 500, threads=1)
     assert report.pair_count == 148128
     assert total_bits(report) == GOLDEN_353
+    assert total_bits(every_order_run(353, 10**5, 500)) == EVERY_353
+    assert_close(GOLDEN_353, EVERY_353, 1e-12)
+    assert_within(EVERY_353, GOLDEN_353)
     assert_within(GOLDEN_353, FOUR_353)
+    assert_within(EVERY_353, FOUR_353)
     assert_within(FOUR_353, NO_LOWER_353)
     assert_within(NO_LOWER_353, LOG12_353)
     assert_within(LOG12_353, KGROUP_353)
@@ -241,17 +279,32 @@ def test_totals_y353():
     assert_within(DIVIDED_353, CHUNKED_353)
 
 
-@pytest.mark.parametrize("y,z,r_max,pairs,golden,outer", [
-    (2, 10**15, 200, 49, GOLDEN_2, (SLOT_LOW_2, LOG12_2, FOLDED_2, CAPPED_2)),
-    (3, 10**6, 200, 239, GOLDEN_3,
+@pytest.mark.parametrize("y,z,r_max,pairs,golden,every,outer", [
+    (2, 10**15, 200, 49, GOLDEN_2, EVERY_2, (SLOT_LOW_2, LOG12_2, FOLDED_2, CAPPED_2)),
+    (3, 10**6, 200, 239, GOLDEN_3, EVERY_3,
      (SLOT_LOW_3, NO_LOWER_3, LOG12_3, KGROUP_3, FOLDED_3, CAPPED_3, UNCAPPED_3)),
 ], ids=["2-1e15", "3-1e6"])
-def test_totals_few_odd_primes(y, z, r_max, pairs, golden, outer):
+def test_totals_few_odd_primes(y, z, r_max, pairs, golden, every, outer):
     report = run_bounds(y, z, r_max, threads=1)
     assert report.pair_count == pairs
     assert total_bits(report) == golden
-    for inner, bound in zip((golden, *outer), outer):
+    assert total_bits(every_order_run(y, z, r_max)) == every
+    assert_close(golden, every, 1e-12)
+    assert_within(every, golden)
+    assert_within(golden, outer[1])
+    for inner, bound in zip((every, *outer), outer):
         assert_within(inner, bound)
+
+
+@pytest.mark.parametrize("y,z,r_max,level,tol", [
+    (997, 10**5, 200, 997, 1e-12),  # past _FOLD_MAX_Y: a table at y
+    (13, 10**7, 2000, 1009, 5e-10),
+    (2, 10**15, 2000, 1009, 5e-10),
+], ids=["997-1e5-200", "13-1e7-2000", "2-1e15-2000"])
+def test_sparse_orders_move_each_end_by_little(y, z, r_max, level, tol):
+    sparse, every = run_bounds(y, z, r_max, threads=1), every_order_run(y, z, r_max, level)
+    assert_close(total_bits(sparse), total_bits(every), tol)
+    assert_within(total_bits(every), total_bits(sparse))
 
 
 @pytest.mark.parametrize("y,z,r_max,at_y,outer", [
@@ -262,7 +315,7 @@ def test_totals_few_odd_primes(y, z, r_max, pairs, golden, outer):
     (3, 10**6, 200, AT_Y_3, (SLOT_LOW_AT_Y_3, KGROUP_AT_Y_3, CAPPED_3)),
 ], ids=["31-1e6", "353-1e5", "2-1e15", "3-1e6"])
 def test_a_table_at_y_folds_nothing(y, z, r_max, at_y, outer):
-    report = run_bounds(y, z, r_max, threads=1, table=build_moment_table(y, r_max))
+    report = every_order_run(y, z, r_max, level=y)
     assert total_bits(report) == at_y
     for inner, bound in zip((at_y, *outer), outer):
         assert_within(inner, bound)
@@ -277,7 +330,7 @@ def test_no_group_primes_leaves_the_groups_by_k_alone(y, z, r_max, no_group, slo
     # with no group prime every upper group is (k, {}), weighed 2^-k
     # exactly, and every lower one (k, {}, R)
     monkeypatch.setattr(engine, "_GROUP_PRIMES", 0)
-    assert total_bits(run_bounds(y, z, r_max, threads=1)) == no_group
+    assert total_bits(every_order_run(y, z, r_max)) == no_group
     assert_within(no_group, slot_low)
     assert_within(slot_low, no_lower)
     assert_within(no_lower, kgroup)
@@ -285,40 +338,58 @@ def test_no_group_primes_leaves_the_groups_by_k_alone(y, z, r_max, no_group, slo
 
 def test_table_y2_saturating():
     # (1 + 1/p)^r overflows and (1 - 1/p)^(r-1) underflows for r near 3000
-    table = build_moment_table(2, 3000)
-    assert table.values[3000] == float("inf")
+    table = build_moment_table(2, 3000, every_order=True)
+    assert table.values[-1] == float("inf")
     assert table_digest(table) == "b42d9634023a461fc9c788b7c4228a06e1232195b7fc7c0a0ea6568ad02c1b8d"
 
 
 def test_table_y353_product_overflow():
     # neither factor saturates here: the product over the mid primes
     # overflows first, at r = 8159
-    table = build_moment_table(353, 8200)
-    assert math.isfinite(table.values[8158]) and table.values[8159] == math.inf
+    table = build_moment_table(353, 8200, every_order=True)
+    assert math.isfinite(table.values[8157]) and table.values[8158] == math.inf
     assert table_digest(table) == "96b323a0a3d25e786fde3ed9d7788c6d6eb3fc86c674f292583c9f5ab8797d67"
 
 
 def test_table_y157():
-    table = build_moment_table(157, 2000)
+    table = build_moment_table(157, 2000, every_order=True)
     assert table_digest(table) == "e020b697837621510e850ac1e4ce3f7d9405565e20a3e808852143a314329dcb"
 
 
-@pytest.mark.parametrize("y,r_max,digest,uncapped,folded", [
+@pytest.mark.parametrize("y,r_max,digest", [
+    # at y = 2 the factor of p = 3 is mostly its r / den term at large r,
+    # so these bits follow each step of (1 - 1/p)^(r-1)
+    (2, 500, "89886b3b56af5c727bdb18c92cb0978ebb7c8f18cc1d719a630f43e0984ad508"),
+    (353, 500, "329f000bd080113d7ddea28d2b9d5986ccac49b2d3b7128f67c3a666792c479a"),
+    (1009, 4000, "bae8c14f02bb84c5384b2b6f6b336a9561df25d0b16633b7d2d131fa1f5c1b3a"),
+], ids=["2-500", "353-500", "1009-4000"])
+def test_sparse_tables(y, r_max, digest):
+    table = build_moment_table(y, r_max)
+    assert table.orders == moments.moment_orders(r_max)
+    assert table_digest(table) == digest
+
+
+@pytest.mark.parametrize("y,r_max,digest,uncapped,folded,sparse", [
     (31, 200, "053c86a34b3334f29819fc120e2692eca623307ef00cd445ebea0a411b3dc31c",
      "82964e01e853e41d110f691bcb1c1be64a85c46fea4066cd91edcc7bcba5ec08",
-     "8908454383a1b3c2bd460e71e4cf570fb6d370a099eaca3c0258d43b34cd4460"),
+     "8908454383a1b3c2bd460e71e4cf570fb6d370a099eaca3c0258d43b34cd4460",
+     "cd73f7032405ec3a02bf577f778160e1184a2a67e3358d3bd3380daf113df10f"),
     (353, 500, "cb079a3bef4475d6b2a1b02113582f2334c4710107b968662ce192e892ea5d4d",
      "b4e8a11c61d02ae1920f634e4e751ba3af69a19093cc2aa170b52a20bdec152f",
-     "7a5dcbbfb34b21dc0741ef0d7a2ae273a69d86551b0f37d07828949a4689c0d5"),
+     "7a5dcbbfb34b21dc0741ef0d7a2ae273a69d86551b0f37d07828949a4689c0d5",
+     "89d792a46c43d2e3e91a8eac8308b43ff110c6dc339e20bafbc3e4fc161f8edb"),
 ], ids=["31-200", "353-500"])
-def test_curves(y, r_max, digest, uncapped, folded):
+def test_curves(y, r_max, digest, uncapped, folded, sparse):
     # digest and uncapped are over the grid points above 1, where the
-    # curve that folds nothing is the moment curve; it is 1 on the rest
-    table = build_moment_table(y, r_max)
+    # curve that folds nothing is the moment curve; it is 1 on the rest.
+    # All three are of every-order tables
+    table = build_moment_table(y, r_max, every_order=True)
     ru = _engine_consts(table, y).ru_at[1:]
     assert np.all(ru[:_ONE_SLOT + 1] == 1.0)
     assert curve_digest(ru[_ONE_SLOT + 1:]) == digest
     assert curve_digest(bound_curves(table, _grid(_ONE_SLOT + 1))) == uncapped
     # the curve that folds the primes in (y, 1009], over the whole grid
-    ru = _engine_consts(build_moment_table(1009, r_max), y).ru_at[1:]
+    ru = _engine_consts(build_moment_table(1009, r_max, every_order=True), y).ru_at[1:]
     assert curve_digest(ru) == folded
+    # and the folded curve of the sparse table a run builds
+    assert curve_digest(_engine_consts(build_moment_table(1009, r_max), y).ru_at[1:]) == sparse

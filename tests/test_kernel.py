@@ -274,9 +274,12 @@ def test_ratio_curves_are_monotone(y, r_max):
     assert engine._engine_consts(table, y).ru_at[0] == 1.0
 
 
-@pytest.mark.parametrize("y,r_max", [(2, 5), (3, 20), (5, 30), (31, 200), (353, 60)])
-def test_ratio_grids_match_the_per_r_loop_bit_for_bit(y, r_max):
-    table = build_moment_table(y, r_max)
+@pytest.mark.parametrize("y,r_max,every_order", [
+    (2, 5, False), (3, 20, False), (5, 30, False), (31, 200, False), (353, 60, False),
+    (31, 200, True), (353, 60, True),
+])
+def test_ratio_grids_match_the_per_r_loop_bit_for_bit(y, r_max, every_order):
+    table = build_moment_table(y, r_max, every_order)
     g, ru, rl = grid_curves(table)
     want_g, want_ru, want_rl = ratio_grids_per_r(table)
     want_ru, want_rl = symmetry_capped(want_g, want_ru, want_rl)
@@ -305,11 +308,28 @@ def assert_curves_match_the_oracle(table, q):
     assert np.array_equal(rl.view(np.int64), want_rl.view(np.int64))
 
 
-# each table saturates below r_max (at r = 554, 1137, 2113 and 8159), after
-# orders whose 1e9 M(r) passes 1e300, which caps them at 1e300, or overflows
+# each table saturates below r_max (the every-order tables at r = 554, 1137,
+# 2113 and 8159), after orders whose 1e9 M(r) passes 1e300, which caps them
+# at 1e300, or overflows
+@pytest.mark.parametrize("every_order", [False, True], ids=["sparse", "every"])
 @pytest.mark.parametrize("y,r_max", [(2, 3000), (7, 3000), (31, 10_000), (353, 10_000)])
-def test_bound_curves_match_the_oracle_on_short_arrays(y, r_max):
-    assert_curves_match_the_oracle(build_moment_table(y, r_max), short_ratios(y))
+def test_bound_curves_match_the_oracle_on_short_arrays(y, r_max, every_order):
+    table = build_moment_table(y, r_max, every_order)
+    assert not math.isfinite(table.values[-1])
+    assert_curves_match_the_oracle(table, short_ratios(y))
+
+
+def test_bound_curves_carry_q_r_by_the_power_of_each_gap():
+    # gaps of one to eleven bits, at orders a table of 12 mid primes holds;
+    # at q up to 4, q^2047 and its square q^1024 overflow and step to the
+    # largest finite double
+    mids = moments._mid_primes(31)[:12]
+    orders = (1, 2, 5, 12, 40, 41, 100, 227, 1000, 2047)
+    values = moments._bulk_values(orders, mids)
+    values[0] = moments.moment_r1_exact(31)
+    table = MomentTable(y=31, orders=orders, values=tuple(values))
+    assert_curves_match_the_oracle(table, short_ratios(1))
+    assert_curves_match_the_oracle(table, engine._grid(engine._ONE_SLOT + 1))
 
 
 def test_bound_curves_carry_the_prefix_a_later_order_reads():
@@ -318,7 +338,7 @@ def test_bound_curves_carry_the_prefix_a_later_order_reads():
     # scalar below its own), and past the last one order 21 is still below
     # its cap, with candidates no smaller than order 20's scalar
     vals = [1.5] * 20 + [4.0**r for r in range(21, 31)]
-    table = MomentTable(y=3, r_max=30, values=(math.nan, *vals))
+    table = MomentTable(y=3, orders=tuple(range(1, 31)), values=tuple(vals))
     assert_curves_match_the_oracle(table, short_ratios(0))
 
 
@@ -328,7 +348,7 @@ def test_bound_curves_keep_the_prefix_when_a_later_cap_is_lower():
     # 5 is above order 6's 0.5/(1.5e9 - 1) = 3.3e-10, so order 5's crossing
     # must not shrink the prefix before order 6 reads it
     vals = [1.2, 1.2, 1.2, 1.2, 2.0, 1.5]
-    table = MomentTable(y=3, r_max=6, values=(math.nan, *vals))
+    table = MomentTable(y=3, orders=tuple(range(1, 7)), values=tuple(vals))
     assert_curves_match_the_oracle(table, np.array([1.5, 2.0, 100.0]))
 
 
@@ -336,7 +356,7 @@ def test_bound_curves_hold_an_overflowing_candidate_at_inf():
     # M(r) near 1e305 over q^r - 1 near 1e-9 overflows (M(r)-1)/(q^r-1) to
     # +inf; its step up must keep +inf (a bare int64 step gives a NaN)
     vals = [1e305, 1.5, 3e305, 2.0, 1e305]
-    table = MomentTable(y=3, r_max=5, values=(math.nan, *vals))
+    table = MomentTable(y=3, orders=tuple(range(1, 6)), values=tuple(vals))
     q = np.concatenate([1.0 + 2.0**-30 * np.arange(1, 21), [1.5, 2.0, 40.0]])
     with np.errstate(over="ignore"):
         assert (vals[0] - 1.0) / (q[0] - 1.0) == math.inf
@@ -376,7 +396,7 @@ def test_a_one_reads_the_slot_of_the_exact_quotient(y):
     g = engine._grid().tolist()
     a, _ = engine._smooth_rows(consts.odd, 10**4, False, 1.0)
     assert a.value[0] == 1 and a.h_up[0] == 1.0
-    h_a = a.h_up[:40]
+    h_a = a.h_up[:8]
     slots = engine._group_read(consts, consts.group_h[:, None], h_a)
     for i, h in enumerate(consts.group_h.tolist()):
         for j, d in enumerate(h_a.tolist()):

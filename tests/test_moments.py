@@ -101,24 +101,24 @@ class TestMomentUpper:
 
 class TestBuildTable:
     def test_r1_routes_to_exact(self, table_y31_r200):
-        assert table_y31_r200.values[1] == moment_r1_exact(31)
+        assert table_y31_r200.orders[0] == 1
+        assert table_y31_r200.values[0] == moment_r1_exact(31)
 
     def test_all_values_at_least_one(self, table_y31_r200):
-        for r in range(1, 201):
-            assert table_y31_r200.values[r] >= 1.0
+        assert len(table_y31_r200.values) == 70
+        assert all(v >= 1.0 for v in table_y31_r200.values)
 
     def test_roots_certified_by_down_powering(self, table_y31_r200):
         t = table_y31_r200
-        for r in range(2, 201):
-            v = t.values[r]
+        for r, v, root in zip(t.orders[1:], t.values[1:], t.roots[1:]):
             if math.isfinite(v):
-                assert pow_dn(t.roots[r], r) >= v
+                assert pow_dn(root, r) >= v
 
     def test_vector_build_matches_scalar(self, table_y31_r200):
+        values = dict(zip(table_y31_r200.orders, table_y31_r200.values))
         for r in (2, 3, 17, 200):
             scalar = moment_upper(31, r)
-            vec = table_y31_r200.values[r]
-            assert vec == pytest.approx(scalar, rel=1e-10)
+            assert values[r] == pytest.approx(scalar, rel=1e-10)
 
     def test_roots_track_high_precision_oracle(self, table_y31_r200):
         # the high-precision oracle shows the true root sequence at y=31 is
@@ -135,7 +135,7 @@ class TestBuildTable:
                 acc *= 1 + t1 + t2
             acc *= mp.exp(mp.mpf("1.6623114e-6") * r)
             true_root = acc ** (mp.mpf(1) / r)
-            got = table_y31_r200.roots[r]
+            got = table_y31_r200.roots[r - 1]  # every order up to 32
             assert got >= true_root
             assert got <= float(true_root) * (1 + 1e-9)
 
@@ -147,30 +147,32 @@ class TestBuildTable:
 
     def test_paper_scale_table_shape(self):
         t = build_moment_table(157, 2000)
-        assert t.r_max == 2000
-        assert len(t.values) == 2001
-        for r in (1, 2, 100, 1000, 2000):
-            assert t.values[r] >= 1.0
-        assert math.isfinite(t.values[2000])
+        assert t.r_max == 2000 and t.orders == moments.moment_orders(2000)
+        assert len(t.values) == len(t.roots) == 117
+        assert all(v >= 1.0 for v in t.values)
+        assert math.isfinite(t.values[-1])
+        t = build_moment_table(157, 2000, every_order=True)
+        assert t.orders == tuple(range(1, 2001)) and len(t.values) == 2000
 
     def test_saturated_orders_marked_unusable(self):
         # y=2 pushes the p=3 factor to overflow well before r=3000
-        t = build_moment_table(2, 3000)
-        assert not math.isfinite(t.values[3000])
-        assert t.roots[3000] == math.inf
+        for every_order in (False, True):
+            t = build_moment_table(2, 3000, every_order)
+            assert not math.isfinite(t.values[-1])
+            assert t.roots[-1] == math.inf
 
     def test_tail_factors_match_the_scalar_form(self):
         # r = 37,599 is the first order whose exponent passes 1/16, so the
         # orders above it take exp_up's halve-and-square path
         rate = ratio_up(16623114, 10**13)
         assert up_mul(rate, 37598.0) <= 0.0625 < up_mul(rate, 37599.0)
-        got = moments._tail_factors(40_000)[1:]
+        got = moments._tail_factors(range(1, 40_001))
         want = np.array([tail_factor(r) for r in range(1, 40_001)])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_empty_product_is_the_tail_factor(self):
-        t = build_moment_table(65521, 30)
-        assert [t.values[r] for r in range(2, 31)] == [tail_factor(r) for r in range(2, 31)]
+        t = build_moment_table(65521, 300)
+        assert list(t.values[1:]) == [tail_factor(r) for r in t.orders[1:]]
 
     def test_orders_above_the_ceiling_are_unsupported(self):
         # checked before any order is tabulated, so a huge r_max fails at once
@@ -178,6 +180,75 @@ class TestBuildTable:
             with pytest.raises(UnsupportedParameterError, match=str(MAX_ORDER)):
                 build_moment_table(31, r_max)
         assert build_moment_table(2, MAX_ORDER).r_max == MAX_ORDER
+
+    def test_tables_need_increasing_orders_from_one(self):
+        for orders, values in (((1, 3, 3), (1.0, 2.0, 3.0)), ((2, 3), (1.0, 2.0)),
+                               ((1, 2), (1.0,)), ((), ())):
+            with pytest.raises(InvalidParameterError):
+                moments.MomentTable(y=3, orders=orders, values=values)
+
+
+class TestOrders:
+    """The sparse orders of the table run_bounds builds (moments.moment_orders)
+    and the step of each factor by the power of the gap."""
+
+    def test_every_order_to_32_then_a_ratio_of_21_20(self):
+        for r_max, count in ((200, 70), (500, 89), (2000, 117), (4000, 131)):
+            orders = moments.moment_orders(r_max)
+            assert len(orders) == count and orders[:32] == tuple(range(1, 33))
+            assert orders[-1] == r_max
+            assert orders[32:-1] == tuple(math.ceil(32 * Fraction(21, 20)**k)
+                                          for k in range(1, len(orders) - 32))
+            assert all(a < b for a, b in zip(orders, orders[1:]))
+        for r_max in (1, 20, 32):
+            assert moments.moment_orders(r_max) == tuple(range(1, r_max + 1))
+        assert moments.moment_orders(33) == (*range(1, 33), 33)
+
+    @pytest.mark.parametrize("y", [2, 31, 353, 1009])
+    def test_values_never_fall_along_the_orders(self, y):
+        # bound_curves stops carrying q^r past a cap crossing only if M(r)
+        # does not fall from one order to the next
+        t = build_moment_table(y, 4000)
+        live = [v for v in t.values if math.isfinite(v)]
+        assert len(live) > 32
+        assert all(a <= b for a, b in zip(live, live[1:]))
+
+    def test_values_match_the_scalar_oracle_up_to_4000(self):
+        # every order of the sparse set at r_max = 4000, over every 32nd
+        # mid prime past 1009, then the whole product at three orders
+        mids = moments._mid_primes(1009)[::32]
+        orders = moments.moment_orders(4000)
+        got = moments._bulk_values(orders, mids)
+        for r, v in zip(orders[1:], got[1:]):
+            assert v == pytest.approx(moment_upper(1009, r, mids), rel=1e-10), r
+        t = build_moment_table(1009, 4000)
+        values = dict(zip(t.orders, t.values))
+        for r in (34, 447, 4000):
+            assert values[r] == pytest.approx(moment_upper(1009, r), rel=1e-10), r
+
+    def test_values_bound_the_exact_product(self):
+        # with 12 mid primes, the exact factors in mpmath: each order's
+        # value, built by directed gap powers, is at least the exact product
+        # times the tail factor
+        mids = moments._mid_primes(31)[:12]
+        orders = (1, 2, 5, 12, 40, 41, 100, 227, 1000, 2047)
+        got = moments._bulk_values(orders, mids)
+        for r, v in zip(orders[1:], got[1:]):
+            acc = mp.mpf(1)
+            for p in mids:
+                t1 = ((1 + mp.mpf(1) / p) ** r - 1) / p
+                t2 = mp.mpf(r) / ((p**4 - p**2) * (1 - mp.mpf(1) / p) ** (r - 1))
+                acc *= 1 + t1 + t2
+            acc *= mp.exp(mp.mpf(16623114) / 10**13 * r)
+            assert v >= acc, r
+            assert v <= acc * (1 + mp.mpf(10) ** -10), r
+
+    def test_an_every_order_build_steps_once_per_order(self):
+        # at a gap of 1 the one square is the base: the every-order values
+        # are those of the sparse build at the orders they share up to 32
+        dense = build_moment_table(353, 500, every_order=True)
+        sparse = build_moment_table(353, 500)
+        assert dense.values[:32] == sparse.values[:32]
 
 
 class TestFold:
