@@ -572,16 +572,16 @@ def _smooth_rows(odd, limit: int, even: bool, f0: float, m0: tuple = (),
         parts, new = [value], []
         size = value.size
         pk = p
-        while True:
-            sel = np.flatnonzero(value <= limit // pk)
-            if not sel.size:
-                break
+        sel = np.flatnonzero(value <= limit // p)
+        while sel.size:
             size += sel.size
             if budget is not None and size > budget:
                 break
-            parts.append(value[sel] * pk)
+            v = value[sel]
+            parts.append(v * pk)
             new.append((j, pk, sel))
             pk *= p
+            sel = sel[v <= limit // pk]  # v p^k <= limit needs v p^(k-1) <= limit
         if budget is not None and size > budget:
             break
         value = np.concatenate(parts)
