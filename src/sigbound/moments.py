@@ -16,9 +16,10 @@ slowly with q, so a run needs few of them: build_moment_table takes every
 order up to _DENSE_ORDERS = 32 and then ceil(32 (21/20)^k) for k = 1, 2,
 ... below r_max, and r_max itself (moment_orders: 70 orders at r_max =
 200, 89 at 500, 117 at 2000). The orders left out only drop candidates of
-a min, so each bound stays a certificate; it can only rise, by at most
-1.0e-13 at each end of the engine's bracket at r_max <= 500 and 4.2e-10
-at 2000. lambda asks for every order 1..r_max.
+a min, so each bound stays a certificate and can only rise: each end of
+the engine's bracket moved out by at most 1.0e-13 at r_max <= 500 and
+4.3e-10 at 2000, at the settings measured (see _ORDER_RATIO). lambda asks
+for every order 1..r_max.
 
 The loop over the orders moves (1 + 1/p)^r UP and (1 - 1/p)^(r-1) DOWN
 from one order to the next by the power of the gap: it multiplies by the
@@ -240,11 +241,12 @@ MAX_ORDER = 10_000
 _TAIL_RATE = Fraction(16623114, 10**13)  # 1.6623114e-6
 
 # The orders of a table run_bounds builds (see moment_orders): every order
-# up to _DENSE_ORDERS, then the ceilings of _DENSE_ORDERS _ORDER_RATIO^k.
-# Masking an every-order table to this set moved each end of the bracket
-# out by at most 7.6e-14 at (y, z, r_max) = (31, 1e8, 200), 1.0e-13 at
-# (353, 1e5, 500), 4.2e-10 at (13, 1e9, 2000) and 3.5e-10 at (2, 1e15,
-# 2000). A ratio of 1.02 cut these moves about 3x, at about 1.7x the orders.
+# up to _DENSE_ORDERS, then the ceilings of _DENSE_ORDERS _ORDER_RATIO^k,
+# distinct only while _DENSE_ORDERS (_ORDER_RATIO - 1) >= 1. Against the
+# every-order table, each end of run_bounds' bracket moved out by at most
+# 7.6e-14 at (y, z, r_max) = (31, 1e8, 200), 1.0e-13 at (353, 1e5, 500),
+# 4.3e-10 at (13, 1e9, 2000) and 3.2e-10 at (2, 1e15, 2000). Distinct
+# ceilings at a ratio of 1.02 cut these moves 3-4x, with 1.7-2x the orders.
 _DENSE_ORDERS = 32
 _ORDER_RATIO = Fraction(21, 20)
 
