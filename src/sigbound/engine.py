@@ -375,21 +375,28 @@ def _read(consts: _Consts, s: np.ndarray) -> np.ndarray:
     return consts.ru_at.take(s, mode="clip")
 
 
-def _quotient_dn(num, den: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """num / den rounded DOWN, for num > 0 and den >= 1: the rounded
-    quotient stepped one ULP down, but where den is exactly 1.0, as h(a) is
-    at a = 1, whose quotient is num itself, exact. `out` may be den."""
-    step = den != 1.0
-    return ulp_dn(np.divide(num, den, out=out), step)
+def _quotient_dn(num, den: np.ndarray, ones: bool = True,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """num / den rounded DOWN, for num > 0 and den >= 1, as the int64 view
+    of its bits: the rounded quotient, above +0.0, takes a bare step down,
+    but where den is exactly 1.0, as h(a) is at a = 1, whose quotient is
+    num itself, exact. With ones False the caller knows that no den is 1.0.
+    `out` may be den."""
+    one = den == 1.0 if ones else None
+    bits = np.divide(num, den, out=out).view(np.int64)
+    bits -= 1
+    if ones:
+        bits += one
+    return bits
 
 
-def _group_read(consts: _Consts, h, h_a: np.ndarray) -> np.ndarray:
+def _group_read(consts: _Consts, h, h_a: np.ndarray, ones: bool = True) -> np.ndarray:
     """The curve read of a group of ratio h (from consts.group_h, one or one
     per a) for the odd a with h(a) <= h_a: ru at h / h_a rounded DOWN (see
-    _quotient_dn), at most the q of every cell of the group. The charge (see
-    _group_charge) and the cells (see _chunk_sums) read it here, in the same
-    bits."""
-    s = _quotient_dn(h, h_a).view(np.int64)
+    _quotient_dn, and ones there), at most the q of every cell of the group.
+    The charge (see _group_charge) and the cells (see _chunk_sums) read it
+    here, in the same bits."""
+    s = _quotient_dn(h, h_a, ones)
     s -= _SLOT_BASE
     return _read(consts, s)
 
@@ -683,9 +690,9 @@ def _cell_tables(consts: _Consts, b: _Rows, z: int):
     prod (p-1)/p over the odd primes, so that a row's mass is M(a) of the
     tail lemma (see moments); its mr starts at the mass base times rho(1),
     the product of (p-2)/(p-1), and its hl at 1/rest(1), the product of
-    (p-1)/p, both over the odd primes outside the group primes. Its net
-    charges are taken here (see _group_charge). Its table comes back
-    read-only.
+    (p-1)/p, both over the odd primes outside the group primes. Sorted by
+    value, its row 0 is a = 1. Its net charges are taken here (see
+    _group_charge). Its table comes back read-only.
     """
     base, mass, den, rho, rho_den, rest, rest_den = 1, 1, 1, 1, 1, 1, 1
     for j, p in enumerate(consts.odd):
@@ -781,7 +788,8 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     operation), and every sum of them is taken DOWN: the covered mass, the
     excesses and the saving, which the upper side takes off.
 
-    Every cell reads ru at q, a DOWN bound on h(b)/h(a), and saves
+    Every cell reads ru at q, a DOWN bound on h(b)/h(a) (exact at a = 1,
+    the a side's row 0, see _quotient_dn), and saves
     dens_dn (c - ru) stepped DOWN, or 0 where c <= ru, off its group's read
     c, in the bits its a's charge read it (see _group_read and the tail
     lemma of moments). Its lower bound rl = ulp_dn(1 - ru) is read at w, a
@@ -800,9 +808,11 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     covered = fixed_sum(dens_dn, DOWN)
     g = ch.b_group.take(bi)
     h = rows.h_up.take(ai)
-    gap = _group_read(consts, consts.group_h.take(g), h)
-    q = _quotient_dn(b.h_dn.take(bi), h, out=h)  # <= h(b)/h(a)
-    ru = _read(consts, np.subtract(q.view(np.int64), _SLOT_BASE))
+    ones = not ch.a.all()  # a = 1 is the a side's row 0
+    gap = _group_read(consts, consts.group_h.take(g), h, ones)
+    q = _quotient_dn(b.h_dn.take(bi), h, ones, out=h)  # <= h(b)/h(a)
+    ru = _read(consts, np.subtract(q, _SLOT_BASE))
+    q = q.view(np.float64)
     ulp_dn(np.maximum(np.subtract(gap, ru, out=gap), 0.0, out=gap))
     saving = fixed_sum(ulp_dn(np.multiply(dens_dn, gap, out=gap)), DOWN)
     pairs = dens_dn.size

@@ -403,7 +403,7 @@ def test_a_one_reads_the_slot_of_the_exact_quotient(y):
             want = exact_slot(g, Fraction(h) / Fraction(d))
             assert slots[i, j] == want if d == 1.0 else slots[i, j] <= want, (h, d)
     b, _ = engine._smooth_rows(consts.odd, 2**17, True, 1.0)
-    assert np.array_equal(engine._quotient_dn(b.h_dn, np.ones(b.h_dn.size)), b.h_dn)
+    assert np.array_equal(engine._quotient_dn(b.h_dn, np.ones(b.h_dn.size)).view(np.float64), b.h_dn)
     assert sum(map(g.__contains__, b.h_dn.tolist())) >= 16
 
 
@@ -413,7 +413,7 @@ def test_a_quotient_rounded_onto_a_grid_point_steps_below_it():
     # reads the slot below
     num, den = float.fromhex("0x1.983bb254a19a7p+0"), float.fromhex("0x1.1027cc386bbc5p+0")
     assert num / den == 1.5 and Fraction(num) / Fraction(den) < Fraction(3, 2)
-    q = engine._quotient_dn(np.array([num, 1.5]), np.array([den, 1.0]))
+    q = engine._quotient_dn(np.array([num, 1.5]), np.array([den, 1.0])).view(np.float64)
     assert Fraction(q[0]) <= Fraction(num) / Fraction(den) and q[1] == 1.5
     assert np.array_equal(engine._slot(q) - engine._slot(np.array([1.5])), [-1, 0])
 
