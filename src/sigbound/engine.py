@@ -273,13 +273,11 @@ def _engine_consts(table: MomentTable, y: int) -> _Consts:
     if table.y > y:
         hi, s = fold_curve(table, y)
         first = _slot(ulp_dn(hi))  # of the grid points below hi[k]
-        # each grid point from first[k] on reads s[k] until the next first:
-        # s is non-increasing, so a running min spreads the last s of each
-        # first
-        last = np.append(first[1:] != first[:-1], True)
-        from_first = ru[first[0]:]
-        from_first[first[last] - first[0]] = s[last]
-        np.minimum.accumulate(from_first, out=from_first)
+        start, counts = int(first[0]), np.diff(first, append=ru.size)
+        # run_bounds holds the b table here: freed, the grid bounds leave
+        # this build's peak below that of the cell walk
+        del hi, first
+        ru[start:] = np.repeat(s, counts)
     else:
         above[...] = bound_curves(table, _grid(_ONE_SLOT + 1))
     np.minimum(above, 0.5, out=above)
