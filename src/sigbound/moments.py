@@ -18,7 +18,7 @@ order up to _DENSE_ORDERS = 32 and then ceil(32 (21/20)^k) for k = 1, 2,
 200, 89 at 500, 117 at 2000). The orders left out only drop candidates of
 a min, so each bound stays a certificate and can only rise: each end of
 the engine's bracket moved out by at most 1.0e-13 at r_max <= 500 and
-4.3e-10 at 2000, at the settings measured (see _ORDER_RATIO). lambda asks
+4.4e-10 at 2000, at the settings measured (see _ORDER_RATIO). lambda asks
 for every order 1..r_max.
 
 The loop over the orders moves (1 + 1/p)^r UP and (1 - 1/p)^(r-1) DOWN
@@ -245,8 +245,9 @@ _TAIL_RATE = Fraction(16623114, 10**13)  # 1.6623114e-6
 # distinct only while _DENSE_ORDERS (_ORDER_RATIO - 1) >= 1. Against the
 # every-order table, each end of run_bounds' bracket moved out by at most
 # 7.6e-14 at (y, z, r_max) = (31, 1e8, 200), 1.0e-13 at (353, 1e5, 500),
-# 4.3e-10 at (13, 1e9, 2000) and 3.2e-10 at (2, 1e15, 2000). Distinct
-# ceilings at a ratio of 1.02 cut these moves 3-4x, with 1.7-2x the orders.
+# 4.2e-10 at (13, 1e9, 2000), 3.2e-10 at (2, 1e15, 2000) and 4.4e-10 at
+# (31, 1e8, 2000). Distinct ceilings at a ratio of 1.02 cut these moves
+# 3-4x, with 1.7-2x the orders.
 _DENSE_ORDERS = 32
 _ORDER_RATIO = Fraction(21, 20)
 
@@ -481,13 +482,13 @@ def bound_curves(table: MomentTable, q: np.ndarray) -> np.ndarray:
 
     q is a non-decreasing float64 array with q[0] > 1. For each q[i] and any
     cell ratio q' >= q[i], min_r (M(r)-1)/(q'^r-1) <= ru[i] over the
-    table's orders r, because the expression is monotone in q'. On the engine's grid one lookup per cell
-    then replaces the whole r search, at a tightness cost bounded by the
-    grid spacing (at most 2^-16 relative). The lower bound needs no curve
-    of its own: 1 - c stepped down is monotone in c, so the best lower
-    candidate belongs to the best upper one, and
-    max_r (1 - (M(r)-1)/(q'^r-1)) >= ulp_dn(1 - ru[i]), which a caller forms
-    where it reads it (ru <= 1, and ru = 1 gives +0.0).
+    table's orders r, because the expression is monotone in q'. On the
+    engine's grid one lookup per cell then replaces the whole r search, at
+    a tightness cost bounded by the grid spacing (at most 2^-16 relative).
+    The lower bound needs no curve of its own: 1 - c stepped down is
+    monotone in c, so the best lower candidate belongs to the best upper
+    one, and max_r (1 - (M(r)-1)/(q'^r-1)) >= ulp_dn(1 - ru[i]), which a
+    caller forms where it reads it (ru <= 1, and ru = 1 gives +0.0).
 
     Order r caps q^r at c_r = min(1e9 M(r), 1e300). q^r is rounded down and
     non-decreasing along q, so the points where it reaches c_r form a

@@ -403,7 +403,8 @@ def test_a_one_reads_the_slot_of_the_exact_quotient(y):
             want = exact_slot(g, Fraction(h) / Fraction(d))
             assert slots[i, j] == want if d == 1.0 else slots[i, j] <= want, (h, d)
     b, _ = engine._smooth_rows(consts.odd, 2**17, True, 1.0)
-    assert np.array_equal(engine._quotient_dn(b.h_dn, np.ones(b.h_dn.size)).view(np.float64), b.h_dn)
+    q = engine._quotient_dn(b.h_dn, np.ones(b.h_dn.size)).view(np.float64)
+    assert np.array_equal(q, b.h_dn)
     assert sum(map(g.__contains__, b.h_dn.tolist())) >= 16
 
 

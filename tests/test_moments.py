@@ -243,13 +243,6 @@ class TestOrders:
             assert v >= acc, r
             assert v <= acc * (1 + mp.mpf(10) ** -10), r
 
-    def test_an_every_order_build_steps_once_per_order(self):
-        # at a gap of 1 the one square is the base: the every-order values
-        # are those of the sparse build at the orders they share up to 32
-        dense = build_moment_table(353, 500, every_order=True)
-        sparse = build_moment_table(353, 500)
-        assert dense.values[:32] == sparse.values[:32]
-
 
 class TestFold:
     """moments.fold_curve and its parts: the log grid bounds, the law of
