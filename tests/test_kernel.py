@@ -274,17 +274,22 @@ def test_ratio_curves_are_monotone(y, r_max):
     assert engine._engine_consts(table, y).ru_at[0] == 1.0
 
 
-@pytest.mark.parametrize("y,r_max,every_order", [
-    (2, 5, False), (3, 20, False), (5, 30, False), (31, 200, False), (353, 60, False),
-    (31, 200, True), (353, 60, True),
-])
-def test_ratio_grids_match_the_per_r_loop_bit_for_bit(y, r_max, every_order):
-    table = build_moment_table(y, r_max, every_order)
+def assert_grids_match_the_per_r_loop(table):
     g, ru, rl = grid_curves(table)
     want_g, want_ru, want_rl = ratio_grids_per_r(table)
     want_ru, want_rl = symmetry_capped(want_g, want_ru, want_rl)
     for got, want in ((g, want_g), (ru, want_ru), (rl, want_rl)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("y,r_max", [(2, 5), (3, 20), (5, 30), (31, 200), (353, 60)])
+def test_ratio_grids_match_the_per_r_loop_bit_for_bit(y, r_max):
+    assert_grids_match_the_per_r_loop(build_moment_table(y, r_max))
+
+
+@pytest.mark.parametrize("y,r_max", [(31, 200), (353, 60)])
+def test_ratio_grids_of_every_order_tables_match_the_per_r_loop(y, r_max):
+    assert_grids_match_the_per_r_loop(build_moment_table(y, r_max, every_order=True))
 
 
 def short_ratios(seed):
@@ -311,10 +316,19 @@ def assert_curves_match_the_oracle(table, q):
 # each table saturates below r_max (the every-order tables at r = 554, 1137,
 # 2113 and 8159), after orders whose 1e9 M(r) passes 1e300, which caps them
 # at 1e300, or overflows
-@pytest.mark.parametrize("every_order", [False, True], ids=["sparse", "every"])
-@pytest.mark.parametrize("y,r_max", [(2, 3000), (7, 3000), (31, 10_000), (353, 10_000)])
-def test_bound_curves_match_the_oracle_on_short_arrays(y, r_max, every_order):
-    table = build_moment_table(y, r_max, every_order)
+SATURATING = [(2, 3000), (7, 3000), (31, 10_000), (353, 10_000)]
+
+
+@pytest.mark.parametrize("y,r_max", SATURATING)
+def test_bound_curves_match_the_oracle_on_short_arrays(y, r_max):
+    table = build_moment_table(y, r_max)
+    assert not math.isfinite(table.values[-1])
+    assert_curves_match_the_oracle(table, short_ratios(y))
+
+
+@pytest.mark.parametrize("y,r_max", SATURATING)
+def test_bound_curves_of_every_order_tables_match_the_oracle(y, r_max):
+    table = build_moment_table(y, r_max, every_order=True)
     assert not math.isfinite(table.values[-1])
     assert_curves_match_the_oracle(table, short_ratios(y))
 
