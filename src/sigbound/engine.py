@@ -373,28 +373,25 @@ def _read(consts: _Consts, s: np.ndarray) -> np.ndarray:
     return consts.ru_at.take(s, mode="clip")
 
 
-def _quotient_dn(num, den: np.ndarray, ones: bool = True,
+def _quotient_dn(num, den: np.ndarray,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """num / den rounded DOWN, for num > 0 and den >= 1, as the int64 view
     of its bits: the rounded quotient, above +0.0, takes a bare step down,
     but where den is exactly 1.0, as h(a) is at a = 1, whose quotient is
-    num itself, exact. With ones False the caller knows that no den is 1.0.
-    `out` may be den."""
-    one = den == 1.0 if ones else None
+    num itself, exact. `out` may be den."""
+    inexact = den != 1.0
     bits = np.divide(num, den, out=out).view(np.int64)
-    bits -= 1
-    if ones:
-        bits += one
+    bits -= inexact
     return bits
 
 
-def _group_read(consts: _Consts, h, h_a: np.ndarray, ones: bool = True) -> np.ndarray:
+def _group_read(consts: _Consts, h, h_a: np.ndarray) -> np.ndarray:
     """The curve read of a group of ratio h (from consts.group_h, one or one
     per a) for the odd a with h(a) <= h_a: ru at h / h_a rounded DOWN (see
-    _quotient_dn, and ones there), at most the q of every cell of the group.
+    _quotient_dn), at most the q of every cell of the group.
     The charge (see _group_charge) and the cells (see _chunk_sums) read it
     here, in the same bits."""
-    s = _quotient_dn(h, h_a, ones)
+    s = _quotient_dn(h, h_a)
     s -= _SLOT_BASE
     return _read(consts, s)
 
@@ -806,9 +803,8 @@ def _chunk_sums(consts: _Consts, b: _Rows, ch: _Chunk):
     covered = fixed_sum(dens_dn, DOWN)
     g = ch.b_group.take(bi)
     h = rows.h_up.take(ai)
-    ones = not ch.a.all()  # a = 1 is the a side's row 0
-    gap = _group_read(consts, consts.group_h.take(g), h, ones)
-    q = _quotient_dn(b.h_dn.take(bi), h, ones, out=h)  # <= h(b)/h(a)
+    gap = _group_read(consts, consts.group_h.take(g), h)
+    q = _quotient_dn(b.h_dn.take(bi), h, out=h)  # <= h(b)/h(a)
     ru = _read(consts, np.subtract(q, _SLOT_BASE))
     q = q.view(np.float64)
     ulp_dn(np.maximum(np.subtract(gap, ru, out=gap), 0.0, out=gap))

@@ -529,8 +529,7 @@ def bound_curves(table: MomentTable, q: np.ndarray) -> np.ndarray:
     # starts at point k
     tail = np.ones(n)
     cand = np.empty(n)
-    # the squares q^(2^j) of a gap past 1; an every-order table needs none
-    square = np.empty(n if orders[-1] > len(orders) else 0)
+    square = np.empty(n)  # the squares q^(2^j) of a gap past 1
     cand_b = cand.view(np.int64)
     m = n
     with np.errstate(over="ignore"):  # q^r and num / d may overflow

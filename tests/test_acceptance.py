@@ -26,10 +26,11 @@ from sigbound.moments import build_moment_table, moment_r1_exact
 # r_max=200, the primes in (31, 1009] folded into the bound curve on a log
 # grid of step 2^-13, the cells of each odd a charged by group off that
 # curve on both sides, (k, C) above and (k, C, R) below, C of the first
-# five odd primes, every total a directed sum in units of 2^-94);
+# five odd primes, every total a directed sum in units of 2^-94, the
+# moment table at the sparse orders of moment_orders(200));
 # full-precision engine outputs:
-#   lower   0.05430786461824297
-#   upper   0.055021258764539706
+#   lower   0.05430786461823624
+#   upper   0.055021258764615354
 #   covered 0.9975129594563145
 DESK_PAIRS = 1608738
 DESK_LOWER_10 = 0.05430786461  # outward (floor) 10 significant digits
@@ -122,8 +123,8 @@ class TestCriterion2DeskBracket:
         ok_envelope = lower >= 0.01 and upper <= 0.25
         ok_regression = (
             r.pair_count == DESK_PAIRS
-            and lower == pytest.approx(0.05430786461824297, rel=1e-9)
-            and upper == pytest.approx(0.055021258764539706, rel=1e-9)
+            and lower == pytest.approx(0.05430786461823624, rel=1e-9)
+            and upper == pytest.approx(0.055021258764615354, rel=1e-9)
         )
         ok_printed = (_outward(lower, True) == DESK_LOWER_10
                       and _outward(upper, False) == DESK_UPPER_10)

@@ -134,6 +134,9 @@ def exact_sums(y, z, table):
 @example(y=3, z=6, r_max=1, level=61)
 @example(y=13, z=3000, r_max=30, level=61)
 @example(y=17, z=3000, r_max=30, level=61)
+# past r_max = 32 the orders have gaps above 1 (see moment_orders)
+@example(y=13, z=3000, r_max=60, level=61)
+@example(y=3, z=2000, r_max=200, level=13)
 def test_bracket_is_on_the_safe_side_of_exact_sums(y, z, r_max, level):
     # level 0 folds nothing; 13 and 61 fold the primes in (y, level]
     table = build_moment_table(max(y, level), r_max)
