@@ -162,20 +162,23 @@ _SLOT_BASE = 0x3FE0_0000_0000_0000 - (1 << _GRID_SHIFT)  # 1/2, one point down
 
 # The level of the moment table run_bounds builds when it is given none, for
 # y <= _FOLD_MAX_Y: the primes in (y, _FOLD_LEVEL] are folded into the bound
-# curve (see _engine_consts). On the 2^-13 log grid of the fold, folding
-# tightened both ends of the bracket at every prime y <= 911 at each of
-# (z, r_max) = (1e5, 500), (1e6, 200) and (1e7, 200); past that the few
-# primes folded gain less than the log grid loses. The change of width,
-# folded minus a table at y (* where one end moved out):
-#     y      (1e5, 500)  (1e6, 200)  (1e7, 200)
-#     809     -3.34e-5    -5.43e-5    -6.01e-5
-#     907     -7.74e-6    -1.53e-5    -1.67e-5
-#     911     -6.32e-6    -1.30e-5    -1.43e-5
-#     919     -4.93e-6 *  -1.09e-5    -1.18e-5
-#     947     +3.87e-7 *  -2.43e-6 *  -2.37e-6 *
-#     997     +8.93e-6 *  +1.12e-5 *  +1.30e-5 *
+# curve (see _engine_consts). On the 2^-14 log grid of the fold, folding
+# tightened both ends of the bracket at every prime 401 <= y <= 967 at each
+# of (z, r_max) = (1e5, 500), (1e6, 200) and (1e6, 2000); past that the few
+# primes folded gain less than the log grid loses. (No y past 127 fits the
+# row budget at z = 1e7, where the sweep of the 2^-13 grid, which stopped at
+# 911, had its third column.) The change of width, folded minus a table at y
+# (* where one end moved out):
+#     y      (1e5, 500)  (1e6, 200)  (1e6, 2000)
+#     809     -3.93e-5    -6.17e-5    -4.07e-5
+#     911     -1.20e-5    -2.02e-5    -1.13e-5
+#     953     -3.68e-6    -7.33e-6    -2.65e-6
+#     967     -2.39e-6    -5.31e-6    -1.32e-6
+#     971     -1.12e-6 *  -3.32e-6    -4.23e-9 *
+#     977     +1.25e-7 *  -1.36e-6    +1.29e-6 *
+#     997     +3.84e-6 *  +4.44e-6 *  +5.10e-6 *
 _FOLD_LEVEL = 1009
-_FOLD_MAX_Y = 911
+_FOLD_MAX_Y = 967
 
 # Row cap of the b table, and so of the odd a side, which holds no more
 # rows (2a is in the b table for every a): a (y, z) past it is refused (see
@@ -267,19 +270,23 @@ def _engine_consts(table: MomentTable, y: int) -> _Consts:
     which gives no upper bound at and below 1.
     """
     odd = tuple(primes_upto(y).tolist()[1:])
-    ru_at = np.ones(_GRID_SIZE + 1)  # behind the sentinel, the curve ru
-    ru = ru_at[1:]
-    above = ru[_ONE_SLOT + 1:]
     if table.y > y:
         hi, s = fold_curve(table, y)
-        first = _slot(ulp_dn(hi))  # of the grid points below hi[k]
-        start, counts = int(first[0]), np.diff(first, append=ru.size)
-        # run_bounds holds the b table here: freed, the grid bounds leave
-        # this build's peak below that of the cell walk
-        del hi, first
-        ru[start:] = np.repeat(s, counts)
+        # _slot(ulp_dn(hi)) counts the grid points below each hi[k]: the
+        # sentinel and the points below hi[0] read 1, those in [hi[k],
+        # hi[k+1]) read s[k]. run_bounds holds the b table here: made by
+        # one np.repeat once the grid bounds and the fold's buffer are
+        # freed, the curve leaves this build's peak below the cell walk's
+        counts = np.diff(_slot(ulp_dn(hi)), prepend=-1, append=_GRID_SIZE)
+        del hi
+        s = np.append(1.0, s)
+        ru_at = np.repeat(s, counts)
+        del s, counts
     else:
-        above[...] = bound_curves(table, _grid(_ONE_SLOT + 1))
+        ru_at = np.ones(_GRID_SIZE + 1)
+        ru_at[_ONE_SLOT + 2:] = bound_curves(table, _grid(_ONE_SLOT + 1))
+    ru = ru_at[1:]  # behind the sentinel, the curve ru
+    above = ru[_ONE_SLOT + 1:]
     np.minimum(above, 0.5, out=above)
     k = int(np.argmax(ru < 1.0))  # ru is non-increasing
     w_lower = float(_grid(k, k + 1)[0]) if ru[k] < 1.0 else math.inf

@@ -13,13 +13,13 @@ Every evaluation is UP-directed so the tabulated numbers are certificates.
 A table holds an increasing tuple of orders, starting at 1, and one value
 per order. The curve is a min over the orders, and the best order moves
 slowly with q, so a run needs few of them: build_moment_table takes every
-order up to _DENSE_ORDERS = 32 and then ceil(32 (21/20)^k) for k = 1, 2,
-... below r_max, and r_max itself (moment_orders: 70 orders at r_max =
-200, 89 at 500, 117 at 2000). The orders left out only drop candidates of
+order up to _DENSE_ORDERS = 48 and then ceil(48 (21/20)^k) for k = 1, 2,
+... below r_max, and r_max itself (moment_orders: 78 orders at r_max =
+200, 96 at 500, 125 at 2000). The orders left out only drop candidates of
 a min, so each bound stays a certificate and can only rise: each end of
-the engine's bracket moved out by at most 1.0e-13 at r_max <= 500 and
-4.4e-10 at 2000, at the settings measured (see _ORDER_RATIO). lambda asks
-for every order 1..r_max.
+the engine's bracket moved out by at most 9.3e-14 at r_max <= 500 and
+1.5e-10 at 2000, at the settings measured on the fold's 2^-14 log step
+(see _ORDER_RATIO). lambda asks for every order 1..r_max.
 
 The loop over the orders moves (1 + 1/p)^r UP and (1 - 1/p)^(r-1) DOWN
 from one order to the next by the power of the gap: it multiplies by the
@@ -90,8 +90,9 @@ X = X1 + X2 with X1 = log h(A1) - log h(B1).
 4. The other side: by step 2, P(X < t) = P(X > -t) <= S(-t), so
    P(X >= t) >= 1 - S(-t). One curve gives both bounds of every cell,
    U = S(log q) and L = 1 - S(log w), on either side of q = 1.
-fold_curve evaluates S UP on a grid of base-2 logs with one shift-add per
-atom (see there); at Y2 = y there is nothing to fold.
+fold_curve evaluates S UP on a grid of base-2 logs, of step 2^-_LOG_BITS
+= 2^-14, with one shift-add per atom (see there); at Y2 = y there is
+nothing to fold.
 
 The rounding of the fold. _fold folds law k, of m_k offsets, in m_k
 round-to-nearest multiplies and m_k - 1 adds, with no directed step, and
@@ -243,19 +244,27 @@ _TAIL_RATE = Fraction(16623114, 10**13)  # 1.6623114e-6
 # The orders of a table run_bounds builds (see moment_orders): every order
 # up to _DENSE_ORDERS, then the ceilings of _DENSE_ORDERS _ORDER_RATIO^k,
 # distinct only while _DENSE_ORDERS (_ORDER_RATIO - 1) >= 1. Against the
-# every-order table, each end of run_bounds' bracket moved out by at most
-# 7.6e-14 at (y, z, r_max) = (31, 1e8, 200), 1.0e-13 at (353, 1e5, 500),
-# 4.2e-10 at (13, 1e9, 2000), 3.2e-10 at (2, 1e15, 2000) and 4.4e-10 at
-# (31, 1e8, 2000). Distinct ceilings at a ratio of 1.02 cut these moves
-# 3-4x, with 1.7-2x the orders.
-_DENSE_ORDERS = 32
+# every-order table, on the fold's 2^-14 log step, each end of run_bounds'
+# bracket moved out by at most 6.6e-14 at (y, z, r_max) = (31, 1e8, 200),
+# 9.3e-14 at (353, 1e5, 500), 1.5e-10 at (13, 1e9, 2000), 8.9e-11 at (2,
+# 1e15, 2000), 7.4e-11 at (31, 1e8, 2000) and 4.8e-9 at (13, 1e9, 4000).
+# From 32 dense orders (70 at r_max = 200, 117 at 2000) the move at (2,
+# 1e15, 2000) was 5.03e-10 on that step, against 3.2e-10 on the 2^-13 one;
+# 48 add 8 orders at 2000, and the table build at level 1009 and r_max =
+# 500 (wide's) takes about 0.3 ms more, 6.3 against 6.0 ms. On the 2^-13
+# step, distinct ceilings at a ratio of 1.02 cut the moves 3-4x, with
+# 1.7-2x the orders.
+_DENSE_ORDERS = 48
 _ORDER_RATIO = Fraction(21, 20)
 
 # The grid of fold_curve: point i is log2 q = i 2^-_LOG_BITS, for
-# |i| <= _LOG_HALF = 2^(_LOG_BITS + 1), so log2 q spans [-2, 2] (the ratios
-# [1/4, 4]) in 2^(_LOG_BITS + 2) + 1 points.
-_LOG_BITS = 13
-_LOG_HALF = 2 << _LOG_BITS
+# |i| <= 2^(_LOG_BITS + 1), so log2 q spans [-2, 2] (the ratios [1/4, 4])
+# in 2^(_LOG_BITS + 2) + 1 points. A finer step reads each atom nearer its
+# exact offset: from 2^-13 to 2^-14 the width of (31, 1e8, 200) fell from
+# 7.13e-4 to 6.71e-4, of (2, 1e15, 2000) from 4.17e-4 to 3.33e-4 and of
+# (13, 1e9, 4000) from 3.47e-4 to 2.93e-4, for twice the fold's arrays and
+# time. The engine's grid, its points a factor 1 + 2^-16 apart, stays finer.
+_LOG_BITS = 14
 
 # A folded prime's atoms past the first stop below this mass; the rest of
 # each side is read where it bounds them all (see _law).
@@ -555,21 +564,28 @@ def bound_curves(table: MomentTable, q: np.ndarray) -> np.ndarray:
     return ru
 
 
-def _pow2_bounds(bits: int, n: int):
-    """(lo, hi), increasing, with lo[k] <= 2^(i 2^-bits) <= hi[k] for
-    i = k - n in -n .. n.
+def _pow2_bounds(bits: int):
+    """(lo, hi), increasing, on the log grid of step 2^-bits over [-2, 2]:
+    lo[i] <= 2^(i 2^-bits) for i = 0 .. n and hi[k] >= 2^(i 2^-bits) for
+    i = k - n in -n .. n, n = 2^(bits + 1). No fold reads lo below i = 0.
 
     With e[j] >= 2^(j 2^-bits) from exp_up for j = 0 .. 2^bits, made
     non-decreasing, hi is 2^d e[j] and lo is 2^(d+1) times 1 / e[2^bits -
-    j], stepped down, for i = d 2^bits + j.
+    j], stepped down, for i = d 2^bits + j: each run of 2^bits points is one
+    array scaled by a power of 2, exactly.
     """
     one = 1 << bits
     e = exp_up(ulp_up(np.arange(one + 1) * (LN2_UP / one)))  # one: a power of 2
     e[0], e[one] = 1.0, 2.0
     np.maximum.accumulate(e, out=e)
-    i = np.arange(-n, n + 1)
-    d, j = i >> bits, i & (one - 1)
-    return np.ldexp(ulp_dn(1.0 / e[one - j]), d + 1), np.ldexp(e[j], d)
+    inv = ulp_dn(1.0 / e[:0:-1])  # inv[j] <= 1 / e[one - j]
+    lo, hi = np.empty(2 * one + 1), np.empty(4 * one + 1)
+    for d in (-2, -1, 0, 1):
+        np.ldexp(e[:one], d, out=hi[(d + 2) * one:(d + 3) * one])
+        if d >= 0:
+            np.ldexp(inv, d + 1, out=lo[d * one:(d + 1) * one])
+    lo[-1], hi[-1] = np.ldexp(inv[0], 3), 4.0
+    return lo, hi
 
 
 def _law(p: int, lo: np.ndarray, hi: np.ndarray, cutoff: Fraction):
@@ -610,29 +626,36 @@ def _law(p: int, lo: np.ndarray, hi: np.ndarray, cutoff: Fraction):
     return tuple((off, ratio_up(m, pk * p)) for off, m in sorted(mass.items()))
 
 
-def _fold(f: np.ndarray, laws) -> np.ndarray:
-    """The curve f, non-increasing and at most 1, on a log grid, folded
-    with each law of _law in turn: point i of the result is at least the
-    sum of mass * f[i + offset] over the exact masses of the law, with f
-    read as 1 below the grid and as its last point above it.
+def _fold_pad(laws) -> int:
+    """The points _fold reads past each end of its curve."""
+    return max((abs(off) for law in laws for off, _ in law), default=0)
+
+
+def _fold(buf: np.ndarray, pad: int, laws) -> np.ndarray:
+    """The curve f = buf[pad:buf.size - pad], non-increasing and at most 1,
+    on a log grid, folded with each law of _law in turn: point i of the
+    result is at least the sum of mass * f[i + offset] over the exact
+    masses of the law, with f read as 1 below the grid and as its last
+    point above it. pad is _fold_pad(laws), buf[:pad] must be 1, and buf is
+    overwritten; the result is a view of buf or of the one other buffer of
+    its size.
 
     Each law is m round-to-nearest multiplies and m - 1 adds, m its offsets,
-    between two padded buffers that swap roles, on the points that read
-    more than 1s; one slack 1 + 4 M 2^-53, M the offsets of all laws,
+    between the two padded buffers, which swap roles, on the points that
+    read more than 1s; one slack 1 + 4 M 2^-53, M the offsets of all laws,
     rounded UP, covers the rounding (see the rounding of the fold in the
     module docstring). Raises AssertionError if a product could leave the
     normal doubles.
     """
+    n = buf.size - 2 * pad
+    f = buf[pad:pad + n]
     if not laws:
-        return f.copy()
-    n = f.size
-    pad = max(abs(off) for law in laws for off, _ in law)
+        return f
     least = min(mass for law in laws for _, mass in law)
     if not float(f.min()) * least >= 2.0**-1021:
         raise AssertionError("fold product below the normal doubles; this is a bug")
     ones = n - int(np.count_nonzero(f < 1.0))  # f[:ones] is all 1
-    src, dst = np.ones(n + 2 * pad), np.ones(n + 2 * pad)
-    src[pad:pad + n] = f
+    src, dst = buf, np.ones(buf.size)
     tmp = np.empty(n)
     for law in laws:
         src[pad + n:] = src[pad + n - 1]
@@ -648,7 +671,8 @@ def _fold(f: np.ndarray, laws) -> np.ndarray:
             acc += part
         src, dst = dst, src
     slack = 1.0 + 4.0 * sum(map(len, laws)) * 2.0**-53
-    return ulp_up(np.multiply(src[pad:pad + n], slack))
+    out = src[pad:pad + n]
+    return ulp_up(np.multiply(out, slack, out=out))
 
 
 def fold_curve(table: MomentTable, y: int):
@@ -659,13 +683,16 @@ def fold_curve(table: MomentTable, y: int):
     the lemma). s is non-increasing and at most 1.
 
     S lives on base-2 logs, point i at log2 q = i 2^-_LOG_BITS for
-    |i| <= _LOG_HALF, with the bounds (lo, hi) of _pow2_bounds: g is the
-    capped moment curve of the table at lo, and each prime in (y, table.y]
-    folds in by _fold.
+    |i| <= n = 2^(_LOG_BITS + 1), with the bounds (lo, hi) of _pow2_bounds:
+    g is the capped moment curve of the table at lo, built in the buffer
+    the fold pads, and each prime in (y, table.y] folds in by _fold.
     """
-    n = _LOG_HALF
-    lo, hi = _pow2_bounds(_LOG_BITS, n)
-    g = np.ones(2 * n + 1)
-    g[n + 1:] = np.minimum(bound_curves(table, lo[n + 1:]), 0.5)
-    laws = [_law(p, lo[n:], hi[n:], _FOLD_CUTOFF) for p in primes_upto(table.y).tolist() if p > y]
-    return hi, np.minimum(_fold(g, laws), 1.0)
+    n = 2 << _LOG_BITS
+    lo, hi = _pow2_bounds(_LOG_BITS)
+    laws = [_law(p, lo, hi[n:], _FOLD_CUTOFF) for p in primes_upto(table.y).tolist() if p > y]
+    pad = _fold_pad(laws)
+    buf = np.ones(2 * (n + pad) + 1)
+    g = buf[pad + n + 1:pad + 2 * n + 1]
+    np.minimum(bound_curves(table, lo[1:]), 0.5, out=g)
+    s = _fold(buf, pad, laws)
+    return hi, np.minimum(s, 1.0, out=s)

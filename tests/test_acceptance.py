@@ -24,18 +24,19 @@ from sigbound.moments import build_moment_table, moment_r1_exact
 
 # canonical desk-scale regression values (any thread count, y=31, z=1e8,
 # r_max=200, the primes in (31, 1009] folded into the bound curve on a log
-# grid of step 2^-13, the cells of each odd a charged by group off that
+# grid of step 2^-14, the cells of each odd a charged by group off that
 # curve on both sides, (k, C) above and (k, C, R) below, C of the first
 # five odd primes, every total a directed sum in units of 2^-94, the
 # moment table at the sparse orders of moment_orders(200));
 # full-precision engine outputs:
-#   lower   0.05430786461823624
-#   upper   0.055021258764615354
+#   lower   0.05432959110011503
+#   upper   0.05500015912172019
 #   covered 0.9975129594563145
 DESK_PAIRS = 1608738
-DESK_LOWER_10 = 0.05430786461  # outward (floor) 10 significant digits
-DESK_UPPER_10 = 0.05502125877  # outward (ceiling) 10 significant digits
-# The brackets of four group primes, of three group primes whose lower side
+DESK_LOWER_10 = 0.0543295911  # outward (floor) 10 significant digits
+DESK_UPPER_10 = 0.05500015913  # outward (ceiling) 10 significant digits
+# The brackets of the fold's 2^-13 log step (at the sparse orders from 32
+# dense ones), of four group primes, of three group primes whose lower side
 # charged no group, of
 # the fold's 2^-12 log step, of the groups by k alone, of
 # the folded curve that charged the unenumerated tail at 1, of the capped
@@ -43,6 +44,8 @@ DESK_UPPER_10 = 0.05502125877  # outward (ceiling) 10 significant digits
 # cap tightened, of the geometric ratio grid that the bit grid replaced,
 # and of the per-cell summation that the chunked sums replaced, each inside
 # the next: a change may tighten the bracket but never leave any one.
+LOG13_LOWER = 0.05430786461823624
+LOG13_UPPER = 0.055021258764615354
 FOUR_LOWER = 0.054286232433012546
 FOUR_UPPER = 0.05504595026642775
 NO_LOWER_LOWER = 0.0542058855882322
@@ -123,12 +126,13 @@ class TestCriterion2DeskBracket:
         ok_envelope = lower >= 0.01 and upper <= 0.25
         ok_regression = (
             r.pair_count == DESK_PAIRS
-            and lower == pytest.approx(0.05430786461823624, rel=1e-9)
-            and upper == pytest.approx(0.055021258764615354, rel=1e-9)
+            and lower == pytest.approx(0.05432959110011503, rel=1e-9)
+            and upper == pytest.approx(0.05500015912172019, rel=1e-9)
         )
         ok_printed = (_outward(lower, True) == DESK_LOWER_10
                       and _outward(upper, False) == DESK_UPPER_10)
-        ok_inside = (lower >= FOUR_LOWER and upper <= FOUR_UPPER
+        ok_inside = (lower >= LOG13_LOWER and upper <= LOG13_UPPER
+                     and LOG13_LOWER >= FOUR_LOWER and LOG13_UPPER <= FOUR_UPPER
                      and FOUR_LOWER >= NO_LOWER_LOWER and FOUR_UPPER <= NO_LOWER_UPPER
                      and NO_LOWER_LOWER >= LOG12_LOWER and NO_LOWER_UPPER <= LOG12_UPPER
                      and LOG12_LOWER >= KGROUP_LOWER and LOG12_UPPER <= KGROUP_UPPER
@@ -146,7 +150,8 @@ class TestCriterion2DeskBracket:
             f"proxy {EMPIRICAL_PROXY} inside with 1e-4 slack: {ok_proxy}; "
             f"envelope [0.01, 0.25]: {ok_envelope}; regression fixtures: {ok_regression}; "
             f"printed [{DESK_LOWER_10}, {DESK_UPPER_10}]: {ok_printed}; "
-            f"inside [{FOUR_LOWER}, {FOUR_UPPER}] inside "
+            f"inside [{LOG13_LOWER}, {LOG13_UPPER}] inside "
+            f"[{FOUR_LOWER}, {FOUR_UPPER}] inside "
             f"[{NO_LOWER_LOWER}, {NO_LOWER_UPPER}] inside "
             f"[{LOG12_LOWER}, {LOG12_UPPER}] inside "
             f"[{KGROUP_LOWER}, {KGROUP_UPPER}] inside "
@@ -189,6 +194,18 @@ class TestCriterion2DeskBracket:
         report(ok, "criterion 8",
                f"bounds y={y} z={z} rmax=2000: [{data['lower']}, {data['upper']}] inside "
                f"[0.0539171, 0.0549446] in {elapsed:.2f}s")
+
+    def test_cli_certifies_a_frontier_width(self, capsys):
+        # the fold's 2^-14 log step certifies 2.93e-4 at (13, 1e9, 4000),
+        # where the 2^-13 step gave 3.47e-4 at any r_max up to 10,000
+        data, elapsed = run_cli_json(capsys, "bounds", "--y", "13", "--z", "1e9",
+                                     "--rmax", "4000", "--format", "json")
+        width = data["upper"] - data["lower"]
+        ok = (data["certified"] is True and data["lower"] >= 0.0539171
+              and data["upper"] <= 0.0549446 and width <= 3.0e-4)
+        report(ok, "criterion 8",
+               f"bounds y=13 z=1e9 rmax=4000: [{data['lower']}, {data['upper']}], width "
+               f"{width:.4e} <= 3.0e-4 in {elapsed:.2f}s")
 
 
 class TestCriterion3TheoremConsistency:

@@ -434,9 +434,10 @@ class TestRunBounds:
         with pytest.raises(InvalidParameterError):
             run_bounds(31, 100, 10, table=build_moment_table(3, 10))
 
-    def test_default_table_folds_up_to_y_911(self):
-        # with no table, a run at y <= 911 folds the primes in (y, 1009]
-        for y, level in ((911, 1009), (919, 919)):
+    def test_default_table_folds_up_to_the_fold_max_y(self):
+        # with no table, a run at y <= 967 folds the primes in (y, 1009]
+        assert engine._FOLD_MAX_Y == 967
+        for y, level in ((967, 1009), (971, 971)):
             table = build_moment_table(level, 20)
             got, want = run_bounds(y, 10**4, 20), run_bounds(y, 10**4, 20, table=table)
             assert (got.lower_total, got.upper_total) == (want.lower_total, want.upper_total)

@@ -3,16 +3,22 @@ curves.
 
 A run given no table builds one at the sparse orders of
 `moments.moment_orders`; its totals are pinned, and so are those of the
-same run given an every-order table, which are the pins below from
-before the sparse orders, bit for bit. The sparse orders drop candidates
+same run given an every-order table. The sparse orders drop candidates
 of the curve's min, so each end of a run moves out, by at most 1e-12 at
-r_max <= 500 and 5e-10 at r_max = 2000: the every-order bracket lies
-inside the sparse one, and the sparse one inside every outer bound but
-those that read the quotients at a = 1 one slot low (see below), which
-lie less far out than the orders move. The table digests pin every-order
-tables; the digests of sparse tables are pinned apart.
+the settings of r_max <= 500 pinned here and 5e-10 at r_max = 2000 (a
+table at y moves more: 4.5e-12 at (997, 1e5, 500)): the every-order
+bracket lies inside the sparse one, and the sparse one inside every outer
+bound. The
+table digests pin every-order tables; the digests of sparse tables are
+pinned apart, at the order set of today and at the one that began with
+32 dense orders.
 
-The every-order totals were taken when the group primes went from four to five and
+Both kinds of run fold on the 2^-14 log step. Those of the 2^-13 log step,
+the sparse one at the orders from 32 dense ones, stay pinned as outer
+bounds (`LOG13_*`; the every-order ones are the pins from before the sparse
+orders, bit for bit), and so do their folded curves, as digests of the
+curves the fold still builds on that step. The 2^-13 every-order totals
+were taken when the group primes went from four to five and
 every total became a directed sum in units of 2^-94 (`dirround.fixed_sum`:
 the covered mass, the lower terms and the savings floored, the upper
 charges ceiled). At four group primes that sum moved no bit of the exact
@@ -23,9 +29,10 @@ tail lemma); the lower side by group (k, C, R), R whether b has an odd
 prime past them, each at one lower read; a run given no table folds the
 primes in (y, 1009] into its bound curve (the fold lemma), and a run given
 a table at y folds nothing, and each is pinned, as are the totals with no
-group prime. Each quotient by h(a) = 1.0, at a = 1, is exact. Eleven
+group prime. Each quotient by h(a) = 1.0, at a = 1, is exact. Twelve
 earlier sets of totals stay pinned as outer bounds, each at least as loose
-as the one after it: those that read such a quotient one slot low where it
+as the one after it: those of the 2^-13 log step (above); those that read
+such a quotient one slot low where it
 is a grid point; those of four group primes, taken
 when the lower side began to charge the cells of each odd a by group too
 (the lower tail lemma in `sigbound.moments`); those of three group primes whose
@@ -67,16 +74,14 @@ from sigbound.moments import bound_curves, build_moment_table
 TOTALS = ("lower_total", "upper_total", "covered_lo")
 
 # The totals of a run given no table, at the sparse orders.
-GOLDEN_31 = ("0x1.b1b17c50bcf03p-5", "0x1.ccb579de0c577p-5", "0x1.f21b4df9c19e8p-1")
-GOLDEN_353 = ("0x1.dc705a151394cp-6", "0x1.066969d3b48d3p-3", "0x1.331ad00ec0cccp-1")
-GOLDEN_2 = ("0x1.bd600da068c4ap-5", "0x1.c20e747b4705bp-5", "0x1.fffffffffffeep-1")
-GOLDEN_3 = ("0x1.bda12c7af9665p-5", "0x1.c22ba1fb34d42p-5", "0x1.fffcce11ac84fp-1")
+GOLDEN_31 = ("0x1.b1de71e04df07p-5", "0x1.cc892dbb67ffbp-5", "0x1.f21b4df9c19e8p-1")
+GOLDEN_353 = ("0x1.dc8a4ba5f89b7p-6", "0x1.0665931fcc64bp-3", "0x1.331ad00ec0cccp-1")
+GOLDEN_2 = ("0x1.bdcf163b7ca8bp-5", "0x1.c1cc20172535dp-5", "0x1.fffffffffffeep-1")
+GOLDEN_3 = ("0x1.bdeb2df63c39fp-5", "0x1.c1dcf82a048eap-5", "0x1.fffcce11ac84fp-1")
 
 # The totals of the same runs given an every-order table at level 1009.
-EVERY_31 = ("0x1.b1b17c50bd2adp-5", "0x1.ccb579de09ad2p-5",
-            "0x1.f21b4df9c19e8p-1")
-EVERY_353 = ("0x1.dc705a15149c4p-6", "0x1.066969d3b3ac9p-3",
-             "0x1.331ad00ec0cccp-1")
+EVERY_31 = ("0x1.b1de71e04e2b0p-5", "0x1.cc892dbb65a9bp-5", "0x1.f21b4df9c19e8p-1")
+EVERY_353 = ("0x1.dc8a4ba5f97acp-6", "0x1.0665931fcb941p-3", "0x1.331ad00ec0cccp-1")
 # y = 2 has no odd prime: one b class, one mask word of zeros, and no group
 # prime, so its groups are those of k alone. y = 3 has one, so the fifth
 # group prime moved neither. At y = 2 with
@@ -84,13 +89,27 @@ EVERY_353 = ("0x1.dc705a15149c4p-6", "0x1.066969d3b3ac9p-3",
 # moves the upper end by no more than that. Its lower groups (k, {}, {})
 # each hold one cell, (1, 2^k), enumerated, and the charge of each is that
 # cell's lower term bit for bit: the lower groups move no bit at y = 2.
-EVERY_2 = ("0x1.bd600da069018p-5", "0x1.c20e747b445c0p-5", "0x1.fffffffffffeep-1")
-EVERY_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22ba1fb322bfp-5", "0x1.fffcce11ac84fp-1")
+EVERY_2 = ("0x1.bdcf163b7ceb1p-5", "0x1.c1cc201722e03p-5", "0x1.fffffffffffeep-1")
+EVERY_3 = ("0x1.bdeb2df63c770p-5", "0x1.c1dcf82a0239ap-5", "0x1.fffcce11ac84fp-1")
 
 # The totals with no group prime, the groups by k (and R on the lower side)
 # alone, given an every-order table.
-NO_GROUP_31 = ("0x1.ad1a023c7c919p-5", "0x1.dc538b8659d42p-5", "0x1.f21b4df9c19e8p-1")
-NO_GROUP_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22ba35ccac58p-5", "0x1.fffcce11ac84fp-1")
+NO_GROUP_31 = ("0x1.ad4678a191dbdp-5", "0x1.dc25dbd672cecp-5", "0x1.f21b4df9c19e8p-1")
+NO_GROUP_3 = ("0x1.bdeb2df63c770p-5", "0x1.c1dcf98a71fa9p-5", "0x1.fffcce11ac84fp-1")
+
+# The totals of the 2^-13 log step: of a run given no table, at the sparse
+# orders from 32 dense ones (LOG13), given an every-order table
+# (LOG13_EVERY), and given one with no group prime (LOG13_NO_GROUP).
+LOG13_31 = ("0x1.b1b17c50bcf03p-5", "0x1.ccb579de0c577p-5", "0x1.f21b4df9c19e8p-1")
+LOG13_353 = ("0x1.dc705a151394cp-6", "0x1.066969d3b48d3p-3", "0x1.331ad00ec0cccp-1")
+LOG13_2 = ("0x1.bd600da068c4ap-5", "0x1.c20e747b4705bp-5", "0x1.fffffffffffeep-1")
+LOG13_3 = ("0x1.bda12c7af9665p-5", "0x1.c22ba1fb34d42p-5", "0x1.fffcce11ac84fp-1")
+LOG13_EVERY_31 = ("0x1.b1b17c50bd2adp-5", "0x1.ccb579de09ad2p-5", "0x1.f21b4df9c19e8p-1")
+LOG13_EVERY_353 = ("0x1.dc705a15149c4p-6", "0x1.066969d3b3ac9p-3", "0x1.331ad00ec0cccp-1")
+LOG13_EVERY_2 = ("0x1.bd600da069018p-5", "0x1.c20e747b445c0p-5", "0x1.fffffffffffeep-1")
+LOG13_EVERY_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22ba1fb322bfp-5", "0x1.fffcce11ac84fp-1")
+LOG13_NO_GROUP_31 = ("0x1.ad1a023c7c919p-5", "0x1.dc538b8659d42p-5", "0x1.f21b4df9c19e8p-1")
+LOG13_NO_GROUP_3 = ("0x1.bda12c7af9a36p-5", "0x1.c22ba35ccac58p-5", "0x1.fffcce11ac84fp-1")
 
 # The totals of an every-order table at y, the capped curve that folds
 # nothing. Its lower side is 0 at y <= 3, where no cell's w reaches a point
@@ -244,9 +263,12 @@ def test_totals_y31(threads):
     assert total_bits(every_order_run(31, 10**6, 200, threads=threads)) == EVERY_31
     assert_close(GOLDEN_31, EVERY_31, 1e-12)
     assert_within(EVERY_31, GOLDEN_31)
-    assert_within(GOLDEN_31, FOUR_31)
+    assert_within(GOLDEN_31, LOG13_EVERY_31)
     assert_within(EVERY_31, NO_GROUP_31)
-    assert_within(EVERY_31, SLOT_LOW_31)
+    assert_within(LOG13_EVERY_31, LOG13_31)
+    assert_within(LOG13_31, FOUR_31)
+    assert_within(LOG13_EVERY_31, LOG13_NO_GROUP_31)
+    assert_within(LOG13_EVERY_31, SLOT_LOW_31)
     assert_within(SLOT_LOW_31, FOUR_31)
     assert_within(FOUR_31, NO_LOWER_31)
     assert_within(NO_LOWER_31, LOG12_31)
@@ -266,8 +288,9 @@ def test_totals_y353():
     assert total_bits(every_order_run(353, 10**5, 500)) == EVERY_353
     assert_close(GOLDEN_353, EVERY_353, 1e-12)
     assert_within(EVERY_353, GOLDEN_353)
-    assert_within(GOLDEN_353, FOUR_353)
-    assert_within(EVERY_353, FOUR_353)
+    assert_within(GOLDEN_353, LOG13_EVERY_353)
+    assert_within(LOG13_EVERY_353, LOG13_353)
+    assert_within(LOG13_353, FOUR_353)
     assert_within(FOUR_353, NO_LOWER_353)
     assert_within(NO_LOWER_353, LOG12_353)
     assert_within(LOG12_353, KGROUP_353)
@@ -279,20 +302,24 @@ def test_totals_y353():
     assert_within(DIVIDED_353, CHUNKED_353)
 
 
-@pytest.mark.parametrize("y,z,r_max,pairs,golden,every,outer", [
-    (2, 10**15, 200, 49, GOLDEN_2, EVERY_2, (SLOT_LOW_2, LOG12_2, FOLDED_2, CAPPED_2)),
-    (3, 10**6, 200, 239, GOLDEN_3, EVERY_3,
+@pytest.mark.parametrize("y,z,r_max,pairs,golden,every,log13,outer", [
+    (2, 10**15, 200, 49, GOLDEN_2, EVERY_2, (LOG13_2, LOG13_EVERY_2),
+     (SLOT_LOW_2, LOG12_2, FOLDED_2, CAPPED_2)),
+    (3, 10**6, 200, 239, GOLDEN_3, EVERY_3, (LOG13_3, LOG13_EVERY_3),
      (SLOT_LOW_3, NO_LOWER_3, LOG12_3, KGROUP_3, FOLDED_3, CAPPED_3, UNCAPPED_3)),
 ], ids=["2-1e15", "3-1e6"])
-def test_totals_few_odd_primes(y, z, r_max, pairs, golden, every, outer):
+def test_totals_few_odd_primes(y, z, r_max, pairs, golden, every, log13, outer):
     report = run_bounds(y, z, r_max, threads=1)
     assert report.pair_count == pairs
     assert total_bits(report) == golden
     assert total_bits(every_order_run(y, z, r_max)) == every
     assert_close(golden, every, 1e-12)
     assert_within(every, golden)
-    assert_within(golden, outer[1])
-    for inner, bound in zip((every, *outer), outer):
+    log13, log13_every = log13
+    assert_within(golden, log13_every)
+    assert_within(log13_every, log13)
+    assert_within(log13, outer[1])
+    for inner, bound in zip((log13_every, *outer), outer):
         assert_within(inner, bound)
 
 
@@ -321,17 +348,20 @@ def test_a_table_at_y_folds_nothing(y, z, r_max, at_y, outer):
         assert_within(inner, bound)
 
 
-@pytest.mark.parametrize("y,z,r_max,no_group,slot_low,no_lower,kgroup", [
-    (31, 10**6, 200, NO_GROUP_31, SLOT_LOW_NO_GROUP_31, NO_LOWER_NO_GROUP_31, KGROUP_31),
-    (3, 10**6, 200, NO_GROUP_3, SLOT_LOW_NO_GROUP_3, NO_LOWER_NO_GROUP_3, KGROUP_3),
+@pytest.mark.parametrize("y,z,r_max,no_group,log13,slot_low,no_lower,kgroup", [
+    (31, 10**6, 200, NO_GROUP_31, LOG13_NO_GROUP_31, SLOT_LOW_NO_GROUP_31, NO_LOWER_NO_GROUP_31,
+     KGROUP_31),
+    (3, 10**6, 200, NO_GROUP_3, LOG13_NO_GROUP_3, SLOT_LOW_NO_GROUP_3, NO_LOWER_NO_GROUP_3,
+     KGROUP_3),
 ], ids=["31-1e6", "3-1e6"])
-def test_no_group_primes_leaves_the_groups_by_k_alone(y, z, r_max, no_group, slot_low, no_lower,
-                                                       kgroup, monkeypatch):
+def test_no_group_primes_leaves_the_groups_by_k_alone(y, z, r_max, no_group, log13, slot_low,
+                                                       no_lower, kgroup, monkeypatch):
     # with no group prime every upper group is (k, {}), weighed 2^-k
     # exactly, and every lower one (k, {}, R)
     monkeypatch.setattr(engine, "_GROUP_PRIMES", 0)
     assert total_bits(every_order_run(y, z, r_max)) == no_group
-    assert_within(no_group, slot_low)
+    assert_within(no_group, log13)
+    assert_within(log13, slot_low)
     assert_within(slot_low, no_lower)
     assert_within(no_lower, kgroup)
 
@@ -356,30 +386,40 @@ def test_table_y157():
     assert table_digest(table) == "e020b697837621510e850ac1e4ce3f7d9405565e20a3e808852143a314329dcb"
 
 
-@pytest.mark.parametrize("y,r_max,digest", [
+@pytest.mark.parametrize("y,r_max,digest,dense32", [
     # at y = 2 the factor of p = 3 is mostly its r / den term at large r,
     # so these bits follow each step of (1 - 1/p)^(r-1)
-    (2, 500, "89886b3b56af5c727bdb18c92cb0978ebb7c8f18cc1d719a630f43e0984ad508"),
-    (353, 500, "329f000bd080113d7ddea28d2b9d5986ccac49b2d3b7128f67c3a666792c479a"),
-    (1009, 4000, "bae8c14f02bb84c5384b2b6f6b336a9561df25d0b16633b7d2d131fa1f5c1b3a"),
+    (2, 500, "72d7c05c6af1319ddcf592127dbc63d8e530b2bc80dfcb2dc4e5a1d97f4a4bc5",
+     "89886b3b56af5c727bdb18c92cb0978ebb7c8f18cc1d719a630f43e0984ad508"),
+    (353, 500, "70a01ad247c2ce5c0b86d0929b9c37784447d9435389980e9582d6fca3e128ba",
+     "329f000bd080113d7ddea28d2b9d5986ccac49b2d3b7128f67c3a666792c479a"),
+    (1009, 4000, "970fd3f6fda746027e4394c4da6a869f8ff33055ea50276d504586e018794814",
+     "bae8c14f02bb84c5384b2b6f6b336a9561df25d0b16633b7d2d131fa1f5c1b3a"),
 ], ids=["2-500", "353-500", "1009-4000"])
-def test_sparse_tables(y, r_max, digest):
+def test_sparse_tables(y, r_max, digest, dense32, monkeypatch):
     table = build_moment_table(y, r_max)
     assert table.orders == moments.moment_orders(r_max)
     assert table_digest(table) == digest
+    # and the tables of the order set that began with 32 dense orders
+    monkeypatch.setattr(moments, "_DENSE_ORDERS", 32)
+    assert table_digest(build_moment_table(y, r_max)) == dense32
 
 
-@pytest.mark.parametrize("y,r_max,digest,uncapped,folded,sparse", [
+@pytest.mark.parametrize("y,r_max,digest,uncapped,folded,sparse,log13", [
     (31, 200, "053c86a34b3334f29819fc120e2692eca623307ef00cd445ebea0a411b3dc31c",
      "82964e01e853e41d110f691bcb1c1be64a85c46fea4066cd91edcc7bcba5ec08",
-     "8908454383a1b3c2bd460e71e4cf570fb6d370a099eaca3c0258d43b34cd4460",
-     "cd73f7032405ec3a02bf577f778160e1184a2a67e3358d3bd3380daf113df10f"),
+     "b33c4daf9b085ef43157ac11846503b1edd55fba2b572440cf3eefce4ae0cca9",
+     "a08ab8beef14a9d3d90106bfb87686f97ed7043e7689322df69171afdfbab7c6",
+     ("8908454383a1b3c2bd460e71e4cf570fb6d370a099eaca3c0258d43b34cd4460",
+      "cd73f7032405ec3a02bf577f778160e1184a2a67e3358d3bd3380daf113df10f")),
     (353, 500, "cb079a3bef4475d6b2a1b02113582f2334c4710107b968662ce192e892ea5d4d",
      "b4e8a11c61d02ae1920f634e4e751ba3af69a19093cc2aa170b52a20bdec152f",
-     "7a5dcbbfb34b21dc0741ef0d7a2ae273a69d86551b0f37d07828949a4689c0d5",
-     "89d792a46c43d2e3e91a8eac8308b43ff110c6dc339e20bafbc3e4fc161f8edb"),
+     "29b07e3fe9969aae8552d0b1195f5f8120a83eda2ee27b5c620a4522e56cbeb8",
+     "98f9ccfae7a3de0f59c5dd185f9c1fb4b6da935ddeae0a5778c5f79e5c6b504c",
+     ("7a5dcbbfb34b21dc0741ef0d7a2ae273a69d86551b0f37d07828949a4689c0d5",
+      "89d792a46c43d2e3e91a8eac8308b43ff110c6dc339e20bafbc3e4fc161f8edb")),
 ], ids=["31-200", "353-500"])
-def test_curves(y, r_max, digest, uncapped, folded, sparse):
+def test_curves(y, r_max, digest, uncapped, folded, sparse, log13, monkeypatch):
     # digest and uncapped are over the grid points above 1, where the
     # curve that folds nothing is the moment curve; it is 1 on the rest.
     # All three are of every-order tables
@@ -393,3 +433,10 @@ def test_curves(y, r_max, digest, uncapped, folded, sparse):
     assert curve_digest(ru) == folded
     # and the folded curve of the sparse table a run builds
     assert curve_digest(_engine_consts(build_moment_table(1009, r_max), y).ru_at[1:]) == sparse
+    # both on the fold's 2^-13 log step, the sparse table's from 32 dense
+    # orders
+    monkeypatch.setattr(moments, "_LOG_BITS", 13)
+    ru = _engine_consts(build_moment_table(1009, r_max, every_order=True), y).ru_at[1:]
+    assert curve_digest(ru) == log13[0]
+    monkeypatch.setattr(moments, "_DENSE_ORDERS", 32)
+    assert curve_digest(_engine_consts(build_moment_table(1009, r_max), y).ru_at[1:]) == log13[1]

@@ -509,7 +509,13 @@ def test_class_split_moves_no_bit(y, z, r_max, budget, used, monkeypatch):
 # peaks at 4.94 MB, and its grid from 1/2 to 4 adds 2^16 + 1 doubles
 # (0.52 MB) to the curve the walk holds: the walk's peak, 5.24 MB, is the
 # run's. Building the candidate ranges of a whole a-side block at once,
-# not 2048 rows at a time, read 7.05 MB.
+# not 2048 rows at a time, read 7.05 MB. The fold's 2^-14 log step doubles
+# its arrays, and the run read 6.76 MB, the curve build's, until the fold
+# built the moment curve in its padded buffer, the lower log bounds at
+# i >= 0 alone, and the engine's curve in one np.repeat after it: with the
+# b table alive the curve build peaks at 4.13 MB (5.14 MB on the 2^-13
+# step), fold_curve alone at 2.68 MB (1.88 MB), and the walk's peak, 5.23
+# MB, is the run's again.
 _PEAK_BOUND = 5_385_000
 
 

@@ -105,7 +105,7 @@ class TestBuildTable:
         assert table_y31_r200.values[0] == moment_r1_exact(31)
 
     def test_all_values_at_least_one(self, table_y31_r200):
-        assert len(table_y31_r200.values) == 70
+        assert len(table_y31_r200.values) == 78
         assert all(v >= 1.0 for v in table_y31_r200.values)
 
     def test_roots_certified_by_down_powering(self, table_y31_r200):
@@ -135,7 +135,7 @@ class TestBuildTable:
                 acc *= 1 + t1 + t2
             acc *= mp.exp(mp.mpf("1.6623114e-6") * r)
             true_root = acc ** (mp.mpf(1) / r)
-            got = table_y31_r200.roots[r - 1]  # every order up to 32
+            got = table_y31_r200.roots[r - 1]  # every order up to 48
             assert got >= true_root
             assert got <= float(true_root) * (1 + 1e-9)
 
@@ -148,7 +148,7 @@ class TestBuildTable:
     def test_paper_scale_table_shape(self):
         t = build_moment_table(157, 2000)
         assert t.r_max == 2000 and t.orders == moments.moment_orders(2000)
-        assert len(t.values) == len(t.roots) == 117
+        assert len(t.values) == len(t.roots) == 125
         assert all(v >= 1.0 for v in t.values)
         assert math.isfinite(t.values[-1])
         t = build_moment_table(157, 2000, every_order=True)
@@ -192,17 +192,20 @@ class TestOrders:
     """The sparse orders of the table run_bounds builds (moments.moment_orders)
     and the step of each factor by the power of the gap."""
 
-    def test_every_order_to_32_then_a_ratio_of_21_20(self):
-        for r_max, count in ((200, 70), (500, 89), (2000, 117), (4000, 131)):
-            orders = moments.moment_orders(r_max)
-            assert len(orders) == count and orders[:32] == tuple(range(1, 33))
-            assert orders[-1] == r_max
-            assert orders[32:-1] == tuple(math.ceil(32 * Fraction(21, 20)**k)
-                                          for k in range(1, len(orders) - 32))
-            assert all(a < b for a, b in zip(orders, orders[1:]))
-        for r_max in (1, 20, 32):
-            assert moments.moment_orders(r_max) == tuple(range(1, r_max + 1))
-        assert moments.moment_orders(33) == (*range(1, 33), 33)
+    def test_every_dense_order_then_a_ratio_of_21_20(self, monkeypatch):
+        # 48 dense orders, and 32, the set before the fold's 2^-14 log step
+        for dense, counts in ((48, (78, 96, 125, 139)), (32, (70, 89, 117, 131))):
+            monkeypatch.setattr(moments, "_DENSE_ORDERS", dense)
+            for r_max, count in zip((200, 500, 2000, 4000), counts):
+                orders = moments.moment_orders(r_max)
+                assert len(orders) == count and orders[:dense] == tuple(range(1, dense + 1))
+                assert orders[-1] == r_max
+                assert orders[dense:-1] == tuple(math.ceil(dense * Fraction(21, 20)**k)
+                                                 for k in range(1, len(orders) - dense))
+                assert all(a < b for a, b in zip(orders, orders[1:]))
+            for r_max in (1, 20, dense):
+                assert moments.moment_orders(r_max) == tuple(range(1, r_max + 1))
+            assert moments.moment_orders(dense + 1) == tuple(range(1, dense + 2))
 
     @pytest.mark.parametrize("y", [2, 31, 353, 1009])
     def test_values_never_fall_along_the_orders(self, y):
@@ -210,7 +213,7 @@ class TestOrders:
         # does not fall from one order to the next
         t = build_moment_table(y, 4000)
         live = [v for v in t.values if math.isfinite(v)]
-        assert len(live) > 32
+        assert len(live) > 48
         assert all(a <= b for a, b in zip(live, live[1:]))
 
     def test_values_match_the_scalar_oracle_up_to_4000(self):
@@ -223,7 +226,7 @@ class TestOrders:
             assert v == pytest.approx(moment_upper(1009, r, mids), rel=1e-10), r
         t = build_moment_table(1009, 4000)
         values = dict(zip(t.orders, t.values))
-        for r in (34, 447, 4000):
+        for r in (34, 453, 4000):
             assert values[r] == pytest.approx(moment_upper(1009, r), rel=1e-10), r
 
     def test_values_bound_the_exact_product(self):
@@ -244,6 +247,15 @@ class TestOrders:
             assert v <= acc * (1 + mp.mpf(10) ** -10), r
 
 
+def fold(f, laws):
+    """moments._fold of the curve f, placed in the padded buffer it
+    folds in."""
+    pad = moments._fold_pad(laws)
+    buf = np.ones(f.size + 2 * pad)
+    buf[pad:pad + f.size] = f
+    return moments._fold(buf, pad, laws)
+
+
 class TestFold:
     """moments.fold_curve and its parts: the log grid bounds, the law of
     one prime and the fold of the laws into a curve (the fold lemma in the
@@ -253,16 +265,18 @@ class TestFold:
         mp.mp.dps = 40
         bits = moments._LOG_BITS
         n = 2 << bits
-        lo, hi = moments._pow2_bounds(bits, n)
-        assert lo.size == hi.size == 2 * n + 1
+        lo, hi = moments._pow2_bounds(bits)
+        assert lo.size == n + 1 and hi.size == 2 * n + 1
         assert np.all(np.diff(lo) > 0) and np.all(np.diff(hi) > 0)
         assert hi[0] == 0.25 and hi[n] == 1.0 and hi[-1] == 4.0
         for i in range(-n, n + 1, 7):
             exact = mp.power(2, mp.mpf(i) / 2**bits)
-            assert lo[i + n] <= exact <= hi[i + n], i
-            # exp_up's halvings and squarings leave a relative slack of
-            # about 1e-14
-            assert hi[i + n] - lo[i + n] <= 1e-13 * hi[i + n]
+            assert exact <= hi[i + n], i
+            if i >= 0:
+                assert lo[i] <= exact, i
+                # exp_up's halvings and squarings leave a relative slack
+                # of about 1e-14
+                assert hi[i + n] - lo[i] <= 1e-13 * hi[i + n]
 
     def test_law_is_the_exact_law_moved_to_safe_offsets(self):
         # as a law over the offsets, each prime's term puts at least the
@@ -272,8 +286,8 @@ class TestFold:
         # where the atoms past the last kept one sit once they converge
         mp.mp.dps = 60
         bits = moments._LOG_BITS
-        n = 2 << bits
-        lo, hi = (b[n:] for b in moments._pow2_bounds(bits, n))
+        lo, hi = moments._pow2_bounds(bits)
+        hi = hi[2 << bits:]
         for p in primes_upto(1009).tolist()[1:]:
             law = moments._law(p, lo, hi, moments._FOLD_CUTOFF)
             exact = {0: Fraction(p - 2, p)}
@@ -300,10 +314,10 @@ class TestFold:
 
     def box_curves(self):
         n = 2 << self.BOX_BITS
-        lo, hi = (b[n:] for b in moments._pow2_bounds(self.BOX_BITS, n))
+        lo, hi = moments._pow2_bounds(self.BOX_BITS)
         f = [1.0] * (n + 1) + [1.0 / (1.0 + (i / 16) ** 2) for i in range(1, n + 1)]
-        laws = [moments._law(p, lo, hi, self.BOX_CUTOFF) for p in self.BOX_PRIMES]
-        return f, moments._fold(np.array(f), laws)
+        laws = [moments._law(p, lo, hi[n:], self.BOX_CUTOFF) for p in self.BOX_PRIMES]
+        return f, fold(np.array(f), laws)
 
     def test_fold_lies_above_the_exact_box_fold(self):
         f, got = self.box_curves()
@@ -329,7 +343,7 @@ class TestFold:
         #    one step UP without the slack does not cover it either.
         def exact_and_nearest(f, laws):
             exact = fold_laws(f.tolist(), laws)
-            got = moments._fold(f, laws)
+            got = fold(f, laws)
             assert all(Fraction(g) >= e for g, e in zip(got.tolist(), exact))
             return exact, fold_nearest(f, laws).tolist()
 
@@ -345,11 +359,11 @@ class TestFold:
     def test_fold_refuses_products_below_the_normal_doubles(self):
         # 2^-1000 * 2^-30 would be subnormal, where the rounding bound fails
         with pytest.raises(AssertionError, match="bug"):
-            moments._fold(np.full(8, 2.0**-1000), [((0, 2.0**-30), (1, 1.0))])
+            fold(np.full(8, 2.0**-1000), [((0, 2.0**-30), (1, 1.0))])
 
     def test_fold_curve_is_a_non_increasing_bound_at_most_one(self, table_y1009_r200):
         hi, s = moments.fold_curve(table_y1009_r200, 31)
-        n = moments._LOG_HALF
+        n = 2 << moments._LOG_BITS
         assert hi.size == s.size == 2 * n + 1 == (1 << (moments._LOG_BITS + 2)) + 1
         assert np.all(np.diff(s) <= 0) and s[0] == 1.0 and 0.0 < s[-1] < 1e-9
         # a table at y folds nothing, but fold_curve still reads its moment

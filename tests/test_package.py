@@ -52,6 +52,8 @@ _ALL = {
 # units of 2**-1074 by rounds of extraction. _a_blocks, _a_block, _Own: a
 # (y, z) whose b table passes the row budget is refused, so the a side is
 # one table of the odd a, charged whole, and no walk splits a as c*m.
+# _LOG_HALF: fold_curve takes the half-width of its log grid from
+# _LOG_BITS, so the one constant sets the step.
 _REMOVED = (
     "dir_add", "dir_sub", "dir_mul", "dir_div", "dir_pow",
     "_operand_value", "_sum_exact", "_mul_exact", "_div_exact",
@@ -74,7 +76,7 @@ _REMOVED = (
     "_extract", "_SCALE", "ProgressEvent", "_directed", "_CHUNK_MIN",
     "_group_reads",
     "exact_sum", "_SUM_MAX_TERMS", "_SUM_BOUND_BITS",
-    "_a_blocks", "_a_block", "_Own",
+    "_a_blocks", "_a_block", "_Own", "_LOG_HALF",
 )
 
 # Methods dropped along with the code that called them. The table holds
